@@ -241,11 +241,11 @@ mod tests {
     fn engine_variants_share_one_entry() {
         let (cache, dir) = temp_cache("engines");
         let trace = find("fig2/mta/p8").unwrap();
-        let compiled = find("fig2/mta-compiled/p8").unwrap();
+        let partitioned = find("fig2/mta-partitioned/p8").unwrap();
         let sim = vec![("cycles".to_string(), 9u64), ("issued".to_string(), 8)];
         cache.record(&trace, &sim);
         assert_eq!(
-            cache.lookup(&compiled),
+            cache.lookup(&partitioned),
             Some(sim),
             "determinism contract: one result serves every engine pin"
         );

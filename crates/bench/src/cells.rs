@@ -18,9 +18,9 @@
 //! plan, which perturbs simulated quantities by design). Engine and
 //! worker count are deliberately **excluded**: the workspace's
 //! determinism contract (PRs 2–6, enforced by the differential suites
-//! and the bench baseline) is that all four MTA engines at every worker
+//! and the bench baseline) is that every MTA engine at every worker
 //! count produce bit-identical simulated fingerprints, so
-//! `fig1/mta/random/p8` and `fig1/mta-compiled/random/p8` are the same
+//! `fig1/mta/random/p8` and `fig1/mta-partitioned/random/p8` are the same
 //! cached result. The cycle budget is also excluded — it only decides
 //! whether a run *fails*, and failures are never cached.
 
@@ -447,23 +447,11 @@ pub fn bench_suite() -> Vec<(&'static str, CellSpec)> {
     let native = |kernel| CellSpec::new(kernel, MachineKind::Native, 0);
     use Kernel::*;
     use ListKind::{Ordered, Random};
-    use MtaEngine::{Compiled, Partitioned};
+    use MtaEngine::Partitioned;
     vec![
         ("fig1/mta/random/p8", mta(Fig1(Random), 8)),
         ("fig1/mta/ordered/p8", mta(Fig1(Ordered), 8)),
         ("fig1/mta/random/p1", mta(Fig1(Random), 1)),
-        (
-            "fig1/mta-compiled/random/p8",
-            mta_eng(Fig1(Random), 8, Compiled),
-        ),
-        (
-            "fig1/mta-compiled/ordered/p8",
-            mta_eng(Fig1(Ordered), 8, Compiled),
-        ),
-        (
-            "fig1/mta-compiled/random/p1",
-            mta_eng(Fig1(Random), 1, Compiled),
-        ),
         (
             "fig1/mta-partitioned/random/p8",
             mta_eng(Fig1(Random), 8, Partitioned),
@@ -479,18 +467,15 @@ pub fn bench_suite() -> Vec<(&'static str, CellSpec)> {
         ("fig1/smp/random/p8", smp(Fig1(Random), 8)),
         ("fig1/smp/ordered/p8", smp(Fig1(Ordered), 8)),
         ("fig2/mta/p8", mta(Fig2, 8)),
-        ("fig2/mta-compiled/p8", mta_eng(Fig2, 8, Compiled)),
         ("fig2/mta-partitioned/p8", mta_eng(Fig2, 8, Partitioned)),
         ("fig2/smp/p8", smp(Fig2, 8)),
         ("table1/mta/random/p8", mta(Table1List(Random), 8)),
         ("table1/mta/ordered/p8", mta(Table1List(Ordered), 8)),
         ("table1/mta/cc/p8", mta(Table1Cc, 8)),
         ("color/mta/p8", mta(Color, 8)),
-        ("color/mta-compiled/p8", mta_eng(Color, 8, Compiled)),
         ("color/mta-partitioned/p8", mta_eng(Color, 8, Partitioned)),
         ("color/smp/p8", smp(Color, 8)),
         ("bfs/mta/p8", mta(Bfs, 8)),
-        ("bfs/mta-compiled/p8", mta_eng(Bfs, 8, Compiled)),
         ("bfs/mta-partitioned/p8", mta_eng(Bfs, 8, Partitioned)),
         ("bfs/smp/p8", smp(Bfs, 8)),
         ("sync/mta/p8", mta(Sync, 8)),
@@ -553,25 +538,15 @@ pub fn find(name: &str) -> Option<CellSpec> {
         .map(|(_, s)| s)
 }
 
-/// Parse an MTA engine name as specs spell it.
+/// Parse an MTA engine name as specs spell it ([`MtaEngine::parse`]:
+/// `compiled` is accepted as a synonym of `trace`).
 pub fn parse_engine(s: &str) -> Option<MtaEngine> {
-    Some(match s {
-        "trace" => MtaEngine::Trace,
-        "single-step" | "single_step" | "oracle" => MtaEngine::SingleStep,
-        "compiled" | "threaded" => MtaEngine::Compiled,
-        "partitioned" | "parallel" => MtaEngine::Partitioned,
-        _ => return None,
-    })
+    MtaEngine::parse(s)
 }
 
 /// Spell an MTA engine the way [`parse_engine`] reads it.
 pub fn engine_name(e: MtaEngine) -> &'static str {
-    match e {
-        MtaEngine::Trace => "trace",
-        MtaEngine::SingleStep => "single-step",
-        MtaEngine::Compiled => "compiled",
-        MtaEngine::Partitioned => "partitioned",
-    }
+    e.name()
 }
 
 #[cfg(test)]
@@ -581,7 +556,7 @@ mod tests {
     #[test]
     fn suite_names_are_unique_and_specs_valid() {
         let suite = bench_suite();
-        assert_eq!(suite.len(), 37, "the committed baseline has 37 cells");
+        assert_eq!(suite.len(), 31, "the committed baseline has 31 cells");
         let mut names: Vec<&str> = suite.iter().map(|(n, _)| *n).collect();
         names.sort_unstable();
         names.dedup();
@@ -594,10 +569,8 @@ mod tests {
     #[test]
     fn cache_key_ignores_engine_and_workers_but_not_size() {
         let a = find("fig2/mta/p8").unwrap();
-        let b = find("fig2/mta-compiled/p8").unwrap();
         let c = find("fig2/mta-partitioned/p8").unwrap();
-        assert_eq!(a.cache_key(), b.cache_key(), "engines share one result");
-        assert_eq!(a.cache_key(), c.cache_key());
+        assert_eq!(a.cache_key(), c.cache_key(), "engines share one result");
         let mut w4 = c.clone();
         w4.workers = Some(4);
         assert_eq!(
@@ -722,13 +695,9 @@ mod tests {
         }
         assert_eq!(Kernel::parse("nope"), None);
         assert_eq!(MachineKind::parse("gpu"), None);
-        for e in [
-            MtaEngine::Trace,
-            MtaEngine::SingleStep,
-            MtaEngine::Compiled,
-            MtaEngine::Partitioned,
-        ] {
-            assert_eq!(parse_engine(engine_name(e)), Some(e));
-        }
+        assert_eq!(
+            parse_engine(engine_name(MtaEngine::Trace)),
+            Some(MtaEngine::Trace)
+        );
     }
 }

@@ -7,7 +7,7 @@
 //! oracle check inside every cell — and feed the `bench` regression
 //! driver, which pins their exact simulated fingerprints per engine in
 //! `BENCH_archgraph.json`. The MTA cells must fingerprint identically on
-//! every engine (SingleStep, Trace, Compiled, Partitioned) and at every
+//! every engine (SingleStep, Trace, Partitioned) and at every
 //! worker count; the differential test suite proves it, the bench
 //! baseline enforces it in CI.
 
@@ -258,11 +258,7 @@ mod tests {
     fn sync_cell_is_engine_and_worker_invariant() {
         let base = with_engine(MtaEngine::SingleStep, || sync_mta_cell(2, 128, 384));
         assert!(base.checksum > 0);
-        for engine in [
-            MtaEngine::Trace,
-            MtaEngine::Compiled,
-            MtaEngine::Partitioned,
-        ] {
+        for engine in [MtaEngine::Trace, MtaEngine::Partitioned] {
             let r = with_engine(engine, || sync_mta_cell(2, 128, 384));
             assert_eq!(r.checksum, base.checksum, "{engine:?}");
             assert_eq!(r.report.cycles, base.report.cycles, "{engine:?}");

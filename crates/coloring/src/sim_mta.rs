@@ -15,7 +15,7 @@
 //!
 //! The `readff` conflict check is where the MTA's tag machinery earns its
 //! keep: on a clean machine every color word is full, so read-when-full
-//! behaves exactly like an ordinary load on all four engines — the check
+//! behaves exactly like an ordinary load on every engine — the check
 //! is *engine-invariant* — while under injected tag faults the streams
 //! park and the deadlock detector names them instead of the kernel
 //! silently mis-coloring.
@@ -317,11 +317,7 @@ mod tests {
     fn engines_agree_bit_for_bit() {
         let g = gen::random_gnm(150, 450, 7);
         let base = simulate_coloring_mta(&g, &tiny(), 2, 8);
-        for engine in [
-            MtaEngine::SingleStep,
-            MtaEngine::Compiled,
-            MtaEngine::Partitioned,
-        ] {
+        for engine in [MtaEngine::SingleStep, MtaEngine::Partitioned] {
             let r = with_engine(engine, || simulate_coloring_mta(&g, &tiny(), 2, 8));
             assert_eq!(r.colors, base.colors, "{engine:?}");
             assert_eq!(r.rounds, base.rounds, "{engine:?}");

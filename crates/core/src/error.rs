@@ -10,7 +10,7 @@
 //! * [`SimError::Deadlock`] — every unhalted stream is parked on a failing
 //!   full/empty operation and no operation can ever succeed again. Carries
 //!   per-stream diagnostics ([`BlockedStream`]) and the detection cycle,
-//!   both of which are **bit-identical across all four MTA engines** so the
+//!   both of which are **bit-identical across all MTA engines** so the
 //!   differential suite extends to failure paths.
 //! * [`SimError::CycleBudgetExceeded`] — a watchdog converted a runaway
 //!   run (infinite loop, livelocked iteration) into an error instead of an

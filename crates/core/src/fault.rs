@@ -16,13 +16,13 @@
 //!
 //! Because every decision is a pure function of schedule-invariant
 //! inputs — the address, the issuing processor, and the operation's own
-//! issue time — the same plan perturbs the MTA's SingleStep, Trace,
-//! Compiled and Partitioned engines bit-identically at every worker
-//! count: the partitioned engine's workers compute an operation's extra
-//! latency locally, in parallel, and arrive at exactly the numbers the
-//! serial engines do. The SMP machine consumes the stall/brownout
-//! subset of the same plan (links and full/empty faults are meaningless
-//! on a cache-based SMP) so degradation ratios stay comparable across
+//! issue time — the same plan perturbs the MTA's SingleStep, Trace and
+//! Partitioned engines bit-identically at every worker count: the
+//! partitioned engine's workers compute an operation's extra latency
+//! locally, in parallel, and arrive at exactly the numbers the serial
+//! engines do. The SMP machine consumes the stall/brownout subset of the
+//! same plan (links and full/empty faults are meaningless on a
+//! cache-based SMP) so degradation ratios stay comparable across
 //! machines.
 //!
 //! Plans come from `ARCHGRAPH_FAULTS=<spec>:<seed>`, where `<spec>` is a

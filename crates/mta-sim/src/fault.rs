@@ -42,7 +42,7 @@
 //! ahead of the single-step schedule). All reported quantities — the
 //! blocked set, pcs, addresses, tag states, and the detection cycle (the
 //! issue time of the last stream's first failing attempt) — are
-//! schedule-invariant, so all four engines return the identical error.
+//! schedule-invariant, so every engine returns the identical error.
 
 use archgraph_core::error::{BlockedStream, SimError};
 
@@ -63,10 +63,10 @@ struct Block {
 }
 
 /// Per-stream blocked/halted bookkeeping for deadlock detection; one
-/// instance per issue loop. The interpreter and compiled engines drive it
-/// inline; the partitioned engine's coordinator drives it during the
-/// serial control phase of each window merge, replaying sync failures and
-/// halts in global `(time, stream)` order so the diagnostics come out
+/// instance per issue loop. The serial loop drives it inline; the
+/// partitioned engine's coordinator drives it during the serial control
+/// phase of each window merge, replaying sync failures and halts in
+/// global `(time, stream)` order so the diagnostics come out
 /// bit-identical.
 #[derive(Debug)]
 pub(crate) struct BlockTracker {

@@ -427,7 +427,42 @@ impl TraceEnd {
 /// Number of [`TraceEnd`] variants (histogram width).
 pub const N_TRACE_ENDS: usize = 5;
 
-/// Per-program trace metadata, computed once at [`ProgramBuilder::build`].
+/// One program counter's scheduling record: everything an issue loop asks
+/// about `instrs[pc]` before executing it, in 12 bytes.
+///
+/// Source registers are stored as indices with "no operand" mapped to
+/// register 0, whose ready time is pinned at 0 (r0 is never written), so
+/// the readiness max over both slots is branch-free and exact.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Decoded {
+    /// External use-set of the private run starting here (bit *r* =
+    /// register *r*); of the *whole* run even when `run_len` saturates.
+    pub use_mask: u32,
+    /// First source register, [`Instr::sources`] order (absent → r0).
+    pub src0: u8,
+    /// Second source register (absent → r0).
+    pub src1: u8,
+    /// Issue-slot thirds this operation consumes (memory 3, other 1).
+    pub cost: u8,
+    /// [`Instr::is_memory`].
+    pub is_memory: bool,
+    /// [`OpClass::index`] of [`Instr::class`].
+    pub class_idx: u8,
+    /// Private run length starting here, saturated at `u8::MAX` (a batch
+    /// longer than 255 is beyond every horizon the engines meet).
+    pub run_len: u8,
+    /// Whether that run ends with a trailing control op. Dropped when
+    /// `run_len` saturates: the control op then lies beyond the cap.
+    pub tail: bool,
+    /// Whether a visit here could cover ≥ 2 instructions — a run of at
+    /// least two, or a trailing control op whose taken edge may reveal a
+    /// further run. The batching loops' single-byte gate.
+    pub batchable: bool,
+}
+
+/// Per-program trace metadata, computed once at [`ProgramBuilder::build`]:
+/// one [`Decoded`] record per program counter, which is also the only
+/// per-pc table the issue loops read.
 ///
 /// A **trace** is a maximal run of ALU operations (`li`/`mov`/`add`/
 /// `addi`/`sub`/`mul` — non-memory, non-synchronizing, non-branching)
@@ -441,73 +476,92 @@ pub const N_TRACE_ENDS: usize = 5;
 /// The run summaries make trace-batched execution a constant-time
 /// decision per scheduler visit:
 ///
-/// * `run_len[pc]` — number of consecutive **private** operations
+/// * [`Self::run_len`] — number of consecutive **private** operations
 ///   starting at `pc`: the ALU body plus, when the body runs straight
 ///   into a branch, jump, or `halt`, that one trailing control operation
 ///   (control ops read only this stream's registers and write only its
 ///   program counter, so — like the ALU body — they commute with every
 ///   other stream's events). 0 when `instrs[pc]` is itself a memory,
 ///   atomic, or sync operation;
-/// * `tail[pc]` — whether that run includes such a trailing control
-///   operation (so the pure-ALU body is `run_len - tail`);
-/// * `use_mask[pc]` — bitmask (bit *r* = register *r*) of the registers
-///   the run (body *and* tail) reads **before writing them**: the run's
-///   external use-set. Registers defined inside the run before use are
-///   excluded, as is r0 (hardwired zero, always ready). If every
+/// * [`Self::has_tail`] — whether that run includes such a trailing
+///   control operation (so the pure-ALU body is `run_len - tail`);
+/// * [`Self::use_mask`] — bitmask (bit *r* = register *r*) of the
+///   registers the run (body *and* tail) reads **before writing them**:
+///   the run's external use-set. Registers defined inside the run before
+///   use are excluded, as is r0 (hardwired zero, always ready). If every
 ///   register in the mask is ready, the entire run can issue
 ///   back-to-back with no stall.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceTable {
-    run_len: Vec<u32>,
-    use_mask: Vec<u32>,
-    tail: Vec<bool>,
+    recs: Vec<Decoded>,
 }
 
 impl TraceTable {
     fn build(instrs: &[Instr]) -> TraceTable {
-        let n = instrs.len();
-        let mut run_len = vec![0u32; n + 1];
-        let mut use_mask = vec![0u32; n + 1];
-        let mut tail = vec![false; n + 1];
-        for pc in (0..n).rev() {
-            let ins = &instrs[pc];
-            match TraceEnd::of(ins) {
-                None => {
-                    // ALU body op: extend whatever run follows.
-                    run_len[pc] = run_len[pc + 1] + 1;
-                    tail[pc] = tail[pc + 1];
-                    let mut m = use_mask[pc + 1];
-                    if let Some(d) = ins.dest() {
-                        if d.0 != 0 {
-                            m &= !(1u32 << d.0);
-                        }
+        // Backward scan carrying the private run that starts at `pc + 1`.
+        let (mut len, mut tail, mut mask) = (0u32, false, 0u32);
+        let mut recs: Vec<Decoded> = instrs
+            .iter()
+            .rev()
+            .map(|ins| {
+                let [src0, src1] = ins.sources().map(|s| s.map_or(0, |r| r.0));
+                let uses = ((1u32 << src0) | (1u32 << src1)) & !1; // r0 is always ready
+                (len, tail, mask) = match TraceEnd::of(ins) {
+                    // ALU body op: extend whatever run follows. Its
+                    // destination is defined inside the run from here on.
+                    None => {
+                        let dst = ins.dest().map_or(0, |d| d.0);
+                        (len + 1, tail, (mask & !(1u32 << dst)) | uses)
                     }
-                    for s in ins.sources().into_iter().flatten() {
-                        m |= 1u32 << s.0;
-                    }
-                    use_mask[pc] = m & !1; // r0 is always ready
-                }
-                Some(TraceEnd::Branch | TraceEnd::Halt) => {
                     // Control tail: a one-op run of its own (the engine
                     // resolves the successor pc when it executes it).
-                    run_len[pc] = 1;
-                    tail[pc] = true;
-                    let mut m = 0u32;
-                    for s in ins.sources().into_iter().flatten() {
-                        m |= 1u32 << s.0;
-                    }
-                    use_mask[pc] = m & !1;
+                    Some(TraceEnd::Branch | TraceEnd::Halt) => (1, true, uses),
+                    Some(_) => (0, false, 0), // memory / atomic / sync: never private
+                };
+                // Saturate long runs at 255 body ops; the trailing control
+                // op of a truncated run lies beyond the cap, so drop its
+                // flag.
+                let (run_len, capped_tail) = match u8::try_from(len) {
+                    Ok(short) => (short, tail),
+                    Err(_) => (u8::MAX, false),
+                };
+                Decoded {
+                    use_mask: mask,
+                    src0,
+                    src1,
+                    cost: if ins.is_memory() { 3 } else { 1 },
+                    is_memory: ins.is_memory(),
+                    class_idx: ins.class().index() as u8,
+                    run_len,
+                    tail: capped_tail,
+                    batchable: run_len >= 2 || capped_tail,
                 }
-                Some(_) => {} // memory / atomic / sync: never private
+            })
+            .collect();
+        recs.reverse();
+        TraceTable { recs }
+    }
+
+    /// The per-pc records, indexed by program counter.
+    #[inline]
+    pub fn decoded(&self) -> &[Decoded] {
+        &self.recs
+    }
+
+    /// Unsaturated length and tail flag of the run starting at `pc`. A
+    /// record saturated at 255 covers ALU body ops only, so the rest of
+    /// its run is the run starting 255 further on.
+    fn full_run(&self, mut pc: usize) -> (u32, bool) {
+        let mut len = 0;
+        loop {
+            let Some(d) = self.recs.get(pc) else {
+                return (len, false);
+            };
+            len += u32::from(d.run_len);
+            if d.run_len < u8::MAX || d.tail {
+                return (len, d.tail);
             }
-        }
-        run_len.truncate(n);
-        use_mask.truncate(n);
-        tail.truncate(n);
-        TraceTable {
-            run_len,
-            use_mask,
-            tail,
+            pc += usize::from(u8::MAX);
         }
     }
 
@@ -516,21 +570,21 @@ impl TraceTable {
     /// sync operation, or is out of range).
     #[inline]
     pub fn run_len(&self, pc: usize) -> u32 {
-        self.run_len.get(pc).copied().unwrap_or(0)
+        self.full_run(pc).0
     }
 
     /// External use-set of the run starting at `pc`, as a register
     /// bitmask (empty for non-private ops and out-of-range `pc`).
     #[inline]
     pub fn use_mask(&self, pc: usize) -> u32 {
-        self.use_mask.get(pc).copied().unwrap_or(0)
+        self.recs.get(pc).map_or(0, |d| d.use_mask)
     }
 
     /// Whether the run starting at `pc` ends with a trailing control
     /// operation (branch, jump, or halt) included in [`Self::run_len`].
     #[inline]
     pub fn has_tail(&self, pc: usize) -> bool {
-        self.tail.get(pc).copied().unwrap_or(false)
+        self.full_run(pc).1
     }
 
     /// Static summary over a program: one entry per *maximal* trace (a
@@ -587,7 +641,6 @@ impl TraceSummary {
 pub struct Program {
     instrs: Vec<Instr>,
     traces: TraceTable,
-    compiled: crate::compiled::CompiledProgram,
 }
 
 impl Program {
@@ -599,12 +652,6 @@ impl Program {
     /// Trace metadata computed at build time (see [`TraceTable`]).
     pub fn traces(&self) -> &TraceTable {
         &self.traces
-    }
-
-    /// The micro-op lowering computed at build time (the threaded-code
-    /// engine's program form; see [`crate::compiled`]).
-    pub(crate) fn compiled(&self) -> &crate::compiled::CompiledProgram {
-        &self.compiled
     }
 
     /// Static trace statistics for this program.
@@ -871,11 +918,9 @@ impl ProgramBuilder {
             }
         }
         let traces = TraceTable::build(&self.instrs);
-        let compiled = crate::compiled::lower(&self.instrs, &traces);
         Program {
             instrs: self.instrs,
             traces,
-            compiled,
         }
     }
 }

@@ -58,7 +58,6 @@
 #![warn(missing_docs)]
 
 pub mod asm;
-pub(crate) mod compiled;
 pub mod fault;
 pub mod isa;
 pub mod machine;

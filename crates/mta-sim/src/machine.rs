@@ -52,13 +52,6 @@
 //! path, which is also available wholesale as [`MtaEngine::SingleStep`],
 //! the differential oracle. DESIGN.md gives the full schedule-preservation
 //! argument.
-//!
-//! **Threaded code.** The third engine ([`MtaEngine::Compiled`]) keeps the
-//! trace engine's batching rule but replaces interpretation entirely: at
-//! [`Program`] build time every instruction is lowered to a fused 16-byte
-//! micro-op (see [`crate::compiled`]), and the issue loop dispatches on a
-//! pre-decoded opcode byte with run bodies retiring through a function
-//! table — no per-instruction `match`, no side-table lookups.
 
 use std::cell::Cell;
 use std::sync::OnceLock;
@@ -67,76 +60,13 @@ use archgraph_core::error::{configured_max_cycles, SimError};
 use archgraph_core::MtaParams;
 
 use crate::fault::BlockTracker;
-use crate::isa::{Instr, OpClass, Program, NREGS, N_OP_CLASSES};
+use crate::isa::{Decoded, Instr, Program, Reg, NREGS, N_OP_CLASSES};
 use crate::memory::Memory;
 use crate::report::{EngineStats, RunReport};
 use crate::wheel::TimeWheel;
 
 /// Default simulated memory size in words.
 pub const DEFAULT_MEMORY_WORDS: usize = 1 << 22;
-
-/// Per-instruction scheduling metadata, decoded once per [`MtaMachine::run`]
-/// so the issue loop reads a flat array instead of re-matching the opcode.
-///
-/// Source registers are stored as indices with "no operand" mapped to
-/// register 0: `reg_ready[0]` is pinned at 0 (r0 is never written), so the
-/// readiness max over both slots is branch-free and exact.
-///
-/// The per-pc trace metadata ([`crate::isa::TraceTable`]) is folded in so
-/// the trace engine's batch gate reads the same 12-byte record the
-/// single-step path already has in cache.
-#[derive(Clone, Copy)]
-pub(crate) struct Decoded {
-    /// External use-set of the private run starting here (see
-    /// [`crate::isa::TraceTable`]).
-    pub(crate) use_mask: u32,
-    pub(crate) src0: u8,
-    pub(crate) src1: u8,
-    /// Issue-slot thirds this operation consumes (memory 3, other 1).
-    pub(crate) cost: u8,
-    pub(crate) is_memory: bool,
-    pub(crate) class_idx: u8,
-    /// Private run length starting here, saturated at `u8::MAX` (a batch
-    /// longer than 255 is beyond every horizon this engine meets).
-    pub(crate) run_len: u8,
-    /// Whether that run ends with a trailing control op.
-    pub(crate) tail: bool,
-    /// Single-byte gate for the issue loop: true iff batching is on and a
-    /// visit here could cover ≥ 2 instructions — a run of at least two,
-    /// or a trailing control op whose taken edge may reveal a further
-    /// run. Pinned false under the single-step oracle.
-    pub(crate) batchable: bool,
-}
-
-pub(crate) fn decode(prog: &Program, batching: bool) -> Vec<Decoded> {
-    let traces = prog.traces();
-    prog.instrs()
-        .iter()
-        .enumerate()
-        .map(|(pc, i)| {
-            let [a, b] = i.sources();
-            // Saturate long runs at 255 body ops; the trailing control op
-            // of a truncated run lies beyond the cap, so drop its flag.
-            let full = traces.run_len(pc);
-            let (run_len, tail) = if full > u8::MAX.into() {
-                (u8::MAX, false)
-            } else {
-                (full as u8, traces.has_tail(pc))
-            };
-            Decoded {
-                use_mask: traces.use_mask(pc),
-                src0: a.map_or(0, |r| r.0),
-                src1: b.map_or(0, |r| r.0),
-                cost: if i.is_memory() { 3 } else { 1 },
-                is_memory: i.is_memory(),
-                class_idx: i.class().index() as u8,
-                run_len,
-                tail,
-                batchable: batching && (run_len >= 2 || tail),
-            }
-        })
-        .collect()
-}
 
 /// Open-addressed map from word address to the next time (in thirds) that
 /// word can service an atomic/sync operation.
@@ -214,9 +144,9 @@ impl WordFree {
     }
 }
 
-/// Which issue-loop strategy [`MtaMachine::run`] uses. All three produce
-/// bit-identical [`RunReport`]s and memory states; they differ only in
-/// host-side speed (see [`EngineStats`]).
+/// Which issue-loop strategy [`MtaMachine::run`] uses. All of them
+/// produce bit-identical [`RunReport`]s and memory states; they differ
+/// only in host-side speed (see [`EngineStats`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MtaEngine {
     /// Execute whole ALU runs per scheduler visit (the default).
@@ -225,9 +155,11 @@ pub enum MtaEngine {
     /// One instruction per scheduler visit — the differential oracle the
     /// batching engines are checked against.
     SingleStep,
-    /// Threaded code: run the build-time micro-op lowering (see
-    /// [`crate::compiled`]) with the trace engine's batching rule — the
-    /// fastest engine on interpreter-bound workloads.
+    /// A name with no code behind it: selects exactly the loop `Trace`
+    /// selects. The threaded-code engine it once named measured level
+    /// with the interpreter and was removed (DESIGN.md §3.4); the name and
+    /// its `compiled` spelling stay only until a `benchmark` PR drops the
+    /// `compiled` rows the frozen `benchmarks/` package still reports.
     Compiled,
     /// Partitioned time wheel: shard streams across worker partitions
     /// (whole processors each), execute bounded time windows in parallel,
@@ -240,6 +172,31 @@ pub enum MtaEngine {
     /// memory images, and deadlock diagnostics alike; the only engine
     /// that uses more than one host core for a single region.
     Partitioned,
+}
+
+impl MtaEngine {
+    /// Parse an engine name as `ARCHGRAPH_MTA_ENGINE`, cell specs and the
+    /// daemon's wire `"engine"` key spell it. `compiled` (`threaded`) is
+    /// accepted as a synonym of `trace` (see [`MtaEngine::Compiled`]).
+    pub fn parse(s: &str) -> Option<MtaEngine> {
+        Some(match s {
+            "trace" => MtaEngine::Trace,
+            "single-step" | "single_step" | "oracle" => MtaEngine::SingleStep,
+            "compiled" | "threaded" => MtaEngine::Compiled,
+            "partitioned" | "parallel" => MtaEngine::Partitioned,
+            _ => return None,
+        })
+    }
+
+    /// The canonical spelling [`Self::parse`] reads back.
+    pub fn name(self) -> &'static str {
+        match self {
+            MtaEngine::Trace => "trace",
+            MtaEngine::SingleStep => "single-step",
+            MtaEngine::Compiled => "compiled",
+            MtaEngine::Partitioned => "partitioned",
+        }
+    }
 }
 
 thread_local! {
@@ -262,19 +219,23 @@ pub fn with_engine<R>(engine: MtaEngine, f: impl FnOnce() -> R) -> R {
 }
 
 /// Engine for newly constructed machines: the [`with_engine`] override if
-/// one is active, else `ARCHGRAPH_MTA_ENGINE` (`single-step` selects the
-/// oracle, `compiled` the threaded-code engine; anything else, or unset,
-/// selects `Trace`).
+/// one is active, else `ARCHGRAPH_MTA_ENGINE` as [`MtaEngine::parse`]
+/// reads it, else `Trace`. A value `parse` rejects panics — a typo must
+/// not pass for the default.
 fn configured_engine() -> MtaEngine {
     if let Some(e) = ENGINE_OVERRIDE.with(|c| c.get()) {
         return e;
     }
     static ENV: OnceLock<MtaEngine> = OnceLock::new();
-    *ENV.get_or_init(|| match std::env::var("ARCHGRAPH_MTA_ENGINE").as_deref() {
-        Ok("single-step" | "single_step" | "oracle") => MtaEngine::SingleStep,
-        Ok("compiled" | "threaded") => MtaEngine::Compiled,
-        Ok("partitioned" | "parallel") => MtaEngine::Partitioned,
-        _ => MtaEngine::Trace,
+    *ENV.get_or_init(|| match std::env::var("ARCHGRAPH_MTA_ENGINE") {
+        Err(_) => MtaEngine::Trace,
+        Ok(s) => MtaEngine::parse(&s).unwrap_or_else(|| {
+            panic!(
+                "ARCHGRAPH_MTA_ENGINE={s:?} is not an engine; expected trace, \
+                 single-step (single_step, oracle), partitioned (parallel), or \
+                 compiled (threaded) — a synonym of trace"
+            )
+        }),
     })
 }
 
@@ -300,30 +261,29 @@ pub fn with_workers<R>(workers: usize, f: impl FnOnce() -> R) -> R {
 
 /// Worker-partition count for newly constructed machines: the
 /// [`with_workers`] override if one is active, else `ARCHGRAPH_MTA_WORKERS`
-/// (clamped to ≥ 1), else the host's available parallelism. Only
-/// [`MtaEngine::Partitioned`] reads it.
+/// (clamped to ≥ 1; panics if it is not a count), else the host's
+/// available parallelism. Only [`MtaEngine::Partitioned`] reads it.
 fn configured_workers() -> usize {
     if let Some(w) = WORKERS_OVERRIDE.with(|c| c.get()) {
         return w;
     }
     static ENV: OnceLock<Option<usize>> = OnceLock::new();
-    if let Some(w) = *ENV.get_or_init(|| {
-        std::env::var("ARCHGRAPH_MTA_WORKERS")
-            .ok()
-            .and_then(|s| s.parse::<usize>().ok())
-            .map(|w| w.max(1))
-    }) {
-        return w;
-    }
-    std::thread::available_parallelism().map_or(1, |n| n.get())
+    let pinned = ENV.get_or_init(|| {
+        let s = std::env::var("ARCHGRAPH_MTA_WORKERS").ok()?;
+        match s.parse::<usize>() {
+            Ok(w) => Some(w.max(1)),
+            Err(_) => panic!("ARCHGRAPH_MTA_WORKERS={s:?} is not a worker count"),
+        }
+    });
+    pinned.unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// A committed trace batch: the processor clock after its last issue
-/// slot, the instructions executed, and whether the stream halted.
+/// slot and the instructions executed (`Stream::halted` says whether the
+/// stream halted in it).
 pub(crate) struct BatchDone {
     pub(crate) clock: u64,
     pub(crate) n_exec: u64,
-    pub(crate) halted: bool,
 }
 
 /// The preemption-horizon limit for a batch attempt by stream `id`: a
@@ -354,13 +314,11 @@ pub(crate) fn try_batch(
     s: &mut Stream,
     instrs: &[Instr],
     decoded: &[Decoded],
-    d: Decoded,
     issue_at: u64,
     op_mix: &mut [u64; N_OP_CLASSES],
 ) -> Option<BatchDone> {
-    let mut dr = d;
+    let mut dr = decoded[s.pc];
     let mut at = issue_at;
-    let mut halted = false;
     let mut n_exec = 0u64;
     // Two free slots minimum up front: a 1-op batch is exactly the
     // single-step path, at higher cost.
@@ -384,89 +342,58 @@ pub(crate) fn try_batch(
             break;
         }
         let tail = dr.tail && fits == run;
-        let body = (fits - u64::from(tail)) as usize;
-        for k in 0..body {
-            alu_step(s, instrs[s.pc + k], at + k as u64);
-        }
-        op_mix[OpClass::Alu.index()] += body as u64;
-        s.pc += body;
-        at += body as u64;
-        n_exec += fits;
-        if tail {
+        // (Only the last op of a run can halt the stream.)
+        for k in 0..fits {
             op_mix[decoded[s.pc].class_idx as usize] += 1;
-            at += 1;
-            let next = s.pc + 1;
-            match instrs[s.pc] {
-                Instr::Beq { a, b, target } => {
-                    s.pc = if s.regs[a.0 as usize] == s.regs[b.0 as usize] {
-                        target
-                    } else {
-                        next
-                    };
-                }
-                Instr::Bne { a, b, target } => {
-                    s.pc = if s.regs[a.0 as usize] != s.regs[b.0 as usize] {
-                        target
-                    } else {
-                        next
-                    };
-                }
-                Instr::Blt { a, b, target } => {
-                    s.pc = if s.regs[a.0 as usize] < s.regs[b.0 as usize] {
-                        target
-                    } else {
-                        next
-                    };
-                }
-                Instr::Bge { a, b, target } => {
-                    s.pc = if s.regs[a.0 as usize] >= s.regs[b.0 as usize] {
-                        target
-                    } else {
-                        next
-                    };
-                }
-                Instr::Jmp { target } => s.pc = target,
-                _ => {
-                    // `halt` (nothing else is a tail).
-                    halted = true;
-                }
-            }
+            private_step(s, instrs[s.pc], at + k, instrs.len());
         }
-        if halted || s.pc >= instrs.len() {
-            halted = true;
-            break;
-        }
-        if !tail {
-            // Horizon or readiness cut the body short.
+        at += fits;
+        n_exec += fits;
+        if s.halted || !tail {
+            // Done, or horizon or readiness cut the body short.
             break;
         }
         dr = decoded[s.pc];
     }
-    (n_exec > 0).then_some(BatchDone {
-        clock: at,
-        n_exec,
-        halted,
-    })
+    (n_exec > 0).then_some(BatchDone { clock: at, n_exec })
 }
 
-/// Execute one ALU-class instruction at issue time `ia` (a trace-batch
-/// body step; terminators never come through here).
+/// Execute one *private* operation — ALU, branch, jump or `halt`: the ops
+/// that touch only their own stream — issued at time `ia`, on a program of
+/// `len` instructions. Sets `s.halted` if the stream executed `halt` or
+/// left the program; returns the register written, 0 for none (control
+/// ops, and ALU writes to r0, which are discarded). This is the one
+/// statement of private-op semantics outside the reference step path in
+/// [`MtaMachine::try_run`]: trace batches and the partitioned engine's
+/// windows both execute through it, and the differential suites hold it
+/// to the reference.
 #[inline]
-pub(crate) fn alu_step(s: &mut Stream, instr: Instr, ia: u64) {
-    let (dst, v) = match instr {
-        Instr::Li { dst, imm } => (dst, imm),
-        Instr::Mov { dst, src } => (dst, s.regs[src.0 as usize]),
-        Instr::Add { dst, a, b } => (dst, s.regs[a.0 as usize].wrapping_add(s.regs[b.0 as usize])),
-        Instr::AddI { dst, a, imm } => (dst, s.regs[a.0 as usize].wrapping_add(imm)),
-        Instr::Sub { dst, a, b } => (dst, s.regs[a.0 as usize].wrapping_sub(s.regs[b.0 as usize])),
-        Instr::Mul { dst, a, b } => (dst, s.regs[a.0 as usize].wrapping_mul(s.regs[b.0 as usize])),
-        _ => unreachable!("trace bodies contain only ALU operations"),
+pub(crate) fn private_step(s: &mut Stream, instr: Instr, ia: u64, len: usize) -> u8 {
+    let r = |x: Reg| s.regs[x.0 as usize];
+    let next = s.pc + 1;
+    let (dst, val, pc) = match instr {
+        Instr::Li { dst, imm } => (dst.0, imm, next),
+        Instr::Mov { dst, src } => (dst.0, r(src), next),
+        Instr::Add { dst, a, b } => (dst.0, r(a).wrapping_add(r(b)), next),
+        Instr::AddI { dst, a, imm } => (dst.0, r(a).wrapping_add(imm), next),
+        Instr::Sub { dst, a, b } => (dst.0, r(a).wrapping_sub(r(b)), next),
+        Instr::Mul { dst, a, b } => (dst.0, r(a).wrapping_mul(r(b)), next),
+        Instr::Beq { a, b, target } => (0, 0, if r(a) == r(b) { target } else { next }),
+        Instr::Bne { a, b, target } => (0, 0, if r(a) != r(b) { target } else { next }),
+        Instr::Blt { a, b, target } => (0, 0, if r(a) < r(b) { target } else { next }),
+        Instr::Bge { a, b, target } => (0, 0, if r(a) >= r(b) { target } else { next }),
+        Instr::Jmp { target } => (0, 0, target),
+        // `halt` leaves the pc on itself, as the reference loop does.
+        Instr::Halt => (0, 0, s.pc),
+        _ => unreachable!("memory operations are not private"),
     };
-    let di = dst.0 as usize;
-    if di != 0 {
-        s.regs[di] = v;
-        s.reg_ready[di] = ia + 1;
+    if dst != 0 {
+        s.regs[dst as usize] = val;
+        s.reg_ready[dst as usize] = ia + 1;
     }
+    s.pc = pc;
+    s.halted = matches!(instr, Instr::Halt) || pc >= len;
+    dst
 }
 
 /// Capacity of the inline outstanding-operation ring. The engine keeps at
@@ -568,10 +495,6 @@ pub struct MtaMachine {
     /// Watchdog budget in simulated cycles; a region that would pop an
     /// event past this returns [`SimError::CycleBudgetExceeded`].
     max_cycles: u64,
-    /// Reusable scratch (the register arena) for the compiled engine —
-    /// carrying it across [`Self::run`] calls avoids an allocation per
-    /// region.
-    compiled_scratch: Option<crate::compiled::EngineScratch>,
 }
 
 impl MtaMachine {
@@ -594,7 +517,6 @@ impl MtaMachine {
             engine_stats: EngineStats::default(),
             reports: Vec::new(),
             max_cycles: configured_max_cycles(),
-            compiled_scratch: None,
         }
     }
 
@@ -715,9 +637,27 @@ impl MtaMachine {
         &mut self,
         prog: &Program,
         streams_per_proc: usize,
-        mut init: F,
+        init: F,
     ) -> Result<RunReport, SimError> {
         let host_t0 = std::time::Instant::now();
+        let mut stats = EngineStats::default();
+        let result = self.run_region(prog, streams_per_proc, init, &mut stats);
+        // Host-side accounting lands on every exit: a region that
+        // deadlocks or exhausts its budget still spent this time and
+        // these events (the guardrail suites assert on them).
+        self.host_seconds += host_t0.elapsed().as_secs_f64();
+        self.engine_stats += stats;
+        result
+    }
+
+    /// The body of [`Self::try_run`], which times it and folds `stats`.
+    fn run_region<F: FnMut(usize, &mut [i64; NREGS])>(
+        &mut self,
+        prog: &Program,
+        streams_per_proc: usize,
+        mut init: F,
+        stats: &mut EngineStats,
+    ) -> Result<RunReport, SimError> {
         assert!(streams_per_proc >= 1, "need at least one stream");
         assert!(
             streams_per_proc <= self.params.streams_per_processor,
@@ -753,37 +693,8 @@ impl MtaMachine {
         let mut issued_thirds: u64 = 0;
         let mut last_completion: u64 = 0;
         let mut op_mix = [0u64; N_OP_CLASSES];
-        let mut stats = EngineStats::default();
 
-        if self.engine == MtaEngine::Compiled {
-            // Threaded code: same streams and memory, but the issue loop
-            // reads the build-time micro-op lowering and drives its own
-            // bitmap ready queue (identical pop order). The shared
-            // epilogue below consumes its accumulators unchanged.
-            let out = match crate::compiled::run_region(
-                prog.compiled(),
-                &mut self.memory,
-                &mut streams,
-                &mut proc_clock,
-                &mut self.compiled_scratch,
-                streams_per_proc,
-                latency,
-                lookahead,
-                retry,
-                self.max_cycles,
-            ) {
-                Ok(out) => out,
-                Err(e) => {
-                    self.host_seconds += host_t0.elapsed().as_secs_f64();
-                    return Err(e);
-                }
-            };
-            issued = out.issued;
-            issued_thirds = out.issued_thirds;
-            op_mix = out.op_mix;
-            last_completion = out.last_completion;
-            stats = out.stats;
-        } else if self.engine == MtaEngine::Partitioned && latency >= 2 {
+        if self.engine == MtaEngine::Partitioned && latency >= 2 {
             // Partitioned time wheel: streams sharded across worker
             // partitions (whole processors each), bounded time windows,
             // shared-memory operations applied at each window barrier in
@@ -792,7 +703,7 @@ impl MtaMachine {
             // outcomes ride the value log, undecidable ones stop their
             // partition and are resolved at the round frontier (see
             // crate::partition docs) — results stay exact either way.
-            let out = match crate::partition::run_region(
+            let out = crate::partition::run_region(
                 prog,
                 &mut self.memory,
                 &mut streams,
@@ -803,17 +714,8 @@ impl MtaMachine {
                 lookahead,
                 self.workers,
                 self.max_cycles,
-                // Host-side accounting goes straight into the machine's
-                // accumulator so `windows` survives error returns (the
-                // guardrail suites assert on it for deadlocking regions).
-                &mut self.engine_stats,
-            ) {
-                Ok(out) => out,
-                Err(e) => {
-                    self.host_seconds += host_t0.elapsed().as_secs_f64();
-                    return Err(e);
-                }
-            };
+                stats,
+            )?;
             issued = out.issued;
             issued_thirds = out.issued_thirds;
             op_mix = out.op_mix;
@@ -832,13 +734,13 @@ impl MtaMachine {
             // Hotspot serialization: next cycle (in thirds) at which a word
             // can service another atomic/sync operation.
             let mut word_free = WordFree::new();
-            // Scheduling metadata per instruction (including the trace-batch
-            // gate), decoded once up front. The Partitioned arm here only
-            // serves `latency < 2` parameterizations (no real machine —
-            // the window width Δ = latency − 1 would be degenerate);
-            // batching like Trace keeps it oracle-exact.
-            let batching = matches!(self.engine, MtaEngine::Trace | MtaEngine::Partitioned);
-            let decoded = decode(prog, batching);
+            // Batching is a property of this loop, not of the per-pc table:
+            // off, it is the reference; on, the default engine. Partitioned
+            // lands here only for `latency < 2` parameterizations (no real
+            // machine — the window width Δ = latency − 1 would be
+            // degenerate); batching like Trace keeps it oracle-exact.
+            let batching = self.engine != MtaEngine::SingleStep;
+            let decoded = prog.traces().decoded();
             // Blocked/halted bookkeeping behind deadlock detection. Sync
             // and halt events are schedule-invariant (sync ops are never
             // batched), so every engine observes the same transitions.
@@ -846,7 +748,6 @@ impl MtaMachine {
 
             while let Some((t, id)) = wheel.pop() {
                 if t > budget_thirds {
-                    self.host_seconds += host_t0.elapsed().as_secs_f64();
                     return Err(SimError::CycleBudgetExceeded {
                         budget: self.max_cycles,
                         spent: t.div_ceil(3),
@@ -862,7 +763,6 @@ impl MtaMachine {
                         // Falling off the end halts the stream.
                         tracker.on_halt(id as usize);
                         if let Some(err) = tracker.deadlock(&self.memory) {
-                            self.host_seconds += host_t0.elapsed().as_secs_f64();
                             return Err(err);
                         }
                         break 'ev;
@@ -927,7 +827,7 @@ impl MtaMachine {
                     // the horizon holds, the batch keeps following control flow
                     // into further private runs (a loop of `add; bne` iterations
                     // can retire in a single visit).
-                    if d.batchable {
+                    if batching && d.batchable {
                         // Stall windows additionally cap the horizon: no
                         // batched slot may land inside one. Conservative
                         // caps are exact by the batch-extent lemma.
@@ -935,7 +835,7 @@ impl MtaMachine {
                             .min(budget_thirds.saturating_add(1))
                             .min(self.memory.fault_next_stall(proc, issue_at));
                         if let Some(done) =
-                            try_batch(limit, s, instrs, &decoded, d, issue_at, &mut op_mix)
+                            try_batch(limit, s, instrs, decoded, issue_at, &mut op_mix)
                         {
                             proc_clock[proc] = done.clock;
                             issued += done.n_exec;
@@ -944,11 +844,9 @@ impl MtaMachine {
                                 stats.batches += 1;
                                 stats.batched_instrs += done.n_exec;
                             }
-                            if done.halted {
-                                s.halted = true;
+                            if s.halted {
                                 tracker.on_halt(id as usize);
                                 if let Some(err) = tracker.deadlock(&self.memory) {
-                                    self.host_seconds += host_t0.elapsed().as_secs_f64();
                                     return Err(err);
                                 }
                                 break 'ev;
@@ -1041,7 +939,6 @@ impl MtaMachine {
                                 None => {
                                     tracker.on_sync_fail(id as usize, s.pc, a, "readfe", issue_at);
                                     if let Some(err) = tracker.deadlock(&self.memory) {
-                                        self.host_seconds += host_t0.elapsed().as_secs_f64();
                                         return Err(err);
                                     }
                                     next_pc = s.pc; // retry the same op
@@ -1064,7 +961,6 @@ impl MtaMachine {
                             } else {
                                 tracker.on_sync_fail(id as usize, s.pc, a, "writeef", issue_at);
                                 if let Some(err) = tracker.deadlock(&self.memory) {
-                                    self.host_seconds += host_t0.elapsed().as_secs_f64();
                                     return Err(err);
                                 }
                                 next_pc = s.pc;
@@ -1089,7 +985,6 @@ impl MtaMachine {
                                 None => {
                                     tracker.on_sync_fail(id as usize, s.pc, a, "readff", issue_at);
                                     if let Some(err) = tracker.deadlock(&self.memory) {
-                                        self.host_seconds += host_t0.elapsed().as_secs_f64();
                                         return Err(err);
                                     }
                                     next_pc = s.pc;
@@ -1141,7 +1036,6 @@ impl MtaMachine {
                             s.halted = true;
                             tracker.on_halt(id as usize);
                             if let Some(err) = tracker.deadlock(&self.memory) {
-                                self.host_seconds += host_t0.elapsed().as_secs_f64();
                                 return Err(err);
                             }
                             break 'ev;
@@ -1153,7 +1047,6 @@ impl MtaMachine {
                         s.halted = true;
                         tracker.on_halt(id as usize);
                         if let Some(err) = tracker.deadlock(&self.memory) {
-                            self.host_seconds += host_t0.elapsed().as_secs_f64();
                             return Err(err);
                         }
                         break 'ev;
@@ -1205,11 +1098,6 @@ impl MtaMachine {
             seconds: cycles as f64 * self.params.cycle_seconds(),
         };
         self.total_cycles += cycles;
-        self.host_seconds += host_t0.elapsed().as_secs_f64();
-        self.engine_stats.events += stats.events;
-        self.engine_stats.batches += stats.batches;
-        self.engine_stats.batched_instrs += stats.batched_instrs;
-        self.engine_stats.windows += stats.windows;
         self.reports.push(report.clone());
         Ok(report)
     }
@@ -1641,13 +1529,87 @@ mod tests {
     }
 
     #[test]
-    fn env_override_spelling_variants() {
-        // Not an env test (the cache is process-global); just pin that
-        // set_engine round-trips both variants used by the env parser.
-        let mut m = tiny(1);
-        m.set_engine(MtaEngine::SingleStep);
-        assert_eq!(m.engine(), MtaEngine::SingleStep);
-        m.set_engine(MtaEngine::Trace);
-        assert_eq!(m.engine(), MtaEngine::Trace);
+    fn engine_spellings_round_trip_and_typos_are_rejected() {
+        use MtaEngine::*;
+        for e in [Trace, SingleStep, Compiled, Partitioned] {
+            assert_eq!(MtaEngine::parse(e.name()), Some(e));
+        }
+        for (alias, e) in [
+            ("single_step", SingleStep),
+            ("oracle", SingleStep),
+            ("threaded", Compiled),
+            ("parallel", Partitioned),
+        ] {
+            assert_eq!(MtaEngine::parse(alias), Some(e));
+        }
+        // Near misses must not parse: the env reader turns `None` into a panic.
+        for typo in ["singlestep", "Trace", "trace ", ""] {
+            assert_eq!(MtaEngine::parse(typo), None, "{typo:?}");
+        }
+    }
+
+    #[test]
+    fn private_step_covers_every_private_opcode() {
+        // r2 = MAX, r3 = 2, r4 = -5; every op is tried from pc 4 of 16.
+        let (d, max, two, neg) = (Reg(5), Reg(2), Reg(3), Reg(4));
+        let fresh = |pc| {
+            let mut s = Stream::new(0);
+            (s.pc, s.regs[2], s.regs[3], s.regs[4]) = (pc, i64::MAX, 2, -5);
+            s
+        };
+        let step = |instr, pc| {
+            let mut s = fresh(pc);
+            let wrote = private_step(&mut s, instr, 7, 16);
+            (s, wrote)
+        };
+
+        // ALU ops write the wrapped value, ready one third on, and fall
+        // through; a write to r0 is discarded.
+        let mut b = ProgramBuilder::new();
+        b.li(d, -9).mov(d, max).add(d, max, two).addi(d, max, 1);
+        b.sub(d, neg, max).mul(d, max, two).li(Reg(0), 3);
+        let want = [-9, i64::MAX, i64::MIN + 1, i64::MIN, i64::MAX - 3, -2, 0];
+        for (&instr, want) in b.build().instrs().iter().zip(want) {
+            let (s, wrote) = step(instr, 4);
+            let di = instr.dest().unwrap().0;
+            assert_eq!((wrote, s.pc, s.halted), (di, 5, false), "{instr}");
+            assert_eq!(s.regs[di as usize], want, "{instr}");
+            assert_eq!(
+                s.reg_ready[di as usize],
+                if di == 0 { 0 } else { 8 },
+                "{instr}"
+            );
+        }
+
+        // Control ops write nothing and go to the target (1) or fall
+        // through (5): -5 vs 2, and 2 vs itself.
+        let mut b = ProgramBuilder::new();
+        b.beq(two, two, 1)
+            .bne(neg, two, 1)
+            .blt(neg, two, 1)
+            .bge(two, two, 1);
+        b.jmp(1);
+        b.beq(neg, two, 1)
+            .bne(two, two, 1)
+            .blt(two, two, 1)
+            .bge(neg, two, 1);
+        for (k, &instr) in b.build().instrs().iter().enumerate() {
+            let (s, wrote) = step(instr, 4);
+            assert_eq!(
+                (wrote, s.halted, s.regs),
+                (0, false, fresh(4).regs),
+                "{instr}"
+            );
+            assert_eq!(s.pc, if k < 5 { 1 } else { 5 }, "{instr}");
+        }
+
+        // `halt` stays on its own pc; leaving the program halts too, by
+        // fall-through or by a jump to the end.
+        let (s, _) = step(Instr::Halt, 4);
+        assert!(s.halted && s.pc == 4);
+        let (s, _) = step(Instr::Li { dst: d, imm: 1 }, 15);
+        assert!(s.halted && s.pc == 16);
+        let (s, _) = step(Instr::Jmp { target: 16 }, 4);
+        assert!(s.halted && s.pc == 16);
     }
 }

@@ -121,10 +121,9 @@ use std::sync::Mutex;
 
 use archgraph_core::error::SimError;
 
-use crate::compiled::RegionOut;
 use crate::fault::{BlockTracker, FaultPlan};
-use crate::isa::{Instr, Program, NREGS, N_OP_CLASSES};
-use crate::machine::{batch_limit, decode, try_batch, Decoded, Stream, WordFree};
+use crate::isa::{Decoded, Instr, Program, NREGS, N_OP_CLASSES};
+use crate::machine::{batch_limit, private_step, try_batch, Stream, WordFree};
 use crate::memory::{self, MemCounters, MemWords, Memory};
 use crate::report::EngineStats;
 use crate::wheel::TimeWheel;
@@ -854,7 +853,6 @@ impl Partition<'_> {
                     s,
                     env.instrs,
                     env.decoded,
-                    d,
                     issue_at,
                     &mut self.op_mix,
                 ) {
@@ -865,8 +863,7 @@ impl Partition<'_> {
                         self.stats.batches += 1;
                         self.stats.batched_instrs += done.n_exec;
                     }
-                    if done.halted {
-                        s.halted = true;
+                    if s.halted {
                         self.ctl.push(CtlOp {
                             t,
                             id,
@@ -894,45 +891,7 @@ impl Partition<'_> {
             self.op_mix[d.class_idx as usize] += 1;
             let mut next_ready = issue_at + cost;
             let mut next_pc = s.pc + 1;
-
-            macro_rules! wreg {
-                ($dst:expr, $val:expr, $ready:expr) => {{
-                    let di = $dst.0 as usize;
-                    if di != 0 {
-                        s.regs[di] = $val;
-                        s.reg_ready[di] = $ready;
-                        if self.seq[li][di] != NONE_FIX {
-                            // This write buries a pending memory fix: the
-                            // single-step engine's later write wins there
-                            // too, so retire the fix.
-                            self.seq[li][di] = NONE_FIX;
-                            self.cnt[li] -= 1;
-                        }
-                    }
-                }};
-            }
-
             match instr {
-                Instr::Li { dst, imm } => wreg!(dst, imm, issue_at + 1),
-                Instr::Mov { dst, src } => {
-                    wreg!(dst, s.regs[src.0 as usize], issue_at + 1)
-                }
-                Instr::Add { dst, a, b } => {
-                    let v = s.regs[a.0 as usize].wrapping_add(s.regs[b.0 as usize]);
-                    wreg!(dst, v, issue_at + 1)
-                }
-                Instr::AddI { dst, a, imm } => {
-                    let v = s.regs[a.0 as usize].wrapping_add(imm);
-                    wreg!(dst, v, issue_at + 1)
-                }
-                Instr::Sub { dst, a, b } => {
-                    let v = s.regs[a.0 as usize].wrapping_sub(s.regs[b.0 as usize]);
-                    wreg!(dst, v, issue_at + 1)
-                }
-                Instr::Mul { dst, a, b } => {
-                    let v = s.regs[a.0 as usize].wrapping_mul(s.regs[b.0 as usize]);
-                    wreg!(dst, v, issue_at + 1)
-                }
                 Instr::Load { dst, addr, off } => {
                     let a = (s.regs[addr.0 as usize] + off) as usize;
                     let done = issue_at + env.latency + env.mem_extra(proc, a, issue_at);
@@ -1133,43 +1092,22 @@ impl Partition<'_> {
                         }
                     }
                 }
-                Instr::Beq { a, b, target } => {
-                    if s.regs[a.0 as usize] == s.regs[b.0 as usize] {
-                        next_pc = target;
+                _ => {
+                    // Every other op is private to the stream.
+                    let wrote = private_step(s, instr, issue_at, env.instrs.len()) as usize;
+                    if self.seq[li][wrote] != NONE_FIX {
+                        // This write buries a pending memory fix: the
+                        // single-step engine's later write wins there
+                        // too, so retire the fix. (r0 never has one.)
+                        self.seq[li][wrote] = NONE_FIX;
+                        self.cnt[li] -= 1;
                     }
-                }
-                Instr::Bne { a, b, target } => {
-                    if s.regs[a.0 as usize] != s.regs[b.0 as usize] {
-                        next_pc = target;
-                    }
-                }
-                Instr::Blt { a, b, target } => {
-                    if s.regs[a.0 as usize] < s.regs[b.0 as usize] {
-                        next_pc = target;
-                    }
-                }
-                Instr::Bge { a, b, target } => {
-                    if s.regs[a.0 as usize] >= s.regs[b.0 as usize] {
-                        next_pc = target;
-                    }
-                }
-                Instr::Jmp { target } => next_pc = target,
-                Instr::Halt => {
-                    s.halted = true;
-                    self.ctl.push(CtlOp {
-                        t,
-                        id,
-                        pc: s.pc as u32,
-                        issue_at,
-                        addr: 0,
-                        kind: CtlKind::Halt,
-                    });
-                    continue;
+                    next_pc = s.pc;
                 }
             }
 
             s.pc = next_pc;
-            if s.pc >= env.instrs.len() {
+            if s.halted || s.pc >= env.instrs.len() {
                 s.halted = true;
                 self.ctl.push(CtlOp {
                     t,
@@ -1242,8 +1180,21 @@ struct CtlRun {
     lo: usize,
 }
 
+/// Accumulators a region run hands back to `MtaMachine::try_run`'s shared
+/// report epilogue.
+pub(crate) struct RegionOut {
+    /// Instructions issued.
+    pub issued: u64,
+    /// Issue-slot thirds consumed.
+    pub issued_thirds: u64,
+    /// Instruction-mix histogram.
+    pub op_mix: [u64; N_OP_CLASSES],
+    /// Latest memory-completion time (thirds).
+    pub last_completion: u64,
+}
+
 /// Execute one region under the partitioned engine. Same contract as the
-/// other engines' region runners: every simulated quantity (issue order,
+/// serial loop in `machine.rs`: every simulated quantity (issue order,
 /// clocks, counters, memory image) is bit-identical to the single-step
 /// oracle for any `workers`, including 1 — and so are
 /// [`SimError::Deadlock`] diagnostics, produced by replaying control
@@ -1279,7 +1230,6 @@ pub(crate) fn run_region(
     // imply "value is final". (The dispatcher guarantees latency ≥ 3.)
     debug_assert!(latency >= 2);
     let delta = latency.saturating_sub(1).max(1);
-    let decoded = decode(prog, true);
     let instrs = prog.instrs();
     let stream_lo_tab: Vec<usize> = {
         let mut tab = Vec::with_capacity(w_eff);
@@ -1292,7 +1242,7 @@ pub(crate) fn run_region(
     };
     let env = Env {
         instrs,
-        decoded: &decoded,
+        decoded: prog.traces().decoded(),
         streams_per_proc,
         latency,
         retry,
@@ -1644,7 +1594,6 @@ pub(crate) fn run_region(
         issued_thirds: 0,
         op_mix: [0u64; N_OP_CLASSES],
         last_completion,
-        stats: EngineStats::default(),
     };
     for part in &parts {
         out.issued += part.issued;

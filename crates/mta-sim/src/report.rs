@@ -103,6 +103,15 @@ impl EngineStats {
     }
 }
 
+impl std::ops::AddAssign for EngineStats {
+    fn add_assign(&mut self, rhs: EngineStats) {
+        self.events += rhs.events;
+        self.batches += rhs.batches;
+        self.batched_instrs += rhs.batched_instrs;
+        self.windows += rhs.windows;
+    }
+}
+
 /// Sum of several region reports (for whole-algorithm accounting).
 pub fn combine(reports: &[RunReport]) -> RunReport {
     assert!(!reports.is_empty(), "cannot combine zero reports");

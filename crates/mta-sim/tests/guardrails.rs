@@ -3,7 +3,7 @@
 //!
 //! * A kernel that deadlocks (unmatched full/empty traffic) returns the
 //!   **identical** [`SimError::Deadlock`] — same detection cycle, same
-//!   per-stream diagnostics — from SingleStep, Trace, Compiled and
+//!   per-stream diagnostics — from SingleStep, Trace and
 //!   Partitioned at every worker count, and never hangs.
 //! * A kernel that outlives the cycle budget returns
 //!   [`SimError::CycleBudgetExceeded`] from every engine.
@@ -12,7 +12,7 @@
 //!   ever lengthen the run; stuck tag bits drive the deadlock detector.
 //! * Property test: random full/empty kernels — balanced and deliberately
 //!   unbalanced — either halt with identical reports or deadlock with
-//!   identical errors across all four engines and `W ∈ {1, 2, 4, 8}`,
+//!   identical errors across all three engines and `W ∈ {1, 2, 4, 8}`,
 //!   with [`EngineStats::windows`] proving the partitioned runs really
 //!   executed merge rounds rather than falling back to the interpreter
 //!   (the sync fallback is gone).
@@ -29,10 +29,9 @@ use archgraph_mta_sim::{FaultPlan, SimError};
 
 const MEM_WORDS: usize = 32;
 
-const ALL_ENGINES: [MtaEngine; 4] = [
+const ALL_ENGINES: [MtaEngine; 3] = [
     MtaEngine::SingleStep,
     MtaEngine::Trace,
-    MtaEngine::Compiled,
     MtaEngine::Partitioned,
 ];
 
@@ -70,6 +69,13 @@ fn try_engine(
         );
     } else {
         assert_eq!(windows, 0, "{engine:?} must not count merge rounds");
+    }
+    // Host-side accounting survives a deadlock or budget error.
+    if out.is_err() {
+        assert!(
+            m.engine_stats().events > 0,
+            "{engine:?} dropped its EngineStats on the error return"
+        );
     }
     (out, m.memory().peek_slice(0, MEM_WORDS))
 }
@@ -147,7 +153,7 @@ fn poke_all(m: &mut MtaMachine, mem: &[i64]) {
 }
 
 /// An unmatched `readfe` kernel must return the byte-identical
-/// `SimError::Deadlock` from all four engines at every worker count —
+/// `SimError::Deadlock` from all three engines at every worker count —
 /// and, critically, return at all.
 #[test]
 fn deadlock_is_bit_identical_across_engines_and_worker_counts() {
@@ -171,11 +177,7 @@ fn deadlock_is_bit_identical_across_engines_and_worker_counts() {
             }
             other => panic!("expected a deadlock, got {other}"),
         }
-        for engine in [
-            MtaEngine::Trace,
-            MtaEngine::Compiled,
-            MtaEngine::Partitioned,
-        ] {
+        for engine in [MtaEngine::Trace, MtaEngine::Partitioned] {
             for w in [1usize, 2, 4, 8] {
                 let (out, mem_out) = with_workers(w, || {
                     try_engine(&prog, engine, p, streams, &[1], None, None)
@@ -235,10 +237,8 @@ fn watchdog_fires_identically_on_runaway_kernels() {
         }
         other => panic!("expected a budget error, got {other}"),
     }
-    for engine in [MtaEngine::Trace, MtaEngine::Compiled] {
-        let (out, _) = try_engine(&prog, engine, 2, 4, &[], None, Some(budget));
-        assert_eq!(out, oracle, "{engine:?} watchdog diverged");
-    }
+    let (out, _) = try_engine(&prog, MtaEngine::Trace, 2, 4, &[], None, Some(budget));
+    assert_eq!(out, oracle, "Trace watchdog diverged");
     // The partitioned engine detects the overrun at a window merge, so its
     // `spent` may name a different (still over-budget) cycle.
     for w in [1usize, 2, 4] {
@@ -309,11 +309,7 @@ fn fault_latency_is_engine_invariant_and_monotone() {
         faulted.cycles,
         clean.cycles
     );
-    for engine in [
-        MtaEngine::Trace,
-        MtaEngine::Compiled,
-        MtaEngine::Partitioned,
-    ] {
+    for engine in [MtaEngine::Trace, MtaEngine::Partitioned] {
         for w in [1usize, 2, 4, 8] {
             let (rep, mem_out) = with_workers(w, || run(engine, Some(&plan)));
             assert_eq!(
@@ -343,11 +339,7 @@ fn fault_wake_delay_is_engine_invariant() {
         );
         let rep = oracle.as_ref().expect("balanced handshake halts");
         assert!(rep.mem.sync_ops > 0, "handshake must use sync ops");
-        for engine in [
-            MtaEngine::Trace,
-            MtaEngine::Compiled,
-            MtaEngine::Partitioned,
-        ] {
+        for engine in [MtaEngine::Trace, MtaEngine::Partitioned] {
             let (out, mem_out) = try_engine(&prog, engine, p, streams, &[1], Some(&plan), None);
             assert_eq!(out, oracle, "{engine:?} diverged under wake delay");
             assert_eq!(mem_out, mem_oracle);
@@ -388,11 +380,7 @@ fn stuck_tag_fault_drives_the_deadlock_detector() {
             }
             other => panic!("expected a deadlock, got {other}"),
         }
-        for engine in [
-            MtaEngine::Trace,
-            MtaEngine::Compiled,
-            MtaEngine::Partitioned,
-        ] {
+        for engine in [MtaEngine::Trace, MtaEngine::Partitioned] {
             let (out, mem_out) = try_engine(&prog, engine, p, streams, &[1], Some(&plan), None);
             assert_eq!(out, oracle, "{engine:?} diverged under stuck-empty");
             assert_eq!(mem_out, mem_oracle);
@@ -437,11 +425,7 @@ fn structural_faults_are_engine_invariant_and_monotone() {
             faulted.cycles,
             clean.cycles
         );
-        for engine in [
-            MtaEngine::Trace,
-            MtaEngine::Compiled,
-            MtaEngine::Partitioned,
-        ] {
+        for engine in [MtaEngine::Trace, MtaEngine::Partitioned] {
             for w in [1usize, 2, 4, 8] {
                 let (rep, mem_out) = with_workers(w, || run(engine, Some(&plan)));
                 assert_eq!(rep, faulted, "{engine:?} W={w} diverged under {spec}");
@@ -499,11 +483,7 @@ fn structural_faults_preserve_deadlock_identity() {
             matches!(oracle, Err(SimError::Deadlock { .. })),
             "over-consuming kernel must still deadlock under faults: {oracle:?}"
         );
-        for engine in [
-            MtaEngine::Trace,
-            MtaEngine::Compiled,
-            MtaEngine::Partitioned,
-        ] {
+        for engine in [MtaEngine::Trace, MtaEngine::Partitioned] {
             for w in [1usize, 2, 4, 8] {
                 let (out, mem_out) = with_workers(w, || {
                     try_engine(&prog, engine, p, streams, &[1], Some(&plan), None)
@@ -555,7 +535,7 @@ proptest! {
 
     /// Every generated full/empty kernel — matched or deliberately
     /// unmatched — either halts with identical reports or deadlocks with
-    /// identical diagnostics on all four engines and every worker count.
+    /// identical diagnostics on all three engines and every worker count.
     #[test]
     fn kernels_halt_or_deadlock_identically(
         prod_reps in 0u8..3,
@@ -576,7 +556,7 @@ proptest! {
                 oracle
             );
         }
-        for engine in [MtaEngine::Trace, MtaEngine::Compiled, MtaEngine::Partitioned] {
+        for engine in [MtaEngine::Trace, MtaEngine::Partitioned] {
             for w in [1usize, 2, 4, 8] {
                 let (out, mem_out) = with_workers(w, || {
                     try_engine(&prog, engine, p, streams, &[1], None, None)

@@ -13,13 +13,13 @@
 # absent — wedged tags can deadlock sync kernels, which is a different
 # contract (exercised by the guardrails suite), not an invariance sweep.
 #
-# --full additionally (a) widens the grid, (b) adds the compiled engine
-# and W=2, and (c) runs a kill/resume soak: an archgraphd with an
-# ambient fault plan is SIGTERMed mid-sweep, restarted on the same
-# cache, and the resumed job's fingerprints must be byte-identical to an
-# uninterrupted reference run under the same plan. One fresh cache dir
-# per plan: ambient faults are not part of the cell spec, so results
-# computed under different ambient plans must never share a cache.
+# --full additionally (a) widens the grid, (b) adds W=2, and (c) runs a
+# kill/resume soak: an archgraphd with an ambient fault plan is
+# SIGTERMed mid-sweep, restarted on the same cache, and the resumed
+# job's fingerprints must be byte-identical to an uninterrupted
+# reference run under the same plan. One fresh cache dir per plan:
+# ambient faults are not part of the cell spec, so results computed
+# under different ambient plans must never share a cache.
 #
 # Usage:  scripts/chaos_soak.sh [--full] [OUT_DIR]   (default: chaos-soak)
 
@@ -50,7 +50,6 @@ if [[ "$FULL" == 1 ]]; then
         "mem-latency=30,wake-delay=9,stall=20,stall-period=500,link-latency=40,brownout=2,rate=2:13"
     )
     RUNS+=(
-        "compiled 1"
         "partitioned 2"
     )
 fi

@@ -1,6 +1,6 @@
 //! Engine-differential sweep for the ladder kernels: speculative
 //! coloring and frontier BFS must be **bit-identical** on every MTA
-//! engine (SingleStep, Trace, Compiled, Partitioned) and, for the
+//! engine (SingleStep, Trace, Partitioned) and, for the
 //! partitioned engine, at every worker count `W ∈ {1, 2, 4, 8}` — same
 //! outputs (colors / levels), same round and level counts, and the same
 //! full [`RunReport`] (cycles, issued, op mix, memory counters).
@@ -27,11 +27,7 @@ const WORKER_SWEEP: [usize; 4] = [1, 2, 4, 8];
 
 /// Engines compared against the single-step oracle (the partitioned
 /// engine is additionally swept across explicit worker counts).
-const FAST_ENGINES: [MtaEngine; 3] = [
-    MtaEngine::Trace,
-    MtaEngine::Compiled,
-    MtaEngine::Partitioned,
-];
+const FAST_ENGINES: [MtaEngine; 2] = [MtaEngine::Trace, MtaEngine::Partitioned];
 
 fn assert_coloring_engine_invariant(g: &EdgeList, p: usize, streams: usize) {
     let params = MtaParams::tiny_for_tests();
