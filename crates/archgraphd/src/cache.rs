@@ -2,11 +2,10 @@
 //!
 //! Keys are [`CellSpec::cache_key`] fingerprints — FNV-1a over the
 //! result-determining fields only (kernel, machine, p, n, m, fault
-//! plan). The workspace's determinism contract makes that sound: every
-//! MTA engine at every worker count produces bit-identical simulated
-//! fingerprints, so those fields are deliberately *not* part of the key
-//! and a result computed under one engine serves requests pinned to
-//! another.
+//! plan). The workspace's determinism contract makes that sound: both
+//! MTA engines produce bit-identical simulated fingerprints, so the
+//! engine is deliberately *not* part of the key and a result computed
+//! under one engine serves requests pinned to the other.
 //!
 //! Storage reuses the sweep [`Checkpoint`] store (one small file per
 //! cell, atomic temp-file-plus-rename writes), so the cache has the
@@ -241,11 +240,12 @@ mod tests {
     fn engine_variants_share_one_entry() {
         let (cache, dir) = temp_cache("engines");
         let trace = find("fig2/mta/p8").unwrap();
-        let partitioned = find("fig2/mta-partitioned/p8").unwrap();
+        let mut single_step = trace.clone();
+        single_step.engine = Some(archgraph_mta_sim::MtaEngine::SingleStep);
         let sim = vec![("cycles".to_string(), 9u64), ("issued".to_string(), 8)];
         cache.record(&trace, &sim);
         assert_eq!(
-            cache.lookup(&partitioned),
+            cache.lookup(&single_step),
             Some(sim),
             "determinism contract: one result serves every engine pin"
         );

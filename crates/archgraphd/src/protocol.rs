@@ -21,9 +21,13 @@
 //! A cell `<spec>` is either a bench-suite reference
 //! `{"cell":"fig2/mta/p8"}` or a structured spec
 //! `{"kernel":"color","machine":"mta","p":8,"n":2048,"m":10240}`.
-//! Both forms accept the optional overrides `engine`, `workers`, `p`,
-//! `n`, `m`, `max_cycles`, and `faults`. Unknown keys are rejected —
-//! a misspelled override must not silently run the wrong experiment.
+//! Both forms accept the optional overrides `engine`, `p`, `n`, `m`,
+//! `max_cycles`, and `faults`. `engine` takes `trace`, `single-step` and
+//! two retained synonyms of `trace`, `compiled` and `partitioned`;
+//! `workers` (1..=256) is still accepted, range-checked and otherwise
+//! discarded — it set the worker count of the removed partitioned engine,
+//! and requests that carry it stay valid. Unknown keys are rejected — a
+//! misspelled override must not silently run the wrong experiment.
 //!
 //! # Responses
 //!
@@ -212,8 +216,12 @@ pub fn parse_spec(v: &Json) -> Result<CellSpec, String> {
     if let Some(m) = get_usize(v, "m")? {
         spec.m = m;
     }
+    // Accepted for old clients, checked because it is outside input, and
+    // then dropped: nothing reads a worker count any more.
     if let Some(w) = get_usize(v, "workers")? {
-        spec.workers = Some(w);
+        if w == 0 || w > 256 {
+            return Err(format!("workers={w} out of range (1..=256)"));
+        }
     }
     if let Some(b) = v.get("max_cycles") {
         spec.max_cycles = Some(b.as_u64().ok_or("\"max_cycles\" must be an integer")?);
@@ -372,6 +380,9 @@ mod tests {
             r#"{"op":"submit","cells":[{"kernel":"msf","machine":"mta"}]}"#,
             r#"{"op":"submit","cells":[{"cell":"fig2/mta/p8","typo_key":1}]}"#,
             r#"{"op":"submit","cells":[{"cell":"fig2/mta/p8","faults":"bogus"}]}"#,
+            r#"{"op":"submit","cells":[{"cell":"fig2/mta/p8","workers":0}]}"#,
+            r#"{"op":"submit","cells":[{"cell":"fig2/mta/p8","workers":257}]}"#,
+            r#"{"op":"submit","cells":[{"cell":"fig2/mta/p8","workers":"four"}]}"#,
             r#"{"op":"submit","extra":true,"cells":[{"cell":"fig2/mta/p8"}]}"#,
             r#"{"op":"submit","budget_cycles":-4,"cells":[{"cell":"fig2/mta/p8"}]}"#,
             r#"{"op":"submit","budget_cycles":"lots","cells":[{"cell":"fig2/mta/p8"}]}"#,
@@ -449,7 +460,6 @@ mod tests {
         assert_eq!(s.kernel.name(), "color");
         assert_eq!(s.machine, MachineKind::Mta);
         assert_eq!(s.engine, Some(MtaEngine::Compiled));
-        assert_eq!(s.workers, Some(4));
         assert_eq!((s.p, s.n, s.m), (2, 128, 384));
         assert_eq!(s.max_cycles, Some(1_000_000));
         assert_eq!(s.faults.as_deref(), Some("mem-latency=30,rate=1:9"));
@@ -465,7 +475,6 @@ mod tests {
             panic!("not a submit")
         };
         assert_eq!(cells[0].engine, Some(MtaEngine::Partitioned));
-        assert_eq!(cells[0].workers, Some(4));
         // Overrides never change the content address.
         assert_eq!(
             cells[0].cache_key(),

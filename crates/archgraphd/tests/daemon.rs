@@ -390,7 +390,11 @@ fn budgeted_jobs_fail_structurally_and_list_serves_the_suite() {
     let list = recv(&mut r);
     assert_eq!(list.get("type").and_then(Json::as_str), Some("list"));
     let cells = list.get("cells").and_then(Json::as_arr).expect("cells");
-    assert!(cells.len() >= 30, "the whole suite is listed");
+    assert_eq!(
+        cells.len(),
+        archgraph_bench::cells::bench_suite().len(),
+        "the whole suite is listed"
+    );
     assert!(cells
         .iter()
         .any(|c| c.get("name").and_then(Json::as_str) == Some("fig2/mta/p8")));

@@ -3,29 +3,24 @@
 //! `archgraphd` sweep daemon, or a test — with byte-identical `sim`
 //! fingerprints everywhere.
 //!
-//! Before this module the cell list lived inline in `bin/bench.rs` as
-//! thirty hand-written closures, so nothing else could execute "the cell
-//! named `fig1/mta/random/p8`" without re-deriving its workload, engine
-//! pin, and fingerprint layout. Now [`bench_suite`] *is* that list, the
-//! bench binary iterates it, and the daemon executes the same specs
-//! through the same entry point — the CI smoke leg diffs the two outputs
-//! to prove the identity end-to-end.
+//! [`bench_suite`] *is* the cell list: the bench binary iterates it, and
+//! the daemon executes the same specs through the same entry point — the
+//! CI smoke leg diffs the two outputs to prove the identity end-to-end.
 //!
 //! # Content-addressed cache keys
 //!
 //! [`CellSpec::cache_key`] hashes the *result-determining* fields only:
 //! kernel, machine, processor count, and problem size (plus the fault
-//! plan, which perturbs simulated quantities by design). Engine and
-//! worker count are deliberately **excluded**: the workspace's
-//! determinism contract (PRs 2–6, enforced by the differential suites
-//! and the bench baseline) is that every MTA engine at every worker
-//! count produce bit-identical simulated fingerprints, so
-//! `fig1/mta/random/p8` and `fig1/mta-partitioned/random/p8` are the same
-//! cached result. The cycle budget is also excluded — it only decides
-//! whether a run *fails*, and failures are never cached.
+//! plan, which perturbs simulated quantities by design). The engine is
+//! deliberately **excluded**: the workspace's determinism contract
+//! (enforced by the differential suites and the bench baseline) is that
+//! batching on and batching off produce bit-identical simulated
+//! fingerprints, so `fig1/mta/random/p8` is the same cached result
+//! whichever engine a request pins. The cycle budget is also excluded — it
+//! only decides whether a run *fails*, and failures are never cached.
 
 use archgraph_core::error::with_max_cycles;
-use archgraph_mta_sim::machine::{with_engine, with_workers, MtaEngine};
+use archgraph_mta_sim::machine::{with_engine, MtaEngine};
 
 use crate::workloads::ListKind;
 use crate::{fig1, fig2, kernels, table1};
@@ -131,7 +126,7 @@ impl MachineKind {
     }
 }
 
-/// One executable bench cell. `engine`/`workers`/`max_cycles` are scoped
+/// One executable bench cell. `engine`/`max_cycles`/`faults` are scoped
 /// overrides applied around the run when `Some`; `None` leaves the
 /// ambient configuration (environment variable or default) in charge,
 /// matching the historical behaviour of `--bin bench` exactly.
@@ -143,8 +138,6 @@ pub struct CellSpec {
     pub machine: MachineKind,
     /// MTA engine pin ([`MachineKind::Mta`] only; ignored elsewhere).
     pub engine: Option<MtaEngine>,
-    /// Partitioned-engine worker count (never affects simulated results).
-    pub workers: Option<usize>,
     /// Simulated processor count (0 for native cells).
     pub p: usize,
     /// Problem size: list/tree vertices, or graph vertices.
@@ -181,7 +174,6 @@ impl CellSpec {
             kernel,
             machine,
             engine: None,
-            workers: None,
             p,
             n,
             m,
@@ -234,11 +226,6 @@ impl CellSpec {
         if graphish && (self.m == 0 || self.m > (1 << 26)) {
             return Err(format!("m={} out of range (1..=2^26)", self.m));
         }
-        if let Some(w) = self.workers {
-            if w == 0 || w > 256 {
-                return Err(format!("workers={w} out of range (1..=256)"));
-            }
-        }
         if self.max_cycles == Some(0) {
             return Err("max_cycles=0 can never be satisfied".into());
         }
@@ -249,8 +236,8 @@ impl CellSpec {
     }
 
     /// Canonical result-determining string: the content address the
-    /// daemon's cache is keyed by. Excludes engine, workers, and cycle
-    /// budget — see the module docs for why that is sound.
+    /// daemon's cache is keyed by. Excludes engine and cycle budget — see
+    /// the module docs for why that is sound.
     pub fn canonical(&self) -> String {
         format!(
             "v1 kernel={} machine={} p={} n={} m={} faults={}",
@@ -286,7 +273,7 @@ impl CellSpec {
     }
 
     /// Execute the cell and produce its `sim` fingerprint. Scoped
-    /// overrides (engine, workers, cycle budget, fault plan) are applied
+    /// overrides (engine, cycle budget, fault plan) are applied
     /// only where `Some`: a spec carrying `faults` runs under exactly
     /// that plan wherever it executes — `--bin bench`, the daemon, or a
     /// test — so degradation cells fingerprint identically everywhere. A
@@ -296,10 +283,6 @@ impl CellSpec {
     /// `sweep::isolate`.
     pub fn run(&self) -> Fingerprint {
         let body = || self.dispatch();
-        let body = || match self.workers {
-            Some(w) => with_workers(w, body),
-            None => body(),
-        };
         let body = || match self.engine {
             Some(e) => with_engine(e, body),
             None => body(),
@@ -428,71 +411,33 @@ fn smp_fingerprint(stats: &archgraph_smp_sim::stats::RunStats) -> Fingerprint {
 /// The bench regression suite: every cell `--bin bench` times, as
 /// `(stable name, spec)` pairs in baseline order. MTA cells are pinned
 /// to an explicit engine so a change to the session default cannot
-/// silently re-fingerprint a baseline recorded under another engine;
-/// the `mta-partitioned` cells deliberately leave the worker count
-/// ambient because the fingerprint must be identical at every W (the
-/// ci.sh W=1-vs-W=4 diff enforces it).
+/// silently re-fingerprint a baseline recorded under another engine.
 pub fn bench_suite() -> Vec<(&'static str, CellSpec)> {
     let mta = |kernel, p| {
         let mut s = CellSpec::new(kernel, MachineKind::Mta, p);
         s.engine = Some(MtaEngine::Trace);
         s
     };
-    let mta_eng = |kernel, p, e| {
-        let mut s = CellSpec::new(kernel, MachineKind::Mta, p);
-        s.engine = Some(e);
-        s
-    };
     let smp = |kernel, p| CellSpec::new(kernel, MachineKind::Smp, p);
     let native = |kernel| CellSpec::new(kernel, MachineKind::Native, 0);
     use Kernel::*;
     use ListKind::{Ordered, Random};
-    use MtaEngine::Partitioned;
     vec![
         ("fig1/mta/random/p8", mta(Fig1(Random), 8)),
         ("fig1/mta/ordered/p8", mta(Fig1(Ordered), 8)),
         ("fig1/mta/random/p1", mta(Fig1(Random), 1)),
-        (
-            "fig1/mta-partitioned/random/p8",
-            mta_eng(Fig1(Random), 8, Partitioned),
-        ),
-        (
-            "fig1/mta-partitioned/ordered/p8",
-            mta_eng(Fig1(Ordered), 8, Partitioned),
-        ),
-        (
-            "fig1/mta-partitioned/random/p1",
-            mta_eng(Fig1(Random), 1, Partitioned),
-        ),
         ("fig1/smp/random/p8", smp(Fig1(Random), 8)),
         ("fig1/smp/ordered/p8", smp(Fig1(Ordered), 8)),
         ("fig2/mta/p8", mta(Fig2, 8)),
-        ("fig2/mta-partitioned/p8", mta_eng(Fig2, 8, Partitioned)),
         ("fig2/smp/p8", smp(Fig2, 8)),
         ("table1/mta/random/p8", mta(Table1List(Random), 8)),
         ("table1/mta/ordered/p8", mta(Table1List(Ordered), 8)),
         ("table1/mta/cc/p8", mta(Table1Cc, 8)),
         ("color/mta/p8", mta(Color, 8)),
-        ("color/mta-partitioned/p8", mta_eng(Color, 8, Partitioned)),
         ("color/smp/p8", smp(Color, 8)),
         ("bfs/mta/p8", mta(Bfs, 8)),
-        ("bfs/mta-partitioned/p8", mta_eng(Bfs, 8, Partitioned)),
         ("bfs/smp/p8", smp(Bfs, 8)),
         ("sync/mta/p8", mta(Sync, 8)),
-        // The readfe-contended cell pinned at W = 1 and W = 4: the two
-        // specs share one cache key (workers never change results), so
-        // the baseline holding identical fingerprints for both *is* the
-        // sharded-merge determinism claim, enforced on every bench run.
-        ("sync/mta-partitioned/w1/p8", {
-            let mut s = mta_eng(Sync, 8, Partitioned);
-            s.workers = Some(1);
-            s
-        }),
-        ("sync/mta-partitioned/w4/p8", {
-            let mut s = mta_eng(Sync, 8, Partitioned);
-            s.workers = Some(4);
-            s
-        }),
         ("euler/mta/p8", mta(Euler, 8)),
         ("euler/smp/p8", smp(Euler, 8)),
         ("msf/native", native(Msf)),
@@ -501,7 +446,7 @@ pub fn bench_suite() -> Vec<(&'static str, CellSpec)> {
         // fault plans. Their fingerprints are part of the committed
         // baseline, so a change to fault *semantics* (not just engine
         // scheduling) shows up as a bench diff — and each plan still
-        // obeys the determinism contract (any engine, any W, same
+        // obeys the determinism contract (either engine, same
         // fingerprint; the chaos soak sweeps that grid).
         ("bfs/mta/p8+stall", {
             let mut s = mta(Bfs, 8);
@@ -519,10 +464,9 @@ pub fn bench_suite() -> Vec<(&'static str, CellSpec)> {
             s
         }),
         // All three structural axes at once, on the readfe-contended
-        // kernel, through the partitioned engine's window merge.
-        ("sync/mta-partitioned/w4/p8+struct", {
-            let mut s = mta_eng(Sync, 8, Partitioned);
-            s.workers = Some(4);
+        // kernel.
+        ("sync/mta/p8+struct", {
+            let mut s = mta(Sync, 8);
             s.faults =
                 Some("stall=30,stall-period=300,link-latency=60,brownout=2,rate=1:11".into());
             s
@@ -539,7 +483,7 @@ pub fn find(name: &str) -> Option<CellSpec> {
 }
 
 /// Parse an MTA engine name as specs spell it ([`MtaEngine::parse`]:
-/// `compiled` is accepted as a synonym of `trace`).
+/// `compiled` and `partitioned` are accepted as synonyms of `trace`).
 pub fn parse_engine(s: &str) -> Option<MtaEngine> {
     MtaEngine::parse(s)
 }
@@ -556,7 +500,7 @@ mod tests {
     #[test]
     fn suite_names_are_unique_and_specs_valid() {
         let suite = bench_suite();
-        assert_eq!(suite.len(), 31, "the committed baseline has 31 cells");
+        assert_eq!(suite.len(), 23, "the committed baseline has 23 cells");
         let mut names: Vec<&str> = suite.iter().map(|(n, _)| *n).collect();
         names.sort_unstable();
         names.dedup();
@@ -567,17 +511,11 @@ mod tests {
     }
 
     #[test]
-    fn cache_key_ignores_engine_and_workers_but_not_size() {
+    fn cache_key_ignores_engine_but_not_size() {
         let a = find("fig2/mta/p8").unwrap();
-        let c = find("fig2/mta-partitioned/p8").unwrap();
+        let mut c = a.clone();
+        c.engine = Some(MtaEngine::SingleStep);
         assert_eq!(a.cache_key(), c.cache_key(), "engines share one result");
-        let mut w4 = c.clone();
-        w4.workers = Some(4);
-        assert_eq!(
-            a.cache_key(),
-            w4.cache_key(),
-            "workers never change results"
-        );
 
         let mut bigger = a.clone();
         bigger.n *= 2;
@@ -647,8 +585,8 @@ mod tests {
     fn degradation_cells_perturb_results_and_stay_engine_invariant() {
         // A small off-suite variant keeps this fast. The faulted spec
         // must cost cycles over its clean twin (the plan is real) and
-        // fingerprint identically from another engine at several worker
-        // counts (the determinism contract extends to degraded runs).
+        // fingerprint identically from the other engine (the determinism
+        // contract extends to degraded runs).
         // Note the speculative color kernel's *work* may legitimately
         // shift under a plan — racy speculation reads whatever the
         // perturbed schedule exposes — which is exactly why the plan
@@ -669,12 +607,9 @@ mod tests {
             fp_faulted[0].1,
             fp_clean[0].1
         );
-        let mut part = faulted.clone();
-        part.engine = Some(MtaEngine::Partitioned);
-        for w in [1usize, 4] {
-            part.workers = Some(w);
-            assert_eq!(part.run(), fp_faulted, "partitioned W={w} diverged");
-        }
+        let mut oracle = faulted.clone();
+        oracle.engine = Some(MtaEngine::SingleStep);
+        assert_eq!(oracle.run(), fp_faulted, "single-step diverged");
     }
 
     #[test]

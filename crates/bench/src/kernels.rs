@@ -7,9 +7,8 @@
 //! oracle check inside every cell — and feed the `bench` regression
 //! driver, which pins their exact simulated fingerprints per engine in
 //! `BENCH_archgraph.json`. The MTA cells must fingerprint identically on
-//! every engine (SingleStep, Trace, Partitioned) and at every
-//! worker count; the differential test suite proves it, the bench
-//! baseline enforces it in CI.
+//! both engines (SingleStep, Trace); the differential test suite proves
+//! it, the bench baseline enforces it in CI.
 
 use archgraph_apps::biconn::{biconnected_components, biconnected_oracle};
 use archgraph_apps::euler::Ranker;
@@ -116,7 +115,7 @@ pub struct SyncMtaSim {
     /// Combined report (cycles, issue counts).
     pub report: RunReport,
     /// Sum over the accumulator array; order-independent, so identical
-    /// on every engine and at every worker count.
+    /// on both engines.
     pub checksum: u64,
 }
 
@@ -125,8 +124,8 @@ pub struct SyncMtaSim {
 /// `writeef` pair, so each vertex's accumulator word serializes its
 /// in-arcs through the full/empty tag. High-degree vertices make this
 /// the suite's most tag-contended region — the cell exists to keep the
-/// Partitioned engine's blocked-retry replay path under the bench
-/// baseline, not just the differential tests.
+/// blocked-retry path under the bench baseline, not just the
+/// differential tests.
 pub fn sync_mta_cell(p: usize, n: usize, m: usize) -> SyncMtaSim {
     let params = MtaParams::mta2();
     let g = make_graph(n, m, GRAPH_SEED);
@@ -225,15 +224,15 @@ pub fn biconn_native_cell(n: usize, m: usize) -> BiconnNative {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use archgraph_mta_sim::machine::{with_engine, with_workers, MtaEngine};
+    use archgraph_mta_sim::machine::{with_engine, MtaEngine};
 
     #[test]
     fn coloring_cells_are_proper_and_engine_invariant() {
         let trace = with_engine(MtaEngine::Trace, || color_mta_cell(2, 128, 384));
-        let part = with_engine(MtaEngine::Partitioned, || color_mta_cell(2, 128, 384));
-        assert_eq!(trace.colors, part.colors);
-        assert_eq!(trace.report.cycles, part.report.cycles);
-        assert_eq!(trace.report.issued, part.report.issued);
+        let step = with_engine(MtaEngine::SingleStep, || color_mta_cell(2, 128, 384));
+        assert_eq!(trace.colors, step.colors);
+        assert_eq!(trace.report.cycles, step.report.cycles);
+        assert_eq!(trace.report.issued, step.report.issued);
         let smp = color_smp_cell(4, 128, 384);
         let csr = Csr::from_edge_list(&make_graph(128, 384, GRAPH_SEED));
         validate_coloring(&csr, &smp.colors).expect("SMP cell colors proper");
@@ -255,22 +254,13 @@ mod tests {
     }
 
     #[test]
-    fn sync_cell_is_engine_and_worker_invariant() {
+    fn sync_cell_is_engine_invariant() {
         let base = with_engine(MtaEngine::SingleStep, || sync_mta_cell(2, 128, 384));
         assert!(base.checksum > 0);
-        for engine in [MtaEngine::Trace, MtaEngine::Partitioned] {
-            let r = with_engine(engine, || sync_mta_cell(2, 128, 384));
-            assert_eq!(r.checksum, base.checksum, "{engine:?}");
-            assert_eq!(r.report.cycles, base.report.cycles, "{engine:?}");
-            assert_eq!(r.report.issued, base.report.issued, "{engine:?}");
-        }
-        for w in [1usize, 4] {
-            let r = with_workers(w, || {
-                with_engine(MtaEngine::Partitioned, || sync_mta_cell(2, 128, 384))
-            });
-            assert_eq!(r.checksum, base.checksum, "W={w}");
-            assert_eq!(r.report.cycles, base.report.cycles, "W={w}");
-        }
+        let r = with_engine(MtaEngine::Trace, || sync_mta_cell(2, 128, 384));
+        assert_eq!(r.checksum, base.checksum);
+        assert_eq!(r.report.cycles, base.report.cycles);
+        assert_eq!(r.report.issued, base.report.issued);
     }
 
     #[test]

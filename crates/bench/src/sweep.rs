@@ -55,15 +55,14 @@ const STAMP_SUFFIX: &str = ".stamp";
 /// The ambient configuration fingerprint stamped into every checkpoint
 /// directory. Checkpoints are only resumable under the configuration
 /// that produced them: a sweep re-run under a different MTA engine,
-/// worker count, fault plan, or cycle budget would silently splice
+/// fault plan, or cycle budget would silently splice
 /// incompatible cells into one panel if stale checkpoints were honoured.
 /// Scale is excluded — it is already part of the directory name.
 pub fn ambient_spec() -> String {
     let env = |k: &str| std::env::var(k).unwrap_or_default();
     format!(
-        "v1 engine={} workers={} faults={} max-cycles={}",
+        "v1 engine={} faults={} max-cycles={}",
         env("ARCHGRAPH_MTA_ENGINE"),
-        env("ARCHGRAPH_MTA_WORKERS"),
         env("ARCHGRAPH_FAULTS"),
         env("ARCHGRAPH_MAX_CYCLES"),
     )

@@ -222,7 +222,7 @@ mod tests {
     use super::*;
     use archgraph_graph::bfs::{bfs_levels, level_count};
     use archgraph_graph::gen;
-    use archgraph_mta_sim::machine::{with_engine, with_workers, MtaEngine};
+    use archgraph_mta_sim::machine::{with_engine, MtaEngine};
 
     fn tiny() -> MtaParams {
         MtaParams::tiny_for_tests()
@@ -317,21 +317,10 @@ mod tests {
     #[test]
     fn engines_agree_bit_for_bit() {
         let g = gen::random_gnm(200, 600, 9);
-        let base = simulate_bfs_mta(&g, 0, &tiny(), 2, 8);
-        for engine in [MtaEngine::SingleStep, MtaEngine::Partitioned] {
-            let r = with_engine(engine, || simulate_bfs_mta(&g, 0, &tiny(), 2, 8));
-            assert_eq!(r.levels, base.levels, "{engine:?}");
-            assert_eq!(r.report.cycles, base.report.cycles, "{engine:?}");
-            assert_eq!(r.report.issued, base.report.issued, "{engine:?}");
-        }
-        for w in [1usize, 2, 8] {
-            let r = with_workers(w, || {
-                with_engine(MtaEngine::Partitioned, || {
-                    simulate_bfs_mta(&g, 0, &tiny(), 2, 8)
-                })
-            });
-            assert_eq!(r.levels, base.levels, "W={w}");
-            assert_eq!(r.report.cycles, base.report.cycles, "W={w}");
-        }
+        let run = |engine| with_engine(engine, || simulate_bfs_mta(&g, 0, &tiny(), 2, 8));
+        let (base, r) = (run(MtaEngine::Trace), run(MtaEngine::SingleStep));
+        assert_eq!(r.levels, base.levels);
+        assert_eq!(r.report.cycles, base.report.cycles);
+        assert_eq!(r.report.issued, base.report.issued);
     }
 }

@@ -253,7 +253,7 @@ mod tests {
     use crate::seq::validate_coloring;
     use archgraph_graph::gen;
     use archgraph_mta_sim::fault::FaultPlan;
-    use archgraph_mta_sim::machine::{with_engine, with_workers, MtaEngine};
+    use archgraph_mta_sim::machine::{with_engine, MtaEngine};
 
     fn tiny() -> MtaParams {
         MtaParams::tiny_for_tests()
@@ -316,23 +316,12 @@ mod tests {
     #[test]
     fn engines_agree_bit_for_bit() {
         let g = gen::random_gnm(150, 450, 7);
-        let base = simulate_coloring_mta(&g, &tiny(), 2, 8);
-        for engine in [MtaEngine::SingleStep, MtaEngine::Partitioned] {
-            let r = with_engine(engine, || simulate_coloring_mta(&g, &tiny(), 2, 8));
-            assert_eq!(r.colors, base.colors, "{engine:?}");
-            assert_eq!(r.rounds, base.rounds, "{engine:?}");
-            assert_eq!(r.report.cycles, base.report.cycles, "{engine:?}");
-            assert_eq!(r.report.issued, base.report.issued, "{engine:?}");
-        }
-        for w in [1usize, 2, 8] {
-            let r = with_workers(w, || {
-                with_engine(MtaEngine::Partitioned, || {
-                    simulate_coloring_mta(&g, &tiny(), 2, 8)
-                })
-            });
-            assert_eq!(r.colors, base.colors, "W={w}");
-            assert_eq!(r.report.cycles, base.report.cycles, "W={w}");
-        }
+        let run = |engine| with_engine(engine, || simulate_coloring_mta(&g, &tiny(), 2, 8));
+        let (base, r) = (run(MtaEngine::Trace), run(MtaEngine::SingleStep));
+        assert_eq!(r.colors, base.colors);
+        assert_eq!(r.rounds, base.rounds);
+        assert_eq!(r.report.cycles, base.report.cycles);
+        assert_eq!(r.report.issued, base.report.issued);
     }
 
     #[test]

@@ -16,13 +16,10 @@
 //!
 //! Because every decision is a pure function of schedule-invariant
 //! inputs — the address, the issuing processor, and the operation's own
-//! issue time — the same plan perturbs the MTA's SingleStep, Trace and
-//! Partitioned engines bit-identically at every worker count: the
-//! partitioned engine's workers compute an operation's extra latency
-//! locally, in parallel, and arrive at exactly the numbers the serial
-//! engines do. The SMP machine consumes the stall/brownout subset of the
-//! same plan (links and full/empty faults are meaningless on a
-//! cache-based SMP) so degradation ratios stay comparable across
+//! issue time — the same plan perturbs the MTA's SingleStep and Trace
+//! engines bit-identically. The SMP machine consumes the stall/brownout
+//! subset of the same plan (links and full/empty faults are meaningless
+//! on a cache-based SMP) so degradation ratios stay comparable across
 //! machines.
 //!
 //! Plans come from `ARCHGRAPH_FAULTS=<spec>:<seed>`, where `<spec>` is a
@@ -384,8 +381,7 @@ impl FaultPlan {
     /// Extra completion latency (thirds) from the brownout for an op
     /// *issued* at `issue_at` with base memory latency `latency`. Whether
     /// an op browns out is decided by its issue time — a pure,
-    /// engine-invariant quantity the partitioned merge carries in every
-    /// logged op — never by its completion time.
+    /// engine-invariant quantity — never by its completion time.
     #[inline]
     pub fn brownout_extra(&self, issue_at: u64, latency: u64) -> u64 {
         if self.brownout_mult <= 1 {

@@ -15,15 +15,14 @@
 //! `readfe`/`writeef`/`readff` themselves); engines only consult the
 //! pure helpers when computing issue, completion and wakeup times:
 //!
-//! * every engine's `issue_at = max(event, proc_clock)` is mapped
-//!   through [`FaultPlan::stall_adjust`], and batching engines cap
-//!   private runs at [`FaultPlan::next_stall_start`] so no instruction
-//!   issues inside a stall window;
+//! * `issue_at = max(event, proc_clock)` is mapped through
+//!   [`FaultPlan::stall_adjust`], and with batching on private runs are
+//!   capped at [`FaultPlan::next_stall_start`] so no instruction issues
+//!   inside a stall window;
 //! * every memory-op completion adds
 //!   [`FaultPlan::extra_mem_latency`]`(proc, addr, issue_at, latency)`,
 //!   which folds the address-keyed spike, the degraded-link penalty and
-//!   the brownout multiplier into one pure quantity the partitioned
-//!   merge recomputes identically from its logged ops.
+//!   the brownout multiplier into one pure quantity.
 //!
 //! See DESIGN.md §8 for the invariance argument.
 //!
@@ -63,11 +62,7 @@ struct Block {
 }
 
 /// Per-stream blocked/halted bookkeeping for deadlock detection; one
-/// instance per issue loop. The serial loop drives it inline; the
-/// partitioned engine's coordinator drives it during the serial control
-/// phase of each window merge, replaying sync failures and halts in
-/// global `(time, stream)` order so the diagnostics come out
-/// bit-identical.
+/// instance per region, driven inline by the issue loop.
 #[derive(Debug)]
 pub(crate) struct BlockTracker {
     blocked: Vec<Option<Block>>,
@@ -132,13 +127,6 @@ impl BlockTracker {
     /// complete the condition. Costs two integer compares when the machine
     /// is live.
     pub(crate) fn deadlock(&self, mem: &Memory) -> Option<SimError> {
-        self.deadlock_by(|addr| mem.effective_full(addr))
-    }
-
-    /// [`Self::deadlock`] with the tag probe abstracted, for callers that
-    /// cannot hold a `&Memory` (the partitioned engine probes through its
-    /// raw word view while worker threads are parked at a barrier).
-    pub(crate) fn deadlock_by(&self, effective_full: impl Fn(usize) -> bool) -> Option<SimError> {
         if self.n_blocked == 0 || self.n_blocked + self.n_halted < self.blocked.len() {
             return None;
         }
@@ -148,7 +136,7 @@ impl BlockTracker {
             let Some(b) = b else { continue };
             // readfe/readff proceed on a full word, writeef on an empty one.
             let needs_full = b.op != "writeef";
-            let full = effective_full(b.addr);
+            let full = mem.effective_full(b.addr);
             if full == needs_full {
                 return None; // that stream's next retry will succeed
             }

@@ -56,6 +56,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod asm;
 pub mod fault;
@@ -63,7 +64,6 @@ pub mod isa;
 pub mod machine;
 pub mod memory;
 pub mod parloop;
-pub(crate) mod partition;
 pub mod report;
 pub mod runtime;
 pub(crate) mod wheel;

@@ -76,7 +76,7 @@ pub const DEFAULT_MEMORY_WORDS: usize = 1 << 22;
 /// of its time in SipHash. Keys are stored as `addr + 1` so 0 marks an
 /// empty slot; lookup is Fibonacci hashing plus linear probing, and the
 /// table doubles at 3/4 load.
-pub(crate) struct WordFree {
+struct WordFree {
     keys: Vec<usize>,
     vals: Vec<u64>,
     mask: usize,
@@ -84,7 +84,7 @@ pub(crate) struct WordFree {
 }
 
 impl WordFree {
-    pub(crate) fn new() -> Self {
+    fn new() -> Self {
         let cap = 64;
         WordFree {
             keys: vec![0; cap],
@@ -102,7 +102,7 @@ impl WordFree {
     /// Mutable slot for `addr`, inserting 0 if absent — the moral
     /// equivalent of `HashMap::entry(addr).or_insert(0)`.
     #[inline]
-    pub(crate) fn slot(&mut self, addr: usize) -> &mut u64 {
+    fn slot(&mut self, addr: usize) -> &mut u64 {
         if self.len * 4 >= self.keys.len() * 3 {
             self.grow();
         }
@@ -144,9 +144,11 @@ impl WordFree {
     }
 }
 
-/// Which issue-loop strategy [`MtaMachine::run`] uses. All of them
-/// produce bit-identical [`RunReport`]s and memory states; they differ
-/// only in host-side speed (see [`EngineStats`]).
+/// Which issue-loop strategy [`MtaMachine::run`] uses: the one serial loop
+/// with trace batching on ([`Self::Trace`]) or off ([`Self::SingleStep`]).
+/// Both produce bit-identical [`RunReport`]s and memory states; they
+/// differ only in host-side speed (see [`EngineStats`]). The other two
+/// variants are retained names for `Trace`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MtaEngine {
     /// Execute whole ALU runs per scheduler visit (the default).
@@ -161,23 +163,20 @@ pub enum MtaEngine {
     /// its `compiled` spelling stay only until a `benchmark` PR drops the
     /// `compiled` rows the frozen `benchmarks/` package still reports.
     Compiled,
-    /// Partitioned time wheel: shard streams across worker partitions
-    /// (whole processors each), execute bounded time windows in parallel,
-    /// and apply cross-partition memory operations at each window
-    /// barrier in `(time, stream_id)` order through an address-sharded
-    /// parallel merge (see [`crate::partition`]). Full/empty sync
-    /// programs run on this path too (locally decidable outcomes ride
-    /// the window log; undecidable ones resolve at round frontiers).
-    /// Bit-identical to the oracle for every worker count — reports,
-    /// memory images, and deadlock diagnostics alike; the only engine
-    /// that uses more than one host core for a single region.
+    /// A second name with no code behind it: selects exactly the loop
+    /// `Trace` selects. The windowed multi-worker engine it once named was
+    /// slower than the serial loop on every cell and host measured and was
+    /// removed (DESIGN.md §3.4); the name and its `partitioned` spelling
+    /// stay only until a `benchmark` PR drops the `partitioned-w1/-w2`
+    /// rows the frozen `benchmarks/` package still reports.
     Partitioned,
 }
 
 impl MtaEngine {
     /// Parse an engine name as `ARCHGRAPH_MTA_ENGINE`, cell specs and the
-    /// daemon's wire `"engine"` key spell it. `compiled` (`threaded`) is
-    /// accepted as a synonym of `trace` (see [`MtaEngine::Compiled`]).
+    /// daemon's wire `"engine"` key spell it. `compiled` (`threaded`) and
+    /// `partitioned` (`parallel`) are accepted as synonyms of `trace` (see
+    /// [`MtaEngine::Compiled`], [`MtaEngine::Partitioned`]).
     pub fn parse(s: &str) -> Option<MtaEngine> {
         Some(match s {
             "trace" => MtaEngine::Trace,
@@ -232,58 +231,37 @@ fn configured_engine() -> MtaEngine {
         Ok(s) => MtaEngine::parse(&s).unwrap_or_else(|| {
             panic!(
                 "ARCHGRAPH_MTA_ENGINE={s:?} is not an engine; expected trace, \
-                 single-step (single_step, oracle), partitioned (parallel), or \
-                 compiled (threaded) — a synonym of trace"
+                 single-step (single_step, oracle), or one of trace's synonyms \
+                 compiled (threaded) and partitioned (parallel)"
             )
         }),
     })
 }
 
-thread_local! {
-    static WORKERS_OVERRIDE: Cell<Option<usize>> = const { Cell::new(None) };
-}
-
-/// Run `f` with every [`MtaMachine`] constructed on this thread using
-/// `workers` partitions under [`MtaEngine::Partitioned`] (the differential
-/// suite sweeps `W ∈ {1, 2, 4, 8}` through this). Panic-safe and
-/// nestable, like [`with_engine`]. Worker count never affects any
-/// simulated quantity — only host-side parallelism.
-pub fn with_workers<R>(workers: usize, f: impl FnOnce() -> R) -> R {
-    struct Restore(Option<usize>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            WORKERS_OVERRIDE.with(|c| c.set(self.0));
-        }
-    }
-    let _restore = Restore(WORKERS_OVERRIDE.with(|c| c.replace(Some(workers.max(1)))));
+/// Runs `f`; `workers` is discarded. This was the worker-count knob of the
+/// removed windowed engine (see [`MtaEngine::Partitioned`]) and nothing
+/// reads a worker count any more; the name stays only because the frozen
+/// `benchmarks/` package calls it, and goes in the `benchmark` PR that
+/// drops its `partitioned-w1/-w2` rows.
+pub fn with_workers<R>(_workers: usize, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// Worker-partition count for newly constructed machines: the
-/// [`with_workers`] override if one is active, else `ARCHGRAPH_MTA_WORKERS`
-/// (clamped to ≥ 1; panics if it is not a count), else the host's
-/// available parallelism. Only [`MtaEngine::Partitioned`] reads it.
-fn configured_workers() -> usize {
-    if let Some(w) = WORKERS_OVERRIDE.with(|c| c.get()) {
-        return w;
+impl MtaMachine {
+    /// Always 1: the one issue loop is serial. Kept, like [`with_workers`]
+    /// and until the same `benchmark` PR, only because the frozen
+    /// `benchmarks/` package prints it.
+    pub fn workers(&self) -> usize {
+        1
     }
-    static ENV: OnceLock<Option<usize>> = OnceLock::new();
-    let pinned = ENV.get_or_init(|| {
-        let s = std::env::var("ARCHGRAPH_MTA_WORKERS").ok()?;
-        match s.parse::<usize>() {
-            Ok(w) => Some(w.max(1)),
-            Err(_) => panic!("ARCHGRAPH_MTA_WORKERS={s:?} is not a worker count"),
-        }
-    });
-    pinned.unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// A committed trace batch: the processor clock after its last issue
 /// slot and the instructions executed (`Stream::halted` says whether the
 /// stream halted in it).
-pub(crate) struct BatchDone {
-    pub(crate) clock: u64,
-    pub(crate) n_exec: u64,
+struct BatchDone {
+    clock: u64,
+    n_exec: u64,
 }
 
 /// The preemption-horizon limit for a batch attempt by stream `id`: a
@@ -292,7 +270,7 @@ pub(crate) struct BatchDone {
 /// processors is conservative — other processors' events commute with
 /// private ops — but never wrong. No pending event → no limit.
 #[inline]
-pub(crate) fn batch_limit(wheel: &mut TimeWheel, id: u32) -> u64 {
+fn batch_limit(wheel: &mut TimeWheel, id: u32) -> u64 {
     match wheel.peek() {
         None => u64::MAX,
         Some((ht, hid)) => ht + u64::from(id < hid),
@@ -302,14 +280,13 @@ pub(crate) fn batch_limit(wheel: &mut TimeWheel, id: u32) -> u64 {
 /// The trace-batch fast path: execute the private run starting at `s.pc`
 /// — ALU body plus trailing branch/jump/halt — following taken branches
 /// into further runs while every issue slot stays under `limit` (the
-/// caller-computed preemption horizon, see [`batch_limit`]; the
-/// partitioned engine additionally caps it at its epoch end) and every
+/// caller-computed preemption horizon, see [`batch_limit`]) and every
 /// register read is ready. Returns `None` (stream untouched) when no
 /// instruction could be batched; the caller then takes the single-step
 /// path. Kept out of line so the issue loop's per-event code stays
 /// compact; `Decoded::batchable` gates entry.
 #[inline(never)]
-pub(crate) fn try_batch(
+fn try_batch(
     limit: u64,
     s: &mut Stream,
     instrs: &[Instr],
@@ -364,11 +341,10 @@ pub(crate) fn try_batch(
 /// left the program; returns the register written, 0 for none (control
 /// ops, and ALU writes to r0, which are discarded). This is the one
 /// statement of private-op semantics outside the reference step path in
-/// [`MtaMachine::try_run`]: trace batches and the partitioned engine's
-/// windows both execute through it, and the differential suites hold it
-/// to the reference.
+/// [`MtaMachine::try_run`]: trace batches execute through it, and the
+/// differential suites hold it to the reference.
 #[inline]
-pub(crate) fn private_step(s: &mut Stream, instr: Instr, ia: u64, len: usize) -> u8 {
+fn private_step(s: &mut Stream, instr: Instr, ia: u64, len: usize) -> u8 {
     let r = |x: Reg| s.regs[x.0 as usize];
     let next = s.pc + 1;
     let (dst, val, pc) = match instr {
@@ -400,18 +376,18 @@ pub(crate) fn private_step(s: &mut Stream, instr: Instr, ia: u64, len: usize) ->
 /// most `lookahead` completions in flight per stream (MTA-2: 8), and the
 /// ring lives inside [`Stream`] so the scheduler never chases a separate
 /// heap allocation on the per-event path.
-pub(crate) const MAX_LOOKAHEAD: usize = 16;
+const MAX_LOOKAHEAD: usize = 16;
 
 #[derive(Debug, Clone)]
-pub(crate) struct Stream {
-    pub(crate) regs: [i64; NREGS],
-    pub(crate) reg_ready: [u64; NREGS],
-    pub(crate) pc: usize,
+struct Stream {
+    regs: [i64; NREGS],
+    reg_ready: [u64; NREGS],
+    pc: usize,
     /// In-flight completion times, a FIFO ring of at most `lookahead`.
     outstanding: [u64; MAX_LOOKAHEAD],
     out_head: u8,
-    pub(crate) out_len: u8,
-    pub(crate) halted: bool,
+    out_len: u8,
+    halted: bool,
 }
 
 impl Stream {
@@ -430,7 +406,7 @@ impl Stream {
     }
 
     #[inline]
-    pub(crate) fn out_front(&self) -> Option<u64> {
+    fn out_front(&self) -> Option<u64> {
         if self.out_len == 0 {
             None
         } else {
@@ -439,41 +415,18 @@ impl Stream {
     }
 
     #[inline]
-    pub(crate) fn out_pop(&mut self) {
+    fn out_pop(&mut self) {
         debug_assert!(self.out_len > 0);
         self.out_head = (self.out_head + 1) % MAX_LOOKAHEAD as u8;
         self.out_len -= 1;
     }
 
     #[inline]
-    pub(crate) fn out_push(&mut self, done: u64) {
+    fn out_push(&mut self, done: u64) {
         debug_assert!((self.out_len as usize) < MAX_LOOKAHEAD);
         let i = (self.out_head as usize + self.out_len as usize) % MAX_LOOKAHEAD;
         self.outstanding[i] = done;
         self.out_len += 1;
-    }
-
-    /// Absolute ring index the next [`Self::out_push`] will land in.
-    /// Absolute indices are stable under pops (only `out_head` moves), so
-    /// the partitioned engine can address a provisional completion for its
-    /// merge-phase fix-up.
-    #[inline]
-    pub(crate) fn out_next_slot(&self) -> usize {
-        (self.out_head as usize + self.out_len as usize) % MAX_LOOKAHEAD
-    }
-
-    /// Absolute ring index of the current front entry.
-    #[inline]
-    pub(crate) fn out_front_slot(&self) -> usize {
-        self.out_head as usize
-    }
-
-    /// Overwrite the completion time in absolute ring slot `slot` (the
-    /// partitioned engine replacing a provisional fetch-add completion
-    /// with the hotspot-serialized true time).
-    #[inline]
-    pub(crate) fn out_set_slot(&mut self, slot: usize, done: u64) {
-        self.outstanding[slot] = done;
     }
 }
 
@@ -486,10 +439,6 @@ pub struct MtaMachine {
     total_cycles: u64,
     host_seconds: f64,
     engine: MtaEngine,
-    /// Worker-partition count for [`MtaEngine::Partitioned`] (ignored by
-    /// the serial engines). Clamped to the processor count at run time;
-    /// never affects simulated quantities.
-    workers: usize,
     engine_stats: EngineStats,
     reports: Vec<RunReport>,
     /// Watchdog budget in simulated cycles; a region that would pop an
@@ -513,7 +462,6 @@ impl MtaMachine {
             total_cycles: 0,
             host_seconds: 0.0,
             engine: configured_engine(),
-            workers: configured_workers(),
             engine_stats: EngineStats::default(),
             reports: Vec::new(),
             max_cycles: configured_max_cycles(),
@@ -544,18 +492,6 @@ impl MtaMachine {
     /// `ARCHGRAPH_MTA_ENGINE` environment variable).
     pub fn set_engine(&mut self, engine: MtaEngine) {
         self.engine = engine;
-    }
-
-    /// Worker-partition count the partitioned engine will use.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Override the worker-partition count for subsequent [`Self::run`]
-    /// calls (normal construction follows [`with_workers`] / the
-    /// `ARCHGRAPH_MTA_WORKERS` environment variable). Clamped to ≥ 1.
-    pub fn set_workers(&mut self, workers: usize) {
-        self.workers = workers.max(1);
     }
 
     /// Issue-loop accounting accumulated over all regions run so far.
@@ -694,261 +630,206 @@ impl MtaMachine {
         let mut last_completion: u64 = 0;
         let mut op_mix = [0u64; N_OP_CLASSES];
 
-        if self.engine == MtaEngine::Partitioned && latency >= 2 {
-            // Partitioned time wheel: streams sharded across worker
-            // partitions (whole processors each), bounded time windows,
-            // shared-memory operations applied at each window barrier in
-            // (time, stream_id) order through an address-sharded merge.
-            // Full/empty sync programs run here too: locally decidable
-            // outcomes ride the value log, undecidable ones stop their
-            // partition and are resolved at the round frontier (see
-            // crate::partition docs) — results stay exact either way.
-            let out = crate::partition::run_region(
-                prog,
-                &mut self.memory,
-                &mut streams,
-                &mut proc_clock,
-                streams_per_proc,
-                latency,
-                retry,
-                lookahead,
-                self.workers,
-                self.max_cycles,
-                stats,
-            )?;
-            issued = out.issued;
-            issued_thirds = out.issued_thirds;
-            op_mix = out.op_mix;
-            last_completion = out.last_completion;
-        } else {
-            // Ready queue keyed by earliest possible issue time; stream id
-            // breaks ties, which combined with re-insertion at issue_time + 1
-            // yields fair round-robin service. The wheel pops in exactly the
-            // ascending (time, id) order a binary heap of Reverse((t, id))
-            // entries would, so every simulated quantity is unchanged by the
-            // queue representation.
-            let mut wheel = TimeWheel::new(total);
-            for id in 0..total {
-                wheel.push(0, id as u32);
+        // Ready queue keyed by earliest possible issue time; stream id
+        // breaks ties, which combined with re-insertion at issue_time + 1
+        // yields fair round-robin service. The wheel pops in exactly the
+        // ascending (time, id) order a binary heap of Reverse((t, id))
+        // entries would, so every simulated quantity is unchanged by the
+        // queue representation.
+        let mut wheel = TimeWheel::new(total);
+        for id in 0..total {
+            wheel.push(0, id as u32);
+        }
+        // Hotspot serialization: next cycle (in thirds) at which a word
+        // can service another atomic/sync operation.
+        let mut word_free = WordFree::new();
+        // Batching is a property of this loop, not of the per-pc table:
+        // off, it is the reference; on, the default engine.
+        let batching = self.engine != MtaEngine::SingleStep;
+        let decoded = prog.traces().decoded();
+        // Blocked/halted bookkeeping behind deadlock detection. Sync
+        // and halt events are schedule-invariant (sync ops are never
+        // batched), so every engine observes the same transitions.
+        let mut tracker = BlockTracker::new(total);
+
+        while let Some((t, id)) = wheel.pop() {
+            if t > budget_thirds {
+                return Err(SimError::CycleBudgetExceeded {
+                    budget: self.max_cycles,
+                    spent: t.div_ceil(3),
+                    what: "mta cycles",
+                });
             }
-            // Hotspot serialization: next cycle (in thirds) at which a word
-            // can service another atomic/sync operation.
-            let mut word_free = WordFree::new();
-            // Batching is a property of this loop, not of the per-pc table:
-            // off, it is the reference; on, the default engine. Partitioned
-            // lands here only for `latency < 2` parameterizations (no real
-            // machine — the window width Δ = latency − 1 would be
-            // degenerate); batching like Trace keeps it oracle-exact.
-            let batching = self.engine != MtaEngine::SingleStep;
-            let decoded = prog.traces().decoded();
-            // Blocked/halted bookkeeping behind deadlock detection. Sync
-            // and halt events are schedule-invariant (sync ops are never
-            // batched), so every engine observes the same transitions.
-            let mut tracker = BlockTracker::new(total);
-
-            while let Some((t, id)) = wheel.pop() {
-                if t > budget_thirds {
-                    return Err(SimError::CycleBudgetExceeded {
-                        budget: self.max_cycles,
-                        spent: t.div_ceil(3),
-                        what: "mta cycles",
-                    });
+            stats.events += 1;
+            'ev: {
+                let proc = id as usize / streams_per_proc;
+                let s = &mut streams[id as usize];
+                debug_assert!(!s.halted);
+                if s.pc >= instrs.len() {
+                    // Falling off the end halts the stream.
+                    tracker.on_halt(id as usize);
+                    if let Some(err) = tracker.deadlock(&self.memory) {
+                        return Err(err);
+                    }
+                    break 'ev;
                 }
-                stats.events += 1;
-                'ev: {
-                    let proc = id as usize / streams_per_proc;
-                    let s = &mut streams[id as usize];
-                    debug_assert!(!s.halted);
-                    if s.pc >= instrs.len() {
-                        // Falling off the end halts the stream.
-                        tracker.on_halt(id as usize);
-                        if let Some(err) = tracker.deadlock(&self.memory) {
-                            return Err(err);
-                        }
-                        break 'ev;
-                    }
-                    let instr = instrs[s.pc];
-                    let d = decoded[s.pc];
+                let instr = instrs[s.pc];
+                let d = decoded[s.pc];
 
-                    // Earliest time this stream can truly issue `instr`. Absent
-                    // operands decode to r0, whose ready time is pinned at 0, so
-                    // the two-way max is exact.
-                    let mut e = t
-                        .max(s.reg_ready[d.src0 as usize])
-                        .max(s.reg_ready[d.src1 as usize]);
-                    while let Some(c) = s.out_front() {
-                        if c <= e {
-                            s.out_pop();
-                        } else {
-                            break;
-                        }
-                    }
-                    if d.is_memory && s.out_len as usize >= lookahead {
-                        // The window is at its limit, so the ring holds
-                        // `lookahead ≥ 1` entries and the front exists.
-                        let c = s
-                            .out_front()
-                            .expect("outstanding ring at the lookahead limit is non-empty");
-                        e = e.max(c);
+                // Earliest time this stream can truly issue `instr`. Absent
+                // operands decode to r0, whose ready time is pinned at 0, so
+                // the two-way max is exact.
+                let mut e = t
+                    .max(s.reg_ready[d.src0 as usize])
+                    .max(s.reg_ready[d.src1 as usize]);
+                while let Some(c) = s.out_front() {
+                    if c <= e {
                         s.out_pop();
+                    } else {
+                        break;
                     }
-                    if e > t {
-                        // Not actually ready yet: requeue without consuming a slot.
-                        wheel.push(e, id);
-                        break 'ev;
-                    }
+                }
+                if d.is_memory && s.out_len as usize >= lookahead {
+                    // The window is at its limit, so the ring holds
+                    // `lookahead ≥ 1` entries and the front exists.
+                    let c = s
+                        .out_front()
+                        .expect("outstanding ring at the lookahead limit is non-empty");
+                    e = e.max(c);
+                    s.out_pop();
+                }
+                if e > t {
+                    // Not actually ready yet: requeue without consuming a slot.
+                    wheel.push(e, id);
+                    break 'ev;
+                }
 
-                    // A stalled processor issues nothing inside its fault
-                    // windows: the pure per-(proc, seed) adjustment pushes
-                    // the issue slot past the window end, identically in
-                    // every engine (DESIGN.md §8).
-                    let issue_at = self
-                        .memory
-                        .fault_stall_adjust(proc, e.max(proc_clock[proc]));
+                // A stalled processor issues nothing inside its fault
+                // windows: the pure per-(proc, seed) adjustment pushes
+                // the issue slot past the window end, identically in
+                // every engine (DESIGN.md §8).
+                let issue_at = self
+                    .memory
+                    .fault_stall_adjust(proc, e.max(proc_clock[proc]));
 
-                    // Trace fast path: execute the whole *private* run starting
-                    // at this pc — the ALU body plus a trailing branch/jump/halt
-                    // — in one visit, if doing so provably cannot change the
-                    // schedule. Three gates (DESIGN.md has the full argument):
-                    //   1. the visit could cover ≥ 2 instructions — a run of at
-                    //      least two, or a control op whose taken edge may reveal
-                    //      a further run (a 1-op batch is just the step below);
-                    //   2. every register the run reads from outside itself is
-                    //      ready by its issue slot, so no instruction would stall;
-                    //   3. the run's issue slots all precede the queue's front
-                    //      event — instruction k issues at `issue_at + k`, so the
-                    //      single-step engine would pop it at that time too,
-                    //      before popping any other stream's event. (The front
-                    //      over all processors is conservative: other processors'
-                    //      events commute with the batch, since private ops touch
-                    //      only this stream's registers and pc and this
-                    //      processor's clock, never memory or hotspot state.)
-                    // After a taken branch the successor pc is known, so while
-                    // the horizon holds, the batch keeps following control flow
-                    // into further private runs (a loop of `add; bne` iterations
-                    // can retire in a single visit).
-                    if batching && d.batchable {
-                        // Stall windows additionally cap the horizon: no
-                        // batched slot may land inside one. Conservative
-                        // caps are exact by the batch-extent lemma.
-                        let limit = batch_limit(&mut wheel, id)
-                            .min(budget_thirds.saturating_add(1))
-                            .min(self.memory.fault_next_stall(proc, issue_at));
-                        if let Some(done) =
-                            try_batch(limit, s, instrs, decoded, issue_at, &mut op_mix)
-                        {
-                            proc_clock[proc] = done.clock;
-                            issued += done.n_exec;
-                            issued_thirds += done.n_exec;
-                            if done.n_exec >= 2 {
-                                stats.batches += 1;
-                                stats.batched_instrs += done.n_exec;
+                // Trace fast path: execute the whole *private* run starting
+                // at this pc — the ALU body plus a trailing branch/jump/halt
+                // — in one visit, if doing so provably cannot change the
+                // schedule. Three gates (DESIGN.md has the full argument):
+                //   1. the visit could cover ≥ 2 instructions — a run of at
+                //      least two, or a control op whose taken edge may reveal
+                //      a further run (a 1-op batch is just the step below);
+                //   2. every register the run reads from outside itself is
+                //      ready by its issue slot, so no instruction would stall;
+                //   3. the run's issue slots all precede the queue's front
+                //      event — instruction k issues at `issue_at + k`, so the
+                //      single-step engine would pop it at that time too,
+                //      before popping any other stream's event. (The front
+                //      over all processors is conservative: other processors'
+                //      events commute with the batch, since private ops touch
+                //      only this stream's registers and pc and this
+                //      processor's clock, never memory or hotspot state.)
+                // After a taken branch the successor pc is known, so while
+                // the horizon holds, the batch keeps following control flow
+                // into further private runs (a loop of `add; bne` iterations
+                // can retire in a single visit).
+                if batching && d.batchable {
+                    // Stall windows additionally cap the horizon: no
+                    // batched slot may land inside one. Conservative
+                    // caps are exact by the batch-extent lemma.
+                    let limit = batch_limit(&mut wheel, id)
+                        .min(budget_thirds.saturating_add(1))
+                        .min(self.memory.fault_next_stall(proc, issue_at));
+                    if let Some(done) = try_batch(limit, s, instrs, decoded, issue_at, &mut op_mix)
+                    {
+                        proc_clock[proc] = done.clock;
+                        issued += done.n_exec;
+                        issued_thirds += done.n_exec;
+                        if done.n_exec >= 2 {
+                            stats.batches += 1;
+                            stats.batched_instrs += done.n_exec;
+                        }
+                        if s.halted {
+                            tracker.on_halt(id as usize);
+                            if let Some(err) = tracker.deadlock(&self.memory) {
+                                return Err(err);
                             }
-                            if s.halted {
-                                tracker.on_halt(id as usize);
-                                if let Some(err) = tracker.deadlock(&self.memory) {
-                                    return Err(err);
-                                }
-                                break 'ev;
-                            }
-                            let dn = decoded[s.pc];
-                            let wake = done
-                                .clock
-                                .max(s.reg_ready[dn.src0 as usize])
-                                .max(s.reg_ready[dn.src1 as usize]);
-                            wheel.push(wake, id);
                             break 'ev;
                         }
+                        let dn = decoded[s.pc];
+                        let wake = done
+                            .clock
+                            .max(s.reg_ready[dn.src0 as usize])
+                            .max(s.reg_ready[dn.src1 as usize]);
+                        wheel.push(wake, id);
+                        break 'ev;
                     }
+                }
 
-                    // LIW lanes: memory ops fill the issue slot, ALU/control ops
-                    // fill one of the three lanes.
-                    let cost = u64::from(d.cost);
-                    proc_clock[proc] = issue_at + cost;
-                    issued += 1;
-                    issued_thirds += cost;
-                    op_mix[d.class_idx as usize] += 1;
-                    let mut next_ready = issue_at + cost;
-                    let mut next_pc = s.pc + 1;
+                // LIW lanes: memory ops fill the issue slot, ALU/control ops
+                // fill one of the three lanes.
+                let cost = u64::from(d.cost);
+                proc_clock[proc] = issue_at + cost;
+                issued += 1;
+                issued_thirds += cost;
+                op_mix[d.class_idx as usize] += 1;
+                let mut next_ready = issue_at + cost;
+                let mut next_pc = s.pc + 1;
 
-                    macro_rules! wreg {
-                        ($dst:expr, $val:expr, $ready:expr) => {{
-                            let d = $dst.0 as usize;
-                            if d != 0 {
-                                s.regs[d] = $val;
-                                s.reg_ready[d] = $ready;
-                            }
-                        }};
+                macro_rules! wreg {
+                    ($dst:expr, $val:expr, $ready:expr) => {{
+                        let d = $dst.0 as usize;
+                        if d != 0 {
+                            s.regs[d] = $val;
+                            s.reg_ready[d] = $ready;
+                        }
+                    }};
+                }
+
+                match instr {
+                    Instr::Li { dst, imm } => wreg!(dst, imm, issue_at + 1),
+                    Instr::Mov { dst, src } => {
+                        wreg!(dst, s.regs[src.0 as usize], issue_at + 1)
                     }
-
-                    match instr {
-                        Instr::Li { dst, imm } => wreg!(dst, imm, issue_at + 1),
-                        Instr::Mov { dst, src } => {
-                            wreg!(dst, s.regs[src.0 as usize], issue_at + 1)
-                        }
-                        Instr::Add { dst, a, b } => {
-                            let v = s.regs[a.0 as usize].wrapping_add(s.regs[b.0 as usize]);
-                            wreg!(dst, v, issue_at + 1)
-                        }
-                        Instr::AddI { dst, a, imm } => {
-                            let v = s.regs[a.0 as usize].wrapping_add(imm);
-                            wreg!(dst, v, issue_at + 1)
-                        }
-                        Instr::Sub { dst, a, b } => {
-                            let v = s.regs[a.0 as usize].wrapping_sub(s.regs[b.0 as usize]);
-                            wreg!(dst, v, issue_at + 1)
-                        }
-                        Instr::Mul { dst, a, b } => {
-                            let v = s.regs[a.0 as usize].wrapping_mul(s.regs[b.0 as usize]);
-                            wreg!(dst, v, issue_at + 1)
-                        }
-                        Instr::Load { dst, addr, off } => {
-                            let a = (s.regs[addr.0 as usize] + off) as usize;
-                            let v = self.memory.load(a);
-                            let done = issue_at
-                                + latency
-                                + self.memory.fault_mem_extra(proc, a, issue_at, latency);
-                            wreg!(dst, v, done);
-                            s.out_push(done);
-                            last_completion = last_completion.max(done);
-                        }
-                        Instr::Store { src, addr, off } => {
-                            let a = (s.regs[addr.0 as usize] + off) as usize;
-                            self.memory.store(a, s.regs[src.0 as usize]);
-                            let done = issue_at
-                                + latency
-                                + self.memory.fault_mem_extra(proc, a, issue_at, latency);
-                            s.out_push(done);
-                            last_completion = last_completion.max(done);
-                        }
-                        Instr::ReadFE { dst, addr, off } => {
-                            let a = (s.regs[addr.0 as usize] + off) as usize;
-                            match self.memory.readfe(a) {
-                                Some(v) => {
-                                    tracker.on_sync_success(id as usize);
-                                    let slot = word_free.slot(a);
-                                    let service = (*slot).max(issue_at);
-                                    *slot = service + 3;
-                                    let done = service
-                                        + latency
-                                        + self.memory.fault_mem_extra(proc, a, issue_at, latency);
-                                    wreg!(dst, v, done);
-                                    s.out_push(done);
-                                    last_completion = last_completion.max(done);
-                                }
-                                None => {
-                                    tracker.on_sync_fail(id as usize, s.pc, a, "readfe", issue_at);
-                                    if let Some(err) = tracker.deadlock(&self.memory) {
-                                        return Err(err);
-                                    }
-                                    next_pc = s.pc; // retry the same op
-                                    next_ready = issue_at + retry + self.memory.fault_wake_delay(a);
-                                }
-                            }
-                        }
-                        Instr::WriteEF { src, addr, off } => {
-                            let a = (s.regs[addr.0 as usize] + off) as usize;
-                            if self.memory.writeef(a, s.regs[src.0 as usize]) {
+                    Instr::Add { dst, a, b } => {
+                        let v = s.regs[a.0 as usize].wrapping_add(s.regs[b.0 as usize]);
+                        wreg!(dst, v, issue_at + 1)
+                    }
+                    Instr::AddI { dst, a, imm } => {
+                        let v = s.regs[a.0 as usize].wrapping_add(imm);
+                        wreg!(dst, v, issue_at + 1)
+                    }
+                    Instr::Sub { dst, a, b } => {
+                        let v = s.regs[a.0 as usize].wrapping_sub(s.regs[b.0 as usize]);
+                        wreg!(dst, v, issue_at + 1)
+                    }
+                    Instr::Mul { dst, a, b } => {
+                        let v = s.regs[a.0 as usize].wrapping_mul(s.regs[b.0 as usize]);
+                        wreg!(dst, v, issue_at + 1)
+                    }
+                    Instr::Load { dst, addr, off } => {
+                        let a = (s.regs[addr.0 as usize] + off) as usize;
+                        let v = self.memory.load(a);
+                        let done = issue_at
+                            + latency
+                            + self.memory.fault_mem_extra(proc, a, issue_at, latency);
+                        wreg!(dst, v, done);
+                        s.out_push(done);
+                        last_completion = last_completion.max(done);
+                    }
+                    Instr::Store { src, addr, off } => {
+                        let a = (s.regs[addr.0 as usize] + off) as usize;
+                        self.memory.store(a, s.regs[src.0 as usize]);
+                        let done = issue_at
+                            + latency
+                            + self.memory.fault_mem_extra(proc, a, issue_at, latency);
+                        s.out_push(done);
+                        last_completion = last_completion.max(done);
+                    }
+                    Instr::ReadFE { dst, addr, off } => {
+                        let a = (s.regs[addr.0 as usize] + off) as usize;
+                        match self.memory.readfe(a) {
+                            Some(v) => {
                                 tracker.on_sync_success(id as usize);
                                 let slot = word_free.slot(a);
                                 let service = (*slot).max(issue_at);
@@ -956,10 +837,58 @@ impl MtaMachine {
                                 let done = service
                                     + latency
                                     + self.memory.fault_mem_extra(proc, a, issue_at, latency);
+                                wreg!(dst, v, done);
                                 s.out_push(done);
                                 last_completion = last_completion.max(done);
-                            } else {
-                                tracker.on_sync_fail(id as usize, s.pc, a, "writeef", issue_at);
+                            }
+                            None => {
+                                tracker.on_sync_fail(id as usize, s.pc, a, "readfe", issue_at);
+                                if let Some(err) = tracker.deadlock(&self.memory) {
+                                    return Err(err);
+                                }
+                                next_pc = s.pc; // retry the same op
+                                next_ready = issue_at + retry + self.memory.fault_wake_delay(a);
+                            }
+                        }
+                    }
+                    Instr::WriteEF { src, addr, off } => {
+                        let a = (s.regs[addr.0 as usize] + off) as usize;
+                        if self.memory.writeef(a, s.regs[src.0 as usize]) {
+                            tracker.on_sync_success(id as usize);
+                            let slot = word_free.slot(a);
+                            let service = (*slot).max(issue_at);
+                            *slot = service + 3;
+                            let done = service
+                                + latency
+                                + self.memory.fault_mem_extra(proc, a, issue_at, latency);
+                            s.out_push(done);
+                            last_completion = last_completion.max(done);
+                        } else {
+                            tracker.on_sync_fail(id as usize, s.pc, a, "writeef", issue_at);
+                            if let Some(err) = tracker.deadlock(&self.memory) {
+                                return Err(err);
+                            }
+                            next_pc = s.pc;
+                            next_ready = issue_at + retry + self.memory.fault_wake_delay(a);
+                        }
+                    }
+                    Instr::ReadFF { dst, addr, off } => {
+                        let a = (s.regs[addr.0 as usize] + off) as usize;
+                        match self.memory.readff(a) {
+                            Some(v) => {
+                                tracker.on_sync_success(id as usize);
+                                let slot = word_free.slot(a);
+                                let service = (*slot).max(issue_at);
+                                *slot = service + 3;
+                                let done = service
+                                    + latency
+                                    + self.memory.fault_mem_extra(proc, a, issue_at, latency);
+                                wreg!(dst, v, done);
+                                s.out_push(done);
+                                last_completion = last_completion.max(done);
+                            }
+                            None => {
+                                tracker.on_sync_fail(id as usize, s.pc, a, "readff", issue_at);
                                 if let Some(err) = tracker.deadlock(&self.memory) {
                                     return Err(err);
                                 }
@@ -967,83 +896,48 @@ impl MtaMachine {
                                 next_ready = issue_at + retry + self.memory.fault_wake_delay(a);
                             }
                         }
-                        Instr::ReadFF { dst, addr, off } => {
-                            let a = (s.regs[addr.0 as usize] + off) as usize;
-                            match self.memory.readff(a) {
-                                Some(v) => {
-                                    tracker.on_sync_success(id as usize);
-                                    let slot = word_free.slot(a);
-                                    let service = (*slot).max(issue_at);
-                                    *slot = service + 3;
-                                    let done = service
-                                        + latency
-                                        + self.memory.fault_mem_extra(proc, a, issue_at, latency);
-                                    wreg!(dst, v, done);
-                                    s.out_push(done);
-                                    last_completion = last_completion.max(done);
-                                }
-                                None => {
-                                    tracker.on_sync_fail(id as usize, s.pc, a, "readff", issue_at);
-                                    if let Some(err) = tracker.deadlock(&self.memory) {
-                                        return Err(err);
-                                    }
-                                    next_pc = s.pc;
-                                    next_ready = issue_at + retry + self.memory.fault_wake_delay(a);
-                                }
-                            }
-                        }
-                        Instr::FetchAdd {
-                            dst,
-                            addr,
-                            off,
-                            delta,
-                        } => {
-                            let a = (s.regs[addr.0 as usize] + off) as usize;
-                            let old = self.memory.int_fetch_add(a, s.regs[delta.0 as usize]);
-                            // Hotspot: atomics on one word drain at 1 per cycle.
-                            let slot = word_free.slot(a);
-                            let service = (*slot).max(issue_at);
-                            *slot = service + 3;
-                            let done = service
-                                + latency
-                                + self.memory.fault_mem_extra(proc, a, issue_at, latency);
-                            wreg!(dst, old, done);
-                            s.out_push(done);
-                            last_completion = last_completion.max(done);
-                        }
-                        Instr::Beq { a, b, target } => {
-                            if s.regs[a.0 as usize] == s.regs[b.0 as usize] {
-                                next_pc = target;
-                            }
-                        }
-                        Instr::Bne { a, b, target } => {
-                            if s.regs[a.0 as usize] != s.regs[b.0 as usize] {
-                                next_pc = target;
-                            }
-                        }
-                        Instr::Blt { a, b, target } => {
-                            if s.regs[a.0 as usize] < s.regs[b.0 as usize] {
-                                next_pc = target;
-                            }
-                        }
-                        Instr::Bge { a, b, target } => {
-                            if s.regs[a.0 as usize] >= s.regs[b.0 as usize] {
-                                next_pc = target;
-                            }
-                        }
-                        Instr::Jmp { target } => next_pc = target,
-                        Instr::Halt => {
-                            s.halted = true;
-                            tracker.on_halt(id as usize);
-                            if let Some(err) = tracker.deadlock(&self.memory) {
-                                return Err(err);
-                            }
-                            break 'ev;
+                    }
+                    Instr::FetchAdd {
+                        dst,
+                        addr,
+                        off,
+                        delta,
+                    } => {
+                        let a = (s.regs[addr.0 as usize] + off) as usize;
+                        let old = self.memory.int_fetch_add(a, s.regs[delta.0 as usize]);
+                        // Hotspot: atomics on one word drain at 1 per cycle.
+                        let slot = word_free.slot(a);
+                        let service = (*slot).max(issue_at);
+                        *slot = service + 3;
+                        let done = service
+                            + latency
+                            + self.memory.fault_mem_extra(proc, a, issue_at, latency);
+                        wreg!(dst, old, done);
+                        s.out_push(done);
+                        last_completion = last_completion.max(done);
+                    }
+                    Instr::Beq { a, b, target } => {
+                        if s.regs[a.0 as usize] == s.regs[b.0 as usize] {
+                            next_pc = target;
                         }
                     }
-
-                    s.pc = next_pc;
-                    if s.pc >= instrs.len() {
+                    Instr::Bne { a, b, target } => {
+                        if s.regs[a.0 as usize] != s.regs[b.0 as usize] {
+                            next_pc = target;
+                        }
+                    }
+                    Instr::Blt { a, b, target } => {
+                        if s.regs[a.0 as usize] < s.regs[b.0 as usize] {
+                            next_pc = target;
+                        }
+                    }
+                    Instr::Bge { a, b, target } => {
+                        if s.regs[a.0 as usize] >= s.regs[b.0 as usize] {
+                            next_pc = target;
+                        }
+                    }
+                    Instr::Jmp { target } => next_pc = target,
+                    Instr::Halt => {
                         s.halted = true;
                         tracker.on_halt(id as usize);
                         if let Some(err) = tracker.deadlock(&self.memory) {
@@ -1051,18 +945,28 @@ impl MtaMachine {
                         }
                         break 'ev;
                     }
-                    // Wake the stream when its next instruction's sources are
-                    // ready, not merely at `next_ready`: register ready times are
-                    // this stream's own state, so folding them in now skips the
-                    // pop that would only discover the stall and requeue. The
-                    // issue time and order are unchanged — the readiness check
-                    // above recomputes the same maximum.
-                    let dn = decoded[s.pc];
-                    let wake = next_ready
-                        .max(s.reg_ready[dn.src0 as usize])
-                        .max(s.reg_ready[dn.src1 as usize]);
-                    wheel.push(wake, id);
                 }
+
+                s.pc = next_pc;
+                if s.pc >= instrs.len() {
+                    s.halted = true;
+                    tracker.on_halt(id as usize);
+                    if let Some(err) = tracker.deadlock(&self.memory) {
+                        return Err(err);
+                    }
+                    break 'ev;
+                }
+                // Wake the stream when its next instruction's sources are
+                // ready, not merely at `next_ready`: register ready times are
+                // this stream's own state, so folding them in now skips the
+                // pop that would only discover the stall and requeue. The
+                // issue time and order are unchanged — the readiness check
+                // above recomputes the same maximum.
+                let dn = decoded[s.pc];
+                let wake = next_ready
+                    .max(s.reg_ready[dn.src0 as usize])
+                    .max(s.reg_ready[dn.src1 as usize]);
+                wheel.push(wake, id);
             }
         }
 

@@ -11,140 +11,6 @@
 use crate::fault::FaultPlan;
 use crate::word::Word;
 
-// --- word-level operation cores ---
-//
-// The counting semantics of each memory operation, factored over a single
-// [`Word`] plus a counter block so two callers can share them exactly:
-// [`Memory`]'s simulated-operation methods below, and the partitioned
-// engine's sharded window merge, which applies operations to
-// address-disjoint word sets in parallel, each shard carrying its own
-// [`MemCounters`] delta (summed into the memory's counters afterwards).
-
-/// Ordinary load core (see [`Memory::load`]).
-#[inline]
-pub(crate) fn word_load(w: &mut Word, c: &mut MemCounters) -> i64 {
-    c.loads += 1;
-    w.value
-}
-
-/// Ordinary store core (see [`Memory::store`]).
-#[inline]
-pub(crate) fn word_store(w: &mut Word, c: &mut MemCounters, value: i64) {
-    c.stores += 1;
-    w.value = value;
-}
-
-/// `readfe` core (see [`Memory::readfe`]); `stuck` is the address's
-/// stuck-tag fault, if any.
-#[inline]
-pub(crate) fn word_readfe(w: &mut Word, c: &mut MemCounters, stuck: Option<bool>) -> Option<i64> {
-    if stuck.unwrap_or(w.full) {
-        if stuck.is_none() {
-            w.full = false;
-        }
-        c.sync_ops += 1;
-        Some(w.value)
-    } else {
-        c.sync_retries += 1;
-        None
-    }
-}
-
-/// `writeef` core (see [`Memory::writeef`]).
-#[inline]
-pub(crate) fn word_writeef(
-    w: &mut Word,
-    c: &mut MemCounters,
-    stuck: Option<bool>,
-    value: i64,
-) -> bool {
-    if !stuck.unwrap_or(w.full) {
-        if stuck.is_none() {
-            w.full = true;
-        }
-        w.value = value;
-        c.sync_ops += 1;
-        true
-    } else {
-        c.sync_retries += 1;
-        false
-    }
-}
-
-/// `readff` core (see [`Memory::readff`]).
-#[inline]
-pub(crate) fn word_readff(w: &mut Word, c: &mut MemCounters, stuck: Option<bool>) -> Option<i64> {
-    if stuck.unwrap_or(w.full) {
-        c.sync_ops += 1;
-        Some(w.value)
-    } else {
-        c.sync_retries += 1;
-        None
-    }
-}
-
-/// `int_fetch_add` core (see [`Memory::int_fetch_add`]).
-#[inline]
-pub(crate) fn word_fetch_add(w: &mut Word, c: &mut MemCounters, delta: i64) -> i64 {
-    c.fetch_adds += 1;
-    let old = w.value;
-    w.value = old.wrapping_add(delta);
-    old
-}
-
-/// Raw word-granular view of a [`Memory`], used by the partitioned engine
-/// to apply its window logs from several threads at once (each thread
-/// owning a disjoint, hash-sharded address subset) and to let its workers
-/// *read* full/empty tags between merges.
-///
-/// # Safety protocol (upheld by `partition::run_region`)
-///
-/// * Mutation happens only during the merge's apply phase, and only
-///   through addresses the applying thread's shard owns — shards
-///   partition the address space, so no word is ever reachable from two
-///   threads in the same phase.
-/// * Workers read tags only while the coordinator is quiescent (between
-///   barrier crossings of the window protocol); every apply phase is
-///   separated from every read phase by a barrier, whose acquire/release
-///   pair publishes the writes.
-/// * The owning [`Memory`] is not accessed through its own methods while
-///   the view is in use (counters are accumulated per shard and folded
-///   back once the region's thread scope ends).
-pub(crate) struct MemWords {
-    ptr: *mut Word,
-    len: usize,
-}
-
-unsafe impl Send for MemWords {}
-unsafe impl Sync for MemWords {}
-
-impl MemWords {
-    /// The word at `addr`. Panics on out-of-range addresses exactly like
-    /// [`Memory`]'s own indexing, so a runaway program fails the same way
-    /// on every engine.
-    ///
-    /// # Safety
-    /// Caller must hold exclusive access to `addr` per the view's
-    /// sharding protocol (see the type docs).
-    #[allow(clippy::mut_from_ref)]
-    #[inline]
-    pub(crate) unsafe fn word(&self, addr: usize) -> &mut Word {
-        assert!(addr < self.len, "address {addr} out of simulated memory");
-        &mut *self.ptr.add(addr)
-    }
-
-    /// The raw full/empty bit at `addr` (no stuck-tag folding).
-    ///
-    /// # Safety
-    /// Caller must be in a quiescent phase of the view's protocol (no
-    /// concurrent apply phase may be mutating words).
-    #[inline]
-    pub(crate) unsafe fn full(&self, addr: usize) -> bool {
-        assert!(addr < self.len, "address {addr} out of simulated memory");
-        (*self.ptr.add(addr)).full
-    }
-}
-
 /// Counters of memory traffic by operation class.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemCounters {
@@ -351,12 +217,14 @@ impl Memory {
 
     /// Ordinary load: ignores the full/empty bit.
     pub fn load(&mut self, addr: usize) -> i64 {
-        word_load(&mut self.words[addr], &mut self.counters)
+        self.counters.loads += 1;
+        self.words[addr].value
     }
 
     /// Ordinary store: ignores and does not change the full/empty bit.
     pub fn store(&mut self, addr: usize, value: i64) {
-        word_store(&mut self.words[addr], &mut self.counters, value);
+        self.counters.stores += 1;
+        self.words[addr].value = value;
     }
 
     /// Synchronous read-and-empty: succeeds only on a full word, leaving
@@ -364,7 +232,17 @@ impl Memory {
     /// fault pins the observed state (and the bit cannot be cleared).
     pub fn readfe(&mut self, addr: usize) -> Option<i64> {
         let stuck = self.stuck_tag(addr);
-        word_readfe(&mut self.words[addr], &mut self.counters, stuck)
+        let w = &mut self.words[addr];
+        if stuck.unwrap_or(w.full) {
+            if stuck.is_none() {
+                w.full = false;
+            }
+            self.counters.sync_ops += 1;
+            Some(w.value)
+        } else {
+            self.counters.sync_retries += 1;
+            None
+        }
     }
 
     /// Synchronous write-and-fill: succeeds only on an empty word, leaving
@@ -372,28 +250,41 @@ impl Memory {
     /// through but the bit stays empty; a stuck-full fault blocks forever.
     pub fn writeef(&mut self, addr: usize, value: i64) -> bool {
         let stuck = self.stuck_tag(addr);
-        word_writeef(&mut self.words[addr], &mut self.counters, stuck, value)
+        let w = &mut self.words[addr];
+        if !stuck.unwrap_or(w.full) {
+            if stuck.is_none() {
+                w.full = true;
+            }
+            w.value = value;
+            self.counters.sync_ops += 1;
+            true
+        } else {
+            self.counters.sync_retries += 1;
+            false
+        }
     }
 
     /// Synchronous read-when-full (does not empty). `None` means retry.
     pub fn readff(&mut self, addr: usize) -> Option<i64> {
         let stuck = self.stuck_tag(addr);
-        word_readff(&mut self.words[addr], &mut self.counters, stuck)
+        let w = &self.words[addr];
+        if stuck.unwrap_or(w.full) {
+            self.counters.sync_ops += 1;
+            Some(w.value)
+        } else {
+            self.counters.sync_retries += 1;
+            None
+        }
     }
 
     /// Atomic fetch-and-add at memory; returns the *old* value. One cycle
     /// on the real machine; the engine charges it like a memory op.
     pub fn int_fetch_add(&mut self, addr: usize, delta: i64) -> i64 {
-        word_fetch_add(&mut self.words[addr], &mut self.counters, delta)
-    }
-
-    /// Raw word view for the partitioned engine's sharded merge. See
-    /// [`MemWords`] for the safety protocol.
-    pub(crate) fn words_view(&mut self) -> MemWords {
-        MemWords {
-            ptr: self.words.as_mut_ptr(),
-            len: self.words.len(),
-        }
+        self.counters.fetch_adds += 1;
+        let w = &mut self.words[addr];
+        let old = w.value;
+        w.value = old.wrapping_add(delta);
+        old
     }
 }
 

@@ -83,11 +83,11 @@ pub struct EngineStats {
     pub batches: u64,
     /// Instructions issued inside trace batches.
     pub batched_instrs: u64,
-    /// Window-merge rounds executed by the partitioned engine. Zero on
-    /// every other engine, so tests can assert a region really ran on
-    /// the partitioned path (there is no interpreter fallback left for
-    /// sync programs; any region the partitioned engine runs reports at
-    /// least one round).
+    /// Always 0. It counted the window-merge rounds of the removed
+    /// windowed engine (see `MtaEngine::Partitioned`) and stays only
+    /// because the frozen `benchmarks/` package reads it for
+    /// `mta-sim.windows_per_kcycle`; the `benchmark` PR that drops that row
+    /// removes the field.
     pub windows: u64,
 }
 

@@ -1,10 +1,10 @@
-//! The scheduler's calendar queue ("time wheel"), shared by every engine.
+//! The scheduler's calendar queue ("time wheel") behind the issue loop in
+//! `machine.rs`.
 //!
-//! Extracted from `machine.rs` so the partitioned engine can instantiate
-//! one wheel per worker partition; the ordering contract is unchanged:
-//! events pop in ascending `(time, stream_id)` order, exactly like the
-//! `BinaryHeap<Reverse<(time, stream)>>` the wheel replaced (and which the
-//! property tests below keep as the reference model).
+//! The ordering contract: events pop in ascending `(time, stream_id)`
+//! order, exactly like the `BinaryHeap<Reverse<(time, stream)>>` the wheel
+//! replaced (and which the property tests below keep as the reference
+//! model).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -158,18 +158,6 @@ impl TimeWheel {
         }
     }
 
-    /// [`Self::pop`], but only if the next event precedes `limit` — the
-    /// partitioned engine's bounded-window pop. Events at or beyond the
-    /// window end stay queued (including any still parked in overflow),
-    /// so the wheel is left exactly as a plain `peek` would leave it.
-    #[inline]
-    pub(crate) fn pop_before(&mut self, limit: u64) -> Option<(u64, u32)> {
-        match self.peek() {
-            Some((t, _)) if t < limit => self.pop(),
-            _ => None,
-        }
-    }
-
     /// Earliest pending event in ascending `(time, id)` order, without
     /// consuming it — the trace engine's preemption horizon. The common
     /// case (a remnant of the current bucket) is a pair of loads; the
@@ -252,8 +240,6 @@ mod tests {
         Pop,
         /// Peek both and compare (then pop, so the script advances).
         PeekPop,
-        /// Bounded pop: `pop_before(now + window)` vs the model.
-        PopBefore { window: u32 },
     }
 
     fn action() -> impl Strategy<Value = Action> {
@@ -264,7 +250,6 @@ mod tests {
             (0u32..3 * WHEEL_SIZE as u32).prop_map(|delta| Action::Push { delta }),
             Just(Action::Pop),
             Just(Action::PeekPop),
-            (0u32..2 * WHEEL_SIZE as u32).prop_map(|window| Action::PopBefore { window }),
         ]
     }
 
@@ -300,19 +285,6 @@ mod tests {
                     let got = wheel.pop();
                     let want = model.pop();
                     assert_eq!(got, want, "pop-after-peek diverged at step {step}");
-                    if let Some((t, id)) = got {
-                        floor = t + 1;
-                        free.push(id);
-                    }
-                }
-                Action::PopBefore { window } => {
-                    let limit = floor + u64::from(window);
-                    let got = wheel.pop_before(limit);
-                    let want = match model.peek() {
-                        Some((t, _)) if t < limit => model.pop(),
-                        _ => None,
-                    };
-                    assert_eq!(got, want, "pop_before diverged at step {step}");
                     if let Some((t, id)) = got {
                         floor = t + 1;
                         free.push(id);
@@ -394,24 +366,5 @@ mod tests {
             assert!(seen[2].0 > seen[1].0);
             t = seen[2].0;
         }
-    }
-
-    #[test]
-    fn pop_before_respects_the_window() {
-        let mut wheel = TimeWheel::new(3);
-        wheel.push(5, 0);
-        wheel.push(10, 1);
-        wheel.push(WHEEL_SIZE as u64 + 40, 2); // parked in overflow
-        assert_eq!(wheel.pop_before(5), None, "limit is exclusive");
-        assert_eq!(wheel.pop_before(6), Some((5, 0)));
-        assert_eq!(wheel.pop_before(10), None);
-        assert_eq!(wheel.pop_before(11), Some((10, 1)));
-        assert_eq!(wheel.pop_before(WHEEL_SIZE as u64 + 40), None);
-        assert_eq!(
-            wheel.pop_before(u64::MAX),
-            Some((WHEEL_SIZE as u64 + 40, 2)),
-            "overflow events must surface through pop_before too"
-        );
-        assert_eq!(wheel.pop_before(u64::MAX), None);
     }
 }

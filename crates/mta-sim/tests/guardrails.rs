@@ -3,37 +3,26 @@
 //!
 //! * A kernel that deadlocks (unmatched full/empty traffic) returns the
 //!   **identical** [`SimError::Deadlock`] — same detection cycle, same
-//!   per-stream diagnostics — from SingleStep, Trace and
-//!   Partitioned at every worker count, and never hangs.
-//! * A kernel that outlives the cycle budget returns
-//!   [`SimError::CycleBudgetExceeded`] from every engine.
+//!   per-stream diagnostics — from SingleStep and Trace, and never
+//!   hangs.
+//! * A kernel that outlives the cycle budget returns the identical
+//!   [`SimError::CycleBudgetExceeded`] from both engines.
 //! * A deterministic [`FaultPlan`] perturbs every engine identically:
 //!   latency spikes leave the issued-instruction count unchanged and only
 //!   ever lengthen the run; stuck tag bits drive the deadlock detector.
 //! * Property test: random full/empty kernels — balanced and deliberately
 //!   unbalanced — either halt with identical reports or deadlock with
-//!   identical errors across all three engines and `W ∈ {1, 2, 4, 8}`,
-//!   with [`EngineStats::windows`] proving the partitioned runs really
-//!   executed merge rounds rather than falling back to the interpreter
-//!   (the sync fallback is gone).
-//!
-//! [`EngineStats::windows`]: archgraph_mta_sim::report::EngineStats
+//!   identical errors on both engines.
 
 use proptest::prelude::*;
 
 use archgraph_core::MtaParams;
 use archgraph_mta_sim::isa::{Program, ProgramBuilder, Reg};
-use archgraph_mta_sim::machine::{with_workers, MtaEngine, MtaMachine};
+use archgraph_mta_sim::machine::{MtaEngine, MtaMachine};
 use archgraph_mta_sim::report::RunReport;
 use archgraph_mta_sim::{FaultPlan, SimError};
 
 const MEM_WORDS: usize = 32;
-
-const ALL_ENGINES: [MtaEngine; 3] = [
-    MtaEngine::SingleStep,
-    MtaEngine::Trace,
-    MtaEngine::Partitioned,
-];
 
 /// Run `prog` under one engine with optional empty words, fault plan and
 /// cycle budget; return the outcome and the final memory image.
@@ -57,19 +46,6 @@ fn try_engine(
     }
     m.set_engine(engine);
     let out = m.try_run(prog, streams, |_, _| {});
-    // Path proof: full/empty programs no longer fall back to the
-    // interpreter — every region the partitioned engine is asked to run
-    // (halting, deadlocking, or over budget) reports at least one merge
-    // round, and no other engine reports any.
-    let windows = m.engine_stats().windows;
-    if engine == MtaEngine::Partitioned {
-        assert!(
-            windows > 0,
-            "partitioned run must execute merge rounds, not fall back"
-        );
-    } else {
-        assert_eq!(windows, 0, "{engine:?} must not count merge rounds");
-    }
     // Host-side accounting survives a deadlock or budget error.
     if out.is_err() {
         assert!(
@@ -120,8 +96,7 @@ fn balanced_handshake(total: i64) -> Program {
 }
 
 /// Fig. 1-shaped list walk (memory-heavy, sync-free) plus its memory
-/// image — the workhorse for fault-latency and watchdog checks that must
-/// exercise the partitioned engine's parallel path.
+/// image — the workhorse for the fault-latency and watchdog checks.
 fn walk_kernel() -> (Program, Vec<i64>) {
     let n = 24i64;
     let mut mem = vec![0i64; MEM_WORDS];
@@ -153,10 +128,10 @@ fn poke_all(m: &mut MtaMachine, mem: &[i64]) {
 }
 
 /// An unmatched `readfe` kernel must return the byte-identical
-/// `SimError::Deadlock` from all three engines at every worker count —
-/// and, critically, return at all.
+/// `SimError::Deadlock` from both engines — and, critically, return at
+/// all.
 #[test]
-fn deadlock_is_bit_identical_across_engines_and_worker_counts() {
+fn deadlock_is_bit_identical_across_engines() {
     for &(p, streams) in &[(1usize, 2usize), (2, 4), (2, 8)] {
         let prog = unbalanced_handshake((p * streams) as i64);
         let (oracle, mem_oracle) =
@@ -177,21 +152,15 @@ fn deadlock_is_bit_identical_across_engines_and_worker_counts() {
             }
             other => panic!("expected a deadlock, got {other}"),
         }
-        for engine in [MtaEngine::Trace, MtaEngine::Partitioned] {
-            for w in [1usize, 2, 4, 8] {
-                let (out, mem_out) = with_workers(w, || {
-                    try_engine(&prog, engine, p, streams, &[1], None, None)
-                });
-                assert_eq!(
-                    out, oracle,
-                    "{engine:?} W={w} deadlock diverged at p={p} streams={streams}"
-                );
-                assert_eq!(
-                    mem_out, mem_oracle,
-                    "{engine:?} W={w} memory diverged at p={p} streams={streams}"
-                );
-            }
-        }
+        let (out, mem_out) = try_engine(&prog, MtaEngine::Trace, p, streams, &[1], None, None);
+        assert_eq!(
+            out, oracle,
+            "Trace deadlock diverged at p={p} streams={streams}"
+        );
+        assert_eq!(
+            mem_out, mem_oracle,
+            "Trace memory diverged at p={p} streams={streams}"
+        );
     }
 }
 
@@ -206,9 +175,8 @@ fn deadlock_diagnostics_are_human_readable() {
     assert!(msg.contains("mem[1]"), "{msg}");
 }
 
-/// A non-terminating (sync-free) kernel trips the watchdog on every
-/// engine with the same budget, and `run` surfaces it as a panic rather
-/// than a hang.
+/// A non-terminating (sync-free) kernel trips the watchdog identically on
+/// both engines with the same budget, rather than hanging.
 #[test]
 fn watchdog_fires_identically_on_runaway_kernels() {
     let mut b = ProgramBuilder::new();
@@ -239,25 +207,6 @@ fn watchdog_fires_identically_on_runaway_kernels() {
     }
     let (out, _) = try_engine(&prog, MtaEngine::Trace, 2, 4, &[], None, Some(budget));
     assert_eq!(out, oracle, "Trace watchdog diverged");
-    // The partitioned engine detects the overrun at a window merge, so its
-    // `spent` may name a different (still over-budget) cycle.
-    for w in [1usize, 2, 4] {
-        let (out, _) = with_workers(w, || {
-            try_engine(&prog, MtaEngine::Partitioned, 2, 4, &[], None, Some(budget))
-        });
-        match out.expect_err("partitioned watchdog must fire") {
-            SimError::CycleBudgetExceeded {
-                budget: b,
-                spent,
-                what,
-            } => {
-                assert_eq!(b, budget);
-                assert!(spent > budget);
-                assert_eq!(what, "mta cycles");
-            }
-            other => panic!("expected a budget error, got {other}"),
-        }
-    }
 }
 
 /// A kernel that finishes inside the budget is untouched by the watchdog:
@@ -279,7 +228,7 @@ fn watchdog_is_invisible_inside_the_budget() {
     assert_eq!(free, fenced, "an unexercised watchdog must cost nothing");
 }
 
-/// Injected memory latency perturbs every engine identically, never
+/// Injected memory latency perturbs both engines identically, never
 /// changes *what* executes (issued instructions, op mix, memory traffic),
 /// and can only lengthen the schedule.
 #[test]
@@ -309,19 +258,12 @@ fn fault_latency_is_engine_invariant_and_monotone() {
         faulted.cycles,
         clean.cycles
     );
-    for engine in [MtaEngine::Trace, MtaEngine::Partitioned] {
-        for w in [1usize, 2, 4, 8] {
-            let (rep, mem_out) = with_workers(w, || run(engine, Some(&plan)));
-            assert_eq!(
-                rep, faulted,
-                "{engine:?} W={w} diverged under the fault plan"
-            );
-            assert_eq!(mem_out, mem_faulted, "{engine:?} W={w} memory diverged");
-        }
-    }
+    let (rep, mem_out) = run(MtaEngine::Trace, Some(&plan));
+    assert_eq!(rep, faulted, "Trace diverged under the fault plan");
+    assert_eq!(mem_out, mem_faulted, "Trace memory diverged");
 }
 
-/// Delayed sync-retry wakeups likewise perturb all engines identically
+/// Delayed sync-retry wakeups likewise perturb both engines identically
 /// on a kernel that leans on retries, and leave the final memory intact.
 #[test]
 fn fault_wake_delay_is_engine_invariant() {
@@ -339,17 +281,16 @@ fn fault_wake_delay_is_engine_invariant() {
         );
         let rep = oracle.as_ref().expect("balanced handshake halts");
         assert!(rep.mem.sync_ops > 0, "handshake must use sync ops");
-        for engine in [MtaEngine::Trace, MtaEngine::Partitioned] {
-            let (out, mem_out) = try_engine(&prog, engine, p, streams, &[1], Some(&plan), None);
-            assert_eq!(out, oracle, "{engine:?} diverged under wake delay");
-            assert_eq!(mem_out, mem_oracle);
-        }
+        let (out, mem_out) =
+            try_engine(&prog, MtaEngine::Trace, p, streams, &[1], Some(&plan), None);
+        assert_eq!(out, oracle, "Trace diverged under wake delay");
+        assert_eq!(mem_out, mem_oracle);
     }
 }
 
 /// A stuck-empty tag starves consumers: `readfe` can never observe a full
 /// word, so the balanced handshake — which halts cleanly without the
-/// fault — deadlocks, identically, on every engine.
+/// fault — deadlocks, identically, on both engines.
 #[test]
 fn stuck_tag_fault_drives_the_deadlock_detector() {
     let plan = FaultPlan::parse("stuck-empty,rate=0:5").expect("plan parses");
@@ -380,18 +321,16 @@ fn stuck_tag_fault_drives_the_deadlock_detector() {
             }
             other => panic!("expected a deadlock, got {other}"),
         }
-        for engine in [MtaEngine::Trace, MtaEngine::Partitioned] {
-            let (out, mem_out) = try_engine(&prog, engine, p, streams, &[1], Some(&plan), None);
-            assert_eq!(out, oracle, "{engine:?} diverged under stuck-empty");
-            assert_eq!(mem_out, mem_oracle);
-        }
+        let (out, mem_out) =
+            try_engine(&prog, MtaEngine::Trace, p, streams, &[1], Some(&plan), None);
+        assert_eq!(out, oracle, "Trace diverged under stuck-empty");
+        assert_eq!(mem_out, mem_oracle);
     }
 }
 
 /// The structural fault axis — per-processor stalls, degraded links,
-/// brownouts, and all three at once — perturbs every engine identically
-/// at every worker count, never changes what executes, and only ever
-/// lengthens the schedule.
+/// brownouts, and all three at once — perturbs both engines identically,
+/// never changes what executes, and only ever lengthens the schedule.
 #[test]
 fn structural_faults_are_engine_invariant_and_monotone() {
     let (prog, mem_init) = walk_kernel();
@@ -425,16 +364,9 @@ fn structural_faults_are_engine_invariant_and_monotone() {
             faulted.cycles,
             clean.cycles
         );
-        for engine in [MtaEngine::Trace, MtaEngine::Partitioned] {
-            for w in [1usize, 2, 4, 8] {
-                let (rep, mem_out) = with_workers(w, || run(engine, Some(&plan)));
-                assert_eq!(rep, faulted, "{engine:?} W={w} diverged under {spec}");
-                assert_eq!(
-                    mem_out, mem_faulted,
-                    "{engine:?} W={w} memory diverged under {spec}"
-                );
-            }
-        }
+        let (rep, mem_out) = run(MtaEngine::Trace, Some(&plan));
+        assert_eq!(rep, faulted, "Trace diverged under {spec}");
+        assert_eq!(mem_out, mem_faulted, "Trace memory diverged under {spec}");
     }
 }
 
@@ -461,9 +393,9 @@ fn stall_windows_lengthen_the_schedule() {
 }
 
 /// A deadlock reached *through* a structural fault plan still produces
-/// the bit-identical diagnostic from every engine at every worker count:
-/// stalls and link delays shift the schedule, but the detection cycle and
-/// the parked set are schedule-invariant.
+/// the bit-identical diagnostic from both engines: stalls and link delays
+/// shift the schedule, but the detection cycle and the parked set are
+/// schedule-invariant.
 #[test]
 fn structural_faults_preserve_deadlock_identity() {
     let plan =
@@ -483,25 +415,20 @@ fn structural_faults_preserve_deadlock_identity() {
             matches!(oracle, Err(SimError::Deadlock { .. })),
             "over-consuming kernel must still deadlock under faults: {oracle:?}"
         );
-        for engine in [MtaEngine::Trace, MtaEngine::Partitioned] {
-            for w in [1usize, 2, 4, 8] {
-                let (out, mem_out) = with_workers(w, || {
-                    try_engine(&prog, engine, p, streams, &[1], Some(&plan), None)
-                });
-                assert_eq!(
-                    out, oracle,
-                    "{engine:?} W={w} deadlock diverged under the structural plan"
-                );
-                assert_eq!(mem_out, mem_oracle, "{engine:?} W={w} memory diverged");
-            }
-        }
+        let (out, mem_out) =
+            try_engine(&prog, MtaEngine::Trace, p, streams, &[1], Some(&plan), None);
+        assert_eq!(
+            out, oracle,
+            "Trace deadlock diverged under the structural plan"
+        );
+        assert_eq!(mem_out, mem_oracle, "Trace memory diverged");
     }
 }
 
 /// Build a full/empty kernel where the lower half of the streams each
 /// perform `prod_reps` `writeef`s and the upper half `cons_reps`
 /// `readfe`s against the same word. Balanced counts halt; unbalanced
-/// counts deadlock. Either way, every engine must agree bit-for-bit.
+/// counts deadlock. Either way, both engines must agree bit-for-bit.
 fn repeated_handshake(total: i64, prod_reps: u8, cons_reps: u8) -> Program {
     let mut b = ProgramBuilder::new();
     let (v, half, t, k) = (Reg(2), Reg(3), Reg(5), Reg(6));
@@ -535,7 +462,7 @@ proptest! {
 
     /// Every generated full/empty kernel — matched or deliberately
     /// unmatched — either halts with identical reports or deadlocks with
-    /// identical diagnostics on all three engines and every worker count.
+    /// identical diagnostics on both engines.
     #[test]
     fn kernels_halt_or_deadlock_identically(
         prod_reps in 0u8..3,
@@ -556,22 +483,13 @@ proptest! {
                 oracle
             );
         }
-        for engine in [MtaEngine::Trace, MtaEngine::Partitioned] {
-            for w in [1usize, 2, 4, 8] {
-                let (out, mem_out) = with_workers(w, || {
-                    try_engine(&prog, engine, p, streams, &[1], None, None)
-                });
-                prop_assert_eq!(
-                    &out, &oracle,
-                    "{:?} W={} outcome diverged (prod={}, cons={})",
-                    engine, w, prod_reps, cons_reps
-                );
-                prop_assert_eq!(
-                    &mem_out, &mem_oracle,
-                    "{:?} W={} memory diverged", engine, w
-                );
-            }
-        }
+        let (out, mem_out) =
+            try_engine(&prog, MtaEngine::Trace, p, streams, &[1], None, None);
+        prop_assert_eq!(
+            &out, &oracle,
+            "Trace outcome diverged (prod={}, cons={})", prod_reps, cons_reps
+        );
+        prop_assert_eq!(&mem_out, &mem_oracle, "Trace memory diverged");
     }
 }
 
@@ -588,20 +506,17 @@ fn run_panics_with_the_structured_message() {
     let _ = m.run(&prog, 2, |_, _| {});
 }
 
-/// All engines must agree with each other even when both guardrails are
+/// The engines must agree with each other even when both guardrails are
 /// armed at once: the deadlock detector wins when the deadlock completes
 /// before the budget boundary.
 #[test]
 fn deadlock_beats_a_generous_watchdog() {
     let prog = unbalanced_handshake(4);
-    let mut outs = Vec::new();
-    for engine in ALL_ENGINES {
-        let (out, _) = try_engine(&prog, engine, 2, 2, &[1], None, Some(1 << 20));
-        assert!(
-            matches!(out, Err(SimError::Deadlock { .. })),
-            "{engine:?}: expected deadlock, got {out:?}"
-        );
-        outs.push(out);
-    }
-    assert!(outs.windows(2).all(|w| w[0] == w[1]), "engines disagreed");
+    let run = |engine| try_engine(&prog, engine, 2, 2, &[1], None, Some(1 << 20)).0;
+    let oracle = run(MtaEngine::SingleStep);
+    assert!(
+        matches!(oracle, Err(SimError::Deadlock { .. })),
+        "expected deadlock, got {oracle:?}"
+    );
+    assert_eq!(run(MtaEngine::Trace), oracle, "engines disagreed");
 }

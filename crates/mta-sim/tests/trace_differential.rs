@@ -1,5 +1,5 @@
-//! Differential suite: the trace-batched and partitioned engines must be
-//! *schedule preserving* — on every program, bit-identical to the
+//! Differential suite: trace batching must be *schedule preserving* — on
+//! every program, the batching loop is bit-identical to the
 //! single-step oracle in the full [`RunReport`] (cycles, issued, thirds,
 //! op mix, memory counters, sync retries) and in the final memory image.
 //!
@@ -42,26 +42,14 @@ fn run_engine(
     (rep, m.memory().peek_slice(0, MEM_WORDS))
 }
 
-/// The engines checked against the single-step oracle. Partitioned runs
-/// at the ambient worker count here (the host's parallelism); the
-/// explicit `W ∈ {1, 2, 4, 8}` sweep is pinned further down.
-const FAST_ENGINES: [MtaEngine; 2] = [MtaEngine::Trace, MtaEngine::Partitioned];
-
-/// Assert all engines agree on `prog` for several machine shapes.
+/// Assert Trace agrees with the single-step oracle on `prog` for several
+/// machine shapes.
 fn assert_schedule_preserved(prog: &Program, mem_init: &[i64]) {
     for &(p, streams) in &[(1usize, 1usize), (1, 4), (2, 3), (2, 8)] {
         let (rs, ms) = run_engine(prog, MtaEngine::SingleStep, p, streams, mem_init);
-        for engine in FAST_ENGINES {
-            let (rt, mt) = run_engine(prog, engine, p, streams, mem_init);
-            assert_eq!(
-                rt, rs,
-                "{engine:?} report diverged at p={p} streams={streams}"
-            );
-            assert_eq!(
-                mt, ms,
-                "{engine:?} memory diverged at p={p} streams={streams}"
-            );
-        }
+        let (rt, mt) = run_engine(prog, MtaEngine::Trace, p, streams, mem_init);
+        assert_eq!(rt, rs, "report diverged at p={p} streams={streams}");
+        assert_eq!(mt, ms, "memory diverged at p={p} streams={streams}");
     }
 }
 
@@ -173,25 +161,18 @@ proptest! {
         let prog = lower(&segments);
         for &(p, streams) in &[(1usize, 3usize), (2, 5)] {
             let (rs, ms) = run_engine(&prog, MtaEngine::SingleStep, p, streams, &mem_init);
-            for engine in FAST_ENGINES {
-                let (rt, mt) = run_engine(&prog, engine, p, streams, &mem_init);
-                prop_assert_eq!(
-                    &rt, &rs,
-                    "{:?} report diverged at p={} streams={}", engine, p, streams
-                );
-                prop_assert_eq!(
-                    &mt, &ms,
-                    "{:?} memory diverged at p={} streams={}", engine, p, streams
-                );
-            }
+            let (rt, mt) = run_engine(&prog, MtaEngine::Trace, p, streams, &mem_init);
+            prop_assert_eq!(&rt, &rs, "report diverged at p={} streams={}", p, streams);
+            prop_assert_eq!(&mt, &ms, "memory diverged at p={} streams={}", p, streams);
         }
     }
 }
 
-/// `MtaEngine::Compiled` is a retained name, not an engine: it selects
-/// exactly the loop `Trace` selects, so — unlike any two real engines —
-/// even the host-side `EngineStats` agree, on a program that batches and
-/// on one that cannot.
+/// `MtaEngine::Compiled` and `MtaEngine::Partitioned` are retained names,
+/// not engines: each selects exactly the loop `Trace` selects, so — unlike
+/// the two real engines — even the host-side `EngineStats` agree, on a
+/// program that batches and on one that cannot. `with_workers` sets
+/// nothing, and no merge round is ever counted.
 #[test]
 fn compiled_is_an_alias_of_trace() {
     let mut b = ProgramBuilder::new();
@@ -216,7 +197,9 @@ fn compiled_is_an_alias_of_trace() {
         };
         let trace = run(MtaEngine::Trace);
         assert_eq!(run(MtaEngine::Compiled), trace);
+        assert_eq!(with_workers(4, || run(MtaEngine::Partitioned)), trace);
         assert_eq!(trace.2.batches > 0, batches, "{:?}", trace.2);
+        assert_eq!(trace.2.windows, 0);
     }
 }
 
@@ -370,76 +353,19 @@ fn pinned_sync_handshake() {
     };
     for &(p, streams) in &[(1usize, 2usize), (2, 4), (2, 8)] {
         let prog = build((p * streams) as i64);
-        let (rs, ms) = {
-            let mut m = MtaMachine::with_memory_words(MtaParams::tiny_for_tests(), p, 1 << 12);
-            m.memory_mut().alloc(MEM_WORDS);
-            m.memory_mut().set_empty(1);
-            m.set_engine(MtaEngine::SingleStep);
-            let rep = m.run(&prog, streams, |_, _| {});
-            (rep, m.memory().peek_slice(0, MEM_WORDS))
-        };
-        for engine in FAST_ENGINES {
+        let run = |engine| {
             let mut m = MtaMachine::with_memory_words(MtaParams::tiny_for_tests(), p, 1 << 12);
             m.memory_mut().alloc(MEM_WORDS);
             m.memory_mut().set_empty(1);
             m.set_engine(engine);
             let rep = m.run(&prog, streams, |_, _| {});
-            assert_eq!(rep, rs, "{engine:?} report diverged at p={p} s={streams}");
-            assert_eq!(
-                m.memory().peek_slice(0, MEM_WORDS),
-                ms,
-                "{engine:?} memory diverged at p={p} s={streams}"
-            );
-            assert!(rep.mem.sync_ops > 0, "handshake must use sync ops");
-        }
-    }
-}
-
-/// The partitioned engine must be bit-identical to the oracle at every
-/// worker count, including counts above the processor count (clamped)
-/// and `W = 1` (the windowed loop without threads). Exercises the
-/// memory-heavy golden kernels where suspensions, provisional
-/// fetch-add completions, and the window merge all fire.
-#[test]
-fn partitioned_matches_oracle_across_worker_counts() {
-    // Fig. 1-shaped list walk (see `fig1_walk_kernel_golden`).
-    let n = 24i64;
-    let mut mem = vec![0i64; MEM_WORDS];
-    for i in 0..n {
-        let succ = (i + 1) % n;
-        mem[(2 + i) as usize] = if succ % 4 == 0 { 0 } else { 2 + succ };
-    }
-    let mut b = ProgramBuilder::new();
-    let (i, one, lim, j, c) = (Reg(2), Reg(3), Reg(4), Reg(5), Reg(6));
-    b.li(one, 1).li(lim, n);
-    let claim = b.here();
-    b.fetch_add_imm(i, 0, one);
-    let done = b.bge_fwd(i, lim);
-    b.addi(j, i, 2);
-    let walk = b.here();
-    b.load(j, j, 0);
-    b.beq(j, Reg(0), claim);
-    b.fetch_add_imm(c, 1, one);
-    b.jmp(walk);
-    b.bind(done);
-    b.halt();
-    let prog = b.build();
-
-    for &(p, streams) in &[(1usize, 4usize), (2, 3), (3, 8), (8, 8)] {
-        let (rs, ms) = run_engine(&prog, MtaEngine::SingleStep, p, streams, &mem);
-        for w in [1usize, 2, 4, 8] {
-            let (rp, mp) = with_workers(w, || {
-                run_engine(&prog, MtaEngine::Partitioned, p, streams, &mem)
-            });
-            assert_eq!(
-                rp, rs,
-                "partitioned report diverged at p={p} streams={streams} workers={w}"
-            );
-            assert_eq!(
-                mp, ms,
-                "partitioned memory diverged at p={p} streams={streams} workers={w}"
-            );
-        }
+            (rep, m.memory().peek_slice(0, MEM_WORDS))
+        };
+        let (rs, ms) = run(MtaEngine::SingleStep);
+        let (rep, mem) = run(MtaEngine::Trace);
+        assert_eq!(rep, rs, "report diverged at p={p} s={streams}");
+        assert_eq!(mem, ms, "memory diverged at p={p} s={streams}");
+        assert!(rep.mem.sync_ops > 0, "handshake must use sync ops");
     }
 }
 

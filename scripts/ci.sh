@@ -29,24 +29,24 @@ echo "== cargo test =="
 cargo test -q --offline --workspace
 
 echo "== engine differential smoke =="
-# Re-run the simulator and kernel suites with each MTA engine as the
-# session default. The kernel tests pin simulated cycle/utilization
+# Re-run the simulator and kernel suites with each of the two MTA engines
+# as the session default. The kernel tests pin simulated cycle/utilization
 # quantities, so any engine whose schedule diverges from the oracle
 # fails loudly here — the env-var path is exactly what users reach for
 # (ARCHGRAPH_MTA_ENGINE), so it is the path this leg exercises.
-for engine in single-step trace partitioned; do
+for engine in single-step trace; do
     echo "-- ARCHGRAPH_MTA_ENGINE=$engine"
     ARCHGRAPH_MTA_ENGINE="$engine" \
         cargo test -q --offline -p archgraph-mta-sim -p archgraph-listrank \
         -p archgraph-concomp -p archgraph-coloring -p archgraph-bfs
 done
 
-echo "== guardrails: deadlock + fault injection under every engine =="
-# The guardrails suite already cross-checks all three engines internally,
+echo "== guardrails: deadlock + fault injection under both engines =="
+# The guardrails suite already cross-checks the two engines internally,
 # but this leg additionally sets a global fault plan so *every* mta-sim
 # test (differential suites included) runs on a perturbed memory system:
 # schedules shift, results and deadlock diagnostics must not.
-for engine in single-step trace partitioned; do
+for engine in single-step trace; do
     echo "-- ARCHGRAPH_MTA_ENGINE=$engine + ARCHGRAPH_FAULTS"
     ARCHGRAPH_MTA_ENGINE="$engine" \
     ARCHGRAPH_FAULTS="mem-latency=30,rate=1:9" \
@@ -64,65 +64,32 @@ if ARCHGRAPH_BENCH_PANIC_CELL="fig1/smp/Random/p1/n4096" \
 fi
 echo "-- injected panic isolated and reported (nonzero exit), as required"
 
-echo "== partitioned engine: full/empty sync programs =="
-# Phase-2 contract: programs with readfe/writeef/readff run on the real
-# partitioned path — guardrails asserts EngineStats.windows > 0, i.e. no
-# interpreter fallback — and the readfe-contended sync cell fingerprints
-# identically at pinned worker counts. This leg runs the sync-heavy
-# suites with the partitioned engine as the session default at W=1 and
-# W=4 so a tag-merge or replay divergence reports here by name.
-for w in 1 4; do
-    echo "-- ARCHGRAPH_MTA_ENGINE=partitioned ARCHGRAPH_MTA_WORKERS=$w (sync suites)"
-    ARCHGRAPH_MTA_ENGINE=partitioned ARCHGRAPH_MTA_WORKERS="$w" \
-        cargo test -q --offline -p archgraph-mta-sim --test guardrails
-    ARCHGRAPH_MTA_ENGINE=partitioned ARCHGRAPH_MTA_WORKERS="$w" \
-        cargo test -q --offline -p archgraph-bench --lib sync_cell
-done
-
-echo "== partitioned engine: worker-count identity =="
-# The partitioned engine's determinism contract: simulation fingerprints
-# must be byte-identical for every worker count. Run the bench cells
-# (fingerprints only, 1 rep) at W=1 and W=4 and diff the "sim" lines —
-# any difference is a merge-order bug, not noise.
-w1="$(mktemp)" w4="$(mktemp)"
-trap 'rm -f "$w1" "$w4"' EXIT
-ARCHGRAPH_MTA_WORKERS=1 \
-    cargo run --release --offline -p archgraph-bench --bin bench -- --out "$w1" --reps 1
-ARCHGRAPH_MTA_WORKERS=4 \
-    cargo run --release --offline -p archgraph-bench --bin bench -- --out "$w4" --reps 1
-if ! diff <(grep '"sim"' "$w1") <(grep '"sim"' "$w4"); then
-    echo "ci: FAIL — partitioned-engine fingerprints differ between W=1 and W=4" >&2
-    exit 1
-fi
-# The sync cells must be in the diffed set: they are the suite's only
-# readfe/writeef-contended programs, and the W-identity claim is
-# strongest exactly there.
-for cell in "sync/mta/p8" "sync/mta-partitioned/w1/p8" "sync/mta-partitioned/w4/p8"; do
-    if ! grep -q "\"name\": \"$cell\"" "$w1"; then
-        echo "ci: FAIL — sync cell $cell missing from the bench suite output" >&2
-        exit 1
-    fi
-done
+echo "== bench reference run =="
+# One fingerprints-only pass over the suite (1 rep); the daemon smoke leg
+# below diffs what it serves against this file.
+ref="$(mktemp)"
+trap 'rm -f "$ref"' EXIT
+cargo run --release --offline -p archgraph-bench --bin bench -- --out "$ref" --reps 1
 
 echo "== archgraphd daemon smoke =="
 # Serve the FULL bench suite through the daemon and diff every streamed
-# fingerprint byte-for-byte against the W=1 bench output from the
-# previous leg. The leg also pins the serving hardening end to end: a
+# fingerprint byte-for-byte against the bench output from the previous
+# leg. The leg also pins the serving hardening end to end: a
 # 1-cell job must complete mid-sweep under --jobs 1 (round-robin
 # fairness), `list` must track per-cell cache status, a tiny
 # --cache-max-bytes daemon must evict and still re-run identically, and
 # shutdown must be clean (exit 0, socket removed). See
 # scripts/daemon_smoke.sh.
-scripts/daemon_smoke.sh "$w1"
+scripts/daemon_smoke.sh "$ref"
 
 echo "== chaos soak: structural-fault invariance (small grid) =="
 # Sweep the small structural-fault grid (stalls, degraded links,
-# brownouts, and a combined plan) across engine/worker pins, asserting
+# brownouts, and a combined plan) across both engine pins, asserting
 # byte-identical fingerprints under every plan. The nightly workflow
 # runs the same script with --full: a wider grid plus a SIGTERM/restart
 # of archgraphd under an ambient fault plan.
 chaos_dir="$(mktemp -d)"
-trap 'rm -f "$w1" "$w4"; rm -rf "$chaos_dir"' EXIT
+trap 'rm -f "$ref"; rm -rf "$chaos_dir"' EXIT
 scripts/chaos_soak.sh "$chaos_dir"
 
 echo "== bench regression check =="

@@ -24,13 +24,11 @@ cd "$(dirname "$0")/.." || exit 1
 OUT_DIR="${1:-daemon-nightly}"
 mkdir -p "$OUT_DIR"
 
-# A representative slice of the bench suite: both machines, both MTA
-# engine pins, list/graph/tree workloads. Big enough that a SIGTERM
+# A representative slice of the bench suite: both machines,
+# list/graph/tree workloads. Big enough that a SIGTERM
 # lands mid-sweep with --jobs 1, small enough for a nightly runner.
 CELLS=(
     fig1/mta/random/p8
-    fig1/mta-partitioned/random/p8
-    fig2/mta-partitioned/p8
     fig1/smp/random/p8
     fig2/mta/p8
     fig2/smp/p8

@@ -23,8 +23,7 @@
 #
 # Usage:  scripts/daemon_smoke.sh BENCH_JSON
 #   BENCH_JSON is any bench driver output containing the full suite
-#   (ci.sh passes the W=1 run it already produced for the partitioned
-#   identity leg).
+#   (ci.sh passes its bench reference run).
 
 set -euo pipefail
 cd "$(dirname "$0")/.." || exit 1
@@ -33,10 +32,9 @@ BENCH_JSON="${1:?usage: scripts/daemon_smoke.sh BENCH_JSON}"
 
 DAEMON=target/release/archgraphd
 CLIENT=target/release/archgraph-client
-# Always build: archgraphd is not a workspace default member, so the
-# tier-1 `cargo build --release` leg does not refresh these binaries. A
-# stale pair here once let the smoke pass against an old, smaller suite
-# (a no-op build costs well under a second when nothing changed).
+# Always build: a stale pair here once let the smoke pass against an
+# old, smaller suite (a no-op build costs well under a second when
+# nothing changed).
 cargo build --release --offline -p archgraphd
 
 WORK="$(mktemp -d /tmp/archgraphd-smoke.XXXXXX)"
@@ -78,10 +76,10 @@ stop_daemon() { # SOCKET
 
 # Shared checker: every "cell" event in a job stream must match the bench
 # output byte-for-byte, with the expected cache disposition. The cache
-# key excludes the engine pin (determinism contract), so engine-pinned
-# suite variants legitimately hit the cache once their unpinned twin has
-# run — a "fresh" stream therefore allows cached:true only for a cell
-# whose cache key already completed earlier in the same stream.
+# key excludes the engine pin (determinism contract), so two cells that
+# differ only in their pin would share an entry — a "fresh" stream
+# therefore allows cached:true only for a cell whose cache key already
+# completed earlier in the same stream.
 cat > "$WORK/check.py" <<'EOF'
 import json, sys
 
@@ -173,7 +171,7 @@ assert not missing and not extra, (
     f"daemon suite drifted from the bench output "
     f"(missing {missing}, extra {extra}) — stale archgraphd build?"
 )
-assert len(cells) >= 30, f"suite lists only {len(cells)} cells"
+assert len(cells) >= 23, f"suite lists only {len(cells)} cells"
 bad = [c["name"] for c in cells if c["cached"]]
 assert not bad, f"cold cache but cells report cached: {bad}"
 assert all(c["key"] for c in cells), "list entries must carry cache keys"

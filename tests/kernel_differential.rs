@@ -1,9 +1,8 @@
 //! Engine-differential sweep for the ladder kernels: speculative
-//! coloring and frontier BFS must be **bit-identical** on every MTA
-//! engine (SingleStep, Trace, Partitioned) and, for the
-//! partitioned engine, at every worker count `W ∈ {1, 2, 4, 8}` — same
-//! outputs (colors / levels), same round and level counts, and the same
-//! full [`RunReport`] (cycles, issued, op mix, memory counters).
+//! coloring and frontier BFS must be **bit-identical** on both MTA
+//! engines (SingleStep, Trace) — same outputs (colors / levels), same
+//! round and level counts, and the same full [`RunReport`] (cycles,
+//! issued, op mix, memory counters).
 //!
 //! This is the kernel-level echo of the ISA-level differential suite in
 //! `crates/mta-sim/tests/trace_differential.rs`: the ISA suite proves the
@@ -21,31 +20,17 @@ use archgraph::graph::bfs::bfs_levels;
 use archgraph::graph::csr::Csr;
 use archgraph::graph::edgelist::EdgeList;
 use archgraph::graph::gen;
-use archgraph::mta::machine::{with_engine, with_workers, MtaEngine};
-
-const WORKER_SWEEP: [usize; 4] = [1, 2, 4, 8];
-
-/// Engines compared against the single-step oracle (the partitioned
-/// engine is additionally swept across explicit worker counts).
-const FAST_ENGINES: [MtaEngine; 2] = [MtaEngine::Trace, MtaEngine::Partitioned];
+use archgraph::mta::machine::{with_engine, MtaEngine};
 
 fn assert_coloring_engine_invariant(g: &EdgeList, p: usize, streams: usize) {
     let params = MtaParams::tiny_for_tests();
     let run = |eng: MtaEngine| with_engine(eng, || simulate_coloring_mta(g, &params, p, streams));
     let oracle = run(MtaEngine::SingleStep);
     validate_coloring(&Csr::from_edge_list(g), &oracle.colors).expect("oracle colors proper");
-    for eng in FAST_ENGINES {
-        let r = run(eng);
-        assert_eq!(r.colors, oracle.colors, "{eng:?} colors diverged");
-        assert_eq!(r.rounds, oracle.rounds, "{eng:?} rounds diverged");
-        assert_eq!(r.report, oracle.report, "{eng:?} report diverged");
-    }
-    for w in WORKER_SWEEP {
-        let r = with_workers(w, || run(MtaEngine::Partitioned));
-        assert_eq!(r.colors, oracle.colors, "Partitioned W={w} colors diverged");
-        assert_eq!(r.rounds, oracle.rounds, "Partitioned W={w} rounds diverged");
-        assert_eq!(r.report, oracle.report, "Partitioned W={w} report diverged");
-    }
+    let r = run(MtaEngine::Trace);
+    assert_eq!(r.colors, oracle.colors, "Trace colors diverged");
+    assert_eq!(r.rounds, oracle.rounds, "Trace rounds diverged");
+    assert_eq!(r.report, oracle.report, "Trace report diverged");
 }
 
 fn assert_bfs_engine_invariant(g: &EdgeList, src: u32, p: usize, streams: usize) {
@@ -63,26 +48,13 @@ fn assert_bfs_engine_invariant(g: &EdgeList, src: u32, p: usize, streams: usize)
             bfs_levels(&Csr::from_edge_list(g), src),
             "oracle levels wrong under {sched:?}"
         );
-        for eng in FAST_ENGINES {
-            let r = run(eng, sched);
-            assert_eq!(r.levels, oracle.levels, "{eng:?}/{sched:?} levels diverged");
-            assert_eq!(
-                r.level_count, oracle.level_count,
-                "{eng:?}/{sched:?} level count diverged"
-            );
-            assert_eq!(r.report, oracle.report, "{eng:?}/{sched:?} report diverged");
-        }
-        for w in WORKER_SWEEP {
-            let r = with_workers(w, || run(MtaEngine::Partitioned, sched));
-            assert_eq!(
-                r.levels, oracle.levels,
-                "Partitioned W={w}/{sched:?} levels diverged"
-            );
-            assert_eq!(
-                r.report, oracle.report,
-                "Partitioned W={w}/{sched:?} report diverged"
-            );
-        }
+        let r = run(MtaEngine::Trace, sched);
+        assert_eq!(r.levels, oracle.levels, "Trace/{sched:?} levels diverged");
+        assert_eq!(
+            r.level_count, oracle.level_count,
+            "Trace/{sched:?} level count diverged"
+        );
+        assert_eq!(r.report, oracle.report, "Trace/{sched:?} report diverged");
     }
 }
 
@@ -90,7 +62,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Random G(n, m) graphs across machine shapes: coloring is
-    /// bit-identical on every engine and worker count.
+    /// bit-identical on both engines.
     #[test]
     fn coloring_is_engine_invariant_on_random_graphs(
         n in 16usize..80,
@@ -105,7 +77,7 @@ proptest! {
     }
 
     /// Random G(n, m) graphs across machine shapes: BFS is bit-identical
-    /// on every engine and worker count, under both frontier schedules.
+    /// on both engines, under both frontier schedules.
     #[test]
     fn bfs_is_engine_invariant_on_random_graphs(
         n in 16usize..80,
@@ -139,8 +111,7 @@ fn structured_graphs_are_engine_invariant() {
 
 /// The exact bench-cell shape (scaled down): the per-engine fingerprint
 /// identity that `BENCH_archgraph.json` pins is reproduced here as a
-/// standing regression, including the worker sweep the baseline cannot
-/// encode.
+/// standing regression.
 #[test]
 fn bench_cell_shape_is_engine_invariant() {
     let g = archgraph_bench::workloads::make_graph(256, 640, archgraph_bench::kernels::GRAPH_SEED);
