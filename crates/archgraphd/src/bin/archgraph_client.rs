@@ -198,13 +198,16 @@ fn main() {
     });
     let mut w = conn;
     // A token-gated daemon expects the bearer token as the first line.
+    // Token and request leave in one write: as two small ones, the
+    // second would wait on TCP for the daemon's delayed ACK of the first.
+    let mut outgoing = String::new();
     if let Some(t) = &token {
-        if writeln!(w, "{t}").is_err() {
-            eprintln!("error: connection lost while authenticating");
-            exit(3);
-        }
+        outgoing.push_str(t);
+        outgoing.push('\n');
     }
-    if writeln!(w, "{request}").and_then(|()| w.flush()).is_err() {
+    outgoing.push_str(&request);
+    outgoing.push('\n');
+    if w.write_all(outgoing.as_bytes()).is_err() {
         eprintln!("error: connection lost while sending the request");
         exit(3);
     }

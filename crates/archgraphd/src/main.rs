@@ -37,9 +37,9 @@ fn usage(msg: &str) -> ! {
 }
 
 fn main() {
-    // Graceful SIGTERM/SIGINT: the accept loop polls the flag and drains
-    // the scheduler (flushing the in-progress cell to the cache) instead
-    // of dying mid-simulation.
+    // Graceful SIGTERM/SIGINT: the signal interrupts the accept loop's
+    // wait, the loop reads the flag and drains the scheduler (flushing
+    // the in-progress cell to the cache) instead of dying mid-simulation.
     archgraph_bench::signals::install_graceful();
 
     let mut endpoint = Endpoint::Unix(PathBuf::from("archgraphd.sock"));

@@ -6,38 +6,56 @@
 //! and `--token`: binding a non-loopback address without a bearer
 //! token is refused at startup, and with a token every connection must
 //! send the token as its literal first line before any request is
-//! processed. Accepting is
-//! non-blocking with a short poll so the loop notices shutdown promptly:
-//! a `shutdown` op from any client, or a SIGTERM/SIGINT flagged by the
-//! shared [`archgraph_bench::signals`] handler, both end the loop, after
-//! which the scheduler drains gracefully (in-flight cells finish and are
-//! cached, queued cells flush to their submitters as cancelled) and the
-//! socket file is removed.
+//! processed.
+//!
+//! No timer sits on the serving path. The listener is non-blocking and
+//! the accept loop parks in a readiness wait — `poll(2)` on the listener
+//! descriptor — so a connection is accepted when it arrives. The wait is
+//! bounded by [`POLL`] only so that a `stop` flag stored by an in-process
+//! owner (no socket traffic) is still noticed; a `shutdown` op from any
+//! client sets the same flag, and a SIGTERM/SIGINT flagged by the shared
+//! [`archgraph_bench::signals`] handler interrupts the wait (`EINTR`) and
+//! is seen at once. Either ends the loop, after which the scheduler
+//! drains gracefully (in-flight cells finish and are cached, queued cells
+//! flush to their submitters as cancelled), `serve` waits — counted, not
+//! guessed — for the reply streams still open to flush their terminal
+//! `done` line, and the socket file is removed.
 //!
 //! Each accepted connection gets its own handler thread reading request
 //! lines; a malformed line answers with a structured error and keeps the
-//! connection. Handler threads are detached — they die with the process
-//! after the drain, and a client mid-`submit` whose stream ends simply
-//! resubmits after restart, where the result cache makes the replay
-//! nearly free.
+//! connection, and a connection whose handler thread cannot be started is
+//! answered `server busy` rather than dropped. Replies go through one
+//! buffered writer flushed per protocol line, so a line is one `write(2)`.
+//! Handler threads are detached — they die with the process after the
+//! drain, and a client mid-`submit` whose stream ends simply resubmits
+//! after restart, where the result cache makes the replay nearly free.
 
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 #[cfg(unix)]
 use std::os::unix::fs::MetadataExt;
 #[cfg(unix)]
+use std::os::unix::io::{AsRawFd, RawFd};
+#[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
 use std::thread;
 use std::time::Duration;
 
 use crate::protocol::{self, Request};
 use crate::queue::{Event, Scheduler};
 
-/// How long the accept loop sleeps when there is nothing to accept.
+/// The longest the accept loop parks before re-reading `stop`. A pending
+/// connection or a signal ends the park early, so this bounds only how
+/// late a `stop` stored from outside (no socket traffic) is noticed.
 const POLL: Duration = Duration::from_millis(50);
+
+/// The longest `serve` waits, after the scheduler has drained, for open
+/// reply streams to flush their terminal lines: a client that stopped
+/// reading must not hold shutdown.
+const DRAIN_CAP: Duration = Duration::from_millis(100);
 
 /// Where the daemon listens (or a client connects).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -251,7 +269,7 @@ pub fn connect_with(ep: &Endpoint, timeout: Option<Duration>) -> io::Result<Conn
             }
         }
         Endpoint::Tcp(addr) => match timeout {
-            None => TcpStream::connect(addr).map(Conn::Tcp),
+            None => TcpStream::connect(addr).and_then(tcp_conn),
             Some(dur) => {
                 let mut last = io::Error::new(
                     io::ErrorKind::InvalidInput,
@@ -259,7 +277,7 @@ pub fn connect_with(ep: &Endpoint, timeout: Option<Duration>) -> io::Result<Conn
                 );
                 for candidate in addr.to_socket_addrs()? {
                     match TcpStream::connect_timeout(&candidate, dur) {
-                        Ok(s) => return Ok(Conn::Tcp(s)),
+                        Ok(s) => return tcp_conn(s),
                         Err(e) => last = e,
                     }
                 }
@@ -269,12 +287,79 @@ pub fn connect_with(ep: &Endpoint, timeout: Option<Duration>) -> io::Result<Conn
     }
 }
 
+/// Wrap a TCP stream with Nagle's algorithm off. The protocol is short
+/// request and reply lines, each wanted at once; left on, a second small
+/// write waits out the peer's delayed ACK of the first.
+fn tcp_conn(s: TcpStream) -> io::Result<Conn> {
+    s.set_nodelay(true)?;
+    Ok(Conn::Tcp(s))
+}
+
+/// `poll(2)` for readability on one descriptor, declared directly as
+/// [`archgraph_bench::signals`] declares `signal(2)` — no `libc` crate.
+/// True when `fd` became readable within `timeout`; false on a timeout
+/// and on `EINTR`, which returns early so that the caller sees a signal
+/// flagged by its handler at once. A negative `fd` is ignored by the
+/// kernel, which makes the call a plain interruptible wait.
+#[cfg(unix)]
+fn poll_readable(fd: RawFd, timeout: Duration) -> bool {
+    use std::os::raw::{c_int, c_short};
+
+    #[repr(C)]
+    struct PollFd {
+        fd: c_int,
+        events: c_short,
+        revents: c_short,
+    }
+    /// `POLLIN` on every Unix the workspace targets.
+    const POLLIN: c_short = 0x001;
+    #[cfg(any(target_os = "linux", target_os = "android"))]
+    type Nfds = std::os::raw::c_ulong;
+    #[cfg(not(any(target_os = "linux", target_os = "android")))]
+    type Nfds = std::os::raw::c_uint;
+    extern "C" {
+        fn poll(fds: *mut PollFd, nfds: Nfds, timeout: c_int) -> c_int;
+    }
+
+    let mut pfd = PollFd {
+        fd,
+        events: POLLIN,
+        revents: 0,
+    };
+    let ms = c_int::try_from(timeout.as_millis()).unwrap_or(c_int::MAX);
+    // SAFETY: `pfd` is one live, exclusively borrowed `struct pollfd`
+    // (`#[repr(C)]`, the platform's field order and widths) and `nfds`
+    // is 1, so the kernel reads and writes exactly that struct and
+    // nothing else; `poll` keeps no pointer past its return.
+    let ready = unsafe { poll(&mut pfd, 1, ms) };
+    ready > 0
+}
+
 impl Listener {
     fn accept(&self) -> io::Result<Conn> {
         match self {
             #[cfg(unix)]
             Listener::Unix(l, _, _) => l.accept().map(|(s, _)| Conn::Unix(s)),
-            Listener::Tcp(l) => l.accept().map(|(s, _)| Conn::Tcp(s)),
+            Listener::Tcp(l) => l.accept().and_then(|(s, _)| tcp_conn(s)),
+        }
+    }
+
+    /// Park until a connection is pending or `timeout` elapses, whichever
+    /// is first; true when one is pending. A signal ends the park early.
+    /// Off unix there is no readiness call to make and this is a sleep.
+    fn wait_readable(&self, timeout: Duration) -> bool {
+        #[cfg(unix)]
+        {
+            let fd = match self {
+                Listener::Unix(l, _, _) => l.as_raw_fd(),
+                Listener::Tcp(l) => l.as_raw_fd(),
+            };
+            poll_readable(fd, timeout)
+        }
+        #[cfg(not(unix))]
+        {
+            thread::sleep(timeout);
+            false
         }
     }
 
@@ -292,6 +377,44 @@ impl Listener {
     }
 }
 
+/// The reply streams still open — handlers inside [`stream_job`] — for
+/// the end of `serve` to wait on. After the scheduler has drained, every
+/// event of every job is already in its handler's channel; what remains
+/// is for the handlers to write them out, and this counts them doing it.
+#[derive(Default)]
+struct OpenStreams {
+    count: Mutex<usize>,
+    none_left: Condvar,
+}
+
+/// One open reply stream; dropping it closes the count.
+struct OpenStream<'a>(&'a OpenStreams);
+
+impl OpenStreams {
+    // A poisoned lock still holds a valid count: every update is one
+    // add or subtract.
+    fn open(&self) -> OpenStream<'_> {
+        *self.count.lock().unwrap_or_else(PoisonError::into_inner) += 1;
+        OpenStream(self)
+    }
+
+    /// Block until no reply stream is open, or `cap` has passed.
+    fn wait_none(&self, cap: Duration) {
+        let count = self.count.lock().unwrap_or_else(PoisonError::into_inner);
+        let _ = self.none_left.wait_timeout_while(count, cap, |n| *n > 0);
+    }
+}
+
+impl Drop for OpenStream<'_> {
+    fn drop(&mut self) {
+        let mut count = self.0.count.lock().unwrap_or_else(PoisonError::into_inner);
+        *count -= 1;
+        if *count == 0 {
+            self.0.none_left.notify_all();
+        }
+    }
+}
+
 /// Run the daemon until a `shutdown` op or a pending SIGTERM/SIGINT,
 /// then drain the scheduler and remove the socket. Returns the reason
 /// ("shutdown op" or the signal name) for the final log line.
@@ -303,6 +426,9 @@ pub fn serve(
     idle_timeout: Option<Duration>,
 ) -> &'static str {
     let token = Arc::new(token);
+    let streams = Arc::new(OpenStreams::default());
+    // Accept error kinds already logged since the last accept that worked.
+    let mut logged: Vec<io::ErrorKind> = Vec::new();
     let reason = loop {
         if stop.load(Ordering::SeqCst) {
             break "shutdown op";
@@ -316,30 +442,76 @@ pub fn serve(
         }
         match listener.accept() {
             Ok(conn) => {
+                logged.clear();
                 let sched = Arc::clone(&sched);
                 let stop = Arc::clone(&stop);
                 let token = Arc::clone(&token);
+                let streams = Arc::clone(&streams);
                 // Detached: dies with the process after the drain.
-                let _ = thread::Builder::new()
-                    .name("archgraphd-client".to_string())
-                    .spawn(move || {
-                        handle_client(conn, &sched, &stop, token.as_deref(), idle_timeout)
-                    });
+                hand_off(
+                    conn,
+                    |handler| {
+                        thread::Builder::new()
+                            .name("archgraphd-client".to_string())
+                            .spawn(handler)
+                            .map(drop)
+                    },
+                    move |conn| {
+                        handle_client(
+                            conn,
+                            &sched,
+                            &stop,
+                            token.as_deref(),
+                            idle_timeout,
+                            &streams,
+                        )
+                    },
+                );
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => thread::sleep(POLL),
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                listener.wait_readable(POLL);
+            }
             Err(e) => {
-                eprintln!("archgraphd: accept error: {e}");
+                if !logged.contains(&e.kind()) {
+                    logged.push(e.kind());
+                    eprintln!("archgraphd: accept error: {e}");
+                }
+                // The refused connection may still be pending (EMFILE),
+                // which keeps the listener readable: back off without
+                // watching it, or this arm would spin.
+                #[cfg(unix)]
+                poll_readable(-1, POLL);
+                #[cfg(not(unix))]
                 thread::sleep(POLL);
             }
         }
     };
     // Graceful drain: finish in-flight cells (caching them), flush the
-    // queued remainder as cancelled, give handler threads a beat to
+    // queued remainder as cancelled, wait for the handler threads to
     // write their terminal lines, then release the socket.
     sched.shutdown_and_join();
-    thread::sleep(Duration::from_millis(100));
+    streams.wait_none(DRAIN_CAP);
     listener.cleanup();
     reason
+}
+
+/// Start `handler` on `conn` through `spawn`. When the thread cannot be
+/// started the closure — and the connection in it — is gone, so a second
+/// handle is kept to answer one structured line; the client then sees a
+/// reason, not a bare EOF. `spawn` is a parameter so a test can refuse.
+fn hand_off(
+    conn: Conn,
+    spawn: impl FnOnce(Box<dyn FnOnce() + Send>) -> io::Result<()>,
+    handler: impl FnOnce(Conn) + Send + 'static,
+) {
+    let spare = conn.try_clone();
+    if let Err(e) = spawn(Box::new(move || handler(conn))) {
+        eprintln!("archgraphd: cannot start a handler thread: {e}");
+        if let Ok(mut spare) = spare {
+            let line = protocol::error(&format!("server busy: {e}"));
+            let _ = spare.write_all(format!("{line}\n").as_bytes());
+        }
+    }
 }
 
 /// One connection's request loop. Returns when the client disconnects,
@@ -356,6 +528,7 @@ fn handle_client(
     stop: &AtomicBool,
     token: Option<&str>,
     idle_timeout: Option<Duration>,
+    streams: &OpenStreams,
 ) {
     let Ok(read_half) = conn.try_clone() else {
         return;
@@ -364,9 +537,11 @@ fn handle_client(
         return;
     }
     let reader = BufReader::new(read_half);
-    let mut w = conn;
+    // Buffered and flushed once per protocol line: `writeln!` on the
+    // bare socket is one write(2) for the text and one for the newline.
+    let mut w = BufWriter::new(conn);
     let mut lines = reader.lines();
-    let idle_close = |w: &mut Conn| {
+    let idle_close = |w: &mut BufWriter<Conn>| {
         let ms = idle_timeout.map_or(0, |d| d.as_millis());
         let _ = writeln!(
             w,
@@ -428,7 +603,7 @@ fn handle_client(
                 cells,
                 budget_cycles,
                 budget_host_ms,
-            }) => stream_job(&mut w, sched, cells, budget_cycles, budget_host_ms),
+            }) => stream_job(&mut w, sched, streams, cells, budget_cycles, budget_host_ms),
         };
         if ok.and_then(|()| w.flush()).is_err() {
             return;
@@ -437,13 +612,16 @@ fn handle_client(
 }
 
 /// Submit a job and stream its events until the terminal `done` line.
+/// The stream counts as open until that line has been flushed.
 fn stream_job(
-    w: &mut Conn,
+    w: &mut BufWriter<Conn>,
     sched: &Scheduler,
+    streams: &OpenStreams,
     cells: Vec<archgraph_bench::CellSpec>,
     budget_cycles: Option<u64>,
     budget_host_ms: Option<u64>,
 ) -> io::Result<()> {
+    let _open = streams.open();
     let (tx, rx) = mpsc::channel();
     let (job, n) = match sched.submit(cells, budget_cycles, budget_host_ms, tx) {
         Ok(accepted) => accepted,
@@ -457,7 +635,10 @@ fn stream_job(
                 writeln!(w, "{}", protocol::cell_line(&job, &ev))?;
                 w.flush()?;
             }
-            Event::Done(sum) => return writeln!(w, "{}", protocol::done_line(&job, &sum)),
+            Event::Done(sum) => {
+                writeln!(w, "{}", protocol::done_line(&job, &sum))?;
+                return w.flush();
+            }
         }
     }
     // The channel closed without a Done event — only possible if the
@@ -469,6 +650,210 @@ fn stream_job(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::Cache;
+    use crate::json::Json;
+    use crate::queue::Runner;
+    use std::time::Instant;
+
+    /// What 20 connections cost when each waits out half an accept tick
+    /// on average; the parent commit took twice this.
+    const TWENTY_HALF_TICKS: Duration = Duration::from_millis(500);
+
+    fn temp_socket(name: &str) -> PathBuf {
+        let path = std::env::temp_dir().join(format!(
+            "archgraphd-server-test-{}-{name}.sock",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_file(&path);
+        path
+    }
+
+    /// `serve` on its own thread, as `benchmarks/` and any other
+    /// in-process owner runs it: stopped by storing `stop`.
+    fn serve_on_thread(
+        listener: Listener,
+        sched: Arc<Scheduler>,
+    ) -> (Arc<AtomicBool>, thread::JoinHandle<&'static str>) {
+        let stop = Arc::new(AtomicBool::new(false));
+        let flag = Arc::clone(&stop);
+        let serving = thread::spawn(move || serve(listener, sched, flag, None, None));
+        (stop, serving)
+    }
+
+    fn idle_scheduler() -> Arc<Scheduler> {
+        let never: Runner = Arc::new(|_| Err("no cell runs in this test".to_string()));
+        Arc::new(Scheduler::new(1, 8, Cache::disabled(), never))
+    }
+
+    /// Dial, send one request line, return the reader and the reply.
+    fn request(ep: &Endpoint, line: &str) -> (BufReader<Conn>, String) {
+        let mut conn = connect(ep).expect("dial the daemon");
+        conn.write_all(format!("{line}\n").as_bytes())
+            .expect("send the request");
+        let mut reader = BufReader::new(conn);
+        let mut reply = String::new();
+        reader.read_line(&mut reply).expect("read the reply");
+        (reader, reply)
+    }
+
+    /// Serve `listener`, time 20 `ping`s each on a fresh connection, stop.
+    fn twenty_fresh_pings(listener: Listener, ep: &Endpoint) -> Duration {
+        let (stop, serving) = serve_on_thread(listener, idle_scheduler());
+        let t0 = Instant::now();
+        for _ in 0..20 {
+            let (_, reply) = request(ep, r#"{"op":"ping"}"#);
+            assert_eq!(reply.trim_end(), protocol::pong());
+        }
+        let took = t0.elapsed();
+        stop.store(true, Ordering::SeqCst);
+        serving.join().expect("serve returns");
+        took
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn fresh_unix_connections_are_served_on_arrival_not_at_the_next_tick() {
+        let ep = Endpoint::Unix(temp_socket("pings"));
+        let took = twenty_fresh_pings(bind(&ep).expect("bind"), &ep);
+        assert!(took < TWENTY_HALF_TICKS, "20 pings took {took:?}");
+    }
+
+    #[test]
+    fn fresh_tcp_connections_are_served_on_arrival_with_nagle_off() {
+        let listener = bind(&Endpoint::Tcp("127.0.0.1:0".into())).expect("loopback bind");
+        let Listener::Tcp(l) = &listener else {
+            panic!("a TCP endpoint binds a TCP listener");
+        };
+        let ep = Endpoint::Tcp(l.local_addr().expect("bound address").to_string());
+
+        // Both ends of a connection have Nagle's algorithm off.
+        let dialed = connect_with(&ep, Some(Duration::from_secs(5))).expect("dial");
+        let accepted = loop {
+            match listener.accept() {
+                Ok(conn) => break conn,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    listener.wait_readable(Duration::from_secs(5));
+                }
+                Err(e) => panic!("accept: {e}"),
+            }
+        };
+        for conn in [&dialed, &accepted, &connect(&ep).expect("dial")] {
+            let Conn::Tcp(s) = conn else {
+                panic!("a TCP endpoint yields TCP connections");
+            };
+            assert!(s.nodelay().expect("read TCP_NODELAY"));
+        }
+        drop((dialed, accepted));
+
+        let took = twenty_fresh_pings(listener, &ep);
+        assert!(took < TWENTY_HALF_TICKS, "20 pings took {took:?}");
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn the_readiness_wait_times_out_when_idle_and_returns_when_a_connection_is_pending() {
+        let path = temp_socket("readiness");
+        let listener = bind(&Endpoint::Unix(path.clone())).expect("bind");
+
+        let t0 = Instant::now();
+        assert!(!listener.wait_readable(Duration::from_millis(60)));
+        assert!(
+            t0.elapsed() >= Duration::from_millis(50),
+            "an idle wait lasts its timeout, not {:?}",
+            t0.elapsed()
+        );
+
+        let _pending = UnixStream::connect(&path).expect("dial");
+        let t0 = Instant::now();
+        assert!(listener.wait_readable(Duration::from_secs(30)));
+        assert!(
+            t0.elapsed() < Duration::from_secs(5),
+            "a pending connection ends the wait, not the timeout"
+        );
+        // Still pending until accepted: the wait is level-triggered.
+        assert!(listener.wait_readable(Duration::ZERO));
+        listener.accept().expect("the pending connection");
+        assert!(!listener.wait_readable(Duration::ZERO));
+        listener.cleanup();
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn an_externally_stored_stop_ends_serve_and_removes_the_socket() {
+        let path = temp_socket("stop");
+        let listener = bind(&Endpoint::Unix(path.clone())).expect("bind");
+        let (stop, serving) = serve_on_thread(listener, idle_scheduler());
+        assert!(path.exists());
+
+        // No socket traffic at all: only the flag.
+        let t0 = Instant::now();
+        stop.store(true, Ordering::SeqCst);
+        assert_eq!(serving.join().expect("serve returns"), "shutdown op");
+        assert!(
+            t0.elapsed() < Duration::from_secs(1),
+            "stop noticed after {:?}",
+            t0.elapsed()
+        );
+        assert!(!path.exists(), "serve removes its socket file");
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn serve_waits_for_an_open_reply_stream_but_no_longer_than_the_drain_cap() {
+        // One cell whose result line is larger than a socket buffer, sent
+        // to a client that reads `accepted` and then stops reading: the
+        // handler stays blocked in its write, the stream stays open.
+        let (started_tx, started) = mpsc::channel();
+        let huge: Runner = Arc::new(move |_| {
+            let _ = started_tx.send(());
+            Ok(vec![("x".repeat(4 << 20), 1)])
+        });
+        let sched = Arc::new(Scheduler::new(1, 8, Cache::disabled(), huge));
+        let ep = Endpoint::Unix(temp_socket("drain"));
+        let (stop, serving) = serve_on_thread(bind(&ep).expect("bind"), sched);
+        let submit =
+            r#"{"op":"submit","cells":[{"kernel":"color","machine":"smp","p":1,"n":64,"m":128}]}"#;
+        let (_not_reading, accepted) = request(&ep, submit);
+        assert!(accepted.contains(r#""type":"accepted""#), "{accepted}");
+        // In flight, so the drain finishes the cell rather than cancel it.
+        started.recv().expect("the cell runs");
+
+        let t0 = Instant::now();
+        stop.store(true, Ordering::SeqCst);
+        serving.join().expect("serve returns");
+        let took = t0.elapsed();
+        assert!(
+            took >= DRAIN_CAP,
+            "serve left an open stream behind after {took:?}"
+        );
+        assert!(
+            took < Duration::from_secs(5),
+            "a client that stopped reading held shutdown for {took:?}"
+        );
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn a_connection_whose_handler_thread_cannot_start_gets_one_busy_line() {
+        let (ours, theirs) = UnixStream::pair().expect("socket pair");
+        hand_off(
+            Conn::Unix(theirs),
+            |_handler| Err(io::Error::new(io::ErrorKind::WouldBlock, "no threads left")),
+            |_conn| unreachable!("the refused handler never runs"),
+        );
+        // Every daemon-side handle is gone: one line, then EOF.
+        let mut reply = String::new();
+        BufReader::new(ours)
+            .read_to_string(&mut reply)
+            .expect("read to EOF");
+        let line = reply.strip_suffix('\n').expect("one whole line");
+        assert!(!line.contains('\n'), "exactly one line: {reply:?}");
+        let v = Json::parse(line).expect("well-formed line");
+        assert_eq!(v.get("type").and_then(Json::as_str), Some("error"));
+        let message = v.get("message").and_then(Json::as_str).expect("message");
+        assert!(message.starts_with("server busy: "), "{message}");
+        assert!(message.contains("no threads left"), "{message}");
+    }
 
     #[test]
     fn endpoints_describe_themselves() {

@@ -97,9 +97,12 @@ fn dial(daemon: &Daemon) -> (BufReader<UnixStream>, UnixStream) {
     )
 }
 
+/// One request line in one write: `writeln!` on the bare socket would
+/// send the newline separately, after the daemon may already have acted
+/// on (and closed after) an earlier line of the same send.
 fn send(w: &mut UnixStream, line: &str) {
-    writeln!(w, "{line}").expect("send request");
-    w.flush().expect("flush request");
+    w.write_all(format!("{line}\n").as_bytes())
+        .expect("send request");
 }
 
 fn recv(r: &mut BufReader<UnixStream>) -> Json {
@@ -168,6 +171,15 @@ fn run_job(daemon: &Daemon, request: &str) -> (Vec<Json>, Json) {
             other => panic!("unexpected stream event {other:?}: {ev:?}"),
         }
     }
+}
+
+/// A real SIGTERM: `Child::kill` sends SIGKILL, so go through kill(1).
+fn sigterm(daemon: &Daemon) {
+    let killed = Command::new("kill")
+        .args(["-TERM", &daemon.child.id().to_string()])
+        .status()
+        .expect("run kill");
+    assert!(killed.success());
 }
 
 fn shutdown_and_reap(mut daemon: Daemon) {
@@ -263,13 +275,7 @@ fn sigterm_mid_job_flushes_the_cache_and_resume_is_identical() {
     assert_eq!(first.get("type").and_then(Json::as_str), Some("cell"));
     let first_sim = sim_pairs(&first);
 
-    let pid = daemon.child.id().to_string();
-    // Child::kill sends SIGKILL; go through kill(1) for a real SIGTERM.
-    let killed = Command::new("kill")
-        .args(["-TERM", &pid])
-        .status()
-        .expect("run kill");
-    assert!(killed.success());
+    sigterm(&daemon);
 
     // The drain streams whatever it can (completed or cancelled cells,
     // ideally the done line) and the daemon exits cleanly.
@@ -332,6 +338,107 @@ fn sigterm_mid_job_flushes_the_cache_and_resume_is_identical() {
     assert_eq!(cells[0].get("cached"), Some(&Json::Bool(true)));
 
     shutdown_and_reap(daemon);
+    let _ = std::fs::remove_dir_all(root);
+}
+
+#[test]
+fn sigterm_on_an_idle_daemon_exits_zero_within_a_second() {
+    let root = temp_root("idleterm");
+    let mut daemon = start_daemon(&root, 1, &[]);
+    // One served request first, so the accept loop is parked in its
+    // wait — not still starting up — when the signal lands.
+    let (mut r, mut w) = dial(&daemon);
+    send(&mut w, r#"{"op":"ping"}"#);
+    assert_eq!(
+        recv(&mut r).get("type").and_then(Json::as_str),
+        Some("pong")
+    );
+    drop((r, w));
+
+    let t0 = Instant::now();
+    sigterm(&daemon);
+    let status = daemon.child.wait().expect("wait for the daemon");
+    let took = t0.elapsed();
+    assert!(
+        status.success(),
+        "an idle SIGTERM drain exits 0, got {status}"
+    );
+    assert!(took < Duration::from_secs(1), "exit took {took:?}");
+    assert!(!daemon.socket.exists(), "the drain removes the socket file");
+    let _ = std::fs::remove_dir_all(root);
+}
+
+#[test]
+fn a_shutdown_op_mid_stream_delivers_every_cancelled_line_and_done_before_eof() {
+    let root = temp_root("opdrain");
+    let mut daemon = start_daemon(&root, 1, &[]);
+    // One worker and far more work than fits before the accept loop
+    // re-reads its stop flag: most of the job is still queued when the
+    // drain begins, and must come back as cancelled lines.
+    let sizes: Vec<usize> = (0..48).map(|i| 512 + 16 * i).collect();
+
+    let (mut r, mut w) = dial(&daemon);
+    send(&mut w, &submit_line(&sizes));
+    let accepted = recv(&mut r);
+    assert_eq!(
+        accepted.get("type").and_then(Json::as_str),
+        Some("accepted")
+    );
+    let mut events = vec![recv(&mut r)];
+    assert_eq!(events[0].get("type").and_then(Json::as_str), Some("cell"));
+
+    // Another client asks for shutdown while this job is mid-stream.
+    let (mut r2, mut w2) = dial(&daemon);
+    send(&mut w2, r#"{"op":"shutdown"}"#);
+    assert_eq!(
+        recv(&mut r2).get("type").and_then(Json::as_str),
+        Some("bye")
+    );
+
+    // Read to EOF: the daemon exits when the drain is over, and nothing
+    // of the reply may still be unwritten then.
+    loop {
+        let mut line = String::new();
+        match r.read_line(&mut line).expect("read the drain") {
+            0 => break,
+            _ => events.push(Json::parse(line.trim_end()).expect("well-formed drain line")),
+        }
+    }
+    let status = daemon.child.wait().expect("wait for the daemon");
+    assert!(status.success(), "clean shutdown must exit 0, got {status}");
+
+    let done = events.pop().expect("a last line");
+    assert_eq!(
+        done.get("type").and_then(Json::as_str),
+        Some("done"),
+        "the stream ends with its done line, then EOF: {done:?}"
+    );
+    let mut seen = vec![false; sizes.len()];
+    let mut cancelled = 0;
+    for ev in &events {
+        assert_eq!(ev.get("type").and_then(Json::as_str), Some("cell"));
+        assert!(
+            ev.get("error").is_none(),
+            "a drain cancels, never fails: {ev:?}"
+        );
+        let idx = ev.get("index").and_then(Json::as_u64).unwrap() as usize;
+        assert!(!std::mem::replace(&mut seen[idx], true), "cell {idx} twice");
+        if ev.get("cancelled") == Some(&Json::Bool(true)) {
+            cancelled += 1;
+        } else {
+            assert_eq!(sim_pairs(ev), reference_sim(sizes[idx]));
+        }
+    }
+    assert!(seen.iter().all(|&s| s), "every cell has its line: {seen:?}");
+    assert!(cancelled >= 1, "the drain began with cells still queued");
+    assert_eq!(
+        done.get("cancelled").and_then(Json::as_u64),
+        Some(cancelled)
+    );
+    assert_eq!(
+        done.get("ok").and_then(Json::as_u64),
+        Some(sizes.len() as u64 - cancelled)
+    );
     let _ = std::fs::remove_dir_all(root);
 }
 
@@ -479,10 +586,12 @@ fn a_token_gated_daemon_refuses_unauthenticated_connections() {
         "connection closed after failed auth"
     );
 
-    // Wrong token: same refusal.
+    // Wrong token: same refusal. Token and request go out in one write,
+    // as `archgraph-client` sends them: the daemon refuses and closes as
+    // soon as it has read the token, and a second write racing that
+    // close would fail with EPIPE before the refusal could be read.
     let (mut r, mut w) = dial(&daemon);
-    send(&mut w, "wrong-token");
-    send(&mut w, r#"{"op":"ping"}"#);
+    send(&mut w, "wrong-token\n{\"op\":\"ping\"}");
     let err = recv(&mut r);
     assert_eq!(err.get("type").and_then(Json::as_str), Some("error"));
 
@@ -650,12 +759,7 @@ fn a_superseded_daemon_does_not_unlink_its_successors_live_socket() {
     assert_eq!(daemon_a.socket, daemon_b.socket);
 
     // A drains via SIGTERM; its shutdown must not delete B's socket.
-    let pid = daemon_a.child.id().to_string();
-    let killed = Command::new("kill")
-        .args(["-TERM", &pid])
-        .status()
-        .expect("run kill");
-    assert!(killed.success());
+    sigterm(&daemon_a);
     let mut daemon_a = daemon_a;
     let status = daemon_a.child.wait().expect("wait for daemon A");
     assert!(status.success(), "A's graceful drain exits 0, got {status}");

@@ -100,5 +100,9 @@ echo "== archperf: the frozen benchmark still builds against the crates =="
 # crate change that breaks the API it is written against shows only here.
 cargo build --release --offline --manifest-path benchmarks/Cargo.toml
 (cd benchmarks && cargo test --offline -q)
+# daemon-serve is the only in-process user of server::bind + serve stopped
+# through the external `stop` flag; a short verified run (non-zero exit on
+# any failed or wrong reply) keeps that path under the gate.
+benchmarks/run.sh --workload daemon-serve --seconds 2
 
 echo "ci: all gates passed"

@@ -57,14 +57,10 @@ cleanup() {
 }
 trap cleanup EXIT
 
+source scripts/daemon_lib.sh
+
 start_daemon() { # $1 = socket, $2 = cache dir
-    "$DAEMON" --socket "$1" --jobs 1 --max-queue 128 --cache-dir "$2" &
-    DPID=$!
-    for _ in $(seq 1 300); do
-        [[ -S "$1" ]] && return 0
-        kill -0 "$DPID" 2>/dev/null || break
-        sleep 0.1
-    done
+    launch_daemon "$1" --jobs 1 --max-queue 128 --cache-dir "$2" && return 0
     echo "daemon_nightly: FAIL — daemon did not come up on $1" >&2
     exit 1
 }

@@ -53,17 +53,10 @@ fail() {
     exit 1
 }
 
+source scripts/daemon_lib.sh
+
 start_daemon() { # SOCKET ARGS...
-    local sock="$1"
-    shift
-    "$DAEMON" --socket "$sock" "$@" &
-    DPID=$!
-    for _ in $(seq 1 300); do
-        [[ -S "$sock" ]] && break
-        kill -0 "$DPID" 2>/dev/null || fail "daemon died before binding its socket"
-        sleep 0.1
-    done
-    [[ -S "$sock" ]] || fail "socket never appeared"
+    launch_daemon "$@" || fail "daemon did not come up on $1"
 }
 
 stop_daemon() { # SOCKET
