@@ -12,6 +12,13 @@
 //! read-modify-write per sublist at marking time), so the walk phase
 //! touches exactly three arrays per node: `next` (read), `rank` (write),
 //! `sublist_of` (write).
+//!
+//! On the host the four per-node columns live in one 16-byte record, not
+//! four arrays: a Random list visits nodes in an order unrelated to their
+//! addresses, so every column touched is its own host cache miss, and the
+//! walk — the long pole of the Random cells — was spending them four to a
+//! node. The simulated machine still sees three separate arrays; only the
+//! `ctx` calls speak to it, and their sequence is what it was.
 
 use archgraph_core::error::SimError;
 use archgraph_core::machine::SmpParams;
@@ -46,6 +53,16 @@ pub struct SmpSimResult {
 const WALK_INSTRS: u64 = 110;
 const SCAN_INSTRS: u64 = 30;
 const COMBINE_INSTRS: u64 = 60;
+
+/// What the host keeps for one list node during [`try_simulate_hj`].
+#[derive(Clone, Copy)]
+struct NodeRec {
+    next: Node,
+    /// Index of the sublist this node heads, [`NIL`] for any other node.
+    marker: Node,
+    rank: Node,
+    sub_of: Node,
+}
 
 /// Simulate the five-step Helman–JáJá algorithm on `p` processors,
 /// panicking on simulation failure (legacy entry point).
@@ -88,10 +105,18 @@ pub fn try_simulate_hj(
     let sublists_a = m.alloc_elems::<u64>(s); // len+succ packed records
     let off_a = m.alloc_elems::<u32>(s);
 
-    let next = &list.next;
-    let mut marker = vec![NIL; n];
+    let mut nodes: Vec<NodeRec> = list
+        .next
+        .iter()
+        .map(|&next| NodeRec {
+            next,
+            marker: NIL,
+            rank: 0,
+            sub_of: 0,
+        })
+        .collect();
     for (i, &h) in heads.iter().enumerate() {
-        marker[h as usize] = i as Node;
+        nodes[h as usize].marker = i as Node;
     }
 
     // --- Step 1: find the head (contiguous parallel reduction). ---
@@ -117,48 +142,40 @@ pub fn try_simulate_hj(
     })?;
 
     // --- Step 3: walk sublists, computing local ranks. ---
-    let mut rank = vec![0 as Node; n];
-    let mut sub_of = vec![0 as Node; n];
     let mut sub_len = vec![0 as Node; s];
     let mut sub_succ = vec![NIL; s];
-    {
-        let rank_ref = &mut rank;
-        let sub_of_ref = &mut sub_of;
-        let len_ref = &mut sub_len;
-        let succ_ref = &mut sub_succ;
-        let marker = &marker;
-        let heads = &heads;
-        m.try_phase("walk", move |proc, ctx| {
-            let mut i = proc;
-            while i < s {
-                let mut j = heads[i];
-                let mut r: Node = 0;
-                loop {
-                    rank_ref[j as usize] = r;
-                    sub_of_ref[j as usize] = i as Node;
-                    ctx.read_elem(next_a, j as usize);
-                    ctx.write_elem(rank_a, j as usize);
-                    ctx.write_elem(sub_of_a, j as usize);
-                    ctx.compute(WALK_INSTRS);
-                    let nx = next[j as usize];
-                    if (nx as usize) >= n || marker[nx as usize] != NIL {
-                        len_ref[i] = r + 1;
-                        succ_ref[i] = if (nx as usize) < n {
-                            marker[nx as usize]
-                        } else {
-                            NIL
-                        };
-                        ctx.write_elem(sublists_a, i);
-                        ctx.compute(20);
-                        break;
-                    }
-                    j = nx;
-                    r += 1;
+    m.try_phase("walk", |proc, ctx| {
+        let mut i = proc;
+        while i < s {
+            let mut j = heads[i] as usize;
+            let mut r: Node = 0;
+            loop {
+                let node = &mut nodes[j];
+                node.rank = r;
+                node.sub_of = i as Node;
+                // The sublist that starts at the successor, NIL if none
+                // does. Read before the simulated accesses are issued:
+                // this load is the walk's one host miss per node, and it
+                // then overlaps their work instead of following it.
+                let nx = node.next as usize;
+                let next_sub = if nx < n { nodes[nx].marker } else { NIL };
+                ctx.read_elem(next_a, j);
+                ctx.write_elem(rank_a, j);
+                ctx.write_elem(sub_of_a, j);
+                ctx.compute(WALK_INSTRS);
+                if nx >= n || next_sub != NIL {
+                    sub_len[i] = r + 1;
+                    sub_succ[i] = next_sub;
+                    ctx.write_elem(sublists_a, i);
+                    ctx.compute(20);
+                    break;
                 }
-                i += p;
+                j = nx;
+                r += 1;
             }
-        })?;
-    }
+            i += p;
+        }
+    })?;
 
     // --- Step 4: prefix over the sublist records (processor 0). ---
     let mut sub_off = vec![0 as Node; s];
@@ -188,26 +205,23 @@ pub fn try_simulate_hj(
     }
 
     // --- Step 5: contiguous final combine. ---
-    {
-        let rank_ref = &mut rank;
-        let sub_of = &sub_of;
-        let sub_off = &sub_off;
-        m.try_phase_no_barrier("combine", move |proc, ctx| {
-            let chunk = n.div_ceil(p);
-            let (lo, hi) = (proc * chunk, ((proc + 1) * chunk).min(n));
-            for slot in lo..hi {
-                rank_ref[slot] += sub_off[sub_of[slot] as usize];
-                ctx.read_elem(rank_a, slot);
-                ctx.read_elem(sub_of_a, slot);
-                ctx.read_elem(off_a, sub_of[slot] as usize);
-                ctx.write_elem(rank_a, slot);
-                ctx.compute(COMBINE_INSTRS);
-            }
-        })?;
-    }
+    m.try_phase_no_barrier("combine", |proc, ctx| {
+        let chunk = n.div_ceil(p);
+        let (lo, hi) = (proc * chunk, ((proc + 1) * chunk).min(n));
+        for (slot, node) in nodes.iter_mut().enumerate().take(hi).skip(lo) {
+            let sub = node.sub_of as usize;
+            node.rank += sub_off[sub];
+            ctx.read_elem(rank_a, slot);
+            ctx.read_elem(sub_of_a, slot);
+            ctx.read_elem(off_a, sub);
+            ctx.write_elem(rank_a, slot);
+            ctx.compute(COMBINE_INSTRS);
+        }
+    })?;
 
     Ok(SmpSimResult {
-        rank,
+        // Collected in place: the ranks reuse the records' allocation.
+        rank: nodes.into_iter().map(|node| node.rank).collect(),
         seconds: m.seconds(),
         stats: m.stats(),
     })
@@ -233,25 +247,23 @@ pub fn try_simulate_seq(list: &LinkedList, params: &SmpParams) -> Result<SmpSimR
     }
     let next_a = m.alloc_elems::<u32>(n);
     let rank_a = m.alloc_elems::<u32>(n);
-    let next = &list.next;
-    let mut rank = vec![0 as Node; n];
-    {
-        let rank_ref = &mut rank;
-        m.try_phase_no_barrier("seq-rank", move |_, ctx| {
-            let mut j = list.head;
-            let mut r: Node = 0;
-            while (j as usize) < n {
-                rank_ref[j as usize] = r;
-                ctx.read_elem(next_a, j as usize);
-                ctx.write_elem(rank_a, j as usize);
-                ctx.compute(WALK_INSTRS / 2);
-                r += 1;
-                j = next[j as usize];
-            }
-        })?;
-    }
+    // One `[next, rank]` record per node, as in `try_simulate_hj`.
+    let mut nodes: Vec<[Node; 2]> = list.next.iter().map(|&next| [next, 0]).collect();
+    m.try_phase_no_barrier("seq-rank", |_, ctx| {
+        let mut j = list.head as usize;
+        let mut r: Node = 0;
+        while j < n {
+            let node = &mut nodes[j];
+            node[1] = r;
+            ctx.read_elem(next_a, j);
+            ctx.write_elem(rank_a, j);
+            ctx.compute(WALK_INSTRS / 2);
+            r += 1;
+            j = node[0] as usize;
+        }
+    })?;
     Ok(SmpSimResult {
-        rank,
+        rank: nodes.into_iter().map(|[_, rank]| rank).collect(),
         seconds: m.seconds(),
         stats: m.stats(),
     })

@@ -651,6 +651,11 @@ impl MtaMachine {
         // and halt events are schedule-invariant (sync ops are never
         // batched), so every engine observes the same transitions.
         let mut tracker = BlockTracker::new(total);
+        // Each stream's processor, looked up per event in place of a
+        // 64-bit division.
+        let proc_of: Vec<u32> = (0..total)
+            .map(|id| (id / streams_per_proc) as u32)
+            .collect();
 
         while let Some((t, id)) = wheel.pop() {
             if t > budget_thirds {
@@ -662,7 +667,7 @@ impl MtaMachine {
             }
             stats.events += 1;
             'ev: {
-                let proc = id as usize / streams_per_proc;
+                let proc = proc_of[id as usize] as usize;
                 let s = &mut streams[id as usize];
                 debug_assert!(!s.halted);
                 if s.pc >= instrs.len() {
@@ -733,7 +738,13 @@ impl MtaMachine {
                 // the horizon holds, the batch keeps following control flow
                 // into further private runs (a loop of `add; bne` iterations
                 // can retire in a single visit).
-                if batching && d.batchable {
+                //
+                // While the bucket this event came from still holds others,
+                // the front is at `t` itself: `batch_limit` ≤ t + 1 ≤
+                // `issue_at` + 1, under the two free slots a batch needs, so
+                // the attempt would return `None`. At saturation that is
+                // nearly every event; skip the peek and the call.
+                if batching && d.batchable && !wheel.has_remnant() {
                     // Stall windows additionally cap the horizon: no
                     // batched slot may land inside one. Conservative
                     // caps are exact by the batch-extent lemma.

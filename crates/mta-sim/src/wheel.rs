@@ -158,15 +158,26 @@ impl TimeWheel {
         }
     }
 
+    /// Does the bucket the last [`Self::pop`] came from still hold events?
+    /// They are due at that pop's own time, so while this is true the
+    /// queue's front is "now" and no batch horizon can be open: the issue
+    /// loop asks this, which is two loads, before it pays for a
+    /// [`Self::peek`] and a batch attempt that could only fail.
+    #[inline]
+    pub(crate) fn has_remnant(&self) -> bool {
+        self.cursor < self.bucket.len()
+    }
+
     /// Earliest pending event in ascending `(time, id)` order, without
-    /// consuming it — the trace engine's preemption horizon. The common
-    /// case (a remnant of the current bucket) is a pair of loads; the
-    /// out-of-line slow path scans the occupancy bitmap and walks that
-    /// bucket's short intrusive list for its minimum id, draining
-    /// nothing, so a subsequent [`Self::pop`] is unaffected.
+    /// consuming it — the trace engine's preemption horizon. A remnant
+    /// of the current bucket is a pair of loads (the issue loop no longer
+    /// asks then, see [`Self::has_remnant`]); otherwise the out-of-line
+    /// path scans the occupancy bitmap and walks that bucket's short
+    /// intrusive list for its minimum id, draining nothing, so a
+    /// subsequent [`Self::pop`] is unaffected.
     #[inline]
     pub(crate) fn peek(&mut self) -> Option<(u64, u32)> {
-        if self.cursor < self.bucket.len() {
+        if self.has_remnant() {
             return Some((self.bucket_time, self.bucket[self.cursor]));
         }
         self.peek_slow()

@@ -272,6 +272,64 @@ fn fig2_graft_kernel_golden() {
     assert_schedule_preserved(&prog, &mem);
 }
 
+/// The shape the kernels run at: 8 MTA-2 processors × 100 streams, every
+/// stream claiming list nodes off one `int_fetch_add` counter and chasing
+/// `next[]` with a short ALU run per hop. With 800 streams nearly every
+/// event pops from a bucket that still holds others, so the issue loop
+/// skips the batch attempt on `TimeWheel::has_remnant`; the attempts it
+/// skips could only have failed, so the host-side `EngineStats` are the
+/// ones commit 64667d8 (no such gate) counted, and the few batches that do
+/// fire must still reproduce the single-step oracle.
+#[test]
+fn saturated_shape_batches_exactly_as_before_the_remnant_gate() {
+    const NODES: usize = 8192;
+    const NEXT: i64 = 2; // next[] starts at word 2
+    let run = |engine| {
+        let mut m = MtaMachine::with_memory_words(MtaParams::mta2(), 8, 1 << 14);
+        assert_eq!(m.memory_mut().alloc(NEXT as usize + NODES), 0);
+        // A stride-389 ring where three nodes in four are sentinels: walks
+        // are short, so the claim counter is a hotspot and a few streams
+        // wake alone — the batches that do fire.
+        for i in 0..NODES {
+            let succ = (i + 389) % NODES;
+            let word = if i % 4 != 0 { 0 } else { NEXT + succ as i64 };
+            m.memory_mut().poke(NEXT as usize + i, word);
+        }
+        let mut b = ProgramBuilder::new();
+        let (i, one, lim, j, c, acc) = (Reg(2), Reg(3), Reg(4), Reg(5), Reg(6), Reg(7));
+        b.li(one, 1).li(lim, NODES as i64);
+        let claim = b.here();
+        b.fetch_add_imm(i, 0, one);
+        let done = b.bge_fwd(i, lim);
+        b.addi(j, i, NEXT);
+        let walk = b.here();
+        b.load(j, j, 0);
+        b.addi(c, c, 1).add(acc, acc, c).addi(acc, acc, 3);
+        b.beq(j, Reg(0), claim);
+        b.jmp(walk);
+        b.bind(done);
+        b.fetch_add_imm(c, 1, acc);
+        b.halt();
+        m.set_engine(engine);
+        let rep = m.run(&b.build(), 100, |_, _| {});
+        (rep, m.memory().peek_slice(0, 2), m.engine_stats())
+    };
+    let (oracle_rep, oracle_mem, oracle) = run(MtaEngine::SingleStep);
+    let (rep, mem, stats) = run(MtaEngine::Trace);
+    assert_eq!(rep, oracle_rep);
+    assert_eq!(mem, oracle_mem);
+    assert_eq!(
+        (oracle.events, oracle.batches, oracle.batched_instrs),
+        (82_624, 0, 0),
+        "single-step"
+    );
+    assert_eq!(
+        (stats.events, stats.batches, stats.batched_instrs),
+        (82_430, 194, 388),
+        "trace"
+    );
+}
+
 // ---------------------------------------------------------------------------
 // Pinned regressions: hand-reduced cases that exercise batch-path edges.
 // ---------------------------------------------------------------------------

@@ -82,38 +82,31 @@ impl Cache {
     /// Access the line containing `addr`; updates LRU and counters and
     /// returns `true` on hit. On miss the line is installed (allocate on
     /// read *and* write — write-allocate policy).
+    #[inline]
     pub fn access(&mut self, addr: u64) -> bool {
         let line = self.line_of(addr);
-        let set = (line as usize) & (self.sets - 1);
-        let base = set * self.assoc;
-        let ways = &mut self.ways[base..base + self.assoc];
-        if let Some(pos) = ways.iter().position(|&t| t == line) {
-            // Move to MRU position.
-            ways[..=pos].rotate_right(1);
+        let base = ((line as usize) & (self.sets - 1)) * self.assoc;
+        // One walk from the MRU way: each way takes its predecessor's tag,
+        // the first takes `line`. It stops at the way that held `line` (a
+        // hit: the ways in front of it have moved down one) or falls off
+        // the end (a miss: the LRU tag is dropped). Direct-mapped, that is
+        // one compare and one store.
+        let mut carry = line;
+        let mut hit = false;
+        for way in &mut self.ways[base..base + self.assoc] {
+            let tag = std::mem::replace(way, carry);
+            if tag == line {
+                hit = true;
+                break;
+            }
+            carry = tag;
+        }
+        if hit {
             self.stats.hits += 1;
-            true
         } else {
-            // Evict LRU (last way), install at MRU.
-            ways.rotate_right(1);
-            ways[0] = line;
             self.stats.misses += 1;
-            false
         }
-    }
-
-    /// Install a line without counting an access (used when a prefetch or
-    /// a lower-level fill brings a line in).
-    pub fn install(&mut self, addr: u64) {
-        let line = self.line_of(addr);
-        let set = (line as usize) & (self.sets - 1);
-        let base = set * self.assoc;
-        let ways = &mut self.ways[base..base + self.assoc];
-        if let Some(pos) = ways.iter().position(|&t| t == line) {
-            ways[..=pos].rotate_right(1);
-        } else {
-            ways.rotate_right(1);
-            ways[0] = line;
-        }
+        hit
     }
 
     /// True if the line containing `addr` is currently resident (no LRU or
@@ -200,14 +193,6 @@ mod tests {
         assert!(c.probe(a));
         assert!(!c.probe(b));
         assert!(c.probe(d));
-    }
-
-    #[test]
-    fn install_does_not_count() {
-        let mut c = Cache::new(1024, 64, 1);
-        c.install(0);
-        assert_eq!(c.stats.accesses(), 0);
-        assert!(c.access(0), "installed line hits");
     }
 
     #[test]

@@ -39,7 +39,14 @@ pub struct ProcCtx {
     l2: Cache,
     prefetch: Prefetcher,
     tlb: Tlb,
-    params: SmpParams,
+    /// The machine's latencies in cycles and its CPI, as the `f64`s the
+    /// clock adds: converted once here, not on every access.
+    l1_latency: f64,
+    l2_latency: f64,
+    mem_latency: f64,
+    tlb_miss_cycles: f64,
+    store_miss_cycles: f64,
+    compute_cpi: f64,
     /// This processor's machine-wide index (stall windows key on it).
     proc: usize,
     /// The structural subset of the ambient fault plan: per-processor
@@ -69,7 +76,12 @@ impl ProcCtx {
             l2: Cache::new(params.l2_bytes, params.line_bytes, params.l2_assoc),
             prefetch: Prefetcher::new(params.prefetch_streams, params.prefetch_trigger),
             tlb: Tlb::new(params.tlb_entries, params.page_bytes),
-            params: params.clone(),
+            l1_latency: params.l1_latency as f64,
+            l2_latency: params.l2_latency as f64,
+            mem_latency: params.mem_latency as f64,
+            tlb_miss_cycles: params.tlb_miss_cycles as f64,
+            store_miss_cycles: params.store_miss_cycles as f64,
+            compute_cpi: params.compute_cpi,
             proc,
             fault,
             clock: 0.0,
@@ -107,41 +119,46 @@ impl ProcCtx {
             .map_or(1.0, |f| f.brownout_mult_at_cycle(self.clock))
     }
 
+    /// The TLB's part of an access: a miss costs a software trap, kept out
+    /// of the memory-stall bucket.
+    #[inline]
+    fn translate(&mut self, addr: u64) {
+        if !self.tlb.access(addr) {
+            self.clock += self.tlb_miss_cycles;
+            self.tlb_stall_cycles += self.tlb_miss_cycles;
+        }
+    }
+
     /// Simulated load from a byte address. Charges L1/L2/memory latency
     /// according to residency (plus a TLB-miss trap when the page is not
-    /// mapped); trains the stream prefetcher on misses.
+    /// mapped); trains the stream prefetcher on misses. A cache that
+    /// misses has installed the line by the time `access` returns, so a
+    /// fill from below needs no second call.
     pub fn read(&mut self, addr: u64) {
         self.fault_stall();
         self.loads += 1;
-        if !self.tlb.access(addr) {
-            self.clock += self.params.tlb_miss_cycles as f64;
-            self.tlb_stall_cycles += self.params.tlb_miss_cycles as f64;
-        }
+        self.translate(addr);
         let stall0 = self.clock;
         if self.l1.access(addr) {
             self.l1_hits += 1;
-            self.clock += self.params.l1_latency as f64;
+            self.clock += self.l1_latency;
         } else if self.l2.access(addr) {
             self.l2_hits += 1;
-            self.clock += self.params.l2_latency as f64;
-            self.l1.install(addr);
+            self.clock += self.l2_latency;
         } else {
             self.mem_accesses += 1;
             self.bus_lines += 1;
-            let line = addr / self.params.line_bytes as u64;
             // Main-memory charges stretch under a brownout; cache hits
             // do not (the brownout models the memory system, not the
             // processor-side hierarchy).
             let mult = self.brownout_mult();
-            if self.prefetch.on_miss(line) {
+            if self.prefetch.on_miss(self.l1.line_of(addr)) {
                 // The stream prefetcher had the line in flight; the
                 // processor sees roughly an L2 fill.
-                self.clock += self.params.l2_latency as f64 * mult;
+                self.clock += self.l2_latency * mult;
             } else {
-                self.clock += self.params.mem_latency as f64 * mult;
+                self.clock += self.mem_latency * mult;
             }
-            self.l1.install(addr);
-            self.l2.install(addr);
         }
         self.mem_stall_cycles += self.clock - stall0;
     }
@@ -153,24 +170,18 @@ impl ProcCtx {
     pub fn write(&mut self, addr: u64) {
         self.fault_stall();
         self.stores += 1;
-        if !self.tlb.access(addr) {
-            self.clock += self.params.tlb_miss_cycles as f64;
-            self.tlb_stall_cycles += self.params.tlb_miss_cycles as f64;
-        }
+        self.translate(addr);
         let stall0 = self.clock;
         if self.l1.access(addr) {
             self.l1_hits += 1;
-            self.clock += self.params.l1_latency as f64;
+            self.clock += self.l1_latency;
         } else if self.l2.access(addr) {
             self.l2_hits += 1;
-            self.clock += self.params.l2_latency as f64;
-            self.l1.install(addr);
+            self.clock += self.l2_latency;
         } else {
             self.mem_accesses += 1;
             self.bus_lines += 2;
-            self.clock += self.params.store_miss_cycles as f64 * self.brownout_mult();
-            self.l1.install(addr);
-            self.l2.install(addr);
+            self.clock += self.store_miss_cycles * self.brownout_mult();
         }
         self.mem_stall_cycles += self.clock - stall0;
     }
@@ -189,8 +200,8 @@ impl ProcCtx {
     pub fn compute(&mut self, n: u64) {
         self.fault_stall();
         self.instructions += n;
-        self.clock += n as f64 * self.params.compute_cpi;
-        self.compute_cycles += n as f64 * self.params.compute_cpi;
+        self.clock += n as f64 * self.compute_cpi;
+        self.compute_cycles += n as f64 * self.compute_cpi;
     }
 
     /// Current clock (cycles since machine construction).
