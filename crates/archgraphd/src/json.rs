@@ -10,7 +10,6 @@
 //! round-trips them back to integers only when exact.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -257,40 +256,9 @@ fn parse_number(b: &[u8], pos: &mut usize) -> Result<Json, String> {
         .map_err(|_| format!("invalid number `{text}` at offset {start}"))
 }
 
-/// Escape a string for a JSON literal (quotes, backslashes, control
-/// characters — panic messages can contain anything).
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Render a `sim` fingerprint object exactly the way `--bin bench` does
-/// (`{ "cycles": 123, "issued": 456 }`) — the CI smoke leg compares the
-/// daemon's streamed fingerprints against bench JSON byte-for-byte.
-pub fn render_sim(pairs: &[(String, u64)]) -> String {
-    let mut out = String::from("{ ");
-    for (i, (k, v)) in pairs.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        let _ = write!(out, "\"{k}\": {v}");
-    }
-    out.push_str(" }");
-    out
-}
+/// The functions `--bin bench` writes its JSON with, so the daemon's result
+/// lines match it byte for byte by construction.
+pub use archgraph_bench::cells::{json_escape as escape, render_sim};
 
 #[cfg(test)]
 mod tests {
@@ -377,6 +345,6 @@ mod tests {
         let pairs = vec![("cycles".to_string(), 100u64), ("issued".to_string(), 42)];
         assert_eq!(render_sim(&pairs), r#"{ "cycles": 100, "issued": 42 }"#);
         // Degenerate but bench-identical: no pairs leaves both pads.
-        assert_eq!(render_sim(&[]), "{  }");
+        assert_eq!(render_sim::<String>(&[]), "{  }");
     }
 }

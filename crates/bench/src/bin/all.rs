@@ -5,13 +5,18 @@
 //! cargo run --release -p archgraph-bench --bin all -- [smoke|default|full]
 //! ```
 
+use archgraph_bench::cli::headline_ratios;
 use archgraph_bench::sweep::exit_if_failed;
-use archgraph_bench::{fig1, fig2, last_or_exit, scale_or_usage, series_or_exit, table1};
-use archgraph_core::report::{fmt_percent, fmt_ratio, ratios, Table};
+use archgraph_bench::{fig1, fig2, last_or_exit, scale_or_usage, table1, MachineKind};
+use archgraph_core::report::{fmt_percent, fmt_ratio, Table};
 
-fn mean(r: &[(usize, usize, f64)]) -> f64 {
-    r.iter().map(|&(_, _, x)| x).sum::<f64>() / r.len().max(1) as f64
-}
+const ROWS: [&str; 5] = [
+    "SMP Random / Ordered",
+    "MTA Random / Ordered",
+    "SMP/MTA ordered",
+    "SMP/MTA random",
+    "SMP/MTA connected components",
+];
 
 fn main() {
     // Graceful SIGTERM/SIGINT: finish and flush the in-progress
@@ -23,66 +28,32 @@ fn main() {
     println!("regenerating the full evaluation at {scale:?} scale (p up to {p})\n");
 
     eprintln!("[1/4] Fig. 1 series...");
-    let f1_mta_sw = fig1::mta_sweep(scale, true);
-    let f1_smp_sw = fig1::smp_sweep(scale, true);
+    let f1_mta = fig1::sweep(scale, MachineKind::Mta, true);
+    let f1_smp = fig1::sweep(scale, MachineKind::Smp, true);
     eprintln!("[2/4] Fig. 2 series...");
-    let f2_mta_sw = fig2::mta_sweep(scale, true);
-    let f2_smp_sw = fig2::smp_sweep(scale, true);
+    let f2_mta = fig2::sweep(scale, MachineKind::Mta, true);
+    let f2_smp = fig2::sweep(scale, MachineKind::Smp, true);
     eprintln!("[3/4] Table 1...");
-    let t1_sw = table1::utilization_sweep(scale, true);
+    let t1 = table1::utilization_sweep(scale, true);
     eprintln!("[4/4] ratios...\n");
 
     // Every sweep completed its surviving cells; summarize and bail now if
     // any cell panicked — the ratio section below needs complete series.
     let mut failures = Vec::new();
-    failures.extend(f1_mta_sw.failures.iter().cloned());
-    failures.extend(f1_smp_sw.failures.iter().cloned());
-    failures.extend(f2_mta_sw.failures.iter().cloned());
-    failures.extend(f2_smp_sw.failures.iter().cloned());
-    failures.extend(t1_sw.failures.iter().cloned());
+    failures.extend(f1_mta.failures);
+    failures.extend(f1_smp.failures);
+    failures.extend(f2_mta.failures);
+    failures.extend(f2_smp.failures);
+    failures.extend(t1.failures);
     exit_if_failed("all", &failures);
-    let (f1_mta, f1_smp) = (f1_mta_sw.series, f1_smp_sw.series);
-    let (f2_mta, f2_smp) = (f2_mta_sw.series, f2_smp_sw.series);
-    let t1 = t1_sw.rows;
-
-    let find = |set: &[archgraph_core::experiment::Series], label: String| {
-        series_or_exit(set, &label).clone()
-    };
-    let smp_ord = find(&f1_smp, format!("SMP Ordered p={p}"));
-    let smp_rnd = find(&f1_smp, format!("SMP Random p={p}"));
-    let mta_ord = find(&f1_mta, format!("MTA Ordered p={p}"));
-    let mta_rnd = find(&f1_mta, format!("MTA Random p={p}"));
-    let smp_cc = find(&f2_smp, format!("SMP CC p={p}"));
-    let mta_cc = find(&f2_mta, format!("MTA CC p={p}"));
 
     println!("== Summary (at p = {p}) ==");
     let mut t = Table::new(["quantity", "measured", "paper"]);
-    t.row([
-        "SMP Random / Ordered".into(),
-        fmt_ratio(mean(&ratios(&smp_rnd, &smp_ord))),
-        "3-4x".into(),
-    ]);
-    t.row([
-        "MTA Random / Ordered".into(),
-        fmt_ratio(mean(&ratios(&mta_rnd, &mta_ord))),
-        "~1x".into(),
-    ]);
-    t.row([
-        "SMP/MTA ordered".into(),
-        fmt_ratio(mean(&ratios(&smp_ord, &mta_ord))),
-        "~10x".into(),
-    ]);
-    t.row([
-        "SMP/MTA random".into(),
-        fmt_ratio(mean(&ratios(&smp_rnd, &mta_rnd))),
-        "~35x".into(),
-    ]);
-    t.row([
-        "SMP/MTA connected components".into(),
-        fmt_ratio(mean(&ratios(&smp_cc, &mta_cc))),
-        "5-6x".into(),
-    ]);
-    for row in &t1 {
+    let series = [f1_mta.series, f1_smp.series, f2_mta.series, f2_smp.series].concat();
+    for (label, (ratio, paper)) in ROWS.into_iter().zip(headline_ratios(p, &series)) {
+        t.row([label.to_string(), fmt_ratio(ratio), paper.to_string()]);
+    }
+    for row in &t1.rows {
         let (pp, u) = *last_or_exit(
             &row.utilization,
             &format!("utilization sweep for {}", row.label),

@@ -30,7 +30,7 @@
 
 use std::time::Instant;
 
-use archgraph_bench::cells::{bench_suite, Fingerprint};
+use archgraph_bench::cells::{bench_suite, json_escape, render_sim, Fingerprint};
 use archgraph_bench::{signals, sweep};
 
 /// Schema version written into the JSON; bump on any layout change.
@@ -78,11 +78,8 @@ fn time_cell<F: Fn() -> Fingerprint>(name: &'static str, reps: usize, f: F) -> C
     }
 }
 
-/// The suite itself lives in `archgraph_bench::cells::bench_suite` so the
-/// `archgraphd` daemon executes the *same* specs through the *same* entry
-/// point — the CI daemon smoke leg diffs daemon-served fingerprints
-/// against this binary's output byte-for-byte. Sizes and engine pins are
-/// documented there; the JSON this binary writes is unchanged.
+/// Time every cell of `cells::bench_suite` — the specs, entry point and
+/// `sim` renderer `archgraphd` serves the same cells with.
 fn run_cells(reps: usize) -> Vec<CellResult> {
     let mut out = Vec::new();
     for (name, spec) in bench_suite() {
@@ -90,24 +87,6 @@ fn run_cells(reps: usize) -> Vec<CellResult> {
         // checkpointed — the JSON is only written after a full suite).
         signals::exit_if_pending();
         out.push(time_cell(name, reps, || spec.run()));
-    }
-    out
-}
-
-/// Escape a string for a JSON literal (quotes, backslashes, control
-/// characters — panic messages can contain anything).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
     }
     out
 }
@@ -130,14 +109,7 @@ fn to_json(cells: &[CellResult], reps: usize) -> String {
         match &c.outcome {
             Ok((host_seconds, sim)) => {
                 out.push_str(&format!("      \"host_seconds\": {host_seconds:.6},\n"));
-                out.push_str("      \"sim\": { ");
-                for (j, (k, v)) in sim.iter().enumerate() {
-                    if j > 0 {
-                        out.push_str(", ");
-                    }
-                    out.push_str(&format!("\"{k}\": {v}"));
-                }
-                out.push_str(" }\n");
+                out.push_str(&format!("      \"sim\": {}\n", render_sim(sim)));
             }
             Err(message) => {
                 out.push_str(&format!("      \"error\": \"{}\"\n", json_escape(message)));

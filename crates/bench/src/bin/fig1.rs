@@ -6,32 +6,20 @@
 //! cargo run --release -p archgraph-bench --bin fig1 -- [smoke|default|full] [--arch mta|smp|both] [--csv]
 //! ```
 
+use archgraph_bench::cli::{panel_table, FigureArgs};
+use archgraph_bench::fig1;
 use archgraph_bench::sweep::exit_if_failed;
-use archgraph_bench::{fig1, scale_or_usage, usage_error};
 use archgraph_core::experiment::Series;
 use archgraph_core::plot::{ascii_plot, PlotOptions};
-use archgraph_core::report::{fmt_seconds, series_csv, Table};
 
 fn print_panel(title: &str, series: &[Series], sizes: &[usize], procs: &[usize]) {
     println!("\n== Fig. 1 ({title}): list ranking running time ==");
     for kind in ["Ordered", "Random"] {
-        let mut t = Table::new(
-            std::iter::once("n".to_string()).chain(procs.iter().map(|p| format!("p={p}"))),
-        );
-        for &n in sizes {
-            let mut row = vec![format!("{n}")];
-            for &p in procs {
-                let label = format!("{title} {kind} p={p}");
-                let v = series
-                    .iter()
-                    .find(|s| s.label == label)
-                    .and_then(|s| s.at(n, p));
-                row.push(v.map(fmt_seconds).unwrap_or_default());
-            }
-            t.row(row);
-        }
+        let table = panel_table(series, "n", sizes, procs, |p| {
+            format!("{title} {kind} p={p}")
+        });
         println!("\n  {kind} lists:");
-        for line in t.render().lines() {
+        for line in table.render().lines() {
             println!("    {line}");
         }
     }
@@ -42,54 +30,15 @@ fn print_panel(title: &str, series: &[Series], sizes: &[usize], procs: &[usize])
     println!("\n{}", ascii_plot(series, &opts));
 }
 
-const USAGE: &str = "fig1 [smoke|default|full] [--arch mta|smp|both] [--csv]";
-
 fn main() {
     // Graceful SIGTERM/SIGINT: finish and flush the in-progress
     // checkpoint cell, then exit at the next cell boundary.
     archgraph_bench::signals::install_graceful();
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut rest = Vec::new();
-    let mut arch = "both".to_string();
-    let mut csv = false;
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--arch" => match it.next().as_deref() {
-                Some(v @ ("mta" | "smp" | "both")) => arch = v.to_string(),
-                Some(v) => usage_error(&format!("unrecognized --arch value `{v}`"), USAGE),
-                None => usage_error("--arch needs a value", USAGE),
-            },
-            "--csv" => csv = true,
-            _ => rest.push(a),
-        }
-    }
-    let scale = scale_or_usage(&rest, USAGE);
-    let arch = arch.as_str();
-
-    let sizes = scale.fig1_sizes();
-    let procs = scale.procs();
-    let mut all = Vec::new();
-    let mut failures = Vec::new();
-
-    if arch != "smp" {
-        eprintln!("running MTA panel ({:?})...", scale);
-        let mta = fig1::mta_sweep(scale, true);
-        print_panel("MTA", &mta.series, &sizes, &procs);
-        all.extend(mta.series);
-        failures.extend(mta.failures);
-    }
-    if arch != "mta" {
-        eprintln!("running SMP panel ({:?})...", scale);
-        let smp = fig1::smp_sweep(scale, true);
-        print_panel("SMP", &smp.series, &sizes, &procs);
-        all.extend(smp.series);
-        failures.extend(smp.failures);
-    }
-
-    if csv {
-        println!("\n{}", series_csv(&all));
-    }
+    let args = FigureArgs::parse("fig1 [smoke|default|full] [--arch mta|smp|both] [--csv]");
+    let (sizes, procs) = (args.scale.fig1_sizes(), args.scale.procs());
+    let failures = args.run_panels(fig1::sweep, |title, series| {
+        print_panel(title, series, &sizes, &procs)
+    });
     println!(
         "\nPaper shape checks: MTA curves identical for Ordered/Random; SMP \
          Random 3-4x slower than Ordered; both scale with p."

@@ -6,29 +6,16 @@
 //! cargo run --release -p archgraph-bench --bin fig2 -- [smoke|default|full] [--arch mta|smp|both] [--csv]
 //! ```
 
+use archgraph_bench::cli::{panel_table, FigureArgs};
+use archgraph_bench::fig2;
 use archgraph_bench::sweep::exit_if_failed;
-use archgraph_bench::{fig2, scale_or_usage, usage_error};
 use archgraph_core::experiment::Series;
 use archgraph_core::plot::{ascii_plot, PlotOptions};
-use archgraph_core::report::{fmt_seconds, series_csv, Table};
 
 fn print_panel(title: &str, series: &[Series], ms: &[usize], procs: &[usize]) {
     println!("\n== Fig. 2 ({title}): connected components running time ==");
-    let mut t =
-        Table::new(std::iter::once("m".to_string()).chain(procs.iter().map(|p| format!("p={p}"))));
-    for &m in ms {
-        let mut row = vec![format!("{m}")];
-        for &p in procs {
-            let label = format!("{title} CC p={p}");
-            let v = series
-                .iter()
-                .find(|s| s.label == label)
-                .and_then(|s| s.at(m, p));
-            row.push(v.map(fmt_seconds).unwrap_or_default());
-        }
-        t.row(row);
-    }
-    for line in t.render().lines() {
+    let table = panel_table(series, "m", ms, procs, |p| format!("{title} CC p={p}"));
+    for line in table.render().lines() {
         println!("  {line}");
     }
     let opts = PlotOptions {
@@ -38,55 +25,16 @@ fn print_panel(title: &str, series: &[Series], ms: &[usize], procs: &[usize]) {
     println!("\n{}", ascii_plot(series, &opts));
 }
 
-const USAGE: &str = "fig2 [smoke|default|full] [--arch mta|smp|both] [--csv]";
-
 fn main() {
     // Graceful SIGTERM/SIGINT: finish and flush the in-progress
     // checkpoint cell, then exit at the next cell boundary.
     archgraph_bench::signals::install_graceful();
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut rest = Vec::new();
-    let mut arch = "both".to_string();
-    let mut csv = false;
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--arch" => match it.next().as_deref() {
-                Some(v @ ("mta" | "smp" | "both")) => arch = v.to_string(),
-                Some(v) => usage_error(&format!("unrecognized --arch value `{v}`"), USAGE),
-                None => usage_error("--arch needs a value", USAGE),
-            },
-            "--csv" => csv = true,
-            _ => rest.push(a),
-        }
-    }
-    let scale = scale_or_usage(&rest, USAGE);
-    let arch = arch.as_str();
-
-    let (n, ms) = scale.fig2_sizes();
-    let procs = scale.procs();
+    let args = FigureArgs::parse("fig2 [smoke|default|full] [--arch mta|smp|both] [--csv]");
+    let ((n, ms), procs) = (args.scale.fig2_sizes(), args.scale.procs());
     println!("random graph: n = {n}, m = 4n .. 20n (paper: n = 1M, m = 4M..20M)");
-    let mut all = Vec::new();
-    let mut failures = Vec::new();
-
-    if arch != "smp" {
-        eprintln!("running MTA panel ({:?})...", scale);
-        let mta = fig2::mta_sweep(scale, true);
-        print_panel("MTA", &mta.series, &ms, &procs);
-        all.extend(mta.series);
-        failures.extend(mta.failures);
-    }
-    if arch != "mta" {
-        eprintln!("running SMP panel ({:?})...", scale);
-        let smp = fig2::smp_sweep(scale, true);
-        print_panel("SMP", &smp.series, &ms, &procs);
-        all.extend(smp.series);
-        failures.extend(smp.failures);
-    }
-
-    if csv {
-        println!("\n{}", series_csv(&all));
-    }
+    let failures = args.run_panels(fig2::sweep, |title, series| {
+        print_panel(title, series, &ms, &procs)
+    });
     println!(
         "\nPaper shape checks: both machines scale with problem size and p; \
          the MTA is 5-6x faster than the SMP."

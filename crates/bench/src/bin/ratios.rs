@@ -9,62 +9,39 @@
 //! cargo run --release -p archgraph-bench --bin ratios -- [smoke|default|full]
 //! ```
 
-use archgraph_bench::{fig1, fig2, last_or_exit, scale_or_usage, series_or_exit as find};
-use archgraph_core::report::{fmt_ratio, ratios, Table};
+use archgraph_bench::cli::headline_ratios;
+use archgraph_bench::{fig1, fig2, last_or_exit, scale_or_usage, MachineKind};
+use archgraph_core::report::{fmt_ratio, Table};
 
-fn mean_ratio(r: &[(usize, usize, f64)]) -> f64 {
-    r.iter().map(|&(_, _, x)| x).sum::<f64>() / r.len().max(1) as f64
-}
+const ROWS: [&str; 5] = [
+    "SMP Random / SMP Ordered",
+    "MTA Random / MTA Ordered",
+    "SMP / MTA (ordered lists)",
+    "SMP / MTA (random lists)",
+    "SMP / MTA (connected components)",
+];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let scale = scale_or_usage(&args, "ratios [smoke|default|full]");
     let p = *last_or_exit(&scale.procs(), "processor grid");
 
+    let mut series = Vec::new();
     eprintln!("running list-ranking series ({scale:?})...");
-    let mta1 = fig1::mta_series(scale, false);
-    let smp1 = fig1::smp_series(scale, false);
+    series.extend(fig1::sweep(scale, MachineKind::Mta, false).into_series());
+    series.extend(fig1::sweep(scale, MachineKind::Smp, false).into_series());
     eprintln!("running connected-components series...");
-    let mta2 = fig2::mta_series(scale, false);
-    let smp2 = fig2::smp_series(scale, false);
-
-    let smp_ord = find(&smp1, &format!("SMP Ordered p={p}"));
-    let smp_rnd = find(&smp1, &format!("SMP Random p={p}"));
-    let mta_ord = find(&mta1, &format!("MTA Ordered p={p}"));
-    let mta_rnd = find(&mta1, &format!("MTA Random p={p}"));
-    let smp_cc = find(&smp2, &format!("SMP CC p={p}"));
-    let mta_cc = find(&mta2, &format!("MTA CC p={p}"));
+    series.extend(fig2::sweep(scale, MachineKind::Mta, false).into_series());
+    series.extend(fig2::sweep(scale, MachineKind::Smp, false).into_series());
 
     let mut t = Table::new([
         "Ratio (at p = ".to_string() + &p.to_string() + ")",
         "measured".into(),
         "paper".into(),
     ]);
-    t.row([
-        "SMP Random / SMP Ordered".to_string(),
-        fmt_ratio(mean_ratio(&ratios(smp_rnd, smp_ord))),
-        "3-4x".to_string(),
-    ]);
-    t.row([
-        "MTA Random / MTA Ordered".to_string(),
-        fmt_ratio(mean_ratio(&ratios(mta_rnd, mta_ord))),
-        "~1x".to_string(),
-    ]);
-    t.row([
-        "SMP / MTA (ordered lists)".to_string(),
-        fmt_ratio(mean_ratio(&ratios(smp_ord, mta_ord))),
-        "~10x".to_string(),
-    ]);
-    t.row([
-        "SMP / MTA (random lists)".to_string(),
-        fmt_ratio(mean_ratio(&ratios(smp_rnd, mta_rnd))),
-        "~35x".to_string(),
-    ]);
-    t.row([
-        "SMP / MTA (connected components)".to_string(),
-        fmt_ratio(mean_ratio(&ratios(smp_cc, mta_cc))),
-        "5-6x".to_string(),
-    ]);
+    for (label, (ratio, paper)) in ROWS.into_iter().zip(headline_ratios(p, &series)) {
+        t.row([label.to_string(), fmt_ratio(ratio), paper.to_string()]);
+    }
 
     println!("\n== Headline architecture ratios (paper §5) ==");
     for line in t.render().lines() {

@@ -1,11 +1,14 @@
-//! Bench cells as data: a validated [`CellSpec`] plus [`run`](CellSpec::run),
-//! callable from any driver — the `--bin bench` regression driver, the
-//! `archgraphd` sweep daemon, or a test — with byte-identical `sim`
-//! fingerprints everywhere.
+//! Cells as data: a [`CellSpec`] says what to run, and
+//! [`run_full`](CellSpec::run_full) is the one way to run it — from the
+//! `--bin bench` regression driver, the `archgraphd` sweep daemon, the
+//! Fig. 1 / Fig. 2 / Table 1 sweeps (`sweep::run_cells`) or a test. A
+//! [`CellRun`] carries every reading of that one execution: the exact `sim`
+//! fingerprint the suite and the daemon pin, and the seconds, utilization
+//! and log detail the figures and Table 1 plot.
 //!
-//! [`bench_suite`] *is* the cell list: the bench binary iterates it, and
-//! the daemon executes the same specs through the same entry point — the
-//! CI smoke leg diffs the two outputs to prove the identity end-to-end.
+//! [`bench_suite`] *is* the suite's cell list: the bench binary iterates
+//! it, the daemon executes the same specs through the same entry point,
+//! and both render `sim` with [`render_sim`] (the CI smoke leg diffs them).
 //!
 //! # Content-addressed cache keys
 //!
@@ -19,15 +22,63 @@
 //! whichever engine a request pins. The cycle budget is also excluded — it
 //! only decides whether a run *fails*, and failures are never cached.
 
+use std::fmt::Write as _;
+
 use archgraph_core::error::with_max_cycles;
 use archgraph_mta_sim::machine::{with_engine, MtaEngine};
+use archgraph_mta_sim::report::RunReport;
+use archgraph_smp_sim::stats::RunStats;
 
 use crate::workloads::ListKind;
-use crate::{fig1, fig2, kernels, table1};
+use crate::{fig1, fig2, kernels};
 
 /// Exact simulated-quantity fingerprint: `(label, value)` pairs in a
 /// stable order (the order they render into bench JSON).
 pub type Fingerprint = Vec<(&'static str, u64)>;
+
+/// Every reading of one cell execution.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct CellRun {
+    /// What the suite and the daemon pin — MTA: `cycles`, `issued`; SMP:
+    /// `instructions`, `accesses`; then the kernel's own counts.
+    pub sim: Fingerprint,
+    /// Simulated seconds (0 for native cells, which simulate nothing).
+    pub seconds: f64,
+    /// MTA processor utilization in `0..=1` (0 off the MTA).
+    pub utilization: f64,
+    /// The figure drivers' verbose-log detail ("util 93%", "3 iters").
+    pub log: String,
+}
+
+impl CellRun {
+    fn mta(report: &RunReport, seconds: f64) -> CellRun {
+        CellRun {
+            sim: vec![("cycles", report.cycles), ("issued", report.issued)],
+            seconds,
+            utilization: report.utilization,
+            log: format!("util {:.0}%", report.utilization * 100.0),
+        }
+    }
+
+    fn smp(stats: &RunStats, seconds: f64) -> CellRun {
+        let (l1, mem) = (stats.l1_hit_rate(), stats.mem_access_rate());
+        CellRun {
+            sim: vec![
+                ("instructions", stats.instructions),
+                ("accesses", stats.accesses()),
+            ],
+            seconds,
+            log: format!("L1 {:.0}%, mem {:.0}%", l1 * 100.0, mem * 100.0),
+            ..CellRun::default()
+        }
+    }
+
+    /// One more exact count at the end of the fingerprint.
+    fn with(mut self, key: &'static str, value: u64) -> CellRun {
+        self.sim.push((key, value));
+        self
+    }
+}
 
 /// Which workload a cell runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -272,16 +323,18 @@ impl CellSpec {
         self.canonical()
     }
 
-    /// Execute the cell and produce its `sim` fingerprint. Scoped
-    /// overrides (engine, cycle budget, fault plan) are applied
-    /// only where `Some`: a spec carrying `faults` runs under exactly
-    /// that plan wherever it executes — `--bin bench`, the daemon, or a
-    /// test — so degradation cells fingerprint identically everywhere. A
-    /// spec without `faults` leaves the ambient configuration in charge,
-    /// matching the historical behaviour of `--bin bench`. Panics on
-    /// simulator failure (watchdog, deadlock); run under
+    /// Execute the cell. Scoped overrides (engine, cycle budget, fault
+    /// plan) are applied only where `Some`: a spec carrying `faults` runs
+    /// under exactly that plan wherever it executes — `--bin bench`, the
+    /// daemon, a figure sweep or a test — so degradation cells fingerprint
+    /// identically everywhere. A spec without them leaves the ambient
+    /// configuration in charge, which is what the figure sweeps and the
+    /// historical `--bin bench` rely on. Does **not** call
+    /// [`validate`](CellSpec::validate): that is the daemon's admission
+    /// bound (`n ≤ 2^24`), and `--full` Fig. 1 and Table 1 run 20·2^20
+    /// nodes. Panics on simulator failure (watchdog, deadlock); run under
     /// `sweep::isolate`.
-    pub fn run(&self) -> Fingerprint {
+    pub fn run_full(&self) -> CellRun {
         let body = || self.dispatch();
         let body = || match self.engine {
             Some(e) => with_engine(e, body),
@@ -301,72 +354,95 @@ impl CellSpec {
         }
     }
 
-    fn dispatch(&self) -> Fingerprint {
-        match (self.kernel, self.machine) {
-            (Kernel::Fig1(kind), MachineKind::Mta) => {
-                mta_fingerprint(&fig1::mta_cell(kind, self.p, self.n).report)
+    /// [`run_full`](CellSpec::run_full), keeping only the `sim`
+    /// fingerprint: what the suite and the daemon compare and cache.
+    pub fn run(&self) -> Fingerprint {
+        self.run_full().sim
+    }
+
+    /// The crate's one kernel × machine dispatch. Table 1's rows are the
+    /// Fig. 1 and Fig. 2 MTA cells read for utilization, so they share
+    /// those arms.
+    fn dispatch(&self) -> CellRun {
+        let (p, n, m) = (self.p, self.n, self.m);
+        let mut run = match (self.kernel, self.machine) {
+            // Validation already rejected non-MTA machines for table1.
+            (Kernel::Fig1(kind), MachineKind::Mta) | (Kernel::Table1List(kind), _) => {
+                let r = fig1::mta_cell(kind, p, n);
+                CellRun::mta(&r.report, r.seconds)
             }
             // `_` machine arms: validation already rejected native for
             // the simulated-only kernels, so `_` here means SMP.
-            (Kernel::Fig1(kind), _) => smp_fingerprint(&fig1::smp_cell(kind, self.p, self.n).stats),
-            (Kernel::Fig2, MachineKind::Mta) => {
-                mta_fingerprint(&fig2::mta_cell(self.p, self.n, self.m).report)
+            (Kernel::Fig1(kind), _) => {
+                let r = fig1::smp_cell(kind, p, n);
+                CellRun::smp(&r.stats, r.seconds)
             }
-            (Kernel::Fig2, _) => smp_fingerprint(&fig2::smp_cell(self.p, self.n, self.m).stats),
-            (Kernel::Table1List(kind), _) => {
-                table1_fingerprint(&table1::bench_list_cell(kind, self.p, self.n))
+            (Kernel::Fig2, MachineKind::Mta) | (Kernel::Table1Cc, _) => {
+                let r = fig2::mta_cell(p, n, m);
+                let run = CellRun::mta(&r.report, r.seconds);
+                CellRun {
+                    log: format!("{} iters, {}", r.iterations, run.log),
+                    ..run
+                }
             }
-            (Kernel::Table1Cc, _) => {
-                table1_fingerprint(&table1::bench_cc_cell(self.p, self.n, self.m))
+            (Kernel::Fig2, _) => {
+                let r = fig2::smp_cell(p, n, m);
+                CellRun {
+                    log: format!("{} iters", r.iterations),
+                    ..CellRun::smp(&r.stats, r.seconds)
+                }
             }
             (Kernel::Color, MachineKind::Mta) => {
-                let r = kernels::color_mta_cell(self.p, self.n, self.m);
-                let mut fp = mta_fingerprint(&r.report);
-                fp.push(("rounds", r.rounds as u64));
-                fp
+                let r = kernels::color_mta_cell(p, n, m);
+                CellRun::mta(&r.report, r.seconds).with("rounds", r.rounds as u64)
             }
             (Kernel::Color, _) => {
-                let r = kernels::color_smp_cell(self.p, self.n, self.m);
-                let mut fp = smp_fingerprint(&r.stats);
-                fp.push(("rounds", r.rounds as u64));
-                fp
+                let r = kernels::color_smp_cell(p, n, m);
+                CellRun::smp(&r.stats, r.seconds).with("rounds", r.rounds as u64)
             }
             (Kernel::Bfs, MachineKind::Mta) => {
-                let r = kernels::bfs_mta_cell(self.p, self.n, self.m);
-                let mut fp = mta_fingerprint(&r.report);
-                fp.push(("levels", r.level_count as u64));
-                fp
+                let r = kernels::bfs_mta_cell(p, n, m);
+                CellRun::mta(&r.report, r.seconds).with("levels", r.level_count as u64)
             }
             (Kernel::Bfs, _) => {
-                let r = kernels::bfs_smp_cell(self.p, self.n, self.m);
-                let mut fp = smp_fingerprint(&r.stats);
-                fp.push(("levels", r.level_count as u64));
-                fp
+                let r = kernels::bfs_smp_cell(p, n, m);
+                CellRun::smp(&r.stats, r.seconds).with("levels", r.level_count as u64)
             }
             // Validation already rejected non-MTA machines for sync.
             (Kernel::Sync, _) => {
-                let r = kernels::sync_mta_cell(self.p, self.n, self.m);
-                let mut fp = mta_fingerprint(&r.report);
-                fp.push(("checksum", r.checksum));
-                fp
+                let r = kernels::sync_mta_cell(p, n, m);
+                CellRun::mta(&r.report, r.report.seconds).with("checksum", r.checksum)
             }
             (Kernel::Euler, MachineKind::Mta) => {
-                mta_fingerprint(&kernels::euler_mta_cell(self.p, self.n).report)
+                let r = kernels::euler_mta_cell(p, n);
+                CellRun::mta(&r.report, r.seconds)
             }
-            (Kernel::Euler, _) => smp_fingerprint(&kernels::euler_smp_cell(self.p, self.n).stats),
+            (Kernel::Euler, _) => {
+                let r = kernels::euler_smp_cell(p, n);
+                CellRun::smp(&r.stats, r.seconds)
+            }
             (Kernel::Msf, _) => {
-                let r = kernels::msf_native_cell(self.n, self.m);
-                vec![("weight", r.weight), ("tree_edges", r.tree_edges)]
+                let r = kernels::msf_native_cell(n, m);
+                CellRun::default()
+                    .with("weight", r.weight)
+                    .with("tree_edges", r.tree_edges)
             }
             (Kernel::Biconn, _) => {
-                let r = kernels::biconn_native_cell(self.n, self.m);
-                vec![
-                    ("blocks", r.blocks),
-                    ("bridges", r.bridges),
-                    ("cut_vertices", r.cut_vertices),
-                ]
+                let r = kernels::biconn_native_cell(n, m);
+                CellRun::default()
+                    .with("blocks", r.blocks)
+                    .with("bridges", r.bridges)
+                    .with("cut_vertices", r.cut_vertices)
             }
+        };
+        if matches!(self.kernel, Kernel::Table1List(_) | Kernel::Table1Cc) {
+            // Table 1's own quantity is utilization, so its cells pin it
+            // too, in parts-per-million: a deterministic integer ratio of
+            // the other two entries, rounded, so it is exact across hosts.
+            let util_ppm = (run.utilization * 1e6).round() as u64;
+            run.sim.push(("util_ppm", util_ppm));
         }
+        run
     }
 }
 
@@ -384,28 +460,6 @@ pub fn default_size(kernel: Kernel) -> (usize, usize) {
         | Kernel::Biconn => (N_GRAPH, M_GRAPH),
         Kernel::Euler => (N_TREE, 0),
     }
-}
-
-fn mta_fingerprint(report: &archgraph_mta_sim::report::RunReport) -> Fingerprint {
-    vec![("cycles", report.cycles), ("issued", report.issued)]
-}
-
-/// Table-1 cells additionally pin utilization (the table's own quantity)
-/// in parts-per-million: a deterministic integer ratio of the other two
-/// fingerprints, rounded, so it is exact across hosts.
-fn table1_fingerprint(report: &archgraph_mta_sim::report::RunReport) -> Fingerprint {
-    vec![
-        ("cycles", report.cycles),
-        ("issued", report.issued),
-        ("util_ppm", (report.utilization * 1e6).round() as u64),
-    ]
-}
-
-fn smp_fingerprint(stats: &archgraph_smp_sim::stats::RunStats) -> Fingerprint {
-    vec![
-        ("instructions", stats.instructions),
-        ("accesses", stats.accesses()),
-    ]
 }
 
 /// The bench regression suite: every cell `--bin bench` times, as
@@ -491,6 +545,41 @@ pub fn parse_engine(s: &str) -> Option<MtaEngine> {
 /// Spell an MTA engine the way [`parse_engine`] reads it.
 pub fn engine_name(e: MtaEngine) -> &'static str {
     e.name()
+}
+
+/// Escape a string for a JSON literal (quotes, backslashes, control
+/// characters — panic messages can contain anything).
+pub fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out
+}
+
+/// Render a `sim` fingerprint object (`{ "cycles": 123, "issued": 456 }`):
+/// the one renderer behind `--bin bench`'s JSON and the daemon's result
+/// lines, which `daemon_smoke.sh` compares byte for byte.
+pub fn render_sim<K: AsRef<str>>(pairs: &[(K, u64)]) -> String {
+    let mut out = String::from("{ ");
+    for (i, (k, v)) in pairs.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        let _ = write!(out, "\"{}\": {v}", k.as_ref());
+    }
+    out.push_str(" }");
+    out
 }
 
 #[cfg(test)]

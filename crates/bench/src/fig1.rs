@@ -1,19 +1,18 @@
 //! Fig. 1 — running times for list ranking on the Cray MTA (left) and the
 //! Sun SMP (right), for p = 1, 2, 4, 8, over Ordered and Random lists.
 //!
-//! Each `(kind, p, n)` cell simulates independently, so the sweep fans
-//! out across host cores via [`crate::grid::par_map`]; results are
-//! reassembled in cell order, keeping series contents and verbose logs
-//! byte-identical to a serial sweep.
+//! Each `(kind, p, n)` cell simulates independently; [`panel`] declares
+//! them as [`PanelCell`]s and `sweep::run_panel` fans them out across host
+//! cores, reassembling results in cell order so series contents and verbose
+//! logs are byte-identical to a serial sweep.
 
-use archgraph_core::experiment::Series;
 use archgraph_core::machine::{MtaParams, SmpParams};
 use archgraph_listrank::sim_mta::{self, MtaSimResult};
 use archgraph_listrank::sim_smp::{self, SmpSimResult};
 
-use crate::grid::{par_map, serial_map};
+use crate::cells::{CellSpec, Kernel, MachineKind};
 use crate::scale::Scale;
-use crate::sweep::{assemble_panel, point_cell, CellPoint, Checkpoint, PanelSweep};
+use crate::sweep::{run_panel, PanelCell, PanelSweep};
 use crate::workloads::{make_list, ListKind};
 
 /// Streams per processor the paper's code requests (`use 100 streams`).
@@ -54,101 +53,30 @@ pub fn smp_cell(kind: ListKind, p: usize, n: usize) -> SmpSimResult {
     r
 }
 
-/// Run every MTA cell (parallel or serial), in [`cells`] order.
-pub fn mta_grid(scale: Scale, parallel: bool) -> Vec<MtaSimResult> {
-    let cs = cells(scale);
-    let run = |&(kind, p, n): &(ListKind, usize, usize)| mta_cell(kind, p, n);
-    if parallel {
-        par_map(&cs, run)
-    } else {
-        serial_map(&cs, run)
-    }
-}
-
-/// Run every SMP cell (parallel or serial), in [`cells`] order.
-pub fn smp_grid(scale: Scale, parallel: bool) -> Vec<SmpSimResult> {
-    let cs = cells(scale);
-    let run = |&(kind, p, n): &(ListKind, usize, usize)| smp_cell(kind, p, n);
-    if parallel {
-        par_map(&cs, run)
-    } else {
-        serial_map(&cs, run)
-    }
-}
-
-/// `(series label, cell name)` per cell, in [`cells`] order.
-fn cell_names(arch: &str, cs: &[(ListKind, usize, usize)]) -> Vec<(String, String)> {
-    cs.iter()
-        .map(|&(kind, p, n)| {
-            (
-                format!("{} {} p={p}", arch.to_uppercase(), kind.label()),
-                format!("fig1/{arch}/{}/p{p}/n{n}", kind.label()),
-            )
+/// One machine's panel as cells: one series per (list kind, p), x = `n`.
+/// The specs carry no engine, fault or budget pin — the ambient
+/// configuration stays in charge of a figure sweep.
+pub fn panel(scale: Scale, machine: MachineKind) -> Vec<PanelCell> {
+    let arch = machine.name();
+    cells(scale)
+        .into_iter()
+        .map(|(kind, p, n)| PanelCell {
+            label: format!("{} {} p={p}", arch.to_uppercase(), kind.label()),
+            name: format!("fig1/{arch}/{}/p{p}/n{n}", kind.label()),
+            x: n,
+            spec: CellSpec {
+                n,
+                ..CellSpec::new(Kernel::Fig1(kind), machine, p)
+            },
         })
         .collect()
 }
 
-/// The MTA (left panel) sweep: every cell panic-isolated and (at `--full`
+/// Sweep one machine's panel: every cell panic-isolated and (at `--full`
 /// scale) checkpointed for resume; series assembled from completed cells.
-pub fn mta_sweep(scale: Scale, verbose: bool) -> PanelSweep {
-    let cs = cells(scale);
-    let ck = Checkpoint::for_sweep("fig1-mta", scale);
-    let names = cell_names("mta", &cs);
-    let outs = par_map(&cs, |&(kind, p, n)| {
-        point_cell(&ck, &format!("fig1/mta/{}/p{p}/n{n}", kind.label()), || {
-            let r = mta_cell(kind, p, n);
-            CellPoint {
-                x: n,
-                p,
-                seconds: r.seconds,
-                log: format!("util {:.0}%", r.report.utilization * 100.0),
-            }
-        })
-    });
-    assemble_panel(names, outs, verbose, &ck)
-}
-
-/// The SMP (right panel) sweep (see [`mta_sweep`]).
-pub fn smp_sweep(scale: Scale, verbose: bool) -> PanelSweep {
-    let cs = cells(scale);
-    let ck = Checkpoint::for_sweep("fig1-smp", scale);
-    let names = cell_names("smp", &cs);
-    let outs = par_map(&cs, |&(kind, p, n)| {
-        point_cell(&ck, &format!("fig1/smp/{}/p{p}/n{n}", kind.label()), || {
-            let r = smp_cell(kind, p, n);
-            CellPoint {
-                x: n,
-                p,
-                seconds: r.seconds,
-                log: format!(
-                    "L1 {:.0}%, mem {:.0}%",
-                    r.stats.l1_hit_rate() * 100.0,
-                    r.stats.mem_access_rate() * 100.0
-                ),
-            }
-        })
-    });
-    assemble_panel(names, outs, verbose, &ck)
-}
-
-/// Produce the MTA (left panel) series: one per (list kind, p). Panics
-/// if any cell failed; drivers that want to keep going use [`mta_sweep`].
-pub fn mta_series(scale: Scale, verbose: bool) -> Vec<Series> {
-    let sw = mta_sweep(scale, verbose);
-    if let Some(f) = sw.failures.first() {
-        panic!("{f}");
-    }
-    sw.series
-}
-
-/// Produce the SMP (right panel) series: one per (list kind, p). Panics
-/// if any cell failed; drivers that want to keep going use [`smp_sweep`].
-pub fn smp_series(scale: Scale, verbose: bool) -> Vec<Series> {
-    let sw = smp_sweep(scale, verbose);
-    if let Some(f) = sw.failures.first() {
-        panic!("{f}");
-    }
-    sw.series
+pub fn sweep(scale: Scale, machine: MachineKind, verbose: bool) -> PanelSweep {
+    let tag = format!("fig1-{}", machine.name());
+    run_panel(&tag, scale, panel(scale, machine), verbose)
 }
 
 #[cfg(test)]
@@ -157,8 +85,8 @@ mod tests {
 
     #[test]
     fn smoke_series_have_expected_shape() {
-        let mta = mta_series(Scale::Smoke, false);
-        let smp = smp_series(Scale::Smoke, false);
+        let mta = sweep(Scale::Smoke, MachineKind::Mta, false).into_series();
+        let smp = sweep(Scale::Smoke, MachineKind::Smp, false).into_series();
         // 2 kinds x 2 proc counts.
         assert_eq!(mta.len(), 4);
         assert_eq!(smp.len(), 4);
@@ -170,7 +98,7 @@ mod tests {
 
     #[test]
     fn times_grow_with_n() {
-        for s in smp_series(Scale::Smoke, false) {
+        for s in sweep(Scale::Smoke, MachineKind::Smp, false).into_series() {
             assert!(
                 s.points[1].seconds > s.points[0].seconds,
                 "{}: larger lists must take longer",

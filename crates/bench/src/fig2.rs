@@ -2,18 +2,18 @@
 //! and the Sun SMP (right), random graph with fixed `n` and `m` swept
 //! from 4n to 20n, p = 1, 2, 4, 8.
 //!
-//! Like Fig. 1, the `(p, m)` cells simulate independently and fan out
-//! across host cores; assembly preserves the serial order and output.
+//! Like Fig. 1, the `(p, m)` cells simulate independently: [`panel`]
+//! declares them and `sweep::run_panel` fans them out across host cores,
+//! preserving the serial order and output.
 
 use archgraph_concomp::sim_mta::{self, CcMtaSimResult};
 use archgraph_concomp::sim_smp::{self, CcSmpSimResult};
-use archgraph_core::experiment::Series;
 use archgraph_core::machine::{MtaParams, SmpParams};
 use archgraph_graph::unionfind::{connected_components, same_partition};
 
-use crate::grid::{par_map, serial_map};
+use crate::cells::{CellSpec, Kernel, MachineKind};
 use crate::scale::Scale;
-use crate::sweep::{assemble_panel, point_cell, CellPoint, Checkpoint, PanelSweep};
+use crate::sweep::{run_panel, PanelCell, PanelSweep};
 use crate::workloads::make_graph;
 
 /// Streams per processor for the CC kernel.
@@ -52,101 +52,30 @@ pub fn smp_cell(p: usize, n: usize, m: usize) -> CcSmpSimResult {
     r
 }
 
-/// Run every MTA cell (parallel or serial), in [`cells`] order.
-pub fn mta_grid(scale: Scale, parallel: bool) -> Vec<CcMtaSimResult> {
-    let cs = cells(scale);
-    let run = |&(p, n, m): &(usize, usize, usize)| mta_cell(p, n, m);
-    if parallel {
-        par_map(&cs, run)
-    } else {
-        serial_map(&cs, run)
-    }
-}
-
-/// Run every SMP cell (parallel or serial), in [`cells`] order.
-pub fn smp_grid(scale: Scale, parallel: bool) -> Vec<CcSmpSimResult> {
-    let cs = cells(scale);
-    let run = |&(p, n, m): &(usize, usize, usize)| smp_cell(p, n, m);
-    if parallel {
-        par_map(&cs, run)
-    } else {
-        serial_map(&cs, run)
-    }
-}
-
-/// `(series label, cell name)` per cell, in [`cells`] order.
-fn cell_names(arch: &str, cs: &[(usize, usize, usize)]) -> Vec<(String, String)> {
-    cs.iter()
-        .map(|&(p, n, m)| {
-            (
-                format!("{} CC p={p}", arch.to_uppercase()),
-                format!("fig2/{arch}/p{p}/n{n}/m{m}"),
-            )
+/// One machine's panel as cells: one series per processor count, x = `m`.
+/// The specs carry no engine, fault or budget pin (see `fig1::panel`).
+pub fn panel(scale: Scale, machine: MachineKind) -> Vec<PanelCell> {
+    let arch = machine.name();
+    cells(scale)
+        .into_iter()
+        .map(|(p, n, m)| PanelCell {
+            label: format!("{} CC p={p}", arch.to_uppercase()),
+            name: format!("fig2/{arch}/p{p}/n{n}/m{m}"),
+            x: m,
+            spec: CellSpec {
+                n,
+                m,
+                ..CellSpec::new(Kernel::Fig2, machine, p)
+            },
         })
         .collect()
 }
 
-/// The MTA (left panel) sweep: every cell panic-isolated and (at `--full`
+/// Sweep one machine's panel: every cell panic-isolated and (at `--full`
 /// scale) checkpointed for resume; series assembled from completed cells.
-pub fn mta_sweep(scale: Scale, verbose: bool) -> PanelSweep {
-    let cs = cells(scale);
-    let ck = Checkpoint::for_sweep("fig2-mta", scale);
-    let names = cell_names("mta", &cs);
-    let outs = par_map(&cs, |&(p, n, m)| {
-        point_cell(&ck, &format!("fig2/mta/p{p}/n{n}/m{m}"), || {
-            let r = mta_cell(p, n, m);
-            CellPoint {
-                x: m,
-                p,
-                seconds: r.seconds,
-                log: format!(
-                    "{} iters, util {:.0}%",
-                    r.iterations,
-                    r.report.utilization * 100.0
-                ),
-            }
-        })
-    });
-    assemble_panel(names, outs, verbose, &ck)
-}
-
-/// The SMP (right panel) sweep (see [`mta_sweep`]).
-pub fn smp_sweep(scale: Scale, verbose: bool) -> PanelSweep {
-    let cs = cells(scale);
-    let ck = Checkpoint::for_sweep("fig2-smp", scale);
-    let names = cell_names("smp", &cs);
-    let outs = par_map(&cs, |&(p, n, m)| {
-        point_cell(&ck, &format!("fig2/smp/p{p}/n{n}/m{m}"), || {
-            let r = smp_cell(p, n, m);
-            CellPoint {
-                x: m,
-                p,
-                seconds: r.seconds,
-                log: format!("{} iters", r.iterations),
-            }
-        })
-    });
-    assemble_panel(names, outs, verbose, &ck)
-}
-
-/// MTA (left panel): one series per processor count; x-axis is `m`.
-/// Panics if any cell failed; drivers use [`mta_sweep`] to keep going.
-pub fn mta_series(scale: Scale, verbose: bool) -> Vec<Series> {
-    let sw = mta_sweep(scale, verbose);
-    if let Some(f) = sw.failures.first() {
-        panic!("{f}");
-    }
-    sw.series
-}
-
-/// SMP (right panel): one series per processor count; x-axis is `m`.
-/// Panics if any cell failed; drivers use [`smp_sweep`] to keep going.
-pub fn smp_series(scale: Scale, verbose: bool) -> Vec<Series> {
-    let sw = smp_sweep(scale, verbose);
-    if let Some(f) = sw.failures.first() {
-        panic!("{f}");
-    }
-    sw.series
+pub fn sweep(scale: Scale, machine: MachineKind, verbose: bool) -> PanelSweep {
+    let tag = format!("fig2-{}", machine.name());
+    run_panel(&tag, scale, panel(scale, machine), verbose)
 }
 
 #[cfg(test)]
@@ -155,8 +84,8 @@ mod tests {
 
     #[test]
     fn smoke_series_have_expected_shape() {
-        let mta = mta_series(Scale::Smoke, false);
-        let smp = smp_series(Scale::Smoke, false);
+        let mta = sweep(Scale::Smoke, MachineKind::Mta, false).into_series();
+        let smp = sweep(Scale::Smoke, MachineKind::Smp, false).into_series();
         assert_eq!(mta.len(), 2, "p = 1, 2 at smoke scale");
         assert_eq!(smp.len(), 2);
         for s in mta.iter().chain(smp.iter()) {
@@ -167,7 +96,7 @@ mod tests {
 
     #[test]
     fn times_grow_with_m() {
-        for s in smp_series(Scale::Smoke, false) {
+        for s in sweep(Scale::Smoke, MachineKind::Smp, false).into_series() {
             let first = crate::guard::require_first(&s.points, &s.label)
                 .expect("series has points")
                 .seconds;

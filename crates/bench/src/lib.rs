@@ -1,8 +1,9 @@
 //! # archgraph-bench
 //!
 //! The figure/table regeneration harness: shared workload construction,
-//! sweep configuration, and the series-producing functions that the `fig1`,
-//! `fig2`, `table1` and `ratios` binaries (and the Criterion benches) call.
+//! sweep configuration, the one cell dispatch ([`CellSpec::run_full`]) and
+//! the one sweep over it (`sweep::run_cells`) that the `fig1`, `fig2`,
+//! `table1`, `ratios`, `all` and `bench` binaries and `archgraphd` call.
 //!
 //! Every experiment is documented in `DESIGN.md`'s per-experiment index and
 //! records paper-vs-measured results in `EXPERIMENTS.md`.
@@ -10,6 +11,7 @@
 #![warn(missing_docs)]
 
 pub mod cells;
+pub mod cli;
 pub mod fig1;
 pub mod fig2;
 pub mod grid;
@@ -22,6 +24,6 @@ pub mod table1;
 pub mod workloads;
 
 pub use cells::{bench_suite, CellSpec, Fingerprint, Kernel, MachineKind};
-pub use guard::{first_or_exit, last_or_exit, series_or_exit};
+pub use guard::{first_or_exit, last_or_exit};
 pub use scale::{parse_scale_args, scale_or_usage, usage_error, Scale};
 pub use sweep::{CellFailure, CellOutcome, CellPoint, Checkpoint, PanelSweep};

@@ -1,7 +1,9 @@
-//! Panic-isolated, checkpointable sweep cells.
+//! Panic-isolated, checkpointable sweep cells, and the one sweep over them.
 //!
-//! Every figure/table sweep is a grid of independent cells. Before this
-//! module, one panicking cell (a simulator bug, a guardrail firing, a
+//! Every figure/table sweep is a grid of independent cells, declared as a
+//! `Vec<`[`PanelCell`]`>` and run by [`run_cells`] (Fig. 1 and Fig. 2 through
+//! [`run_panel`], which adds the checkpoint store and the series assembly).
+//! Before this module, one panicking cell (a simulator bug, a guardrail firing, a
 //! poisoned input) unwound through rayon and took the whole grid — and
 //! hours of `--full` sweep progress — with it. Now each cell runs under
 //! [`isolate`]:
@@ -30,6 +32,8 @@ use std::path::PathBuf;
 
 use archgraph_core::experiment::Series;
 
+use crate::cells::{CellRun, CellSpec};
+use crate::grid::par_map;
 use crate::scale::Scale;
 
 /// Environment variable selecting the checkpoint directory (`off` or
@@ -467,7 +471,7 @@ pub fn isolate<R>(cell: &str, f: impl FnOnce() -> R) -> CellOutcome<R> {
 /// [`crate::signals`] handlers), the in-progress cell completes, its
 /// checkpoint is recorded, and the process exits — so a killed `--full`
 /// sweep resumes from every cell that finished, losing none.
-pub fn point_cell(
+fn point_cell(
     ck: &Checkpoint,
     cell: &str,
     f: impl FnOnce() -> CellPoint,
@@ -485,6 +489,44 @@ pub fn point_cell(
     Ok(pt)
 }
 
+/// One cell of a figure panel or table: what to run and where its point
+/// lands.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PanelCell {
+    /// Series (Table 1: row) label the point belongs to.
+    pub label: String,
+    /// Stable cell name (e.g. `fig1/mta/Random/p8/n1048576`): the
+    /// checkpoint file, the failure report and what [`PANIC_CELL_ENV`]
+    /// addresses.
+    pub name: String,
+    /// The x-axis value (Table 1: the row index).
+    pub x: usize,
+    /// What to run.
+    pub spec: CellSpec,
+}
+
+/// Run every cell across host cores, in cell order, each panic-isolated
+/// and checkpointed (`point_cell`) — the one loop every sweep goes through.
+/// `y` picks what is plotted, and the log detail that goes with it, out of
+/// the cell's [`CellRun`]: seconds for the figures, utilization for Table 1.
+pub fn run_cells(
+    ck: &Checkpoint,
+    cells: &[PanelCell],
+    y: impl Fn(CellRun) -> (f64, String) + Sync,
+) -> Vec<CellOutcome<CellPoint>> {
+    par_map(cells, |cell| {
+        point_cell(ck, &cell.name, || {
+            let (seconds, log) = y(cell.spec.run_full());
+            CellPoint {
+                x: cell.x,
+                p: cell.spec.p,
+                seconds,
+                log,
+            }
+        })
+    })
+}
+
 /// One figure panel's isolated sweep: the assembled series plus any cell
 /// failures (empty on a clean run).
 #[derive(Debug)]
@@ -495,13 +537,32 @@ pub struct PanelSweep {
     pub failures: Vec<CellFailure>,
 }
 
-/// Assemble per-cell outcomes into series. `cells` pairs each outcome
-/// with its `(series label, cell name)`; consecutive cells sharing a
+impl PanelSweep {
+    /// The series of a sweep that must have been clean. Panics if any cell
+    /// failed; drivers that want to keep going read `failures` instead.
+    pub fn into_series(self) -> Vec<Series> {
+        if let Some(f) = self.failures.first() {
+            panic!("{f}");
+        }
+        self.series
+    }
+}
+
+/// Sweep one figure panel for simulated seconds: every cell panic-isolated
+/// and checkpointed for resume under `<tag>-<scale>` (on at `--full`
+/// scale), series assembled from the cells that completed.
+pub fn run_panel(tag: &str, scale: Scale, cells: Vec<PanelCell>, verbose: bool) -> PanelSweep {
+    let ck = Checkpoint::for_sweep(tag, scale);
+    let outs = run_cells(&ck, &cells, |run| (run.seconds, run.log));
+    assemble_panel(cells, outs, verbose, &ck)
+}
+
+/// Assemble per-cell outcomes into series. Consecutive cells sharing a
 /// label land in the same series (cell grids are label-major), and failed
 /// cells are skipped with a log line. A fully clean sweep clears its
 /// checkpoints.
-pub fn assemble_panel(
-    cells: Vec<(String, String)>,
+fn assemble_panel(
+    cells: Vec<PanelCell>,
     outs: Vec<CellOutcome<CellPoint>>,
     verbose: bool,
     ck: &Checkpoint,
@@ -509,7 +570,7 @@ pub fn assemble_panel(
     assert_eq!(cells.len(), outs.len(), "one outcome per cell");
     let mut series: Vec<Series> = Vec::new();
     let mut failures = Vec::new();
-    for ((label, name), out) in cells.into_iter().zip(outs) {
+    for (PanelCell { label, name, .. }, out) in cells.into_iter().zip(outs) {
         if series.last().map(|s| s.label.as_str()) != Some(label.as_str()) {
             series.push(Series::new(label));
         }
@@ -853,10 +914,16 @@ mod tests {
     #[test]
     fn assemble_groups_by_label_and_collects_failures() {
         let ck = Checkpoint::disabled();
+        let cell = |label: &str, name: &str| PanelCell {
+            label: label.to_string(),
+            name: name.to_string(),
+            x: 1,
+            spec: CellSpec::new(crate::Kernel::Fig2, crate::MachineKind::Mta, 1),
+        };
         let cells = vec![
-            ("A p=1".to_string(), "fig/a/p1/n1".to_string()),
-            ("A p=1".to_string(), "fig/a/p1/n2".to_string()),
-            ("A p=2".to_string(), "fig/a/p2/n1".to_string()),
+            cell("A p=1", "fig/a/p1/n1"),
+            cell("A p=1", "fig/a/p1/n2"),
+            cell("A p=2", "fig/a/p2/n1"),
         ];
         let outs = vec![
             Ok(CellPoint {

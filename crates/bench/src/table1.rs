@@ -2,17 +2,15 @@
 //! (Random and Ordered, 20 M-node list) and connected components
 //! (n = 1M, m = 20M ≈ n log n), at p = 1, 4, 8.
 //!
-//! The `(workload, p)` cells simulate independently and fan out across
-//! host cores; rows are assembled in the paper's order afterwards.
+//! The rows are the Fig. 1 and Fig. 2 MTA cells at Table 1's sizes, read for
+//! utilization instead of time: [`cells`] declares them, `sweep::run_cells`
+//! fans them out across host cores, and the rows are assembled in the
+//! paper's order afterwards.
 
-use archgraph_concomp::sim_mta as cc_sim;
-use archgraph_core::machine::MtaParams;
-use archgraph_listrank::sim_mta as lr_sim;
-
-use crate::grid::{par_map, serial_map};
+use crate::cells::{CellSpec, Kernel, MachineKind};
 use crate::scale::Scale;
-use crate::sweep::{point_cell, CellFailure, CellPoint, Checkpoint};
-use crate::workloads::{make_graph, make_list, ListKind};
+use crate::sweep::{run_cells, CellFailure, Checkpoint, PanelCell};
+use crate::workloads::ListKind;
 
 /// One row block of Table 1: utilization per processor count.
 #[derive(Debug, Clone, PartialEq)]
@@ -23,78 +21,44 @@ pub struct UtilizationRow {
     pub utilization: Vec<(usize, f64)>,
 }
 
-/// Processor counts reported in the paper's Table 1.
-pub const TABLE1_PROCS: [usize; 3] = [1, 4, 8];
-
-/// Streams per processor (paper: 100).
-pub const MTA_STREAMS: usize = 100;
-
-/// The table's workloads, in row order.
-const ROWS: [&str; 3] = ["Random List", "Ordered List", "Connected Components"];
-
+/// Processor counts: the paper's Table 1 reports p = 1, 4, 8.
 fn table_procs(scale: Scale) -> Vec<usize> {
     match scale {
         Scale::Smoke => vec![1, 2],
-        _ => TABLE1_PROCS.to_vec(),
+        _ => vec![1, 4, 8],
     }
 }
 
-/// Simulate one `(row, p)` cell and return its utilization.
-fn cell_utilization(scale: Scale, row: usize, p: usize) -> f64 {
-    let params = MtaParams::mta2();
-    match row {
-        0 | 1 => {
-            let kind = if row == 0 {
-                ListKind::Random
-            } else {
-                ListKind::Ordered
-            };
-            let n = scale.table1_list_size();
-            let list = make_list(kind, n, crate::fig1::LIST_SEED);
-            let r = lr_sim::simulate_walk_ranking(&list, &params, p, MTA_STREAMS, (n / 10).max(1));
-            r.report.utilization
+/// The table's cells, row-major in the paper's row order; `x` is the row.
+/// Like the figures' cells they pin no engine, fault plan or budget.
+pub fn cells(scale: Scale) -> Vec<PanelCell> {
+    use Kernel::{Table1Cc, Table1List};
+    use ListKind::{Ordered, Random};
+    let rows = [
+        ("Random List", "random-list", Table1List(Random)),
+        ("Ordered List", "ordered-list", Table1List(Ordered)),
+        ("Connected Components", "cc", Table1Cc),
+    ];
+    let mut out = Vec::new();
+    for (x, (label, slug, kernel)) in rows.into_iter().enumerate() {
+        let (n, m) = match kernel {
+            Table1Cc => scale.table1_graph_size(),
+            _ => (scale.table1_list_size(), 0),
+        };
+        for p in table_procs(scale) {
+            out.push(PanelCell {
+                label: label.to_string(),
+                name: format!("table1/{slug}/p{p}"),
+                x,
+                spec: CellSpec {
+                    n,
+                    m,
+                    ..CellSpec::new(kernel, MachineKind::Mta, p)
+                },
+            });
         }
-        _ => {
-            let (n, m) = scale.table1_graph_size();
-            let g = make_graph(n, m, crate::fig2::GRAPH_SEED);
-            let r = cc_sim::simulate_sv_mta(&g, &params, p, MTA_STREAMS);
-            r.report.utilization
-        }
     }
-}
-
-/// One bench-sized list row of the table: the walk-ranking region report
-/// at an explicit size, for the bench driver to fingerprint (`cycles`,
-/// `issued`, and utilization in parts-per-million — utilization is the
-/// table's own quantity, so the regression harness pins it exactly).
-pub fn bench_list_cell(kind: ListKind, p: usize, n: usize) -> archgraph_mta_sim::report::RunReport {
-    let params = MtaParams::mta2();
-    let list = make_list(kind, n, crate::fig1::LIST_SEED);
-    let r = lr_sim::simulate_walk_ranking(&list, &params, p, MTA_STREAMS, (n / 10).max(1));
-    r.report
-}
-
-/// The bench-sized connected-components row of the table (see
-/// [`bench_list_cell`]).
-pub fn bench_cc_cell(p: usize, n: usize, m: usize) -> archgraph_mta_sim::report::RunReport {
-    let params = MtaParams::mta2();
-    let g = make_graph(n, m, crate::fig2::GRAPH_SEED);
-    let r = cc_sim::simulate_sv_mta(&g, &params, p, MTA_STREAMS);
-    r.report
-}
-
-/// Utilization per `(row, p)` cell (parallel or serial), row-major.
-pub fn utilization_grid(scale: Scale, parallel: bool) -> Vec<f64> {
-    let procs = table_procs(scale);
-    let cs: Vec<(usize, usize)> = (0..ROWS.len())
-        .flat_map(|row| procs.iter().map(move |&p| (row, p)))
-        .collect();
-    let run = |&(row, p): &(usize, usize)| cell_utilization(scale, row, p);
-    if parallel {
-        par_map(&cs, run)
-    } else {
-        serial_map(&cs, run)
-    }
+    out
 }
 
 /// Table 1's isolated sweep: rows assembled from the cells that
@@ -107,46 +71,28 @@ pub struct TableSweep {
     pub failures: Vec<CellFailure>,
 }
 
-/// Short per-row cell-name slugs.
-const ROW_SLUGS: [&str; 3] = ["random-list", "ordered-list", "cc"];
-
 /// Compute the table with each `(row, p)` cell panic-isolated and (at
 /// `--full` scale) checkpointed for resume.
 pub fn utilization_sweep(scale: Scale, verbose: bool) -> TableSweep {
-    let procs = table_procs(scale);
-    let cs: Vec<(usize, usize)> = (0..ROWS.len())
-        .flat_map(|row| procs.iter().map(move |&p| (row, p)))
-        .collect();
+    let cs = cells(scale);
     let ck = Checkpoint::for_sweep("table1", scale);
-    let outs = par_map(&cs, |&(row, p)| {
-        point_cell(&ck, &format!("table1/{}/p{p}", ROW_SLUGS[row]), || {
-            CellPoint {
-                x: row,
-                p,
-                seconds: cell_utilization(scale, row, p),
-                log: String::new(),
-            }
-        })
-    });
-    let mut rows: Vec<UtilizationRow> = ROWS
-        .iter()
-        .map(|l| UtilizationRow {
-            label: l.to_string(),
-            utilization: Vec::new(),
-        })
-        .collect();
+    // The log line below is the value itself: no detail goes with it.
+    let outs = run_cells(&ck, &cs, |run| (run.utilization, String::new()));
+    let mut rows: Vec<UtilizationRow> = Vec::new();
     let mut failures = Vec::new();
-    for (&(row, p), out) in cs.iter().zip(outs) {
+    for (cell, out) in cs.into_iter().zip(outs) {
+        if rows.len() <= cell.x {
+            rows.push(UtilizationRow {
+                label: cell.label,
+                utilization: Vec::new(),
+            });
+        }
         match out {
             Ok(pt) => {
                 if verbose {
-                    eprintln!(
-                        "  table1/{}/p{p}: util {:.1}%",
-                        ROW_SLUGS[row],
-                        pt.seconds * 100.0
-                    );
+                    eprintln!("  {}: util {:.1}%", cell.name, pt.seconds * 100.0);
                 }
-                rows[row].utilization.push((p, pt.seconds));
+                rows[cell.x].utilization.push((pt.p, pt.seconds));
             }
             Err(f) => {
                 eprintln!("  {f}");

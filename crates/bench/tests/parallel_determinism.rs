@@ -2,12 +2,18 @@
 //! path: same cell order, same simulated quantities, same outputs. This
 //! determinism is the foundation the paper-claim checks (C1–C6) stand on.
 
+use archgraph_bench::grid::{par_map, serial_map};
 use archgraph_bench::{fig1, fig2, table1, Scale};
+
+/// Every cell through `run`, across host cores and serially.
+fn both<C: Sync, R: Send>(cells: &[C], run: impl Fn(&C) -> R + Sync) -> (Vec<R>, Vec<R>) {
+    (par_map(cells, &run), serial_map(cells, &run))
+}
 
 #[test]
 fn fig1_mta_grid_parallel_matches_serial() {
-    let par = fig1::mta_grid(Scale::Smoke, true);
-    let ser = fig1::mta_grid(Scale::Smoke, false);
+    let cells = fig1::cells(Scale::Smoke);
+    let (par, ser) = both(&cells, |&(kind, p, n)| fig1::mta_cell(kind, p, n));
     assert_eq!(par.len(), ser.len());
     for (a, b) in par.iter().zip(&ser) {
         assert_eq!(a.report, b.report, "RunReport must be bit-identical");
@@ -18,8 +24,8 @@ fn fig1_mta_grid_parallel_matches_serial() {
 
 #[test]
 fn fig1_smp_grid_parallel_matches_serial() {
-    let par = fig1::smp_grid(Scale::Smoke, true);
-    let ser = fig1::smp_grid(Scale::Smoke, false);
+    let cells = fig1::cells(Scale::Smoke);
+    let (par, ser) = both(&cells, |&(kind, p, n)| fig1::smp_cell(kind, p, n));
     assert_eq!(par.len(), ser.len());
     for (a, b) in par.iter().zip(&ser) {
         assert_eq!(a.stats, b.stats, "RunStats must be bit-identical");
@@ -30,8 +36,8 @@ fn fig1_smp_grid_parallel_matches_serial() {
 
 #[test]
 fn fig2_mta_grid_parallel_matches_serial() {
-    let par = fig2::mta_grid(Scale::Smoke, true);
-    let ser = fig2::mta_grid(Scale::Smoke, false);
+    let cells = fig2::cells(Scale::Smoke);
+    let (par, ser) = both(&cells, |&(p, n, m)| fig2::mta_cell(p, n, m));
     assert_eq!(par.len(), ser.len());
     for (a, b) in par.iter().zip(&ser) {
         assert_eq!(a.report, b.report, "RunReport must be bit-identical");
@@ -43,8 +49,8 @@ fn fig2_mta_grid_parallel_matches_serial() {
 
 #[test]
 fn fig2_smp_grid_parallel_matches_serial() {
-    let par = fig2::smp_grid(Scale::Smoke, true);
-    let ser = fig2::smp_grid(Scale::Smoke, false);
+    let cells = fig2::cells(Scale::Smoke);
+    let (par, ser) = both(&cells, |&(p, n, m)| fig2::smp_cell(p, n, m));
     assert_eq!(par.len(), ser.len());
     for (a, b) in par.iter().zip(&ser) {
         assert_eq!(a.stats, b.stats, "RunStats must be bit-identical");
@@ -56,7 +62,7 @@ fn fig2_smp_grid_parallel_matches_serial() {
 
 #[test]
 fn table1_utilization_grid_parallel_matches_serial() {
-    let par = table1::utilization_grid(Scale::Smoke, true);
-    let ser = table1::utilization_grid(Scale::Smoke, false);
+    let cells = table1::cells(Scale::Smoke);
+    let (par, ser) = both(&cells, |cell| cell.spec.run_full().utilization);
     assert_eq!(par, ser, "utilization cells must be bit-identical");
 }

@@ -7,7 +7,7 @@
 //! test files run in their own process, so nothing else races on the vars.
 
 use archgraph_bench::sweep::{CHECKPOINT_ENV, PANIC_CELL_ENV};
-use archgraph_bench::{fig1, Scale};
+use archgraph_bench::{fig1, MachineKind, Scale};
 
 #[test]
 fn a_panicking_cell_fails_alone_and_the_sweep_survives() {
@@ -15,7 +15,7 @@ fn a_panicking_cell_fails_alone_and_the_sweep_survives() {
     std::env::set_var(CHECKPOINT_ENV, "off");
     std::env::set_var(PANIC_CELL_ENV, "fig1/smp/Random/p1/n4096");
 
-    let sw = fig1::smp_sweep(Scale::Smoke, false);
+    let sw = fig1::sweep(Scale::Smoke, MachineKind::Smp, false);
 
     std::env::remove_var(PANIC_CELL_ENV);
     std::env::remove_var(CHECKPOINT_ENV);

@@ -2,24 +2,15 @@
 # Diff a fresh bench run against the committed baseline.
 #
 # Runs the `bench` driver into a temp file and compares it with
-# BENCH_archgraph.json at the repo root:
-#
-#   * `sim` fingerprints (cycles, issued, util_ppm, instructions,
-#     accesses) must be bit-identical — drift means the simulators
-#     changed behaviour. This check always applies, on every host.
-#   * `host_seconds` per cell must stay within BENCH_TOLERANCE of the
-#     baseline. Slower than the band fails; much faster only warns,
-#     suggesting a baseline refresh.
+# BENCH_archgraph.json at the repo root: the cell *names* must be the same
+# set, and every `sim` fingerprint (cycles, issued, util_ppm,
+# instructions, accesses) must be bit-identical — drift means the
+# simulators changed behaviour. That is the whole check, on every host.
+# `host_seconds` stays in the file as the record of one run and is not
+# compared: host time is measured by `benchmarks/run.sh` (archperf), in
+# interleaved pairs, not against a band around a single snapshot.
 #
 # Environment:
-#   BENCH_TOLERANCE   Host wall-clock band as a multiplier (default 2.0:
-#                     a cell fails if it is more than 2x slower than the
-#                     committed baseline). Only meaningful on hardware
-#                     comparable to where the baseline was recorded.
-#   CI                When set to a non-empty value (hosted runners),
-#                     host_seconds tolerances are SKIPPED entirely —
-#                     shared-runner wall clocks are noise — while the
-#                     fingerprint comparison stays exact.
 #   GITHUB_STEP_SUMMARY  When set (GitHub Actions), a per-cell markdown
 #                     table is appended to the job summary.
 #
@@ -28,15 +19,15 @@
 #   useful for inspecting a run you already have.
 #
 # Exit codes:
-#   0  fingerprints identical, times within tolerance
-#   1  fingerprint drift or wall-clock regression
+#   0  fingerprints identical
+#   1  fingerprint drift
 #   2  STALE BASELINE — the committed baseline's cell *names* no longer
 #      match what the bench binary emits (cells were added, removed, or
 #      renamed without refreshing BENCH_archgraph.json). Distinct from 1
 #      so CI and developers can tell "the simulators changed behaviour"
 #      apart from "someone forgot to re-record the baseline".
 #
-# Refresh the baseline (after an intentional perf or behaviour change):
+# Refresh the baseline (after an intentional behaviour change):
 #   cargo run --release --offline -p archgraph-bench --bin bench
 #   git add BENCH_archgraph.json
 
@@ -44,8 +35,6 @@ set -euo pipefail
 cd "$(dirname "$0")/.." || exit 1
 
 BASELINE=BENCH_archgraph.json
-TOL="${BENCH_TOLERANCE:-2.0}"
-CI_MODE="${CI:-}"
 
 if [[ ! -f "$BASELINE" ]]; then
     echo "bench_check: missing baseline $BASELINE (run the bench driver and commit it)" >&2
@@ -60,23 +49,19 @@ else
     cargo run --release --offline -p archgraph-bench --bin bench -- --out "$FRESH"
 fi
 
-python3 - "$BASELINE" "$FRESH" "$TOL" "$CI_MODE" <<'EOF'
+python3 - "$BASELINE" "$FRESH" <<'EOF'
 import json, os, sys
 
-base_path, fresh_path, tol, ci = sys.argv[1], sys.argv[2], float(sys.argv[3]), bool(sys.argv[4])
+base_path, fresh_path = sys.argv[1], sys.argv[2]
 base = json.load(open(base_path))
 fresh = json.load(open(fresh_path))
 
 failures = []
-warnings = []
 stale = []  # baseline cell-name drift: exit 2, not 1
-rows = []  # (name, fresh s, baseline s, fingerprint status, time status)
+rows = []  # (name, fresh s, baseline s, fingerprint status)
 
 if base.get("schema") != fresh.get("schema"):
     failures.append(f"schema mismatch: baseline {base.get('schema')} vs fresh {fresh.get('schema')}")
-
-if ci:
-    print("bench_check: CI mode — host_seconds tolerances skipped, fingerprints exact")
 
 bcells = {c["name"]: c for c in base.get("cells", [])}
 fcells = {c["name"]: c for c in fresh.get("cells", [])}
@@ -84,45 +69,32 @@ fcells = {c["name"]: c for c in fresh.get("cells", [])}
 for name in sorted(set(bcells) | set(fcells)):
     if name not in fcells:
         stale.append(f"{name}: committed in the baseline but the bench binary no longer emits it")
-        rows.append((name, None, bcells[name].get("host_seconds"), "stale", "-"))
+        rows.append((name, None, bcells[name].get("host_seconds"), "stale"))
         continue
     if name not in bcells:
         stale.append(f"{name}: emitted by the bench binary but missing from the committed baseline")
-        rows.append((name, fcells[name].get("host_seconds"), None, "new", "-"))
+        rows.append((name, fcells[name].get("host_seconds"), None, "new"))
         continue
     b, f = bcells[name], fcells[name]
     fp_ok = b["sim"] == f["sim"]
-    if not fp_ok:
-        failures.append(f"{name}: sim fingerprint drifted: baseline {b['sim']} vs fresh {f['sim']}")
-    bt, ft = b["host_seconds"], f["host_seconds"]
-    if ci:
-        t_status = "skipped"
-    elif ft > bt * tol:
-        failures.append(f"{name}: {ft:.4f} s exceeds baseline {bt:.4f} s x{tol} tolerance")
-        t_status = "slow"
-    elif bt > ft * tol:
-        warnings.append(f"{name}: {ft:.4f} s is much faster than baseline {bt:.4f} s — consider refreshing the baseline")
-        t_status = "fast"
+    rows.append((name, f["host_seconds"], b["host_seconds"], "ok" if fp_ok else "DRIFT"))
+    if fp_ok:
+        print(f"  ok {name}: sim fingerprint identical")
     else:
-        t_status = "ok"
-    rows.append((name, ft, bt, "ok" if fp_ok else "DRIFT", t_status))
-    if fp_ok and t_status in ("ok", "skipped"):
-        print(f"  ok {name}: {ft:.4f} s (baseline {bt:.4f} s), sim fingerprint identical")
+        failures.append(f"{name}: sim fingerprint drifted: baseline {b['sim']} vs fresh {f['sim']}")
 
 summary = os.environ.get("GITHUB_STEP_SUMMARY")
 if summary:
     with open(summary, "a") as fh:
         fh.write("### bench_check\n\n")
-        fh.write("| cell | fresh (s) | baseline (s) | fingerprint | time |\n")
-        fh.write("|---|---:|---:|---|---|\n")
-        for name, ft, bt, fp, ts in rows:
+        fh.write("| cell | fresh (s) | baseline (s) | fingerprint |\n")
+        fh.write("|---|---:|---:|---|\n")
+        for name, ft, bt, fp in rows:
             fts = f"{ft:.4f}" if ft is not None else "-"
             bts = f"{bt:.4f}" if bt is not None else "-"
-            fh.write(f"| {name} | {fts} | {bts} | {fp} | {ts} |\n")
+            fh.write(f"| {name} | {fts} | {bts} | {fp} |\n")
         fh.write("\n")
 
-for w in warnings:
-    print(f"  warn {w}")
 for msg in failures:
     print(f"  FAIL {msg}", file=sys.stderr)
 for msg in stale:
@@ -132,5 +104,5 @@ if stale:
     sys.exit(2)
 if failures:
     sys.exit(1)
-print("bench_check: all cells within tolerance, fingerprints identical")
+print("bench_check: all fingerprints identical")
 EOF

@@ -5,9 +5,7 @@
 #
 # Usage:  scripts/ci.sh
 #
-# This is the same entry point .github/workflows/ci.yml runs; setting
-# CI=1 makes the bench step skip host wall-clock tolerances (simulator
-# fingerprints are still exact — see scripts/bench_check.sh).
+# This is the same entry point .github/workflows/ci.yml runs.
 
 set -euo pipefail
 cd "$(dirname "$0")/.." || exit 1
@@ -29,17 +27,16 @@ echo "== cargo test =="
 cargo test -q --offline --workspace
 
 echo "== engine differential smoke =="
-# Re-run the simulator and kernel suites with each of the two MTA engines
-# as the session default. The kernel tests pin simulated cycle/utilization
-# quantities, so any engine whose schedule diverges from the oracle
-# fails loudly here — the env-var path is exactly what users reach for
-# (ARCHGRAPH_MTA_ENGINE), so it is the path this leg exercises.
-for engine in single-step trace; do
-    echo "-- ARCHGRAPH_MTA_ENGINE=$engine"
-    ARCHGRAPH_MTA_ENGINE="$engine" \
-        cargo test -q --offline -p archgraph-mta-sim -p archgraph-listrank \
-        -p archgraph-concomp -p archgraph-coloring -p archgraph-bfs
-done
+# Re-run the simulator and kernel suites with the other MTA engine as the
+# session default (the test step above ran them under Trace, the default).
+# The kernel tests pin simulated cycle/utilization quantities, so an
+# engine whose schedule diverges from the oracle fails loudly here — the
+# env-var path (ARCHGRAPH_MTA_ENGINE) is what users reach for, so it is
+# the path this leg exercises.
+echo "-- ARCHGRAPH_MTA_ENGINE=single-step"
+ARCHGRAPH_MTA_ENGINE=single-step \
+    cargo test -q --offline -p archgraph-mta-sim -p archgraph-listrank \
+    -p archgraph-concomp -p archgraph-coloring -p archgraph-bfs
 
 echo "== guardrails: deadlock + fault injection under both engines =="
 # The guardrails suite already cross-checks the two engines internally,
@@ -65,8 +62,8 @@ fi
 echo "-- injected panic isolated and reported (nonzero exit), as required"
 
 echo "== bench reference run =="
-# One fingerprints-only pass over the suite (1 rep); the daemon smoke leg
-# below diffs what it serves against this file.
+# One pass over the suite (1 rep): the daemon smoke leg diffs what it serves
+# against this file, the regression check diffs it against the baseline.
 ref="$(mktemp)"
 trap 'rm -f "$ref"' EXIT
 cargo run --release --offline -p archgraph-bench --bin bench -- --out "$ref" --reps 1
@@ -86,14 +83,13 @@ echo "== chaos soak: structural-fault invariance (small grid) =="
 # Sweep the small structural-fault grid (stalls, degraded links,
 # brownouts, and a combined plan) across both engine pins, asserting
 # byte-identical fingerprints under every plan. The nightly workflow
-# runs the same script with --full: a wider grid plus a SIGTERM/restart
-# of archgraphd under an ambient fault plan.
+# runs the same script with --full: a wider grid.
 chaos_dir="$(mktemp -d)"
 trap 'rm -f "$ref"; rm -rf "$chaos_dir"' EXIT
 scripts/chaos_soak.sh "$chaos_dir"
 
 echo "== bench regression check =="
-scripts/bench_check.sh
+scripts/bench_check.sh "$ref"
 
 echo "== archperf: the frozen benchmark still builds against the crates =="
 # benchmarks/ is a workspace of its own, so nothing above compiles it: a

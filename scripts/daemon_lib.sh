@@ -1,4 +1,4 @@
-# Sourced by daemon_smoke.sh, daemon_nightly.sh and chaos_soak.sh: the one
+# Sourced by daemon_smoke.sh and daemon_nightly.sh: the one
 # way a script brings an archgraphd up. The caller sets DAEMON and CLIENT
 # (the two binaries) and owns DPID (its cleanup trap kills it).
 

@@ -2,7 +2,7 @@
 //! across runs — workloads, simulated times, and figure series.
 
 use archgraph_bench::workloads::{make_graph, make_list, ListKind};
-use archgraph_bench::{fig1, fig2, table1, Scale};
+use archgraph_bench::{fig1, fig2, table1, MachineKind, Scale};
 use archgraph_core::machine::{MtaParams, SmpParams};
 use archgraph_listrank::{sim_mta, sim_smp};
 
@@ -37,11 +37,11 @@ fn simulated_times_are_deterministic() {
 
 #[test]
 fn figure_series_are_deterministic() {
-    let a1 = fig1::smp_series(Scale::Smoke, false);
-    let b1 = fig1::smp_series(Scale::Smoke, false);
+    let a1 = fig1::sweep(Scale::Smoke, MachineKind::Smp, false).into_series();
+    let b1 = fig1::sweep(Scale::Smoke, MachineKind::Smp, false).into_series();
     assert_eq!(a1, b1);
-    let a2 = fig2::mta_series(Scale::Smoke, false);
-    let b2 = fig2::mta_series(Scale::Smoke, false);
+    let a2 = fig2::sweep(Scale::Smoke, MachineKind::Mta, false).into_series();
+    let b2 = fig2::sweep(Scale::Smoke, MachineKind::Mta, false).into_series();
     assert_eq!(a2, b2);
     let at = table1::utilization_table(Scale::Smoke, false);
     let bt = table1::utilization_table(Scale::Smoke, false);

@@ -1,6 +1,6 @@
 //! The SMP cache model's tripwire.
 //!
-//! Every committed SMP fingerprint (`bench::cells::smp_fingerprint`,
+//! Every committed SMP fingerprint (`CellRun::smp` in `bench::cells`,
 //! `benchmarks/expected.json`, `daemon_smoke.sh`) pins `instructions` and
 //! `accesses`, and neither depends on what the TLB or the caches answer.
 //! This test pins what does: the whole `RunStats` of every SMP kernel —
