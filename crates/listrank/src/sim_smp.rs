@@ -1,11 +1,38 @@
 //! Helman–JáJá list ranking on the simulated SMP (Fig. 1, right panel).
 //!
-//! The algorithm executes for real on host data while every memory touch
-//! is mirrored onto the cycle-accounting [`SmpMachine`]: the traversal
-//! addresses are the *actual* addresses the algorithm visits, so an
-//! Ordered list produces sequential streams (cache + prefetch friendly)
+//! The algorithm's real work is done on host data, and every memory touch
+//! it makes is mirrored onto the cycle-accounting [`SmpMachine`]: the
+//! mirrored addresses are the *actual* addresses the algorithm visits, so
+//! an Ordered list produces sequential streams (cache + prefetch friendly)
 //! and a Random list produces dependent random accesses — the mechanism
 //! behind the paper's 3–4× Ordered/Random gap.
+//!
+//! In the contiguous steps the work and its mirror go side by side. The
+//! sublist walk (step 3) is split into the two things it is, because the
+//! host is a cache machine too and a Random walk is its worst case — each
+//! successor record is a host DRAM miss, and the next address comes out of
+//! it:
+//!
+//! * **Host half.** One loop advances *every* live sublist by one node per
+//!   round and does all of the real work (`rank`, `sub_of`, the sublist
+//!   records). The sublists are independent chains and a host-only step is
+//!   a few dozen instructions, so many chains' misses are in the host's
+//!   out-of-order window at once instead of one. The order in which each
+//!   sublist visited its nodes is then read off the result — the `r`-th
+//!   visit of sublist `i` is the node with `sub_of == i` and `rank == r` —
+//!   in one pass over the records in address order.
+//! * **Simulated half.** The `walk` phase replays that order and issues
+//!   only the mirror calls; it needs no host record at all.
+//!
+//! What the simulated machine observes is each processor's own access
+//! sequence, nothing else: a [`ProcCtx`](archgraph_smp_sim::machine::ProcCtx)
+//! has its own clock, TLB and caches, and stall windows and brownouts are
+//! functions of that clock. Processor `proc` walks sublists `proc`,
+//! `proc + p`, … one after another, each from its head to its end, so the
+//! replay runs in exactly that order — the processor's order, not the
+//! host chase's round-robin — and `RunStats` are bit-identical to a walk
+//! that mirrors as it goes (`tests::reference_hj` is that walk, kept as
+//! the reference the proptest holds this one to).
 //!
 //! Boundary detection uses the Helman–JáJá implementation trick of
 //! tagging sublist-head nodes in the successor array itself (one
@@ -23,7 +50,7 @@
 use archgraph_core::error::SimError;
 use archgraph_core::machine::SmpParams;
 use archgraph_graph::{LinkedList, Node, NIL};
-use archgraph_smp_sim::machine::SmpMachine;
+use archgraph_smp_sim::machine::{ArrayAddr, SmpMachine};
 use archgraph_smp_sim::stats::RunStats;
 
 use crate::prefix::choose_sublist_heads;
@@ -86,6 +113,31 @@ pub fn try_simulate_hj(
     sublists_per_proc: usize,
     seed: u64,
 ) -> Result<SmpSimResult, SimError> {
+    hj_with(chase_then_replay, list, params, p, sublists_per_proc, seed)
+}
+
+/// Step 3 as a function: on a machine that has run steps 1 and 2, walk the
+/// sublists that start at `heads` through the node records, mirroring onto
+/// the simulated `[next, rank, sub_of, sublists]` arrays, and return each
+/// sublist's length and the sublist that follows it ([`NIL`] after the
+/// last). A parameter of [`hj_with`] so that the test module can run the
+/// whole algorithm around its reference walk.
+type Walk = fn(
+    &mut SmpMachine,
+    &mut [NodeRec],
+    &[Node],
+    [ArrayAddr; 4],
+) -> Result<(Vec<Node>, Vec<Node>), SimError>;
+
+/// The five steps, with step 3 done by `walk`.
+fn hj_with(
+    walk: Walk,
+    list: &LinkedList,
+    params: &SmpParams,
+    p: usize,
+    sublists_per_proc: usize,
+    seed: u64,
+) -> Result<SmpSimResult, SimError> {
     let n = list.len();
     let mut m = SmpMachine::new(params.clone(), p);
     if n == 0 {
@@ -142,40 +194,12 @@ pub fn try_simulate_hj(
     })?;
 
     // --- Step 3: walk sublists, computing local ranks. ---
-    let mut sub_len = vec![0 as Node; s];
-    let mut sub_succ = vec![NIL; s];
-    m.try_phase("walk", |proc, ctx| {
-        let mut i = proc;
-        while i < s {
-            let mut j = heads[i] as usize;
-            let mut r: Node = 0;
-            loop {
-                let node = &mut nodes[j];
-                node.rank = r;
-                node.sub_of = i as Node;
-                // The sublist that starts at the successor, NIL if none
-                // does. Read before the simulated accesses are issued:
-                // this load is the walk's one host miss per node, and it
-                // then overlaps their work instead of following it.
-                let nx = node.next as usize;
-                let next_sub = if nx < n { nodes[nx].marker } else { NIL };
-                ctx.read_elem(next_a, j);
-                ctx.write_elem(rank_a, j);
-                ctx.write_elem(sub_of_a, j);
-                ctx.compute(WALK_INSTRS);
-                if nx >= n || next_sub != NIL {
-                    sub_len[i] = r + 1;
-                    sub_succ[i] = next_sub;
-                    ctx.write_elem(sublists_a, i);
-                    ctx.compute(20);
-                    break;
-                }
-                j = nx;
-                r += 1;
-            }
-            i += p;
-        }
-    })?;
+    let (sub_len, sub_succ) = walk(
+        &mut m,
+        &mut nodes,
+        &heads,
+        [next_a, rank_a, sub_of_a, sublists_a],
+    )?;
 
     // --- Step 4: prefix over the sublist records (processor 0). ---
     let mut sub_off = vec![0 as Node; s];
@@ -227,6 +251,93 @@ pub fn try_simulate_hj(
     })
 }
 
+/// A sublist the host chase is still walking: its index, the node it has
+/// reached and how many it has visited.
+struct Chain {
+    sub: Node,
+    at: Node,
+    len: Node,
+}
+
+/// Step 3 of [`try_simulate_hj`]: chase every sublist at once on the host,
+/// then replay each processor's visit order through the machine (see the
+/// module header for why the two are apart and why the order is exact).
+fn chase_then_replay(
+    m: &mut SmpMachine,
+    nodes: &mut [NodeRec],
+    heads: &[Node],
+    [next_a, rank_a, sub_of_a, sublists_a]: [ArrayAddr; 4],
+) -> Result<(Vec<Node>, Vec<Node>), SimError> {
+    let (n, s, p) = (nodes.len(), heads.len(), m.p());
+    let mut sub_len = vec![0 as Node; s];
+    let mut sub_succ = vec![NIL; s];
+
+    // Host half. A round is one node of every sublist still running: the
+    // `nodes[nx]` loads of a round do not depend on one another, so their
+    // misses overlap, and by the next round each has arrived. Which
+    // sublist a round takes first changes nothing, so one that ends is
+    // `swap_remove`d (`retain` copies every survivor down, every round,
+    // once the first has ended — a quarter of the loop's time).
+    let mut live: Vec<Chain> = heads
+        .iter()
+        .zip(0..)
+        .map(|(&at, sub)| Chain { sub, at, len: 0 })
+        .collect();
+    while !live.is_empty() {
+        let mut k = 0;
+        while k < live.len() {
+            let c = &mut live[k];
+            let i = c.sub as usize;
+            let node = &mut nodes[c.at as usize];
+            node.rank = c.len;
+            node.sub_of = c.sub;
+            c.len += 1;
+            // The sublist that starts at the successor, NIL if none does.
+            let nx = node.next as usize;
+            let next_sub = if nx < n { nodes[nx].marker } else { NIL };
+            if nx >= n || next_sub != NIL {
+                sub_len[i] = c.len;
+                sub_succ[i] = next_sub;
+                live.swap_remove(k);
+            } else {
+                c.at = nx as Node;
+                k += 1;
+            }
+        }
+    }
+
+    // The visit order is not written down by the chase but read off its
+    // result: sublist `i`'s `r`-th visit is the node with `sub_of == i` and
+    // `rank == r`, so one pass over the records in address order fills an
+    // exact-size array. (Pushing each visit onto a growing `Vec` per
+    // sublist inside the chase costs more: `s` more write streams.)
+    let mut bounds = vec![0usize; s + 1];
+    for (i, &len) in sub_len.iter().enumerate() {
+        bounds[i + 1] = bounds[i] + len as usize;
+    }
+    // `bounds[s] == n` on a well-formed list.
+    let mut order = vec![0 as Node; bounds[s]];
+    for (node, j) in nodes.iter().zip(0..) {
+        order[bounds[node.sub_of as usize] + node.rank as usize] = j;
+    }
+
+    // Simulated half: the accesses of the walk, in each processor's order.
+    m.try_phase("walk", |proc, ctx| {
+        for i in (proc..s).step_by(p) {
+            for &j in &order[bounds[i]..bounds[i + 1]] {
+                let j = j as usize;
+                ctx.read_elem(next_a, j);
+                ctx.write_elem(rank_a, j);
+                ctx.write_elem(sub_of_a, j);
+                ctx.compute(WALK_INSTRS);
+            }
+            ctx.write_elem(sublists_a, i);
+            ctx.compute(20);
+        }
+    })?;
+    Ok((sub_len, sub_succ))
+}
+
 /// Simulate the *sequential* pointer-chasing baseline on one processor
 /// (the comparator for SMP speedup figures). Panics on simulation
 /// failure (legacy entry point).
@@ -272,10 +383,151 @@ pub fn try_simulate_seq(list: &LinkedList, params: &SmpParams) -> Result<SmpSimR
 #[cfg(test)]
 mod tests {
     use super::*;
+    use archgraph_core::{with_fault_plan, FaultPlan};
     use archgraph_graph::rng::Rng;
+    use proptest::prelude::*;
 
     fn tiny() -> SmpParams {
         SmpParams::tiny_for_tests()
+    }
+
+    /// Step 3 as commit 5cd33e5 had it, verbatim: one sublist after
+    /// another, the real work and its mirror calls side by side. It pays a
+    /// dependent host miss per node, and it is plainly the walk each
+    /// simulated processor makes — which is what a reference should be.
+    fn serial_walk(
+        m: &mut SmpMachine,
+        nodes: &mut [NodeRec],
+        heads: &[Node],
+        [next_a, rank_a, sub_of_a, sublists_a]: [ArrayAddr; 4],
+    ) -> Result<(Vec<Node>, Vec<Node>), SimError> {
+        let (n, s, p) = (nodes.len(), heads.len(), m.p());
+        let mut sub_len = vec![0 as Node; s];
+        let mut sub_succ = vec![NIL; s];
+        m.try_phase("walk", |proc, ctx| {
+            let mut i = proc;
+            while i < s {
+                let mut j = heads[i] as usize;
+                let mut r: Node = 0;
+                loop {
+                    let node = &mut nodes[j];
+                    node.rank = r;
+                    node.sub_of = i as Node;
+                    // The sublist that starts at the successor, NIL if none
+                    // does. Read before the simulated accesses are issued:
+                    // this load is the walk's one host miss per node, and it
+                    // then overlaps their work instead of following it.
+                    let nx = node.next as usize;
+                    let next_sub = if nx < n { nodes[nx].marker } else { NIL };
+                    ctx.read_elem(next_a, j);
+                    ctx.write_elem(rank_a, j);
+                    ctx.write_elem(sub_of_a, j);
+                    ctx.compute(WALK_INSTRS);
+                    if nx >= n || next_sub != NIL {
+                        sub_len[i] = r + 1;
+                        sub_succ[i] = next_sub;
+                        ctx.write_elem(sublists_a, i);
+                        ctx.compute(20);
+                        break;
+                    }
+                    j = nx;
+                    r += 1;
+                }
+                i += p;
+            }
+        })?;
+        Ok((sub_len, sub_succ))
+    }
+
+    /// [`try_simulate_hj`] around the serial walk.
+    fn reference_hj(
+        list: &LinkedList,
+        params: &SmpParams,
+        p: usize,
+        sublists_per_proc: usize,
+        seed: u64,
+    ) -> SmpSimResult {
+        hj_with(serial_walk, list, params, p, sublists_per_proc, seed).unwrap()
+    }
+
+    /// The five `f64`s a run reports, by bit pattern: `==` on `RunStats`
+    /// holds every counter exactly, but reads 0.0 and -0.0 as equal.
+    fn clocks(r: &SmpSimResult) -> [u64; 5] {
+        let s = &r.stats;
+        [
+            r.seconds,
+            s.cycles,
+            s.compute_cycles,
+            s.mem_stall_cycles,
+            s.tlb_stall_cycles,
+        ]
+        .map(f64::to_bits)
+    }
+
+    /// `tests/smp_golden.rs`'s plan: stalls of 100 cycles in every 1 000
+    /// and a fourfold memory brownout from cycle 10 000 on, which even a
+    /// list of a few hundred nodes runs into.
+    const PLAN: &str =
+        "stall=300,stall-period=3000,brownout=4,brownout-at=30000,brownout-for=3000000:7";
+
+    /// The shipped walk against the reference on the tiny machine (its
+    /// prefetcher is on) and the E4500, clean and under [`PLAN`].
+    fn assert_matches_reference(list: &LinkedList, p: usize, sublists_per_proc: usize, seed: u64) {
+        for params in [tiny(), SmpParams::sun_e4500()] {
+            // `None` also shuts out an ambient `ARCHGRAPH_FAULTS`.
+            for plan in [None, Some(FaultPlan::parse(PLAN).unwrap())] {
+                let faulty = plan.is_some();
+                with_fault_plan(plan, || {
+                    let new = simulate_hj(list, &params, p, sublists_per_proc, seed);
+                    let reference = reference_hj(list, &params, p, sublists_per_proc, seed);
+                    let case = format!(
+                        "n={} p={p} sublists_per_proc={sublists_per_proc} seed={seed} \
+                         l1_bytes={} faulty={faulty}",
+                        list.len(),
+                        params.l1_bytes,
+                    );
+                    assert_eq!(new.rank, reference.rank, "{case}");
+                    assert_eq!(new.stats, reference.stats, "{case}");
+                    assert_eq!(clocks(&new), clocks(&reference), "{case}");
+                });
+            }
+        }
+    }
+
+    fn reversed(n: usize) -> LinkedList {
+        LinkedList::from_permutation(&(0..n as Node).rev().collect::<Vec<_>>())
+    }
+
+    proptest! {
+        #[test]
+        fn chase_then_replay_is_the_serial_walk_bit_for_bit(
+            // Half the lists shorter than the most sublists there can be
+            // (8 × 9), so `n < s` and processors with no sublist are common.
+            n in prop_oneof![1usize..73, 1usize..3001],
+            p in 1usize..9,
+            sublists_per_proc in 1usize..10,
+            seed in any::<u64>(),
+            layout in 0u8..3,
+        ) {
+            let list = match layout {
+                0 => LinkedList::ordered(n),
+                1 => LinkedList::random(n, &mut Rng::new(seed)),
+                _ => reversed(n),
+            };
+            assert_matches_reference(&list, p, sublists_per_proc, seed);
+        }
+    }
+
+    #[test]
+    fn shortest_lists_match_the_serial_walk() {
+        // Every n from the single node up, on every processor count: n < s,
+        // s < p and s % p != 0 all occur, deterministically.
+        for n in 1..=12 {
+            for p in 1..=8 {
+                assert_matches_reference(&LinkedList::random(n, &mut Rng::new(n as u64)), p, 2, 3);
+                assert_matches_reference(&reversed(n), p, 2, 3);
+            }
+        }
     }
 
     #[test]

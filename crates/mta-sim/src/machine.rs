@@ -437,7 +437,6 @@ pub struct MtaMachine {
     p: usize,
     memory: Memory,
     total_cycles: u64,
-    host_seconds: f64,
     engine: MtaEngine,
     engine_stats: EngineStats,
     reports: Vec<RunReport>,
@@ -460,7 +459,6 @@ impl MtaMachine {
             p,
             memory: Memory::new(words),
             total_cycles: 0,
-            host_seconds: 0.0,
             engine: configured_engine(),
             engine_stats: EngineStats::default(),
             reports: Vec::new(),
@@ -495,9 +493,8 @@ impl MtaMachine {
     }
 
     /// Issue-loop accounting accumulated over all regions run so far.
-    /// Host-side measurement, like [`Self::host_seconds`] — deliberately
-    /// kept out of [`RunReport`] so reports compare bit-identical across
-    /// engines.
+    /// Host-side measurement — deliberately kept out of [`RunReport`] so
+    /// reports compare bit-identical across engines.
     pub fn engine_stats(&self) -> EngineStats {
         self.engine_stats
     }
@@ -530,13 +527,6 @@ impl MtaMachine {
     /// Seconds accumulated over all regions run so far.
     pub fn total_seconds(&self) -> f64 {
         self.total_cycles as f64 * self.params.cycle_seconds()
-    }
-
-    /// Host wall-clock seconds spent interpreting regions so far. This is
-    /// measurement of the simulator itself (for the bench harness), not a
-    /// simulated quantity, and is deliberately kept out of [`RunReport`].
-    pub fn host_seconds(&self) -> f64 {
-        self.host_seconds
     }
 
     /// Per-region reports in execution order.
@@ -575,18 +565,16 @@ impl MtaMachine {
         streams_per_proc: usize,
         init: F,
     ) -> Result<RunReport, SimError> {
-        let host_t0 = std::time::Instant::now();
         let mut stats = EngineStats::default();
         let result = self.run_region(prog, streams_per_proc, init, &mut stats);
         // Host-side accounting lands on every exit: a region that
-        // deadlocks or exhausts its budget still spent this time and
-        // these events (the guardrail suites assert on them).
-        self.host_seconds += host_t0.elapsed().as_secs_f64();
+        // deadlocks or exhausts its budget still spent these events (the
+        // guardrail suites assert on them).
         self.engine_stats += stats;
         result
     }
 
-    /// The body of [`Self::try_run`], which times it and folds `stats`.
+    /// The body of [`Self::try_run`], which folds `stats` on every exit.
     fn run_region<F: FnMut(usize, &mut [i64; NREGS])>(
         &mut self,
         prog: &Program,

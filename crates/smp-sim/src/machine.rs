@@ -233,7 +233,6 @@ pub struct SmpMachine {
     /// Machine time in cycles.
     time_cycles: f64,
     barriers: u64,
-    host_seconds: f64,
     phases: Vec<PhaseRecord>,
     next_addr: u64,
     /// Watchdog budget in simulated cycles: a phase that pushes the
@@ -260,7 +259,6 @@ impl SmpMachine {
             procs,
             time_cycles: 0.0,
             barriers: 0,
-            host_seconds: 0.0,
             phases: Vec::new(),
             next_addr: 0x1000,
             max_cycles: configured_max_cycles(),
@@ -369,7 +367,6 @@ impl SmpMachine {
         mut f: F,
         barrier: bool,
     ) -> Result<(), SimError> {
-        let host_t0 = std::time::Instant::now();
         let mut max_elapsed = 0.0f64;
         let mut lines = 0u64;
         for (i, ctx) in self.procs.iter_mut().enumerate() {
@@ -388,7 +385,6 @@ impl SmpMachine {
             self.barriers += 1;
         }
         self.time_cycles += cycles;
-        self.host_seconds += host_t0.elapsed().as_secs_f64();
         self.phases.push(PhaseRecord {
             name: name.to_string(),
             cycles,
@@ -424,13 +420,6 @@ impl SmpMachine {
     /// Elapsed simulated time in seconds.
     pub fn seconds(&self) -> f64 {
         self.time_cycles * self.params.cycle_seconds()
-    }
-
-    /// Host wall-clock seconds spent simulating phases so far. A
-    /// measurement of the simulator itself (for the bench harness), not a
-    /// simulated quantity, and deliberately kept out of [`RunStats`].
-    pub fn host_seconds(&self) -> f64 {
-        self.host_seconds
     }
 
     /// The per-phase log.

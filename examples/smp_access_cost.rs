@@ -2,9 +2,13 @@
 //! uniform random accesses over a 16 MB array under `sun_e4500()`
 //! parameters, timed against `Tlb`, each `Cache` level and the
 //! `Prefetcher` alone and then through `ProcCtx::{read, write}` whole.
-//! This is the attribution table of EXPERIMENTS.md, "Simulator host cost —
-//! SMP"; it uses only what `smp-sim` has always exported, so the same file
-//! runs in a checkout of an older commit.
+//! A second table times the list cells whole — `simulate_hj` on a Random
+//! and an Ordered list of 2^20 and `simulate_seq` on the Random one — and
+//! prints Random − Ordered: the simulated work is the same either way, so
+//! the difference is what the host's own cache misses cost the kernel.
+//! These are the attribution tables of EXPERIMENTS.md, "Simulator host cost
+//! — SMP"; the file uses only what the crates have always exported, so the
+//! same file runs in a checkout of an older commit.
 //!
 //! ```text
 //! cargo run --release --example smp_access_cost
@@ -14,6 +18,9 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use archgraph::core::machine::SmpParams;
+use archgraph::graph::list::LinkedList;
+use archgraph::graph::rng::Rng;
+use archgraph::listrank::sim_smp::{simulate_hj, simulate_seq};
 use archgraph::smp::cache::Cache;
 use archgraph::smp::machine::SmpMachine;
 use archgraph::smp::prefetch::Prefetcher;
@@ -31,16 +38,46 @@ fn lcg(x: &mut u64) -> u64 {
     *x >> 33
 }
 
-/// Cheapest of `REPS` passes of `N` calls, in ns per call: what the host's
-/// other tenants add to a pass is never negative.
-fn ns_per_call(mut pass: impl FnMut() -> u64) -> f64 {
+/// Cheapest of `REPS` runs, in seconds: what the host's other tenants add
+/// to a run is never negative.
+fn min_seconds<T>(mut run: impl FnMut() -> T) -> f64 {
     (0..REPS)
         .map(|_| {
             let t0 = Instant::now();
-            black_box(pass());
-            t0.elapsed().as_secs_f64() * 1e9 / N as f64
+            black_box(run());
+            t0.elapsed().as_secs_f64()
         })
         .fold(f64::INFINITY, f64::min)
+}
+
+/// Cheapest pass of `N` calls, in ns per call.
+fn ns_per_call(pass: impl FnMut() -> u64) -> f64 {
+    min_seconds(pass) * 1e9 / N as f64
+}
+
+/// The list cells of `smp-cache` (2^20 nodes, 8 sublists a processor) and
+/// the sequential comparator.
+fn list_cells(params: &SmpParams) {
+    const NODES: usize = 1 << 20;
+    let random = LinkedList::random(NODES, &mut Rng::new(2005));
+    let ordered = LinkedList::ordered(NODES);
+    let ns = |ms: f64| ms * 1e6 / NODES as f64;
+
+    println!("\nhost ms per list cell of 2^20 nodes, min of {REPS} (ns per node):");
+    for p in [1usize, P] {
+        let [rnd, ord] =
+            [&random, &ordered].map(|l| 1e3 * min_seconds(|| simulate_hj(l, params, p, 8, 2005)));
+        println!(
+            "  simulate_hj p{p}   random {rnd:7.1} ({:5.1})   ordered {ord:7.1} ({:5.1})   \
+             random - ordered {:7.1} ({:5.1})",
+            ns(rnd),
+            ns(ord),
+            rnd - ord,
+            ns(rnd - ord)
+        );
+    }
+    let seq = 1e3 * min_seconds(|| simulate_seq(&random, params));
+    println!("  simulate_seq      random {seq:7.1} ({:5.1})", ns(seq));
 }
 
 fn main() {
@@ -61,7 +98,7 @@ fn main() {
     let mut pf = Prefetcher::new(params.prefetch_streams, params.prefetch_trigger);
     let pf_ns = per_addr(Box::new(move |a| pf.on_miss(a >> 6)));
 
-    let mut m = SmpMachine::new(params, P);
+    let mut m = SmpMachine::new(params.clone(), P);
     let arr = m.alloc_elems::<u64>(N);
     let mut y = 1u64;
     let mut whole = |write: bool, random: bool| {
@@ -96,4 +133,6 @@ fn main() {
     println!("  ProcCtx::read, random        {:6.1}", read_ns - floor);
     println!("  ProcCtx::write, random       {:6.1}", write_ns - floor);
     println!("  ProcCtx::read, sequential    {seq_ns:6.1}");
+
+    list_cells(&params);
 }

@@ -10,9 +10,12 @@
 //!
 //! `tests/golden/smp_runstats.txt` was recorded by running this file on
 //! commit 64667d8 (the scan-and-rotate `Tlb` and `Cache`, four host arrays
-//! in the Helman–JáJá walk). A host-speed change to `smp-sim` or to a
-//! `sim_smp.rs` kernel must leave it byte-identical. After an intended
-//! model change, replace the file with the text the failure prints.
+//! in the Helman–JáJá walk), and its last eight lines — the list cells at
+//! the benchmark's `p = 8` and at `p = 1` — on commit 5cd33e5 (the serial
+//! walk, before it became a host chase and a replay). A host-speed change
+//! to `smp-sim` or to a `sim_smp.rs` kernel must leave it byte-identical.
+//! After an intended model change, replace the file with the text the
+//! failure prints.
 
 use archgraph::apps::sim::try_simulate_euler_smp;
 use archgraph::apps::tree::Tree;
@@ -61,18 +64,26 @@ fn line(name: &str, s: &RunStats) -> String {
     )
 }
 
-/// The seven kernels on one machine. `scale` shifts every input size down:
-/// unscaled, a list is 2 MB a column, so Helman–JáJá's three columns pass
-/// the E4500's 4 MB L2 as well as its TLB's 512 KB reach; the tiny machine
-/// thrashes everything at a sixteenth of that.
+/// The Random and the Ordered list and the tree. `scale` shifts every
+/// input size down: unscaled, a list is 2 MB a column, so Helman–JáJá's
+/// three columns pass the E4500's 4 MB L2 as well as its TLB's 512 KB
+/// reach; the tiny machine thrashes everything at a sixteenth of that.
+fn list_inputs(scale: u32) -> (LinkedList, LinkedList, Tree) {
+    let n_list = (1usize << 19) >> scale;
+    let n_tree = (1usize << 14) >> scale;
+    (
+        LinkedList::random(n_list, &mut Rng::new(2005)),
+        LinkedList::ordered(n_list),
+        Tree::random_attachment(n_tree, 2005),
+    )
+}
+
+/// The seven kernels on one machine at `p = 4`.
 fn kernels(machine: &str, params: &SmpParams, scale: u32) -> String {
     let p = 4;
-    let n_list = (1usize << 19) >> scale;
     let n_graph = (1usize << 13) >> scale;
-    let random = LinkedList::random(n_list, &mut Rng::new(2005));
-    let ordered = LinkedList::ordered(n_list);
+    let (random, ordered, tree) = list_inputs(scale);
     let g = gen::random_gnm(n_graph, 5 * n_graph, 2005);
-    let tree = Tree::random_attachment(2 * n_graph, 2005);
 
     let mut out = String::new();
     let mut put =
@@ -104,6 +115,24 @@ fn kernels(machine: &str, params: &SmpParams, scale: u32) -> String {
     out
 }
 
+/// The Helman–JáJá cells as `smp-cache` runs them — eight processors, so
+/// 64 sublists dealt round-robin — and the one-processor walk, where a
+/// single `ProcCtx` takes every sublist in turn.
+fn list_cells(machine: &str, params: &SmpParams, scale: u32) -> String {
+    let (random, ordered, tree) = list_inputs(scale);
+    let hj = |list, p| try_simulate_hj(list, params, p, 8, 1).unwrap().stats;
+    let euler = try_simulate_euler_smp(&tree, 0, params, 8, 8).unwrap();
+    [
+        ("hj-random@p8", hj(&random, 8)),
+        ("hj-ordered@p8", hj(&ordered, 8)),
+        ("euler@p8", euler.stats),
+        ("hj-random@p1", hj(&random, 1)),
+    ]
+    .iter()
+    .map(|(kernel, s)| line(&format!("{machine}/{kernel}"), s))
+    .collect()
+}
+
 #[test]
 fn smp_runstats_are_bit_identical_to_the_recorded_model() {
     let e4500 = SmpParams::sun_e4500();
@@ -113,9 +142,12 @@ fn smp_runstats_are_bit_identical_to_the_recorded_model() {
     let mut actual = with_fault_plan(None, || {
         kernels("e4500", &e4500, 0) + &kernels("tiny", &tiny, 4)
     });
-    actual += &with_fault_plan(Some(plan), || {
+    actual += &with_fault_plan(Some(plan.clone()), || {
         kernels("e4500+plan", &e4500, 2) + &kernels("tiny+plan", &tiny, 4)
     });
+    // After the 28 lines of the first recording, so those keep their place.
+    actual += &with_fault_plan(None, || list_cells("e4500", &e4500, 0));
+    actual += &with_fault_plan(Some(plan), || list_cells("e4500+plan", &e4500, 2));
     let moved: Vec<String> = GOLDEN
         .lines()
         .zip(actual.lines())
