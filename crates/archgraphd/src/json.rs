@@ -70,11 +70,12 @@ impl Json {
     }
 
     /// Parse one JSON value from `s` (the whole string must be consumed,
-    /// modulo trailing whitespace).
+    /// modulo trailing whitespace). Arrays and objects may nest 64 deep
+    /// (`MAX_DEPTH`); deeper input is an ordinary parse error.
     pub fn parse(s: &str) -> Result<Json, String> {
         let b = s.as_bytes();
         let mut pos = 0;
-        let v = parse_value(b, &mut pos)?;
+        let v = parse_value(b, &mut pos, 0)?;
         skip_ws(b, &mut pos);
         if pos != b.len() {
             return Err(format!("trailing bytes at offset {pos}"));
@@ -82,6 +83,12 @@ impl Json {
         Ok(v)
     }
 }
+
+/// The deepest nesting `Json::parse` follows. The parser recurses once
+/// per open bracket and its input comes off a socket, so without a bound
+/// a line of brackets overflows the handler thread's stack and aborts the
+/// daemon. The protocol nests 3 deep (request → `cells` → spec).
+const MAX_DEPTH: usize = 64;
 
 fn skip_ws(b: &[u8], pos: &mut usize) {
     while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
@@ -98,10 +105,13 @@ fn expect(b: &[u8], pos: &mut usize, lit: &str) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(b, pos);
     match b.get(*pos) {
         None => Err("unexpected end of input".into()),
+        Some(b'[' | b'{') if depth == MAX_DEPTH => {
+            Err(format!("nesting deeper than {MAX_DEPTH} at offset {pos}"))
+        }
         Some(b'n') => expect(b, pos, "null").map(|()| Json::Null),
         Some(b't') => expect(b, pos, "true").map(|()| Json::Bool(true)),
         Some(b'f') => expect(b, pos, "false").map(|()| Json::Bool(false)),
@@ -115,7 +125,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(out));
             }
             loop {
-                out.push(parse_value(b, pos)?);
+                out.push(parse_value(b, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -140,7 +150,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 let key = parse_string(b, pos)?;
                 skip_ws(b, pos);
                 expect(b, pos, ":")?;
-                let val = parse_value(b, pos)?;
+                let val = parse_value(b, pos, depth + 1)?;
                 out.insert(key, val);
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -291,6 +301,30 @@ mod tests {
             "{'single':1}",
         ] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should not parse");
+        }
+    }
+
+    #[test]
+    fn nesting_is_bounded_so_a_line_of_brackets_cannot_overflow_the_stack() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        assert_eq!(
+            Json::parse(&nested(MAX_DEPTH + 1)),
+            Err("nesting deeper than 64 at offset 64".to_string())
+        );
+        let objects = r#"{"a":"#.repeat(MAX_DEPTH) + "1" + &"}".repeat(MAX_DEPTH);
+        assert!(Json::parse(&objects).is_ok());
+        // Unclosed and 100 000 deep, on a spawned thread's stack as in the
+        // daemon's handler: before the bound this aborted the process.
+        for open in ["[", r#"{"a":"#] {
+            let err = std::thread::spawn(move || Json::parse(&open.repeat(100_000)))
+                .join()
+                .expect("the parser returns instead of overflowing")
+                .expect_err("too deep");
+            assert!(
+                err.starts_with("nesting deeper than 64 at offset "),
+                "{err}"
+            );
         }
     }
 

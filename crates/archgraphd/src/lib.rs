@@ -30,16 +30,17 @@ pub mod server;
 use std::sync::Arc;
 
 use archgraph_bench::{sweep, CellSpec};
-use archgraph_mta_sim::{with_fault_plan, FaultPlan};
+use archgraph_mta_sim::with_fault_plan;
 
 /// The real cell runner: executes [`CellSpec::run`] under panic
-/// isolation, with the spec's fault plan scoped around the run.
+/// isolation, with ambient fault plans shut out.
 ///
-/// The fault override is applied **unconditionally** — `None` forces a
-/// clean memory system even if the daemon process inherited
-/// `ARCHGRAPH_FAULTS` from its environment. That guard is what keeps the
-/// result cache sound: an ambient fault plan the spec didn't ask for can
-/// never leak into a cached fingerprint.
+/// The outer override is **unconditional** — `None` forces a clean
+/// memory system even if the daemon process inherited `ARCHGRAPH_FAULTS`
+/// from its environment, and a spec that carries its own plan scopes it
+/// inside (`CellSpec::run_full`). That guard is what keeps the result
+/// cache sound: an ambient fault plan the spec didn't ask for can never
+/// leak into a cached fingerprint.
 ///
 /// Panics inside the simulation (watchdog trips, deadlock detection, the
 /// deliberate `ARCHGRAPH_BENCH_PANIC_CELL` hook) come back as `Err` with
@@ -47,12 +48,8 @@ use archgraph_mta_sim::{with_fault_plan, FaultPlan};
 /// and never dies with the cell.
 pub fn sim_runner() -> queue::Runner {
     Arc::new(|spec: &CellSpec| {
-        let plan = match spec.faults.as_deref() {
-            Some(f) => Some(FaultPlan::parse(f).map_err(|e| format!("faults: {e}"))?),
-            None => None,
-        };
         sweep::isolate(&spec.display_name(), || {
-            with_fault_plan(plan, || spec.run())
+            with_fault_plan(None, || spec.run())
         })
         .map(|fp| fp.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
         .map_err(|failure| failure.message)

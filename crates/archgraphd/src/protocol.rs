@@ -116,28 +116,13 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
             if cells_json.is_empty() {
                 return Err("submit needs at least one cell".into());
             }
-            if obj
-                .keys()
-                .any(|k| k != "op" && k != "cells" && k != "budget_cycles" && k != "budget_host_ms")
-            {
+            if obj.keys().any(|k| !SUBMIT_KEYS.contains(&k.as_str())) {
                 return Err("submit accepts only \"op\", \"cells\", \"budget_cycles\", \
                             and \"budget_host_ms\""
                     .into());
             }
-            let budget_cycles = match v.get("budget_cycles") {
-                None => None,
-                Some(b) => Some(
-                    b.as_u64()
-                        .ok_or("\"budget_cycles\" must be a non-negative integer")?,
-                ),
-            };
-            let budget_host_ms = match v.get("budget_host_ms") {
-                None => None,
-                Some(b) => Some(
-                    b.as_u64()
-                        .ok_or("\"budget_host_ms\" must be a non-negative integer")?,
-                ),
-            };
+            let budget_cycles = get_uint(&v, "budget_cycles")?;
+            let budget_host_ms = get_uint(&v, "budget_host_ms")?;
             let mut specs = Vec::with_capacity(cells_json.len());
             for (i, cj) in cells_json.iter().enumerate() {
                 specs.push(parse_spec(cj).map_err(|e| format!("cells[{i}]: {e}"))?);
@@ -154,6 +139,9 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
     }
 }
 
+/// Every key a `submit` may carry.
+const SUBMIT_KEYS: [&str; 4] = ["op", "cells", "budget_cycles", "budget_host_ms"];
+
 /// Every key a cell spec may carry; anything else is a rejected typo.
 const SPEC_KEYS: [&str; 10] = [
     "cell",
@@ -168,15 +156,12 @@ const SPEC_KEYS: [&str; 10] = [
     "faults",
 ];
 
-fn get_usize(v: &Json, key: &str) -> Result<Option<usize>, String> {
-    match v.get(key) {
-        None => Ok(None),
-        Some(j) => j
-            .as_u64()
-            .and_then(|u| usize::try_from(u).ok())
-            .map(Some)
-            .ok_or_else(|| format!("\"{key}\" must be a non-negative integer")),
-    }
+/// The optional member `key` as an exact unsigned integer that fits `T`.
+fn get_uint<T: TryFrom<u64>>(v: &Json, key: &str) -> Result<Option<T>, String> {
+    let as_t = |j: &Json| j.as_u64().and_then(|u| T::try_from(u).ok());
+    v.get(key)
+        .map(|j| as_t(j).ok_or_else(|| format!("\"{key}\" must be a non-negative integer")))
+        .transpose()
 }
 
 /// Parse one cell spec (bench-suite reference or structured form),
@@ -207,24 +192,25 @@ pub fn parse_spec(v: &Json) -> Result<CellSpec, String> {
         CellSpec::new(kernel, machine, default_p)
     };
 
-    if let Some(p) = get_usize(v, "p")? {
+    if let Some(p) = get_uint(v, "p")? {
         spec.p = p;
     }
-    if let Some(n) = get_usize(v, "n")? {
+    if let Some(n) = get_uint(v, "n")? {
         spec.n = n;
     }
-    if let Some(m) = get_usize(v, "m")? {
+    if let Some(m) = get_uint(v, "m")? {
         spec.m = m;
     }
     // Accepted for old clients, checked because it is outside input, and
     // then dropped: nothing reads a worker count any more.
-    if let Some(w) = get_usize(v, "workers")? {
+    if let Some(w) = get_uint::<usize>(v, "workers")? {
         if w == 0 || w > 256 {
             return Err(format!("workers={w} out of range (1..=256)"));
         }
     }
-    if let Some(b) = v.get("max_cycles") {
-        spec.max_cycles = Some(b.as_u64().ok_or("\"max_cycles\" must be an integer")?);
+    // Its own, older wording: error texts are part of the protocol.
+    if let Some(b) = get_uint(v, "max_cycles").map_err(|_| "\"max_cycles\" must be an integer")? {
+        spec.max_cycles = Some(b);
     }
     if let Some(e) = v.get("engine") {
         let name = e.as_str().ok_or("\"engine\" must be a string")?;

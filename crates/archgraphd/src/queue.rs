@@ -12,47 +12,61 @@
 //! past the bound is rejected with a structured error instead of letting
 //! one tenant buffer unbounded work ahead of everyone else.
 //!
-//! Jobs may carry a cycle *budget* (`budget_cycles` on submit). The
-//! scheduler threads the remaining budget through
-//! [`CellSpec::max_cycles`] so the engines' own cycle watchdog enforces
-//! it mid-run; simulated cycles (or SMP instructions) are charged
-//! against the budget as cells complete. A job that exhausts its quota
-//! fails *structurally* — remaining cells are failed with a
-//! `BudgetExceeded` error without running — instead of starving the
-//! pool. Cache hits are free: a budget of 0 turns a job into
-//! "serve from cache only". The charge is optimistic (no reservation),
-//! so a job whose cells run on several workers at once can overshoot
-//! its budget by up to one in-flight cell per worker; the budget is a
-//! quota, not a hard real-time bound.
+//! # The state machine
 //!
-//! Cycle budgets meter *simulated* time only, so a pathological spec
-//! (huge `n` at a tiny cycle cost, or a fault plan that crawls) can
-//! burn unbounded host wall-clock inside its quota. `budget_host_ms`
-//! closes that hole: the job's host clock starts at admission and is
-//! checked at every cell boundary — an expired job fails its remaining
-//! cells with the same structural `BudgetExceeded` shape instead of
-//! occupying workers. The in-flight cell is never interrupted (cells
-//! are the scheduling quantum), so the cap can overshoot by up to one
-//! cell-time per worker, exactly like the cycle quota.
+//! Everything the scheduler decides is a value, [`Sched`], that changes
+//! only through four transitions. None touches a thread, the condvar, the
+//! cache, the disk or the clock, so a test drives them on a bare value
+//! against a model (`transitions_match_the_model`).
 //!
-//! Results stream back per job over an [`mpsc`] channel the submitter
-//! provides: one [`Event::Cell`] per cell as it completes (cache hit,
-//! fresh run, failure, or cancellation), then one [`Event::Done`] with
-//! the job summary. A submitter that disconnects just drops its
+//! | transition | precondition | effect | events sent |
+//! |---|---|---|---|
+//! | `admit` | job not empty, not draining, `queued + n ≤ max_queue` | job `jN` joins the back of the ring, `queued += n` | — |
+//! | `pull` | some job has a pending cell | the head job's first cell leaves `pending`, the job rotates to the back, `queued -= 1`, and `inflight += 1` unless draining | — |
+//! | `cancel` | the job is live | its backlog is taken out, `queued` drops at once | — (the caller settles each cell `Cancelled`) |
+//! | `settle` | the cell was pulled or cancelled and has not settled | **the only place a cell ends**: lifetime stats and job summary counted, cycle quota debited, `inflight -= 1` unless `Cancelled`; a job whose summary now counts every cell is removed | one [`Event::Cell`]; after the last, the one [`Event::Done`] |
+//!
+//! Lock discipline: the mutex is held for a transition and nothing else —
+//! never across the cache (`lookup`, `record` and `usage` are disk I/O),
+//! never across `CellSpec::display_name` (it scans the bench suite),
+//! never across a run. A cell costs two lock trips, `pull` and `settle`:
+//! `pull` hands the worker a copy of the job's [`Budget`], so the gate
+//! needs no third.
+//!
+//! # Budgets
+//!
+//! A job may carry a cycle quota (`budget_cycles`), a host wall-clock cap
+//! (`budget_host_ms`, its clock started at admission), or both: one
+//! [`Budget`], and one verdict per cache miss, [`Budget::gate`]. Hits are
+//! looked up first and are free, so a budget of 0 means "serve from cache
+//! only". The gate checks the host clock, then the quota, and clamps the
+//! cell's `max_cycles` to `min(own, remaining)` so that the engines' own
+//! watchdog enforces the quota mid-run; a refused cell fails with a
+//! structured `BudgetExceeded` error without occupying a worker. A
+//! watchdog trip is the job's failure only when the quota was the binding
+//! bound, and then burns the remainder so that siblings fail fast. Both
+//! bounds are optimistic — no reservation, the gate reads the copy `pull`
+//! made, and no in-flight cell is interrupted — so a job can overshoot by
+//! one cell per worker: a quota, not a hard real-time bound (DESIGN.md
+//! §9.2 has the reasons).
+//!
+//! Results stream back per job over an [`mpsc`](std::sync::mpsc) channel
+//! the submitter provides. A submitter that disconnects just drops its
 //! receiver; sends fail silently and the job still runs to completion
-//! (and still populates the cache). Cancellation drains the job's
-//! pending cells *eagerly*, so `status` never reports cancelled work as
-//! runnable backlog.
+//! (and still populates the cache). Cancellation drains the job's pending
+//! cells *eagerly*, so `status` never reports cancelled work as runnable
+//! backlog.
 //!
-//! The runner is injected ([`Runner`]) so the scheduling logic is
-//! testable without simulating anything; the real daemon injects
-//! [`crate::sim_runner`], which executes [`CellSpec::run`] under panic
-//! isolation and scoped fault-plan overrides.
+//! The runner is injected ([`Runner`]) so the pool is testable without
+//! simulating anything; the real daemon injects [`crate::sim_runner`],
+//! which executes [`CellSpec::run`] under panic isolation with ambient
+//! fault plans shut out.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::mpsc::Sender;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::{self, JoinHandle};
+use std::time::Instant;
 
 use archgraph_bench::cells::bench_suite;
 use archgraph_bench::CellSpec;
@@ -173,103 +187,67 @@ struct Task {
     spec: CellSpec,
 }
 
-/// Remaining cycle quota for a budgeted job.
-struct BudgetState {
-    total: u64,
-    remaining: u64,
-}
-
-/// Host wall-clock cap for a job: the clock starts at admission.
-struct HostBudget {
-    total_ms: u64,
-    started: std::time::Instant,
-}
-
-impl HostBudget {
-    /// `Some(elapsed_ms)` once the cap has expired.
-    fn expired(&self) -> Option<u64> {
-        let elapsed = u64::try_from(self.started.elapsed().as_millis()).unwrap_or(u64::MAX);
-        (elapsed >= self.total_ms).then_some(elapsed)
-    }
-}
-
-struct JobState {
-    cancelled: bool,
-    /// Cells not yet picked up by a worker, in submit order.
-    pending: VecDeque<Task>,
-    /// Cells not yet *finished* (pending + in flight).
-    remaining: usize,
-    summary: JobSummary,
-    tx: Sender<Event>,
-    budget: Option<BudgetState>,
-    host_budget: Option<HostBudget>,
-}
-
-#[derive(Default)]
-struct QState {
-    /// Round-robin ring of job ids with pending cells. Invariant: a job
-    /// id appears at most once; stale entries (drained or finished
-    /// jobs) are dropped lazily by `next_task`.
-    ring: VecDeque<String>,
-    jobs: HashMap<String, JobState>,
-    /// Sum of all pending-queue lengths (the admission-controlled
-    /// backlog).
-    queued: usize,
-    next_job: u64,
-    inflight: usize,
-    shutdown: bool,
-    stats: Stats,
-}
-
-/// Pop the next task round-robin: take the head job off the ring, take
-/// its first pending cell, and rotate the job to the back if it still
-/// has more — a deficit round-robin with a quantum of one cell.
-fn next_task(st: &mut QState) -> Option<(String, Task)> {
-    while let Some(job) = st.ring.pop_front() {
-        let Some(jobst) = st.jobs.get_mut(&job) else {
-            continue; // stale ring entry: job already finished
-        };
-        let Some(task) = jobst.pending.pop_front() else {
-            continue; // stale ring entry: job drained (e.g. cancelled)
-        };
-        st.queued -= 1;
-        if !jobst.pending.is_empty() {
-            st.ring.push_back(job.clone());
+impl Task {
+    /// This cell's event. Call it outside the lock: the name scans the
+    /// bench suite.
+    fn event(&self, status: CellStatus) -> CellEvent {
+        CellEvent {
+            index: self.index,
+            name: self.spec.display_name(),
+            key: self.spec.cache_key(),
+            status,
         }
-        return Some((job, task));
     }
-    None
 }
 
-/// How a pulled cell is allowed to run, per the job's budget.
-enum BudgetGate {
-    /// No budget on the job: run with the spec's own `max_cycles`.
-    Unlimited,
-    /// Budget active: clamp `max_cycles` to `remaining`. `binding` is
-    /// true when the budget (not the spec's own limit) is the tighter
-    /// bound, i.e. a watchdog trip means the *job* ran out of quota.
-    Clamp {
-        total: u64,
-        remaining: u64,
-        binding: bool,
-    },
-    /// Quota already exhausted: fail the cell without running it.
-    Exhausted { total: u64 },
-    /// The job's host wall-clock cap expired: fail without running.
-    HostExpired { total_ms: u64, elapsed: u64 },
+/// Simulated cycles, `(total, remaining)`.
+type Quota = (u64, u64);
+
+/// A job's two quotas. `Copy`, so `pull` hands the worker its own.
+#[derive(Clone, Copy, Default)]
+struct Budget {
+    cycles: Option<Quota>,
+    /// `(total_ms, admitted)`: the host clock starts at admission.
+    host: Option<(u64, Instant)>,
+}
+
+impl Budget {
+    /// The verdict, at `now`, for a cache-miss cell whose own limit is
+    /// `own_max_cycles`: host clock first, then the cycle quota. `Ok` is
+    /// `(max_cycles, quota)` — run under `max_cycles`, where `quota` is
+    /// set when the job's quota, not the cell's own limit, is the binding
+    /// bound, so that a watchdog trip means the *job* ran out. `Err` is
+    /// the message to fail the cell with, unrun.
+    fn gate(
+        &self,
+        own_max_cycles: Option<u64>,
+        now: Instant,
+    ) -> Result<(Option<u64>, Option<Quota>), String> {
+        if let Some((total_ms, admitted)) = self.host {
+            let elapsed = now.saturating_duration_since(admitted).as_millis();
+            let elapsed_ms = u64::try_from(elapsed).unwrap_or(u64::MAX);
+            if elapsed_ms >= total_ms {
+                return Err(format!(
+                    "BudgetExceeded: job host-time budget of {total_ms} ms exhausted \
+                     ({elapsed_ms} ms elapsed; cell skipped without running)"
+                ));
+            }
+        }
+        let own = own_max_cycles.unwrap_or(u64::MAX);
+        match self.cycles {
+            None => Ok((own_max_cycles, None)),
+            Some((total, 0)) => Err(budget_exceeded(total, "cell skipped without running")),
+            Some((total, remaining)) => Ok((
+                Some(own.min(remaining)),
+                (remaining <= own).then_some((total, remaining)),
+            )),
+        }
+    }
 }
 
 /// The structured failure message for a job that ran out of budget.
 fn budget_exceeded(total: u64, detail: &str) -> String {
     format!("BudgetExceeded: job budget of {total} cycles exhausted ({detail})")
-}
-
-/// The structured failure message for a job whose host-time cap expired.
-fn host_budget_exceeded(total_ms: u64, elapsed_ms: u64) -> String {
-    format!(
-        "BudgetExceeded: job host-time budget of {total_ms} ms exhausted \
-         ({elapsed_ms} ms elapsed; cell skipped without running)"
-    )
 }
 
 /// The cycle charge of a completed fingerprint: the simulated `cycles`
@@ -282,13 +260,165 @@ fn cycles_of(sim: &[(String, u64)]) -> u64 {
         .unwrap_or(0)
 }
 
+struct Job {
+    /// Cells not yet picked up by a worker, in submit order.
+    pending: VecDeque<Task>,
+    /// Counts every settled cell; the job lives until that is all of them.
+    summary: JobSummary,
+    tx: Sender<Event>,
+    budget: Budget,
+}
+
+/// The scheduler's whole state; see the module header for its four
+/// transitions.
+#[derive(Default)]
+struct Sched {
+    /// Round-robin ring of job ids with pending cells. Invariant: a job
+    /// id appears at most once; stale entries (drained or finished
+    /// jobs) are dropped lazily by `pull`.
+    ring: VecDeque<String>,
+    jobs: HashMap<String, Job>,
+    /// Sum of all pending-queue lengths (the admission-controlled
+    /// backlog).
+    queued: usize,
+    /// Cells pulled to run and not yet settled.
+    inflight: usize,
+    next_job: u64,
+    /// Set once by shutdown: admits are refused, pulls hand out no budget.
+    draining: bool,
+    stats: Stats,
+}
+
+impl Sched {
+    fn admit(
+        &mut self,
+        specs: Vec<CellSpec>,
+        budget: Budget,
+        tx: Sender<Event>,
+        max_queue: usize,
+    ) -> Result<(String, usize), String> {
+        let n = specs.len();
+        if n == 0 {
+            return Err("empty job: no cells".into());
+        }
+        if self.draining {
+            return Err("daemon is shutting down".into());
+        }
+        if self.queued + n > max_queue {
+            return Err(format!(
+                "queue full: {} queued + {n} submitted exceeds the admission bound of {max_queue}",
+                self.queued
+            ));
+        }
+        self.next_job += 1;
+        self.stats.jobs += 1;
+        self.queued += n;
+        let id = format!("j{}", self.next_job);
+        let job = Job {
+            pending: specs
+                .into_iter()
+                .enumerate()
+                .map(|(index, spec)| Task { index, spec })
+                .collect(),
+            summary: JobSummary {
+                cells: n,
+                ..JobSummary::default()
+            },
+            tx,
+            budget,
+        };
+        self.jobs.insert(id.clone(), job);
+        self.ring.push_back(id.clone());
+        Ok((id, n))
+    }
+
+    /// Take the head job off the ring, take its first pending cell, and
+    /// rotate the job to the back if it still has more — a deficit
+    /// round-robin with a quantum of one cell. The cell comes with a copy
+    /// of the job's budget to run under, or with `None` while draining:
+    /// it is not in flight, and the caller settles it `Cancelled` unrun.
+    fn pull(&mut self) -> Option<(String, Task, Option<Budget>)> {
+        while let Some(id) = self.ring.pop_front() {
+            let Some(job) = self.jobs.get_mut(&id) else {
+                continue; // stale ring entry: job already finished
+            };
+            let Some(task) = job.pending.pop_front() else {
+                continue; // stale ring entry: job drained by a cancel
+            };
+            let run = (!self.draining).then_some(job.budget);
+            if !job.pending.is_empty() {
+                self.ring.push_back(id.clone());
+            }
+            self.queued -= 1;
+            self.inflight += usize::from(run.is_some());
+            return Some((id, task, run));
+        }
+        None
+    }
+
+    /// Take a live job's backlog out. The caller settles every returned
+    /// cell `Cancelled`; the job stays live until it has.
+    fn cancel(&mut self, id: &str) -> Option<Vec<Task>> {
+        let drained: Vec<Task> = self.jobs.get_mut(id)?.pending.drain(..).collect();
+        self.queued -= drained.len();
+        Some(drained)
+    }
+
+    /// End one cell. `ran` tells an executed failure from a refused cell
+    /// in the lifetime stats; `charge` is debited from the cycle quota.
+    fn settle(&mut self, id: &str, event: CellEvent, ran: bool, charge: u64) {
+        let job = self
+            .jobs
+            .get_mut(id)
+            .expect("a job is live until its last cell has settled");
+        let (stats, sum) = (&mut self.stats, &mut job.summary);
+        match &event.status {
+            CellStatus::Done { cached: true, .. } => {
+                stats.cache_hits += 1;
+                sum.ok += 1;
+                sum.cached += 1;
+            }
+            CellStatus::Done { .. } => {
+                stats.cells_run += 1;
+                sum.ok += 1;
+            }
+            CellStatus::Failed { .. } => {
+                stats.cells_run += u64::from(ran);
+                stats.failures += 1;
+                sum.failed += 1;
+            }
+            CellStatus::Cancelled => sum.cancelled += 1,
+        }
+        if event.status != CellStatus::Cancelled {
+            self.inflight -= 1;
+        }
+        if let Some((_, remaining)) = &mut job.budget.cycles {
+            *remaining = remaining.saturating_sub(charge);
+        }
+        // A disconnected submitter dropped its receiver; the send failing
+        // is fine — the result is cached either way.
+        let _ = job.tx.send(Event::Cell(event));
+        let sum = &job.summary;
+        if sum.ok + sum.failed + sum.cancelled == sum.cells {
+            let job = self.jobs.remove(id).expect("job present");
+            let _ = job.tx.send(Event::Done(job.summary));
+        }
+    }
+}
+
 struct Inner {
-    state: Mutex<QState>,
+    state: Mutex<Sched>,
     cv: Condvar,
     runner: Runner,
     cache: Cache,
     max_queue: usize,
     workers: usize,
+}
+
+impl Inner {
+    fn lock(&self) -> MutexGuard<'_, Sched> {
+        self.state.lock().expect("scheduler lock")
+    }
 }
 
 /// The daemon's scheduler: per-job queues drained round-robin by a
@@ -305,7 +435,7 @@ impl Scheduler {
     pub fn new(workers: usize, max_queue: usize, cache: Cache, runner: Runner) -> Scheduler {
         let workers = workers.max(1);
         let inner = Arc::new(Inner {
-            state: Mutex::new(QState::default()),
+            state: Mutex::new(Sched::default()),
             cv: Condvar::new(),
             runner,
             cache,
@@ -339,55 +469,14 @@ impl Scheduler {
         budget_host_ms: Option<u64>,
         tx: Sender<Event>,
     ) -> Result<(String, usize), String> {
-        if specs.is_empty() {
-            return Err("empty job: no cells".into());
-        }
-        let mut st = self.inner.state.lock().expect("scheduler lock");
-        if st.shutdown {
-            return Err("daemon is shutting down".into());
-        }
-        if st.queued + specs.len() > self.inner.max_queue {
-            return Err(format!(
-                "queue full: {} queued + {} submitted exceeds the admission bound of {}",
-                st.queued,
-                specs.len(),
-                self.inner.max_queue
-            ));
-        }
-        st.next_job += 1;
-        st.stats.jobs += 1;
-        let job = format!("j{}", st.next_job);
-        let n = specs.len();
-        st.queued += n;
-        st.jobs.insert(
-            job.clone(),
-            JobState {
-                cancelled: false,
-                pending: specs
-                    .into_iter()
-                    .enumerate()
-                    .map(|(index, spec)| Task { index, spec })
-                    .collect(),
-                remaining: n,
-                summary: JobSummary {
-                    cells: n,
-                    ..JobSummary::default()
-                },
-                tx,
-                budget: budget_cycles.map(|total| BudgetState {
-                    total,
-                    remaining: total,
-                }),
-                host_budget: budget_host_ms.map(|total_ms| HostBudget {
-                    total_ms,
-                    started: std::time::Instant::now(),
-                }),
-            },
-        );
-        st.ring.push_back(job.clone());
-        drop(st);
-        self.inner.cv.notify_all();
-        Ok((job, n))
+        let budget = Budget {
+            cycles: budget_cycles.map(|total| (total, total)),
+            host: budget_host_ms.map(|total_ms| (total_ms, Instant::now())),
+        };
+        let inner = &self.inner;
+        let admitted = inner.lock().admit(specs, budget, tx, inner.max_queue)?;
+        inner.cv.notify_all();
+        Ok(admitted)
     }
 
     /// Cancel a job: pending cells are drained *eagerly* — streamed to
@@ -396,41 +485,32 @@ impl Scheduler {
     /// The in-flight cell — if any — completes normally. Returns false
     /// for unknown (or already finished) job ids.
     pub fn cancel(&self, job: &str) -> bool {
-        let mut st = self.inner.state.lock().expect("scheduler lock");
-        let st = &mut *st;
-        let Some(jobst) = st.jobs.get_mut(job) else {
+        let Some(drained) = self.inner.lock().cancel(job) else {
             return false;
         };
-        jobst.cancelled = true;
-        let drained: Vec<Task> = jobst.pending.drain(..).collect();
-        st.queued -= drained.len();
-        for task in drained {
-            jobst.summary.cancelled += 1;
-            jobst.remaining -= 1;
-            let _ = jobst.tx.send(Event::Cell(CellEvent {
-                index: task.index,
-                name: task.spec.display_name(),
-                key: task.spec.cache_key(),
-                status: CellStatus::Cancelled,
-            }));
-        }
-        if jobst.remaining == 0 {
-            let jobst = st.jobs.remove(job).expect("job present");
-            let _ = jobst.tx.send(Event::Done(jobst.summary));
+        let events: Vec<CellEvent> = drained
+            .iter()
+            .map(|task| task.event(CellStatus::Cancelled))
+            .collect();
+        let mut st = self.inner.lock();
+        for event in events {
+            st.settle(job, event, false, 0);
         }
         true
     }
 
     /// Current state, for the `status` op.
     pub fn snapshot(&self) -> Snapshot {
-        let st = self.inner.state.lock().expect("scheduler lock");
+        // Before the lock: `usage` walks the cache directory.
+        let cache = self.inner.cache.usage();
+        let st = self.inner.lock();
         Snapshot {
             stats: st.stats.clone(),
             queued: st.queued,
             inflight: st.inflight,
             active_jobs: st.jobs.len(),
             workers: self.inner.workers,
-            cache: self.inner.cache.usage(),
+            cache,
         }
     }
 
@@ -453,10 +533,7 @@ impl Scheduler {
     /// job receives its terminal [`Event::Done`], and the worker threads
     /// exit. Blocks until the pool is gone. Idempotent.
     pub fn shutdown_and_join(&self) {
-        {
-            let mut st = self.inner.state.lock().expect("scheduler lock");
-            st.shutdown = true;
-        }
+        self.inner.lock().draining = true;
         self.inner.cv.notify_all();
         let handles: Vec<_> = self
             .handles
@@ -470,178 +547,59 @@ impl Scheduler {
     }
 }
 
+/// Pull, run, settle. Under a drain the pull keeps going, so that pending
+/// cells are flushed as cancelled, and the worker exits once every queue
+/// is dry.
 fn worker_loop(inner: &Inner) {
     loop {
-        // Pull the next task round-robin; under shutdown, keep pulling
-        // so pending tasks are flushed as cancelled, and exit once every
-        // queue is dry.
-        let (job, task, run_it) = {
-            let mut st = inner.state.lock().expect("scheduler lock");
-            let (job, task) = loop {
-                if let Some(jt) = next_task(&mut st) {
-                    break jt;
+        let (job, task, run) = {
+            let mut st = inner.lock();
+            loop {
+                if let Some(pulled) = st.pull() {
+                    break pulled;
                 }
-                if st.shutdown {
+                if st.draining {
                     return;
                 }
                 st = inner.cv.wait(st).expect("scheduler lock");
-            };
-            let skip = st.shutdown || st.jobs.get(&job).is_none_or(|j| j.cancelled);
-            if !skip {
-                st.inflight += 1;
             }
-            (job, task, !skip)
         };
-
-        // `ran` distinguishes executed cells from budget-exhausted
-        // skips in the lifetime stats; `charge` is the cycle cost
-        // debited from the job's budget once the cell is accounted.
-        let mut ran = false;
-        let mut charge = 0u64;
-        let status = if run_it {
-            // Cache first: hits are free and are served even with an
-            // exhausted budget (a budget of 0 means "cache only").
-            match inner.cache.lookup(&task.spec) {
-                Some(sim) => CellStatus::Done { sim, cached: true },
-                None => {
-                    // Host-time cap, checked at the cell boundary: an
-                    // expired job fails its remaining cells without
-                    // occupying a worker. Probed before the cycle gate —
-                    // wall-clock exhaustion is the stronger claim.
-                    let host_expired = {
-                        let st = inner.state.lock().expect("scheduler lock");
-                        st.jobs
-                            .get(&job)
-                            .and_then(|j| j.host_budget.as_ref())
-                            .and_then(|h| h.expired().map(|elapsed| (h.total_ms, elapsed)))
-                    };
-                    let gate = if let Some((total_ms, elapsed)) = host_expired {
-                        BudgetGate::HostExpired { total_ms, elapsed }
-                    } else {
-                        let st = inner.state.lock().expect("scheduler lock");
-                        match st.jobs.get(&job).and_then(|j| j.budget.as_ref()) {
-                            None => BudgetGate::Unlimited,
-                            Some(b) if b.remaining == 0 => BudgetGate::Exhausted { total: b.total },
-                            Some(b) => BudgetGate::Clamp {
-                                total: b.total,
-                                remaining: b.remaining,
-                                binding: b.remaining <= task.spec.max_cycles.unwrap_or(u64::MAX),
-                            },
-                        }
-                    };
-                    match gate {
-                        BudgetGate::HostExpired { total_ms, elapsed } => CellStatus::Failed {
-                            error: host_budget_exceeded(total_ms, elapsed),
-                        },
-                        BudgetGate::Exhausted { total } => CellStatus::Failed {
-                            error: budget_exceeded(total, "cell skipped without running"),
-                        },
-                        BudgetGate::Unlimited => {
-                            ran = true;
-                            run_cell(inner, &task.spec)
-                        }
-                        BudgetGate::Clamp {
-                            total,
-                            remaining,
-                            binding,
-                        } => {
-                            ran = true;
-                            let mut clamped = task.spec.clone();
-                            clamped.max_cycles = Some(match task.spec.max_cycles {
-                                Some(own) => own.min(remaining),
-                                None => remaining,
-                            });
-                            match run_cell(inner, &clamped) {
-                                CellStatus::Failed { error }
-                                    if binding && error.contains("cycle budget exceeded") =>
-                                {
-                                    // The *job's* quota tripped the
-                                    // watchdog, not the cell's own
-                                    // limit: burn the rest of the
-                                    // budget so siblings fail fast.
-                                    charge = remaining;
-                                    CellStatus::Failed {
-                                        error: budget_exceeded(total, &error),
-                                    }
-                                }
-                                CellStatus::Done { sim, cached } => {
-                                    charge = cycles_of(&sim);
-                                    CellStatus::Done { sim, cached }
-                                }
-                                other => other,
-                            }
-                        }
-                    }
-                }
-            }
-        } else {
-            CellStatus::Cancelled
+        let (status, ran, charge) = match run {
+            Some(budget) => run_cell(inner, &task.spec, budget),
+            None => (CellStatus::Cancelled, false, 0),
         };
-
-        // Display name and key are computed outside the lock (the name
-        // scans the bench suite).
-        let event = CellEvent {
-            index: task.index,
-            name: task.spec.display_name(),
-            key: task.spec.cache_key(),
-            status,
-        };
-
-        let mut st = inner.state.lock().expect("scheduler lock");
-        if run_it {
-            st.inflight -= 1;
-        }
-        match &event.status {
-            CellStatus::Done { cached: true, .. } => st.stats.cache_hits += 1,
-            CellStatus::Done { .. } => st.stats.cells_run += 1,
-            CellStatus::Failed { .. } => {
-                if ran {
-                    st.stats.cells_run += 1;
-                }
-                st.stats.failures += 1;
-            }
-            CellStatus::Cancelled => {}
-        }
-        let finished = match st.jobs.get_mut(&job) {
-            Some(jobst) => {
-                match &event.status {
-                    CellStatus::Done { cached, .. } => {
-                        jobst.summary.ok += 1;
-                        if *cached {
-                            jobst.summary.cached += 1;
-                        }
-                    }
-                    CellStatus::Failed { .. } => jobst.summary.failed += 1,
-                    CellStatus::Cancelled => jobst.summary.cancelled += 1,
-                }
-                if let Some(b) = jobst.budget.as_mut() {
-                    b.remaining = b.remaining.saturating_sub(charge);
-                }
-                // A disconnected submitter dropped its receiver; the send
-                // failing is fine — the result is cached either way.
-                let _ = jobst.tx.send(Event::Cell(event));
-                jobst.remaining -= 1;
-                jobst.remaining == 0
-            }
-            // Unreachable in practice: jobs are only removed at
-            // remaining == 0, after their last task.
-            None => false,
-        };
-        if finished {
-            let jobst = st.jobs.remove(&job).expect("job present");
-            let _ = jobst.tx.send(Event::Done(jobst.summary));
-        }
+        let event = task.event(status);
+        inner.lock().settle(&job, event, ran, charge);
     }
 }
 
-/// Execute one cell through the injected runner, caching a success.
-fn run_cell(inner: &Inner, spec: &CellSpec) -> CellStatus {
-    match (inner.runner)(spec) {
+/// How a pulled cell ends, whether it executed, and what it costs the
+/// job's cycle quota: the cache first, then the gate, then the runner.
+fn run_cell(inner: &Inner, spec: &CellSpec, budget: Budget) -> (CellStatus, bool, u64) {
+    if let Some(sim) = inner.cache.lookup(spec) {
+        return (CellStatus::Done { sim, cached: true }, false, 0);
+    }
+    let (max_cycles, quota) = match budget.gate(spec.max_cycles, Instant::now()) {
+        Ok(run) => run,
+        Err(error) => return (CellStatus::Failed { error }, false, 0),
+    };
+    let mut spec = spec.clone();
+    spec.max_cycles = max_cycles;
+    match (inner.runner)(&spec) {
         Ok(sim) => {
-            inner.cache.record(spec, &sim);
-            CellStatus::Done { sim, cached: false }
+            inner.cache.record(&spec, &sim);
+            let charge = cycles_of(&sim);
+            (CellStatus::Done { sim, cached: false }, true, charge)
         }
-        Err(error) => CellStatus::Failed { error },
+        Err(error) => match quota {
+            // The *job's* quota tripped the watchdog, not the cell's own
+            // limit: burn the rest of it so siblings fail fast.
+            Some((total, remaining)) if error.contains("cycle budget exceeded") => {
+                let error = budget_exceeded(total, &error);
+                (CellStatus::Failed { error }, true, remaining)
+            }
+            _ => (CellStatus::Failed { error }, true, 0),
+        },
     }
 }
 
@@ -1330,5 +1288,374 @@ mod tests {
             .expect_err("post-shutdown");
         assert!(err.contains("shutting down"), "{err}");
         sched.shutdown_and_join(); // idempotent
+    }
+
+    // ---- The four transitions against a reference model: a bare
+    // `Sched`, no thread, no cache, and a clock that is a counter.
+
+    use proptest::prelude::*;
+
+    const MAX_QUEUE: usize = 8;
+
+    /// How a generated `Settle` ends an in-flight cell.
+    #[derive(Debug, Clone, Copy)]
+    enum Outcome {
+        /// A fresh run that charges this many cycles.
+        Ran(u64),
+        /// A failure of the cell's own.
+        Failed,
+        /// The watchdog: the job's failure if its quota was binding.
+        Tripped,
+        /// A cache hit, which the gate never sees.
+        Cached,
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        Admit {
+            cells: usize,
+            cycles: Option<u64>,
+            host_ms: Option<u64>,
+        },
+        /// Advance the clock, pull, and ask the gate as a worker would.
+        Pull {
+            advance_ms: u64,
+        },
+        /// Settle the `pick`-th in-flight cell, if any.
+        Settle {
+            pick: usize,
+            outcome: Outcome,
+        },
+        /// Cancel the `pick`-th id ever admitted, live or finished; one
+        /// past the last is an id never admitted.
+        Cancel {
+            pick: usize,
+        },
+        Drain,
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        (0u8..24, 0usize..64, 0u64..300, 0u64..60).prop_map(|(kind, pick, a, b)| match kind {
+            0 => Op::Drain,
+            1..=6 => Op::Admit {
+                cells: pick % 6,
+                cycles: (a < 200).then_some(a),
+                host_ms: (b < 40).then_some(b),
+            },
+            7..=13 => Op::Pull { advance_ms: b % 10 },
+            14..=20 => Op::Settle {
+                pick,
+                outcome: match a % 4 {
+                    0 => Outcome::Ran(a % 100),
+                    1 => Outcome::Failed,
+                    2 => Outcome::Tripped,
+                    _ => Outcome::Cached,
+                },
+            },
+            _ => Op::Cancel { pick },
+        })
+    }
+
+    /// One job as the reference sees it. `tally` is what its `Done` must
+    /// say; the job is live while `tally` counts fewer than `cells`.
+    struct ModelJob {
+        id: String,
+        pending: usize,
+        cycles: Option<Quota>,
+        /// `(total_ms, admitted_ms)`.
+        host: Option<(u64, u64)>,
+        tally: JobSummary,
+        rx: Receiver<Event>,
+        seen: Vec<usize>,
+        done: bool,
+    }
+
+    impl ModelJob {
+        fn settled(&self) -> usize {
+            self.tally.ok + self.tally.failed + self.tally.cancelled
+        }
+    }
+
+    /// The reference: pending counts in ring order. Whoever is first goes
+    /// and then moves to the back, so between two pulls of one job every
+    /// other job with pending cells is pulled exactly once.
+    #[derive(Default)]
+    struct Model {
+        jobs: Vec<ModelJob>,
+        /// Indices into `jobs` with `pending > 0`, in ring order.
+        ring: VecDeque<usize>,
+        draining: bool,
+        stats: Stats,
+    }
+
+    impl Model {
+        fn queued(&self) -> usize {
+            self.jobs.iter().map(|j| j.pending).sum()
+        }
+
+        /// `(job, cell index)` of the next pull.
+        fn pull(&mut self) -> Option<(usize, usize)> {
+            let j = self.ring.pop_front()?;
+            let job = &mut self.jobs[j];
+            let index = job.tally.cells - job.pending;
+            job.pending -= 1;
+            if job.pending > 0 {
+                self.ring.push_back(j);
+            }
+            Some((j, index))
+        }
+
+        /// Count one settled cell the way `JobSummary` and `Stats` define.
+        fn settle(&mut self, j: usize, status: &CellStatus, ran: bool, charge: u64) {
+            let (job, stats) = (&mut self.jobs[j], &mut self.stats);
+            match status {
+                CellStatus::Done { cached, .. } => {
+                    job.tally.ok += 1;
+                    job.tally.cached += usize::from(*cached);
+                    stats.cache_hits += u64::from(*cached);
+                    stats.cells_run += u64::from(!*cached);
+                }
+                CellStatus::Failed { .. } => {
+                    job.tally.failed += 1;
+                    stats.failures += 1;
+                    stats.cells_run += u64::from(ran);
+                }
+                CellStatus::Cancelled => job.tally.cancelled += 1,
+            }
+            if let Some((_, remaining)) = &mut job.cycles {
+                *remaining = remaining.saturating_sub(charge);
+            }
+        }
+    }
+
+    /// A cell pulled to run and not yet settled, with the gate's verdict.
+    struct Flight {
+        job: usize,
+        index: usize,
+        verdict: Result<(Option<u64>, Option<Quota>), String>,
+    }
+
+    fn event(index: usize, status: CellStatus) -> CellEvent {
+        CellEvent {
+            index,
+            name: String::new(),
+            key: String::new(),
+            status,
+        }
+    }
+
+    /// Every invariant that must hold between any two transitions.
+    fn check(s: &Sched, m: &mut Model, flights: &[Flight], at: &str) {
+        assert_eq!(s.queued, m.queued(), "{at}: queued is the pending sum");
+        assert!(s.queued <= MAX_QUEUE, "{at}: backlog within the bound");
+        assert_eq!(s.inflight, flights.len(), "{at}: inflight");
+        assert_eq!(s.next_job as usize, m.jobs.len(), "{at}: ids issued");
+        let (got, want) = (&s.stats, &m.stats);
+        assert_eq!(
+            (got.jobs, got.cells_run, got.cache_hits, got.failures),
+            (want.jobs, want.cells_run, want.cache_hits, want.failures),
+            "{at}: lifetime stats"
+        );
+        let live = m.jobs.iter().filter(|j| j.settled() < j.tally.cells);
+        assert_eq!(s.jobs.len(), live.count(), "{at}: live jobs");
+        for job in &mut m.jobs {
+            for ev in job.rx.try_iter() {
+                assert!(!job.done, "{at}: {} streamed after its Done", job.id);
+                match ev {
+                    Event::Cell(c) => {
+                        assert!(!job.seen.contains(&c.index), "{at}: index twice");
+                        job.seen.push(c.index);
+                    }
+                    Event::Done(sum) => {
+                        assert_eq!(sum, job.tally, "{at}: {} summary", job.id);
+                        assert!(sum.cached <= sum.ok);
+                        job.done = true;
+                    }
+                }
+            }
+            assert_eq!(job.seen.len(), job.settled(), "{at}: one line per cell");
+            assert_eq!(job.done, job.settled() == job.tally.cells, "{at}: Done");
+            if let Some(live) = s.jobs.get(&job.id) {
+                assert_eq!(live.budget.cycles, job.cycles, "{at}: quota left");
+            }
+        }
+    }
+
+    fn run_ops(ops: &[Op]) {
+        let t0 = Instant::now();
+        let at_ms = |ms: u64| t0 + std::time::Duration::from_millis(ms);
+        let mut now_ms = 0;
+        let (mut s, mut m) = (Sched::default(), Model::default());
+        let mut flights: Vec<Flight> = Vec::new();
+        // Closing sequence: drain, be refused, flush the backlog, settle
+        // what flies.
+        let refused = Op::Admit {
+            cells: 1,
+            cycles: None,
+            host_ms: None,
+        };
+        let closing = [Op::Drain, refused]
+            .into_iter()
+            .chain((0..=MAX_QUEUE).map(|_| Op::Pull { advance_ms: 0 }))
+            .chain((0..ops.len()).map(|_| Op::Settle {
+                pick: 0,
+                outcome: Outcome::Ran(1),
+            }));
+        for (step, op) in ops.iter().cloned().chain(closing).enumerate() {
+            let at = format!("step {step} {op:?}");
+            match op {
+                Op::Admit {
+                    cells,
+                    cycles,
+                    host_ms,
+                } => {
+                    let queued = m.queued();
+                    let want = if cells == 0 {
+                        Err("empty job: no cells".to_string())
+                    } else if m.draining {
+                        Err("daemon is shutting down".to_string())
+                    } else if queued + cells > MAX_QUEUE {
+                        Err(format!(
+                            "queue full: {queued} queued + {cells} submitted exceeds \
+                             the admission bound of {MAX_QUEUE}"
+                        ))
+                    } else {
+                        Ok((format!("j{}", m.jobs.len() + 1), cells))
+                    };
+                    let budget = Budget {
+                        cycles: cycles.map(|total| (total, total)),
+                        host: host_ms.map(|total_ms| (total_ms, at_ms(now_ms))),
+                    };
+                    let (tx, rx) = mpsc::channel();
+                    let ring_before = s.ring.clone();
+                    let got = s.admit(vec![spec(1); cells], budget, tx, MAX_QUEUE);
+                    assert_eq!(got, want, "{at}");
+                    match got {
+                        // `check` compares the rest with the untouched model.
+                        Err(_) => assert_eq!(s.ring, ring_before, "{at}: ring"),
+                        Ok((id, _)) => {
+                            m.stats.jobs += 1;
+                            m.ring.push_back(m.jobs.len());
+                            m.jobs.push(ModelJob {
+                                id,
+                                pending: cells,
+                                cycles: budget.cycles,
+                                host: host_ms.map(|total_ms| (total_ms, now_ms)),
+                                tally: JobSummary {
+                                    cells,
+                                    ..JobSummary::default()
+                                },
+                                rx,
+                                seen: Vec::new(),
+                                done: false,
+                            });
+                        }
+                    }
+                }
+                Op::Pull { advance_ms } => {
+                    now_ms += advance_ms;
+                    let want = m.pull();
+                    let got = s.pull();
+                    let got_cell = got.as_ref().map(|(id, task, _)| (id.as_str(), task.index));
+                    let want_cell = want.map(|(j, index)| (m.jobs[j].id.as_str(), index));
+                    assert_eq!(got_cell, want_cell, "{at}: the model's rotation");
+                    if let (Some((id, task, run)), Some((j, index))) = (got, want) {
+                        assert_eq!(run.is_some(), !m.draining, "{at}: run unless draining");
+                        let Some(budget) = run else {
+                            s.settle(&id, event(task.index, CellStatus::Cancelled), false, 0);
+                            m.settle(j, &CellStatus::Cancelled, false, 0);
+                            continue;
+                        };
+                        let job = &m.jobs[j];
+                        assert_eq!(budget.cycles, job.cycles, "{at}: the job's quota");
+                        let verdict = budget.gate(None, at_ms(now_ms));
+                        let expired = job.host.is_some_and(|(cap, t)| now_ms - t >= cap);
+                        let spent = matches!(job.cycles, Some((_, 0)));
+                        assert_eq!(verdict.is_err(), expired || spent, "{at}: {verdict:?}");
+                        if let Ok((max_cycles, quota)) = &verdict {
+                            assert_eq!(*quota, job.cycles, "{at}: the quota binds");
+                            assert_eq!(*max_cycles, job.cycles.map(|(_, left)| left), "{at}");
+                        }
+                        flights.push(Flight {
+                            job: j,
+                            index,
+                            verdict,
+                        });
+                    }
+                }
+                Op::Settle { pick, outcome } => {
+                    if flights.is_empty() {
+                        continue;
+                    }
+                    let flight = flights.swap_remove(pick % flights.len());
+                    let failed = |error: &str| CellStatus::Failed {
+                        error: error.to_string(),
+                    };
+                    let (status, ran, charge) = match (outcome, flight.verdict) {
+                        (Outcome::Cached, _) => {
+                            let sim = vec![("cycles".to_string(), 7)];
+                            (CellStatus::Done { sim, cached: true }, false, 0)
+                        }
+                        (_, Err(refusal)) => (failed(&refusal), false, 0),
+                        (Outcome::Ran(cycles), Ok(_)) => {
+                            let sim = vec![("cycles".to_string(), cycles)];
+                            let charge = cycles_of(&sim);
+                            (CellStatus::Done { sim, cached: false }, true, charge)
+                        }
+                        (Outcome::Tripped, Ok((_, Some((_, left))))) => {
+                            (failed("BudgetExceeded"), true, left)
+                        }
+                        (Outcome::Tripped | Outcome::Failed, Ok(_)) => (failed("boom"), true, 0),
+                    };
+                    m.settle(flight.job, &status, ran, charge);
+                    let id = m.jobs[flight.job].id.clone();
+                    s.settle(&id, event(flight.index, status), ran, charge);
+                }
+                Op::Cancel { pick } => {
+                    let j = pick % (m.jobs.len() + 1);
+                    let id = format!("j{}", j + 1);
+                    let live = m.jobs.get(j).is_some_and(|j| j.settled() < j.tally.cells);
+                    let drained = s.cancel(&id);
+                    assert_eq!(drained.is_some(), live, "{at}: only a live job cancels");
+                    let Some(drained) = drained else {
+                        check(&s, &mut m, &flights, &at);
+                        continue;
+                    };
+                    let job = &mut m.jobs[j];
+                    let first = job.tally.cells - job.pending;
+                    let indices: Vec<usize> = drained.iter().map(|t| t.index).collect();
+                    assert_eq!(
+                        indices,
+                        (first..job.tally.cells).collect::<Vec<_>>(),
+                        "{at}"
+                    );
+                    job.pending = 0;
+                    m.ring.retain(|&r| r != j);
+                    // The backlog is gone at once, before any cell settles.
+                    check(&s, &mut m, &flights, &at);
+                    for task in drained {
+                        s.settle(&id, event(task.index, CellStatus::Cancelled), false, 0);
+                        m.settle(j, &CellStatus::Cancelled, false, 0);
+                    }
+                }
+                Op::Drain => {
+                    s.draining = true;
+                    m.draining = true;
+                }
+            }
+            check(&s, &mut m, &flights, &at);
+        }
+        assert!(s.jobs.is_empty() && flights.is_empty(), "closed out");
+        assert!(m.jobs.iter().all(|j| j.done), "every job got its Done");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// On failure the shim prints the whole op list: it cannot shrink.
+        #[test]
+        fn transitions_match_the_model(ops in proptest::collection::vec(op(), 1..61)) {
+            run_ops(&ops);
+        }
     }
 }

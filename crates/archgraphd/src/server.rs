@@ -22,10 +22,15 @@
 //! `done` line, and the socket file is removed.
 //!
 //! Each accepted connection gets its own handler thread reading request
-//! lines; a malformed line answers with a structured error and keeps the
-//! connection, and a connection whose handler thread cannot be started is
-//! answered `server busy` rather than dropped. Replies go through one
-//! buffered writer flushed per protocol line, so a line is one `write(2)`.
+//! lines; a malformed line — bad JSON, or bytes that are not UTF-8 —
+//! answers with a structured error and keeps the connection, and a
+//! connection whose handler thread cannot be started is answered `server
+//! busy` rather than dropped. Input is bounded before it is buffered: a
+//! line longer than [`MAX_LINE`] (the bearer-token line included, which is
+//! read before any authentication) answers one error and closes, since
+//! nothing cheap finds the next request in an endless line. Replies go
+//! through one buffered writer flushed per protocol line ([`reply`]), so a
+//! line is one `write(2)`.
 //! Handler threads are detached — they die with the process after the
 //! drain, and a client mid-`submit` whose stream ends simply resubmits
 //! after restart, where the result cache makes the replay nearly free.
@@ -56,6 +61,10 @@ const POLL: Duration = Duration::from_millis(50);
 /// reply streams to flush their terminal lines: a client that stopped
 /// reading must not hold shutdown.
 const DRAIN_CAP: Duration = Duration::from_millis(100);
+
+/// The longest request line the handler buffers; a 64-cell submit is
+/// about 8 KB.
+const MAX_LINE: usize = 1 << 20;
 
 /// Where the daemon listens (or a client connects).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -536,79 +545,105 @@ fn handle_client(
     if idle_timeout.is_some() && read_half.set_read_timeout(idle_timeout).is_err() {
         return;
     }
-    let reader = BufReader::new(read_half);
-    // Buffered and flushed once per protocol line: `writeln!` on the
-    // bare socket is one write(2) for the text and one for the newline.
+    let mut reader = BufReader::new(read_half);
     let mut w = BufWriter::new(conn);
-    let mut lines = reader.lines();
-    let idle_close = |w: &mut BufWriter<Conn>| {
-        let ms = idle_timeout.map_or(0, |d| d.as_millis());
-        let _ = writeln!(
-            w,
-            "{}",
-            protocol::error(&format!("idle timeout: no request within {ms} ms"))
-        );
-        let _ = w.flush();
+    // The three ways a connection is refused: one structured line, then
+    // the close.
+    let hang_up = |w: &mut BufWriter<Conn>, msg: String| {
+        let _ = reply(w, &protocol::error(&msg));
     };
+    let idle = || {
+        let ms = idle_timeout.map_or(0, |d| d.as_millis());
+        format!("idle timeout: no request within {ms} ms")
+    };
+    let too_long = || format!("request line exceeds {MAX_LINE} bytes");
     if let Some(expect) = token {
-        let presented = lines.next();
-        if let Some(Err(e)) = &presented {
-            if is_timeout(e) {
-                idle_close(&mut w);
-                return;
-            }
-        }
-        let authed = matches!(&presented, Some(Ok(first)) if first.trim() == expect);
-        if !authed {
-            let _ = writeln!(
-                w,
-                "{}",
-                protocol::error("authentication failed: send the bearer token as the first line")
-            );
-            let _ = w.flush();
-            return;
+        let refused = match read_line(&mut reader) {
+            Ok(Line::Text(first)) if first.trim() == expect => None,
+            Ok(Line::TooLong) => Some(too_long()),
+            Err(e) if is_timeout(&e) => Some(idle()),
+            _ => Some("authentication failed: send the bearer token as the first line".into()),
+        };
+        if let Some(msg) = refused {
+            return hang_up(&mut w, msg);
         }
     }
-    for line in lines {
-        let line = match line {
-            Ok(line) => line,
-            Err(e) if is_timeout(&e) => {
-                idle_close(&mut w);
-                return;
-            }
-            Err(_) => return,
+    loop {
+        let request = match read_line(&mut reader) {
+            Ok(Line::Text(line)) if line.trim().is_empty() => continue,
+            Ok(Line::Text(line)) => protocol::parse_request(&line),
+            Ok(Line::NotUtf8) => Err("malformed request: not UTF-8".to_string()),
+            Ok(Line::TooLong) => return hang_up(&mut w, too_long()),
+            Err(e) if is_timeout(&e) => return hang_up(&mut w, idle()),
+            Ok(Line::Eof) | Err(_) => return,
         };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let ok = match protocol::parse_request(&line) {
-            Err(msg) => writeln!(w, "{}", protocol::error(&msg)),
-            Ok(Request::Ping) => writeln!(w, "{}", protocol::pong()),
-            Ok(Request::Status) => writeln!(w, "{}", protocol::status(&sched.snapshot())),
+        let ok = match request {
+            Err(msg) => reply(&mut w, &protocol::error(&msg)),
+            Ok(Request::Ping) => reply(&mut w, &protocol::pong()),
+            Ok(Request::Status) => reply(&mut w, &protocol::status(&sched.snapshot())),
             Ok(Request::Cancel { job }) => {
                 if sched.cancel(&job) {
-                    writeln!(w, "{}", protocol::cancelled(&job))
+                    reply(&mut w, &protocol::cancelled(&job))
                 } else {
-                    writeln!(w, "{}", protocol::error(&format!("unknown job {job:?}")))
+                    reply(&mut w, &protocol::error(&format!("unknown job {job:?}")))
                 }
             }
             Ok(Request::Shutdown) => {
-                let _ = writeln!(w, "{}", protocol::bye());
-                let _ = w.flush();
+                let _ = reply(&mut w, &protocol::bye());
                 stop.store(true, Ordering::SeqCst);
                 return;
             }
-            Ok(Request::List) => writeln!(w, "{}", protocol::list_line(&sched.list())),
+            Ok(Request::List) => reply(&mut w, &protocol::list_line(&sched.list())),
             Ok(Request::Submit {
                 cells,
                 budget_cycles,
                 budget_host_ms,
             }) => stream_job(&mut w, sched, streams, cells, budget_cycles, budget_host_ms),
         };
-        if ok.and_then(|()| w.flush()).is_err() {
+        if ok.is_err() {
             return;
         }
     }
+}
+
+/// One protocol line out: text, newline, flush. Buffered so that the line
+/// is one `write(2)`; `writeln!` on the bare socket is one for the text
+/// and one for the newline.
+fn reply(w: &mut BufWriter<Conn>, line: &str) -> io::Result<()> {
+    w.write_all(line.as_bytes())?;
+    w.write_all(b"\n")?;
+    w.flush()
+}
+
+/// What [`read_line`] found on the request stream.
+enum Line {
+    /// One line, its terminator stripped (or the last one, cut off by EOF).
+    Text(String),
+    /// One whole line, consumed, that is not UTF-8.
+    NotUtf8,
+    /// More than [`MAX_LINE`] bytes and no newline yet; the rest is unread.
+    TooLong,
+    /// The peer hung up between lines.
+    Eof,
+}
+
+/// `BufRead::lines` with a bound: never buffers more than [`MAX_LINE`]
+/// bytes and a terminator, whatever the peer sends.
+fn read_line(reader: &mut impl BufRead) -> io::Result<Line> {
+    let mut buf = Vec::new();
+    let cap = MAX_LINE as u64 + 1;
+    if reader.take(cap).read_until(b'\n', &mut buf)? == 0 {
+        return Ok(Line::Eof);
+    }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+        if buf.last() == Some(&b'\r') {
+            buf.pop();
+        }
+    } else if buf.len() > MAX_LINE {
+        return Ok(Line::TooLong);
+    }
+    Ok(String::from_utf8(buf).map_or(Line::NotUtf8, Line::Text))
 }
 
 /// Submit a job and stream its events until the terminal `done` line.
@@ -625,26 +660,19 @@ fn stream_job(
     let (tx, rx) = mpsc::channel();
     let (job, n) = match sched.submit(cells, budget_cycles, budget_host_ms, tx) {
         Ok(accepted) => accepted,
-        Err(msg) => return writeln!(w, "{}", protocol::error(&msg)),
+        Err(msg) => return reply(w, &protocol::error(&msg)),
     };
-    writeln!(w, "{}", protocol::accepted(&job, n))?;
-    w.flush()?;
+    reply(w, &protocol::accepted(&job, n))?;
     for event in rx {
         match event {
-            Event::Cell(ev) => {
-                writeln!(w, "{}", protocol::cell_line(&job, &ev))?;
-                w.flush()?;
-            }
-            Event::Done(sum) => {
-                writeln!(w, "{}", protocol::done_line(&job, &sum))?;
-                return w.flush();
-            }
+            Event::Cell(ev) => reply(w, &protocol::cell_line(&job, &ev))?,
+            Event::Done(sum) => return reply(w, &protocol::done_line(&job, &sum)),
         }
     }
     // The channel closed without a Done event — only possible if the
     // scheduler dropped the job, which it never does; report it rather
     // than hanging the client.
-    writeln!(w, "{}", protocol::error("job stream ended unexpectedly"))
+    reply(w, &protocol::error("job stream ended unexpectedly"))
 }
 
 #[cfg(test)]
@@ -853,6 +881,84 @@ mod tests {
         let message = v.get("message").and_then(Json::as_str).expect("message");
         assert!(message.starts_with("server busy: "), "{message}");
         assert!(message.contains("no threads left"), "{message}");
+    }
+
+    /// A handler on one end of a socket pair, as `serve` would start it.
+    #[cfg(unix)]
+    fn handler_on_a_pair(token: Option<&'static str>) -> (UnixStream, thread::JoinHandle<()>) {
+        let (ours, theirs) = UnixStream::pair().expect("socket pair");
+        let handler = thread::spawn(move || {
+            let (stop, streams) = (AtomicBool::new(false), OpenStreams::default());
+            let sched = idle_scheduler();
+            handle_client(Conn::Unix(theirs), &sched, &stop, token, None, &streams);
+            sched.shutdown_and_join();
+        });
+        (ours, handler)
+    }
+
+    #[cfg(unix)]
+    fn error_message(line: &str) -> String {
+        let v = Json::parse(line.trim_end()).expect("well-formed line");
+        assert_eq!(
+            v.get("type").and_then(Json::as_str),
+            Some("error"),
+            "{line}"
+        );
+        v.get("message")
+            .and_then(Json::as_str)
+            .expect("message")
+            .to_string()
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn a_line_past_the_cap_gets_one_error_and_a_close_even_before_authentication() {
+        // The reader stops at the cap whatever follows it.
+        let mut endless = io::Cursor::new(vec![b'a'; 2 * MAX_LINE]);
+        assert!(matches!(read_line(&mut endless), Ok(Line::TooLong)));
+        assert_eq!(endless.position(), MAX_LINE as u64 + 1, "bytes buffered");
+        let mut fits = io::Cursor::new([vec![b'a'; MAX_LINE], vec![b'\n']].concat());
+        assert!(matches!(read_line(&mut fits), Ok(Line::Text(t)) if t.len() == MAX_LINE));
+
+        for token in [None, Some("s3cret")] {
+            let (ours, handler) = handler_on_a_pair(token);
+            let mut sender = ours.try_clone().expect("clone");
+            // 2 MiB and no newline; the handler hangs up part-way through.
+            let sending = thread::spawn(move || {
+                let _ = sender.write_all(&vec![b'a'; 2 * MAX_LINE]);
+                let _ = sender.shutdown(std::net::Shutdown::Write);
+            });
+            let mut reader = BufReader::new(ours);
+            let mut reply = String::new();
+            reader.read_line(&mut reply).expect("one reply line");
+            assert_eq!(error_message(&reply), "request line exceeds 1048576 bytes");
+            // Closed: EOF, or a reset because our tail went unread.
+            match reader.read_to_end(&mut Vec::new()) {
+                Ok(more) => assert_eq!(more, 0, "exactly one line"),
+                Err(e) => assert_eq!(e.kind(), io::ErrorKind::ConnectionReset),
+            }
+            handler.join().expect("handler returns");
+            sending.join().expect("sender returns");
+        }
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn a_line_that_is_not_utf8_gets_an_error_and_keeps_the_connection() {
+        let (mut ours, handler) = handler_on_a_pair(None);
+        ours.write_all(b"\xff\xfe\n{\"op\":\"ping\"}\n")
+            .expect("send");
+        let mut reader = BufReader::new(ours.try_clone().expect("clone"));
+        let mut reply = String::new();
+        reader.read_line(&mut reply).expect("error line");
+        assert_eq!(error_message(&reply), "malformed request: not UTF-8");
+        reply.clear();
+        reader
+            .read_line(&mut reply)
+            .expect("the connection is still served");
+        assert_eq!(reply.trim_end(), protocol::pong());
+        drop((ours, reader));
+        handler.join().expect("handler returns on EOF");
     }
 
     #[test]

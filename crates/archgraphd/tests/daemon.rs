@@ -781,6 +781,29 @@ fn a_superseded_daemon_does_not_unlink_its_successors_live_socket() {
 }
 
 #[test]
+fn a_deeply_nested_line_is_a_parse_error_and_the_daemon_keeps_serving() {
+    let root = temp_root("deep");
+    let daemon = start_daemon(&root, 1, &[]);
+
+    // One recursion per bracket overflowed the handler's stack and took
+    // the whole process down with it (SIGABRT), socket file left behind.
+    let (mut r, mut w) = dial(&daemon);
+    send(&mut w, &"[".repeat(10_000));
+    let err = recv(&mut r);
+    assert_eq!(err.get("type").and_then(Json::as_str), Some("error"));
+    let message = err.get("message").and_then(Json::as_str).unwrap();
+    assert!(message.contains("nesting deeper than 64"), "{message}");
+
+    // Same connection, same daemon.
+    send(&mut w, r#"{"op":"ping"}"#);
+    let pong = recv(&mut r);
+    assert_eq!(pong.get("type").and_then(Json::as_str), Some("pong"));
+
+    shutdown_and_reap(daemon);
+    let _ = std::fs::remove_dir_all(root);
+}
+
+#[test]
 fn a_bounded_cache_evicts_and_rerun_is_identical() {
     let root = temp_root("evict");
     // A bound far below one payload: every record is swept right back
@@ -799,8 +822,10 @@ fn a_bounded_cache_evicts_and_rerun_is_identical() {
     assert_eq!(status.get("type").and_then(Json::as_str), Some("status"));
     let evictions = status.get("evictions").and_then(Json::as_u64).unwrap();
     assert!(evictions >= 1, "tiny bound must evict, got {evictions}");
-    assert!(status.get("cache_bytes").and_then(Json::as_u64).is_some());
+    let cache_bytes = status.get("cache_bytes").and_then(Json::as_u64).unwrap();
+    assert!(cache_bytes <= 10, "cache exceeds its bound: {cache_bytes}");
     assert!(status.get("cache_entries").and_then(Json::as_u64).is_some());
+    assert!(status.get("evicted_bytes").and_then(Json::as_u64).is_some());
 
     // Eviction is safe: the re-run misses the cache but reproduces the
     // exact fingerprints.

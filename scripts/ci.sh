@@ -73,10 +73,9 @@ echo "== archgraphd daemon smoke =="
 # fingerprint byte-for-byte against the bench output from the previous
 # leg. The leg also pins the serving hardening end to end: a
 # 1-cell job must complete mid-sweep under --jobs 1 (round-robin
-# fairness), `list` must track per-cell cache status, a tiny
-# --cache-max-bytes daemon must evict and still re-run identically, and
-# shutdown must be clean (exit 0, socket removed). See
-# scripts/daemon_smoke.sh.
+# fairness), `list` must track per-cell cache status, and shutdown must
+# be clean (exit 0, socket removed). See scripts/daemon_smoke.sh; the
+# bounded cache is pinned by the e2e suite (tests/daemon.rs).
 scripts/daemon_smoke.sh "$ref"
 
 echo "== chaos soak: structural-fault invariance (small grid) =="
