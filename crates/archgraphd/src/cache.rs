@@ -2,10 +2,9 @@
 //!
 //! Keys are [`CellSpec::cache_key`] fingerprints — FNV-1a over the
 //! result-determining fields only (kernel, machine, p, n, m, fault
-//! plan). The workspace's determinism contract makes that sound: both
-//! MTA engines produce bit-identical simulated fingerprints, so the
-//! engine is deliberately *not* part of the key and a result computed
-//! under one engine serves requests pinned to the other.
+//! plan). The engine pin is a label that selects nothing (`mta-sim` has
+//! one issue loop), so it is *not* part of the key and one result serves
+//! every spelling of it.
 //!
 //! Storage reuses the sweep [`Checkpoint`] store (one small file per
 //! cell, atomic temp-file-plus-rename writes), so the cache has the
@@ -247,7 +246,7 @@ mod tests {
         assert_eq!(
             cache.lookup(&single_step),
             Some(sim),
-            "determinism contract: one result serves every engine pin"
+            "one result serves every engine pin"
         );
         let _ = std::fs::remove_dir_all(dir);
     }

@@ -60,11 +60,9 @@ pub fn sim_runner() -> queue::Runner {
 mod tests {
     use super::*;
     use archgraph_bench::cells::{CellSpec, Kernel, MachineKind};
-    use archgraph_mta_sim::machine::MtaEngine;
 
     fn small_color() -> CellSpec {
         let mut s = CellSpec::new(Kernel::Color, MachineKind::Mta, 2);
-        s.engine = Some(MtaEngine::Trace);
         s.n = 128;
         s.m = 384;
         s

@@ -22,8 +22,9 @@
 //! `{"cell":"fig2/mta/p8"}` or a structured spec
 //! `{"kernel":"color","machine":"mta","p":8,"n":2048,"m":10240}`.
 //! Both forms accept the optional overrides `engine`, `p`, `n`, `m`,
-//! `max_cycles`, and `faults`. `engine` takes `trace`, `single-step` and
-//! two retained synonyms of `trace`, `compiled` and `partitioned`;
+//! `max_cycles`, and `faults`. `engine` takes `trace`, `single-step`,
+//! `compiled` and `partitioned`, four labels for the one issue loop (an
+//! unknown name is still an error) that change nothing about the run;
 //! `workers` (1..=256) is still accepted, range-checked and otherwise
 //! discarded — it set the worker count of the removed partitioned engine,
 //! and requests that carry it stay valid. Unknown keys are rejected — a

@@ -14,18 +14,16 @@
 //!
 //! [`CellSpec::cache_key`] hashes the *result-determining* fields only:
 //! kernel, machine, processor count, and problem size (plus the fault
-//! plan, which perturbs simulated quantities by design). The engine is
-//! deliberately **excluded**: the workspace's determinism contract
-//! (enforced by the differential suites and the bench baseline) is that
-//! batching on and batching off produce bit-identical simulated
-//! fingerprints, so `fig1/mta/random/p8` is the same cached result
-//! whichever engine a request pins. The cycle budget is also excluded — it
+//! plan, which perturbs simulated quantities by design). The engine pin
+//! is **excluded**: it is a label that selects nothing (`mta-sim` has one
+//! issue loop), so `fig1/mta/random/p8` is the same cached result
+//! whichever engine a request names. The cycle budget is also excluded — it
 //! only decides whether a run *fails*, and failures are never cached.
 
 use std::fmt::Write as _;
 
 use archgraph_core::error::with_max_cycles;
-use archgraph_mta_sim::machine::{with_engine, MtaEngine};
+use archgraph_mta_sim::machine::MtaEngine;
 use archgraph_mta_sim::report::RunReport;
 use archgraph_smp_sim::stats::RunStats;
 
@@ -177,7 +175,7 @@ impl MachineKind {
     }
 }
 
-/// One executable bench cell. `engine`/`max_cycles`/`faults` are scoped
+/// One executable bench cell. `max_cycles`/`faults` are scoped
 /// overrides applied around the run when `Some`; `None` leaves the
 /// ambient configuration (environment variable or default) in charge,
 /// matching the historical behaviour of `--bin bench` exactly.
@@ -187,7 +185,10 @@ pub struct CellSpec {
     pub kernel: Kernel,
     /// The substrate it runs on.
     pub machine: MachineKind,
-    /// MTA engine pin ([`MachineKind::Mta`] only; ignored elsewhere).
+    /// A label that selects nothing (see [`MtaEngine`]): the run ignores
+    /// it, [`Self::display_name`] compares it. Kept, with the wire
+    /// `"engine"` key, until a `benchmark` PR thaws the frozen tree
+    /// (ROADMAP 4(a)).
     pub engine: Option<MtaEngine>,
     /// Simulated processor count (0 for native cells).
     pub p: usize,
@@ -323,7 +324,7 @@ impl CellSpec {
         self.canonical()
     }
 
-    /// Execute the cell. Scoped overrides (engine, cycle budget, fault
+    /// Execute the cell. Scoped overrides (cycle budget, fault
     /// plan) are applied only where `Some`: a spec carrying `faults` runs
     /// under exactly that plan wherever it executes — `--bin bench`, the
     /// daemon, a figure sweep or a test — so degradation cells fingerprint
@@ -336,10 +337,6 @@ impl CellSpec {
     /// `sweep::isolate`.
     pub fn run_full(&self) -> CellRun {
         let body = || self.dispatch();
-        let body = || match self.engine {
-            Some(e) => with_engine(e, body),
-            None => body(),
-        };
         let body = || match &self.faults {
             Some(spec) => {
                 let plan = archgraph_mta_sim::FaultPlan::parse(spec)
@@ -463,9 +460,11 @@ pub fn default_size(kernel: Kernel) -> (usize, usize) {
 }
 
 /// The bench regression suite: every cell `--bin bench` times, as
-/// `(stable name, spec)` pairs in baseline order. MTA cells are pinned
-/// to an explicit engine so a change to the session default cannot
-/// silently re-fingerprint a baseline recorded under another engine.
+/// `(stable name, spec)` pairs in baseline order. MTA cells carry a
+/// `Trace` label that selects nothing; it stays because
+/// [`CellSpec::display_name`] compares whole specs, so dropping it would
+/// rename the unpinned cells the frozen `benchmarks/` package submits and
+/// move the `sims_fnv` its `expected.json` pins (ROADMAP 4(a)).
 pub fn bench_suite() -> Vec<(&'static str, CellSpec)> {
     let mta = |kernel, p| {
         let mut s = CellSpec::new(kernel, MachineKind::Mta, p);
@@ -498,10 +497,8 @@ pub fn bench_suite() -> Vec<(&'static str, CellSpec)> {
         ("biconn/native", native(Biconn)),
         // Degradation cells: the same kernels under pinned structural
         // fault plans. Their fingerprints are part of the committed
-        // baseline, so a change to fault *semantics* (not just engine
-        // scheduling) shows up as a bench diff — and each plan still
-        // obeys the determinism contract (either engine, same
-        // fingerprint; the chaos soak sweeps that grid).
+        // baseline, so a change to fault *semantics* shows up as a bench
+        // diff (the chaos soak pins the suite under ambient plans too).
         ("bfs/mta/p8+stall", {
             let mut s = mta(Bfs, 8);
             s.faults = Some("stall=30,stall-period=300:7".into());
@@ -536,8 +533,8 @@ pub fn find(name: &str) -> Option<CellSpec> {
         .map(|(_, s)| s)
 }
 
-/// Parse an MTA engine name as specs spell it ([`MtaEngine::parse`]:
-/// `compiled` and `partitioned` are accepted as synonyms of `trace`).
+/// Parse an MTA engine name as specs spell it ([`MtaEngine::parse`]);
+/// every name is a label for the one issue loop.
 pub fn parse_engine(s: &str) -> Option<MtaEngine> {
     MtaEngine::parse(s)
 }
@@ -639,11 +636,10 @@ mod tests {
         // produce — this is the identity `--bin bench` and the daemon
         // both lean on.
         let mut spec = CellSpec::new(Kernel::Color, MachineKind::Mta, 2);
-        spec.engine = Some(MtaEngine::Trace);
         spec.n = 128;
         spec.m = 384;
         let fp = spec.run();
-        let direct = with_engine(MtaEngine::Trace, || kernels::color_mta_cell(2, 128, 384));
+        let direct = kernels::color_mta_cell(2, 128, 384);
         assert_eq!(
             fp,
             vec![
@@ -657,7 +653,6 @@ mod tests {
     #[test]
     fn run_honours_a_cycle_budget() {
         let mut spec = CellSpec::new(Kernel::Bfs, MachineKind::Mta, 2);
-        spec.engine = Some(MtaEngine::Trace);
         spec.n = 128;
         spec.m = 384;
         spec.max_cycles = Some(10);
@@ -673,15 +668,12 @@ mod tests {
     #[test]
     fn degradation_cells_perturb_results_and_stay_engine_invariant() {
         // A small off-suite variant keeps this fast. The faulted spec
-        // must cost cycles over its clean twin (the plan is real) and
-        // fingerprint identically from the other engine (the determinism
-        // contract extends to degraded runs).
+        // must cost cycles over its clean twin (the plan is real).
         // Note the speculative color kernel's *work* may legitimately
         // shift under a plan — racy speculation reads whatever the
         // perturbed schedule exposes — which is exactly why the plan
         // must be part of the cache key.
         let mut clean = CellSpec::new(Kernel::Color, MachineKind::Mta, 2);
-        clean.engine = Some(MtaEngine::Trace);
         clean.n = 128;
         clean.m = 384;
         let mut faulted = clean.clone();
@@ -696,9 +688,6 @@ mod tests {
             fp_faulted[0].1,
             fp_clean[0].1
         );
-        let mut oracle = faulted.clone();
-        oracle.engine = Some(MtaEngine::SingleStep);
-        assert_eq!(oracle.run(), fp_faulted, "single-step diverged");
     }
 
     #[test]

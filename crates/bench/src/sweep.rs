@@ -58,15 +58,14 @@ const STAMP_SUFFIX: &str = ".stamp";
 
 /// The ambient configuration fingerprint stamped into every checkpoint
 /// directory. Checkpoints are only resumable under the configuration
-/// that produced them: a sweep re-run under a different MTA engine,
-/// fault plan, or cycle budget would silently splice
+/// that produced them: a sweep re-run under a different
+/// fault plan or cycle budget would silently splice
 /// incompatible cells into one panel if stale checkpoints were honoured.
 /// Scale is excluded — it is already part of the directory name.
 pub fn ambient_spec() -> String {
     let env = |k: &str| std::env::var(k).unwrap_or_default();
     format!(
-        "v1 engine={} faults={} max-cycles={}",
-        env("ARCHGRAPH_MTA_ENGINE"),
+        "v2 faults={} max-cycles={}",
         env("ARCHGRAPH_FAULTS"),
         env("ARCHGRAPH_MAX_CYCLES"),
     )
@@ -713,18 +712,18 @@ mod tests {
             std::env::temp_dir().join(format!("archgraph-sweep-test-{}-spec", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
 
-        let ck = Checkpoint::at_spec(dir.clone(), "v1 engine=trace");
+        let ck = Checkpoint::at_spec(dir.clone(), "v2 faults=");
         ck.record("fig/x/p1", "1 2 3|ok");
         drop(ck);
 
         // Same spec: the checkpoint survives a reopen.
-        let same = Checkpoint::at_spec(dir.clone(), "v1 engine=trace");
+        let same = Checkpoint::at_spec(dir.clone(), "v2 faults=");
         assert_eq!(same.lookup("fig/x/p1"), Some("1 2 3|ok".to_string()));
         drop(same);
 
         // Different spec: reopening discards every recorded cell and
         // re-stamps the directory for the new configuration.
-        let other = Checkpoint::at_spec(dir.clone(), "v1 engine=compiled");
+        let other = Checkpoint::at_spec(dir.clone(), "v2 faults=stall=30:7");
         assert_eq!(
             other.lookup("fig/x/p1"),
             None,
@@ -735,10 +734,10 @@ mod tests {
 
         // And the new stamp holds: the re-recorded cell resumes under the
         // new spec but not under the old one.
-        let reopened = Checkpoint::at_spec(dir.clone(), "v1 engine=compiled");
+        let reopened = Checkpoint::at_spec(dir.clone(), "v2 faults=stall=30:7");
         assert_eq!(reopened.lookup("fig/x/p1"), Some("4 5 6|new".to_string()));
         drop(reopened);
-        let old_again = Checkpoint::at_spec(dir.clone(), "v1 engine=trace");
+        let old_again = Checkpoint::at_spec(dir.clone(), "v2 faults=");
         assert_eq!(old_again.lookup("fig/x/p1"), None);
         old_again.clear();
     }
@@ -755,7 +754,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(dir.join("fig_x_p1"), "1 2 3|legacy").unwrap();
 
-        let ck = Checkpoint::at_spec(dir, "v1 engine=trace");
+        let ck = Checkpoint::at_spec(dir, "v2 faults=");
         assert_eq!(ck.lookup("fig/x/p1"), None, "unstamped cells discarded");
         ck.clear();
     }

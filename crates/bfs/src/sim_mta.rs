@@ -222,7 +222,6 @@ mod tests {
     use super::*;
     use archgraph_graph::bfs::{bfs_levels, level_count};
     use archgraph_graph::gen;
-    use archgraph_mta_sim::machine::{with_engine, MtaEngine};
 
     fn tiny() -> MtaParams {
         MtaParams::tiny_for_tests()
@@ -312,15 +311,5 @@ mod tests {
         assert_eq!(r.level_count, 1);
         assert_eq!(r.levels[7], 0);
         assert!(r.levels[..6].iter().all(|&l| l == NIL));
-    }
-
-    #[test]
-    fn engines_agree_bit_for_bit() {
-        let g = gen::random_gnm(200, 600, 9);
-        let run = |engine| with_engine(engine, || simulate_bfs_mta(&g, 0, &tiny(), 2, 8));
-        let (base, r) = (run(MtaEngine::Trace), run(MtaEngine::SingleStep));
-        assert_eq!(r.levels, base.levels);
-        assert_eq!(r.report.cycles, base.report.cycles);
-        assert_eq!(r.report.issued, base.report.issued);
     }
 }

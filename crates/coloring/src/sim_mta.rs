@@ -15,8 +15,7 @@
 //!
 //! The `readff` conflict check is where the MTA's tag machinery earns its
 //! keep: on a clean machine every color word is full, so read-when-full
-//! behaves exactly like an ordinary load on every engine — the check
-//! is *engine-invariant* — while under injected tag faults the streams
+//! behaves exactly like an ordinary load, while under injected tag faults the streams
 //! park and the deadlock detector names them instead of the kernel
 //! silently mis-coloring.
 //!
@@ -253,7 +252,6 @@ mod tests {
     use crate::seq::validate_coloring;
     use archgraph_graph::gen;
     use archgraph_mta_sim::fault::FaultPlan;
-    use archgraph_mta_sim::machine::{with_engine, MtaEngine};
 
     fn tiny() -> MtaParams {
         MtaParams::tiny_for_tests()
@@ -311,17 +309,6 @@ mod tests {
         let r = simulate_coloring_mta(&g, &tiny(), 1, 4);
         assert_eq!(r.rounds, 1);
         assert!(r.colors.iter().all(|&c| c == 0));
-    }
-
-    #[test]
-    fn engines_agree_bit_for_bit() {
-        let g = gen::random_gnm(150, 450, 7);
-        let run = |engine| with_engine(engine, || simulate_coloring_mta(&g, &tiny(), 2, 8));
-        let (base, r) = (run(MtaEngine::Trace), run(MtaEngine::SingleStep));
-        assert_eq!(r.colors, base.colors);
-        assert_eq!(r.rounds, base.rounds);
-        assert_eq!(r.report.cycles, base.report.cycles);
-        assert_eq!(r.report.issued, base.report.issued);
     }
 
     #[test]

@@ -10,8 +10,7 @@
 //! * [`SimError::Deadlock`] — every unhalted stream is parked on a failing
 //!   full/empty operation and no operation can ever succeed again. Carries
 //!   per-stream diagnostics ([`BlockedStream`]) and the detection cycle,
-//!   both of which are **bit-identical across all MTA engines** so the
-//!   differential suite extends to failure paths.
+//!   both simulated quantities, pinned by `mta-sim`'s guardrails suite.
 //! * [`SimError::CycleBudgetExceeded`] — a watchdog converted a runaway
 //!   run (infinite loop, livelocked iteration) into an error instead of an
 //!   unbounded hang. The budget comes from `ARCHGRAPH_MAX_CYCLES` or a
@@ -78,8 +77,7 @@ pub fn configured_max_cycles() -> u64 {
 }
 
 /// Diagnostics for one stream parked on a failing full/empty operation at
-/// the moment a deadlock was detected. All fields are simulated quantities,
-/// so they are identical whichever engine detected the deadlock.
+/// the moment a deadlock was detected. All fields are simulated quantities.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlockedStream {
     /// Global stream index (processor-major, as in the issue loops).

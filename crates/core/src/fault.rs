@@ -1,8 +1,7 @@
 //! Deterministic fault plans shared by both machine simulators.
 //!
 //! A [`FaultPlan`] perturbs a run along two composable axes, both pure
-//! functions of `(entity, seed)` — never of host time, host thread, or
-//! the order in which an engine happens to visit operations:
+//! functions of `(entity, seed)` — never of host time or host thread:
 //!
 //! * the **address-keyed axis** (PR 5): latency spikes, stuck full/empty
 //!   bits, and delayed sync-retry wakeups on a seeded subset of memory
@@ -16,8 +15,8 @@
 //!
 //! Because every decision is a pure function of schedule-invariant
 //! inputs — the address, the issuing processor, and the operation's own
-//! issue time — the same plan perturbs the MTA's SingleStep and Trace
-//! engines bit-identically. The SMP machine consumes the stall/brownout
+//! issue time — the same plan perturbs every run of a kernel
+//! bit-identically. The SMP machine consumes the stall/brownout
 //! subset of the same plan (links and full/empty faults are meaningless
 //! on a cache-based SMP) so degradation ratios stay comparable across
 //! machines.
@@ -318,9 +317,8 @@ impl FaultPlan {
 
     /// The first time ≥ `t` (thirds) at which processor `proc` may issue:
     /// `t` itself outside a stall window, else the window's end. Pure
-    /// function of `(proc, seed, t)` — every engine applies it to the
-    /// same `issue_at = max(event, proc_clock)` and lands on the same
-    /// adjusted schedule.
+    /// function of `(proc, seed, t)`, which the MTA issue loop applies to
+    /// `issue_at = max(event, proc_clock)`.
     #[inline]
     pub fn stall_adjust(&self, proc: usize, t: u64) -> u64 {
         if self.stall_len == 0 {
@@ -333,26 +331,6 @@ impl FaultPlan {
         } else {
             t
         }
-    }
-
-    /// The start of the first stall window strictly after a (non-stalled)
-    /// time `t` for `proc`, or `u64::MAX` when the plan has no stalls.
-    /// Batching engines cap private runs here so no instruction ever
-    /// issues inside a window — a conservative horizon, which the
-    /// batch-extent lemma (DESIGN.md §8) makes exact rather than merely
-    /// safe.
-    #[inline]
-    pub fn next_stall_start(&self, proc: usize, t: u64) -> u64 {
-        if self.stall_len == 0 {
-            return u64::MAX;
-        }
-        let phase = self.stall_phase(proc);
-        let k = if t < phase {
-            0
-        } else {
-            (t - phase) / self.stall_period + 1
-        };
-        k * self.stall_period + phase
     }
 
     /// Is the link from processor `proc` to `addr`'s shard degraded?
@@ -380,8 +358,8 @@ impl FaultPlan {
 
     /// Extra completion latency (thirds) from the brownout for an op
     /// *issued* at `issue_at` with base memory latency `latency`. Whether
-    /// an op browns out is decided by its issue time — a pure,
-    /// engine-invariant quantity — never by its completion time.
+    /// an op browns out is decided by its issue time, never by its
+    /// completion time.
     #[inline]
     pub fn brownout_extra(&self, issue_at: u64, latency: u64) -> u64 {
         if self.brownout_mult <= 1 {
@@ -397,8 +375,8 @@ impl FaultPlan {
     /// Total extra completion latency (thirds) for a memory op by
     /// processor `proc` on `addr`, issued at `issue_at` with base
     /// latency `latency`: the address-keyed axis plus both structural
-    /// latency axes. Every engine call site computes completion as
-    /// `base + latency + extra_mem_latency(...)` with identical inputs.
+    /// latency axes. Completion is
+    /// `base + latency + extra_mem_latency(...)`.
     #[inline]
     pub fn extra_mem_latency(&self, proc: usize, addr: usize, issue_at: u64, latency: u64) -> u64 {
         self.extra_latency(addr)
@@ -406,8 +384,7 @@ impl FaultPlan {
             + self.brownout_extra(issue_at, latency)
     }
 
-    /// Does the plan stall processors at all? (Engines consult this to
-    /// skip the batching cap entirely on stall-free plans.)
+    /// Does the plan stall processors at all?
     #[inline]
     pub fn has_stalls(&self) -> bool {
         self.stall_len != 0
@@ -620,8 +597,6 @@ mod tests {
                 }
                 // An adjusted time is itself issueable (idempotent).
                 assert_eq!(p.stall_adjust(proc, adj), adj);
-                // And the next stall window starts strictly later.
-                assert!(p.next_stall_start(proc, adj) > adj);
             }
             // Exactly 30 of every 90 thirds are stalled.
             assert_eq!(stalled, 300, "proc {proc}");
@@ -630,27 +605,10 @@ mod tests {
             distinct_phases.len() > 1,
             "phases must differ across processors"
         );
-        // Stall-free plans: identity and no horizon.
+        // Stall-free plans: identity.
         let clean = FaultPlan::parse("mem-latency=3:7").unwrap();
         assert_eq!(clean.stall_adjust(3, 17), 17);
-        assert_eq!(clean.next_stall_start(3, 17), u64::MAX);
         assert!(!clean.has_stalls());
-    }
-
-    #[test]
-    fn next_stall_start_brackets_the_stalled_span() {
-        let p = FaultPlan::parse("stall=30,stall-period=90:11").unwrap();
-        for proc in 0..4usize {
-            for t in 0..300u64 {
-                let t = p.stall_adjust(proc, t);
-                let start = p.next_stall_start(proc, t);
-                assert!(start > t);
-                // Every time strictly before the boundary is issueable…
-                assert_eq!(p.stall_adjust(proc, start - 1), start - 1);
-                // …and the boundary itself is stalled.
-                assert!(p.stall_adjust(proc, start) > start);
-            }
-        }
     }
 
     #[test]

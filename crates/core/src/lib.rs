@@ -17,7 +17,7 @@
 //!   model; the simulators are cross-validated against these in tests.
 //! * [`experiment`] — a small measurement harness: repeated trials, robust
 //!   summary statistics, speedup/utilization computations.
-//! * [`fault`] — deterministic, engine-invariant fault plans (latency
+//! * [`fault`] — deterministic fault plans (latency
 //!   spikes, stuck tags, per-processor stalls, degraded links, brownouts)
 //!   consumed by both simulators.
 //! * [`report`] — fixed-width table and CSV rendering shared by the figure

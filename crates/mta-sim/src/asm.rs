@@ -423,10 +423,8 @@ mod tests {
 
     #[test]
     fn assembled_programs_carry_trace_metadata() {
-        // Trace tables are computed at `Program` construction, so text
-        // assembly must produce the same metadata as the builder path the
-        // execution engine was validated against.
-        use crate::isa::TraceEnd;
+        // The per-pc records are computed at `Program` construction, so
+        // text assembly must produce the same ones as the builder path.
         let src = r#"
                     li    r2, 0
                     li    r3, 1
@@ -436,18 +434,11 @@ mod tests {
                     jmp   @top
         "#;
         let prog = assemble(src).unwrap();
-        let t = prog.traces();
-        // li; li; add -> run of 3 ending at the load (no control tail).
-        assert_eq!(t.run_len(0), 3);
-        assert!(!t.has_tail(0));
-        assert_eq!(t.run_len(3), 0, "the load is a trace terminator");
-        // addi; jmp -> run of 2 with a control tail.
-        assert_eq!(t.run_len(4), 2);
-        assert!(t.has_tail(4));
-        let s = prog.trace_summary();
-        assert_eq!(s.terminators[TraceEnd::Memory.index()], 1);
-        assert_eq!(s.terminators[TraceEnd::Branch.index()], 1);
-        // And it must match the builder-made equivalent exactly.
+        let d = prog.decoded();
+        assert_eq!(d.len(), 6);
+        // The load is the one memory op: a full issue slot, reading r2.
+        assert_eq!((d[3].is_memory, d[3].cost, d[3].src0), (true, 3, 2));
+        assert!(d.iter().enumerate().all(|(pc, r)| r.is_memory == (pc == 3)));
         let mut b = crate::isa::ProgramBuilder::new();
         b.li(Reg(2), 0).li(Reg(3), 1);
         let top = b.here();
@@ -455,6 +446,6 @@ mod tests {
             .load(Reg(4), Reg(2), 0)
             .addi(Reg(2), Reg(2), 1)
             .jmp(top);
-        assert_eq!(prog.traces(), b.build().traces());
+        assert_eq!(prog.decoded(), b.build().decoded());
     }
 }

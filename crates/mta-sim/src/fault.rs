@@ -1,7 +1,7 @@
 //! Fault injection (re-exported from `archgraph-core`) and deadlock
 //! bookkeeping.
 //!
-//! # Fault injection below the engine layer
+//! # Fault injection below the issue loop
 //!
 //! The deterministic [`FaultPlan`] — latency spikes, stuck full/empty
 //! bits, delayed sync-retry wakeups on an address-keyed axis, plus the
@@ -10,21 +10,20 @@
 //! machines consume one plan. This module re-exports it under its
 //! historical `archgraph_mta_sim` paths.
 //!
-//! On the MTA the plan lives *below* the engines, attached to the shared
+//! On the MTA the plan lives *below* the issue loop, attached to the shared
 //! [`Memory`] image (stuck bits are applied inside
-//! `readfe`/`writeef`/`readff` themselves); engines only consult the
+//! `readfe`/`writeef`/`readff` themselves); the loop only consults the
 //! pure helpers when computing issue, completion and wakeup times:
 //!
 //! * `issue_at = max(event, proc_clock)` is mapped through
-//!   [`FaultPlan::stall_adjust`], and with batching on private runs are
-//!   capped at [`FaultPlan::next_stall_start`] so no instruction issues
-//!   inside a stall window;
+//!   [`FaultPlan::stall_adjust`], so no instruction issues inside a stall
+//!   window;
 //! * every memory-op completion adds
 //!   [`FaultPlan::extra_mem_latency`]`(proc, addr, issue_at, latency)`,
 //!   which folds the address-keyed spike, the degraded-link penalty and
 //!   the brownout multiplier into one pure quantity.
 //!
-//! See DESIGN.md §8 for the invariance argument.
+//! See DESIGN.md §8.
 //!
 //! # Deadlock bookkeeping
 //!
@@ -36,12 +35,10 @@
 //! no tag can ever change again and the machine is permanently stuck. The
 //! tracker records each stream's current blocked spell and, when the
 //! parked + halted count covers every stream, probes the memory image to
-//! confirm no parked operation could succeed (the probe is belt and
-//! braces for the batched engines, whose halted flags can run a few events
-//! ahead of the single-step schedule). All reported quantities — the
+//! confirm no parked operation could succeed. All reported quantities — the
 //! blocked set, pcs, addresses, tag states, and the detection cycle (the
 //! issue time of the last stream's first failing attempt) — are
-//! schedule-invariant, so every engine returns the identical error.
+//! independent of the retry timing.
 
 use archgraph_core::error::{BlockedStream, SimError};
 
@@ -83,7 +80,7 @@ impl BlockTracker {
     /// Stream `id` failed the sync op `op` at `pc` on `addr`, issued at
     /// `issue_at` thirds. Retries of an ongoing spell keep the original
     /// `since` (the diagnostics and detection cycle must not depend on
-    /// engine-specific retry timing).
+    /// retry timing).
     #[inline]
     pub(crate) fn on_sync_fail(
         &mut self,

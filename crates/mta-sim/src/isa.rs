@@ -370,74 +370,14 @@ impl std::fmt::Display for Instr {
     }
 }
 
-/// What ends a trace (see [`TraceTable`]): the first non-ALU operation at
-/// or after a given program counter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceEnd {
-    /// An ordinary load or store.
-    Memory,
-    /// An atomic `int_fetch_add` (word-hotspot serialized).
-    Atomic,
-    /// A synchronous full/empty operation (`readfe`/`writeef`/`readff`),
-    /// i.e. a potential full/empty wait.
-    Sync,
-    /// A branch or jump.
-    Branch,
-    /// `halt`, or control falling off the end of the program.
-    Halt,
-}
-
-impl TraceEnd {
-    /// Classify an instruction as a trace terminator. ALU operations are
-    /// trace *bodies*, not terminators, and return `None`.
-    pub fn of(instr: &Instr) -> Option<TraceEnd> {
-        match instr.class() {
-            OpClass::Alu => None,
-            OpClass::Load | OpClass::Store => Some(TraceEnd::Memory),
-            OpClass::FetchAdd => Some(TraceEnd::Atomic),
-            OpClass::Sync => Some(TraceEnd::Sync),
-            OpClass::Control => Some(TraceEnd::Branch),
-            OpClass::Halt => Some(TraceEnd::Halt),
-        }
-    }
-
-    /// Dense index for histograms.
-    pub fn index(self) -> usize {
-        match self {
-            TraceEnd::Memory => 0,
-            TraceEnd::Atomic => 1,
-            TraceEnd::Sync => 2,
-            TraceEnd::Branch => 3,
-            TraceEnd::Halt => 4,
-        }
-    }
-
-    /// Display label.
-    pub fn label(self) -> &'static str {
-        match self {
-            TraceEnd::Memory => "memory",
-            TraceEnd::Atomic => "atomic",
-            TraceEnd::Sync => "sync",
-            TraceEnd::Branch => "branch",
-            TraceEnd::Halt => "halt",
-        }
-    }
-}
-
-/// Number of [`TraceEnd`] variants (histogram width).
-pub const N_TRACE_ENDS: usize = 5;
-
-/// One program counter's scheduling record: everything an issue loop asks
-/// about `instrs[pc]` before executing it, in 12 bytes.
+/// One program counter's scheduling record: everything the issue loop asks
+/// about `instrs[pc]` before executing it.
 ///
 /// Source registers are stored as indices with "no operand" mapped to
 /// register 0, whose ready time is pinned at 0 (r0 is never written), so
 /// the readiness max over both slots is branch-free and exact.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Decoded {
-    /// External use-set of the private run starting here (bit *r* =
-    /// register *r*); of the *whole* run even when `run_len` saturates.
-    pub use_mask: u32,
     /// First source register, [`Instr::sources`] order (absent → r0).
     pub src0: u8,
     /// Second source register (absent → r0).
@@ -448,190 +388,18 @@ pub struct Decoded {
     pub is_memory: bool,
     /// [`OpClass::index`] of [`Instr::class`].
     pub class_idx: u8,
-    /// Private run length starting here, saturated at `u8::MAX` (a batch
-    /// longer than 255 is beyond every horizon the engines meet).
-    pub run_len: u8,
-    /// Whether that run ends with a trailing control op. Dropped when
-    /// `run_len` saturates: the control op then lies beyond the cap.
-    pub tail: bool,
-    /// Whether a visit here could cover ≥ 2 instructions — a run of at
-    /// least two, or a trailing control op whose taken edge may reveal a
-    /// further run. The batching loops' single-byte gate.
-    pub batchable: bool,
 }
 
-/// Per-program trace metadata, computed once at [`ProgramBuilder::build`]:
-/// one [`Decoded`] record per program counter, which is also the only
-/// per-pc table the issue loops read.
-///
-/// A **trace** is a maximal run of ALU operations (`li`/`mov`/`add`/
-/// `addi`/`sub`/`mul` — non-memory, non-synchronizing, non-branching)
-/// terminated by a memory operation, an `int_fetch_add`, a full/empty
-/// operation, a branch, or `halt`. The table is indexed by program
-/// counter so the execution engine can look up, from *any* entry point
-/// (branch targets and mid-trace stall resumptions included), how many
-/// ALU operations lie ahead before the next scheduling-relevant event and
-/// which registers that run reads.
-///
-/// The run summaries make trace-batched execution a constant-time
-/// decision per scheduler visit:
-///
-/// * [`Self::run_len`] — number of consecutive **private** operations
-///   starting at `pc`: the ALU body plus, when the body runs straight
-///   into a branch, jump, or `halt`, that one trailing control operation
-///   (control ops read only this stream's registers and write only its
-///   program counter, so — like the ALU body — they commute with every
-///   other stream's events). 0 when `instrs[pc]` is itself a memory,
-///   atomic, or sync operation;
-/// * [`Self::has_tail`] — whether that run includes such a trailing
-///   control operation (so the pure-ALU body is `run_len - tail`);
-/// * [`Self::use_mask`] — bitmask (bit *r* = register *r*) of the
-///   registers the run (body *and* tail) reads **before writing them**:
-///   the run's external use-set. Registers defined inside the run before
-///   use are excluded, as is r0 (hardwired zero, always ready). If every
-///   register in the mask is ready, the entire run can issue
-///   back-to-back with no stall.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceTable {
-    recs: Vec<Decoded>,
-}
-
-impl TraceTable {
-    fn build(instrs: &[Instr]) -> TraceTable {
-        // Backward scan carrying the private run that starts at `pc + 1`.
-        let (mut len, mut tail, mut mask) = (0u32, false, 0u32);
-        let mut recs: Vec<Decoded> = instrs
-            .iter()
-            .rev()
-            .map(|ins| {
-                let [src0, src1] = ins.sources().map(|s| s.map_or(0, |r| r.0));
-                let uses = ((1u32 << src0) | (1u32 << src1)) & !1; // r0 is always ready
-                (len, tail, mask) = match TraceEnd::of(ins) {
-                    // ALU body op: extend whatever run follows. Its
-                    // destination is defined inside the run from here on.
-                    None => {
-                        let dst = ins.dest().map_or(0, |d| d.0);
-                        (len + 1, tail, (mask & !(1u32 << dst)) | uses)
-                    }
-                    // Control tail: a one-op run of its own (the engine
-                    // resolves the successor pc when it executes it).
-                    Some(TraceEnd::Branch | TraceEnd::Halt) => (1, true, uses),
-                    Some(_) => (0, false, 0), // memory / atomic / sync: never private
-                };
-                // Saturate long runs at 255 body ops; the trailing control
-                // op of a truncated run lies beyond the cap, so drop its
-                // flag.
-                let (run_len, capped_tail) = match u8::try_from(len) {
-                    Ok(short) => (short, tail),
-                    Err(_) => (u8::MAX, false),
-                };
-                Decoded {
-                    use_mask: mask,
-                    src0,
-                    src1,
-                    cost: if ins.is_memory() { 3 } else { 1 },
-                    is_memory: ins.is_memory(),
-                    class_idx: ins.class().index() as u8,
-                    run_len,
-                    tail: capped_tail,
-                    batchable: run_len >= 2 || capped_tail,
-                }
-            })
-            .collect();
-        recs.reverse();
-        TraceTable { recs }
-    }
-
-    /// The per-pc records, indexed by program counter.
-    #[inline]
-    pub fn decoded(&self) -> &[Decoded] {
-        &self.recs
-    }
-
-    /// Unsaturated length and tail flag of the run starting at `pc`. A
-    /// record saturated at 255 covers ALU body ops only, so the rest of
-    /// its run is the run starting 255 further on.
-    fn full_run(&self, mut pc: usize) -> (u32, bool) {
-        let mut len = 0;
-        loop {
-            let Some(d) = self.recs.get(pc) else {
-                return (len, false);
-            };
-            len += u32::from(d.run_len);
-            if d.run_len < u8::MAX || d.tail {
-                return (len, d.tail);
-            }
-            pc += usize::from(u8::MAX);
-        }
-    }
-
-    /// Consecutive private operations starting at `pc` — ALU body plus an
-    /// optional trailing control op (0 if `pc` holds a memory, atomic, or
-    /// sync operation, or is out of range).
-    #[inline]
-    pub fn run_len(&self, pc: usize) -> u32 {
-        self.full_run(pc).0
-    }
-
-    /// External use-set of the run starting at `pc`, as a register
-    /// bitmask (empty for non-private ops and out-of-range `pc`).
-    #[inline]
-    pub fn use_mask(&self, pc: usize) -> u32 {
-        self.recs.get(pc).map_or(0, |d| d.use_mask)
-    }
-
-    /// Whether the run starting at `pc` ends with a trailing control
-    /// operation (branch, jump, or halt) included in [`Self::run_len`].
-    #[inline]
-    pub fn has_tail(&self, pc: usize) -> bool {
-        self.full_run(pc).1
-    }
-
-    /// Static summary over a program: one entry per *maximal* trace (a
-    /// run not preceded by another ALU operation, or a bare terminator).
-    pub fn summary(&self, instrs: &[Instr]) -> TraceSummary {
-        let mut s = TraceSummary::default();
-        let mut pc = 0usize;
-        while pc < instrs.len() {
-            let len = self.run_len(pc) as usize - usize::from(self.has_tail(pc));
-            s.traces += 1;
-            s.alu_ops += len;
-            s.longest_run = s.longest_run.max(len);
-            let term = pc + len;
-            if term < instrs.len() {
-                let kind = TraceEnd::of(&instrs[term]).expect("run ends at a terminator");
-                s.terminators[kind.index()] += 1;
-                pc = term + 1;
-            } else {
-                // Run falls off the end of the program: an implicit halt.
-                s.terminators[TraceEnd::Halt.index()] += 1;
-                pc = term;
-            }
-        }
-        s
-    }
-}
-
-/// Static per-program trace statistics (see [`TraceTable::summary`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TraceSummary {
-    /// Number of maximal traces (terminators plus their ALU bodies).
-    pub traces: usize,
-    /// Total ALU operations inside trace bodies.
-    pub alu_ops: usize,
-    /// Longest ALU run in the program.
-    pub longest_run: usize,
-    /// Terminator histogram indexed by [`TraceEnd::index`].
-    pub terminators: [usize; N_TRACE_ENDS],
-}
-
-impl TraceSummary {
-    /// Mean ALU body length per trace.
-    pub fn mean_run(&self) -> f64 {
-        if self.traces == 0 {
-            0.0
-        } else {
-            self.alu_ops as f64 / self.traces as f64
+impl Decoded {
+    fn of(ins: &Instr) -> Decoded {
+        let [src0, src1] = ins.sources().map(|s| s.map_or(0, |r| r.0));
+        let is_memory = ins.is_memory();
+        Decoded {
+            src0,
+            src1,
+            cost: if is_memory { 3 } else { 1 },
+            is_memory,
+            class_idx: ins.class().index() as u8,
         }
     }
 }
@@ -640,7 +408,7 @@ impl TraceSummary {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Program {
     instrs: Vec<Instr>,
-    traces: TraceTable,
+    decoded: Vec<Decoded>,
 }
 
 impl Program {
@@ -649,14 +417,11 @@ impl Program {
         &self.instrs
     }
 
-    /// Trace metadata computed at build time (see [`TraceTable`]).
-    pub fn traces(&self) -> &TraceTable {
-        &self.traces
-    }
-
-    /// Static trace statistics for this program.
-    pub fn trace_summary(&self) -> TraceSummary {
-        self.traces.summary(&self.instrs)
+    /// The per-pc records computed at build time, indexed by program
+    /// counter.
+    #[inline]
+    pub fn decoded(&self) -> &[Decoded] {
+        &self.decoded
     }
 
     /// Number of instructions.
@@ -917,10 +682,10 @@ impl ProgramBuilder {
                 );
             }
         }
-        let traces = TraceTable::build(&self.instrs);
+        let decoded = self.instrs.iter().map(Decoded::of).collect();
         Program {
             instrs: self.instrs,
-            traces,
+            decoded,
         }
     }
 }
@@ -1025,101 +790,6 @@ mod tests {
         assert!(d.contains("ld"));
         assert!(d.contains("halt"));
         assert_eq!(d.lines().count(), 3);
-    }
-
-    #[test]
-    fn trace_runs_include_one_trailing_control_op() {
-        // li; add; bne -> one private run of 3 (2-op ALU body + tail).
-        let mut b = ProgramBuilder::new();
-        b.li(Reg(2), 1).add(Reg(3), Reg(2), Reg(2));
-        let fx = b.bne_fwd(Reg(3), Reg(2));
-        b.bind(fx);
-        b.halt();
-        let p = b.build();
-        let t = p.traces();
-        assert_eq!(t.run_len(0), 3);
-        assert!(t.has_tail(0));
-        // Mid-run entry points see the remaining suffix.
-        assert_eq!(t.run_len(1), 2);
-        assert!(t.has_tail(1));
-        // The bare branch is a one-op run of its own.
-        assert_eq!(t.run_len(2), 1);
-        assert!(t.has_tail(2));
-        // halt too: a private terminator.
-        assert_eq!(t.run_len(3), 1);
-        assert!(t.has_tail(3));
-    }
-
-    #[test]
-    fn trace_runs_stop_at_memory_and_sync_ops() {
-        // li; load; add; faa; readfe; halt
-        let mut b = ProgramBuilder::new();
-        b.li(Reg(2), 7)
-            .load(Reg(3), Reg(2), 0)
-            .add(Reg(4), Reg(3), Reg(2))
-            .fetch_add_imm(Reg(5), 0, Reg(4))
-            .readfe(Reg(6), Reg(2), 0)
-            .halt();
-        let p = b.build();
-        let t = p.traces();
-        // Run at 0 is just `li` — the load is not private.
-        assert_eq!(t.run_len(0), 1);
-        assert!(!t.has_tail(0));
-        for pc in [1usize, 3, 4] {
-            assert_eq!(t.run_len(pc), 0, "pc {pc} holds a non-private op");
-            assert!(!t.has_tail(pc));
-            assert_eq!(t.use_mask(pc), 0);
-        }
-        // `add` at 2 runs into the fetch_add: body of 1, no tail.
-        assert_eq!(t.run_len(2), 1);
-        assert!(!t.has_tail(2));
-    }
-
-    #[test]
-    fn use_mask_is_the_external_use_set() {
-        // li r2 (defines r2); add r3 = r2 + r4 (r4 external);
-        // bne r3, r5 (r5 external; r3 defined inside the run).
-        let mut b = ProgramBuilder::new();
-        b.li(Reg(2), 1).add(Reg(3), Reg(2), Reg(4));
-        let fx = b.bne_fwd(Reg(3), Reg(5));
-        b.bind(fx);
-        b.halt();
-        let p = b.build();
-        let t = p.traces();
-        // Only r4 and r5 are read before being written.
-        assert_eq!(t.use_mask(0), (1 << 4) | (1 << 5));
-        // Entering at the add, r2 is now external too.
-        assert_eq!(t.use_mask(1), (1 << 2) | (1 << 4) | (1 << 5));
-        // The branch alone reads r3 and r5.
-        assert_eq!(t.use_mask(2), (1 << 3) | (1 << 5));
-    }
-
-    #[test]
-    fn use_mask_never_contains_r0() {
-        let mut b = ProgramBuilder::new();
-        b.add(Reg(2), ZERO, ZERO).halt();
-        let p = b.build();
-        assert_eq!(p.traces().use_mask(0) & 1, 0);
-    }
-
-    #[test]
-    fn trace_summary_counts_terminators() {
-        // li; add; ld; addi; jmp top — two traces: (li,add)->Memory,
-        // (addi)->Branch.
-        let mut b = ProgramBuilder::new();
-        b.li(Reg(2), 0)
-            .add(Reg(3), Reg(2), Reg(2))
-            .load(Reg(4), Reg(2), 0)
-            .addi(Reg(2), Reg(2), 1)
-            .jmp(0);
-        let p = b.build();
-        let s = p.trace_summary();
-        assert_eq!(s.traces, 2);
-        assert_eq!(s.alu_ops, 3);
-        assert_eq!(s.longest_run, 2);
-        assert_eq!(s.terminators[TraceEnd::Memory.index()], 1);
-        assert_eq!(s.terminators[TraceEnd::Branch.index()], 1);
-        assert!((s.mean_run() - 1.5).abs() < 1e-12);
     }
 
     #[test]

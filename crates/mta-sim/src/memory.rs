@@ -41,9 +41,9 @@ pub struct Memory {
     next_free: usize,
     /// Traffic counters.
     pub counters: MemCounters,
-    /// Active fault-injection plan, if any. Lives below the engine layer
-    /// so that stuck full/empty bits perturb every engine identically; the
-    /// engines consult the pure per-address latency/wakeup helpers.
+    /// Active fault-injection plan, if any. Stuck full/empty bits apply
+    /// inside the sync operations here; the issue loop consults the pure
+    /// per-address latency/wakeup helpers.
     fault: Option<FaultPlan>,
 }
 
@@ -84,9 +84,7 @@ impl Memory {
     /// processor `proc` on `addr`, issued at `issue_at` with base
     /// latency `latency`, under the active fault plan: the address-keyed
     /// spike plus the structural degraded-link and brownout axes. Zero
-    /// without a plan. Every engine computes completion times through
-    /// this one helper with identical inputs — that is the whole
-    /// engine-invariance argument (DESIGN.md §8).
+    /// without a plan (DESIGN.md §8).
     #[inline]
     pub fn fault_mem_extra(&self, proc: usize, addr: usize, issue_at: u64, latency: u64) -> u64 {
         match &self.fault {
@@ -102,17 +100,6 @@ impl Memory {
         match &self.fault {
             None => t,
             Some(p) => p.stall_adjust(proc, t),
-        }
-    }
-
-    /// The start of the first stall window strictly after `t` for `proc`
-    /// (`u64::MAX` when nothing stalls): the batching engines' private
-    /// runs are capped here.
-    #[inline]
-    pub fn fault_next_stall(&self, proc: usize, t: u64) -> u64 {
-        match &self.fault {
-            None => u64::MAX,
-            Some(p) => p.next_stall_start(proc, t),
         }
     }
 

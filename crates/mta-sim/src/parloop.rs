@@ -13,12 +13,6 @@
 //! All helpers emit straight-line code into a [`ProgramBuilder`]; control
 //! falls through after the loop so callers can sequence further work or
 //! `halt`.
-//!
-//! For the trace-batched engine (see [`crate::isa::TraceTable`]) these
-//! shapes set the run boundaries: each `int_fetch_add` claim is a trace
-//! terminator, so a dynamic loop's body plus its back-edge branch is the
-//! private run the engine can issue in one scheduler visit when the
-//! registers are ready and no other stream's event preempts it.
 
 use crate::isa::{ProgramBuilder, Reg, STREAM_ID};
 
@@ -416,30 +410,5 @@ mod tests {
             blk_cycles as f64 > 1.3 * dyn_cycles as f64,
             "block {blk_cycles} should clearly exceed dynamic {dyn_cycles}"
         );
-    }
-
-    #[test]
-    fn dynamic_loop_trace_shape() {
-        // The claim loop's traces: the fetch_add terminates the header,
-        // and the body + back-edge jmp form a run with a control tail —
-        // the unit the batched engine issues per scheduler visit.
-        use crate::isa::TraceEnd;
-        let mut b = ProgramBuilder::new();
-        let regs = LoopRegs::standard();
-        dynamic_loop(&mut b, 0, 100, regs, |b| {
-            b.add(Reg(6), regs.idx, regs.idx);
-            b.addi(Reg(6), Reg(6), 1);
-        });
-        b.halt();
-        let prog = b.build();
-        let s = prog.trace_summary();
-        assert_eq!(s.terminators[TraceEnd::Atomic.index()], 1);
-        assert!(s.terminators[TraceEnd::Branch.index()] >= 2); // bge + jmp
-        assert_eq!(s.terminators[TraceEnd::Halt.index()], 1);
-        // The body run (add; addi; jmp) is private: length 3 with a tail.
-        let t = prog.traces();
-        let body_pc = 4; // li; li; faa; bge; <body>
-        assert_eq!(t.run_len(body_pc), 3);
-        assert!(t.has_tail(body_pc));
     }
 }

@@ -66,34 +66,27 @@ impl RunReport {
     }
 }
 
-/// Issue-loop accounting: how the engine spent its scheduler visits.
-///
-/// This is *host-side* measurement of the interpreter itself — instruction
-/// vs. trace bookkeeping — and is deliberately not part of [`RunReport`]:
-/// the simulated schedule is engine-invariant (trace-batched and
-/// single-step runs produce bit-identical reports), while these counters
-/// differ between engines by construction.
+/// Issue-loop accounting: *host-side* measurement of the interpreter
+/// itself, deliberately not part of [`RunReport`]. Only `events` is live;
+/// the other fields count paths that were removed and stay at 0 only
+/// because the frozen `benchmarks/` package reads them (ROADMAP 4(d)).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Scheduler visits (events popped), including stall re-queues.
     pub events: u64,
-    /// Trace batches executed (each covers ≥ 2 private ops in one visit;
-    /// a visit whose batch attempt covers a single instruction is counted
-    /// as an ordinary single-step event, which it is equivalent to).
+    /// Always 0: counted trace batches (removed, DESIGN.md §3.4).
     pub batches: u64,
-    /// Instructions issued inside trace batches.
+    /// Always 0: counted instructions issued inside trace batches.
     pub batched_instrs: u64,
-    /// Always 0. It counted the window-merge rounds of the removed
-    /// windowed engine (see `MtaEngine::Partitioned`) and stays only
-    /// because the frozen `benchmarks/` package reads it for
-    /// `mta-sim.windows_per_kcycle`; the `benchmark` PR that drops that row
-    /// removes the field.
+    /// Always 0: counted the window-merge rounds of the removed windowed
+    /// engine (see `MtaEngine::Partitioned`), read for
+    /// `mta-sim.windows_per_kcycle`.
     pub windows: u64,
 }
 
 impl EngineStats {
-    /// Fraction of `issued` instructions that went through trace batches
-    /// (0 under the single-step oracle).
+    /// Always 0: the fraction of `issued` instructions that went through
+    /// trace batches.
     pub fn batched_fraction(&self, issued: u64) -> f64 {
         if issued == 0 {
             0.0

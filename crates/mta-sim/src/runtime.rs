@@ -17,11 +17,6 @@
 //!   you measure exactly how much it costs.
 //! * [`emit_reduce_add`] — per-stream partial values combined by
 //!   `int_fetch_add` into a global cell.
-//!
-//! Every operation these emitters produce (`readfe`/`writeef`/
-//! `int_fetch_add`) is a trace terminator for the batched engine
-//! ([`crate::isa::TraceTable`]): synchronization points are exactly where
-//! cross-stream ordering matters, so the engine always single-steps them.
 
 use crate::isa::{ProgramBuilder, Reg};
 
@@ -270,21 +265,5 @@ mod tests {
         let contended = run(8, 8); // same total critical sections
         assert_eq!(solo.mem.sync_ops, contended.mem.sync_ops);
         assert!(contended.sync_retries > solo.sync_retries);
-    }
-
-    #[test]
-    fn sync_primitives_are_trace_terminators() {
-        // Lock/unlock compile to readfe/writeef; both must break traces
-        // (run_len 0) so the batched engine never reorders past them.
-        let mut b = ProgramBuilder::new();
-        emit_lock(&mut b, 0, Reg(2));
-        b.addi(Reg(3), Reg(3), 1);
-        emit_unlock(&mut b, 0, Reg(2));
-        b.halt();
-        let prog = b.build();
-        let t = prog.traces();
-        assert_eq!(t.run_len(0), 0, "readfe must terminate a trace");
-        assert_eq!(t.run_len(2), 0, "writeef must terminate a trace");
-        assert_eq!(t.run_len(1), 1, "the critical body itself is private");
     }
 }

@@ -157,48 +157,6 @@ impl TimeWheel {
             return Some((t, self.bucket[0]));
         }
     }
-
-    /// Does the bucket the last [`Self::pop`] came from still hold events?
-    /// They are due at that pop's own time, so while this is true the
-    /// queue's front is "now" and no batch horizon can be open: the issue
-    /// loop asks this, which is two loads, before it pays for a
-    /// [`Self::peek`] and a batch attempt that could only fail.
-    #[inline]
-    pub(crate) fn has_remnant(&self) -> bool {
-        self.cursor < self.bucket.len()
-    }
-
-    /// Earliest pending event in ascending `(time, id)` order, without
-    /// consuming it — the trace engine's preemption horizon. A remnant
-    /// of the current bucket is a pair of loads (the issue loop no longer
-    /// asks then, see [`Self::has_remnant`]); otherwise the out-of-line
-    /// path scans the occupancy bitmap and walks that bucket's short
-    /// intrusive list for its minimum id, draining nothing, so a
-    /// subsequent [`Self::pop`] is unaffected.
-    #[inline]
-    pub(crate) fn peek(&mut self) -> Option<(u64, u32)> {
-        if self.has_remnant() {
-            return Some((self.bucket_time, self.bucket[self.cursor]));
-        }
-        self.peek_slow()
-    }
-
-    #[inline(never)]
-    fn peek_slow(&self) -> Option<(u64, u32)> {
-        if self.wheel_count > 0 {
-            let t = self.next_occupied(self.base);
-            let b = t as usize & (WHEEL_SIZE - 1);
-            let mut id = self.head[b];
-            let mut min_id = id;
-            while id != NO_STREAM {
-                min_id = min_id.min(id);
-                id = self.next[id as usize];
-            }
-            // Windowed events all precede anything parked in overflow.
-            return Some((t, min_id));
-        }
-        self.overflow.peek().map(|&Reverse(e)| e)
-    }
 }
 
 #[cfg(test)]
@@ -234,23 +192,18 @@ mod tests {
         fn pop(&mut self) -> Option<(u64, u32)> {
             self.heap.pop().map(|Reverse(e)| e)
         }
-        fn peek(&self) -> Option<(u64, u32)> {
-            self.heap.peek().map(|&Reverse(e)| e)
-        }
     }
 
     /// One scripted action: push a parked stream at `floor + delta`, where
     /// `floor` is the earliest legal push time (one past the last popped
     /// event; the deltas deliberately straddle `WHEEL_SIZE` so overflow
-    /// admission is exercised), or pop/peek and compare.
+    /// admission is exercised), or pop and compare.
     #[derive(Debug, Clone, Copy)]
     enum Action {
         /// Push the next parked stream at `floor + delta`.
         Push { delta: u32 },
         /// Pop one event from both and compare.
         Pop,
-        /// Peek both and compare (then pop, so the script advances).
-        PeekPop,
     }
 
     fn action() -> impl Strategy<Value = Action> {
@@ -259,8 +212,9 @@ mod tests {
             (0u32..64).prop_map(|delta| Action::Push { delta }),
             // ...far-future pushes, up to several wheel revolutions out.
             (0u32..3 * WHEEL_SIZE as u32).prop_map(|delta| Action::Push { delta }),
+            // Pops twice, so the script pops as often as it pushes.
             Just(Action::Pop),
-            Just(Action::PeekPop),
+            Just(Action::Pop),
         ]
     }
 
@@ -286,16 +240,6 @@ mod tests {
                     let got = wheel.pop();
                     let want = model.pop();
                     assert_eq!(got, want, "pop diverged at step {step}");
-                    if let Some((t, id)) = got {
-                        floor = t + 1;
-                        free.push(id);
-                    }
-                }
-                Action::PeekPop => {
-                    assert_eq!(wheel.peek(), model.peek(), "peek diverged at step {step}");
-                    let got = wheel.pop();
-                    let want = model.pop();
-                    assert_eq!(got, want, "pop-after-peek diverged at step {step}");
                     if let Some((t, id)) = got {
                         floor = t + 1;
                         free.push(id);
@@ -350,32 +294,6 @@ mod tests {
             if got.is_none() {
                 break;
             }
-        }
-    }
-
-    #[test]
-    fn peek_and_pop_agree_after_wraparound() {
-        let mut wheel = TimeWheel::new(4);
-        // Two full revolutions with same-time id collisions at each stop.
-        let mut t = 0u64;
-        for round in 0..3u64 {
-            wheel.push(t + round * (WHEEL_SIZE as u64 + 13), 0);
-            wheel.push(t + round * (WHEEL_SIZE as u64 + 13), 2);
-            wheel.push(t + round * (WHEEL_SIZE as u64 + 13) + 1, 1);
-            let mut seen = Vec::new();
-            for _ in 0..3 {
-                let p = wheel.peek();
-                let got = wheel.pop();
-                assert_eq!(p, got, "peek must preview the pop");
-                seen.push(got.unwrap());
-            }
-            // Same-time events pop in id order; later time follows.
-            assert_eq!(seen[0].1, 0);
-            assert_eq!(seen[1].1, 2);
-            assert_eq!(seen[2].1, 1);
-            assert_eq!(seen[0].0, seen[1].0);
-            assert!(seen[2].0 > seen[1].0);
-            t = seen[2].0;
         }
     }
 }

@@ -7,7 +7,7 @@ use proptest::prelude::*;
 
 use archgraph_core::MtaParams;
 use archgraph_mta_sim::asm::assemble;
-use archgraph_mta_sim::isa::{Instr, OpClass, ProgramBuilder, Reg, NREGS};
+use archgraph_mta_sim::isa::{ProgramBuilder, Reg, NREGS};
 use archgraph_mta_sim::machine::MtaMachine;
 
 /// A generatable straight-line operation (no control flow, no sync).
@@ -70,37 +70,10 @@ fn lower(ops: &[FlatOp]) -> archgraph_mta_sim::isa::Program {
     b.build()
 }
 
-/// One stretch of a program built to be decoded, not run: `pad` ALU ops
-/// (drawn around the 255-op saturation boundary as often as not), a few
-/// arbitrary flat ops, then a terminator picked by `term`.
-fn stretch() -> impl Strategy<Value = (usize, Vec<FlatOp>, u8)> {
-    (
-        prop_oneof![0usize..4, 250usize..262],
-        proptest::collection::vec(flat_op(), 0..6),
-        0u8..5,
-    )
-}
-
-/// What the per-pc table should say about the private run starting at
-/// `pc`, worked out from the instructions alone: full length, whether it
-/// ends in a control op, and the registers it reads before writing.
-fn private_run(instrs: &[Instr], pc: usize) -> (u32, bool, u32) {
-    let (mut len, mut mask, mut defined) = (0u32, 0u32, 1u32); // r0 never counts
-    for ins in &instrs[pc..] {
-        let class = ins.class();
-        if !matches!(class, OpClass::Alu | OpClass::Control | OpClass::Halt) {
-            break;
-        }
-        len += 1;
-        for r in ins.sources().into_iter().flatten() {
-            mask |= (1 << r.0) & !defined;
-        }
-        if class != OpClass::Alu {
-            return (len, true, mask);
-        }
-        defined |= ins.dest().map_or(0, |d| 1 << d.0);
-    }
-    (len, false, mask)
+/// One stretch of a program built to be decoded, not run: a few arbitrary
+/// flat ops, then a terminator picked by `term`.
+fn stretch() -> impl Strategy<Value = (Vec<FlatOp>, u8)> {
+    (proptest::collection::vec(flat_op(), 0..6), 0u8..5)
 }
 
 /// Reference interpreter: one stream, sequential, no timing.
@@ -146,10 +119,7 @@ proptest! {
     ) {
         let mut b = ProgramBuilder::new();
         let mut fwd = Vec::new();
-        for (pad, ops, term) in &stretches {
-            for k in 0..*pad {
-                b.addi(Reg(2 + (k % 3) as u8), Reg(4), 1);
-            }
+        for (ops, term) in &stretches {
             emit(&mut b, ops);
             match term {
                 0 => {}
@@ -163,30 +133,14 @@ proptest! {
             b.bind(fx);
         }
         let prog = b.build();
-        let (instrs, t) = (prog.instrs(), prog.traces());
-        prop_assert_eq!(t.decoded().len(), instrs.len());
-        for (pc, (ins, d)) in instrs.iter().zip(t.decoded()).enumerate() {
-            // Against the instruction itself.
+        prop_assert_eq!(prog.decoded().len(), prog.len());
+        for (ins, d) in prog.instrs().iter().zip(prog.decoded()) {
             let [a, b] = ins.sources();
             prop_assert_eq!([d.src0, d.src1], [a.map_or(0, |r| r.0), b.map_or(0, |r| r.0)]);
             prop_assert_eq!(d.is_memory, ins.is_memory());
             prop_assert_eq!(d.cost, if ins.is_memory() { 3 } else { 1 });
             prop_assert_eq!(d.class_idx as usize, ins.class().index());
-            // Against the run the instructions spell out, through the
-            // public accessors (unsaturated) ...
-            let (len, tail, mask) = private_run(instrs, pc);
-            prop_assert_eq!(t.run_len(pc), len, "run_len at {}", pc);
-            prop_assert_eq!(t.has_tail(pc), tail, "has_tail at {}", pc);
-            prop_assert_eq!(t.use_mask(pc), mask, "use_mask at {}", pc);
-            // ... and in the record: capped at 255 body ops, and a capped
-            // run's control op lies beyond the cap.
-            prop_assert_eq!(u32::from(d.run_len), len.min(255));
-            prop_assert_eq!(d.tail, tail && len <= 255);
-            prop_assert_eq!(d.use_mask, mask);
-            prop_assert_eq!(d.batchable, d.run_len >= 2 || d.tail);
         }
-        let end = instrs.len();
-        prop_assert_eq!((t.run_len(end), t.has_tail(end), t.use_mask(end)), (0, false, 0));
     }
 
     #[test]

@@ -1,56 +1,94 @@
-//! Differential suite: trace batching must be *schedule preserving* — on
-//! every program, the batching loop is bit-identical to the
-//! single-step oracle in the full [`RunReport`] (cycles, issued, thirds,
-//! op mix, memory counters, sync retries) and in the final memory image.
+//! Loop goldens: the issue loop in `machine.rs`, pinned at instruction
+//! level. (The file keeps the name it had as the Trace-vs-SingleStep
+//! differential, and the tests theirs, so the tier-1 test list does not
+//! move; trace batching is gone — DESIGN.md §3.4.)
 //!
-//! Programs come from two sources:
-//!
-//! * property tests over structured random kernels (straight-line runs,
+//! * Hand-built kernels — the paper's Fig. 1 list walk and Fig. 2 graft
+//!   inner loops, six small programs that each once caught a scheduling
+//!   edge, and the 8 × 100-stream shape the kernels run at — assert
+//!   **absolute** values: cycles, issued, issue-slot thirds, sync retries,
+//!   the op mix and an FNV of the final memory image, per machine shape.
+//!   `golden/loop.txt` was recorded by running this file on commit 9c672cf
+//!   with batching off (the reference loop, which is the loop that
+//!   remains; batching on printed the same text). After an intended model
+//!   change, replace a kernel's lines with the ones its failure prints.
+//! * Property tests over structured random kernels (straight-line runs,
 //!   bounded countdown loops, forward skips, loads/stores/`int_fetch_add`)
-//!   across processor/stream combinations;
-//! * hand-built kernels in the shape of the paper's Fig. 1 (list-walk)
-//!   and Fig. 2 (edge-scan) inner loops.
-//!
-//! Any counterexample proptest ever finds should be pinned as a named
-//! regression test at the bottom of this file.
+//!   assert what needs no second implementation: a run is deterministic
+//!   and its accounting conserves issue slots. ROADMAP item 2(a)'s program
+//!   fuzzer builds on this generator.
 
 use proptest::prelude::*;
 
 use archgraph_core::MtaParams;
 use archgraph_mta_sim::isa::{Program, ProgramBuilder, Reg};
-use archgraph_mta_sim::machine::{with_engine, with_workers, MtaEngine, MtaMachine};
+use archgraph_mta_sim::machine::MtaMachine;
 use archgraph_mta_sim::report::RunReport;
+
+const GOLDEN: &str = include_str!("golden/loop.txt");
 
 const MEM_WORDS: usize = 48;
 
-/// Run `prog` under one engine; return the report and final memory image.
-fn run_engine(
-    prog: &Program,
-    engine: MtaEngine,
-    p: usize,
-    streams: usize,
-    mem_init: &[i64],
-) -> (RunReport, Vec<i64>) {
+/// The machine shapes every small kernel is pinned on.
+const SHAPES: [(usize, usize); 4] = [(1, 1), (1, 4), (2, 3), (2, 8)];
+
+/// Run `prog` on the tiny test machine; return the report and the final
+/// memory image.
+fn run(prog: &Program, p: usize, streams: usize, mem_init: &[i64]) -> (RunReport, Vec<i64>) {
     let mut m = MtaMachine::with_memory_words(MtaParams::tiny_for_tests(), p, 1 << 12);
     let base = m.memory_mut().alloc(MEM_WORDS);
     assert_eq!(base, 0);
     for (a, &v) in mem_init.iter().enumerate() {
         m.memory_mut().poke(a, v);
     }
-    m.set_engine(engine);
     let rep = m.run(prog, streams, |_, _| {});
     (rep, m.memory().peek_slice(0, MEM_WORDS))
 }
 
-/// Assert Trace agrees with the single-step oracle on `prog` for several
-/// machine shapes.
-fn assert_schedule_preserved(prog: &Program, mem_init: &[i64]) {
-    for &(p, streams) in &[(1usize, 1usize), (1, 4), (2, 3), (2, 8)] {
-        let (rs, ms) = run_engine(prog, MtaEngine::SingleStep, p, streams, mem_init);
-        let (rt, mt) = run_engine(prog, MtaEngine::Trace, p, streams, mem_init);
-        assert_eq!(rt, rs, "report diverged at p={p} streams={streams}");
-        assert_eq!(mt, ms, "memory diverged at p={p} streams={streams}");
-    }
+/// One golden line: everything of a run that is a simulated quantity.
+fn line(name: &str, rep: &RunReport, mem: &[i64]) -> String {
+    let fnv = mem
+        .iter()
+        .flat_map(|w| w.to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+    let mix: Vec<String> = rep.op_mix.iter().map(u64::to_string).collect();
+    format!(
+        "{name} p={} s={} cycles={} issued={} thirds={} retries={} mix={} mem={fnv:016x}\n",
+        rep.processors,
+        rep.streams_per_processor,
+        rep.cycles,
+        rep.issued,
+        rep.issued_thirds,
+        rep.sync_retries,
+        mix.join(","),
+    )
+}
+
+/// `fresh` must be exactly the lines `golden/loop.txt` holds for `name`.
+fn assert_golden(name: &str, fresh: &str) {
+    let want: String = GOLDEN
+        .lines()
+        .filter(|l| l.split(' ').next() == Some(name))
+        .map(|l| format!("{l}\n"))
+        .collect();
+    assert!(
+        fresh == want,
+        "{name} moved off golden/loop.txt; this run:\n{fresh}recorded:\n{want}"
+    );
+}
+
+/// Pin `prog` on every shape in [`SHAPES`].
+fn assert_pinned(name: &str, prog: &Program, mem_init: &[i64]) {
+    let fresh: String = SHAPES
+        .iter()
+        .map(|&(p, streams)| {
+            let (rep, mem) = run(prog, p, streams, mem_init);
+            line(name, &rep, &mem)
+        })
+        .collect();
+    assert_golden(name, &fresh);
 }
 
 /// A generatable operation for kernel bodies (no control flow here;
@@ -153,6 +191,8 @@ fn lower(segments: &[Segment]) -> Program {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
+    /// Two runs of one generated kernel agree in report and memory, and
+    /// the report's accounting is consistent with itself.
     #[test]
     fn engines_agree_on_random_kernels(
         segments in proptest::collection::vec(segment(), 0..6),
@@ -160,46 +200,13 @@ proptest! {
     ) {
         let prog = lower(&segments);
         for &(p, streams) in &[(1usize, 3usize), (2, 5)] {
-            let (rs, ms) = run_engine(&prog, MtaEngine::SingleStep, p, streams, &mem_init);
-            let (rt, mt) = run_engine(&prog, MtaEngine::Trace, p, streams, &mem_init);
-            prop_assert_eq!(&rt, &rs, "report diverged at p={} streams={}", p, streams);
-            prop_assert_eq!(&mt, &ms, "memory diverged at p={} streams={}", p, streams);
+            let (rep, mem) = run(&prog, p, streams, &mem_init);
+            let (again, mem_again) = run(&prog, p, streams, &mem_init);
+            prop_assert_eq!(&again, &rep, "report differs between runs at p={} streams={}", p, streams);
+            prop_assert_eq!(&mem_again, &mem, "memory differs between runs at p={} streams={}", p, streams);
+            prop_assert_eq!(rep.issued, rep.op_mix.iter().sum::<u64>());
+            prop_assert!(rep.issued_thirds <= 3 * p as u64 * rep.cycles);
         }
-    }
-}
-
-/// `MtaEngine::Compiled` and `MtaEngine::Partitioned` are retained names,
-/// not engines: each selects exactly the loop `Trace` selects, so — unlike
-/// the two real engines — even the host-side `EngineStats` agree, on a
-/// program that batches and on one that cannot. `with_workers` sets
-/// nothing, and no merge round is ever counted.
-#[test]
-fn compiled_is_an_alias_of_trace() {
-    let mut b = ProgramBuilder::new();
-    let (x, y) = (Reg(2), Reg(3));
-    b.li(x, 1);
-    for _ in 0..6 {
-        b.add(y, x, x).add(x, y, x);
-    }
-    b.store_abs(x, 0).halt();
-    let chain = b.build();
-    let mut b = ProgramBuilder::new();
-    b.store(Reg(1), Reg(1), 0).load(Reg(2), Reg(1), 0).halt();
-    let flat = b.build();
-    for (prog, streams, batches) in [(&chain, 1, true), (&flat, 8, false)] {
-        let run = |engine| {
-            with_engine(engine, || {
-                let mut m = MtaMachine::with_memory_words(MtaParams::tiny_for_tests(), 1, 1 << 12);
-                m.memory_mut().alloc(MEM_WORDS);
-                let rep = m.run(prog, streams, |_, _| {});
-                (rep, m.memory().peek_slice(0, MEM_WORDS), m.engine_stats())
-            })
-        };
-        let trace = run(MtaEngine::Trace);
-        assert_eq!(run(MtaEngine::Compiled), trace);
-        assert_eq!(with_workers(4, || run(MtaEngine::Partitioned)), trace);
-        assert_eq!(trace.2.batches > 0, batches, "{:?}", trace.2);
-        assert_eq!(trace.2.windows, 0);
     }
 }
 
@@ -232,7 +239,7 @@ fn fig1_walk_kernel_golden() {
     b.bind(done);
     b.halt();
     let prog = b.build();
-    assert_schedule_preserved(&prog, &mem);
+    assert_pinned("fig1_walk", &prog, &mem);
 }
 
 /// Fig. 2-shaped kernel: scan an edge list, and for each edge compare
@@ -269,72 +276,59 @@ fn fig2_graft_kernel_golden() {
     b.bind(done);
     b.halt();
     let prog = b.build();
-    assert_schedule_preserved(&prog, &mem);
+    assert_pinned("fig2_graft", &prog, &mem);
 }
 
 /// The shape the kernels run at: 8 MTA-2 processors × 100 streams, every
 /// stream claiming list nodes off one `int_fetch_add` counter and chasing
-/// `next[]` with a short ALU run per hop. With 800 streams nearly every
-/// event pops from a bucket that still holds others, so the issue loop
-/// skips the batch attempt on `TimeWheel::has_remnant`; the attempts it
-/// skips could only have failed, so the host-side `EngineStats` are the
-/// ones commit 64667d8 (no such gate) counted, and the few batches that do
-/// fire must still reproduce the single-step oracle.
+/// `next[]` with a short ALU run per hop. Pins the host-side event count
+/// beside the simulated line: here exactly one scheduler visit per issued
+/// instruction, since a stream is woken when its next operands are ready.
 #[test]
 fn saturated_shape_batches_exactly_as_before_the_remnant_gate() {
     const NODES: usize = 8192;
     const NEXT: i64 = 2; // next[] starts at word 2
-    let run = |engine| {
-        let mut m = MtaMachine::with_memory_words(MtaParams::mta2(), 8, 1 << 14);
-        assert_eq!(m.memory_mut().alloc(NEXT as usize + NODES), 0);
-        // A stride-389 ring where three nodes in four are sentinels: walks
-        // are short, so the claim counter is a hotspot and a few streams
-        // wake alone — the batches that do fire.
-        for i in 0..NODES {
-            let succ = (i + 389) % NODES;
-            let word = if i % 4 != 0 { 0 } else { NEXT + succ as i64 };
-            m.memory_mut().poke(NEXT as usize + i, word);
-        }
-        let mut b = ProgramBuilder::new();
-        let (i, one, lim, j, c, acc) = (Reg(2), Reg(3), Reg(4), Reg(5), Reg(6), Reg(7));
-        b.li(one, 1).li(lim, NODES as i64);
-        let claim = b.here();
-        b.fetch_add_imm(i, 0, one);
-        let done = b.bge_fwd(i, lim);
-        b.addi(j, i, NEXT);
-        let walk = b.here();
-        b.load(j, j, 0);
-        b.addi(c, c, 1).add(acc, acc, c).addi(acc, acc, 3);
-        b.beq(j, Reg(0), claim);
-        b.jmp(walk);
-        b.bind(done);
-        b.fetch_add_imm(c, 1, acc);
-        b.halt();
-        m.set_engine(engine);
-        let rep = m.run(&b.build(), 100, |_, _| {});
-        (rep, m.memory().peek_slice(0, 2), m.engine_stats())
-    };
-    let (oracle_rep, oracle_mem, oracle) = run(MtaEngine::SingleStep);
-    let (rep, mem, stats) = run(MtaEngine::Trace);
-    assert_eq!(rep, oracle_rep);
-    assert_eq!(mem, oracle_mem);
-    assert_eq!(
-        (oracle.events, oracle.batches, oracle.batched_instrs),
-        (82_624, 0, 0),
-        "single-step"
+    let mut m = MtaMachine::with_memory_words(MtaParams::mta2(), 8, 1 << 14);
+    assert_eq!(m.memory_mut().alloc(NEXT as usize + NODES), 0);
+    // A stride-389 ring where three nodes in four are sentinels: walks
+    // are short, so the claim counter is a hotspot.
+    for i in 0..NODES {
+        let succ = (i + 389) % NODES;
+        let word = if i % 4 != 0 { 0 } else { NEXT + succ as i64 };
+        m.memory_mut().poke(NEXT as usize + i, word);
+    }
+    let mut b = ProgramBuilder::new();
+    let (i, one, lim, j, c, acc) = (Reg(2), Reg(3), Reg(4), Reg(5), Reg(6), Reg(7));
+    b.li(one, 1).li(lim, NODES as i64);
+    let claim = b.here();
+    b.fetch_add_imm(i, 0, one);
+    let done = b.bge_fwd(i, lim);
+    b.addi(j, i, NEXT);
+    let walk = b.here();
+    b.load(j, j, 0);
+    b.addi(c, c, 1).add(acc, acc, c).addi(acc, acc, 3);
+    b.beq(j, Reg(0), claim);
+    b.jmp(walk);
+    b.bind(done);
+    b.fetch_add_imm(c, 1, acc);
+    b.halt();
+    let rep = m.run(&b.build(), 100, |_, _| {});
+    assert_golden(
+        "saturated",
+        &line("saturated", &rep, &m.memory().peek_slice(0, 2)),
     );
+    let stats = m.engine_stats();
     assert_eq!(
         (stats.events, stats.batches, stats.batched_instrs),
-        (82_430, 194, 388),
-        "trace"
+        (82_624, 0, 0)
     );
 }
 
 // ---------------------------------------------------------------------------
-// Pinned regressions: hand-reduced cases that exercise batch-path edges.
+// Hand-reduced programs, each a scheduling edge.
 // ---------------------------------------------------------------------------
 
-/// A lone backward branch (run_len 1, tail): batchable via its taken edge.
+/// A countdown whose body is one `addi` and a lone backward branch.
 #[test]
 fn pinned_lone_branch_countdown() {
     let mut b = ProgramBuilder::new();
@@ -344,20 +338,19 @@ fn pinned_lone_branch_countdown() {
     b.bne(Reg(2), Reg(0), top);
     b.halt();
     let prog = b.build();
-    assert_schedule_preserved(&prog, &[]);
+    assert_pinned("lone_branch_countdown", &prog, &[]);
 }
 
-/// Halt inside a batched run must count as issued, then stop the stream.
+/// `halt` straight after an ALU run counts as issued, then stops the stream.
 #[test]
 fn pinned_halt_terminates_batch() {
     let mut b = ProgramBuilder::new();
     b.li(Reg(2), 1).add(Reg(3), Reg(2), Reg(2)).halt();
     let prog = b.build();
-    assert_schedule_preserved(&prog, &[]);
+    assert_pinned("halt_after_alu_run", &prog, &[]);
 }
 
-/// A straight-line run longer than the decoder's `u8` saturation (255):
-/// the truncated run must re-enter the batcher mid-trace and stay exact.
+/// A straight-line run of 300 dependent ALU ops ahead of one store.
 #[test]
 fn pinned_run_longer_than_saturation() {
     let mut b = ProgramBuilder::new();
@@ -367,11 +360,11 @@ fn pinned_run_longer_than_saturation() {
     }
     b.store_abs(Reg(2), 0).halt();
     let prog = b.build();
-    assert_schedule_preserved(&prog, &[0]);
+    assert_pinned("long_alu_run", &prog, &[0]);
 }
 
-/// A load feeding the next run's use-set: the batcher must refuse to run
-/// past the not-yet-arrived register rather than issue early.
+/// A load feeding the next ALU op: the stream must wait for the register
+/// rather than issue early.
 #[test]
 fn pinned_load_use_blocks_batch() {
     let mut b = ProgramBuilder::new();
@@ -382,13 +375,12 @@ fn pinned_load_use_blocks_batch() {
     b.store_abs(Reg(5), 4);
     b.halt();
     let prog = b.build();
-    assert_schedule_preserved(&prog, &[0, 0, 0, 0, 0]);
+    assert_pinned("load_use", &prog, &[0, 0, 0, 0, 0]);
 }
 
 /// Full/empty producer-consumer handshake: `writeef` / `readfe` retries
-/// and word-hotspot serialization must schedule identically under every
-/// engine (the generated kernels never emit sync ops, so this pins the
-/// sync paths explicitly).
+/// and word-hotspot serialization (the generated kernels never emit sync
+/// ops, so this pins the sync paths explicitly).
 #[test]
 fn pinned_sync_handshake() {
     // mem[1] starts empty; the lower half of the streams produce into it,
@@ -409,27 +401,21 @@ fn pinned_sync_handshake() {
         b.halt();
         b.build()
     };
-    for &(p, streams) in &[(1usize, 2usize), (2, 4), (2, 8)] {
+    let mut fresh = String::new();
+    for &(p, streams) in &[(1usize, 2usize), (1, 8), (2, 4), (2, 8)] {
         let prog = build((p * streams) as i64);
-        let run = |engine| {
-            let mut m = MtaMachine::with_memory_words(MtaParams::tiny_for_tests(), p, 1 << 12);
-            m.memory_mut().alloc(MEM_WORDS);
-            m.memory_mut().set_empty(1);
-            m.set_engine(engine);
-            let rep = m.run(&prog, streams, |_, _| {});
-            (rep, m.memory().peek_slice(0, MEM_WORDS))
-        };
-        let (rs, ms) = run(MtaEngine::SingleStep);
-        let (rep, mem) = run(MtaEngine::Trace);
-        assert_eq!(rep, rs, "report diverged at p={p} s={streams}");
-        assert_eq!(mem, ms, "memory diverged at p={p} s={streams}");
+        let mut m = MtaMachine::with_memory_words(MtaParams::tiny_for_tests(), p, 1 << 12);
+        m.memory_mut().alloc(MEM_WORDS);
+        m.memory_mut().set_empty(1);
+        let rep = m.run(&prog, streams, |_, _| {});
         assert!(rep.mem.sync_ops > 0, "handshake must use sync ops");
+        fresh += &line("sync_handshake", &rep, &m.memory().peek_slice(0, MEM_WORDS));
     }
+    assert_golden("sync_handshake", &fresh);
 }
 
 /// Forward skip taken vs not taken, diverging by stream id: streams pick
-/// different paths, so the batcher follows different taken edges per
-/// stream while the oracle interleaves them.
+/// different paths through one program.
 #[test]
 fn pinned_stream_dependent_skip() {
     let mut b = ProgramBuilder::new();
@@ -440,5 +426,5 @@ fn pinned_stream_dependent_skip() {
     b.store(Reg(3), Reg(1), 8);
     b.halt();
     let prog = b.build();
-    assert_schedule_preserved(&prog, &[]);
+    assert_pinned("stream_dependent_skip", &prog, &[]);
 }
