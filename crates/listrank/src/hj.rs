@@ -1,15 +1,20 @@
 //! The Helman–JáJá list-ranking algorithm, natively parallel.
 //!
 //! The five steps of §3, structured exactly as the paper's SMP code: `p`
-//! persistent worker threads (POSIX-thread style) separated by software
-//! barriers, with `s = 8p` sublists chosen one-per-block at random.
+//! persistent workers (POSIX-thread style; worker 0 is the calling thread)
+//! separated by software barriers, with `s = 8p` sublists chosen
+//! one-per-block at random.
 //!
 //! 1. Find the head by the successor-sum identity (parallel reduction).
 //! 2. Partition into `s` sublists by marking random nodes.
-//! 3. Walk each sublist, computing local ranks and recording each node's
-//!    sublist index.
+//! 3. Advance every sublist of a worker together, computing local ranks
+//!    and recording each node's sublist index.
 //! 4. Prefix-sum the sublist summary records in chain order.
 //! 5. Add each node's sublist offset to its local rank (contiguous pass).
+//!
+//! Step 3 is [`crate::prefix`]'s one sublist chase, and `sub_of` doubles as
+//! step 2's head marker; that module's header says why the chase pays at
+//! `p = 1` too and why the shared `sub_of` is race-free.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Barrier;
@@ -17,7 +22,7 @@ use std::sync::Barrier;
 use archgraph_core::SharedSlice;
 use archgraph_graph::{LinkedList, Node, NIL};
 
-use crate::prefix::choose_sublist_heads;
+use crate::prefix::{advance_sublists, choose_sublist_heads, follow, on_workers};
 use crate::seq::sequential_rank;
 
 /// Configuration for [`helman_jaja`].
@@ -67,9 +72,8 @@ impl HjConfig {
 pub fn helman_jaja(list: &LinkedList, cfg: &HjConfig) -> Vec<Node> {
     let n = list.len();
     let p = cfg.threads.max(1);
-    // Below the decomposition's profitable regime (paper: n > p² ln n),
-    // fall back to the sequential code.
-    if n == 0 || p == 1 || n < 16 * p {
+    // Too short for every worker to have sublists worth walking.
+    if n < 16 * p {
         return sequential_rank(list);
     }
     let s = (cfg.sublists_per_thread.max(1) * p).min(n);
@@ -82,112 +86,87 @@ pub fn helman_jaja(list: &LinkedList, cfg: &HjConfig) -> Vec<Node> {
     // the *marking* happens inside the parallel region).
     let heads = choose_sublist_heads(list, s, cfg.seed);
     let s = heads.len();
-    let mut marker = vec![NIL; n];
     let mut rank = vec![0 as Node; n];
-    let mut sub_of = vec![0 as Node; n];
+    let mut sub_of = vec![NIL; n];
     let mut sub_len = vec![0 as Node; s];
     let mut sub_succ = vec![NIL; s];
     let mut sub_off = vec![0 as Node; s];
 
     {
-        let marker_sh = SharedSlice::new(&mut marker);
         let rank_sh = SharedSlice::new(&mut rank);
         let sub_of_sh = SharedSlice::new(&mut sub_of);
         let len_sh = SharedSlice::new(&mut sub_len);
         let succ_sh = SharedSlice::new(&mut sub_succ);
         let off_sh = SharedSlice::new(&mut sub_off);
-        let barrier = &barrier;
-        let sum = &sum;
-        let heads = &heads;
+        let chunk = n.div_ceil(p);
 
-        std::thread::scope(|scope| {
-            for t in 0..p {
-                scope.spawn(move || {
-                    let chunk = n.div_ceil(p);
-                    let (lo, hi) = (t * chunk, ((t + 1) * chunk).min(n));
+        on_workers(p, |t| {
+            let (lo, hi) = (t * chunk, ((t + 1) * chunk).min(n));
 
-                    // --- Step 1: head finding (parallel reduction). ---
-                    let local: u64 = next[lo..hi].iter().map(|&x| x as u64).sum();
-                    sum.fetch_add(local, Ordering::Relaxed);
-                    barrier.wait();
-                    if t == 0 {
-                        let nn = n as u64;
-                        let found = (nn * (nn - 1) / 2 + nn - sum.load(Ordering::Relaxed)) as Node;
-                        debug_assert_eq!(found, list.head, "head identity");
+            // --- Step 1: head finding (parallel reduction). ---
+            let local: u64 = next[lo..hi].iter().map(|&x| x as u64).sum();
+            sum.fetch_add(local, Ordering::Relaxed);
+            barrier.wait();
+            if t == 0 {
+                let nn = n as u64;
+                let found = (nn * (nn - 1) / 2 + nn - sum.load(Ordering::Relaxed)) as Node;
+                debug_assert_eq!(found, list.head, "head identity");
 
-                        // --- Step 2: mark sublist heads. ---
-                        for (i, &h) in heads.iter().enumerate() {
-                            // Safety: only thread 0 writes markers here.
-                            unsafe { marker_sh.write(h as usize, i as Node) };
+                // --- Step 2: mark sublist heads. ---
+                for (i, &h) in heads.iter().enumerate() {
+                    // Safety: only worker 0 writes `sub_of` here.
+                    unsafe { sub_of_sh.write(h as usize, i as Node) };
+                }
+            }
+            barrier.wait();
+
+            // --- Step 3: advance sublists (cyclic assignment). ---
+            advance_sublists(&heads, t, p, 0 as Node, |i, j, r| {
+                // Safety: sublists partition the list, so slot `j` and the
+                // summaries of sublist `i` are this walk's alone; `follow`'s
+                // contract is `prefix`'s header argument.
+                unsafe {
+                    rank_sh.write(j, *r);
+                    *r += 1;
+                    match follow(next, sub_of_sh, i, j) {
+                        Ok(nx) => Some(nx),
+                        Err(succ) => {
+                            len_sh.write(i, *r);
+                            succ_sh.write(i, succ);
+                            None
                         }
                     }
-                    barrier.wait();
+                }
+            });
+            barrier.wait();
 
-                    // --- Step 3: walk sublists (cyclic assignment). ---
-                    let mut i = t;
-                    while i < s {
-                        let mut j = heads[i];
-                        let mut r: Node = 0;
-                        // Safety: sublists partition the list; slot `j` is
-                        // visited by exactly one walk.
-                        unsafe {
-                            rank_sh.write(j as usize, r);
-                            sub_of_sh.write(j as usize, i as Node);
-                        }
-                        let mut nx = next[j as usize];
-                        while (nx as usize) < n && unsafe { marker_sh.read(nx as usize) } == NIL {
-                            j = nx;
-                            r += 1;
-                            unsafe {
-                                rank_sh.write(j as usize, r);
-                                sub_of_sh.write(j as usize, i as Node);
-                            }
-                            nx = next[j as usize];
-                        }
-                        unsafe {
-                            len_sh.write(i, r + 1);
-                            succ_sh.write(
-                                i,
-                                if (nx as usize) < n {
-                                    marker_sh.read(nx as usize)
-                                } else {
-                                    NIL
-                                },
-                            );
-                        }
-                        i += p;
+            // --- Step 4: sublist prefix (worker 0; s = O(p)). ---
+            if t == 0 {
+                let mut cur = 0usize;
+                let mut acc: Node = 0;
+                loop {
+                    // Safety: steps are barrier-separated; only worker 0
+                    // touches the summaries here.
+                    unsafe { off_sh.write(cur, acc) };
+                    acc += unsafe { len_sh.read(cur) };
+                    let nxt = unsafe { succ_sh.read(cur) };
+                    if nxt == NIL {
+                        break;
                     }
-                    barrier.wait();
+                    cur = nxt as usize;
+                }
+                debug_assert_eq!(acc as usize, n, "sublists cover the list");
+            }
+            barrier.wait();
 
-                    // --- Step 4: sublist prefix (thread 0; s = O(p)). ---
-                    if t == 0 {
-                        let mut cur = 0usize;
-                        let mut acc: Node = 0;
-                        loop {
-                            // Safety: steps are barrier-separated; only
-                            // thread 0 touches the summaries here.
-                            unsafe { off_sh.write(cur, acc) };
-                            acc += unsafe { len_sh.read(cur) };
-                            let nxt = unsafe { succ_sh.read(cur) };
-                            if nxt == NIL {
-                                break;
-                            }
-                            cur = nxt as usize;
-                        }
-                        debug_assert_eq!(acc as usize, n, "sublists cover the list");
-                    }
-                    barrier.wait();
-
-                    // --- Step 5: contiguous combine. ---
-                    for slot in lo..hi {
-                        // Safety: contiguous disjoint chunks.
-                        unsafe {
-                            let local = rank_sh.read(slot);
-                            let off = off_sh.read(sub_of_sh.read(slot) as usize);
-                            rank_sh.write(slot, local + off);
-                        }
-                    }
-                });
+            // --- Step 5: contiguous combine. ---
+            for slot in lo..hi {
+                // Safety: contiguous disjoint chunks.
+                unsafe {
+                    let local = rank_sh.read(slot);
+                    let off = off_sh.read(sub_of_sh.read(slot) as usize);
+                    rank_sh.write(slot, local + off);
+                }
             }
         });
     }
@@ -199,6 +178,47 @@ pub fn helman_jaja(list: &LinkedList, cfg: &HjConfig) -> Vec<Node> {
 mod tests {
     use super::*;
     use archgraph_graph::rng::Rng;
+    use proptest::prelude::*;
+
+    /// An Ordered, Random or reversed list of `n` nodes.
+    fn shaped(layout: u8, n: usize, seed: u64) -> LinkedList {
+        match layout {
+            0 => LinkedList::ordered(n),
+            1 => LinkedList::random(n, &mut Rng::new(seed)),
+            _ => LinkedList::from_permutation(&(0..n as Node).rev().collect::<Vec<_>>()),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn every_shape_ranks_as_the_oracle(
+            threads in 1usize..5,
+            sublists_per_thread in 1usize..10,
+            // Half the cases in 0..=16p + 3, across the sequential fallback.
+            at_edge in any::<bool>(),
+            n in 0usize..5001,
+            layout in 0u8..3,
+            seed in any::<u64>(),
+        ) {
+            let n = if at_edge { n % (16 * threads + 4) } else { n };
+            let list = shaped(layout, n, seed);
+            let cfg = HjConfig { threads, sublists_per_thread, seed };
+            prop_assert_eq!(
+                helman_jaja(&list, &cfg),
+                list.rank_oracle(),
+                "n={} threads={} sublists_per_thread={} layout={}",
+                n, threads, sublists_per_thread, layout
+            );
+        }
+    }
+
+    #[test]
+    fn one_thread_decomposes_a_long_random_list() {
+        let l = LinkedList::random(1 << 16, &mut Rng::new(16));
+        assert_eq!(helman_jaja(&l, &HjConfig::with_threads(1)), l.rank_oracle());
+    }
 
     #[test]
     fn matches_oracle_on_random_lists() {

@@ -9,7 +9,23 @@
 //!
 //! [`seq_prefix`] is the sequential form; [`par_prefix`] uses the
 //! Helman–JáJá sublist decomposition (same structure as [`crate::hj`])
-//! generically over the operator.
+//! generically over the operator. The decomposition's shared pieces live
+//! here too, and [`crate::hj`] and [`crate::sim_smp`] use them.
+//!
+//! Step 3 advances every sublist of a worker together, one node of each a
+//! round: a Random list's successor is a cache miss whose address comes
+//! out of the node before, so one walk keeps one miss in flight, while the
+//! `s = 8p` sublists are independent chains whose misses the host
+//! overlaps. That is why the decomposition pays even at `p = 1`.
+//!
+//! `sub_of[slot]` (the sublist `slot` belongs to) starts at `NIL` and
+//! doubles as the head marker: step 2 writes every head's index before any
+//! walk starts, and a walk claims its successor by writing the `sub_of`
+//! entry it has just found `NIL`. This is free of data races: a walk reads
+//! `sub_of[nx]` only for its own successor `nx`, which is either a head
+//! (written before the walks began, never again) or an unclaimed node of
+//! its own sublist (no other walk reaches it, and this walk claims it on
+//! the spot).
 
 use archgraph_core::SharedSlice;
 use archgraph_graph::rng::Rng;
@@ -64,11 +80,8 @@ where
     let n = list.len();
     assert_eq!(values.len(), n);
     let p = threads.max(1);
-    if n == 0 {
-        return Vec::new();
-    }
-    // Small lists: the decomposition overhead dominates; go sequential.
-    if n < 4 * p || p == 1 {
+    // Too short for every worker to have sublists worth walking.
+    if n < 16 * p {
         return seq_prefix(list, values, op);
     }
 
@@ -76,65 +89,43 @@ where
     let heads = choose_sublist_heads(list, s, seed);
     let s = heads.len();
 
-    // marker[slot] = sublist index if slot is a sublist head.
-    let mut marker = vec![NIL; n];
+    // Step 2: mark the heads (see the module header).
+    let mut sub_of = vec![NIL; n];
     for (i, &h) in heads.iter().enumerate() {
-        marker[h as usize] = i as Node;
+        sub_of[h as usize] = i as Node;
     }
 
     let mut out = vec![T::default(); n];
-    let mut sub_of = vec![0 as Node; n];
     let mut sub_last = vec![T::default(); s]; // ⊕-total of each sublist
     let mut sub_succ = vec![NIL; s];
 
+    // Step 3: advance every sublist (cyclic assignment to workers).
     {
         let out_sh = SharedSlice::new(&mut out);
         let sub_of_sh = SharedSlice::new(&mut sub_of);
         let last_sh = SharedSlice::new(&mut sub_last);
         let succ_sh = SharedSlice::new(&mut sub_succ);
-        let marker = &marker;
-        let heads = &heads;
         let next = &list.next;
-        let op = &op;
-        std::thread::scope(|scope| {
-            for t in 0..p {
-                scope.spawn(move || {
-                    // Cyclic sublist assignment; each walk writes disjoint
-                    // slots (sublists partition the list).
-                    let mut i = t;
-                    while i < s {
-                        let mut j = heads[i];
-                        let mut acc = values[j as usize];
-                        // Safety: each slot belongs to exactly one sublist.
-                        unsafe {
-                            out_sh.write(j as usize, acc);
-                            sub_of_sh.write(j as usize, i as Node);
+        on_workers(p, |t| {
+            advance_sublists(&heads, t, p, None, |i, j, acc: &mut Option<T>| {
+                let v = values[j];
+                let a = acc.map_or(v, |a| op(a, v));
+                *acc = Some(a);
+                // Safety: sublists partition the list, so slot `j` and the
+                // summaries of sublist `i` are this walk's alone; `follow`'s
+                // contract is the module header's argument.
+                unsafe {
+                    out_sh.write(j, a);
+                    match follow(next, sub_of_sh, i, j) {
+                        Ok(nx) => Some(nx),
+                        Err(succ) => {
+                            last_sh.write(i, a);
+                            succ_sh.write(i, succ);
+                            None
                         }
-                        let mut nx = next[j as usize];
-                        while (nx as usize) < n && marker[nx as usize] == NIL {
-                            j = nx;
-                            acc = op(acc, values[j as usize]);
-                            unsafe {
-                                out_sh.write(j as usize, acc);
-                                sub_of_sh.write(j as usize, i as Node);
-                            }
-                            nx = next[j as usize];
-                        }
-                        unsafe {
-                            last_sh.write(i, acc);
-                            succ_sh.write(
-                                i,
-                                if (nx as usize) < n {
-                                    marker[nx as usize]
-                                } else {
-                                    NIL
-                                },
-                            );
-                        }
-                        i += p;
                     }
-                });
-            }
+                }
+            });
         });
     }
 
@@ -160,31 +151,113 @@ where
     // Step 5: contiguous final combine.
     {
         let out_sh = SharedSlice::new(&mut out);
-        let sub_of = &sub_of;
-        let sub_offset = &sub_offset;
-        let op = &op;
-        std::thread::scope(|scope| {
-            let chunk = n.div_ceil(p);
-            for t in 0..p {
-                scope.spawn(move || {
-                    let lo = t * chunk;
-                    let hi = ((t + 1) * chunk).min(n);
-                    for slot in lo..hi {
-                        if let Some(off) = sub_offset[sub_of[slot] as usize] {
-                            // Safety: each slot written by exactly one
-                            // thread (contiguous partition).
-                            unsafe {
-                                let v = out_sh.read(slot);
-                                out_sh.write(slot, op(off, v));
-                            }
-                        }
+        let chunk = n.div_ceil(p);
+        on_workers(p, |t| {
+            for slot in t * chunk..((t + 1) * chunk).min(n) {
+                if let Some(off) = sub_offset[sub_of[slot] as usize] {
+                    // Safety: each slot written by exactly one worker
+                    // (contiguous partition).
+                    unsafe {
+                        let v = out_sh.read(slot);
+                        out_sh.write(slot, op(off, v));
                     }
-                });
+                }
             }
         });
     }
 
     out
+}
+
+/// Run `work(t)` for every worker `t` in `0..p`, returning when all have:
+/// worker 0 on the calling thread and the other `p − 1` spawned, so `p = 1`
+/// spawns nothing.
+pub(crate) fn on_workers(p: usize, work: impl Fn(usize) + Sync) {
+    let work = &work;
+    std::thread::scope(|scope| {
+        for t in 1..p {
+            scope.spawn(move || work(t));
+        }
+        work(0);
+    });
+}
+
+/// Step 3 for worker `t` of `p`: walk sublists `t, t + p, …` of `heads`
+/// together, one node of every live sublist a round, until all have ended.
+///
+/// Each sublist starts at its head with `state = start`. `visit(sub, slot,
+/// state)` does sublist `sub`'s work at `slot` and returns the slot to
+/// visit next, or `None` where the sublist ends (recording its summary
+/// itself). Which sublist a round takes first changes nothing, so one that
+/// ends is `swap_remove`d (`retain` would copy every survivor down, every
+/// round, once the first has ended).
+pub(crate) fn advance_sublists<S: Copy>(
+    heads: &[Node],
+    t: usize,
+    p: usize,
+    start: S,
+    mut visit: impl FnMut(usize, usize, &mut S) -> Option<Node>,
+) {
+    /// A sublist still being walked: its index, the slot it has reached
+    /// and what its walk carries.
+    struct Chain<S> {
+        sub: Node,
+        at: Node,
+        state: S,
+    }
+    let mut live: Vec<Chain<S>> = (t..heads.len())
+        .step_by(p)
+        .map(|sub| Chain {
+            sub: sub as Node,
+            at: heads[sub],
+            state: start,
+        })
+        .collect();
+    while !live.is_empty() {
+        let mut k = 0;
+        while k < live.len() {
+            let c = &mut live[k];
+            match visit(c.sub as usize, c.at as usize, &mut c.state) {
+                Some(at) => {
+                    c.at = at;
+                    k += 1;
+                }
+                None => {
+                    live.swap_remove(k);
+                }
+            }
+        }
+    }
+}
+
+/// Where sublist `sub`'s walk goes after slot `j`: `Ok(successor)`, which
+/// it claims by writing the successor's `sub_of`, or, where the sublist
+/// ends, `Err` of the sublist that starts at the successor (`NIL` after
+/// the list's tail).
+///
+/// # Safety
+/// `sub_of` has one entry per slot of `next` and is the module header's:
+/// `NIL` but at the heads, which were written before any walk began and
+/// hold their sublist's index, or at slots already claimed. `j` is a slot
+/// of sublist `sub` that this walk has claimed, and no other thread runs
+/// sublist `sub`.
+pub(crate) unsafe fn follow(
+    next: &[Node],
+    sub_of: SharedSlice<Node>,
+    sub: usize,
+    j: usize,
+) -> Result<Node, Node> {
+    let nx = next[j];
+    if nx as usize >= next.len() {
+        return Err(NIL);
+    }
+    match sub_of.read(nx as usize) {
+        NIL => {
+            sub_of.write(nx as usize, sub as Node);
+            Ok(nx)
+        }
+        head_of => Err(head_of),
+    }
 }
 
 /// Choose `s` sublist head slots: the true head plus one random slot from
@@ -229,6 +302,7 @@ pub(crate) fn choose_sublist_heads(list: &LinkedList, s: usize, seed: u64) -> Ve
 mod tests {
     use super::*;
     use archgraph_graph::rng::Rng;
+    use proptest::prelude::*;
 
     #[test]
     fn seq_prefix_addition_is_rank_plus_one() {
@@ -285,6 +359,46 @@ mod tests {
         let s = seq_prefix(&l, &vals, op);
         let p = par_prefix(&l, &vals, op, 3, 2);
         assert_eq!(p, s, "non-commutative operator order must be preserved");
+    }
+
+    /// An Ordered, Random or reversed list of `n` nodes.
+    fn shaped(layout: u8, n: usize, seed: u64) -> LinkedList {
+        match layout {
+            0 => LinkedList::ordered(n),
+            1 => LinkedList::random(n, &mut Rng::new(seed)),
+            _ => LinkedList::from_permutation(&(0..n as Node).rev().collect::<Vec<_>>()),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn every_shape_prefixes_as_seq_prefix(
+            threads in 1usize..5,
+            // Half the cases in 0..=16p + 3, across the sequential fallback.
+            at_edge in any::<bool>(),
+            n in 0usize..5001,
+            layout in 0u8..3,
+            seed in any::<u64>(),
+        ) {
+            // The affine composition of `par_prefix_with_noncommutative_operator`.
+            type Aff = (i64, i64);
+            let op = |x: Aff, y: Aff| -> Aff {
+                ((x.0 * y.0).rem_euclid(97), (x.1 * y.0 + y.1).rem_euclid(97))
+            };
+            let n = if at_edge { n % (16 * threads + 4) } else { n };
+            let list = shaped(layout, n, seed);
+            let vals: Vec<Aff> = (0..n)
+                .map(|i| (((i * 31) % 96 + 1) as i64, (i * 7 % 97) as i64))
+                .collect();
+            prop_assert_eq!(
+                par_prefix(&list, &vals, op, threads, seed),
+                seq_prefix(&list, &vals, op),
+                "n={} threads={} layout={}",
+                n, threads, layout
+            );
+        }
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //! successor record is a host DRAM miss, and the next address comes out of
 //! it:
 //!
-//! * **Host half.** One loop advances *every* live sublist by one node per
+//! * **Host half.** One loop — the native codes' sublist chase, in
+//!   [`crate::prefix`] — advances *every* live sublist by one node per
 //!   round and does all of the real work (`rank`, `sub_of`, the sublist
 //!   records). The sublists are independent chains and a host-only step is
 //!   a few dozen instructions, so many chains' misses are in the host's
@@ -53,7 +54,7 @@ use archgraph_graph::{LinkedList, Node, NIL};
 use archgraph_smp_sim::machine::{ArrayAddr, SmpMachine};
 use archgraph_smp_sim::stats::RunStats;
 
-use crate::prefix::choose_sublist_heads;
+use crate::prefix::{advance_sublists, choose_sublist_heads};
 
 /// Result of a simulated SMP run.
 #[derive(Debug, Clone)]
@@ -251,14 +252,6 @@ fn hj_with(
     })
 }
 
-/// A sublist the host chase is still walking: its index, the node it has
-/// reached and how many it has visited.
-struct Chain {
-    sub: Node,
-    at: Node,
-    len: Node,
-}
-
 /// Step 3 of [`try_simulate_hj`]: chase every sublist at once on the host,
 /// then replay each processor's visit order through the machine (see the
 /// module header for why the two are apart and why the order is exact).
@@ -272,39 +265,23 @@ fn chase_then_replay(
     let mut sub_len = vec![0 as Node; s];
     let mut sub_succ = vec![NIL; s];
 
-    // Host half. A round is one node of every sublist still running: the
-    // `nodes[nx]` loads of a round do not depend on one another, so their
-    // misses overlap, and by the next round each has arrived. Which
-    // sublist a round takes first changes nothing, so one that ends is
-    // `swap_remove`d (`retain` copies every survivor down, every round,
-    // once the first has ended — a quarter of the loop's time).
-    let mut live: Vec<Chain> = heads
-        .iter()
-        .zip(0..)
-        .map(|(&at, sub)| Chain { sub, at, len: 0 })
-        .collect();
-    while !live.is_empty() {
-        let mut k = 0;
-        while k < live.len() {
-            let c = &mut live[k];
-            let i = c.sub as usize;
-            let node = &mut nodes[c.at as usize];
-            node.rank = c.len;
-            node.sub_of = c.sub;
-            c.len += 1;
-            // The sublist that starts at the successor, NIL if none does.
-            let nx = node.next as usize;
-            let next_sub = if nx < n { nodes[nx].marker } else { NIL };
-            if nx >= n || next_sub != NIL {
-                sub_len[i] = c.len;
-                sub_succ[i] = next_sub;
-                live.swap_remove(k);
-            } else {
-                c.at = nx as Node;
-                k += 1;
-            }
+    // Host half: the native codes' chase, all sublists on one worker.
+    advance_sublists(heads, 0, 1, 0 as Node, |i, j, len| {
+        let node = &mut nodes[j];
+        node.rank = *len;
+        node.sub_of = i as Node;
+        *len += 1;
+        // The sublist that starts at the successor, NIL if none does.
+        let nx = node.next as usize;
+        let next_sub = if nx < n { nodes[nx].marker } else { NIL };
+        if nx >= n || next_sub != NIL {
+            sub_len[i] = *len;
+            sub_succ[i] = next_sub;
+            None
+        } else {
+            Some(nx as Node)
         }
-    }
+    });
 
     // The visit order is not written down by the chase but read off its
     // result: sublist `i`'s `r`-th visit is the node with `sub_of == i` and

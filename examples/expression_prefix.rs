@@ -57,7 +57,7 @@ fn main() {
         .map(|c| c.get())
         .unwrap_or(1);
     let t0 = std::time::Instant::now();
-    let par = par_prefix(&list, &updates, compose, cores.max(2), 1);
+    let par = par_prefix(&list, &updates, compose, cores, 1);
     let t_par = t0.elapsed();
 
     assert_eq!(par, seq, "parallel prefix must preserve composition order");

@@ -28,7 +28,7 @@ fn main() {
     let t_seq = t0.elapsed();
 
     let t0 = std::time::Instant::now();
-    let hj = helman_jaja(&list, &HjConfig::with_threads(cores.max(2)));
+    let hj = helman_jaja(&list, &HjConfig::with_threads(cores));
     let t_hj = t0.elapsed();
 
     let t0 = std::time::Instant::now();

@@ -87,5 +87,9 @@ benchmarks/run.sh --workload daemon-serve --seconds 2
 # each pass verified against its oracle and the first against
 # expected.json; a short run keeps smp-sim's fast paths under the gate.
 benchmarks/run.sh --workload smp-cache --seconds 2
+# native-kernels is the only place native Helman–JáJá ranks lists of 2^21
+# (Random and Ordered, one thread, so it runs the sublist decomposition);
+# every pass is checked against its oracle and a wrong rank exits non-zero.
+benchmarks/run.sh --workload native-kernels --seconds 2
 
 echo "ci: all gates passed"

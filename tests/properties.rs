@@ -39,6 +39,7 @@ proptest! {
         list.validate().unwrap();
         let oracle = list.rank_oracle();
         prop_assert_eq!(&sequential_rank(&list), &oracle);
+        prop_assert_eq!(&helman_jaja(&list, &HjConfig::with_threads(1)), &oracle);
         prop_assert_eq!(&helman_jaja(&list, &HjConfig::with_threads(3)), &oracle);
         let cfg = MtaStyleConfig { walks: (list.len() / 7).max(1), threads: 2 };
         prop_assert_eq!(&mta_style_rank(&list, &cfg), &oracle);
