@@ -303,7 +303,7 @@ pub fn list_line(entries: &[ListEntry]) -> String {
 
 /// One streamed cell-result line. The `sim` sub-object is rendered
 /// byte-identically to the bench driver's JSON (`{ "k": v, ... }`) so
-/// CI can diff daemon output against `--bin bench` output directly.
+/// `tests/daemon.rs` can diff daemon output against `BENCH_archgraph.json`.
 pub fn cell_line(job: &str, ev: &CellEvent) -> String {
     let head = format!(
         r#"{{"type":"cell","job":"{}","index":{},"name":"{}","key":"{}""#,

@@ -6,11 +6,13 @@
 //! restarted daemon serves the killed sweep's completed cells with
 //! fingerprints identical to an uninterrupted run; a poisoned cell
 //! (`ARCHGRAPH_BENCH_PANIC_CELL`) surfaces as a structured error while
-//! the rest of the grid — and the daemon — keep going.
+//! the rest of the grid — and the daemon — keep going; the whole bench
+//! suite, served cold and cached, renders the `sim` text of
+//! `BENCH_archgraph.json` byte for byte.
 //!
-//! Cells are tiny structured specs (color, p=2, n≈128) so the whole
-//! file stays fast in debug builds. Assertions are written to hold
-//! under any worker/signal interleaving.
+//! Apart from that suite, cells are tiny structured specs (color, p=2,
+//! n≈128) so the whole file stays fast in debug builds. Assertions are
+//! written to hold under any worker/signal interleaving.
 
 #![cfg(unix)]
 
@@ -25,6 +27,7 @@ use archgraphd::json::Json;
 
 const DAEMON: &str = env!("CARGO_BIN_EXE_archgraphd");
 const CLIENT: &str = env!("CARGO_BIN_EXE_archgraph-client");
+const BASELINE: &str = include_str!("../../../BENCH_archgraph.json");
 
 /// Kill-on-drop guard so a failing test never leaks a daemon process.
 struct Daemon {
@@ -105,11 +108,20 @@ fn send(w: &mut UnixStream, line: &str) {
         .expect("send request");
 }
 
-fn recv(r: &mut BufReader<UnixStream>) -> Json {
+fn recv_line(r: &mut BufReader<UnixStream>) -> String {
     let mut line = String::new();
     r.read_line(&mut line).expect("read reply line");
     assert!(!line.is_empty(), "daemon closed the stream unexpectedly");
-    Json::parse(line.trim_end()).unwrap_or_else(|e| panic!("bad reply {line:?}: {e}"))
+    line.truncate(line.trim_end().len());
+    line
+}
+
+fn parse(line: &str) -> Json {
+    Json::parse(line).unwrap_or_else(|e| panic!("bad reply {line:?}: {e}"))
+}
+
+fn recv(r: &mut BufReader<UnixStream>) -> Json {
+    parse(&recv_line(r))
 }
 
 fn spec(n: usize) -> CellSpec {
@@ -120,12 +132,22 @@ fn spec(n: usize) -> CellSpec {
 }
 
 fn submit_line(ns: &[usize]) -> String {
-    let cells: Vec<String> = ns
+    let specs: Vec<CellSpec> = ns.iter().map(|&n| spec(n)).collect();
+    submit_specs(&specs)
+}
+
+/// A submit of color specs shaped like [`spec`]'s, each with its plan.
+fn submit_specs(specs: &[CellSpec]) -> String {
+    let cells: Vec<String> = specs
         .iter()
-        .map(|n| {
+        .map(|s| {
+            let faults = s
+                .faults
+                .as_ref()
+                .map_or(String::new(), |f| format!(r#","faults":"{f}""#));
             format!(
-                r#"{{"kernel":"color","machine":"mta","p":2,"n":{n},"m":{}}}"#,
-                3 * n
+                r#"{{"kernel":"color","machine":"mta","p":2,"n":{},"m":{}{faults}}}"#,
+                s.n, s.m
             )
         })
         .collect();
@@ -135,8 +157,11 @@ fn submit_line(ns: &[usize]) -> String {
 /// The reference fingerprint, computed in-process: what the daemon's
 /// streamed `sim` object must match exactly.
 fn reference_sim(n: usize) -> Vec<(String, u64)> {
-    spec(n)
-        .run()
+    sim_of(&spec(n))
+}
+
+fn sim_of(spec: &CellSpec) -> Vec<(String, u64)> {
+    spec.run()
         .into_iter()
         .map(|(k, v)| (k.to_string(), v))
         .collect()
@@ -154,6 +179,12 @@ fn sim_pairs(cell: &Json) -> Vec<(String, u64)> {
 /// Collect one job's streamed events: the accepted line, every cell
 /// line, and the done line.
 fn run_job(daemon: &Daemon, request: &str) -> (Vec<Json>, Json) {
+    let (lines, done) = run_job_lines(daemon, request);
+    (lines.iter().map(|l| parse(l)).collect(), done)
+}
+
+/// [`run_job`], keeping each cell line as the daemon wrote it.
+fn run_job_lines(daemon: &Daemon, request: &str) -> (Vec<String>, Json) {
     let (mut r, mut w) = dial(daemon);
     send(&mut w, request);
     let accepted = recv(&mut r);
@@ -164,9 +195,10 @@ fn run_job(daemon: &Daemon, request: &str) -> (Vec<Json>, Json) {
     );
     let mut cells = Vec::new();
     loop {
-        let ev = recv(&mut r);
+        let line = recv_line(&mut r);
+        let ev = parse(&line);
         match ev.get("type").and_then(Json::as_str) {
-            Some("cell") => cells.push(ev),
+            Some("cell") => cells.push(line),
             Some("done") => return (cells, ev),
             other => panic!("unexpected stream event {other:?}: {ev:?}"),
         }
@@ -258,14 +290,17 @@ fn submit_streams_results_then_caches_then_shuts_down_cleanly() {
 #[test]
 fn sigterm_mid_job_flushes_the_cache_and_resume_is_identical() {
     let root = temp_root("killresume");
-    let sizes = [128usize, 144, 160, 176];
+    // The first cell runs under a fault plan, so the cell that must come
+    // back from the cache is a faulted one.
+    let mut specs: Vec<CellSpec> = [128, 144, 160, 176].map(spec).into();
+    specs[0].faults = Some("stall=30,stall-period=300:7".into());
     let daemon = start_daemon(&root, 1, &[]);
 
     // Stream the job; after the first completed cell arrives, SIGTERM the
     // daemon mid-sweep. (The first cell is durably cached before its
     // result line is sent, so at least that much must survive.)
     let (mut r, mut w) = dial(&daemon);
-    send(&mut w, &submit_line(&sizes));
+    send(&mut w, &submit_specs(&specs));
     let accepted = recv(&mut r);
     assert_eq!(
         accepted.get("type").and_then(Json::as_str),
@@ -300,6 +335,7 @@ fn sigterm_mid_job_flushes_the_cache_and_resume_is_identical() {
         status.success(),
         "graceful SIGTERM drain must exit 0, got {status}"
     );
+    assert!(!daemon.socket.exists(), "the drain removes the socket file");
     drop(daemon);
     for ev in &drained {
         if ev.get("type").and_then(Json::as_str) == Some("cell") {
@@ -314,11 +350,11 @@ fn sigterm_mid_job_flushes_the_cache_and_resume_is_identical() {
     // the resumed sweep completes with byte-identical fingerprints, and
     // the cells that finished before the kill are served from the cache.
     let daemon = start_daemon(&root, 1, &[]);
-    let (cells, done) = run_job(&daemon, &submit_line(&sizes));
-    assert_eq!(cells.len(), sizes.len());
+    let (cells, done) = run_job(&daemon, &submit_specs(&specs));
+    assert_eq!(cells.len(), specs.len());
     assert_eq!(
         done.get("ok").and_then(Json::as_u64),
-        Some(sizes.len() as u64)
+        Some(specs.len() as u64)
     );
     assert_eq!(done.get("failed").and_then(Json::as_u64), Some(0));
     let cached = done.get("cached").and_then(Json::as_u64).unwrap();
@@ -330,7 +366,7 @@ fn sigterm_mid_job_flushes_the_cache_and_resume_is_identical() {
         let idx = cell.get("index").and_then(Json::as_u64).unwrap() as usize;
         assert_eq!(
             sim_pairs(cell),
-            reference_sim(sizes[idx]),
+            sim_of(&specs[idx]),
             "resumed fingerprints must match an uninterrupted run"
         );
     }
@@ -508,6 +544,40 @@ fn budgeted_jobs_fail_structurally_and_list_serves_the_suite() {
     for c in cells {
         assert_eq!(c.get("cached"), Some(&Json::Bool(false)), "cold: {c:?}");
         assert!(c.get("key").and_then(Json::as_str).is_some());
+    }
+
+    // Every baseline cell, served cold and then from the cache: each line's
+    // `sim` text is the committed baseline's, byte for byte.
+    let field = |key| {
+        BASELINE
+            .lines()
+            .filter_map(move |l| l.trim().strip_prefix(key))
+    };
+    let names = field(r#""name": ""#).map(|n| n.trim_end_matches("\","));
+    let baseline: Vec<(&str, &str)> = names.zip(field(r#""sim": "#)).collect();
+    assert_eq!(baseline.len(), cells.len(), "the baseline is the suite");
+    let refs: Vec<String> = baseline
+        .iter()
+        .map(|(name, _)| format!(r#"{{"cell":"{name}"}}"#))
+        .collect();
+    let suite = format!(r#"{{"op":"submit","cells":[{}]}}"#, refs.join(","));
+    for cached in [false, true] {
+        let (lines, _) = run_job_lines(&daemon, &suite);
+        assert_eq!(lines.len(), baseline.len());
+        for line in &lines {
+            let ev = parse(line);
+            let (name, sim) = baseline[ev.get("index").and_then(Json::as_u64).unwrap() as usize];
+            assert_eq!(ev.get("cached"), Some(&Json::Bool(cached)), "{name}");
+            let served = line
+                .strip_suffix('}')
+                .and_then(|l| l.split_once(r#""sim":"#));
+            assert_eq!(served.map(|(_, s)| s), Some(sim), "{name}: the sim text");
+        }
+    }
+    send(&mut w, r#"{"op":"list"}"#);
+    let warm = recv(&mut r);
+    for c in warm.get("cells").and_then(Json::as_arr).expect("cells") {
+        assert_eq!(c.get("cached"), Some(&Json::Bool(true)), "warm: {c:?}");
     }
 
     // A 1-cycle budget: the first cell trips the clamped watchdog, the

@@ -1,7 +1,7 @@
 //! Benchmark-regression driver: times a curated set of kernel/simulator
 //! cells (host wall-clock, not simulated cycles) and writes the results
-//! as JSON for `scripts/bench_check.sh` to diff against the committed
-//! baseline `BENCH_archgraph.json` at the repo root.
+//! as JSON: by default the committed baseline `BENCH_archgraph.json` at
+//! the repo root, which `tests/suite_golden.rs` holds the suite to.
 //!
 //! Each cell records two kinds of numbers:
 //!

@@ -8,7 +8,8 @@
 //!
 //! [`bench_suite`] *is* the suite's cell list: the bench binary iterates
 //! it, the daemon executes the same specs through the same entry point,
-//! and both render `sim` with [`render_sim`] (the CI smoke leg diffs them).
+//! and both render `sim` with [`render_sim`] (`archgraphd`'s e2e tests
+//! diff them).
 //!
 //! # Content-addressed cache keys
 //!
@@ -498,7 +499,8 @@ pub fn bench_suite() -> Vec<(&'static str, CellSpec)> {
         // Degradation cells: the same kernels under pinned structural
         // fault plans. Their fingerprints are part of the committed
         // baseline, so a change to fault *semantics* shows up as a bench
-        // diff (the chaos soak pins the suite under ambient plans too).
+        // diff (`tests/suite_golden.rs` pins the suite under five outer
+        // plans too, which these cells' own plans outrank).
         ("bfs/mta/p8+stall", {
             let mut s = mta(Bfs, 8);
             s.faults = Some("stall=30,stall-period=300:7".into());
@@ -566,7 +568,7 @@ pub fn json_escape(s: &str) -> String {
 
 /// Render a `sim` fingerprint object (`{ "cycles": 123, "issued": 456 }`):
 /// the one renderer behind `--bin bench`'s JSON and the daemon's result
-/// lines, which `daemon_smoke.sh` compares byte for byte.
+/// lines, which `archgraphd`'s `tests/daemon.rs` compares byte for byte.
 pub fn render_sim<K: AsRef<str>>(pairs: &[(K, u64)]) -> String {
     let mut out = String::from("{ ");
     for (i, (k, v)) in pairs.iter().enumerate() {

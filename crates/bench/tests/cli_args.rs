@@ -3,7 +3,7 @@
 //! or a stray `--full` silently ran the wrong experiment at Default scale.
 //! Every bin must now reject unrecognized arguments with a usage message on
 //! stderr and exit status 2 — and it must do so before any sweep starts, so
-//! these checks are cheap.
+//! these checks are cheap. A failed cell is exit status 1.
 
 use std::process::Command;
 
@@ -77,6 +77,24 @@ fn empty_series_guards_name_what_is_missing() {
         err.contains("no series labelled \"MTA Random p=8\"") && err.contains("MTA Random p=2"),
         "diagnostic must name the missing label and list the present ones: {err}"
     );
+}
+
+/// A cell that panics (injected through `ARCHGRAPH_BENCH_PANIC_CELL`) does
+/// not kill the binary: it finishes the grid, names the cell on stderr and
+/// exits 1. `sweep_isolation.rs` checks the grid itself.
+#[test]
+fn fig1_reports_an_injected_cell_panic_and_exits_nonzero() {
+    use archgraph_bench::sweep::{CHECKPOINT_ENV, PANIC_CELL_ENV};
+    let cell = "fig1/smp/Random/p1/n4096";
+    let out = Command::new(env!("CARGO_BIN_EXE_fig1"))
+        .args(["smoke", "--arch", "smp"])
+        .env(PANIC_CELL_ENV, cell)
+        .env_remove(CHECKPOINT_ENV)
+        .output()
+        .expect("spawn fig1");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(stderr.contains(cell), "stderr must name the cell: {stderr}");
 }
 
 #[test]

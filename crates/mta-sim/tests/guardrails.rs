@@ -198,22 +198,27 @@ fn watchdog_fires_identically_on_runaway_kernels() {
 }
 
 /// A kernel that finishes inside the budget is untouched by the watchdog:
-/// same report with and without a (tight but sufficient) budget.
+/// same report with and without a (tight but sufficient) budget, on a
+/// clean machine and under a latency plan.
 #[test]
 fn watchdog_is_invisible_inside_the_budget() {
     let (prog, mem) = walk_kernel();
-    let run = |budget: Option<u64>| {
-        let mut m = MtaMachine::with_memory_words(MtaParams::tiny_for_tests(), 2, 1 << 12);
-        m.memory_mut().alloc(MEM_WORDS);
-        poke_all(&mut m, &mem);
-        if let Some(b) = budget {
-            m.set_max_cycles(b);
-        }
-        m.try_run(&prog, 4, |_, _| {}).expect("walk kernel halts")
-    };
-    let free = run(None);
-    let fenced = run(Some(free.cycles + 1));
-    assert_eq!(free, fenced, "an unexercised watchdog must cost nothing");
+    let plan = Some(FaultPlan::parse("mem-latency=30,rate=1:9").unwrap());
+    for plan in [None, plan] {
+        let run = |budget: Option<u64>| {
+            let mut m = MtaMachine::with_memory_words(MtaParams::tiny_for_tests(), 2, 1 << 12);
+            m.memory_mut().alloc(MEM_WORDS);
+            poke_all(&mut m, &mem);
+            m.memory_mut().set_fault_plan(plan.clone());
+            if let Some(b) = budget {
+                m.set_max_cycles(b);
+            }
+            m.try_run(&prog, 4, |_, _| {}).expect("walk kernel halts")
+        };
+        let free = run(None);
+        let fenced = run(Some(free.cycles + 1));
+        assert_eq!(free, fenced, "{plan:?}: an idle watchdog costs nothing");
+    }
 }
 
 /// The walk kernel on two processors × four streams under `plan`.
@@ -420,15 +425,24 @@ proptest! {
 }
 
 /// `run` (the panicking wrapper) converts a deadlock into a panic that
-/// carries the structured message — it must never hang.
+/// carries the structured message — it must never hang — under a latency
+/// plan (caught here) and on a clean machine (the test's own panic).
 #[test]
 #[should_panic(expected = "mta region failed: deadlock")]
 fn run_panics_with_the_structured_message() {
     let prog = unbalanced_handshake(2);
-    let mut m = MtaMachine::with_memory_words(MtaParams::tiny_for_tests(), 1, 1 << 12);
-    m.memory_mut().alloc(MEM_WORDS);
-    m.memory_mut().set_empty(1);
-    let _ = m.run(&prog, 2, |_, _| {});
+    let run = |plan: Option<FaultPlan>| {
+        let mut m = MtaMachine::with_memory_words(MtaParams::tiny_for_tests(), 1, 1 << 12);
+        m.memory_mut().alloc(MEM_WORDS);
+        m.memory_mut().set_empty(1);
+        m.memory_mut().set_fault_plan(plan);
+        let _ = m.run(&prog, 2, |_, _| {});
+    };
+    let plan = Some(FaultPlan::parse("mem-latency=30,rate=1:9").unwrap());
+    let faulted = std::panic::catch_unwind(|| run(plan)).expect_err("a deadlock panics");
+    let msg = faulted.downcast::<String>().expect("a formatted message");
+    assert!(msg.contains("mta region failed: deadlock"), "{msg}");
+    run(None);
 }
 
 /// With both guardrails armed at once, the deadlock detector wins when

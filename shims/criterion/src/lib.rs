@@ -9,8 +9,9 @@
 //!
 //! Statistics are deliberately simple (mean and min over `sample_size`
 //! timed iterations after one warmup); the regression-tracking role
-//! criterion plays upstream is covered by `scripts/bench_check.sh` and the
-//! committed `BENCH_archgraph.json` baseline instead.
+//! criterion plays upstream is covered by the `benchmarks/` package (host
+//! time) and `tests/suite_golden.rs` (the fingerprints in the committed
+//! `BENCH_archgraph.json` baseline) instead.
 
 use std::time::Instant;
 

@@ -1,7 +1,7 @@
 //! The SMP cache model's tripwire.
 //!
 //! Every committed SMP fingerprint (`CellRun::smp` in `bench::cells`,
-//! `benchmarks/expected.json`, `daemon_smoke.sh`) pins `instructions` and
+//! `benchmarks/expected.json`, `suite_golden.rs`) pins `instructions` and
 //! `accesses`, and neither depends on what the TLB or the caches answer.
 //! This test pins what does: the whole `RunStats` of every SMP kernel —
 //! the four `f64` clocks by bit pattern, every hit, miss, bus and phase
