@@ -460,7 +460,7 @@ pub fn default_size(kernel: Kernel) -> (usize, usize) {
     }
 }
 
-/// The bench regression suite: every cell `--bin bench` times, as
+/// The bench regression suite: every cell `--bin bench` writes, as
 /// `(stable name, spec)` pairs in baseline order. MTA cells carry a
 /// `Trace` label that selects nothing; it stays because
 /// [`CellSpec::display_name`] compares whole specs, so dropping it would

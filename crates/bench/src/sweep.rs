@@ -628,7 +628,7 @@ mod tests {
         let pt = CellPoint {
             x: 1 << 20,
             p: 8,
-            seconds: 0.123456789012345678,
+            seconds: 0.12345678901234568,
             log: "util 93%, 12 iters".to_string(),
         };
         assert_eq!(CellPoint::decode(&pt.encode()), Some(pt));

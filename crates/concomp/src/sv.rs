@@ -143,7 +143,7 @@ pub fn try_shiloach_vishkin_bounded(g: &EdgeList, bound: usize) -> Result<Vec<No
     Ok(d.into_iter().map(AtomicU32::into_inner).collect())
 }
 
-/// Iteration (PRAM round) count probe for the ablation benches: runs
+/// Iteration (PRAM round) count probe for the star-check ablation: runs
 /// Alg. 2 with **round-synchronous** semantics — every graft in a round
 /// reads the round's opening snapshot of `D`, conflicting grafts resolve
 /// to the minimum label (the deterministic refinement of arbitrary-CRCW).

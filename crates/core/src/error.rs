@@ -228,7 +228,7 @@ mod tests {
     fn default_budget_is_generous() {
         // Far above the largest --full cell (< 2^33 cycles), far below
         // "runs until the heat death of the runner".
-        assert!(DEFAULT_MAX_CYCLES > 1 << 35);
-        assert!(DEFAULT_MAX_CYCLES < 1 << 45);
+        const _: () = assert!(DEFAULT_MAX_CYCLES > 1 << 35);
+        const _: () = assert!(DEFAULT_MAX_CYCLES < 1 << 45);
     }
 }

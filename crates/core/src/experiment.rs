@@ -1,134 +1,6 @@
-//! Measurement harness: repeated trials and summary statistics.
-//!
-//! The figure-regeneration binaries and the native benchmarks both need the
-//! same small toolkit: run a closure several times (discarding warmup),
-//! summarize the samples robustly, and derive speedups/utilizations. We
-//! implement it here once rather than in each binary.
-
-use std::time::Instant;
-
-/// Summary statistics over a set of timing samples (seconds).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Measurement {
-    /// Raw samples in seconds, in collection order.
-    pub samples: Vec<f64>,
-}
-
-impl Measurement {
-    /// Wrap a sample vector. Panics on an empty vector — a measurement with
-    /// no samples has no meaningful statistics.
-    pub fn new(samples: Vec<f64>) -> Self {
-        assert!(
-            !samples.is_empty(),
-            "Measurement requires at least one sample"
-        );
-        Measurement { samples }
-    }
-
-    /// Arithmetic mean.
-    pub fn mean(&self) -> f64 {
-        self.samples.iter().sum::<f64>() / self.samples.len() as f64
-    }
-
-    /// Minimum sample — the conventional statistic for repeated timing runs
-    /// (least interference from the OS).
-    pub fn min(&self) -> f64 {
-        self.samples.iter().copied().fold(f64::INFINITY, f64::min)
-    }
-
-    /// Maximum sample.
-    pub fn max(&self) -> f64 {
-        self.samples
-            .iter()
-            .copied()
-            .fold(f64::NEG_INFINITY, f64::max)
-    }
-
-    /// Sample standard deviation (0 for a single sample).
-    pub fn stddev(&self) -> f64 {
-        if self.samples.len() < 2 {
-            return 0.0;
-        }
-        let m = self.mean();
-        let var = self.samples.iter().map(|&x| (x - m) * (x - m)).sum::<f64>()
-            / (self.samples.len() - 1) as f64;
-        var.sqrt()
-    }
-
-    /// Median (averaging the middle pair for even lengths). Total order
-    /// on floats (`f64::total_cmp`), so a NaN wall-clock sample — a
-    /// possibility on clock glitches — sorts to the high end instead of
-    /// panicking the whole sweep.
-    pub fn median(&self) -> f64 {
-        let mut v = self.samples.clone();
-        v.sort_by(f64::total_cmp);
-        let n = v.len();
-        if n % 2 == 1 {
-            v[n / 2]
-        } else {
-            0.5 * (v[n / 2 - 1] + v[n / 2])
-        }
-    }
-
-    /// Half-width of a normal-approximation 95% confidence interval on
-    /// the mean (`1.96 · stddev / √k`); 0 for a single sample.
-    pub fn ci95(&self) -> f64 {
-        if self.samples.len() < 2 {
-            return 0.0;
-        }
-        1.96 * self.stddev() / (self.samples.len() as f64).sqrt()
-    }
-
-    /// Relative spread `stddev / mean`; a quick noise indicator.
-    pub fn rel_spread(&self) -> f64 {
-        let m = self.mean();
-        if m == 0.0 {
-            0.0
-        } else {
-            self.stddev() / m
-        }
-    }
-}
-
-/// Trial-running configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct Trials {
-    /// Number of measured repetitions.
-    pub reps: usize,
-    /// Number of unmeasured warmup runs executed first.
-    pub warmup: usize,
-}
-
-impl Default for Trials {
-    fn default() -> Self {
-        Trials { reps: 3, warmup: 1 }
-    }
-}
-
-impl Trials {
-    /// A single measured run with no warmup (for expensive simulations that
-    /// are themselves deterministic).
-    pub fn once() -> Self {
-        Trials { reps: 1, warmup: 0 }
-    }
-
-    /// Time `f` under this configuration, returning wall-clock samples.
-    ///
-    /// `f` receives the 0-based measured-trial index (warmups pass
-    /// `usize::MAX`) so callers can e.g. reset scratch state per trial.
-    pub fn run<F: FnMut(usize)>(&self, mut f: F) -> Measurement {
-        for _ in 0..self.warmup {
-            f(usize::MAX);
-        }
-        let mut samples = Vec::with_capacity(self.reps.max(1));
-        for i in 0..self.reps.max(1) {
-            let t0 = Instant::now();
-            f(i);
-            samples.push(t0.elapsed().as_secs_f64());
-        }
-        Measurement::new(samples)
-    }
-}
+//! Figure series: the `(n, p, seconds)` points a sweep produces, grouped
+//! under a label. The sweeps build them, and `report` and `plot` render
+//! them as tables, CSV and ASCII plots.
 
 /// One data point of a figure series: a problem size, a processor count and
 /// its measured (or simulated) time in seconds.
@@ -172,91 +44,11 @@ impl Series {
             .find(|pt| pt.n == n && pt.p == p)
             .map(|pt| pt.seconds)
     }
-
-    /// Speedup of `p` processors relative to the series' own `p = 1` time
-    /// at the same `n`.
-    pub fn self_speedup(&self, n: usize, p: usize) -> Option<f64> {
-        Some(self.at(n, 1)? / self.at(n, p)?)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn stats_on_known_samples() {
-        let m = Measurement::new(vec![1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(m.mean(), 2.5);
-        assert_eq!(m.min(), 1.0);
-        assert_eq!(m.max(), 4.0);
-        assert_eq!(m.median(), 2.5);
-        let sd = m.stddev();
-        assert!((sd - 1.2909944487358056).abs() < 1e-12);
-    }
-
-    #[test]
-    fn median_odd_length() {
-        let m = Measurement::new(vec![3.0, 1.0, 2.0]);
-        assert_eq!(m.median(), 2.0);
-    }
-
-    #[test]
-    fn single_sample_has_zero_stddev() {
-        let m = Measurement::new(vec![5.0]);
-        assert_eq!(m.stddev(), 0.0);
-        assert_eq!(m.rel_spread(), 0.0);
-        assert_eq!(m.ci95(), 0.0);
-    }
-
-    #[test]
-    fn ci95_shrinks_with_more_samples() {
-        let few = Measurement::new(vec![1.0, 2.0, 3.0, 4.0]);
-        let many = Measurement::new([1.0, 2.0, 3.0, 4.0].repeat(16));
-        assert!(many.ci95() < few.ci95());
-        assert!(few.ci95() > 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one sample")]
-    fn empty_measurement_panics() {
-        let _ = Measurement::new(vec![]);
-    }
-
-    #[test]
-    fn median_tolerates_nan_samples() {
-        // A NaN sample must not panic the sort; total order puts NaN at
-        // the high end, so the finite samples still dominate the median.
-        let m = Measurement::new(vec![3.0, f64::NAN, 1.0, 2.0]);
-        assert_eq!(m.median(), 2.5); // sorted: [1, 2, 3, NaN] → (2+3)/2
-        let all_nan = Measurement::new(vec![f64::NAN]);
-        assert!(all_nan.median().is_nan());
-    }
-
-    #[test]
-    fn trials_run_counts_calls() {
-        let mut calls = 0usize;
-        let mut warmups = 0usize;
-        let t = Trials { reps: 4, warmup: 2 };
-        let m = t.run(|i| {
-            if i == usize::MAX {
-                warmups += 1;
-            } else {
-                calls += 1;
-            }
-        });
-        assert_eq!(calls, 4);
-        assert_eq!(warmups, 2);
-        assert_eq!(m.samples.len(), 4);
-    }
-
-    #[test]
-    fn trials_once_runs_once() {
-        let mut calls = 0usize;
-        let m = Trials::once().run(|_| calls += 1);
-        assert_eq!(calls, 1);
-        assert_eq!(m.samples.len(), 1);
-    }
 
     #[test]
     fn series_lookup_and_speedup() {
@@ -265,7 +57,5 @@ mod tests {
         s.push(1000, 4, 2.0);
         assert_eq!(s.at(1000, 4), Some(2.0));
         assert_eq!(s.at(1000, 2), None);
-        assert_eq!(s.self_speedup(1000, 4), Some(4.0));
-        assert_eq!(s.self_speedup(2000, 4), None);
     }
 }

@@ -15,8 +15,8 @@
 //!   analytic model.
 //! * [`predict`] — analytic running-time predictions derived from the cost
 //!   model; the simulators are cross-validated against these in tests.
-//! * [`experiment`] — a small measurement harness: repeated trials, robust
-//!   summary statistics, speedup/utilization computations.
+//! * [`experiment`] — figure series: labelled `(n, p, seconds)` points
+//!   that the sweeps produce and `report` / `plot` render.
 //! * [`fault`] — deterministic fault plans (latency
 //!   spikes, stuck tags, per-processor stalls, degraded links, brownouts)
 //!   consumed by both simulators.
@@ -40,7 +40,6 @@ pub mod shared;
 
 pub use cost::Complexity;
 pub use error::{BlockedStream, SimError};
-pub use experiment::{Measurement, Trials};
 pub use fault::{with_fault_plan, FaultPlan, FAULTS_ENV};
 pub use machine::{MtaParams, SmpParams};
 pub use shared::SharedSlice;

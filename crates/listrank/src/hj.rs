@@ -263,7 +263,7 @@ mod tests {
     #[test]
     fn sublist_count_knob_is_respected() {
         // Any sublists-per-thread must still produce correct ranks (the
-        // ablation sweeps this knob).
+        // paper fixes s = 8p; `benchmarks/` sets this knob).
         let mut rng = Rng::new(14);
         let l = LinkedList::random(3000, &mut rng);
         for spt in [1usize, 2, 8, 32, 100] {

@@ -5,7 +5,7 @@
 //! it (`rank[i] += rank[next[i]]; next[i] = next[next[i]]`), finishing in
 //! `⌈log₂ n⌉` rounds but performing `Θ(n log n)` total work — the reason
 //! the paper's sublist/walk algorithms exist. Included as the
-//! work-efficiency ablation baseline (`ablation_work_efficiency`).
+//! work-efficiency ablation's baseline (ABL-WORK).
 
 use archgraph_graph::{LinkedList, Node};
 use rayon::prelude::*;
@@ -67,7 +67,7 @@ pub fn wyllie_rank(list: &LinkedList) -> Vec<Node> {
     dist.into_iter().map(|d| (n as u64 - d) as Node).collect()
 }
 
-/// Round-count probe for the ablation benches.
+/// Round count, `⌈log₂ n⌉`: the factor of ABL-WORK's `Θ(n log n)` work.
 pub fn wyllie_rounds(n: usize) -> usize {
     if n <= 1 {
         0

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
-# The gate: format, lint, release build, tier-1 tests, then the frozen
-# benchmark package. Every pinned result (the bench suite's fingerprints,
-# clean and under the chaos fault plans, the daemon serving them byte for
-# byte, the loop and figure goldens) is a `cargo test` test, so this script
-# adds no check of its own beyond fmt, clippy and archperf.
+# The gate: format, lint (every target: libs, bins, tests and examples),
+# release build, tier-1 tests, then the frozen benchmark package. Every
+# pinned result (the bench suite's fingerprints, clean and under the chaos
+# fault plans, the daemon serving them byte for byte, the loop and figure
+# goldens) is a `cargo test` test, so this script adds no check of its own
+# beyond fmt, clippy and archperf.
 # Everything runs --offline — the workspace vendors its external deps as
 # local shims (see shims/) and must never reach for the network.
 #
@@ -21,8 +22,8 @@ rustc --version
 echo "== cargo fmt --check =="
 cargo fmt --check
 
-echo "== cargo clippy (deny warnings) =="
-cargo clippy --workspace --offline -- -D warnings
+echo "== cargo clippy, all targets (deny warnings) =="
+cargo clippy --workspace --all-targets --offline -- -D warnings
 
 echo "== cargo build --release =="
 cargo build --release --offline

@@ -1,5 +1,6 @@
 //! The paper's six headline claims (DESIGN.md C1–C6), asserted as ratio
-//! bands on the simulated architectures.
+//! bands on the simulated architectures, and the §3 walk-grain ablation
+//! (ABL-GRAIN) as the shape of its sweep.
 //!
 //! To keep these fast enough for `cargo test` we shrink the SMP's cache
 //! and TLB geometry by 32× and the problem by the same factor: the
@@ -13,7 +14,8 @@ use archgraph::core::machine::{MtaParams, SmpParams};
 use archgraph::graph::gen;
 use archgraph::graph::list::LinkedList;
 use archgraph::graph::rng::Rng;
-use archgraph::listrank::{sim_mta as lr_mta, sim_smp as lr_smp};
+use archgraph::listrank::{sequential_rank, sim_mta as lr_mta, sim_smp as lr_smp};
+use archgraph_bench::workloads::{make_list, ListKind};
 
 /// Sun E4500 parameters with cache/TLB geometry shrunk 32× (latencies and
 /// clock unchanged), so a 2^16-element list is as far beyond the caches
@@ -149,4 +151,49 @@ fn c6_mta_utilization_is_high_and_falls_with_p() {
         .report
         .utilization;
     assert!(ucc > 0.6, "CC utilization should be high: {ucc}");
+}
+
+/// ABL-GRAIN (§3): "100 streams per processor and approximately 10 list
+/// nodes per walk" give "almost 100% utilization". Sweeping the grain at
+/// p = 1 separates work from time. Claiming a walk is issued work, so
+/// finer walks issue more and look busier: utilization and `issued` both
+/// fall strictly as walks grow. Simulated time does not follow: it falls
+/// to 40 nodes/walk, then rises as too few walks remain for 100 streams.
+#[test]
+fn abl_grain_finer_walks_look_busier_and_time_is_lowest_at_40_nodes() {
+    const GRAINS: [usize; 6] = [2, 5, 10, 40, 160, 640];
+    let n = 1 << 14;
+    let list = make_list(ListKind::Random, n, 29);
+    let oracle = sequential_rank(&list);
+    let mta = MtaParams::mta2();
+    let runs: Vec<lr_mta::MtaSimResult> = GRAINS
+        .iter()
+        .map(|&grain| {
+            let r = lr_mta::simulate_walk_ranking(&list, &mta, 1, STREAMS, n / grain);
+            assert!(
+                r.rank == oracle,
+                "{grain} nodes/walk: ranks differ from the oracle"
+            );
+            r
+        })
+        .collect();
+    let readings: Vec<String> = GRAINS
+        .iter()
+        .zip(&runs)
+        .map(|(grain, r)| {
+            let (cycles, issued, util) = (r.report.cycles, r.report.issued, r.report.utilization);
+            format!("{grain} nodes/walk: ({cycles}, {issued}, {util:.4})")
+        })
+        .collect();
+    let falls = |xs: &[f64]| xs.windows(2).all(|w| w[1] < w[0]);
+    let rises = |xs: &[f64]| xs.windows(2).all(|w| w[1] > w[0]);
+    let util: Vec<f64> = runs.iter().map(|r| r.report.utilization).collect();
+    let issued: Vec<f64> = runs.iter().map(|r| r.report.issued as f64).collect();
+    let secs: Vec<f64> = runs.iter().map(|r| r.seconds).collect();
+    // GRAINS[3] is 40 nodes/walk.
+    assert!(
+        falls(&util) && falls(&issued) && falls(&secs[..=3]) && rises(&secs[3..]),
+        "(cycles, issued, utilization) off the ABL-GRAIN shape:\n{}",
+        readings.join("\n")
+    );
 }
