@@ -55,7 +55,6 @@ pub fn biconnected_components(g: &EdgeList) -> Biconnectivity {
     let mut is_tree = vec![false; m];
     let mut parent = vec![NIL; n];
     let mut parent_edge = vec![u32::MAX; n];
-    let mut children: Vec<Vec<(Node, u32)>> = vec![Vec::new(); n];
     // Adjacency over tree edges only, for rooting.
     let mut tree_adj: Vec<Vec<(Node, u32)>> = vec![Vec::new(); n];
     for (i, e) in g.edges.iter().enumerate() {
@@ -89,7 +88,6 @@ pub fn biconnected_components(g: &EdgeList) -> Biconnectivity {
                     visited[w as usize] = true;
                     parent[w as usize] = v;
                     parent_edge[w as usize] = eid;
-                    children[v as usize].push((w, eid));
                     stack.push(w);
                 }
             }
@@ -189,46 +187,37 @@ pub fn biconnected_components(g: &EdgeList) -> Biconnectivity {
     }
 
     // --- 7. blocks, articulation points, bridges ---
-    // Count edges per block (excluding self loops) and block-incidence
-    // per vertex.
-    let mut block_ids = block_of_edge.clone();
-    block_ids.sort_unstable();
-    block_ids.dedup();
-    let n_blocks = block_ids.len();
-    let bidx = |label: Node| block_ids.binary_search(&label).unwrap();
-
-    let mut edges_in_block = vec![0usize; n_blocks];
-    for (i, e) in g.edges.iter().enumerate() {
-        if e.u != e.v {
-            edges_in_block[bidx(block_of_edge[i])] += 1;
-        }
+    // Labels are vertex ids `< n` or self-loop labels `n..fresh`, so one
+    // counter per label counts each block's edges. A self-loop label is
+    // its loop's alone, so loops never add to another block's count.
+    let mut edges_in_block = vec![0usize; fresh as usize];
+    for &b in &block_of_edge {
+        edges_in_block[b as usize] += 1;
     }
-    let bridges: Vec<usize> = g
-        .edges
-        .iter()
-        .enumerate()
-        .filter(|(i, e)| e.u != e.v && edges_in_block[bidx(block_of_edge[*i])] == 1)
-        .map(|(i, _)| i)
+    let n_blocks = edges_in_block.iter().filter(|&&c| c > 0).count();
+    let bridges: Vec<usize> = (0..m)
+        .filter(|&i| {
+            let e = g.edges[i];
+            e.u != e.v && edges_in_block[block_of_edge[i] as usize] == 1
+        })
         .collect();
 
-    // Articulation: vertex incident to >= 2 distinct non-loop blocks.
-    let mut incident: Vec<Vec<Node>> = vec![Vec::new(); n];
-    for (i, e) in g.edges.iter().enumerate() {
+    // Articulation: vertex incident to >= 2 distinct non-loop blocks, seen
+    // as an incident label that differs from the vertex's first one.
+    let mut first = vec![NIL; n];
+    let mut articulation = vec![false; n];
+    for (e, &b) in g.edges.iter().zip(&block_of_edge) {
         if e.u == e.v {
             continue;
         }
-        incident[e.u as usize].push(block_of_edge[i]);
-        incident[e.v as usize].push(block_of_edge[i]);
+        for x in [e.u as usize, e.v as usize] {
+            if first[x] == NIL {
+                first[x] = b;
+            } else if first[x] != b {
+                articulation[x] = true;
+            }
+        }
     }
-    let articulation: Vec<bool> = incident
-        .iter()
-        .map(|bs| {
-            let mut b = bs.clone();
-            b.sort_unstable();
-            b.dedup();
-            b.len() >= 2
-        })
-        .collect();
 
     Biconnectivity {
         block_of_edge,
@@ -328,6 +317,27 @@ mod tests {
     use archgraph_graph::gen;
     use archgraph_graph::rng::Rng;
     use archgraph_graph::unionfind::same_partition;
+    use std::collections::{BTreeMap, BTreeSet};
+
+    /// `n_blocks`, bridges and articulation points read off per-edge
+    /// block labels, as the `Biconnectivity` fields define them.
+    fn summary(g: &EdgeList, labels: &[Node]) -> (usize, Vec<usize>, Vec<bool>) {
+        let mut size: BTreeMap<Node, usize> = BTreeMap::new();
+        let mut incident: Vec<BTreeSet<Node>> = vec![BTreeSet::new(); g.n];
+        for (e, &b) in g.edges.iter().zip(labels) {
+            if e.u != e.v {
+                *size.entry(b).or_default() += 1;
+                incident[e.u as usize].insert(b);
+                incident[e.v as usize].insert(b);
+            }
+        }
+        let n_blocks = labels.iter().collect::<BTreeSet<_>>().len();
+        let bridges = (0..g.m())
+            .filter(|&i| g.edges[i].u != g.edges[i].v && size[&labels[i]] == 1)
+            .collect();
+        let articulation = incident.iter().map(|s| s.len() >= 2).collect();
+        (n_blocks, bridges, articulation)
+    }
 
     fn check(g: &EdgeList) {
         let tv = biconnected_components(g);
@@ -403,6 +413,11 @@ mod tests {
                 same_partition(&tv.block_of_edge, &oracle),
                 "trial {trial}: n={n} m={}",
                 g.m()
+            );
+            assert_eq!(
+                (tv.n_blocks, tv.bridges, tv.articulation),
+                summary(&g, &oracle),
+                "trial {trial}: blocks, bridges or cut vertices differ"
             );
         }
     }

@@ -3,8 +3,10 @@
 //! spanning forest, biconnected components).
 //!
 //! These follow the `fig1`/`fig2` cell conventions — a deterministically
-//! seeded workload, the paper's machine parameters, and a `debug_assert`
-//! oracle check inside every cell — and feed the `bench` regression
+//! seeded workload, the paper's machine parameters, and an oracle check
+//! inside every cell (a `debug_assert` in the simulated cells; an `assert`
+//! in the native ones, whose fingerprints are counts a release build would
+//! otherwise pin unchecked) — and feed the `bench` regression
 //! driver, which pins their exact simulated fingerprints in
 //! `BENCH_archgraph.json`.
 
@@ -186,7 +188,11 @@ pub fn msf_native_cell(n: usize, m: usize) -> MsfNative {
     let weights: Vec<u32> = (0..g.m()).map(|_| rng.below(1 << 20) as u32).collect();
     let forest = minimum_spanning_forest(&g, &weights);
     let weight: u64 = forest.iter().map(|&e| weights[e] as u64).sum();
-    debug_assert_eq!(weight, kruskal_weight(&g, &weights));
+    assert_eq!(
+        weight,
+        kruskal_weight(&g, &weights),
+        "MSF weight != Kruskal"
+    );
     MsfNative {
         weight,
         tree_edges: forest.len() as u64,
@@ -210,7 +216,10 @@ pub struct BiconnNative {
 pub fn biconn_native_cell(n: usize, m: usize) -> BiconnNative {
     let g = make_graph(n, m, GRAPH_SEED);
     let b = biconnected_components(&g);
-    debug_assert!(same_partition(&b.block_of_edge, &biconnected_oracle(&g)));
+    assert!(
+        same_partition(&b.block_of_edge, &biconnected_oracle(&g)),
+        "blocks != Hopcroft–Tarjan"
+    );
     BiconnNative {
         blocks: b.n_blocks as u64,
         bridges: b.bridges.len() as u64,

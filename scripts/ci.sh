@@ -46,8 +46,11 @@ benchmarks/run.sh --workload daemon-serve --seconds 2
 # expected.json; a short run keeps smp-sim's fast paths under the gate.
 benchmarks/run.sh --workload smp-cache --seconds 2
 # native-kernels is the only place native Helman–JáJá ranks lists of 2^21
-# (Random and Ordered, one thread, so it runs the sublist decomposition);
-# every pass is checked against its oracle and a wrong rank exits non-zero.
+# (Random and Ordered, one thread, so it runs the sublist decomposition),
+# and the only place MSF (G(2^18, 5·2^18), light and heavy phases both
+# carrying arcs) and biconnectivity (2^16 vertices) run at scale against
+# Kruskal and Hopcroft–Tarjan; every pass is checked against its oracle and
+# a wrong result exits non-zero.
 benchmarks/run.sh --workload native-kernels --seconds 2
 
 echo "ci: all gates passed"
