@@ -29,18 +29,18 @@ pub mod server;
 
 use std::sync::Arc;
 
-use archgraph_bench::{sweep, CellSpec};
-use archgraph_mta_sim::with_fault_plan;
+use archgraph_bench::{sweep, CellSpec, RunConfig};
 
 /// The real cell runner: executes [`CellSpec::run`] under panic
-/// isolation, with ambient fault plans shut out.
+/// isolation, under the spec's own fault plan and cycle budget and nothing
+/// else.
 ///
-/// The outer override is **unconditional** — `None` forces a clean
-/// memory system even if the daemon process inherited `ARCHGRAPH_FAULTS`
-/// from its environment, and a spec that carries its own plan scopes it
-/// inside (`CellSpec::run_full`). That guard is what keeps the result
-/// cache sound: an ambient fault plan the spec didn't ask for can never
-/// leak into a cached fingerprint.
+/// The outer scope is **unconditional** — [`RunConfig::CLEAN`], whatever
+/// the calling thread had in force (the daemon never reads the
+/// environment's `ARCHGRAPH_*` variables) — and a spec that carries its
+/// own plan or budget scopes it inside (`CellSpec::run_full`). That is what
+/// keeps the result cache sound: a fault plan the spec didn't ask for can
+/// never leak into a cached fingerprint.
 ///
 /// Panics inside the simulation (watchdog trips, deadlock detection, the
 /// deliberate `ARCHGRAPH_BENCH_PANIC_CELL` hook) come back as `Err` with
@@ -49,7 +49,7 @@ use archgraph_mta_sim::with_fault_plan;
 pub fn sim_runner() -> queue::Runner {
     Arc::new(|spec: &CellSpec| {
         sweep::isolate(&spec.display_name(), || {
-            with_fault_plan(None, || spec.run())
+            RunConfig::CLEAN.scope(|| spec.run())
         })
         .map(|fp| fp.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
         .map_err(|failure| failure.message)

@@ -59,8 +59,8 @@
 //!
 //! The runner is injected ([`Runner`]) so the pool is testable without
 //! simulating anything; the real daemon injects [`crate::sim_runner`],
-//! which executes [`CellSpec::run`] under panic isolation with ambient
-//! fault plans shut out.
+//! which executes [`CellSpec::run`] under panic isolation and under the
+//! spec's own fault plan and cycle budget alone.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::mpsc::Sender;

@@ -72,8 +72,10 @@ fn start_daemon_with_args(
     .args(extra_args)
     .stdout(Stdio::null())
     .stderr(Stdio::null())
-    // The daemon must not inherit ambient knobs from the test harness.
-    .env_remove("ARCHGRAPH_FAULTS")
+    // A served cell runs under its spec alone: the daemon reads neither
+    // run knob, so a plan and a one-cycle budget here change nothing.
+    .env("ARCHGRAPH_FAULTS", "stall=30,stall-period=300:7")
+    .env("ARCHGRAPH_MAX_CYCLES", "1")
     .env_remove("ARCHGRAPH_BENCH_PANIC_CELL");
     for (k, v) in extra_env {
         cmd.env(k, v);

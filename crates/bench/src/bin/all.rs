@@ -18,12 +18,15 @@ const ROWS: [&str; 5] = [
     "SMP/MTA connected components",
 ];
 
+const USAGE: &str = "all [smoke|default|full]";
+
 fn main() {
     // Graceful SIGTERM/SIGINT: finish and flush the in-progress
     // checkpoint cell, then exit at the next cell boundary.
     archgraph_bench::signals::install_graceful();
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = scale_or_usage(&args, "all [smoke|default|full]");
+    let scale = scale_or_usage(&args, USAGE);
+    let _run = archgraph_bench::cli::enter_env_config(USAGE);
     let p = *last_or_exit(&scale.procs(), "processor grid");
     println!("regenerating the full evaluation at {scale:?} scale (p up to {p})\n");
 

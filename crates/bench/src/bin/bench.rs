@@ -11,8 +11,9 @@
 //!
 //! Each cell is panic-isolated (`sweep::isolate`): a cell that panics —
 //! including a guardrail firing, since every simulation here runs under
-//! the default `ARCHGRAPH_MAX_CYCLES` watchdog, so a regression that
-//! *hangs* dies in bounded time — records an `"error"` entry in the
+//! the cycle watchdog (`ARCHGRAPH_MAX_CYCLES`, else the default budget),
+//! so a regression that *hangs* dies in bounded time — records an
+//! `"error"` entry in the
 //! output JSON, the remaining cells still run, and the driver exits
 //! nonzero.
 //!
@@ -113,6 +114,7 @@ fn main() {
             }
         }
     }
+    let _run = archgraph_bench::cli::enter_env_config("bench [--out PATH]");
 
     eprintln!("running bench cells...");
     let cells = run_cells();

@@ -36,12 +36,15 @@ fn cal_cell(
     Ok(v)
 }
 
+const USAGE: &str = "calibrate [smoke|default|full]";
+
 fn main() {
     // Graceful SIGTERM/SIGINT: finish and flush the in-progress
     // checkpoint cell, then exit at the next cell boundary.
     archgraph_bench::signals::install_graceful();
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = scale_or_usage(&args, "calibrate [smoke|default|full]");
+    let scale = scale_or_usage(&args, USAGE);
+    let _run = archgraph_bench::cli::enter_env_config(USAGE);
     let smp = SmpParams::sun_e4500();
     let mta = MtaParams::mta2();
     let p = 8usize;

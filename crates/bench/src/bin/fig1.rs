@@ -30,11 +30,14 @@ fn print_panel(title: &str, series: &[Series], sizes: &[usize], procs: &[usize])
     println!("\n{}", ascii_plot(series, &opts));
 }
 
+const USAGE: &str = "fig1 [smoke|default|full] [--arch mta|smp|both] [--csv]";
+
 fn main() {
     // Graceful SIGTERM/SIGINT: finish and flush the in-progress
     // checkpoint cell, then exit at the next cell boundary.
     archgraph_bench::signals::install_graceful();
-    let args = FigureArgs::parse("fig1 [smoke|default|full] [--arch mta|smp|both] [--csv]");
+    let args = FigureArgs::parse(USAGE);
+    let _run = archgraph_bench::cli::enter_env_config(USAGE);
     let (sizes, procs) = (args.scale.fig1_sizes(), args.scale.procs());
     let failures = args.run_panels(fig1::sweep, |title, series| {
         print_panel(title, series, &sizes, &procs)

@@ -25,11 +25,14 @@ fn print_panel(title: &str, series: &[Series], ms: &[usize], procs: &[usize]) {
     println!("\n{}", ascii_plot(series, &opts));
 }
 
+const USAGE: &str = "fig2 [smoke|default|full] [--arch mta|smp|both] [--csv]";
+
 fn main() {
     // Graceful SIGTERM/SIGINT: finish and flush the in-progress
     // checkpoint cell, then exit at the next cell boundary.
     archgraph_bench::signals::install_graceful();
-    let args = FigureArgs::parse("fig2 [smoke|default|full] [--arch mta|smp|both] [--csv]");
+    let args = FigureArgs::parse(USAGE);
+    let _run = archgraph_bench::cli::enter_env_config(USAGE);
     let ((n, ms), procs) = (args.scale.fig2_sizes(), args.scale.procs());
     println!("random graph: n = {n}, m = 4n .. 20n (paper: n = 1M, m = 4M..20M)");
     let failures = args.run_panels(fig2::sweep, |title, series| {

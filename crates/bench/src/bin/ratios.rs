@@ -21,9 +21,12 @@ const ROWS: [&str; 5] = [
     "SMP / MTA (connected components)",
 ];
 
+const USAGE: &str = "ratios [smoke|default|full]";
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = scale_or_usage(&args, "ratios [smoke|default|full]");
+    let scale = scale_or_usage(&args, USAGE);
+    let _run = archgraph_bench::cli::enter_env_config(USAGE);
     let p = *last_or_exit(&scale.procs(), "processor grid");
 
     let mut series = Vec::new();

@@ -18,9 +18,12 @@ use archgraph_core::machine::{MtaParams, SmpParams};
 use archgraph_core::report::{fmt_ratio, fmt_seconds, Table};
 use archgraph_listrank::sim_smp::{simulate_hj, simulate_seq};
 
+const USAGE: &str = "speedup [smoke|default|full]";
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = scale_or_usage(&args, "speedup [smoke|default|full]");
+    let scale = scale_or_usage(&args, USAGE);
+    let _run = archgraph_bench::cli::enter_env_config(USAGE);
     let smp = SmpParams::sun_e4500();
     let mta = MtaParams::mta2();
     let procs = scale.procs();

@@ -9,12 +9,15 @@ use archgraph_bench::sweep::exit_if_failed;
 use archgraph_bench::{scale_or_usage, table1};
 use archgraph_core::report::{fmt_percent, Table};
 
+const USAGE: &str = "table1 [smoke|default|full]";
+
 fn main() {
     // Graceful SIGTERM/SIGINT: finish and flush the in-progress
     // checkpoint cell, then exit at the next cell boundary.
     archgraph_bench::signals::install_graceful();
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = scale_or_usage(&args, "table1 [smoke|default|full]");
+    let scale = scale_or_usage(&args, USAGE);
+    let _run = archgraph_bench::cli::enter_env_config(USAGE);
     eprintln!("computing Table 1 utilizations ({scale:?})...");
     let sweep = table1::utilization_sweep(scale, true);
     let rows = &sweep.rows;

@@ -23,7 +23,7 @@
 
 use std::fmt::Write as _;
 
-use archgraph_core::error::with_max_cycles;
+use archgraph_core::{FaultPlan, RunConfig};
 use archgraph_mta_sim::machine::MtaEngine;
 use archgraph_mta_sim::report::RunReport;
 use archgraph_smp_sim::stats::RunStats;
@@ -176,10 +176,9 @@ impl MachineKind {
     }
 }
 
-/// One executable bench cell. `max_cycles`/`faults` are scoped
-/// overrides applied around the run when `Some`; `None` leaves the
-/// ambient configuration (environment variable or default) in charge,
-/// matching the historical behaviour of `--bin bench` exactly.
+/// One executable bench cell. `max_cycles`/`faults` outrank the enclosing
+/// run scope when `Some`; `None` leaves the scope's value in charge (see
+/// [`CellSpec::run_config`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CellSpec {
     /// The workload.
@@ -199,7 +198,7 @@ pub struct CellSpec {
     pub m: usize,
     /// Cycle-watchdog budget override for this cell, if any.
     pub max_cycles: Option<u64>,
-    /// Fault plan spec (`<spec>:<seed>`, see `ARCHGRAPH_FAULTS`), if the
+    /// Fault plan spec (`<spec>:<seed>`, see `archgraph_core::fault`), if the
     /// cell should run on a perturbed memory system. Validated before
     /// running; part of the cache key.
     pub faults: Option<String>,
@@ -219,7 +218,7 @@ pub mod sizes {
 }
 
 impl CellSpec {
-    /// A spec with everything ambient: the kernel's default bench size,
+    /// A spec that pins nothing: the kernel's default bench size,
     /// no engine pin, no overrides.
     pub fn new(kernel: Kernel, machine: MachineKind, p: usize) -> CellSpec {
         let (n, m) = default_size(kernel);
@@ -283,7 +282,7 @@ impl CellSpec {
             return Err("max_cycles=0 can never be satisfied".into());
         }
         if let Some(f) = &self.faults {
-            archgraph_mta_sim::FaultPlan::parse(f).map_err(|e| format!("faults: {e}"))?;
+            FaultPlan::parse(f).map_err(|e| format!("faults: {e}"))?;
         }
         Ok(())
     }
@@ -325,31 +324,33 @@ impl CellSpec {
         self.canonical()
     }
 
-    /// Execute the cell. Scoped overrides (cycle budget, fault
-    /// plan) are applied only where `Some`: a spec carrying `faults` runs
-    /// under exactly that plan wherever it executes — `--bin bench`, the
-    /// daemon, a figure sweep or a test — so degradation cells fingerprint
-    /// identically everywhere. A spec without them leaves the ambient
-    /// configuration in charge, which is what the figure sweeps and the
-    /// historical `--bin bench` rely on. Does **not** call
-    /// [`validate`](CellSpec::validate): that is the daemon's admission
-    /// bound (`n ≤ 2^24`), and `--full` Fig. 1 and Table 1 run 20·2^20
-    /// nodes. Panics on simulator failure (watchdog, deadlock); run under
-    /// `sweep::isolate`.
-    pub fn run_full(&self) -> CellRun {
-        let body = || self.dispatch();
-        let body = || match &self.faults {
-            Some(spec) => {
-                let plan = archgraph_mta_sim::FaultPlan::parse(spec)
-                    .expect("validate() accepted this fault spec");
-                archgraph_mta_sim::with_fault_plan(Some(plan), body)
-            }
-            None => body(),
-        };
-        match self.max_cycles {
-            Some(b) => with_max_cycles(b, body),
-            None => body(),
+    /// The run configuration this cell executes under: its own fault plan
+    /// and cycle budget where it names them, else the enclosing scope's
+    /// ([`RunConfig::current`]). So a spec carrying `faults` runs under
+    /// exactly that plan wherever it executes — `--bin bench`, the daemon,
+    /// a figure sweep or a test — and degradation cells fingerprint
+    /// identically everywhere, while a plain spec moves with the plan its
+    /// caller scoped.
+    pub fn run_config(&self) -> RunConfig {
+        let outer = RunConfig::current();
+        RunConfig {
+            faults: match &self.faults {
+                Some(spec) => {
+                    Some(FaultPlan::parse(spec).expect("validate() accepted this fault spec"))
+                }
+                None => outer.faults,
+            },
+            max_cycles: self.max_cycles.unwrap_or(outer.max_cycles),
         }
+    }
+
+    /// Execute the cell under [`run_config`](CellSpec::run_config). Does
+    /// **not** call [`validate`](CellSpec::validate): that is the daemon's
+    /// admission bound (`n ≤ 2^24`), and `--full` Fig. 1 and Table 1 run
+    /// 20·2^20 nodes. Panics on simulator failure (watchdog, deadlock); run
+    /// under `sweep::isolate`.
+    pub fn run_full(&self) -> CellRun {
+        self.run_config().scope(|| self.dispatch())
     }
 
     /// [`run_full`](CellSpec::run_full), keeping only the `sim`
@@ -665,6 +666,28 @@ mod tests {
             "{}",
             err.message
         );
+    }
+
+    #[test]
+    fn a_spec_outranks_the_enclosing_scope_only_where_it_speaks() {
+        let plan = |spec| Some(FaultPlan::parse(spec).unwrap());
+        let outer = RunConfig {
+            faults: plan("link-latency=60,rate=1:9"),
+            max_cycles: 1 << 30,
+        };
+        let plain = find("fig2/mta/p8").unwrap();
+        assert_eq!(outer.scope(|| plain.run_config()), outer);
+        let own = find("bfs/mta/p8+stall").unwrap();
+        let mut tight = plain.clone();
+        tight.max_cycles = Some(99);
+        outer.scope(|| {
+            let own = own.run_config();
+            assert_eq!(own.faults, plan("stall=30,stall-period=300:7"));
+            assert_eq!(own.max_cycles, outer.max_cycles);
+            let tight = tight.run_config();
+            assert_eq!((tight.faults, tight.max_cycles), (outer.faults.clone(), 99));
+        });
+        assert_eq!(plain.run_config(), RunConfig::CLEAN, "outside any scope");
     }
 
     #[test]

@@ -4,11 +4,24 @@
 
 use archgraph_core::experiment::Series;
 use archgraph_core::report::{fmt_seconds, ratios, series_csv, Table};
+use archgraph_core::run::{RunConfig, Scope};
 
 use crate::cells::MachineKind;
 use crate::guard::series_or_exit;
 use crate::scale::{scale_or_usage, usage_error, Scale};
 use crate::sweep::{CellFailure, PanelSweep};
+
+/// The binaries' one read of the environment's run configuration:
+/// `ARCHGRAPH_FAULTS` and `ARCHGRAPH_MAX_CYCLES`, parsed before anything
+/// runs and put in force on the main thread until the guard drops (a sweep
+/// carries it to its pool threads). A malformed value prints the error and
+/// `usage` and exits 2: a bad plan must never silently run a clean
+/// experiment.
+pub fn enter_env_config(usage: &str) -> Scope {
+    RunConfig::from_vars(|k| std::env::var(k).ok())
+        .unwrap_or_else(|e| usage_error(&e, usage))
+        .enter()
+}
 
 /// `[smoke|default|full] [--arch mta|smp|both] [--csv]`, parsed strictly.
 pub struct FigureArgs {

@@ -54,8 +54,8 @@ pub fn smp_cell(kind: ListKind, p: usize, n: usize) -> SmpSimResult {
 }
 
 /// One machine's panel as cells: one series per (list kind, p), x = `n`.
-/// The specs carry no engine, fault or budget pin — the ambient
-/// configuration stays in charge of a figure sweep.
+/// The specs carry no engine, fault or budget pin — the run scope stays
+/// in charge of a figure sweep.
 pub fn panel(scale: Scale, machine: MachineKind) -> Vec<PanelCell> {
     let arch = machine.name();
     cells(scale)

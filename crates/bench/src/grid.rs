@@ -7,19 +7,26 @@
 //! byte-identical output to the serial sweep — only host wall-clock
 //! changes. The `parallel_matches_serial_*` integration tests pin this
 //! down by comparing full simulator reports across both paths.
+//!
+//! The run scope (`archgraph_core::RunConfig`) is per thread, so
+//! [`par_map`] re-enters the caller's on every pool thread: a fault plan or
+//! cycle budget scoped around a sweep covers every one of its cells.
 
+use archgraph_core::RunConfig;
 use rayon::prelude::*;
 
-/// Apply `f` to every cell in parallel, returning results in cell order.
+/// Apply `f` to every cell in parallel, under the caller's run scope,
+/// returning results in cell order.
 pub fn par_map<C, R, F>(cells: &[C], f: F) -> Vec<R>
 where
     C: Sync,
     R: Send,
     F: Fn(&C) -> R + Sync,
 {
+    let config = RunConfig::current();
     (0..cells.len())
         .into_par_iter()
-        .map(|i| f(&cells[i]))
+        .map(|i| config.scope(|| f(&cells[i])))
         .collect()
 }
 

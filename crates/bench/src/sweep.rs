@@ -31,6 +31,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 
 use archgraph_core::experiment::Series;
+use archgraph_core::RunConfig;
 
 use crate::cells::{CellRun, CellSpec};
 use crate::grid::par_map;
@@ -55,21 +56,6 @@ const SPEC_FILE: &str = ".spec";
 /// Suffix of the per-entry recency sidecar (`<file>.stamp`, holding one
 /// decimal logical tick).
 const STAMP_SUFFIX: &str = ".stamp";
-
-/// The ambient configuration fingerprint stamped into every checkpoint
-/// directory. Checkpoints are only resumable under the configuration
-/// that produced them: a sweep re-run under a different
-/// fault plan or cycle budget would silently splice
-/// incompatible cells into one panel if stale checkpoints were honoured.
-/// Scale is excluded — it is already part of the directory name.
-pub fn ambient_spec() -> String {
-    let env = |k: &str| std::env::var(k).unwrap_or_default();
-    format!(
-        "v2 faults={} max-cycles={}",
-        env("ARCHGRAPH_FAULTS"),
-        env("ARCHGRAPH_MAX_CYCLES"),
-    )
-}
 
 /// One sweep cell that panicked instead of completing.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -164,9 +150,14 @@ impl Checkpoint {
     }
 
     /// A store rooted at an explicit directory (tests; resume tooling),
-    /// stamped with the [`ambient_spec`] of the current run.
+    /// stamped with the run scope in force ([`RunConfig::current`]).
+    /// Checkpoints are only resumable under the configuration that
+    /// produced them: a sweep re-run under a different fault plan or cycle
+    /// budget would silently splice incompatible cells into one panel if
+    /// stale checkpoints were honoured. Scale is not in the stamp — it is
+    /// already part of the directory name.
     pub fn at(dir: PathBuf) -> Checkpoint {
-        Checkpoint::at_spec(dir, &ambient_spec())
+        Checkpoint::at_spec(dir, &format!("v3 {}", RunConfig::current()))
     }
 
     /// [`Checkpoint::at`] with an explicit spec fingerprint. Opening a
@@ -740,6 +731,30 @@ mod tests {
         let old_again = Checkpoint::at_spec(dir.clone(), "v2 faults=");
         assert_eq!(old_again.lookup("fig/x/p1"), None);
         old_again.clear();
+    }
+
+    /// `Checkpoint::at` stamps the run scope, not the environment: cells
+    /// recorded under a scoped plan do not resume in a clean run.
+    #[test]
+    fn checkpoint_stamp_follows_the_run_scope() {
+        let dir =
+            std::env::temp_dir().join(format!("archgraph-sweep-test-{}-scope", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let plan = archgraph_core::FaultPlan::parse("stall=30:7").unwrap();
+        archgraph_core::with_fault_plan(Some(plan.clone()), || {
+            Checkpoint::at(dir.clone()).record("fig/x/p1", "1 2 3|stalled");
+        });
+        let resumed = archgraph_core::with_fault_plan(Some(plan), || {
+            Checkpoint::at(dir.clone()).lookup("fig/x/p1")
+        });
+        assert_eq!(
+            resumed.as_deref(),
+            Some("1 2 3|stalled"),
+            "same scope resumes"
+        );
+        let clean = Checkpoint::at(dir);
+        assert_eq!(clean.lookup("fig/x/p1"), None, "a clean run re-simulates");
+        clean.clear();
     }
 
     #[test]

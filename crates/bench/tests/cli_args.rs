@@ -8,11 +8,23 @@
 use std::process::Command;
 
 fn expect_usage_rejection(bin: &str, exe: &str, args: &[&str]) {
+    expect_usage_rejection_under(bin, exe, args, &[]);
+}
+
+/// Spawn `exe args` with `env` added; it must exit 2 with `error:` and
+/// `usage:` lines. Returns its stderr.
+fn expect_usage_rejection_under(
+    bin: &str,
+    exe: &str,
+    args: &[&str],
+    env: &[(&str, &str)],
+) -> String {
     let out = Command::new(exe)
         .args(args)
+        .envs(env.iter().copied())
         .output()
         .unwrap_or_else(|e| panic!("failed to spawn {bin}: {e}"));
-    let stderr = String::from_utf8_lossy(&out.stderr);
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
     assert_eq!(
         out.status.code(),
         Some(2),
@@ -26,6 +38,32 @@ fn expect_usage_rejection(bin: &str, exe: &str, args: &[&str]) {
     assert!(
         stderr.contains("error:"),
         "{bin} {args:?} should name the offending argument, got: {stderr}"
+    );
+    stderr
+}
+
+/// The bins read the run configuration from the environment once, before
+/// any cell runs: a malformed plan or budget is a usage error naming the
+/// variable, never a clean run or a grid of failed cells.
+#[test]
+fn bins_reject_a_malformed_run_config_in_the_environment() {
+    use archgraph_core::run::{FAULTS_ENV, MAX_CYCLES_ENV};
+    let out = std::env::temp_dir().join(format!("archgraph-cli-{}.json", std::process::id()));
+    let out = out.to_str().expect("a UTF-8 temp path");
+    for (bin, exe, args) in [
+        ("fig1", env!("CARGO_BIN_EXE_fig1"), &["smoke"][..]),
+        ("table1", env!("CARGO_BIN_EXE_table1"), &["smoke"]),
+        ("calibrate", env!("CARGO_BIN_EXE_calibrate"), &["smoke"]),
+        ("bench", env!("CARGO_BIN_EXE_bench"), &["--out", out]),
+    ] {
+        for (var, value) in [(FAULTS_ENV, "bogus:7"), (MAX_CYCLES_ENV, "0")] {
+            let stderr = expect_usage_rejection_under(bin, exe, args, &[(var, value)]);
+            assert!(stderr.contains(var), "{bin}: {stderr}");
+        }
+    }
+    assert!(
+        !std::path::Path::new(out).exists(),
+        "bench wrote a baseline"
     );
 }
 

@@ -29,22 +29,10 @@ use archgraph_core::MtaParams;
 use archgraph_graph::csr::Csr;
 use archgraph_graph::edgelist::EdgeList;
 use archgraph_graph::Node;
-use archgraph_mta_sim::fault::FaultPlan;
 use archgraph_mta_sim::isa::{Program, ProgramBuilder, Reg, STREAM_ID, ZERO};
 use archgraph_mta_sim::machine::MtaMachine;
 use archgraph_mta_sim::parloop::{dynamic_loop_grained_mem, LoopRegs};
 use archgraph_mta_sim::report::{combine, RunReport};
-
-/// Options for [`try_simulate_coloring_mta_cfg`].
-#[derive(Debug, Clone, Default)]
-pub struct ColorMtaConfig {
-    /// Install this fault plan on the machine's memory. `None` keeps the
-    /// ambient `ARCHGRAPH_FAULTS` plan (if any).
-    pub fault_plan: Option<FaultPlan>,
-    /// Override the cycle-budget watchdog. `None` keeps the configured
-    /// `ARCHGRAPH_MAX_CYCLES` budget.
-    pub max_cycles: Option<u64>,
-}
 
 /// Result of a simulated MTA coloring run.
 #[derive(Debug, Clone)]
@@ -77,24 +65,13 @@ pub fn simulate_coloring_mta(
 
 /// [`simulate_coloring_mta`] returning structured failures: a deadlocked
 /// or over-budget region surfaces [`SimError`] with per-stream
-/// diagnostics instead of panicking.
+/// diagnostics instead of panicking. The fault plan and cycle budget are
+/// the run scope's (`archgraph_core::RunConfig`).
 pub fn try_simulate_coloring_mta(
     g: &EdgeList,
     params: &MtaParams,
     p: usize,
     streams_per_proc: usize,
-) -> Result<ColorMtaSimResult, SimError> {
-    try_simulate_coloring_mta_cfg(g, params, p, streams_per_proc, &ColorMtaConfig::default())
-}
-
-/// [`try_simulate_coloring_mta`] with explicit [`ColorMtaConfig`] (an
-/// injected fault plan, a tightened cycle budget).
-pub fn try_simulate_coloring_mta_cfg(
-    g: &EdgeList,
-    params: &MtaParams,
-    p: usize,
-    streams_per_proc: usize,
-    cfg: &ColorMtaConfig,
 ) -> Result<ColorMtaSimResult, SimError> {
     let csr = Csr::from_edge_list(g);
     let n = csr.n();
@@ -104,12 +81,6 @@ pub fn try_simulate_coloring_mta_cfg(
     let total_streams = p * streams_per_proc;
     let words = (n + 1) + na + 3 * n + total_streams * k + 16;
     let mut m = MtaMachine::with_memory_words(params.clone(), p, words);
-    if let Some(plan) = &cfg.fault_plan {
-        m.memory_mut().set_fault_plan(Some(plan.clone()));
-    }
-    if let Some(budget) = cfg.max_cycles {
-        m.set_max_cycles(budget);
-    }
 
     let rowptr_base = {
         let vals: Vec<i64> = csr.offsets.iter().map(|&o| o as i64).collect();
@@ -250,8 +221,8 @@ pub fn try_simulate_coloring_mta_cfg(
 mod tests {
     use super::*;
     use crate::seq::validate_coloring;
+    use archgraph_core::{FaultPlan, RunConfig};
     use archgraph_graph::gen;
-    use archgraph_mta_sim::fault::FaultPlan;
 
     fn tiny() -> MtaParams {
         MtaParams::tiny_for_tests()
@@ -316,11 +287,12 @@ mod tests {
         // The detect pass readff-parks under a stuck-empty plan, and the
         // structured diagnostics reach the caller.
         let g = gen::random_gnm(40, 80, 9);
-        let cfg = ColorMtaConfig {
-            fault_plan: Some(FaultPlan::parse("stuck-empty,rate=0:3").expect("valid plan")),
-            max_cycles: Some(1 << 22),
+        let run = RunConfig {
+            faults: Some(FaultPlan::parse("stuck-empty,rate=0:3").expect("valid plan")),
+            max_cycles: 1 << 22,
         };
-        let err = try_simulate_coloring_mta_cfg(&g, &tiny(), 1, 6, &cfg)
+        let err = run
+            .scope(|| try_simulate_coloring_mta(&g, &tiny(), 1, 6))
             .expect_err("readff must park under stuck-empty");
         match err {
             SimError::Deadlock { blocked, .. } => {

@@ -26,7 +26,6 @@ use archgraph_core::error::SimError;
 use archgraph_core::MtaParams;
 use archgraph_graph::edgelist::EdgeList;
 use archgraph_graph::Node;
-use archgraph_mta_sim::fault::FaultPlan;
 use archgraph_mta_sim::isa::{ProgramBuilder, Reg};
 use archgraph_mta_sim::machine::MtaMachine;
 use archgraph_mta_sim::parloop::{dynamic_loop_grained, LoopRegs};
@@ -55,12 +54,6 @@ pub struct SvMtaConfig {
     /// memory this is behaviour-identical to a plain load; under tag
     /// faults it makes the kernel deadlock *detectably*.
     pub guarded: bool,
-    /// Install this fault plan on the machine's memory. `None` keeps the
-    /// ambient `ARCHGRAPH_FAULTS` plan (if any).
-    pub fault_plan: Option<FaultPlan>,
-    /// Override the cycle-budget watchdog. `None` keeps the configured
-    /// `ARCHGRAPH_MAX_CYCLES` budget.
-    pub max_cycles: Option<u64>,
 }
 
 /// Simulate Alg. 3 on `p` processors × `streams_per_proc` streams,
@@ -88,7 +81,8 @@ pub fn try_simulate_sv_mta(
 }
 
 /// [`try_simulate_sv_mta`] with explicit [`SvMtaConfig`] (tag-guarded
-/// loads, an injected fault plan, a tightened cycle budget).
+/// loads). The fault plan and cycle budget are the run scope's
+/// (`archgraph_core::RunConfig`).
 pub fn try_simulate_sv_mta_cfg(
     g: &EdgeList,
     params: &MtaParams,
@@ -100,12 +94,6 @@ pub fn try_simulate_sv_mta_cfg(
     let na = 2 * g.m();
     let words = 2 * na + n + 16;
     let mut m = MtaMachine::with_memory_words(params.clone(), p, words);
-    if let Some(plan) = &cfg.fault_plan {
-        m.memory_mut().set_fault_plan(Some(plan.clone()));
-    }
-    if let Some(budget) = cfg.max_cycles {
-        m.set_max_cycles(budget);
-    }
 
     // Interleaved arc array: E[i] = (arcs[2i], arcs[2i+1]).
     let arcs_base = {
@@ -209,6 +197,7 @@ pub fn try_simulate_sv_mta_cfg(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use archgraph_core::{FaultPlan, RunConfig};
     use archgraph_graph::gen;
     use archgraph_graph::unionfind::{connected_components, same_partition};
 
@@ -289,17 +278,8 @@ mod tests {
         // counts must match the plain-load program exactly.
         let g = gen::random_gnm(300, 900, 11);
         let plain = try_simulate_sv_mta(&g, &tiny(), 2, 8).expect("clean run");
-        let guarded = try_simulate_sv_mta_cfg(
-            &g,
-            &tiny(),
-            2,
-            8,
-            &SvMtaConfig {
-                guarded: true,
-                ..SvMtaConfig::default()
-            },
-        )
-        .expect("guarded run on clean memory must succeed");
+        let guarded = try_simulate_sv_mta_cfg(&g, &tiny(), 2, 8, &SvMtaConfig { guarded: true })
+            .expect("guarded run on clean memory must succeed");
         assert_eq!(plain.labels, guarded.labels);
         assert_eq!(plain.iterations, guarded.iterations);
     }
@@ -310,13 +290,13 @@ mod tests {
         // SV-on-MTA must reach the kernel caller as SimError::Deadlock
         // with per-stream diagnostics — not a panic, not a hang.
         let g = gen::random_gnm(60, 120, 12);
-        let plan = FaultPlan::parse("stuck-empty,rate=0:5").expect("valid plan");
-        let cfg = SvMtaConfig {
-            guarded: true,
-            fault_plan: Some(plan),
-            max_cycles: Some(1 << 22),
+        let run = RunConfig {
+            faults: Some(FaultPlan::parse("stuck-empty,rate=0:5").expect("valid plan")),
+            max_cycles: 1 << 22,
         };
-        let err = try_simulate_sv_mta_cfg(&g, &tiny(), 1, 8, &cfg)
+        let cfg = SvMtaConfig { guarded: true };
+        let err = run
+            .scope(|| try_simulate_sv_mta_cfg(&g, &tiny(), 1, 8, &cfg))
             .expect_err("every readff parks forever under stuck-empty");
         match err {
             SimError::Deadlock { cycle, blocked } => {

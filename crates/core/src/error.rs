@@ -13,9 +13,9 @@
 //!   both simulated quantities, pinned by `mta-sim`'s guardrails suite.
 //! * [`SimError::CycleBudgetExceeded`] — a watchdog converted a runaway
 //!   run (infinite loop, livelocked iteration) into an error instead of an
-//!   unbounded hang. The budget comes from `ARCHGRAPH_MAX_CYCLES` or a
-//!   per-machine setter; the default is generous enough that no legitimate
-//!   paper-scale experiment comes near it.
+//!   unbounded hang. The budget is the run scope's
+//!   ([`crate::run::RunConfig`]); the default is generous enough that no
+//!   legitimate paper-scale experiment comes near it.
 //!
 //! The legacy panicking entry points (`MtaMachine::run`, `SmpMachine::phase`,
 //! `shiloach_vishkin`) delegate to the `try_` forms and panic with the
@@ -24,57 +24,13 @@
 
 use std::fmt;
 
+use crate::run::MAX_CYCLES_ENV;
+
 /// Default cycle budget for both machines: far above any paper-scale run
 /// (the largest `--full` cells finish in well under 2^33 cycles) yet small
 /// enough that a hung kernel dies in bounded time instead of wedging a CI
 /// runner until its job timeout.
 pub const DEFAULT_MAX_CYCLES: u64 = 1 << 36;
-
-/// Environment variable overriding the cycle budget for both machines.
-pub const MAX_CYCLES_ENV: &str = "ARCHGRAPH_MAX_CYCLES";
-
-std::thread_local! {
-    static MAX_CYCLES_OVERRIDE: std::cell::Cell<Option<u64>> =
-        const { std::cell::Cell::new(None) };
-}
-
-/// Run `f` with every machine constructed on this thread using `budget`
-/// as its cycle watchdog, overriding `ARCHGRAPH_MAX_CYCLES`. The sweep
-/// daemon uses this to enforce per-job budgets without touching process
-/// environment. Panic-safe and nestable, like the engine override in
-/// `archgraph-mta-sim`; the previous override is restored on exit.
-/// A zero budget is clamped to 1 (a budget of 0 can never be satisfied).
-pub fn with_max_cycles<R>(budget: u64, f: impl FnOnce() -> R) -> R {
-    struct Restore(Option<u64>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            MAX_CYCLES_OVERRIDE.with(|c| c.set(self.0));
-        }
-    }
-    let _restore = Restore(MAX_CYCLES_OVERRIDE.with(|c| c.replace(Some(budget.max(1)))));
-    f()
-}
-
-/// Read the configured cycle budget: the [`with_max_cycles`] override if
-/// one is active on this thread, else `ARCHGRAPH_MAX_CYCLES` if set and
-/// parseable, else [`DEFAULT_MAX_CYCLES`]. The environment value is
-/// cached after the first read — the simulators consult this once per
-/// machine construction.
-pub fn configured_max_cycles() -> u64 {
-    if let Some(b) = MAX_CYCLES_OVERRIDE.with(|c| c.get()) {
-        return b;
-    }
-    use std::sync::OnceLock;
-    static CACHE: OnceLock<u64> = OnceLock::new();
-    *CACHE.get_or_init(|| match std::env::var(MAX_CYCLES_ENV) {
-        Ok(s) => s
-            .parse()
-            .ok()
-            .filter(|&c| c > 0)
-            .unwrap_or_else(|| panic!("{MAX_CYCLES_ENV}={s:?} is not a positive cycle count")),
-        Err(_) => DEFAULT_MAX_CYCLES,
-    })
-}
 
 /// Diagnostics for one stream parked on a failing full/empty operation at
 /// the moment a deadlock was detected. All fields are simulated quantities.
@@ -154,7 +110,7 @@ impl fmt::Display for SimError {
             } => write!(
                 f,
                 "cycle budget exceeded: {spent} {what} spent against a budget of {budget} \
-                 (raise {MAX_CYCLES_ENV} or the machine's max_cycles if the run is legitimate)"
+                 (raise {MAX_CYCLES_ENV} or the cell's max_cycles if the run is legitimate)"
             ),
         }
     }
@@ -210,18 +166,6 @@ mod tests {
         assert!(s.contains("101 mta cycles"), "{s}");
         assert!(s.contains("budget of 100"), "{s}");
         assert!(s.contains(MAX_CYCLES_ENV), "{s}");
-    }
-
-    #[test]
-    fn with_max_cycles_scopes_the_override() {
-        let ambient = configured_max_cycles();
-        let inner = with_max_cycles(1234, configured_max_cycles);
-        assert_eq!(inner, 1234);
-        assert_eq!(configured_max_cycles(), ambient, "override must restore");
-        // Nesting and clamping.
-        let nested = with_max_cycles(10, || with_max_cycles(0, configured_max_cycles));
-        assert_eq!(nested, 1, "zero budget clamps to 1");
-        assert_eq!(configured_max_cycles(), ambient);
     }
 
     #[test]

@@ -21,7 +21,8 @@
 //! on a cache-based SMP) so degradation ratios stay comparable across
 //! machines.
 //!
-//! Plans come from `ARCHGRAPH_FAULTS=<spec>:<seed>`, where `<spec>` is a
+//! A plan is written `<spec>:<seed>` — in `ARCHGRAPH_FAULTS`, a cell
+//! spec's `faults` or a daemon request — where `<spec>` is a
 //! comma-separated list of:
 //!
 //! | item | effect |
@@ -38,8 +39,7 @@
 //! | `brownout-for=<thirds>` | brownout interval length (default: the rest of the run) |
 //! | `rate=<log2>` | one address (or link) in `2^log2` is affected (default 4) |
 //!
-//! e.g. `ARCHGRAPH_FAULTS=stall=30,stall-period=300:7` or
-//! `ARCHGRAPH_FAULTS=link-latency=60,rate=1:9`. All magnitudes are in
+//! e.g. `stall=30,stall-period=300:7` or `link-latency=60,rate=1:9`. All magnitudes are in
 //! thirds of an MTA cycle (the simulator's native tick — memory ops
 //! occupy 3 thirds); the SMP machine divides by 3 to recover cycles.
 //! Duplicate items, magnitudes above 2^32, a `stall-period` without a
@@ -50,11 +50,11 @@
 //! round-trips through [`FaultPlan::parse`] to an equal plan (the
 //! property suite pins this), which is what lets daemon specs and
 //! checkpoint stamps treat the spec string as the plan's identity.
+//!
+//! A plan reaches the machines through the run scope
+//! ([`crate::run::RunConfig`]), never through the environment.
 
 use std::fmt;
-
-/// Environment variable holding the fault plan, `<spec>:<seed>`.
-pub const FAULTS_ENV: &str = "ARCHGRAPH_FAULTS";
 
 /// Largest accepted magnitude for any numeric fault item. Keeps every
 /// downstream time computation (`issue_at + latency + extras`,
@@ -101,29 +101,6 @@ pub struct FaultPlan {
     brownout_at: u64,
     /// Brownout interval length (thirds); `u64::MAX` = rest of the run.
     brownout_for: u64,
-}
-
-std::thread_local! {
-    static FAULT_OVERRIDE: std::cell::RefCell<Option<Option<FaultPlan>>> =
-        const { std::cell::RefCell::new(None) };
-}
-
-/// Run `f` with every simulator constructed on this thread using exactly
-/// `plan` — `Some(plan)` injects that plan, `None` forces a clean machine
-/// even when [`FAULTS_ENV`] is set in the ambient environment. The sweep
-/// daemon uses this so a job's fault plan is part of its spec, never
-/// inherited from the daemon's environment (its result cache is keyed by
-/// the spec, so an ambient plan leaking in would poison the cache).
-/// Panic-safe and nestable; the previous override is restored on exit.
-pub fn with_fault_plan<R>(plan: Option<FaultPlan>, f: impl FnOnce() -> R) -> R {
-    struct Restore(Option<Option<FaultPlan>>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            FAULT_OVERRIDE.with(|c| *c.borrow_mut() = self.0.take());
-        }
-    }
-    let _restore = Restore(FAULT_OVERRIDE.with(|c| c.borrow_mut().replace(plan)));
-    f()
 }
 
 /// SplitMix64 finalizer: a cheap, well-mixed hash so "one entity in 2^k"
@@ -241,32 +218,6 @@ impl FaultPlan {
             return Err("`brownout-at`/`brownout-for` without `brownout` bound nothing".into());
         }
         Ok(plan)
-    }
-
-    /// The plan configured via [`FAULTS_ENV`], if any. Parsed once and
-    /// cached; a malformed spec panics with the parse error (a bad plan
-    /// must not silently run a clean experiment).
-    pub fn from_env() -> Option<&'static FaultPlan> {
-        use std::sync::OnceLock;
-        static CACHE: OnceLock<Option<FaultPlan>> = OnceLock::new();
-        CACHE
-            .get_or_init(|| {
-                std::env::var(FAULTS_ENV)
-                    .ok()
-                    .map(|s| FaultPlan::parse(&s).unwrap_or_else(|e| panic!("{FAULTS_ENV}: {e}")))
-            })
-            .as_ref()
-    }
-
-    /// The plan for newly constructed machines on this thread: the
-    /// [`with_fault_plan`] override if one is active (its `None` forces a
-    /// clean machine even when [`FAULTS_ENV`] is set), else the
-    /// environment plan.
-    pub fn configured() -> Option<FaultPlan> {
-        if let Some(forced) = FAULT_OVERRIDE.with(|c| c.borrow().clone()) {
-            return forced;
-        }
-        FaultPlan::from_env().cloned()
     }
 
     /// Is `addr` in the affected subset? Pure function of `(addr, seed)`.

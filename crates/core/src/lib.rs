@@ -20,6 +20,8 @@
 //! * [`fault`] — deterministic fault plans (latency
 //!   spikes, stuck tags, per-processor stalls, degraded links, brownouts)
 //!   consumed by both simulators.
+//! * [`run`] — the run scope: the fault plan and cycle budget every
+//!   simulator built inside it runs under.
 //! * [`report`] — fixed-width table and CSV rendering shared by the figure
 //!   regeneration binaries.
 //!
@@ -36,10 +38,12 @@ pub mod machine;
 pub mod plot;
 pub mod predict;
 pub mod report;
+pub mod run;
 pub mod shared;
 
 pub use cost::Complexity;
 pub use error::{BlockedStream, SimError};
-pub use fault::{with_fault_plan, FaultPlan, FAULTS_ENV};
+pub use fault::FaultPlan;
 pub use machine::{MtaParams, SmpParams};
+pub use run::{with_fault_plan, RunConfig};
 pub use shared::SharedSlice;

@@ -451,7 +451,6 @@ mod tests {
     /// prefetcher is on) and the E4500, clean and under [`PLAN`].
     fn assert_matches_reference(list: &LinkedList, p: usize, sublists_per_proc: usize, seed: u64) {
         for params in [tiny(), SmpParams::sun_e4500()] {
-            // `None` also shuts out an ambient `ARCHGRAPH_FAULTS`.
             for plan in [None, Some(FaultPlan::parse(PLAN).unwrap())] {
                 let faulty = plan.is_some();
                 with_fault_plan(plan, || {

@@ -7,8 +7,9 @@
 //! bits, delayed sync-retry wakeups on an address-keyed axis, plus the
 //! structural axis of per-processor stalls, degraded links, and
 //! brownouts — lives in [`archgraph_core::fault`] so both simulated
-//! machines consume one plan. This module re-exports it under its
-//! historical `archgraph_mta_sim` paths.
+//! machines consume one plan. This module re-exports it, and the run
+//! scope's [`with_fault_plan`], under their historical `archgraph_mta_sim`
+//! paths.
 //!
 //! On the MTA the plan lives *below* the issue loop, attached to the shared
 //! [`Memory`] image (stuck bits are applied inside
@@ -42,7 +43,8 @@
 
 use archgraph_core::error::{BlockedStream, SimError};
 
-pub use archgraph_core::fault::{with_fault_plan, FaultPlan, FAULTS_ENV};
+pub use archgraph_core::fault::FaultPlan;
+pub use archgraph_core::run::with_fault_plan;
 
 use crate::memory::Memory;
 
@@ -160,20 +162,20 @@ mod tests {
     #[test]
     fn with_fault_plan_scopes_the_override() {
         let plan = FaultPlan::parse("mem-latency=30,rate=0:7").unwrap();
-        let ambient = FaultPlan::configured();
+        let outer = archgraph_core::RunConfig::current();
         // Some(plan): new memories pick up exactly this plan.
         let seen = with_fault_plan(Some(plan.clone()), || Memory::new(4).fault_plan().cloned());
         assert_eq!(seen, Some(plan.clone()));
-        // None forces a clean memory regardless of the environment, and
-        // nesting restores the outer override on exit.
+        // None forces a clean memory inside a faulted scope, and nesting
+        // restores the outer plan on exit.
         let (inner_clean, outer_again) = with_fault_plan(Some(plan.clone()), || {
             let clean = with_fault_plan(None, || Memory::new(4).fault_plan().cloned());
             (clean, Memory::new(4).fault_plan().cloned())
         });
         assert_eq!(inner_clean, None);
         assert_eq!(outer_again, Some(plan));
-        // Fully unwound: back to the ambient configuration.
-        assert_eq!(FaultPlan::configured(), ambient);
+        // Fully unwound: back to the outer configuration.
+        assert_eq!(archgraph_core::RunConfig::current(), outer);
     }
 
     #[test]

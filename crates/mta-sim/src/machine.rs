@@ -39,8 +39,8 @@
 
 use std::cell::Cell;
 
-use archgraph_core::error::{configured_max_cycles, SimError};
-use archgraph_core::MtaParams;
+use archgraph_core::error::SimError;
+use archgraph_core::{MtaParams, RunConfig};
 
 use crate::fault::BlockTracker;
 use crate::isa::{Instr, Program, NREGS, N_OP_CLASSES};
@@ -275,8 +275,9 @@ pub struct MtaMachine {
     engine: MtaEngine,
     engine_stats: EngineStats,
     reports: Vec<RunReport>,
-    /// Watchdog budget in simulated cycles; a region that would pop an
-    /// event past this returns [`SimError::CycleBudgetExceeded`].
+    /// Watchdog budget in simulated cycles, the run scope's at
+    /// construction; a region that would pop an event past this returns
+    /// [`SimError::CycleBudgetExceeded`].
     max_cycles: u64,
 }
 
@@ -286,7 +287,9 @@ impl MtaMachine {
         Self::with_memory_words(params, p, DEFAULT_MEMORY_WORDS)
     }
 
-    /// A machine with an explicit memory size in words.
+    /// A machine with an explicit memory size in words. It runs under the
+    /// fault plan and cycle budget of the run scope ([`RunConfig::current`])
+    /// it is built in.
     pub fn with_memory_words(params: MtaParams, p: usize, words: usize) -> Self {
         assert!(p >= 1, "need at least one processor");
         MtaMachine {
@@ -297,22 +300,8 @@ impl MtaMachine {
             engine: ENGINE_OVERRIDE.with(Cell::get).unwrap_or_default(),
             engine_stats: EngineStats::default(),
             reports: Vec::new(),
-            max_cycles: configured_max_cycles(),
+            max_cycles: RunConfig::current().max_cycles,
         }
-    }
-
-    /// The watchdog cycle budget (default: `ARCHGRAPH_MAX_CYCLES`, else
-    /// [`archgraph_core::error::DEFAULT_MAX_CYCLES`]).
-    pub fn max_cycles(&self) -> u64 {
-        self.max_cycles
-    }
-
-    /// Override the watchdog cycle budget for subsequent runs. The budget
-    /// bounds each region, not the machine lifetime; a region whose event
-    /// clock passes it returns [`SimError::CycleBudgetExceeded`] from
-    /// [`Self::try_run`] (and panics from [`Self::run`]). Clamped to ≥ 1.
-    pub fn set_max_cycles(&mut self, cycles: u64) {
-        self.max_cycles = cycles.max(1);
     }
 
     /// The label this machine was constructed or [`Self::set_engine`]d
@@ -387,7 +376,7 @@ impl MtaMachine {
 
     /// [`Self::run`], but a deadlocked region returns
     /// [`SimError::Deadlock`] (with per-stream diagnostics) and a region that
-    /// outlives [`Self::max_cycles`] returns
+    /// outlives the cycle budget returns
     /// [`SimError::CycleBudgetExceeded`], instead of hanging forever or
     /// panicking. On error the machine's memory image reflects the
     /// operations issued up to the failure; no report is appended.

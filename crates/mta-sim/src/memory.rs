@@ -8,6 +8,8 @@
 //! with no banks, hashing has no observable effect and is omitted — which
 //! is precisely the paper's point that layout is irrelevant on the MTA.
 
+use archgraph_core::RunConfig;
+
 use crate::fault::FaultPlan;
 use crate::word::Word;
 
@@ -48,19 +50,21 @@ pub struct Memory {
 }
 
 impl Memory {
-    /// A memory of `capacity` words, all full-of-zero. Picks up the
-    /// configured fault plan: a scoped `with_fault_plan` override if one
-    /// is active on this thread, else the ambient `ARCHGRAPH_FAULTS`.
+    /// A memory of `capacity` words, all full-of-zero, under the fault
+    /// plan of the run scope ([`RunConfig::current`]).
     pub fn new(capacity: usize) -> Self {
         Memory {
             words: vec![Word::default(); capacity],
             next_free: 0,
             counters: MemCounters::default(),
-            fault: FaultPlan::configured(),
+            fault: RunConfig::current().faults,
         }
     }
 
-    /// Install (or clear) a fault plan, overriding the ambient env plan.
+    /// Install (or clear) a fault plan on a bare memory. Machines take
+    /// theirs from the run scope; this stays for the frozen `benchmarks/`
+    /// package's direct `Memory` probe and goes when a `benchmark` PR thaws
+    /// that tree.
     pub fn set_fault_plan(&mut self, plan: Option<FaultPlan>) {
         self.fault = plan;
     }
@@ -278,6 +282,7 @@ impl Memory {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::with_fault_plan;
 
     #[test]
     fn alloc_is_disjoint() {
@@ -379,8 +384,7 @@ mod tests {
     fn stuck_bits_pin_the_observed_tag() {
         // rate=0 affects every address.
         let plan = FaultPlan::parse("stuck-empty,rate=0:1").unwrap();
-        let mut m = Memory::new(4);
-        m.set_fault_plan(Some(plan));
+        let mut m = with_fault_plan(Some(plan), || Memory::new(4));
         assert_eq!(m.readfe(0), None, "stuck empty: consumers starve");
         assert!(!m.effective_full(0));
         assert!(m.writeef(0, 7), "stuck empty: writes pass through");
@@ -389,8 +393,7 @@ mod tests {
         assert_eq!(m.peek(0), 7);
 
         let plan = FaultPlan::parse("stuck-full,rate=0:1").unwrap();
-        let mut m = Memory::new(4);
-        m.set_fault_plan(Some(plan));
+        let mut m = with_fault_plan(Some(plan), || Memory::new(4));
         m.poke(0, 9);
         assert_eq!(m.readfe(0), Some(9));
         assert!(m.is_full(0), "stuck full: readfe cannot empty the word");

@@ -16,13 +16,22 @@
 
 use proptest::prelude::*;
 
-use archgraph_core::MtaParams;
+use archgraph_core::{MtaParams, RunConfig};
 use archgraph_mta_sim::isa::{Program, ProgramBuilder, Reg};
 use archgraph_mta_sim::machine::MtaMachine;
 use archgraph_mta_sim::report::RunReport;
 use archgraph_mta_sim::{FaultPlan, SimError};
 
 const MEM_WORDS: usize = 32;
+
+/// A test machine built under `plan` and, if given, a cycle budget.
+fn machine(p: usize, plan: Option<&FaultPlan>, max_cycles: Option<u64>) -> MtaMachine {
+    let run = RunConfig {
+        faults: plan.cloned(),
+        max_cycles: max_cycles.unwrap_or(RunConfig::CLEAN.max_cycles),
+    };
+    run.scope(|| MtaMachine::with_memory_words(MtaParams::tiny_for_tests(), p, 1 << 12))
+}
 
 /// Run `prog` with optional empty words, fault plan and cycle budget;
 /// return the outcome and the final memory image.
@@ -34,14 +43,10 @@ fn try_kernel(
     plan: Option<&FaultPlan>,
     max_cycles: Option<u64>,
 ) -> (Result<RunReport, SimError>, Vec<i64>) {
-    let mut m = MtaMachine::with_memory_words(MtaParams::tiny_for_tests(), p, 1 << 12);
+    let mut m = machine(p, plan, max_cycles);
     m.memory_mut().alloc(MEM_WORDS);
     for &a in empties {
         m.memory_mut().set_empty(a);
-    }
-    m.memory_mut().set_fault_plan(plan.cloned());
-    if let Some(b) = max_cycles {
-        m.set_max_cycles(b);
     }
     let out = m.try_run(prog, streams, |_, _| {});
     // Host-side accounting survives a deadlock or budget error.
@@ -206,13 +211,9 @@ fn watchdog_is_invisible_inside_the_budget() {
     let plan = Some(FaultPlan::parse("mem-latency=30,rate=1:9").unwrap());
     for plan in [None, plan] {
         let run = |budget: Option<u64>| {
-            let mut m = MtaMachine::with_memory_words(MtaParams::tiny_for_tests(), 2, 1 << 12);
+            let mut m = machine(2, plan.as_ref(), budget);
             m.memory_mut().alloc(MEM_WORDS);
             poke_all(&mut m, &mem);
-            m.memory_mut().set_fault_plan(plan.clone());
-            if let Some(b) = budget {
-                m.set_max_cycles(b);
-            }
             m.try_run(&prog, 4, |_, _| {}).expect("walk kernel halts")
         };
         let free = run(None);
@@ -224,10 +225,9 @@ fn watchdog_is_invisible_inside_the_budget() {
 /// The walk kernel on two processors × four streams under `plan`.
 fn run_walk(plan: Option<&FaultPlan>) -> RunReport {
     let (prog, mem_init) = walk_kernel();
-    let mut m = MtaMachine::with_memory_words(MtaParams::tiny_for_tests(), 2, 1 << 12);
+    let mut m = machine(2, plan, None);
     m.memory_mut().alloc(MEM_WORDS);
     poke_all(&mut m, &mem_init);
-    m.memory_mut().set_fault_plan(plan.cloned());
     m.try_run(&prog, 4, |_, _| {}).expect("kernel still halts")
 }
 
@@ -432,10 +432,9 @@ proptest! {
 fn run_panics_with_the_structured_message() {
     let prog = unbalanced_handshake(2);
     let run = |plan: Option<FaultPlan>| {
-        let mut m = MtaMachine::with_memory_words(MtaParams::tiny_for_tests(), 1, 1 << 12);
+        let mut m = machine(1, plan.as_ref(), None);
         m.memory_mut().alloc(MEM_WORDS);
         m.memory_mut().set_empty(1);
-        m.memory_mut().set_fault_plan(plan);
         let _ = m.run(&prog, 2, |_, _| {});
     };
     let plan = Some(FaultPlan::parse("mem-latency=30,rate=1:9").unwrap());

@@ -13,8 +13,7 @@ use crate::cache::Cache;
 use crate::prefetch::Prefetcher;
 use crate::stats::RunStats;
 use crate::tlb::Tlb;
-use archgraph_core::error::configured_max_cycles;
-use archgraph_core::{FaultPlan, SimError, SmpParams};
+use archgraph_core::{FaultPlan, RunConfig, SimError, SmpParams};
 
 /// Base address and element size of a simulated array allocation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,11 +48,11 @@ pub struct ProcCtx {
     compute_cpi: f64,
     /// This processor's machine-wide index (stall windows key on it).
     proc: usize,
-    /// The structural subset of the ambient fault plan: per-processor
+    /// The structural subset of the run scope's fault plan: per-processor
     /// stalls and brownouts apply to the SMP machine; the address-keyed
     /// axis and degraded links are MTA-only (the SMP model has no
     /// tag bits and no per-shard network). Captured at machine
-    /// construction so [`archgraph_core::with_fault_plan`] scoping works.
+    /// construction.
     fault: Option<FaultPlan>,
     /// Cycle clock (monotone across the whole run; phases diff it).
     clock: f64,
@@ -235,14 +234,16 @@ pub struct SmpMachine {
     barriers: u64,
     phases: Vec<PhaseRecord>,
     next_addr: u64,
-    /// Watchdog budget in simulated cycles: a phase that pushes the
-    /// machine clock past it returns [`SimError::CycleBudgetExceeded`].
+    /// Watchdog budget in simulated cycles, the run scope's at
+    /// construction: the first phase that pushes the machine clock past it
+    /// returns [`SimError::CycleBudgetExceeded`].
     max_cycles: u64,
 }
 
 impl SmpMachine {
-    /// Build a machine with `p` processors. Panics when `p` exceeds the
-    /// configuration's `max_processors` or is zero.
+    /// Build a machine with `p` processors under the fault plan and cycle
+    /// budget of the run scope ([`RunConfig::current`]). Panics when `p`
+    /// exceeds the configuration's `max_processors` or is zero.
     pub fn new(params: SmpParams, p: usize) -> Self {
         assert!(p >= 1, "need at least one processor");
         assert!(
@@ -250,9 +251,9 @@ impl SmpMachine {
             "machine has only {} processors",
             params.max_processors
         );
-        let fault = FaultPlan::configured();
+        let RunConfig { faults, max_cycles } = RunConfig::current();
         let procs = (0..p)
-            .map(|i| ProcCtx::new(&params, i, fault.clone()))
+            .map(|i| ProcCtx::new(&params, i, faults.clone()))
             .collect();
         SmpMachine {
             params,
@@ -261,22 +262,8 @@ impl SmpMachine {
             barriers: 0,
             phases: Vec::new(),
             next_addr: 0x1000,
-            max_cycles: configured_max_cycles(),
+            max_cycles,
         }
-    }
-
-    /// The watchdog cycle budget (default: `ARCHGRAPH_MAX_CYCLES`, else
-    /// [`archgraph_core::error::DEFAULT_MAX_CYCLES`]).
-    pub fn max_cycles(&self) -> u64 {
-        self.max_cycles
-    }
-
-    /// Override the watchdog cycle budget. The budget bounds the whole
-    /// machine clock: the first phase that pushes [`Self::cycles`] past
-    /// it fails with [`SimError::CycleBudgetExceeded`] (structured from
-    /// [`Self::try_phase`], a panic from [`Self::phase`]). Clamped to ≥ 1.
-    pub fn set_max_cycles(&mut self, cycles: u64) {
-        self.max_cycles = cycles.max(1);
     }
 
     /// Number of processors.
@@ -332,7 +319,7 @@ impl SmpMachine {
     }
 
     /// [`Self::phase`], but a phase that pushes the machine clock past
-    /// [`Self::max_cycles`] returns [`SimError::CycleBudgetExceeded`]
+    /// the cycle budget returns [`SimError::CycleBudgetExceeded`]
     /// instead of panicking. The offending phase's time and stats stay
     /// recorded (the simulation stopped *after* it, as close to the
     /// budget as phase granularity allows).
@@ -460,6 +447,15 @@ mod tests {
 
     fn tiny(p: usize) -> SmpMachine {
         SmpMachine::new(SmpParams::tiny_for_tests(), p)
+    }
+
+    /// [`tiny`] built in a scope with a `max_cycles` budget.
+    fn budgeted(p: usize, max_cycles: u64) -> SmpMachine {
+        let config = RunConfig {
+            max_cycles,
+            ..RunConfig::CLEAN
+        };
+        config.scope(|| tiny(p))
     }
 
     #[test]
@@ -645,9 +641,7 @@ mod tests {
 
     #[test]
     fn watchdog_converts_runaway_phase_to_structured_error() {
-        let mut m = tiny(1);
-        m.set_max_cycles(100);
-        assert_eq!(m.max_cycles(), 100);
+        let mut m = budgeted(1, 100);
         let err = m
             .try_phase("runaway", |_, ctx| ctx.compute(1_000_000))
             .unwrap_err();
@@ -666,16 +660,14 @@ mod tests {
         // The over-budget phase itself stays recorded.
         assert_eq!(m.phase_log().len(), 1);
 
-        let mut ok = tiny(1);
-        ok.set_max_cycles(1 << 30);
+        let mut ok = budgeted(1, 1 << 30);
         assert!(ok.try_phase("fits", |_, ctx| ctx.compute(10)).is_ok());
     }
 
     #[test]
     #[should_panic(expected = "smp phase failed")]
     fn panicking_phase_wrapper_reports_budget_error() {
-        let mut m = tiny(1);
-        m.set_max_cycles(1);
+        let mut m = budgeted(1, 1);
         m.phase("runaway", |_, ctx| ctx.compute(1_000_000));
     }
 

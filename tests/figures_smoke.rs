@@ -4,10 +4,9 @@
 //!
 //! `tests/golden/figures_smoke.txt` was recorded by running `golden_text`
 //! on commit 972ddbb through the functions that commit had
-//! (`fig{1,2}::{mta,smp}_series`, `table1::utilization_table`), with no
-//! `ARCHGRAPH_FAULTS` set (a sweep's cells run on pool threads, which a
-//! `with_fault_plan` scope here does not reach). After an intended model
-//! change, replace the file with the text the failure prints.
+//! (`fig{1,2}::{mta,smp}_series`, `table1::utilization_table`) on a clean
+//! machine. After an intended model change, replace the file with the text
+//! the failure prints.
 
 use std::collections::HashSet;
 
@@ -100,7 +99,7 @@ fn declared_cells_are_what_their_names_say() {
             Kernel::Fig1(_) => (spec.n, 0),
             _ => (spec.n, spec.m),
         };
-        // Nothing else is set: the ambient configuration stays in charge of
+        // Nothing else is set: the run scope stays in charge of
         // a figure sweep (no engine, fault or budget pin).
         let mut plain = CellSpec::new(spec.kernel, spec.machine, spec.p);
         (plain.n, plain.m) = size;

@@ -138,15 +138,12 @@ fn smp_runstats_are_bit_identical_to_the_recorded_model() {
     let e4500 = SmpParams::sun_e4500();
     let tiny = SmpParams::tiny_for_tests();
     let plan = FaultPlan::parse(PLAN).unwrap();
-    // `None` also shuts out an ambient `ARCHGRAPH_FAULTS`.
-    let mut actual = with_fault_plan(None, || {
-        kernels("e4500", &e4500, 0) + &kernels("tiny", &tiny, 4)
-    });
+    let mut actual = kernels("e4500", &e4500, 0) + &kernels("tiny", &tiny, 4);
     actual += &with_fault_plan(Some(plan.clone()), || {
         kernels("e4500+plan", &e4500, 2) + &kernels("tiny+plan", &tiny, 4)
     });
     // After the 28 lines of the first recording, so those keep their place.
-    actual += &with_fault_plan(None, || list_cells("e4500", &e4500, 0));
+    actual += &list_cells("e4500", &e4500, 0);
     actual += &with_fault_plan(Some(plan), || list_cells("e4500+plan", &e4500, 2));
     let moved: Vec<String> = GOLDEN
         .lines()

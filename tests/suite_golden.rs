@@ -19,8 +19,8 @@ use archgraph_core::{with_fault_plan, FaultPlan};
 const BASELINE: &str = include_str!("../BENCH_archgraph.json");
 const CHAOS: &str = include_str!("golden/chaos_soak.txt");
 
-/// The suite under `plan` (`None` also shuts out an ambient
-/// `ARCHGRAPH_FAULTS`), one `"name": "<cell>", "sim": { … }` line a cell.
+/// The suite under `plan` (`None`: clean), one
+/// `"name": "<cell>", "sim": { … }` line a cell.
 fn suite(plan: Option<&str>) -> String {
     let plan = plan.map(|p| FaultPlan::parse(p).expect("the plan parses"));
     let line = |(name, spec): (&str, CellSpec)| {
