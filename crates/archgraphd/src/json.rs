@@ -4,6 +4,11 @@
 //! ~150-line recursive-descent parser plus a writer that mirrors the
 //! bench driver's rendering conventions covers everything.
 //!
+//! The grammar is RFC 8259's, strictly: a number is `-? (0 | [1-9][0-9]*)
+//! (. [0-9]+)? ([eE] [+-]? [0-9]+)?` and finite, a string holds no raw
+//! control character, and an object names each member once — a request
+//! line means one thing to every reader. Parse cost is linear in the line.
+//!
 //! Numbers parse into [`Json::Num`] as `f64` — exact for every integer
 //! the simulators emit (cycle counts stay under 2^53 by orders of
 //! magnitude; the watchdog default is 2^36) — and [`Json::as_u64`]
@@ -73,11 +78,10 @@ impl Json {
     /// modulo trailing whitespace). Arrays and objects may nest 64 deep
     /// (`MAX_DEPTH`); deeper input is an ordinary parse error.
     pub fn parse(s: &str) -> Result<Json, String> {
-        let b = s.as_bytes();
         let mut pos = 0;
-        let v = parse_value(b, &mut pos, 0)?;
-        skip_ws(b, &mut pos);
-        if pos != b.len() {
+        let v = parse_value(s, &mut pos, 0)?;
+        skip_ws(s.as_bytes(), &mut pos);
+        if pos != s.len() {
             return Err(format!("trailing bytes at offset {pos}"));
         }
         Ok(v)
@@ -105,7 +109,8 @@ fn expect(b: &[u8], pos: &mut usize, lit: &str) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
+fn parse_value(s: &str, pos: &mut usize, depth: usize) -> Result<Json, String> {
+    let b = s.as_bytes();
     skip_ws(b, pos);
     match b.get(*pos) {
         None => Err("unexpected end of input".into()),
@@ -115,7 +120,7 @@ fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> 
         Some(b'n') => expect(b, pos, "null").map(|()| Json::Null),
         Some(b't') => expect(b, pos, "true").map(|()| Json::Bool(true)),
         Some(b'f') => expect(b, pos, "false").map(|()| Json::Bool(false)),
-        Some(b'"') => parse_string(b, pos).map(Json::Str),
+        Some(b'"') => parse_string(s, pos).map(Json::Str),
         Some(b'[') => {
             *pos += 1;
             let mut out = Vec::new();
@@ -125,7 +130,7 @@ fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> 
                 return Ok(Json::Arr(out));
             }
             loop {
-                out.push(parse_value(b, pos, depth + 1)?);
+                out.push(parse_value(s, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -147,11 +152,14 @@ fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> 
             }
             loop {
                 skip_ws(b, pos);
-                let key = parse_string(b, pos)?;
+                let key_at = *pos;
+                let key = parse_string(s, pos)?;
                 skip_ws(b, pos);
                 expect(b, pos, ":")?;
-                let val = parse_value(b, pos, depth + 1)?;
-                out.insert(key, val);
+                let val = parse_value(s, pos, depth + 1)?;
+                if out.insert(key, val).is_some() {
+                    return Err(format!("duplicate member name at offset {key_at}"));
+                }
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -167,13 +175,24 @@ fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> 
     }
 }
 
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
+/// A string, in runs: each unescaped run up to the next `"`, `\` or
+/// control byte is copied whole, so the cost is linear in the string. The
+/// stop bytes are ASCII, so a run ends on a `char` boundary of `s`.
+fn parse_string(s: &str, pos: &mut usize) -> Result<String, String> {
+    let b = s.as_bytes();
     if b.get(*pos) != Some(&b'"') {
         return Err(format!("expected string at offset {pos}"));
     }
     *pos += 1;
     let mut out = String::new();
-    while let Some(&c) = b.get(*pos) {
+    loop {
+        let start = *pos;
+        *pos += b[start..]
+            .iter()
+            .position(|&c| matches!(c, b'"' | b'\\' | 0..=0x1F))
+            .unwrap_or(b.len() - start);
+        out.push_str(&s[start..*pos]);
+        let Some(&c) = b.get(*pos) else { break };
         *pos += 1;
         match c {
             b'"' => return Ok(out),
@@ -227,16 +246,12 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                     other => return Err(format!("unknown escape \\{}", other as char)),
                 }
             }
-            // Raw UTF-8 passes through; collect the full code point. The
-            // input arrived as `&str`, so the bytes are valid UTF-8 and
-            // `*pos - 1` sits on a character boundary.
+            // RFC 8259 §7: U+0000–U+001F must be escaped.
             _ => {
-                *pos -= 1;
-                let rest =
-                    std::str::from_utf8(&b[*pos..]).map_err(|_| "invalid UTF-8 in string")?;
-                let ch = rest.chars().next().ok_or("unterminated string")?;
-                out.push(ch);
-                *pos += ch.len_utf8();
+                return Err(format!(
+                    "unescaped control character U+{c:04X} in string at offset {}",
+                    *pos - 1
+                ))
             }
         }
     }
@@ -255,15 +270,51 @@ fn parse_hex4(b: &[u8], pos: &mut usize) -> Result<u32, String> {
     Ok(cp)
 }
 
+/// RFC 8259 §6: `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`,
+/// finite. `+1`, `01`, `.5`, `1.` and `1e400` are errors.
 fn parse_number(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     let start = *pos;
-    while *pos < b.len() && matches!(b[*pos], b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9') {
+    let digits = |pos: &mut usize| {
+        let from = *pos;
+        while b.get(*pos).is_some_and(u8::is_ascii_digit) {
+            *pos += 1;
+        }
+        *pos > from
+    };
+    let no_digit = |at: usize| format!("invalid number at offset {start}: no digit at offset {at}");
+    if b.get(*pos) == Some(&b'-') {
         *pos += 1;
     }
+    match b.get(*pos) {
+        Some(b'0') if b.get(*pos + 1).is_some_and(u8::is_ascii_digit) => {
+            return Err(format!("invalid number at offset {start}: leading zero"))
+        }
+        Some(b'0') => *pos += 1,
+        Some(b'1'..=b'9') => {
+            digits(pos);
+        }
+        _ => return Err(no_digit(*pos)),
+    }
+    if b.get(*pos) == Some(&b'.') {
+        *pos += 1;
+        if !digits(pos) {
+            return Err(no_digit(*pos));
+        }
+    }
+    if matches!(b.get(*pos), Some(b'e' | b'E')) {
+        *pos += 1;
+        if matches!(b.get(*pos), Some(b'+' | b'-')) {
+            *pos += 1;
+        }
+        if !digits(pos) {
+            return Err(no_digit(*pos));
+        }
+    }
     let text = std::str::from_utf8(&b[start..*pos]).expect("ascii digits");
-    text.parse::<f64>()
-        .map(Json::Num)
-        .map_err(|_| format!("invalid number `{text}` at offset {start}"))
+    match text.parse::<f64>() {
+        Ok(n) if n.is_finite() => Ok(Json::Num(n)),
+        _ => Err(format!("number `{text}` at offset {start} is out of range")),
+    }
 }
 
 /// The functions `--bin bench` writes its JSON with, so the daemon's result
@@ -273,6 +324,7 @@ pub use archgraph_bench::cells::{json_escape as escape, render_sim};
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn parses_the_protocol_shapes() {
@@ -372,6 +424,102 @@ mod tests {
         assert_eq!(v.as_u64(), Some(1 << 36));
         assert_eq!(Json::parse("-1").unwrap().as_u64(), None);
         assert_eq!(Json::parse("1.5").unwrap().as_u64(), None);
+    }
+
+    #[test]
+    fn numbers_follow_the_rfc_8259_grammar() {
+        for ok in [
+            "0", "-0", "1", "-1", "10", "1.5", "0.25", "1e3", "1E3", "1.5e+3", "2e-2",
+        ] {
+            let want: f64 = ok.parse().unwrap();
+            assert_eq!(Json::parse(ok), Ok(Json::Num(want)), "{ok}");
+        }
+        assert_eq!(Json::parse("-0"), Ok(Json::Num(-0.0)));
+        assert_eq!(Json::parse("1.5e+3"), Ok(Json::Num(1500.0)));
+        assert_eq!(
+            Json::parse("9007199254740992").unwrap().as_u64(),
+            Some(1 << 53)
+        );
+        assert_eq!(
+            Json::parse("[0,-0.5]"),
+            Ok(Json::Arr(vec![Json::Num(0.0), Json::Num(-0.5)]))
+        );
+        for (bad, err) in [
+            ("+1", "invalid number at offset 0: no digit at offset 0"),
+            ("01", "invalid number at offset 0: leading zero"),
+            ("-01", "invalid number at offset 0: leading zero"),
+            (".5", "invalid number at offset 0: no digit at offset 0"),
+            ("1.", "invalid number at offset 0: no digit at offset 2"),
+            ("1.e3", "invalid number at offset 0: no digit at offset 2"),
+            ("-", "invalid number at offset 0: no digit at offset 1"),
+            ("-x", "invalid number at offset 0: no digit at offset 1"),
+            ("1e", "invalid number at offset 0: no digit at offset 2"),
+            ("1e+", "invalid number at offset 0: no digit at offset 3"),
+            ("[1,+2]", "invalid number at offset 3: no digit at offset 3"),
+            ("1e400", "number `1e400` at offset 0 is out of range"),
+            ("-1e400", "number `-1e400` at offset 0 is out of range"),
+        ] {
+            assert_eq!(Json::parse(bad), Err(err.to_string()), "{bad}");
+        }
+        // A number ends where its grammar does; what follows is not part of it.
+        assert!(Json::parse("1-2").is_err());
+        assert!(Json::parse("0x10").is_err());
+    }
+
+    #[test]
+    fn raw_control_characters_in_strings_are_an_error() {
+        for c in (0u8..0x20).map(char::from) {
+            let line = format!("\"ab{c}cd\"");
+            assert_eq!(
+                Json::parse(&line),
+                Err(format!(
+                    "unescaped control character U+{:04X} in string at offset 3",
+                    c as u32
+                )),
+                "{c:?}"
+            );
+            // Escaped, the same character parses.
+            let escaped = format!("\"ab{}cd\"", escape(&c.to_string()));
+            assert_eq!(Json::parse(&escaped), Ok(Json::Str(format!("ab{c}cd"))));
+        }
+        // DEL and everything above U+001F pass through raw.
+        assert_eq!(
+            Json::parse("\"\u{7f}\u{80}\""),
+            Ok(Json::Str("\u{7f}\u{80}".into()))
+        );
+        // Whitespace between tokens is not inside a string.
+        assert!(Json::parse("[\n1,\t2\r]").is_ok());
+    }
+
+    /// One character from each class the run scanner treats differently:
+    /// ASCII, 2-, 3- and 4-byte UTF-8, and the stop bytes `"`, `\` and
+    /// every control character.
+    fn any_char() -> impl Strategy<Value = char> {
+        let at = |r: std::ops::Range<u32>| r.prop_map(|c| char::from_u32(c).expect("scalar"));
+        prop_oneof![
+            at(0x20..0x80),
+            at(0x80..0x800),
+            at(0x800..0xD800),
+            at(0xE000..0x1_0000),
+            at(0x1_0000..0x11_0000),
+            at(0..0x20),
+            Just('"'),
+            Just('\\'),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Every class lands at run starts and run ends: a stop character
+        /// ends a run and the next character starts one.
+        #[test]
+        fn escaped_strings_parse_back_to_themselves(chars in proptest::collection::vec(any_char(), 0..24)) {
+            let s: String = chars.into_iter().collect();
+            prop_assert_eq!(Json::parse(&format!("\"{}\"", escape(&s))), Ok(Json::Str(s.clone())));
+            let member = format!("{{\"{0}\":\"{0}\"}}", escape(&s));
+            prop_assert_eq!(Json::parse(&member).unwrap().get(&s), Some(&Json::Str(s.clone())));
+        }
     }
 
     #[test]

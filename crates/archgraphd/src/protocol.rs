@@ -385,6 +385,21 @@ mod tests {
     }
 
     #[test]
+    fn a_repeated_member_name_is_a_reject_not_the_last_value() {
+        // Keeping the last value would make this line a shutdown.
+        assert_eq!(
+            parse_request(r#"{"op":"ping","op":"shutdown"}"#),
+            Err("malformed JSON: duplicate member name at offset 13".to_string())
+        );
+        // An escape that spells the same name is the same name.
+        assert!(parse_request(r#"{"op":"ping","\u006fp":"shutdown"}"#).is_err());
+        let dup_cell = r#"{"op":"submit","cells":[{"cell":"fig2/mta/p8","p":2,"p":8}]}"#;
+        assert!(parse_request(dup_cell).is_err());
+        // Once per object is fine, at any depth.
+        assert!(parse_request(r#"{"op":"submit","cells":[{"cell":"fig2/mta/p8","p":2}]}"#).is_ok());
+    }
+
+    #[test]
     fn bench_cell_references_resolve_to_suite_specs() {
         let req = parse_request(
             r#"{"op":"submit","cells":[{"cell":"fig2/mta/p8"},{"cell":"msf/native"}]}"#,

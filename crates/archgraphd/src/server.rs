@@ -30,7 +30,9 @@
 //! read before any authentication) answers one error and closes, since
 //! nothing cheap finds the next request in an endless line. Replies go
 //! through one buffered writer flushed per protocol line ([`reply`]), so a
-//! line is one `write(2)`.
+//! line is one `write(2)`, except that a job's result lines already
+//! waiting are flushed together ([`stream_events`]): a burst is one
+//! `write(2)` per 8 KiB buffer-full.
 //! Handler threads are detached — they die with the process after the
 //! drain, and a client mid-`submit` whose stream ends simply resubmits
 //! after restart, where the result cache makes the replay nearly free.
@@ -609,10 +611,15 @@ fn handle_client(
 /// One protocol line out: text, newline, flush. Buffered so that the line
 /// is one `write(2)`; `writeln!` on the bare socket is one for the text
 /// and one for the newline.
-fn reply(w: &mut BufWriter<Conn>, line: &str) -> io::Result<()> {
-    w.write_all(line.as_bytes())?;
-    w.write_all(b"\n")?;
+fn reply(w: &mut impl Write, line: &str) -> io::Result<()> {
+    put(w, line)?;
     w.flush()
+}
+
+/// One protocol line into the buffer, not yet flushed.
+fn put(w: &mut impl Write, line: &str) -> io::Result<()> {
+    w.write_all(line.as_bytes())?;
+    w.write_all(b"\n")
 }
 
 /// What [`read_line`] found on the request stream.
@@ -662,12 +669,29 @@ fn stream_job(
         Ok(accepted) => accepted,
         Err(msg) => return reply(w, &protocol::error(&msg)),
     };
-    reply(w, &protocol::accepted(&job, n))?;
-    for event in rx {
-        match event {
-            Event::Cell(ev) => reply(w, &protocol::cell_line(&job, &ev))?,
-            Event::Done(sum) => return reply(w, &protocol::done_line(&job, &sum)),
+    stream_events(w, &job, n, &rx)
+}
+
+/// The reply stream of an accepted job: the `accepted` line on its own,
+/// then the events. Every event already waiting when one arrives goes
+/// into the buffer behind it and the burst is flushed once — a warm
+/// 24-cell resubmit's result lines fit one `write(2)` — while a line is
+/// never held back for an event that has not been sent yet.
+fn stream_events(
+    w: &mut impl Write,
+    job: &str,
+    cells: usize,
+    rx: &mpsc::Receiver<Event>,
+) -> io::Result<()> {
+    reply(w, &protocol::accepted(job, cells))?;
+    while let Ok(first) = rx.recv() {
+        for event in std::iter::once(first).chain(rx.try_iter()) {
+            match event {
+                Event::Cell(ev) => put(w, &protocol::cell_line(job, &ev))?,
+                Event::Done(sum) => return reply(w, &protocol::done_line(job, &sum)),
+            }
         }
+        w.flush()?;
     }
     // The channel closed without a Done event — only possible if the
     // scheduler dropped the job, which it never does; report it rather
@@ -940,6 +964,125 @@ mod tests {
             handler.join().expect("handler returns");
             sending.join().expect("sender returns");
         }
+    }
+
+    #[test]
+    fn a_request_line_near_the_cap_parses_in_linear_time() {
+        // A cancel whose job id fills the line up to 64 bytes short of the
+        // cap. Rescanning the rest of the line per character is quadratic,
+        // minutes on this line; a linear parse takes milliseconds.
+        let job = "é".repeat((MAX_LINE - 64) / 2);
+        let line = format!(r#"{{"op":"cancel","job":"{job}"}}"#);
+        assert!(line.len() <= MAX_LINE);
+        let t0 = Instant::now();
+        let parsed = protocol::parse_request(&line);
+        let took = t0.elapsed();
+        assert_eq!(parsed, Ok(Request::Cancel { job }));
+        assert!(took < Duration::from_secs(1), "took {took:?}");
+    }
+
+    /// A writer that keeps what it is given and counts its flushes,
+    /// reporting what had been written at each flush on `flushed`.
+    struct Flushes {
+        bytes: Vec<u8>,
+        flushes: usize,
+        flushed: mpsc::Sender<String>,
+    }
+
+    impl Flushes {
+        fn new(flushed: mpsc::Sender<String>) -> Self {
+            Flushes {
+                bytes: Vec::new(),
+                flushes: 0,
+                flushed,
+            }
+        }
+    }
+
+    impl Write for Flushes {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            self.flushes += 1;
+            let _ = self
+                .flushed
+                .send(String::from_utf8(self.bytes.clone()).expect("utf-8"));
+            Ok(())
+        }
+    }
+
+    fn cell_event(index: usize) -> Event {
+        Event::Cell(crate::queue::CellEvent {
+            index,
+            name: format!("cell {index}"),
+            key: format!("k{index}"),
+            status: crate::queue::CellStatus::Done {
+                sim: vec![("cycles".to_string(), 100 + index as u64)],
+                cached: true,
+            },
+        })
+    }
+
+    fn done_event(cells: usize) -> Event {
+        Event::Done(crate::queue::JobSummary {
+            cells,
+            ok: cells,
+            cached: cells,
+            ..Default::default()
+        })
+    }
+
+    /// What a stream of `events` reads as, one line at a time.
+    fn per_line(job: &str, events: &[Event]) -> String {
+        let mut text = protocol::accepted(job, events.len() - 1) + "\n";
+        for event in events {
+            text += &match event {
+                Event::Cell(ev) => protocol::cell_line(job, ev),
+                Event::Done(sum) => protocol::done_line(job, sum),
+            };
+            text += "\n";
+        }
+        text
+    }
+
+    #[test]
+    fn a_burst_of_ready_results_is_one_flush_with_the_per_line_bytes() {
+        let mut events: Vec<Event> = (0..26).map(cell_event).collect();
+        events.push(done_event(26));
+        let (tx, rx) = mpsc::channel();
+        for event in &events {
+            tx.send(event.clone()).expect("queued");
+        }
+        let (flushed, _seen) = mpsc::channel();
+        let mut w = Flushes::new(flushed);
+        stream_events(&mut w, "j1", 26, &rx).expect("written");
+        assert_eq!(String::from_utf8(w.bytes).unwrap(), per_line("j1", &events));
+        // `accepted` on its own, then the whole burst through `done`.
+        assert_eq!(w.flushes, 2);
+    }
+
+    #[test]
+    fn a_result_line_is_not_held_back_for_an_event_not_yet_sent() {
+        let events = [cell_event(0), cell_event(1), done_event(2)];
+        let (tx, rx) = mpsc::channel();
+        let (flushed, seen) = mpsc::channel();
+        let streaming = thread::spawn(move || {
+            let mut w = Flushes::new(flushed);
+            stream_events(&mut w, "j1", 2, &rx).expect("written");
+            w.flushes
+        });
+        let wait = |what| seen.recv_timeout(Duration::from_secs(10)).expect(what);
+        let expected = per_line("j1", &events);
+        let lines: Vec<&str> = expected.split_inclusive('\n').collect();
+        assert_eq!(wait("accepted"), lines[0]);
+        // Each event, sent alone, goes out before the next one is sent.
+        for (i, event) in events.iter().enumerate() {
+            tx.send(event.clone()).expect("sent");
+            assert_eq!(wait("the line just sent"), lines[..i + 2].concat());
+        }
+        assert_eq!(streaming.join().expect("the stream ends at done"), 4);
     }
 
     #[cfg(unix)]
