@@ -184,16 +184,19 @@ fn boruvka(mut arcs: Vec<Arc>, k: usize, forest: &mut Vec<usize>) -> (Vec<Node>,
 
 /// Kruskal oracle: total forest weight (unique even when the forest
 /// itself is not, given tie-broken comparisons are not needed for the
-/// *weight*).
+/// *weight*). Edges are visited in `(weight << 32) | index` order, sorted
+/// as packed keys so no comparison has to load a weight.
 pub fn kruskal_weight(g: &EdgeList, weights: &[u32]) -> u64 {
-    let mut order: Vec<usize> = (0..g.m()).collect();
-    order.sort_unstable_by_key(|&i| (weights[i], i));
+    assert_eq!(weights.len(), g.m(), "one weight per edge");
+    assert!(g.m() < u32::MAX as usize, "edge index must fit 32 bits");
+    let mut order: Vec<u64> = (0..g.m()).map(|i| key(weights, i)).collect();
+    order.sort_unstable();
     let mut uf = UnionFind::new(g.n);
     let mut total = 0u64;
-    for i in order {
-        let e = g.edges[i];
+    for k in order {
+        let e = g.edges[k as u32 as usize];
         if uf.union(e.u, e.v) {
-            total += weights[i] as u64;
+            total += k >> 32;
         }
     }
     total

@@ -16,7 +16,9 @@
 //! is validated cell-for-cell against the sequential queue oracle
 //! `archgraph_graph::bfs::bfs_levels`.
 //!
-//! * [`native`] — rayon frontier expansion with atomic claims.
+//! * [`native`] — direction-optimizing BFS on rayon: top-down chunks with
+//!   load-then-claim discovery on narrow levels, bottom-up parent search
+//!   on the wide middle ones (Beamer et al.'s α/β switch).
 //! * [`sim_smp`] — level-synchronous phases on the SMP cost model.
 //! * [`sim_mta`] — micro-ISA frontier programs with dynamic claiming.
 

@@ -6,12 +6,19 @@
 //! endpoint of each monochromatic edge. The id tie-break guarantees the
 //! minimum of the worklist never re-enters it, so the fixpoint needs at
 //! most `|W|` rounds regardless of how the speculation races resolve.
+//!
+//! The worklist is split into chunks of `GRAIN` vertices. A chunk keeps
+//! one forbidden-color array for all its vertices and stamps it with
+//! `v + 1`, so no vertex allocates or clears scratch of its own.
 
-use std::sync::atomic::{AtomicI64, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 
 use archgraph_graph::csr::Csr;
-use archgraph_graph::Node;
+use archgraph_graph::{Node, NIL};
 use rayon::prelude::*;
+
+/// Worklist vertices one task takes at a time.
+const GRAIN: usize = 1024;
 
 /// A proper coloring produced by [`speculative_coloring`].
 #[derive(Debug, Clone)]
@@ -22,60 +29,64 @@ pub struct NativeColoring {
     pub rounds: usize,
 }
 
-const UNCOLORED: i64 = -1;
-
 /// Color `g` by parallel speculation. The result is always proper and
 /// uses at most `Δ + 1` colors; the exact coloring depends on race
 /// resolution and may differ from the sequential oracle's.
 pub fn speculative_coloring(g: &Csr) -> NativeColoring {
     let n = g.n();
-    let colors: Vec<AtomicI64> = (0..n).map(|_| AtomicI64::new(UNCOLORED)).collect();
+    // Uncolored is `NIL`, which no first-fit slot `0..=deg` can equal.
+    let colors: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(NIL)).collect();
     let mut worklist: Vec<Node> = (0..n as Node).collect();
     let mut rounds = 0usize;
 
     while !worklist.is_empty() {
         rounds += 1;
-        assert!(rounds <= n + 1, "speculative coloring failed to converge");
+        assert!(rounds <= n, "speculative coloring failed to converge");
+        let chunks = worklist.len().div_ceil(GRAIN);
+        let chunk = |c: usize| &worklist[c * GRAIN..((c + 1) * GRAIN).min(worklist.len())];
 
         // Speculate: first-fit against the neighbor colors visible now.
-        worklist.par_iter().for_each(|&v| {
-            let deg = g.degree(v);
-            let mut forbidden = vec![false; deg + 1];
-            for &w in g.neighbors(v) {
-                if w == v {
-                    continue;
+        (0..chunks).into_par_iter().for_each(|c| {
+            let mut marks: Vec<Node> = Vec::new();
+            for &v in chunk(c) {
+                let deg = g.degree(v);
+                if marks.len() <= deg {
+                    marks.resize(deg + 1, 0);
                 }
-                let cw = colors[w as usize].load(Ordering::Relaxed);
-                if cw >= 0 && (cw as usize) < forbidden.len() {
-                    forbidden[cw as usize] = true;
+                let stamp = v + 1;
+                for &w in g.neighbors(v) {
+                    let cw = colors[w as usize].load(Ordering::Relaxed) as usize;
+                    if w != v && cw <= deg {
+                        marks[cw] = stamp;
+                    }
                 }
+                let free = marks[..=deg].iter().position(|&m| m != stamp);
+                let color = free.expect("Δ+1 slots") as Node;
+                colors[v as usize].store(color, Ordering::Relaxed);
             }
-            let c = forbidden.iter().position(|&b| !b).expect("Δ+1 slots");
-            colors[v as usize].store(c as i64, Ordering::Relaxed);
         });
 
         // Detect: the higher endpoint of a monochromatic edge re-queues.
-        let conflicted: Vec<bool> = (0..worklist.len())
+        let conflicted: Vec<Vec<Node>> = (0..chunks)
             .into_par_iter()
-            .map(|i| {
-                let v = worklist[i];
-                let cv = colors[v as usize].load(Ordering::Relaxed);
-                g.neighbors(v)
+            .map(|c| {
+                chunk(c)
                     .iter()
-                    .any(|&w| w < v && colors[w as usize].load(Ordering::Relaxed) == cv)
+                    .copied()
+                    .filter(|&v| {
+                        let cv = colors[v as usize].load(Ordering::Relaxed);
+                        g.neighbors(v)
+                            .iter()
+                            .any(|&w| w < v && colors[w as usize].load(Ordering::Relaxed) == cv)
+                    })
+                    .collect()
             })
             .collect();
-
-        worklist = worklist
-            .iter()
-            .zip(conflicted.iter())
-            .filter(|&(_, &c)| c)
-            .map(|(&v, _)| v)
-            .collect();
+        worklist = conflicted.concat();
     }
 
     NativeColoring {
-        colors: colors.into_iter().map(|c| c.into_inner() as Node).collect(),
+        colors: colors.into_iter().map(|c| c.into_inner()).collect(),
         rounds,
     }
 }

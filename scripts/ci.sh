@@ -52,8 +52,12 @@ benchmarks/run.sh --workload smp-cache --seconds 2
 # (Random and Ordered, one thread, so it runs the sublist decomposition),
 # and the only place MSF (G(2^18, 5·2^18), light and heavy phases both
 # carrying arcs) and biconnectivity (2^16 vertices) run at scale against
-# Kruskal and Hopcroft–Tarjan; every pass is checked against its oracle and
-# a wrong result exits non-zero.
+# Kruskal and Hopcroft–Tarjan. It is also the only at-scale run of native
+# BFS's direction switch (G(2^18, 5·2^18): top-down, bottom-up on the wide
+# middle levels, top-down again) and of native colouring's chunked,
+# stamped speculation. Every pass is checked against its oracle (BFS levels
+# against the queue oracle, colourings for properness and Δ + 1) and a
+# wrong result exits non-zero.
 benchmarks/run.sh --workload native-kernels --seconds 2
 
 echo "ci: all gates passed"
