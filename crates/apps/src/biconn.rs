@@ -23,7 +23,7 @@
 //! multigraphs (self loops become singleton blocks by convention).
 
 use archgraph_concomp::sv_mta_style;
-use archgraph_graph::edgelist::EdgeList;
+use archgraph_graph::edgelist::{Edge, EdgeList};
 use archgraph_graph::unionfind::UnionFind;
 use archgraph_graph::{Node, NIL};
 
@@ -53,37 +53,56 @@ pub fn biconnected_components(g: &EdgeList) -> Biconnectivity {
     // --- 1. spanning forest (deterministic DSU sweep keeps edge ids) ---
     let mut uf = UnionFind::new(n);
     let mut is_tree = vec![false; m];
-    let mut parent = vec![NIL; n];
-    let mut parent_edge = vec![u32::MAX; n];
-    // Adjacency over tree edges only, for rooting.
-    let mut tree_adj: Vec<Vec<(Node, u32)>> = vec![Vec::new(); n];
+    let mut tree_edges: Vec<u32> = Vec::with_capacity(n.saturating_sub(1));
+    let mut loops = 0usize;
+    // `start[v + 1]` counts v's tree edges, then becomes v's row end in
+    // one CSR of tree adjacency (degree count, prefix sum, fill in edge
+    // order, so each row lists its edges as the edge array does).
+    let mut start = vec![0u32; n + 1];
     for (i, e) in g.edges.iter().enumerate() {
-        if e.u != e.v && uf.union(e.u, e.v) {
+        if e.u == e.v {
+            loops += 1;
+        } else if uf.union(e.u, e.v) {
             is_tree[i] = true;
-            tree_adj[e.u as usize].push((e.v, i as u32));
-            tree_adj[e.v as usize].push((e.u, i as u32));
+            tree_edges.push(i as u32);
+            start[e.u as usize + 1] += 1;
+            start[e.v as usize + 1] += 1;
+        }
+    }
+    for v in 0..n {
+        start[v + 1] += start[v];
+    }
+    let mut next = start.clone();
+    let mut tree_adj = vec![(0 as Node, 0u32); 2 * tree_edges.len()];
+    for &i in &tree_edges {
+        let e = g.edges[i as usize];
+        for (x, y) in [(e.u, e.v), (e.v, e.u)] {
+            tree_adj[next[x as usize] as usize] = (y, i);
+            next[x as usize] += 1;
         }
     }
 
     // --- 2. root every tree; preorder numbering, subtree sizes ---
+    let mut parent = vec![NIL; n];
+    let mut parent_edge = vec![u32::MAX; n];
     let mut pre = vec![0u32; n];
     let mut size = vec![1u32; n];
     let mut order: Vec<Node> = Vec::with_capacity(n); // DFS finish-friendly order
     let mut visited = vec![false; n];
-    let mut counter = 0u32;
+    let mut stack: Vec<Node> = Vec::new();
     for root in 0..n as Node {
         if visited[root as usize] {
             continue;
         }
         visited[root as usize] = true;
-        let mut stack = vec![root];
+        stack.push(root);
         // True DFS preorder: number a vertex when it is *popped*, so each
         // subtree occupies the contiguous range [pre(v), pre(v)+size(v)).
         while let Some(v) = stack.pop() {
-            pre[v as usize] = counter;
-            counter += 1;
+            pre[v as usize] = order.len() as u32;
             order.push(v);
-            for &(w, eid) in &tree_adj[v as usize] {
+            let row = start[v as usize] as usize..start[v as usize + 1] as usize;
+            for &(w, eid) in &tree_adj[row] {
                 if !visited[w as usize] {
                     visited[w as usize] = true;
                     parent[w as usize] = v;
@@ -101,42 +120,39 @@ pub fn biconnected_components(g: &EdgeList) -> Biconnectivity {
         }
     }
 
-    // --- 3. low/high: subtree-wide extremes of non-tree reach ---
-    let mut low: Vec<u32> = pre.clone();
-    let mut high: Vec<u32> = pre.clone();
-    for (i, e) in g.edges.iter().enumerate() {
-        if is_tree[i] || e.u == e.v {
-            continue;
-        }
-        let (pu, pw) = (pre[e.u as usize], pre[e.v as usize]);
-        low[e.u as usize] = low[e.u as usize].min(pw);
-        high[e.u as usize] = high[e.u as usize].max(pw);
-        low[e.v as usize] = low[e.v as usize].min(pu);
-        high[e.v as usize] = high[e.v as usize].max(pu);
-    }
-    for &v in order.iter().rev() {
-        if parent[v as usize] != NIL {
-            let p = parent[v as usize] as usize;
-            low[p] = low[p].min(low[v as usize]);
-            high[p] = high[p].max(high[v as usize]);
-        }
-    }
-
-    // --- 4. auxiliary graph on the non-root vertices (= tree edges) ---
+    // --- 3. one pass over the non-tree edges: low/high seeds, rule (a) ---
+    // The auxiliary graph lives on the non-root vertices (= tree edges).
+    // Rule (a) joins the tree edges above the endpoints of a non-tree edge
+    // between unrelated vertices; neither is a root, since a root is an
+    // ancestor of its whole tree.
     let unrelated = |u: usize, w: usize| {
         let in_u = pre[u] <= pre[w] && pre[w] < pre[u] + size[u];
         let in_w = pre[w] <= pre[u] && pre[u] < pre[w] + size[w];
         !in_u && !in_w
     };
-    let mut aux_pairs: Vec<(Node, Node)> = Vec::new();
-    // Rule (a): non-tree edges between unrelated vertices.
+    let mut low: Vec<u32> = pre.clone();
+    let mut high: Vec<u32> = pre.clone();
+    let mut aux: Vec<Edge> = Vec::with_capacity(m - tree_edges.len() - loops + n);
     for (i, e) in g.edges.iter().enumerate() {
         if is_tree[i] || e.u == e.v {
             continue;
         }
         let (u, w) = (e.u as usize, e.v as usize);
-        if unrelated(u, w) && parent[u] != NIL && parent[w] != NIL {
-            aux_pairs.push((e.u, e.v));
+        let (pu, pw) = (pre[u], pre[w]);
+        low[u] = low[u].min(pw);
+        high[u] = high[u].max(pw);
+        low[w] = low[w].min(pu);
+        high[w] = high[w].max(pu);
+        if unrelated(u, w) {
+            aux.push(*e);
+        }
+    }
+    // low/high: subtree-wide extremes of non-tree reach.
+    for &v in order.iter().rev() {
+        if parent[v as usize] != NIL {
+            let p = parent[v as usize] as usize;
+            low[p] = low[p].min(low[v as usize]);
+            high[p] = high[p].max(high[v as usize]);
         }
     }
     // Rule (b): child edge reaches outside the parent's span.
@@ -148,51 +164,56 @@ pub fn biconnected_components(g: &EdgeList) -> Biconnectivity {
         let pv = pre[v as usize];
         let sv = size[v as usize];
         if low[w] < pv || high[w] >= pv + sv {
-            aux_pairs.push((w as Node, v));
+            aux.push(Edge::new(w as Node, v));
         }
     }
-    let aux = EdgeList::from_pairs(n, aux_pairs);
 
-    // --- 5. parallel connectivity on the auxiliary graph ---
-    let labels = sv_mta_style(&aux);
+    // --- 4. parallel connectivity on the auxiliary graph ---
+    let labels = sv_mta_style(&EdgeList { n, edges: aux });
 
-    // --- 6. per-edge block labels ---
+    // --- 5. block labels, per-block counts, articulation: one pass ---
     // Tree edge (p(v), v) -> labels[v]. Non-tree edge -> deeper endpoint's
-    // tree edge. Self loops -> fresh labels beyond n.
-    let mut block_of_edge = vec![0 as Node; m];
+    // tree edge. Self loops -> fresh labels `n..n + loops`. Labels are
+    // vertex ids `< n` or self-loop labels, so one counter per label
+    // counts each block's edges; a self-loop label is its loop's alone.
+    // A vertex articulates when an incident non-loop label differs from
+    // its first one.
+    let mut block_of_edge = Vec::with_capacity(m);
+    let mut edges_in_block = vec![0u32; n + loops];
+    let mut first = vec![NIL; n];
+    let mut articulation = vec![false; n];
     let mut fresh = n as Node;
     for (i, e) in g.edges.iter().enumerate() {
-        if e.u == e.v {
-            block_of_edge[i] = fresh;
+        let b = if e.u == e.v {
             fresh += 1;
-            continue;
-        }
-        let v = if is_tree[i] {
-            // The child endpoint of the tree edge.
-            if parent[e.v as usize] != NIL && parent_edge[e.v as usize] == i as u32 {
-                e.v
-            } else {
-                e.u
-            }
+            fresh - 1
         } else {
-            // Deeper endpoint (larger preorder is inside the other's span
-            // when related; either works when unrelated).
-            if pre[e.u as usize] > pre[e.v as usize] {
+            let v = if is_tree[i] {
+                // The child endpoint of the tree edge.
+                if parent_edge[e.v as usize] == i as u32 {
+                    e.v
+                } else {
+                    e.u
+                }
+            } else if pre[e.u as usize] > pre[e.v as usize] {
+                // Deeper endpoint (larger preorder is inside the other's
+                // span when related; either works when unrelated).
                 e.u
             } else {
                 e.v
+            };
+            let b = labels[v as usize];
+            for x in [e.u as usize, e.v as usize] {
+                if first[x] == NIL {
+                    first[x] = b;
+                } else if first[x] != b {
+                    articulation[x] = true;
+                }
             }
+            b
         };
-        block_of_edge[i] = labels[v as usize];
-    }
-
-    // --- 7. blocks, articulation points, bridges ---
-    // Labels are vertex ids `< n` or self-loop labels `n..fresh`, so one
-    // counter per label counts each block's edges. A self-loop label is
-    // its loop's alone, so loops never add to another block's count.
-    let mut edges_in_block = vec![0usize; fresh as usize];
-    for &b in &block_of_edge {
         edges_in_block[b as usize] += 1;
+        block_of_edge.push(b);
     }
     let n_blocks = edges_in_block.iter().filter(|&&c| c > 0).count();
     let bridges: Vec<usize> = (0..m)
@@ -201,23 +222,6 @@ pub fn biconnected_components(g: &EdgeList) -> Biconnectivity {
             e.u != e.v && edges_in_block[block_of_edge[i] as usize] == 1
         })
         .collect();
-
-    // Articulation: vertex incident to >= 2 distinct non-loop blocks, seen
-    // as an incident label that differs from the vertex's first one.
-    let mut first = vec![NIL; n];
-    let mut articulation = vec![false; n];
-    for (e, &b) in g.edges.iter().zip(&block_of_edge) {
-        if e.u == e.v {
-            continue;
-        }
-        for x in [e.u as usize, e.v as usize] {
-            if first[x] == NIL {
-                first[x] = b;
-            } else if first[x] != b {
-                articulation[x] = true;
-            }
-        }
-    }
 
     Biconnectivity {
         block_of_edge,
@@ -444,6 +448,45 @@ mod tests {
         let tv = biconnected_components(&g);
         assert_eq!(tv.block_of_edge[0], tv.block_of_edge[1]);
         assert!(tv.bridges.is_empty(), "a doubled edge is not a bridge");
+    }
+
+    /// FNV-1a over `block_of_edge`, `bridges` and `articulation`, each
+    /// value as little-endian bytes (`u32`, `u64`, one byte per flag).
+    fn fnv(tv: &Biconnectivity) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut put = |bytes: &[u8]| {
+            for &b in bytes {
+                h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        tv.block_of_edge.iter().for_each(|b| put(&b.to_le_bytes()));
+        tv.bridges
+            .iter()
+            .for_each(|&i| put(&(i as u64).to_le_bytes()));
+        tv.articulation.iter().for_each(|&a| put(&[a as u8]));
+        h
+    }
+
+    #[test]
+    fn outputs_are_pinned_bit_for_bit() {
+        // Labels are aux-graph component minima, so the outputs are exact,
+        // not just a partition. Recorded before the bookkeeping went flat
+        // (CSR rooting, one non-tree pass): two G(2^12, 5·2^12) graphs
+        // (9 and 15 blocks) and two G(2^12, 2^12) ones (≈ 1 400 bridges).
+        for (m, seed, want) in [
+            (5 << 12, 5u64, 0x14d0_98f5_312b_e54fu64),
+            (5 << 12, 2005, 0x2736_0dd9_db9e_84c8),
+            (1 << 12, 5, 0x93d8_c976_76f7_e856),
+            (1 << 12, 2005, 0xd859_86e2_8093_3cc3),
+        ] {
+            let tv = biconnected_components(&gen::random_gnm(1 << 12, m, seed));
+            let (blocks, bridges) = (tv.n_blocks, tv.bridges.len());
+            assert_eq!(
+                fnv(&tv),
+                want,
+                "m = {m}, seed {seed}: {blocks} blocks, {bridges} bridges"
+            );
+        }
     }
 
     #[test]

@@ -54,10 +54,12 @@ benchmarks/run.sh --workload smp-cache --seconds 2
 # carrying arcs) and biconnectivity (2^16 vertices) run at scale against
 # Kruskal and Hopcroft–Tarjan. It is also the only at-scale run of native
 # BFS's direction switch (G(2^18, 5·2^18): top-down, bottom-up on the wide
-# middle levels, top-down again) and of native colouring's chunked,
-# stamped speculation. Every pass is checked against its oracle (BFS levels
-# against the queue oracle, colourings for properness and Δ + 1) and a
-# wrong result exits non-zero.
+# middle levels, top-down again), of native colouring's chunked, stamped
+# speculation, of native SV's settled-arc filter (G(2^18, 5·2^18): a live
+# list of 1 310 720 → 1 024 148 → 25 → 0 arcs) and of biconnectivity's CSR
+# rooting. Every pass is checked against its oracle (BFS levels against
+# the queue oracle, colourings for properness and Δ + 1, SV against
+# union-find) and a wrong result exits non-zero.
 benchmarks/run.sh --workload native-kernels --seconds 2
 
 echo "ci: all gates passed"

@@ -111,6 +111,14 @@ proptest! {
     }
 
     #[test]
+    fn sv_labels_are_the_union_find_minima(g in multigraph(120, 300)) {
+        // Alg. 2's settled-arc filter rests on roots being tree minima:
+        // the labels must be exactly the min-vertex labels, not merely
+        // the same partition.
+        prop_assert_eq!(shiloach_vishkin(&g), connected_components(&g));
+    }
+
+    #[test]
     fn sv_outputs_rooted_stars(g in multigraph(100, 200)) {
         for labels in [shiloach_vishkin(&g), sv_mta_style(&g)] {
             for &p in &labels {
