@@ -105,11 +105,22 @@ impl Cache {
     /// cells resident while one-off sweeps age out. The stamp is a
     /// monotonic logical tick, so a burst of hits within one filesystem
     /// clock tick still records true recency order.
+    ///
+    /// A disabled cache answers `None` before it computes the key.
     pub fn lookup(&self, spec: &CellSpec) -> Option<Sim> {
-        let payload = self.store.lookup(&spec.cache_key())?;
-        let sim = decode(&payload)?;
+        if !self.enabled() {
+            return None;
+        }
+        self.lookup_key(&spec.cache_key())
+    }
+
+    /// [`Cache::lookup`] by a content address already computed, so that a
+    /// cell hashes its spec once for the probe, the touch, its event and
+    /// its record.
+    pub(crate) fn lookup_key(&self, key: &str) -> Option<Sim> {
+        let sim = decode(&self.store.lookup(key)?)?;
         if self.max_bytes.is_some() {
-            self.store.touch(&spec.cache_key());
+            self.store.touch(key);
         }
         Some(sim)
     }
@@ -128,7 +139,12 @@ impl Cache {
     /// writes: a full disk degrades to a cacheless daemon, not a dead one.
     /// When a size bound is set, sweeps oldest-first afterwards.
     pub fn record(&self, spec: &CellSpec, sim: &[(String, u64)]) {
-        self.store.record(&spec.cache_key(), &encode(sim));
+        self.record_key(&spec.cache_key(), sim);
+    }
+
+    /// [`Cache::record`] under a content address already computed.
+    pub(crate) fn record_key(&self, key: &str, sim: &[(String, u64)]) {
+        self.store.record(key, &encode(sim));
         self.sweep();
     }
 

@@ -319,7 +319,7 @@ fn parse_number(b: &[u8], pos: &mut usize) -> Result<Json, String> {
 
 /// The functions `--bin bench` writes its JSON with, so the daemon's result
 /// lines match it byte for byte by construction.
-pub use archgraph_bench::cells::{json_escape as escape, render_sim};
+pub use archgraph_bench::cells::{json_escape as escape, push_sim, push_uint, render_sim};
 
 #[cfg(test)]
 mod tests {

@@ -56,7 +56,7 @@
 
 use archgraph_bench::cells::{self, CellSpec, Kernel, MachineKind};
 
-use crate::json::{escape, render_sim, Json};
+use crate::json::{escape, push_sim, push_uint, Json};
 use crate::queue::{CellEvent, CellStatus, JobSummary, ListEntry, Snapshot};
 
 /// A parsed, validated client request.
@@ -304,34 +304,75 @@ pub fn list_line(entries: &[ListEntry]) -> String {
 /// One streamed cell-result line. The `sim` sub-object is rendered
 /// byte-identically to the bench driver's JSON (`{ "k": v, ... }`) so
 /// `tests/daemon.rs` can diff daemon output against `BENCH_archgraph.json`.
+/// Written piece by piece into one buffer sized up front: a warm resubmit
+/// renders one of these per cell.
 pub fn cell_line(job: &str, ev: &CellEvent) -> String {
-    let head = format!(
-        r#"{{"type":"cell","job":"{}","index":{},"name":"{}","key":"{}""#,
-        escape(job),
-        ev.index,
-        escape(&ev.name),
-        escape(&ev.key),
-    );
+    // The fixed text with a 20-digit index and the longest status tail,
+    // less the sim's or the error's own bytes.
+    const FIXED: usize = 104;
+    let tail = match &ev.status {
+        // `"label": ` plus up to 20 digits and `, `.
+        CellStatus::Done { sim, .. } => sim.iter().map(|(k, _)| k.len() + 26).sum(),
+        CellStatus::Failed { error } => error.len(),
+        CellStatus::Cancelled => 0,
+    };
+    let mut out = String::with_capacity(FIXED + job.len() + ev.name.len() + ev.key.len() + tail);
+    out.push_str(r#"{"type":"cell","job":""#);
+    push_escaped(&mut out, job);
+    out.push_str(r#"","index":"#);
+    push_uint(&mut out, ev.index as u64);
+    out.push_str(r#","name":""#);
+    push_escaped(&mut out, &ev.name);
+    out.push_str(r#"","key":""#);
+    push_escaped(&mut out, &ev.key);
     match &ev.status {
         CellStatus::Done { sim, cached } => {
-            format!("{head},\"cached\":{cached},\"sim\":{}}}", render_sim(sim))
+            out.push_str(if *cached {
+                r#"","cached":true,"sim":"#
+            } else {
+                r#"","cached":false,"sim":"#
+            });
+            push_sim(&mut out, sim);
+            out.push('}');
         }
-        CellStatus::Failed { error } => format!("{head},\"error\":\"{}\"}}", escape(error)),
-        CellStatus::Cancelled => format!("{head},\"cancelled\":true}}"),
+        CellStatus::Failed { error } => {
+            out.push_str(r#"","error":""#);
+            push_escaped(&mut out, error);
+            out.push_str("\"}");
+        }
+        CellStatus::Cancelled => out.push_str(r#"","cancelled":true}"#),
     }
+    out
 }
 
-/// The terminal job-summary line.
+/// The terminal job-summary line, written like [`cell_line`].
 pub fn done_line(job: &str, s: &JobSummary) -> String {
-    format!(
-        r#"{{"type":"done","job":"{}","cells":{},"ok":{},"failed":{},"cached":{},"cancelled":{}}}"#,
-        escape(job),
-        s.cells,
-        s.ok,
-        s.failed,
-        s.cached,
-        s.cancelled,
-    )
+    let mut out = String::with_capacity(176 + job.len());
+    out.push_str(r#"{"type":"done","job":""#);
+    push_escaped(&mut out, job);
+    for (field, count) in [
+        (r#"","cells":"#, s.cells),
+        (r#","ok":"#, s.ok),
+        (r#","failed":"#, s.failed),
+        (r#","cached":"#, s.cached),
+        (r#","cancelled":"#, s.cancelled),
+    ] {
+        out.push_str(field);
+        push_uint(&mut out, count as u64);
+    }
+    out.push('}');
+    out
+}
+
+/// `s` as the body of a JSON string literal, appended to `out`: copied as
+/// it is when nothing in it needs an escape, which holds for every job id,
+/// cell name and cache key the daemon makes.
+fn push_escaped(out: &mut String, s: &str) {
+    if s.bytes().any(|b| b < 0x20 || b == b'"' || b == b'\\') {
+        out.push_str(&escape(s));
+    } else {
+        out.push_str(s);
+    }
 }
 
 #[cfg(test)]
@@ -592,6 +633,78 @@ mod tests {
             Some("fig2/mta/p8")
         );
         assert_eq!(cells[0].get("cached"), Some(&Json::Bool(true)));
+    }
+
+    /// The `format!` templates the two line renderers replaced, kept as
+    /// the reference for their bytes.
+    fn cell_line_by_template(job: &str, ev: &CellEvent) -> String {
+        let head = format!(
+            r#"{{"type":"cell","job":"{}","index":{},"name":"{}","key":"{}""#,
+            escape(job),
+            ev.index,
+            escape(&ev.name),
+            escape(&ev.key),
+        );
+        match &ev.status {
+            CellStatus::Done { sim, cached } => format!(
+                "{head},\"cached\":{cached},\"sim\":{}}}",
+                crate::json::render_sim(sim)
+            ),
+            CellStatus::Failed { error } => format!("{head},\"error\":\"{}\"}}", escape(error)),
+            CellStatus::Cancelled => format!("{head},\"cancelled\":true}}"),
+        }
+    }
+
+    #[test]
+    fn result_lines_keep_the_bytes_of_the_format_templates() {
+        let statuses = [
+            CellStatus::Done {
+                sim: vec![("cycles".to_string(), 0), ("issued".to_string(), u64::MAX)],
+                cached: true,
+            },
+            CellStatus::Done {
+                sim: Vec::new(),
+                cached: false,
+            },
+            CellStatus::Failed {
+                error: "boom\n\"quoted\" \\ \u{1} é".into(),
+            },
+            CellStatus::Failed {
+                error: String::new(),
+            },
+            CellStatus::Cancelled,
+        ];
+        for (job, name) in [("j1", "fig2/mta/p8"), ("j\"2", "n\\ame\t"), ("", "")] {
+            for (status, index) in statuses
+                .iter()
+                .flat_map(|s| [0, 7, usize::MAX].map(|i| (s, i)))
+            {
+                let ev = CellEvent {
+                    index,
+                    name: name.into(),
+                    key: "0123456789abcdef".into(),
+                    status: status.clone(),
+                };
+                assert_eq!(cell_line(job, &ev), cell_line_by_template(job, &ev));
+            }
+            let sum = JobSummary {
+                cells: usize::MAX,
+                ok: 0,
+                failed: 12,
+                cached: 3,
+                cancelled: 100,
+            };
+            let by_template = format!(
+                r#"{{"type":"done","job":"{}","cells":{},"ok":{},"failed":{},"cached":{},"cancelled":{}}}"#,
+                escape(job),
+                sum.cells,
+                sum.ok,
+                sum.failed,
+                sum.cached,
+                sum.cancelled,
+            );
+            assert_eq!(done_line(job, &sum), by_template);
+        }
     }
 
     fn cancelled_resp() -> String {

@@ -12,6 +12,11 @@
 //! past the bound is rejected with a structured error instead of letting
 //! one tenant buffer unbounded work ahead of everyone else.
 //!
+//! A cell the cache already holds is never queued. `submit` looks every
+//! cell up before it takes the lock, and `admit` settles the hits on the
+//! spot, so a fully cached job's lines and its `done` are in the
+//! submitter's channel when `submit` returns, and no worker wakes for it.
+//!
 //! # The state machine
 //!
 //! Everything the scheduler decides is a value, [`Sched`], that changes
@@ -21,25 +26,28 @@
 //!
 //! | transition | precondition | effect | events sent |
 //! |---|---|---|---|
-//! | `admit` | job not empty, not draining, `queued + n ≤ max_queue` | job `jN` joins the back of the ring, `queued += n` | — |
+//! | `admit` | job not empty, not draining, `queued + misses ≤ max_queue` | job `jN` is live; its misses join the back of the ring (a job with none never does), `queued += misses`; each hit settles at once, in index order | one [`Event::Cell`] per hit; the [`Event::Done`] too if every cell hit |
 //! | `pull` | some job has a pending cell | the head job's first cell leaves `pending`, the job rotates to the back, `queued -= 1`, and `inflight += 1` unless draining | — |
 //! | `cancel` | the job is live | its backlog is taken out, `queued` drops at once | — (the caller settles each cell `Cancelled`) |
-//! | `settle` | the cell was pulled or cancelled and has not settled | **the only place a cell ends**: lifetime stats and job summary counted, cycle quota debited, `inflight -= 1` unless `Cancelled`; a job whose summary now counts every cell is removed | one [`Event::Cell`]; after the last, the one [`Event::Done`] |
+//! | `settle` | the cell hit at admission, or was pulled or cancelled, and has not settled | **the only place a cell ends**: lifetime stats and job summary counted, cycle quota debited, `inflight -= 1` if a worker pulled it to run; a job whose summary now counts every cell is removed | one [`Event::Cell`]; after the last, the one [`Event::Done`] |
 //!
 //! Lock discipline: the mutex is held for a transition and nothing else —
 //! never across the cache (`lookup`, `record` and `usage` are disk I/O),
 //! never across `CellSpec::display_name` (it scans the bench suite),
-//! never across a run. A cell costs two lock trips, `pull` and `settle`:
+//! never across a run. A miss costs two lock trips, `pull` and `settle`:
 //! `pull` hands the worker a copy of the job's [`Budget`], so the gate
-//! needs no third.
+//! needs no third. A hit costs none of its own: it settles inside the
+//! job's `admit`. With the cache on, a cell's key is hashed once, at
+//! admission, and serves the probe, the worker's second look, the record
+//! and the event.
 //!
 //! # Budgets
 //!
 //! A job may carry a cycle quota (`budget_cycles`), a host wall-clock cap
 //! (`budget_host_ms`, its clock started at admission), or both: one
 //! [`Budget`], and one verdict per cache miss, [`Budget::gate`]. Hits are
-//! looked up first and are free, so a budget of 0 means "serve from cache
-//! only". The gate checks the host clock, then the quota, and clamps the
+//! answered at admission and are free, so a budget of 0 means "serve from
+//! cache only". The gate checks the host clock, then the quota, and clamps the
 //! cell's `max_cycles` to `min(own, remaining)` so that the engines' own
 //! watchdog enforces the quota mid-run; a refused cell fails with a
 //! structured `BudgetExceeded` error without occupying a worker. A
@@ -185,19 +193,35 @@ pub struct ListEntry {
 struct Task {
     index: usize,
     spec: CellSpec,
+    /// The content address, hashed once at admission for the cache probe
+    /// and reused by the worker's lookup, the record and the event; `None`
+    /// when the cache is off, where only the event needs it.
+    key: Option<String>,
 }
 
 impl Task {
     /// This cell's event. Call it outside the lock: the name scans the
     /// bench suite.
-    fn event(&self, status: CellStatus) -> CellEvent {
+    fn event(self, status: CellStatus) -> CellEvent {
         CellEvent {
             index: self.index,
             name: self.spec.display_name(),
-            key: self.spec.cache_key(),
+            key: self.key.unwrap_or_else(|| self.spec.cache_key()),
             status,
         }
     }
+}
+
+/// How a cell reaches `settle`, which decides what it counts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Via {
+    /// Answered from the cache at admission: never queued, never in flight.
+    Admission,
+    /// Pulled to run and ended by a worker; `ran` tells a cell the runner
+    /// executed from a late cache hit or a cell the gate refused.
+    Worker { ran: bool },
+    /// Taken out of the backlog unrun, by a cancel or the drain.
+    Backlog,
 }
 
 /// Simulated cycles, `(total, remaining)`.
@@ -290,36 +314,39 @@ struct Sched {
 }
 
 impl Sched {
+    /// Admit a job whose cells the cache already split: `hits` are
+    /// answered, `misses` must run. Only the misses are queued, and only
+    /// they count against the bound; the hits settle here, in index order,
+    /// so a fully cached job has streamed every line and its `done` before
+    /// this returns, and never joins the ring.
     fn admit(
         &mut self,
-        specs: Vec<CellSpec>,
+        hits: Vec<CellEvent>,
+        misses: VecDeque<Task>,
         budget: Budget,
         tx: Sender<Event>,
         max_queue: usize,
     ) -> Result<(String, usize), String> {
-        let n = specs.len();
+        let n = hits.len() + misses.len();
         if n == 0 {
             return Err("empty job: no cells".into());
         }
         if self.draining {
             return Err("daemon is shutting down".into());
         }
-        if self.queued + n > max_queue {
+        let queued = misses.len();
+        if self.queued + queued > max_queue {
             return Err(format!(
-                "queue full: {} queued + {n} submitted exceeds the admission bound of {max_queue}",
+                "queue full: {} queued + {queued} submitted exceeds the admission bound of {max_queue}",
                 self.queued
             ));
         }
         self.next_job += 1;
         self.stats.jobs += 1;
-        self.queued += n;
+        self.queued += queued;
         let id = format!("j{}", self.next_job);
         let job = Job {
-            pending: specs
-                .into_iter()
-                .enumerate()
-                .map(|(index, spec)| Task { index, spec })
-                .collect(),
+            pending: misses,
             summary: JobSummary {
                 cells: n,
                 ..JobSummary::default()
@@ -328,7 +355,12 @@ impl Sched {
             budget,
         };
         self.jobs.insert(id.clone(), job);
-        self.ring.push_back(id.clone());
+        if queued > 0 {
+            self.ring.push_back(id.clone());
+        }
+        for event in hits {
+            self.settle(&id, event, Via::Admission, 0);
+        }
         Ok((id, n))
     }
 
@@ -364,9 +396,10 @@ impl Sched {
         Some(drained)
     }
 
-    /// End one cell. `ran` tells an executed failure from a refused cell
-    /// in the lifetime stats; `charge` is debited from the cycle quota.
-    fn settle(&mut self, id: &str, event: CellEvent, ran: bool, charge: u64) {
+    /// End one cell. `via` says whether it was in flight and whether it
+    /// ran, which tells an executed failure from a refused cell in the
+    /// lifetime stats; `charge` is debited from the cycle quota.
+    fn settle(&mut self, id: &str, event: CellEvent, via: Via, charge: u64) {
         let job = self
             .jobs
             .get_mut(id)
@@ -383,13 +416,13 @@ impl Sched {
                 sum.ok += 1;
             }
             CellStatus::Failed { .. } => {
-                stats.cells_run += u64::from(ran);
+                stats.cells_run += u64::from(via == Via::Worker { ran: true });
                 stats.failures += 1;
                 sum.failed += 1;
             }
             CellStatus::Cancelled => sum.cancelled += 1,
         }
-        if event.status != CellStatus::Cancelled {
+        if let Via::Worker { .. } = via {
             self.inflight -= 1;
         }
         if let Some((_, remaining)) = &mut job.budget.cycles {
@@ -462,6 +495,11 @@ impl Scheduler {
     /// here, at admission). Events stream to `tx`. Returns the job id
     /// and cell count, or a structured rejection (shutdown in progress,
     /// empty job, or the admission bound).
+    ///
+    /// Every cell is looked up in the cache first, on the caller's thread
+    /// and before the lock. The hits are answered at admission, so their
+    /// lines are in `tx` when this returns; only the misses are queued for
+    /// the workers, and a job with none wakes no worker.
     pub fn submit(
         &self,
         specs: Vec<CellSpec>,
@@ -474,8 +512,14 @@ impl Scheduler {
             host: budget_host_ms.map(|total_ms| (total_ms, Instant::now())),
         };
         let inner = &self.inner;
-        let admitted = inner.lock().admit(specs, budget, tx, inner.max_queue)?;
-        inner.cv.notify_all();
+        let (hits, misses) = probe(&inner.cache, specs);
+        let wake = !misses.is_empty();
+        let admitted = inner
+            .lock()
+            .admit(hits, misses, budget, tx, inner.max_queue)?;
+        if wake {
+            inner.cv.notify_all();
+        }
         Ok(admitted)
     }
 
@@ -489,12 +533,12 @@ impl Scheduler {
             return false;
         };
         let events: Vec<CellEvent> = drained
-            .iter()
+            .into_iter()
             .map(|task| task.event(CellStatus::Cancelled))
             .collect();
         let mut st = self.inner.lock();
         for event in events {
-            st.settle(job, event, false, 0);
+            st.settle(job, event, Via::Backlog, 0);
         }
         true
     }
@@ -547,6 +591,36 @@ impl Scheduler {
     }
 }
 
+/// A job's cells split into the cache hits, answered, and the misses, to
+/// queue. Call it before the lock: a lookup is disk I/O. With the cache off
+/// there is nothing to probe, and no key is hashed until a worker needs it.
+fn probe(cache: &Cache, specs: Vec<CellSpec>) -> (Vec<CellEvent>, VecDeque<Task>) {
+    let cells = specs.into_iter().enumerate();
+    if !cache.enabled() {
+        let misses = cells.map(|(index, spec)| Task {
+            index,
+            spec,
+            key: None,
+        });
+        return (Vec::new(), misses.collect());
+    }
+    let (mut hits, mut misses) = (Vec::new(), VecDeque::new());
+    for (index, spec) in cells {
+        let key = spec.cache_key();
+        let sim = cache.lookup_key(&key);
+        let task = Task {
+            index,
+            spec,
+            key: Some(key),
+        };
+        match sim {
+            Some(sim) => hits.push(task.event(CellStatus::Done { sim, cached: true })),
+            None => misses.push_back(task),
+        }
+    }
+    (hits, misses)
+}
+
 /// Pull, run, settle. Under a drain the pull keeps going, so that pending
 /// cells are flushed as cancelled, and the worker exits once every queue
 /// is dry.
@@ -564,19 +638,24 @@ fn worker_loop(inner: &Inner) {
                 st = inner.cv.wait(st).expect("scheduler lock");
             }
         };
-        let (status, ran, charge) = match run {
-            Some(budget) => run_cell(inner, &task.spec, budget),
-            None => (CellStatus::Cancelled, false, 0),
+        let (status, via, charge) = match run {
+            Some(budget) => {
+                let (status, ran, charge) = run_cell(inner, &task, budget);
+                (status, Via::Worker { ran }, charge)
+            }
+            None => (CellStatus::Cancelled, Via::Backlog, 0),
         };
         let event = task.event(status);
-        inner.lock().settle(&job, event, ran, charge);
+        inner.lock().settle(&job, event, via, charge);
     }
 }
 
 /// How a pulled cell ends, whether it executed, and what it costs the
-/// job's cycle quota: the cache first, then the gate, then the runner.
-fn run_cell(inner: &Inner, spec: &CellSpec, budget: Budget) -> (CellStatus, bool, u64) {
-    if let Some(sim) = inner.cache.lookup(spec) {
+/// job's cycle quota: the cache first (another job may have recorded the
+/// cell since admission), then the gate, then the runner.
+fn run_cell(inner: &Inner, task: &Task, budget: Budget) -> (CellStatus, bool, u64) {
+    let (spec, key) = (&task.spec, task.key.as_deref());
+    if let Some(sim) = key.and_then(|k| inner.cache.lookup_key(k)) {
         return (CellStatus::Done { sim, cached: true }, false, 0);
     }
     let (max_cycles, quota) = match budget.gate(spec.max_cycles, Instant::now()) {
@@ -587,7 +666,9 @@ fn run_cell(inner: &Inner, spec: &CellSpec, budget: Budget) -> (CellStatus, bool
     spec.max_cycles = max_cycles;
     match (inner.runner)(&spec) {
         Ok(sim) => {
-            inner.cache.record(&spec, &sim);
+            if let Some(key) = key {
+                inner.cache.record_key(key, &sim);
+            }
             let charge = cycles_of(&sim);
             (CellStatus::Done { sim, cached: false }, true, charge)
         }
@@ -1167,6 +1248,155 @@ mod tests {
         let _ = std::fs::remove_dir_all(dir);
     }
 
+    /// A cache directory that already holds a result for each of `specs`
+    /// (`cycles = p`), recorded through a handle of its own.
+    fn warm_cache_dir(name: &str, specs: &[CellSpec]) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!(
+            "archgraphd-queue-test-{}-{name}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = Cache::open(dir.clone());
+        for s in specs {
+            cache.record(s, &[("cycles".to_string(), s.p as u64)]);
+        }
+        dir
+    }
+
+    fn cached(p: usize) -> CellStatus {
+        CellStatus::Done {
+            sim: vec![("cycles".to_string(), p as u64)],
+            cached: true,
+        }
+    }
+
+    #[test]
+    fn a_fully_cached_job_has_streamed_everything_when_submit_returns() {
+        let specs: Vec<CellSpec> = (1..=5).map(spec).collect();
+        let dir = warm_cache_dir("admission-hits", &specs);
+        let calls = Arc::new(Mutex::new(0usize));
+        let sched = Scheduler::new(
+            2,
+            64,
+            Cache::open(dir.clone()),
+            metered_runner(Arc::clone(&calls)),
+        );
+
+        // A zero budget too: hits answered at admission stay free.
+        let (tx, rx) = mpsc::channel();
+        let (_, n) = sched.submit(specs.clone(), Some(0), None, tx).unwrap();
+        assert_eq!(n, 5);
+        // No waiting: every line and the `Done` are already in the channel.
+        let events: Vec<Event> = rx.try_iter().collect();
+        let want: Vec<Event> = specs
+            .iter()
+            .enumerate()
+            .map(|(index, s)| {
+                Event::Cell(CellEvent {
+                    index,
+                    name: s.display_name(),
+                    key: s.cache_key(),
+                    status: cached(s.p),
+                })
+            })
+            .chain([Event::Done(JobSummary {
+                cells: 5,
+                ok: 5,
+                cached: 5,
+                ..JobSummary::default()
+            })])
+            .collect();
+        assert_eq!(events, want, "every cell in index order, then Done");
+        assert_eq!(*calls.lock().unwrap(), 0, "the runner never ran");
+        let snap = sched.snapshot();
+        assert_eq!((snap.queued, snap.inflight, snap.active_jobs), (0, 0, 0));
+        let stats = snap.stats;
+        assert_eq!((stats.jobs, stats.cache_hits, stats.cells_run), (1, 5, 0));
+        sched.shutdown_and_join();
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn a_mixed_job_answers_its_hits_at_admission_and_runs_its_misses() {
+        let specs: Vec<CellSpec> = (1..=6).map(spec).collect();
+        let warm: Vec<CellSpec> = specs.iter().step_by(2).cloned().collect();
+        let dir = warm_cache_dir("admission-mixed", &warm);
+        let order = Arc::new(Mutex::new(Vec::new()));
+        let (runner, gate, _started) = gated_runner(Arc::clone(&order));
+        let sched = Scheduler::new(1, 64, Cache::open(dir.clone()), runner);
+
+        let (tx, rx) = mpsc::channel();
+        sched.submit(specs.clone(), None, None, tx).unwrap();
+        // The worker is held at the gate: what waits is the hits alone.
+        let answered: Vec<CellEvent> = rx
+            .try_iter()
+            .map(|e| match e {
+                Event::Cell(c) => c,
+                Event::Done(_) => panic!("Done before the misses ran"),
+            })
+            .collect();
+        let hits: Vec<(usize, CellStatus)> = [0, 2, 4].map(|i| (i, cached(i + 1))).into();
+        let got: Vec<(usize, CellStatus)> =
+            answered.into_iter().map(|c| (c.index, c.status)).collect();
+        assert_eq!(got, hits);
+        let snap = sched.snapshot();
+        assert_eq!(snap.queued + snap.inflight, 3, "only the misses are queued");
+
+        for _ in 0..3 {
+            gate.send(()).expect("release");
+        }
+        let (cells, sum) = drain(&rx);
+        let ran: Vec<usize> = cells.iter().map(|c| c.index).collect();
+        assert_eq!(ran, [1, 3, 5], "each index once");
+        let fresh = |c: &CellEvent| matches!(c.status, CellStatus::Done { cached: false, .. });
+        assert!(cells.iter().all(fresh), "{cells:?}");
+        assert_eq!((sum.cells, sum.ok, sum.cached), (6, 6, 3));
+        let ran_specs: Vec<String> = [1, 3, 5].map(|i| specs[i].canonical()).into();
+        assert_eq!(*order.lock().unwrap(), ran_specs);
+        sched.shutdown_and_join();
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn the_admission_bound_counts_only_the_cells_that_must_run() {
+        let specs: Vec<CellSpec> = (1..=4).map(spec).collect();
+        let dir = warm_cache_dir("admission-bound", &specs);
+        let calls = Arc::new(Mutex::new(0usize));
+        let sched = Scheduler::new(
+            1,
+            2,
+            Cache::open(dir.clone()),
+            metered_runner(Arc::clone(&calls)),
+        );
+
+        let (tx, rx) = mpsc::channel();
+        sched
+            .submit(specs, None, None, tx)
+            .expect("four hits fit a bound of two");
+        let (_, sum) = drain(&rx);
+        assert_eq!((sum.ok, sum.cached), (4, 4));
+
+        let (tx, _rx) = mpsc::channel();
+        let err = sched
+            .submit((11..=14).map(spec).collect(), None, None, tx)
+            .expect_err("four misses do not");
+        assert_eq!(
+            err,
+            "queue full: 0 queued + 4 submitted exceeds the admission bound of 2"
+        );
+
+        // Two hits and two misses: the misses fill the bound exactly.
+        let (tx, rx) = mpsc::channel();
+        sched
+            .submit(vec![spec(1), spec(11), spec(2), spec(12)], None, None, tx)
+            .expect("two misses fit");
+        let (_, sum) = drain(&rx);
+        assert_eq!((sum.ok, sum.cached), (4, 2));
+        assert_eq!(*calls.lock().unwrap(), 2, "only the misses ran");
+        sched.shutdown_and_join();
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
     #[test]
     fn list_reports_suite_names_and_cache_status() {
         let dir =
@@ -1312,8 +1542,10 @@ mod tests {
 
     #[derive(Debug, Clone)]
     enum Op {
+        /// Bit `i` of `hits` set: cell `i` is a cache hit at admission.
         Admit {
             cells: usize,
+            hits: u8,
             cycles: Option<u64>,
             host_ms: Option<u64>,
         },
@@ -1335,10 +1567,13 @@ mod tests {
     }
 
     fn op() -> impl Strategy<Value = Op> {
-        (0u8..24, 0usize..64, 0u64..300, 0u64..60).prop_map(|(kind, pick, a, b)| match kind {
+        let ops = (0u8..24, 0usize..64, 0u64..300, 0u64..60, 0u8..128);
+        ops.prop_map(|(kind, pick, a, b, mask)| match kind {
             0 => Op::Drain,
             1..=6 => Op::Admit {
                 cells: pick % 6,
+                // Half the jobs all cold, the rest a random mix.
+                hits: if mask < 64 { mask } else { 0 },
                 cycles: (a < 200).then_some(a),
                 host_ms: (b < 40).then_some(b),
             },
@@ -1360,7 +1595,8 @@ mod tests {
     /// say; the job is live while `tally` counts fewer than `cells`.
     struct ModelJob {
         id: String,
-        pending: usize,
+        /// Indices of the misses not yet pulled, in submit order.
+        pending: VecDeque<usize>,
         cycles: Option<Quota>,
         /// `(total_ms, admitted_ms)`.
         host: Option<(u64, u64)>,
@@ -1382,7 +1618,7 @@ mod tests {
     #[derive(Default)]
     struct Model {
         jobs: Vec<ModelJob>,
-        /// Indices into `jobs` with `pending > 0`, in ring order.
+        /// Indices into `jobs` with pending cells, in ring order.
         ring: VecDeque<usize>,
         draining: bool,
         stats: Stats,
@@ -1390,16 +1626,18 @@ mod tests {
 
     impl Model {
         fn queued(&self) -> usize {
-            self.jobs.iter().map(|j| j.pending).sum()
+            self.jobs.iter().map(|j| j.pending.len()).sum()
         }
 
         /// `(job, cell index)` of the next pull.
         fn pull(&mut self) -> Option<(usize, usize)> {
             let j = self.ring.pop_front()?;
             let job = &mut self.jobs[j];
-            let index = job.tally.cells - job.pending;
-            job.pending -= 1;
-            if job.pending > 0 {
+            let index = job
+                .pending
+                .pop_front()
+                .expect("a ring job has a pending cell");
+            if !job.pending.is_empty() {
                 self.ring.push_back(j);
             }
             Some((j, index))
@@ -1491,6 +1729,7 @@ mod tests {
         // what flies.
         let refused = Op::Admit {
             cells: 1,
+            hits: 1,
             cycles: None,
             host_ms: None,
         };
@@ -1506,18 +1745,22 @@ mod tests {
             match op {
                 Op::Admit {
                     cells,
+                    hits,
                     cycles,
                     host_ms,
                 } => {
+                    let hit = |i: &usize| hits >> i & 1 == 1;
+                    let misses: VecDeque<usize> = (0..cells).filter(|i| !hit(i)).collect();
                     let queued = m.queued();
                     let want = if cells == 0 {
                         Err("empty job: no cells".to_string())
                     } else if m.draining {
                         Err("daemon is shutting down".to_string())
-                    } else if queued + cells > MAX_QUEUE {
+                    } else if queued + misses.len() > MAX_QUEUE {
                         Err(format!(
-                            "queue full: {queued} queued + {cells} submitted exceeds \
-                             the admission bound of {MAX_QUEUE}"
+                            "queue full: {queued} queued + {} submitted exceeds \
+                             the admission bound of {MAX_QUEUE}",
+                            misses.len()
                         ))
                     } else {
                         Ok((format!("j{}", m.jobs.len() + 1), cells))
@@ -1526,19 +1769,37 @@ mod tests {
                         cycles: cycles.map(|total| (total, total)),
                         host: host_ms.map(|total_ms| (total_ms, at_ms(now_ms))),
                     };
+                    let cached = || CellStatus::Done {
+                        sim: vec![("cycles".to_string(), 7)],
+                        cached: true,
+                    };
+                    let hit_events = (0..cells).filter(hit).map(|i| event(i, cached()));
+                    let tasks = misses.iter().map(|&index| Task {
+                        index,
+                        spec: spec(1),
+                        key: None,
+                    });
                     let (tx, rx) = mpsc::channel();
                     let ring_before = s.ring.clone();
-                    let got = s.admit(vec![spec(1); cells], budget, tx, MAX_QUEUE);
+                    let got = s.admit(hit_events.collect(), tasks.collect(), budget, tx, MAX_QUEUE);
                     assert_eq!(got, want, "{at}");
                     match got {
                         // `check` compares the rest with the untouched model.
                         Err(_) => assert_eq!(s.ring, ring_before, "{at}: ring"),
                         Ok((id, _)) => {
+                            let j = m.jobs.len();
+                            assert_eq!(
+                                s.ring.contains(&id),
+                                !misses.is_empty(),
+                                "{at}: only a job with misses joins the ring"
+                            );
                             m.stats.jobs += 1;
-                            m.ring.push_back(m.jobs.len());
+                            if !misses.is_empty() {
+                                m.ring.push_back(j);
+                            }
                             m.jobs.push(ModelJob {
                                 id,
-                                pending: cells,
+                                pending: misses,
                                 cycles: budget.cycles,
                                 host: host_ms.map(|total_ms| (total_ms, now_ms)),
                                 tally: JobSummary {
@@ -1549,6 +1810,11 @@ mod tests {
                                 seen: Vec::new(),
                                 done: false,
                             });
+                            // The hits end at admission, in index order;
+                            // `check` finds their lines already sent.
+                            for _ in (0..cells).filter(hit) {
+                                m.settle(j, &cached(), false, 0);
+                            }
                         }
                     }
                 }
@@ -1562,7 +1828,12 @@ mod tests {
                     if let (Some((id, task, run)), Some((j, index))) = (got, want) {
                         assert_eq!(run.is_some(), !m.draining, "{at}: run unless draining");
                         let Some(budget) = run else {
-                            s.settle(&id, event(task.index, CellStatus::Cancelled), false, 0);
+                            s.settle(
+                                &id,
+                                event(task.index, CellStatus::Cancelled),
+                                Via::Backlog,
+                                0,
+                            );
                             m.settle(j, &CellStatus::Cancelled, false, 0);
                             continue;
                         };
@@ -1609,7 +1880,12 @@ mod tests {
                     };
                     m.settle(flight.job, &status, ran, charge);
                     let id = m.jobs[flight.job].id.clone();
-                    s.settle(&id, event(flight.index, status), ran, charge);
+                    s.settle(
+                        &id,
+                        event(flight.index, status),
+                        Via::Worker { ran },
+                        charge,
+                    );
                 }
                 Op::Cancel { pick } => {
                     let j = pick % (m.jobs.len() + 1);
@@ -1622,19 +1898,19 @@ mod tests {
                         continue;
                     };
                     let job = &mut m.jobs[j];
-                    let first = job.tally.cells - job.pending;
                     let indices: Vec<usize> = drained.iter().map(|t| t.index).collect();
-                    assert_eq!(
-                        indices,
-                        (first..job.tally.cells).collect::<Vec<_>>(),
-                        "{at}"
-                    );
-                    job.pending = 0;
+                    assert!(indices.iter().eq(&job.pending), "{at}: {indices:?}");
+                    job.pending.clear();
                     m.ring.retain(|&r| r != j);
                     // The backlog is gone at once, before any cell settles.
                     check(&s, &mut m, &flights, &at);
                     for task in drained {
-                        s.settle(&id, event(task.index, CellStatus::Cancelled), false, 0);
+                        s.settle(
+                            &id,
+                            event(task.index, CellStatus::Cancelled),
+                            Via::Backlog,
+                            0,
+                        );
                         m.settle(j, &CellStatus::Cancelled, false, 0);
                     }
                 }

@@ -30,9 +30,9 @@
 //! read before any authentication) answers one error and closes, since
 //! nothing cheap finds the next request in an endless line. Replies go
 //! through one buffered writer flushed per protocol line ([`reply`]), so a
-//! line is one `write(2)`, except that a job's result lines already
-//! waiting are flushed together ([`stream_events`]): a burst is one
-//! `write(2)` per 8 KiB buffer-full.
+//! line is one `write(2)`, except that a job's lines already waiting are
+//! flushed together ([`stream_events`]): a burst, `accepted` included when
+//! results wait behind it, is one `write(2)` per 8 KiB buffer-full.
 //! Handler threads are detached — they die with the process after the
 //! drain, and a client mid-`submit` whose stream ends simply resubmits
 //! after restart, where the result cache makes the replay nearly free.
@@ -672,26 +672,39 @@ fn stream_job(
     stream_events(w, &job, n, &rx)
 }
 
-/// The reply stream of an accepted job: the `accepted` line on its own,
-/// then the events. Every event already waiting when one arrives goes
-/// into the buffer behind it and the burst is flushed once — a warm
-/// 24-cell resubmit's result lines fit one `write(2)` — while a line is
-/// never held back for an event that has not been sent yet.
+/// The reply stream of an accepted job: the `accepted` line, then the
+/// events. Every event already waiting goes into the buffer behind what
+/// is there and the burst is flushed once, and the buffer is flushed
+/// before each wait, so a line is never held back for an event that has
+/// not been sent yet. A warm resubmit's events are all waiting when the
+/// job is accepted (the scheduler answers cache hits at admission), so
+/// `accepted`, its result lines and `done` are one `write(2)`; a cold
+/// job's `accepted` goes out at once, on its own.
 fn stream_events(
     w: &mut impl Write,
     job: &str,
     cells: usize,
     rx: &mpsc::Receiver<Event>,
 ) -> io::Result<()> {
-    reply(w, &protocol::accepted(job, cells))?;
-    while let Ok(first) = rx.recv() {
+    put(w, &protocol::accepted(job, cells))?;
+    let mut waiting = rx.try_recv().ok();
+    loop {
+        let first = match waiting.take() {
+            Some(event) => event,
+            None => {
+                w.flush()?;
+                match rx.recv() {
+                    Ok(event) => event,
+                    Err(_) => break,
+                }
+            }
+        };
         for event in std::iter::once(first).chain(rx.try_iter()) {
             match event {
                 Event::Cell(ev) => put(w, &protocol::cell_line(job, &ev))?,
                 Event::Done(sum) => return reply(w, &protocol::done_line(job, &sum)),
             }
         }
-        w.flush()?;
     }
     // The channel closed without a Done event — only possible if the
     // scheduler dropped the job, which it never does; report it rather
@@ -1059,8 +1072,32 @@ mod tests {
         let mut w = Flushes::new(flushed);
         stream_events(&mut w, "j1", 26, &rx).expect("written");
         assert_eq!(String::from_utf8(w.bytes).unwrap(), per_line("j1", &events));
-        // `accepted` on its own, then the whole burst through `done`.
-        assert_eq!(w.flushes, 2);
+        // `accepted` and the whole burst through `done`, as one.
+        assert_eq!(w.flushes, 1);
+    }
+
+    #[test]
+    fn accepted_waits_only_for_events_already_sent() {
+        let events = [cell_event(0), cell_event(1), cell_event(2), done_event(3)];
+        let expected = per_line("j1", &events);
+        let lines: Vec<&str> = expected.split_inclusive('\n').collect();
+        let (tx, rx) = mpsc::channel();
+        let (flushed, seen) = mpsc::channel();
+        // Two results waiting at acceptance, as a mixed job's hits are.
+        tx.send(events[0].clone()).expect("sent");
+        tx.send(events[1].clone()).expect("sent");
+        let streaming = thread::spawn(move || {
+            let mut w = Flushes::new(flushed);
+            stream_events(&mut w, "j1", 3, &rx).expect("written");
+            w.flushes
+        });
+        let wait = |what| seen.recv_timeout(Duration::from_secs(10)).expect(what);
+        assert_eq!(wait("accepted with the waiting burst"), lines[..3].concat());
+        tx.send(events[2].clone()).expect("sent");
+        assert_eq!(wait("the late result"), lines[..4].concat());
+        tx.send(events[3].clone()).expect("sent");
+        assert_eq!(wait("done"), expected);
+        assert_eq!(streaming.join().expect("the stream ends at done"), 3);
     }
 
     #[test]

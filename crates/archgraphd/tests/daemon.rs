@@ -916,6 +916,40 @@ fn a_bounded_cache_evicts_and_rerun_is_identical() {
 }
 
 #[test]
+fn a_warm_resubmit_streams_in_submit_order_with_the_cold_bytes() {
+    let root = temp_root("warm-order");
+    // Four workers finish a cold job in whatever order they finish it; the
+    // warm job is answered at admission, so its order is the submit order.
+    let daemon = start_daemon(&root, 4, &[]);
+    let sizes = [128usize, 136, 144, 152, 160, 168, 176, 184];
+    let request = submit_line(&sizes);
+    let (mut cold, cold_done) = run_job_lines(&daemon, &request);
+    let (warm, warm_done) = run_job_lines(&daemon, &request);
+    let index = |line: &String| parse(line).get("index").and_then(Json::as_u64);
+    assert_eq!(
+        warm.iter().map(index).collect::<Vec<_>>(),
+        (0..sizes.len() as u64).map(Some).collect::<Vec<_>>(),
+        "warm lines in submit-index order"
+    );
+    cold.sort_by_key(index);
+    for (cold, warm) in cold.iter().zip(&warm) {
+        let same = cold.replacen(r#""job":"j1""#, r#""job":"j2""#, 1).replacen(
+            r#""cached":false"#,
+            r#""cached":true"#,
+            1,
+        );
+        assert_eq!(warm, &same, "the cold line but for the job and the flag");
+    }
+    let count = |done: &Json, key| done.get(key).and_then(Json::as_u64);
+    assert_eq!(count(&cold_done, "cached"), Some(0));
+    assert_eq!(count(&warm_done, "cached"), Some(sizes.len() as u64));
+    assert_eq!(count(&warm_done, "ok"), Some(sizes.len() as u64));
+
+    shutdown_and_reap(daemon);
+    let _ = std::fs::remove_dir_all(root);
+}
+
+#[test]
 fn the_client_cli_round_trips_the_protocol() {
     let root = temp_root("client");
     let daemon = start_daemon(&root, 1, &[]);

@@ -22,6 +22,7 @@
 //! only decides whether a run *fails*, and failures are never cached.
 
 use std::fmt::Write as _;
+use std::sync::OnceLock;
 
 use archgraph_core::{FaultPlan, RunConfig};
 use archgraph_mta_sim::machine::MtaEngine;
@@ -316,12 +317,10 @@ impl CellSpec {
     /// Display name: the bench-suite name if this spec is one of the
     /// suite's cells, else the canonical string.
     pub fn display_name(&self) -> String {
-        for (name, spec) in bench_suite() {
-            if spec == *self {
-                return name.to_string();
-            }
-        }
-        self.canonical()
+        suite()
+            .iter()
+            .find(|(_, spec)| spec == self)
+            .map_or_else(|| self.canonical(), |(name, _)| name.to_string())
     }
 
     /// The run configuration this cell executes under: its own fault plan
@@ -530,10 +529,17 @@ pub fn bench_suite() -> Vec<(&'static str, CellSpec)> {
 
 /// Look up a bench-suite cell by its stable name.
 pub fn find(name: &str) -> Option<CellSpec> {
-    bench_suite()
-        .into_iter()
+    suite()
+        .iter()
         .find(|(n, _)| *n == name)
-        .map(|(_, s)| s)
+        .map(|(_, s)| s.clone())
+}
+
+/// [`bench_suite`], built once per process for the lookups by name and by
+/// spec.
+fn suite() -> &'static [(&'static str, CellSpec)] {
+    static SUITE: OnceLock<Vec<(&'static str, CellSpec)>> = OnceLock::new();
+    SUITE.get_or_init(bench_suite)
 }
 
 /// Parse an MTA engine name as specs spell it ([`MtaEngine::parse`]);
@@ -571,15 +577,39 @@ pub fn json_escape(s: &str) -> String {
 /// the one renderer behind `--bin bench`'s JSON and the daemon's result
 /// lines, which `archgraphd`'s `tests/daemon.rs` compares byte for byte.
 pub fn render_sim<K: AsRef<str>>(pairs: &[(K, u64)]) -> String {
-    let mut out = String::from("{ ");
+    let mut out = String::new();
+    push_sim(&mut out, pairs);
+    out
+}
+
+/// [`render_sim`] appended to `out`, for a caller building a longer line.
+pub fn push_sim<K: AsRef<str>>(out: &mut String, pairs: &[(K, u64)]) {
+    out.push_str("{ ");
     for (i, (k, v)) in pairs.iter().enumerate() {
         if i > 0 {
             out.push_str(", ");
         }
-        let _ = write!(out, "\"{}\": {v}", k.as_ref());
+        out.push('"');
+        out.push_str(k.as_ref());
+        out.push_str("\": ");
+        push_uint(out, *v);
     }
     out.push_str(" }");
-    out
+}
+
+/// `v` in decimal, appended to `out` without going through a formatter.
+pub fn push_uint(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
 }
 
 #[cfg(test)]
@@ -723,6 +753,28 @@ mod tests {
         off_suite.n = 64;
         off_suite.m = 128;
         assert_eq!(off_suite.display_name(), off_suite.canonical());
+        for (name, spec) in bench_suite() {
+            assert_eq!(spec.display_name(), name, "every suite cell by its name");
+            assert_eq!(find(name), Some(spec));
+        }
+    }
+
+    #[test]
+    fn sim_rendering_matches_the_formatter() {
+        let pairs = [("cycles", 0), ("issued", 9), ("x", 10), ("max", u64::MAX)];
+        assert_eq!(
+            render_sim(&pairs),
+            r#"{ "cycles": 0, "issued": 9, "x": 10, "max": 18446744073709551615 }"#
+        );
+        assert_eq!(render_sim::<&str>(&[]), "{  }");
+        let mut out = String::from("head,");
+        push_sim(&mut out, &pairs[1..2]);
+        assert_eq!(out, r#"head,{ "issued": 9 }"#);
+        for v in [0, 1, 9, 10, 99, 100, 123_456_789, u64::MAX - 1, u64::MAX] {
+            let mut s = String::new();
+            push_uint(&mut s, v);
+            assert_eq!(s, v.to_string());
+        }
     }
 
     #[test]

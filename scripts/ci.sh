@@ -39,9 +39,11 @@ cargo build --release --offline --manifest-path benchmarks/Cargo.toml
 # daemon-serve is the only in-process user of server::bind + serve stopped
 # through the external `stop` flag; a short verified run (non-zero exit on
 # any failed or wrong reply) keeps that path under the gate. Its two seconds
-# also run the warm reply path (a job's waiting result lines flushed as one
-# write) and the client's Json::parse on every reply line, each checked
-# against the cold sweep's fingerprints.
+# also run the warm reply path and the client's Json::parse on every reply
+# line, each checked against the cold sweep's fingerprints: every warm cell
+# is a cache hit answered at admission (Scheduler::submit looks it up before
+# the lock; no worker wakes), and the warm reply, `accepted` through `done`,
+# goes out as one write.
 benchmarks/run.sh --workload daemon-serve --seconds 2
 # smp-cache is the only place the SMP kernels run at the sizes the paper's
 # claims are about (lists of 2^20, past the E4500's TLB reach and its L2),
