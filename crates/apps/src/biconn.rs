@@ -21,6 +21,8 @@
 //!
 //! Verified against an iterative Hopcroft–Tarjan oracle on arbitrary
 //! multigraphs (self loops become singleton blocks by convention).
+//!
+//! Reached by: the `biconn/native` suite cell and `archperf`'s native-kernels `biconn` op.
 
 use archgraph_concomp::sv_mta_style;
 use archgraph_graph::edgelist::{Edge, EdgeList};

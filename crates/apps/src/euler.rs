@@ -6,8 +6,9 @@
 //! tour successor of an arc `a = (u → v)` is the arc after `twin(a)` in
 //! `v`'s rotation (cyclic adjacency order). Starting at the root's first
 //! out-arc and cutting the cycle before it returns yields a list whose
-//! *ranks are the tour positions* — the substrate for every rooted-tree
-//! statistic in [`crate::analytics`].
+//! *ranks are the tour positions*.
+//!
+//! Reached by: the `euler/mta/p8` and `euler/smp/p8` suite cells (through [`crate::sim`]).
 
 use archgraph_graph::list::LinkedList;
 use archgraph_graph::{Node, NIL};

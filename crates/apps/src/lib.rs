@@ -1,23 +1,15 @@
 //! # archgraph-apps
 //!
-//! Higher-level graph algorithms built on the paper's primitives —
-//! the applications §1 motivates list ranking with: "computing the
-//! centroid of a tree, expression evaluation, minimum spanning forest,
-//! connected components, and planarity testing", and the rooted-spanning-
-//! tree / tree-computation line of the Bader–Cong papers it cites.
+//! Higher-level graph algorithms built on the paper's primitives, from
+//! the applications §1 motivates list ranking with ("minimum spanning
+//! forest, connected components, …") and the rooted-spanning-tree line of
+//! the Bader–Cong papers it cites.
 //!
 //! * [`tree`] — tree containers, random tree generators, and the
 //!   sequential BFS oracle for rooted tree statistics.
 //! * [`euler`] — the Euler-tour technique: represent a tree as a linked
 //!   list of its `2(n−1)` directed arcs and *rank* that list with any of
 //!   the workspace's list-ranking engines.
-//! * [`centroid`] — tree centroids ("computing the centroid of a tree"
-//!   is the first application §1 names), from subtree sizes.
-//! * [`analytics`] — rooted-tree analytics extracted from tour ranks:
-//!   parents, depths (a ±1 prefix computation over the tour), and subtree
-//!   sizes (rank arithmetic), each verified against the BFS oracle.
-//! * [`expr`] — arithmetic expression evaluation by SHUNT tree
-//!   contraction over Euler-tour leaf numbering (paper reference \[3\]).
 //! * [`msf`] — Borůvka-over-SV minimum spanning forest, composing the
 //!   connectivity machinery with weighted edge selection.
 //! * [`sim`] — simulated-machine drivers: the Euler tour ranked in MTA
@@ -29,15 +21,11 @@
 
 #![warn(missing_docs)]
 
-pub mod analytics;
 pub mod biconn;
-pub mod centroid;
 pub mod euler;
-pub mod expr;
 pub mod msf;
 pub mod sim;
 pub mod tree;
 
-pub use analytics::RootedAnalysis;
 pub use euler::EulerTour;
 pub use tree::Tree;

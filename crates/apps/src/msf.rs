@@ -19,6 +19,8 @@
 //! and contraction renumbers the components densely and drops the arcs
 //! that became internal. Selection is the same scatter access pattern as
 //! SV grafting.
+//!
+//! Reached by: the `msf/native` suite cell and `archperf`'s native-kernels `msf` op.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -7,6 +7,8 @@
 //! Both surface [`SimError`] through `try_` entry points — the deadlock
 //! and cycle-budget diagnostics of the simulators reach application
 //! callers instead of being swallowed by panicking wrappers.
+//!
+//! Reached by: the `euler/mta/p8` and `euler/smp/p8` suite cells.
 
 use archgraph_core::error::SimError;
 use archgraph_core::machine::{MtaParams, SmpParams};

@@ -1,5 +1,7 @@
 //! Tree containers, generators, and the sequential rooted-statistics
 //! oracle.
+//!
+//! Reached by: the `euler/mta/p8` and `euler/smp/p8` suite cells (the tree each tour ranks).
 
 use archgraph_graph::edgelist::EdgeList;
 use archgraph_graph::rng::Rng;

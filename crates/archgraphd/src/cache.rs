@@ -18,6 +18,8 @@
 //! Only *successful* runs are cached. Failures (watchdog trips,
 //! deadlocks, injected panics) always re-run — a failure is a property
 //! of the run, not of the spec.
+//!
+//! Reached by: `archgraphd`'s `submit` op (cached cells) and its `status` op.
 
 use std::path::PathBuf;
 use std::sync::Mutex;

@@ -13,6 +13,8 @@
 //! the simulators emit (cycle counts stay under 2^53 by orders of
 //! magnitude; the watchdog default is 2^36) — and [`Json::as_u64`]
 //! round-trips them back to integers only when exact.
+//!
+//! Reached by: every `archgraphd` op (each request line is JSON).
 
 use std::collections::BTreeMap;
 

@@ -53,6 +53,8 @@
 //! `error` / `"cancelled":true` marker), and terminates with one
 //! `{"type":"done",...}` summary line. The other ops answer with a
 //! single line (`pong`, `status`, `bye`, `cancelled`).
+//!
+//! Reached by: every `archgraphd` op (request parsing and reply lines).
 
 use archgraph_bench::cells::{self, CellSpec, Kernel, MachineKind};
 

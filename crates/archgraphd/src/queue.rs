@@ -69,6 +69,8 @@
 //! simulating anything; the real daemon injects [`crate::sim_runner`],
 //! which executes [`CellSpec::run`] under panic isolation and under the
 //! spec's own fault plan and cycle budget alone.
+//!
+//! Reached by: `archgraphd`'s `submit`, `cancel`, `list` and `status` ops.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::mpsc::Sender;

@@ -36,6 +36,8 @@
 //! Handler threads are detached — they die with the process after the
 //! drain, and a client mid-`submit` whose stream ends simply resubmits
 //! after restart, where the result cache makes the replay nearly free.
+//!
+//! Reached by: every `archgraphd` op (the socket loop).
 
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};

@@ -20,6 +20,8 @@
 //! issue loop), so `fig1/mta/random/p8` is the same cached result
 //! whichever engine a request names. The cycle budget is also excluded — it
 //! only decides whether a run *fails*, and failures are never cached.
+//!
+//! Reached by: every suite cell (`--bin bench`) and `archgraphd`'s `submit` op.
 
 use std::fmt::Write as _;
 use std::sync::OnceLock;

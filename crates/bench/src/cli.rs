@@ -1,6 +1,8 @@
 //! What the reporting bins share: `fig1` and `fig2`'s `--arch`/`--csv`
 //! command line, panel loop and panel table, and the §5 ratios `ratios` and
 //! `all` print.
+//!
+//! Reached by: every `--bin` that `scripts/reproduce_all.sh` runs.
 
 use archgraph_core::experiment::Series;
 use archgraph_core::report::{fmt_seconds, ratios, series_csv, Table};

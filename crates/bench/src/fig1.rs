@@ -5,6 +5,8 @@
 //! them as [`PanelCell`]s and `sweep::run_panel` fans them out across host
 //! cores, reassembling results in cell order so series contents and verbose
 //! logs are byte-identical to a serial sweep.
+//!
+//! Reached by: `--bin fig1` (`scripts/reproduce_all.sh`) and the `fig1/*` suite cells.
 
 use archgraph_core::machine::{MtaParams, SmpParams};
 use archgraph_listrank::sim_mta::{self, MtaSimResult};

@@ -5,6 +5,8 @@
 //! Like Fig. 1, the `(p, m)` cells simulate independently: [`panel`]
 //! declares them and `sweep::run_panel` fans them out across host cores,
 //! preserving the serial order and output.
+//!
+//! Reached by: `--bin fig2` (`scripts/reproduce_all.sh`) and the `fig2/*` suite cells.
 
 use archgraph_concomp::sim_mta::{self, CcMtaSimResult};
 use archgraph_concomp::sim_smp::{self, CcSmpSimResult};

@@ -11,6 +11,8 @@
 //! The run scope (`archgraph_core::RunConfig`) is per thread, so
 //! [`par_map`] re-enters the caller's on every pool thread: a fault plan or
 //! cycle budget scoped around a sweep covers every one of its cells.
+//!
+//! Reached by: `--bin fig1`, `fig2`, `table1` and `calibrate` (`scripts/reproduce_all.sh`).
 
 use archgraph_core::RunConfig;
 use rayon::prelude::*;

@@ -10,6 +10,8 @@
 //! convention from the scale parser — one `error:` line on stderr, exit
 //! status 2 — so a bad configuration fails loudly and greppably instead of
 //! with a backtrace.
+//!
+//! Reached by: `--bin fig1`, `fig2`, `ratios` and `speedup` (`scripts/reproduce_all.sh`).
 
 use archgraph_core::experiment::Series;
 

@@ -9,6 +9,8 @@
 //! otherwise pin unchecked) — and feed the `bench` regression
 //! driver, which pins their exact simulated fingerprints in
 //! `BENCH_archgraph.json`.
+//!
+//! Reached by: the `color/*`, `bfs/*`, `sync/*`, `euler/*`, `msf/*` and `biconn/*` suite cells.
 
 use archgraph_apps::biconn::{biconnected_components, biconnected_oracle};
 use archgraph_apps::euler::Ranker;

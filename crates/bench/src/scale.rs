@@ -5,6 +5,8 @@
 //! regenerates in minutes on a laptop while staying far above the cache-
 //! capacity knee (so the *shapes* — ratios, scaling, crossovers — are
 //! unchanged). `--full` selects paper-scale inputs.
+//!
+//! Reached by: every `--bin` that `scripts/reproduce_all.sh` runs (the scale argument).
 
 /// A size preset for the sweeps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

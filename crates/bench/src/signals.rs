@@ -22,6 +22,8 @@
 //! No `libc` crate: the two symbols needed (`signal`, and the signal
 //! numbers) are declared directly; this is Unix-only and compiles to
 //! nothing elsewhere.
+//!
+//! Reached by: `--bin fig1`, `fig2`, `table1` and `calibrate` (`scripts/reproduce_all.sh`) and `archgraphd`.
 
 use std::sync::atomic::{AtomicBool, AtomicI32, Ordering};
 

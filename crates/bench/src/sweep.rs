@@ -25,6 +25,8 @@
 //! `ARCHGRAPH_BENCH_PANIC_CELL=<cell-name>` makes the named cell panic
 //! deliberately — the end-to-end hook the isolation tests and the CI
 //! fault leg use to prove a poisoned cell cannot take down a sweep.
+//!
+//! Reached by: `--bin fig1`, `fig2` and `table1` (`scripts/reproduce_all.sh`) and `archgraphd`'s `submit` op.
 
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};

@@ -6,6 +6,8 @@
 //! utilization instead of time: [`cells`] declares them, `sweep::run_cells`
 //! fans them out across host cores, and the rows are assembled in the
 //! paper's order afterwards.
+//!
+//! Reached by: `--bin table1` (`scripts/reproduce_all.sh`) and the `table1/*` suite cells.
 
 use crate::cells::{CellSpec, Kernel, MachineKind};
 use crate::scale::Scale;

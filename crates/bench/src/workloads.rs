@@ -1,4 +1,6 @@
 //! Workload construction shared by the figure harnesses and benches.
+//!
+//! Reached by: every suite cell (its input) and `archperf`'s list and graph generation.
 
 use archgraph_graph::edgelist::EdgeList;
 use archgraph_graph::gen;

@@ -2,8 +2,8 @@
 //!
 //! Frontier-based breadth-first search — the load-balancing stress test
 //! of the workload ladder. Per level the kernel expands every frontier
-//! vertex's CSR row, and row lengths are wildly skewed on the paper's
-//! random and R-MAT graphs, so *how iterations are handed to streams*
+//! vertex's CSR row, and row lengths are skewed on the paper's random
+//! graphs (and wildly so on stars), so *how iterations are handed to streams*
 //! dominates: a static block schedule strands whole processors behind one
 //! hub vertex while `int_fetch_add` dynamic claiming (the paper's §3
 //! idiom) keeps every stream fed. The kernel also leans on the second MTA

@@ -17,6 +17,8 @@
 //! bottom-up once a growing frontier has `m_f > m_u / α`; bottom-up
 //! returns to top-down once a shrinking frontier holds fewer than `n / β`
 //! vertices, after one chunked scan rebuilds the sparse frontier.
+//!
+//! Reached by: `archperf`'s native-kernels `bfs` op.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicU32, Ordering};

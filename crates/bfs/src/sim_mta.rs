@@ -17,6 +17,8 @@
 //! level (its trip count is an immediate) to demonstrate the paper's
 //! load-imbalance ablation: on hub-dominated frontiers one stream drags
 //! the whole level.
+//!
+//! Reached by: the `bfs/mta/p8` suite cells.
 
 use archgraph_core::error::SimError;
 use archgraph_core::MtaParams;

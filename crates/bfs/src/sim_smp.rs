@@ -7,6 +7,8 @@
 //! discovered vertex costs one more non-contiguous write. The barrier
 //! per level is BFS's structural serialization: diameter × barrier cost,
 //! the SMP-side analogue of the paper's `4 log n` barrier term for SV.
+//!
+//! Reached by: the `bfs/smp/p8` suite cell.
 
 use archgraph_core::error::SimError;
 use archgraph_core::machine::SmpParams;

@@ -10,6 +10,8 @@
 //! The worklist is split into chunks of `GRAIN` vertices. A chunk keeps
 //! one forbidden-color array for all its vertices and stamps it with
 //! `v + 1`, so no vertex allocates or clears scratch of its own.
+//!
+//! Reached by: `archperf`'s native-kernels `color` op.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 

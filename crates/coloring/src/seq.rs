@@ -1,4 +1,6 @@
 //! Sequential greedy coloring and the properness validator.
+//!
+//! Reached by: `archperf`'s native-kernels `color` op (`validate_coloring` checks it).
 
 use archgraph_graph::csr::Csr;
 use archgraph_graph::Node;

@@ -23,6 +23,8 @@
 //! pairs (both directions are compiled up front), mirroring Alg. 3's
 //! serial loop-head in [`crate::sim_mta`]'s sibling,
 //! `archgraph_concomp::sim_mta`.
+//!
+//! Reached by: the `color/mta/p8` suite cells.
 
 use archgraph_core::error::SimError;
 use archgraph_core::MtaParams;

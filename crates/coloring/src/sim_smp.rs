@@ -13,6 +13,8 @@
 //! vertex a couple of contiguous worklist/row-pointer reads, then one
 //! *non-contiguous* color read per neighbor — the dominant term — plus
 //! the color write-back.
+//!
+//! Reached by: the `color/smp/p8` suite cell.
 
 use archgraph_core::error::SimError;
 use archgraph_core::machine::SmpParams;

@@ -1,7 +1,6 @@
 //! # archgraph-concomp
 //!
-//! Connected components — §4 of the paper — with every algorithm the study
-//! measures or cites as a baseline:
+//! Connected components — §4 of the paper — as the study measures it:
 //!
 //! * [`seq`] — the *best sequential* comparators: union-find (effectively
 //!   linear) and BFS over CSR.
@@ -12,16 +11,8 @@
 //!   **full** shortcutting each iteration, eliminating the star check.
 //! * [`star`] — the star-detection subroutine Alg. 2 needs (and Alg. 3
 //!   exists to avoid).
-//! * [`awerbuch_shiloach`] — the Awerbuch–Shiloach variant (Greiner's
-//!   comparison set).
-//! * [`random_mating`] — Reif/Phillips-style randomized contraction
-//!   (Greiner's "random-mating" baseline).
-//! * [`hybrid`] — Greiner's hybrid: random-mating rounds, then SV.
 //! * [`sim_smp`] / [`sim_mta`] — SV lowered onto the two architecture
 //!   simulators (the Fig. 2 pipelines).
-//! * [`sv_spmd`] — SV in the explicit SMP programming style (p workers,
-//!   contiguous partitions, software barriers, buffered grafts): the
-//!   conclusions' "longer, more complex programs" made concrete.
 //! * [`spanning`] — spanning forests recovered from SV graft witnesses,
 //!   the primitive behind the Bader–Cong spanning-tree work the paper
 //!   cites.
@@ -32,9 +23,6 @@
 
 #![warn(missing_docs)]
 
-pub mod awerbuch_shiloach;
-pub mod hybrid;
-pub mod random_mating;
 pub mod seq;
 pub mod sim_mta;
 pub mod sim_smp;
@@ -42,7 +30,6 @@ pub mod spanning;
 pub mod star;
 pub mod sv;
 pub mod sv_mta;
-pub mod sv_spmd;
 
 pub use sv::{shiloach_vishkin, try_shiloach_vishkin, try_shiloach_vishkin_bounded};
 pub use sv_mta::sv_mta_style;

@@ -5,6 +5,10 @@
 //! union-find (re-exported from the graph substrate); BFS over CSR is the
 //! traversal-based alternative used as a second oracle and as the
 //! depth-first-search stand-in Greiner compared against.
+//!
+//! Reached by: `tests/properties.rs` only (the BFS oracle of the SV property
+//! tests). No claim test, suite cell, bin, workload or op reaches it; ROADMAP
+//! item 4 leaves it to fold into `graph::bfs`.
 
 use archgraph_graph::csr::Csr;
 use archgraph_graph::edgelist::EdgeList;

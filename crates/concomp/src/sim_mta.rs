@@ -21,6 +21,8 @@
 //! participate in full/empty synchronization, so a stuck-empty fault plan
 //! parks the streams and the deadlock detector reports per-stream
 //! diagnostics rather than the run hanging or panicking.
+//!
+//! Reached by: the `fig2/mta/p8` and `table1/mta/cc/p8` suite cells.
 
 use archgraph_core::error::SimError;
 use archgraph_core::MtaParams;

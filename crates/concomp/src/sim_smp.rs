@@ -5,6 +5,8 @@
 //! (`D[u]`, `D[v]`, `D[D[v]]`), and the shortcut pass walks the vertex
 //! array with data-dependent extra hops. Barriers separate the phases —
 //! the `4 log n` barrier term of the paper's SV analysis.
+//!
+//! Reached by: the `fig2/smp/p8` suite cell.
 
 use archgraph_core::error::SimError;
 use archgraph_core::machine::SmpParams;

@@ -7,6 +7,8 @@
 //! connectivity. The `(label, edge)` pair is packed into one `AtomicU64`
 //! so a racing graft can never publish a label from one edge with the
 //! witness of another.
+//!
+//! Reached by: the `msf/native` suite cell (through `apps::msf`).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 

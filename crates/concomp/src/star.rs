@@ -7,6 +7,8 @@
 //! finally every vertex inherits its parent's verdict. The paper's Alg. 3
 //! exists precisely because this check "involves a significant amount of
 //! computation and memory accesses" per iteration.
+//!
+//! Reached by: `archperf`'s native-kernels `concomp` op (through [`crate::sv`]'s step 2).
 
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 
@@ -57,13 +59,6 @@ pub fn star_flags_par(d: &[AtomicU32]) -> Vec<AtomicBool> {
     star
 }
 
-/// True when *every* vertex lies in a rooted star — Alg. 2's termination
-/// condition ("if all vertices are in rooted stars then exit").
-pub fn all_stars(d: &[Node]) -> bool {
-    // Rooted stars everywhere ⟺ every vertex's parent is a root.
-    d.iter().all(|&p| d[p as usize] == p)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -72,7 +67,6 @@ mod tests {
     fn singleton_roots_are_stars() {
         let d: Vec<Node> = (0..5).collect();
         assert_eq!(star_flags(&d), vec![true; 5]);
-        assert!(all_stars(&d));
     }
 
     #[test]
@@ -80,7 +74,6 @@ mod tests {
         // 1,2,3 -> 0
         let d = vec![0, 0, 0, 0];
         assert_eq!(star_flags(&d), vec![true; 4]);
-        assert!(all_stars(&d));
     }
 
     #[test]
@@ -91,7 +84,6 @@ mod tests {
         assert!(!s[2], "depth-2 vertex");
         assert!(!s[1], "grandparent disqualified");
         assert!(!s[0], "root of a non-star tree");
-        assert!(!all_stars(&d));
     }
 
     #[test]
@@ -101,7 +93,6 @@ mod tests {
         let s = star_flags(&d);
         assert!(s[0] && s[1]);
         assert!(!s[2] && !s[3] && !s[4]);
-        assert!(!all_stars(&d));
     }
 
     #[test]
@@ -124,6 +115,5 @@ mod tests {
     #[test]
     fn empty_forest() {
         assert!(star_flags(&[]).is_empty());
-        assert!(all_stars(&[]));
     }
 }

@@ -40,6 +40,8 @@
 //! arcs, but it only sees one level: on a path whose edges are listed from
 //! its far end, iteration 1 grafts one chain, and after its jump the root
 //! test drops every arc while `D[u] ≠ D[v]` keeps all but two.
+//!
+//! Reached by: `archperf`'s native-kernels `concomp` op.
 
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};

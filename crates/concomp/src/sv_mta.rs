@@ -17,6 +17,8 @@
 //! Runs in `O(log² n)` iterations (the paper notes the bound is not
 //! tight). The graft-to-strictly-smaller rule keeps the pointer forest
 //! acyclic under arbitrary concurrent writes.
+//!
+//! Reached by: `tests/cross_validation.rs` and the `biconn/native` suite cell.
 
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 

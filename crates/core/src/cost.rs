@@ -14,6 +14,8 @@
 //! paper applies the same triplet to the MTA with the caveat that
 //! multithreading drives the effective magnitudes of `T_M` and `B` toward
 //! zero, leaving execution time a function of `T_C` alone.
+//!
+//! Reached by: `tests/cross_validation.rs` (through [`crate::predict`]).
 
 use serde::{Deserialize, Serialize};
 

@@ -21,6 +21,8 @@
 //! `shiloach_vishkin`) delegate to the `try_` forms and panic with the
 //! error's `Display` text, so existing kernels keep their signatures and a
 //! failure inside a sweep cell surfaces as a structured, catchable panic.
+//!
+//! Reached by: every simulated suite cell (the watchdog and deadlock errors).
 
 use std::fmt;
 

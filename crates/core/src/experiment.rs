@@ -1,6 +1,8 @@
 //! Figure series: the `(n, p, seconds)` points a sweep produces, grouped
 //! under a label. The sweeps build them, and `report` and `plot` render
 //! them as tables, CSV and ASCII plots.
+//!
+//! Reached by: `--bin fig1` and `fig2` (`scripts/reproduce_all.sh`): their series.
 
 /// One data point of a figure series: a problem size, a processor count and
 /// its measured (or simulated) time in seconds.

@@ -53,6 +53,8 @@
 //!
 //! A plan reaches the machines through the run scope
 //! ([`crate::run::RunConfig`]), never through the environment.
+//!
+//! Reached by: the suite's fault-plan cells (`bfs/mta/p8+stall`, …).
 
 use std::fmt;
 

@@ -5,6 +5,8 @@
 //! (`archgraph-smp-sim`, `archgraph-mta-sim`). The presets encode the
 //! hardware described in §2 of the paper: a Sun Enterprise E4500-class SMP
 //! and the Cray MTA-2.
+//!
+//! Reached by: every simulated suite cell (the machine parameters).
 
 use serde::{Deserialize, Serialize};
 

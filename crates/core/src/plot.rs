@@ -4,6 +4,8 @@
 //! processor count; [`ascii_plot`] renders the same shape in a terminal:
 //! points are bucketed onto a character grid with log-scaled axes and one
 //! glyph per series.
+//!
+//! Reached by: `--bin fig1` and `fig2` (`scripts/reproduce_all.sh`): their ASCII plots.
 
 use crate::experiment::Series;
 

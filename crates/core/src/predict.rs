@@ -7,6 +7,8 @@
 //! `T_C × cycle_time`. This module turns a [`Complexity`] triplet plus a
 //! machine description into predicted seconds, so the event-driven
 //! simulators can be sanity-checked against closed forms.
+//!
+//! Reached by: `tests/cross_validation.rs`.
 
 use crate::cost::Complexity;
 use crate::machine::{MtaParams, SmpParams};

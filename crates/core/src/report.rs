@@ -2,6 +2,8 @@
 //!
 //! Every figure binary prints (a) a fixed-width table mirroring the paper's
 //! presentation and (b) machine-readable CSV so the series can be re-plotted.
+//!
+//! Reached by: `--bin table1`, `ratios`, `speedup` and `calibrate` (`scripts/reproduce_all.sh`).
 
 use crate::experiment::Series;
 

@@ -20,6 +20,8 @@
 //! re-enters the caller's configuration on each of them, as the bench
 //! harness's `grid::par_map` does, so a scoped plan covers every cell of a
 //! parallel sweep.
+//!
+//! Reached by: every suite cell (its fault plan and cycle budget) and `archgraphd`'s `submit` op.
 
 use std::cell::RefCell;
 use std::fmt;

@@ -11,6 +11,8 @@
 //! For racy-by-design algorithms (Shiloach–Vishkin's concurrent grafts),
 //! use atomics instead — this type is strictly for provably disjoint
 //! access patterns.
+//!
+//! Reached by: `archperf`'s native-kernels `listrank` op (through `listrank::hj`).
 
 use std::marker::PhantomData;
 
@@ -82,16 +84,6 @@ impl<'a, T> SharedSlice<'a, T> {
     {
         debug_assert!(i < self.len);
         *self.ptr.add(i)
-    }
-
-    /// Raw pointer to element `i` (for non-`Copy` elements a caller may
-    /// claim exclusively). Creating the pointer is safe; dereferencing it
-    /// carries the same obligations as [`SharedSlice::write`]/`read`.
-    #[inline]
-    pub fn as_ptr_at(&self, i: usize) -> *mut T {
-        assert!(i < self.len);
-        // Safety of the add: bounds asserted above.
-        unsafe { self.ptr.add(i) }
     }
 }
 

@@ -5,6 +5,8 @@
 //! parallel frontier expands in, the *level* of every vertex — the length
 //! of a shortest edge path from the source — is unique, so `levels` is
 //! the canonical answer all of them must reproduce exactly.
+//!
+//! Reached by: `archperf`'s native-kernels `bfs` op and the `bfs/*` suite cells' oracle.
 
 use std::collections::VecDeque;
 

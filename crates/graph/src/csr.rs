@@ -6,6 +6,8 @@
 //! materialized, using the standard counting-sort construction (two
 //! contiguous passes — cache friendly, matching how the paper's sequential
 //! codes would be written).
+//!
+//! Reached by: the `color/*` and `bfs/*` suite cells.
 
 use crate::edgelist::EdgeList;
 use crate::Node;

@@ -5,6 +5,8 @@
 //! directions — the MTA code (Alg. 3) literally loops `i in 0..2m` over a
 //! doubled arc array. [`EdgeList`] stores each undirected edge once and
 //! provides [`EdgeList::directed_arcs`] to materialize the doubled form.
+//!
+//! Reached by: every graph suite cell (`fig2/*`, `color/*`, `bfs/*`, …).
 
 use crate::Node;
 

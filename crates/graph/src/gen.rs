@@ -6,6 +6,8 @@
 //! ([`random_gnm`]). The related-work comparisons (Krishnamurthy et al.,
 //! Goddard et al.) use regular 2-D and 3-D meshes, which we provide too,
 //! along with the standard structured families used by the test suites.
+//!
+//! Reached by: every graph suite cell (its `G(n, m)` input).
 
 use crate::edgelist::{Edge, EdgeList};
 use crate::rng::Rng;

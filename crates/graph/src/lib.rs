@@ -17,13 +17,11 @@
 //! * [`gen`] — workload generators: the paper's LEDA-style `G(n, m)` random
 //!   graph, meshes and tori (the Krishnamurthy et al. comparison
 //!   topologies), paths, cycles, stars, trees, planted components.
-//! * [`rmat`] — R-MAT recursive-matrix graphs: the skewed-degree inputs
-//!   that stress the paper's load-balancing argument.
-//! * [`io`] — DIMACS edge-format reading/writing (the format of the
-//!   implementation-challenge studies in the paper's related work).
 //! * [`unionfind`] — a rank + path-halving disjoint-set union, which serves
 //!   as the *best sequential* connected-components baseline and the test
 //!   oracle.
+//! * [`bfs`] — the sequential breadth-first level oracle the BFS kernels
+//!   must reproduce.
 
 #![warn(missing_docs)]
 
@@ -31,9 +29,7 @@ pub mod bfs;
 pub mod csr;
 pub mod edgelist;
 pub mod gen;
-pub mod io;
 pub mod list;
-pub mod rmat;
 pub mod rng;
 pub mod unionfind;
 

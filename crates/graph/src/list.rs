@@ -13,6 +13,8 @@
 //! step 1 of both the SMP and MTA algorithms: every slot except the head
 //! appears exactly once as a successor, and the tail contributes `n`, so
 //! `head = n(n−1)/2 + n − Σᵢ next[i]`.
+//!
+//! Reached by: every list suite cell (`fig1/*`, `table1/mta/random/p8`, …).
 
 use crate::rng::Rng;
 use crate::{Node, NIL};

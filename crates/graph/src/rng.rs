@@ -2,9 +2,11 @@
 //!
 //! Every workload in the reproduction is generated from an explicit `u64`
 //! seed, so any figure or test can be replayed bit-for-bit. We implement
-//! SplitMix64 (for seeding and hashing) and xoshiro256\*\* (the workhorse
+//! SplitMix64 (for seeding) and xoshiro256\*\* (the workhorse
 //! generator) rather than depending on `rand`'s unspecified default, which
 //! may change across versions.
+//!
+//! Reached by: every suite cell (its seeded input).
 
 /// SplitMix64 step: advances `state` and returns a well-mixed 64-bit value.
 ///
@@ -16,12 +18,6 @@ pub fn splitmix64(state: &mut u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
     z ^ (z >> 31)
-}
-
-/// Hash a single `u64` through the SplitMix64 finalizer (stateless).
-pub fn mix64(x: u64) -> u64 {
-    let mut s = x;
-    splitmix64(&mut s)
 }
 
 /// xoshiro256\*\* — a small, fast, high-quality PRNG.
@@ -221,12 +217,6 @@ mod tests {
         let mut after = v.clone();
         after.sort_unstable();
         assert_eq!(before, after);
-    }
-
-    #[test]
-    fn mix64_differs_on_neighbors() {
-        assert_ne!(mix64(0), mix64(1));
-        assert_ne!(mix64(u64::MAX), mix64(u64::MAX - 1));
     }
 
     #[test]

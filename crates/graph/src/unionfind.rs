@@ -6,6 +6,8 @@
 //! sequential implementation"; for connected components on an edge list,
 //! that is union-find with union by rank and path compression (effectively
 //! linear: `O(m α(n))`).
+//!
+//! Reached by: `--bin fig2` (`scripts/reproduce_all.sh`) and `archperf`'s native-kernels `concomp` op.
 
 use crate::edgelist::EdgeList;
 use crate::Node;

@@ -15,6 +15,8 @@
 //! Step 3 is [`crate::prefix`]'s one sublist chase, and `sub_of` doubles as
 //! step 2's head marker; that module's header says why the chase pays at
 //! `p = 1` too and why the shared `sub_of` is race-free.
+//!
+//! Reached by: `archperf`'s native-kernels `listrank` op.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Barrier;

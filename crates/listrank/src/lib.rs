@@ -17,8 +17,6 @@
 //!   (`archgraph-mta-sim`): the Fig. 1 (left) pipeline.
 //! * [`wyllie`] — classical pointer-jumping ranking, the Θ(n log n)-work
 //!   baseline the work-efficient algorithms are measured against.
-//! * [`compact`] — the §6 compact-rank-expand technique as a reusable
-//!   (and recursively composable) transform.
 //!
 //! All implementations produce the same answer: `rank[slot]` = number of
 //! predecessors of the element stored in array slot `slot` (head = 0),
@@ -33,7 +31,6 @@
 
 #![warn(missing_docs)]
 
-pub mod compact;
 pub mod hj;
 pub mod mta_style;
 pub mod prefix;

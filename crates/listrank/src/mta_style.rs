@@ -16,6 +16,8 @@
 //! As noted in the crate docs, ranks are head-anchored ascending (the
 //! paper's printed code produces a tail-anchored numbering; the algorithm
 //! is otherwise identical).
+//!
+//! Reached by: `tests/cross_validation.rs`.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 

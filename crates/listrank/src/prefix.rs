@@ -26,6 +26,9 @@
 //! (written before the walks began, never again) or an unclaimed node of
 //! its own sublist (no other walk reaches it, and this walk claims it on
 //! the spot).
+//!
+//! Reached by: `archperf`'s native-kernels `listrank` op (through [`crate::hj`]'s
+//! steps 2 and 3).
 
 use archgraph_core::SharedSlice;
 use archgraph_graph::rng::Rng;

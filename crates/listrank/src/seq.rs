@@ -5,6 +5,8 @@
 //! this walks the array left to right (cache friendly); on a Random list
 //! every step is a dependent random access — the memory behaviour whose
 //! architectural consequences the whole paper is about.
+//!
+//! Reached by: `tests/claims.rs` (the sequential baseline of C1–C6).
 
 use archgraph_graph::{LinkedList, Node};
 

@@ -16,6 +16,8 @@
 //! * `writeback` — re-traverse each walk storing final ranks.
 //!
 //! Ranks are head-anchored ascending (see the crate-level fidelity note).
+//!
+//! Reached by: the `fig1/mta/*` and `table1/mta/{random,ordered}/p8` suite cells.
 
 use archgraph_core::error::SimError;
 use archgraph_core::MtaParams;

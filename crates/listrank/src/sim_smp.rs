@@ -47,6 +47,8 @@
 //! walk — the long pole of the Random cells — was spending them four to a
 //! node. The simulated machine still sees three separate arrays; only the
 //! `ctx` calls speak to it, and their sequence is what it was.
+//!
+//! Reached by: the `fig1/smp/*` suite cells.
 
 use archgraph_core::error::SimError;
 use archgraph_core::machine::SmpParams;

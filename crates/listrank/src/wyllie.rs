@@ -6,6 +6,8 @@
 //! `⌈log₂ n⌉` rounds but performing `Θ(n log n)` total work — the reason
 //! the paper's sublist/walk algorithms exist. Included as the
 //! work-efficiency ablation's baseline (ABL-WORK).
+//!
+//! Reached by: ABL-WORK, the work-efficiency ablation (`tests::round_bound_is_logarithmic`).
 
 use archgraph_graph::{LinkedList, Node};
 use rayon::prelude::*;

@@ -18,6 +18,8 @@
 //! Operand forms: `rN` registers, decimal immediates, `[rN+OFF]` memory
 //! operands (negative offsets allowed), `@label` or `@N` branch targets.
 //! `;` and `#` start comments. Labels are `name:` prefixes on any line.
+//!
+//! Reached by: `archperf`'s `mta-sim.asm` layer probe.
 
 use std::collections::HashMap;
 

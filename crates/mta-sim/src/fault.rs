@@ -40,6 +40,8 @@
 //! blocked set, pcs, addresses, tag states, and the detection cycle (the
 //! issue time of the last stream's first failing attempt) — are
 //! independent of the retry timing.
+//!
+//! Reached by: the suite's MTA fault-plan cells (`bfs/mta/p8+stall`, …).
 
 use archgraph_core::error::{BlockedStream, SimError};
 

@@ -10,6 +10,8 @@
 //! Programs address memory in words. Register 0 is hardwired to zero
 //! (writes to it are discarded), so an absolute address is expressed as
 //! `Reg(0) + offset`.
+//!
+//! Reached by: every MTA suite cell (its program).
 
 /// A register name. Each stream has [`NREGS`] registers; `Reg(0)` reads
 /// as zero.

@@ -65,7 +65,6 @@ pub mod machine;
 pub mod memory;
 pub mod parloop;
 pub mod report;
-pub mod runtime;
 pub(crate) mod wheel;
 pub mod word;
 

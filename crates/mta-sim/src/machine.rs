@@ -36,6 +36,8 @@
 //! the engine generates in global time order across processors. This is a
 //! sequentially-consistent interleaving — exactly the setting the paper's
 //! racy-but-correct SV code (Alg. 3) is designed for.
+//!
+//! Reached by: every MTA suite cell.
 
 use std::cell::Cell;
 

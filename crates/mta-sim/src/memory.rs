@@ -7,6 +7,8 @@
 //! stride hotspots; since the simulator models a uniform-latency memory
 //! with no banks, hashing has no observable effect and is omitted — which
 //! is precisely the paper's point that layout is irrelevant on the MTA.
+//!
+//! Reached by: every MTA suite cell (through [`crate::machine`]).
 
 use archgraph_core::RunConfig;
 

@@ -13,6 +13,8 @@
 //! All helpers emit straight-line code into a [`ProgramBuilder`]; control
 //! falls through after the loop so callers can sequence further work or
 //! `halt`.
+//!
+//! Reached by: every MTA suite cell's kernel loops.
 
 use crate::isa::{ProgramBuilder, Reg, STREAM_ID};
 

@@ -1,4 +1,6 @@
 //! Run reports: cycles, issue counts, and utilization.
+//!
+//! Reached by: every MTA suite cell (its fingerprint).
 
 use crate::isa::{OpClass, N_OP_CLASSES};
 use crate::memory::MemCounters;

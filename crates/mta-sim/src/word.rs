@@ -5,6 +5,8 @@
 //! operations." (§2.2). We model the data and the full/empty bit; the
 //! remaining tag bits (trap, forward) are not exercised by the paper's
 //! codes and are represented for completeness but unused by the engine.
+//!
+//! Reached by: every MTA suite cell (through [`crate::memory`]).
 
 /// One 68-bit MTA memory word (64-bit value + tag bits).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -4,6 +4,8 @@
 //! direct-mapped L1 is the `assoc = 1` special case. The cache tracks only
 //! tags (the simulator never stores data — algorithms run on host memory),
 //! so a 4 MB simulated L2 costs a few hundred kilobytes of host memory.
+//!
+//! Reached by: every SMP suite cell (through [`crate::machine`]).
 
 /// Hit/miss counters for one cache instance.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

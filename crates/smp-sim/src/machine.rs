@@ -8,6 +8,8 @@
 //! bus could carry; and each [`SmpMachine::phase`] ends in one software
 //! barrier whose cost grows with `p` (§2.1: "locks and barriers are
 //! typically implemented in software").
+//!
+//! Reached by: every SMP suite cell.
 
 use crate::cache::Cache;
 use crate::prefetch::Prefetcher;

@@ -9,6 +9,8 @@
 //! line-address streams; once `trigger` consecutive lines of a stream have
 //! missed, subsequent lines of that stream are considered in flight and
 //! cost an L2 hit instead of a memory round trip.
+//!
+//! Reached by: every SMP suite cell (through [`crate::machine`]).
 
 /// State of the per-processor stream prefetcher.
 #[derive(Debug, Clone)]

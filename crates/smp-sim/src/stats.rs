@@ -1,4 +1,6 @@
 //! Aggregated run statistics for the SMP simulator.
+//!
+//! Reached by: every SMP suite cell (its fingerprint).
 
 /// Counters accumulated over a whole simulated run (all processors, all
 /// phases).

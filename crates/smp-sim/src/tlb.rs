@@ -12,6 +12,8 @@
 //! path that has to be cheap on the host: a lookup costs one short hash
 //! chain, and a miss moves no entry. `tests/reference_models.rs` holds the
 //! model to the scan-and-rotate list it replaced, access for access.
+//!
+//! Reached by: every SMP suite cell (through [`crate::machine`]).
 
 /// The page of a slot that has never been filled.
 const EMPTY: u64 = u64::MAX;

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# The gate: format, lint (every target: libs, bins, tests and examples),
+# The gate: format, lint (every target: libs, bins and tests),
 # release build, tier-1 tests, then the frozen benchmark package. Every
 # pinned result (the bench suite's fingerprints, clean and under the chaos
 # fault plans, the daemon serving them byte for byte, the loop and figure

@@ -15,9 +15,9 @@
 //!
 //! * **Deterministic cases.** Case `k` of test `t` is generated from a seed
 //!   derived from `(t, k)`, so every run explores the same inputs — there
-//!   is no persistence protocol. `*.proptest-regressions` files are kept in
-//!   the tree for provenance but are not replayed; known shrunk cases are
-//!   promoted to named `#[test]`s instead (see `tests/properties.rs`).
+//!   is no persistence protocol and no `*.proptest-regressions` file is
+//!   read; known shrunk cases are promoted to named `#[test]`s instead
+//!   (see `tests/properties.rs`).
 //! * **No shrinking.** On failure the full generated input is printed; the
 //!   deterministic seed means the case is reproducible as-is.
 

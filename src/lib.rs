@@ -11,9 +11,9 @@
 //! architecture classes: cache-based symmetric multiprocessors (Sun E4500)
 //! and the latency-tolerant Cray MTA-2 multithreaded architecture. Since
 //! neither machine is available, this workspace builds faithful
-//! cycle-accounting simulators of both, implements every algorithm the
-//! paper describes (plus the baselines it cites), and regenerates every
-//! figure and table of the evaluation.
+//! cycle-accounting simulators of both, implements the algorithms the
+//! paper measures, and regenerates every figure and table of the
+//! evaluation.
 //!
 //! This crate is a facade that re-exports the workspace's public API:
 //!
@@ -28,7 +28,7 @@
 //! * [`coloring`] — speculative greedy graph coloring.
 //! * [`bfs`] — frontier-based breadth-first search.
 //! * [`apps`] — applications built on the primitives:
-//!   Euler tours, rooted-tree analytics, minimum spanning forests.
+//!   Euler tours, minimum spanning forests, biconnected components.
 //!
 //! ## Quick start
 //!

@@ -1,38 +1,11 @@
-//! End-to-end application pipelines across crates: graph → spanning
-//! forest → Euler tour → tree analytics, MSF, and expression contraction,
-//! each against sequential oracles.
+//! The MSF application across crates: Borůvka-over-SV's forest against
+//! Kruskal's weight and against the unweighted SV spanning forest.
 
-use archgraph::apps::euler::Ranker;
-use archgraph::apps::expr::ExprTree;
 use archgraph::apps::msf::{kruskal_weight, minimum_spanning_forest};
-use archgraph::apps::{RootedAnalysis, Tree};
-use archgraph::concomp::spanning::{is_spanning_forest, spanning_forest};
-use archgraph::graph::edgelist::EdgeList;
+use archgraph::concomp::spanning::spanning_forest;
 use archgraph::graph::gen;
 use archgraph::graph::rng::Rng;
 use archgraph::graph::Node;
-
-#[test]
-fn graph_to_rooted_analytics_pipeline() {
-    // Connected random graph -> spanning forest -> tree -> analytics.
-    let n = 4096usize;
-    let g = gen::random_gnm(n, 6 * n, 3); // dense enough to be connected whp
-    let forest = spanning_forest(&g);
-    assert!(is_spanning_forest(&g, &forest));
-    if forest.len() != n - 1 {
-        // Disconnected (astronomically unlikely at 6n edges): nothing
-        // more to assert here.
-        return;
-    }
-    let tree = Tree::new(EdgeList::from_pairs(n, forest.iter().map(|e| (e.u, e.v))))
-        .expect("a full spanning forest of a connected graph is a tree");
-    let analysis = RootedAnalysis::compute(&tree, 0, Ranker::HelmanJaja(4), 4);
-    let oracle = tree.rooted_oracle(0);
-    assert_eq!(analysis.parent, oracle.parent);
-    assert_eq!(analysis.depth, oracle.depth);
-    assert_eq!(analysis.size, oracle.size);
-    assert_eq!(analysis.size[0] as usize, n);
-}
 
 #[test]
 fn msf_beats_arbitrary_forest_weights() {
@@ -56,44 +29,4 @@ fn msf_beats_arbitrary_forest_weights() {
         .map(|e| lookup[&(e.canonical().u, e.canonical().v)])
         .sum();
     assert!(other_weight >= msf_weight);
-}
-
-#[test]
-fn expression_contraction_round_trip() {
-    for (leaves, seed) in [(100usize, 1u64), (2048, 2)] {
-        let t = ExprTree::random(leaves, seed);
-        assert_eq!(t.eval_contraction(4), t.eval_sequential());
-    }
-    let t = ExprTree::caterpillar(1500, 3);
-    assert_eq!(t.eval_contraction(4), t.eval_sequential());
-}
-
-#[test]
-fn rmat_graphs_flow_through_cc_and_msf() {
-    // The skewed generator's output works through the whole stack.
-    let g =
-        archgraph::graph::rmat::rmat(11, 8192, archgraph::graph::rmat::RmatParams::graph500(), 9);
-    let labels = archgraph::concomp::shiloach_vishkin(&g);
-    let oracle = archgraph::graph::unionfind::connected_components(&g);
-    assert!(archgraph::graph::unionfind::same_partition(
-        &labels, &oracle
-    ));
-    let weights: Vec<u32> = (0..g.m() as u32).collect();
-    let msf = minimum_spanning_forest(&g, &weights);
-    let edges: Vec<_> = msf.iter().map(|&i| g.edges[i]).collect();
-    assert!(is_spanning_forest(&g, &edges));
-}
-
-#[test]
-fn dimacs_io_round_trips_workloads() {
-    let g = gen::random_gnm(300, 900, 11);
-    let mut buf = Vec::new();
-    archgraph::graph::io::write_dimacs(&g, &mut buf).unwrap();
-    let back = archgraph::graph::io::read_dimacs(&buf[..]).unwrap();
-    assert_eq!(back, g);
-    // And the parsed graph still computes correctly.
-    assert!(archgraph::graph::unionfind::same_partition(
-        &archgraph::concomp::sv_mta_style(&back),
-        &archgraph::graph::unionfind::connected_components(&g),
-    ));
 }

@@ -3,11 +3,7 @@
 
 use proptest::prelude::*;
 
-use archgraph::concomp::awerbuch_shiloach::awerbuch_shiloach;
-use archgraph::concomp::hybrid::{hybrid_components, HybridConfig};
-use archgraph::concomp::random_mating::random_mating;
 use archgraph::concomp::seq::bfs_components;
-use archgraph::concomp::sv_spmd::sv_spmd;
 use archgraph::concomp::{shiloach_vishkin, sv_mta_style};
 use archgraph::graph::edgelist::EdgeList;
 use archgraph::graph::list::LinkedList;
@@ -43,16 +39,6 @@ proptest! {
         prop_assert_eq!(&helman_jaja(&list, &HjConfig::with_threads(3)), &oracle);
         let cfg = MtaStyleConfig { walks: (list.len() / 7).max(1), threads: 2 };
         prop_assert_eq!(&mta_style_rank(&list, &cfg), &oracle);
-    }
-
-    #[test]
-    fn compaction_ranks_arbitrary_permutations(perm in permutation(500)) {
-        use archgraph::listrank::compact::{rank_by_compaction, rank_by_recursive_compaction};
-        let list = LinkedList::from_permutation(&perm);
-        let oracle = list.rank_oracle();
-        let walks = (list.len() / 5).max(1);
-        prop_assert_eq!(&rank_by_compaction(&list, walks, 3), &oracle);
-        prop_assert_eq!(&rank_by_recursive_compaction(&list, 4, 16, 2), &oracle);
     }
 
     #[test]
@@ -100,13 +86,6 @@ proptest! {
         let oracle = connected_components(&g);
         prop_assert!(same_partition(&shiloach_vishkin(&g), &oracle), "SV Alg.2");
         prop_assert!(same_partition(&sv_mta_style(&g), &oracle), "SV Alg.3");
-        prop_assert!(same_partition(&sv_spmd(&g, 3), &oracle), "SV SPMD");
-        prop_assert!(same_partition(&awerbuch_shiloach(&g), &oracle), "AS");
-        prop_assert!(same_partition(&random_mating(&g, 5), &oracle), "mating");
-        prop_assert!(
-            same_partition(&hybrid_components(&g, &HybridConfig::default()), &oracle),
-            "hybrid"
-        );
         prop_assert!(same_partition(&bfs_components(&g), &oracle), "BFS");
     }
 
@@ -139,9 +118,9 @@ proptest! {
 }
 
 /// The shrunk counterexample proptest once found for
-/// `all_cc_algorithms_match_dsu_on_multigraphs` (84 nodes, 120 edges; see
-/// `properties.proptest-regressions`), pinned as a named test so it is
-/// exercised on every run even if the regressions file is wiped.
+/// `all_cc_algorithms_match_dsu_on_multigraphs` (84 nodes, 120 edges),
+/// pinned as a named test: the proptest shim keeps no regressions file,
+/// so this is the only place the case is replayed.
 #[test]
 fn cc_regression_84_nodes_120_edges() {
     let pairs: Vec<(Node, Node)> = vec![
@@ -270,12 +249,5 @@ fn cc_regression_84_nodes_120_edges() {
     let oracle = connected_components(&g);
     assert!(same_partition(&shiloach_vishkin(&g), &oracle), "SV Alg.2");
     assert!(same_partition(&sv_mta_style(&g), &oracle), "SV Alg.3");
-    assert!(same_partition(&sv_spmd(&g, 3), &oracle), "SV SPMD");
-    assert!(same_partition(&awerbuch_shiloach(&g), &oracle), "AS");
-    assert!(same_partition(&random_mating(&g, 5), &oracle), "mating");
-    assert!(
-        same_partition(&hybrid_components(&g, &HybridConfig::default()), &oracle),
-        "hybrid"
-    );
     assert!(same_partition(&bfs_components(&g), &oracle), "BFS");
 }
