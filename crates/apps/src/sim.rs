@@ -13,6 +13,7 @@
 use archgraph_core::error::SimError;
 use archgraph_core::machine::{MtaParams, SmpParams};
 use archgraph_graph::Node;
+use archgraph_listrank::sim_mta::{self, WalkSchedule};
 use archgraph_mta_sim::report::RunReport;
 use archgraph_smp_sim::stats::RunStats;
 
@@ -55,12 +56,13 @@ pub fn try_simulate_euler_mta(
 ) -> Result<EulerMtaSim, SimError> {
     let s = tour_structure(tree, root);
     let list = s.list.expect("simulated tour ranking needs >= 1 edge");
-    let r = archgraph_listrank::sim_mta::try_simulate_walk_ranking(
+    let r = sim_mta::try_simulate_walk_ranking(
         &list,
         params,
         p,
         streams_per_proc,
         walks,
+        WalkSchedule::Dynamic,
     )?;
     Ok(EulerMtaSim {
         tour: EulerTour {

@@ -82,10 +82,17 @@ mod tests {
 
     #[test]
     fn sim_runner_isolates_watchdog_trips() {
-        let mut spec = small_color();
-        spec.max_cycles = Some(10);
-        let err = sim_runner()(&spec).expect_err("10 cycles can never finish");
-        assert!(err.contains("cycle budget exceeded"), "{err}");
+        // `queue::run_cell` tells a tripped cycle quota from any other
+        // failure by this substring, so every simulated cell's panicking
+        // shim must carry the watchdog's text through.
+        for (name, mut spec) in archgraph_bench::bench_suite() {
+            if spec.machine == MachineKind::Native {
+                continue;
+            }
+            spec.max_cycles = Some(10);
+            let err = sim_runner()(&spec).expect_err("10 cycles can never finish");
+            assert!(err.contains("cycle budget exceeded"), "{name}: {err}");
+        }
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //!
 //! # The state machine
 //!
-//! Everything the scheduler decides is a value, [`Sched`], that changes
+//! Everything the scheduler decides is a value, `Sched`, that changes
 //! only through four transitions. None touches a thread, the condvar, the
 //! cache, the disk or the clock, so a test drives them on a bare value
 //! against a model (`transitions_match_the_model`).
@@ -35,7 +35,7 @@
 //! never across the cache (`lookup`, `record` and `usage` are disk I/O),
 //! never across `CellSpec::display_name` (it scans the bench suite),
 //! never across a run. A miss costs two lock trips, `pull` and `settle`:
-//! `pull` hands the worker a copy of the job's [`Budget`], so the gate
+//! `pull` hands the worker a copy of the job's `Budget`, so the gate
 //! needs no third. A hit costs none of its own: it settles inside the
 //! job's `admit`. With the cache on, a cell's key is hashed once, at
 //! admission, and serves the probe, the worker's second look, the record
@@ -45,7 +45,7 @@
 //!
 //! A job may carry a cycle quota (`budget_cycles`), a host wall-clock cap
 //! (`budget_host_ms`, its clock started at admission), or both: one
-//! [`Budget`], and one verdict per cache miss, [`Budget::gate`]. Hits are
+//! `Budget`, and one verdict per cache miss, `Budget::gate`. Hits are
 //! answered at admission and are free, so a budget of 0 means "serve from
 //! cache only". The gate checks the host clock, then the quota, and clamps the
 //! cell's `max_cycles` to `min(own, remaining)` so that the engines' own

@@ -11,7 +11,7 @@
 //! No timer sits on the serving path. The listener is non-blocking and
 //! the accept loop parks in a readiness wait — `poll(2)` on the listener
 //! descriptor — so a connection is accepted when it arrives. The wait is
-//! bounded by [`POLL`] only so that a `stop` flag stored by an in-process
+//! bounded by `POLL` only so that a `stop` flag stored by an in-process
 //! owner (no socket traffic) is still noticed; a `shutdown` op from any
 //! client sets the same flag, and a SIGTERM/SIGINT flagged by the shared
 //! [`archgraph_bench::signals`] handler interrupts the wait (`EINTR`) and
@@ -26,12 +26,12 @@
 //! answers with a structured error and keeps the connection, and a
 //! connection whose handler thread cannot be started is answered `server
 //! busy` rather than dropped. Input is bounded before it is buffered: a
-//! line longer than [`MAX_LINE`] (the bearer-token line included, which is
+//! line longer than `MAX_LINE` (the bearer-token line included, which is
 //! read before any authentication) answers one error and closes, since
 //! nothing cheap finds the next request in an endless line. Replies go
-//! through one buffered writer flushed per protocol line ([`reply`]), so a
+//! through one buffered writer flushed per protocol line (`reply`), so a
 //! line is one `write(2)`, except that a job's lines already waiting are
-//! flushed together ([`stream_events`]): a burst, `accepted` included when
+//! flushed together (`stream_events`): a burst, `accepted` included when
 //! results wait behind it, is one `write(2)` per 8 KiB buffer-full.
 //! Handler threads are detached — they die with the process after the
 //! drain, and a client mid-`submit` whose stream ends simply resubmits

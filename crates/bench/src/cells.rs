@@ -723,7 +723,7 @@ mod tests {
     }
 
     #[test]
-    fn degradation_cells_perturb_results_and_stay_engine_invariant() {
+    fn degradation_plan_costs_cycles_over_its_clean_twin() {
         // A small off-suite variant keeps this fast. The faulted spec
         // must cost cycles over its clean twin (the plan is real).
         // Note the speculative color kernel's *work* may legitimately

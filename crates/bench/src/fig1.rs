@@ -17,7 +17,8 @@ use crate::scale::Scale;
 use crate::sweep::{run_panel, PanelCell, PanelSweep};
 use crate::workloads::{make_list, ListKind};
 
-/// Streams per processor the paper's code requests (`use 100 streams`).
+/// Streams per processor the paper's code requests (`use 100 streams`),
+/// for every simulated-MTA cell: Fig. 1, Fig. 2 and the kernel ladder.
 pub const MTA_STREAMS: usize = 100;
 
 /// Seed for the Random list layout.

@@ -14,12 +14,10 @@ use archgraph_core::machine::{MtaParams, SmpParams};
 use archgraph_graph::unionfind::{connected_components, same_partition};
 
 use crate::cells::{CellSpec, Kernel, MachineKind};
+use crate::fig1::MTA_STREAMS;
 use crate::scale::Scale;
 use crate::sweep::{run_panel, PanelCell, PanelSweep};
 use crate::workloads::make_graph;
-
-/// Streams per processor for the CC kernel.
-pub const MTA_STREAMS: usize = 100;
 
 /// Seed for the random graphs.
 pub const GRAPH_SEED: u64 = 0xF162;

@@ -45,11 +45,6 @@ pub fn config_error(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-/// [`require_first`] for `main` paths: diagnostic + exit 2 on empty.
-pub fn first_or_exit<'a, T>(items: &'a [T], what: &str) -> &'a T {
-    require_first(items, what).unwrap_or_else(|e| config_error(&e))
-}
-
 /// [`require_last`] for `main` paths: diagnostic + exit 2 on empty.
 pub fn last_or_exit<'a, T>(items: &'a [T], what: &str) -> &'a T {
     require_last(items, what).unwrap_or_else(|e| config_error(&e))

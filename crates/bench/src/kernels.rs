@@ -33,11 +33,8 @@ use archgraph_mta_sim::machine::MtaMachine;
 use archgraph_mta_sim::parloop::{dynamic_loop_grained_mem, LoopRegs};
 use archgraph_mta_sim::report::{combine, RunReport};
 
+use crate::fig1::MTA_STREAMS;
 use crate::workloads::make_graph;
-
-/// Streams per processor for the kernel-ladder MTA cells (the paper's
-/// `use 100 streams` convention, shared with fig1/fig2).
-pub const MTA_STREAMS: usize = 100;
 
 /// Seed for the cells' random graphs.
 pub const GRAPH_SEED: u64 = 0xC010;
@@ -234,7 +231,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn coloring_cells_are_proper_and_engine_invariant() {
+    fn coloring_cells_are_proper() {
         let csr = Csr::from_edge_list(&make_graph(128, 384, GRAPH_SEED));
         let mta = color_mta_cell(2, 128, 384);
         validate_coloring(&csr, &mta.colors).expect("MTA cell colors proper");
@@ -258,7 +255,7 @@ mod tests {
     }
 
     #[test]
-    fn sync_cell_is_engine_invariant() {
+    fn sync_cell_goes_through_the_tags() {
         // The cell checks its accumulators against the host itself.
         let r = sync_mta_cell(2, 128, 384);
         assert!(r.checksum > 0);

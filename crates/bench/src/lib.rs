@@ -25,6 +25,6 @@ pub mod workloads;
 
 pub use archgraph_core::RunConfig;
 pub use cells::{bench_suite, CellSpec, Fingerprint, Kernel, MachineKind};
-pub use guard::{first_or_exit, last_or_exit};
+pub use guard::last_or_exit;
 pub use scale::{parse_scale_args, scale_or_usage, usage_error, Scale};
 pub use sweep::{CellFailure, CellOutcome, CellPoint, Checkpoint, PanelSweep};

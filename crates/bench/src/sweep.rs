@@ -416,7 +416,7 @@ impl Checkpoint {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckpointEntry {
     /// Sanitized file name — for content-addressed consumers (the daemon
-    /// cache) this is the cache key itself, which [`Checkpoint::path`]
+    /// cache) this is the cache key itself, which `Checkpoint::path`
     /// sanitizes to itself.
     pub name: String,
     /// Payload size in bytes.

@@ -65,23 +65,13 @@ pub fn simulate_bfs_mta(
     p: usize,
     streams_per_proc: usize,
 ) -> BfsMtaSimResult {
-    try_simulate_bfs_mta(g, src, params, p, streams_per_proc)
+    try_simulate_bfs_mta(g, src, params, p, streams_per_proc, BfsSchedule::Dynamic)
         .unwrap_or_else(|e| panic!("simulate_bfs_mta: {e}"))
 }
 
-/// [`simulate_bfs_mta`] returning structured failures.
+/// [`simulate_bfs_mta`] with an explicit frontier schedule, returning
+/// structured failures.
 pub fn try_simulate_bfs_mta(
-    g: &EdgeList,
-    src: Node,
-    params: &MtaParams,
-    p: usize,
-    streams_per_proc: usize,
-) -> Result<BfsMtaSimResult, SimError> {
-    try_simulate_bfs_mta_scheduled(g, src, params, p, streams_per_proc, BfsSchedule::Dynamic)
-}
-
-/// [`try_simulate_bfs_mta`] with an explicit frontier schedule.
-pub fn try_simulate_bfs_mta_scheduled(
     g: &EdgeList,
     src: Node,
     params: &MtaParams,
@@ -292,10 +282,10 @@ mod tests {
         // int_fetch_add schedule spreads them.
         let el = skewed_two_level(128, 16, 32);
         let csr = Csr::from_edge_list(&el);
-        let dynamic = try_simulate_bfs_mta_scheduled(&el, 0, &tiny(), 1, 8, BfsSchedule::Dynamic)
-            .expect("clean run");
-        let block = try_simulate_bfs_mta_scheduled(&el, 0, &tiny(), 1, 8, BfsSchedule::Block)
-            .expect("clean run");
+        let dynamic =
+            try_simulate_bfs_mta(&el, 0, &tiny(), 1, 8, BfsSchedule::Dynamic).expect("clean run");
+        let block =
+            try_simulate_bfs_mta(&el, 0, &tiny(), 1, 8, BfsSchedule::Block).expect("clean run");
         assert_eq!(dynamic.levels, block.levels);
         assert_eq!(dynamic.levels, bfs_levels(&csr, 0));
         assert!(

@@ -49,7 +49,7 @@ pub struct CcMtaSimResult {
 /// Grain for the flat parallel loops.
 const GRAIN: i64 = 16;
 
-/// Options for [`try_simulate_sv_mta_cfg`].
+/// Options for [`try_simulate_sv_mta`].
 #[derive(Debug, Clone, Default)]
 pub struct SvMtaConfig {
     /// Use `readff` (read-when-full) for the root-check reads. On clean
@@ -58,34 +58,24 @@ pub struct SvMtaConfig {
     pub guarded: bool,
 }
 
-/// Simulate Alg. 3 on `p` processors × `streams_per_proc` streams,
-/// panicking on simulation failure (legacy entry point).
+/// Simulate Alg. 3 on `p` processors × `streams_per_proc` streams with
+/// plain root-check loads, panicking on simulation failure.
 pub fn simulate_sv_mta(
     g: &EdgeList,
     params: &MtaParams,
     p: usize,
     streams_per_proc: usize,
 ) -> CcMtaSimResult {
-    try_simulate_sv_mta(g, params, p, streams_per_proc)
+    try_simulate_sv_mta(g, params, p, streams_per_proc, &SvMtaConfig::default())
         .unwrap_or_else(|e| panic!("simulate_sv_mta: {e}"))
 }
 
-/// [`simulate_sv_mta`] returning structured failures: a deadlocked or
-/// over-budget simulation surfaces [`SimError`] with per-stream
-/// diagnostics instead of panicking.
-pub fn try_simulate_sv_mta(
-    g: &EdgeList,
-    params: &MtaParams,
-    p: usize,
-    streams_per_proc: usize,
-) -> Result<CcMtaSimResult, SimError> {
-    try_simulate_sv_mta_cfg(g, params, p, streams_per_proc, &SvMtaConfig::default())
-}
-
-/// [`try_simulate_sv_mta`] with explicit [`SvMtaConfig`] (tag-guarded
-/// loads). The fault plan and cycle budget are the run scope's
+/// [`simulate_sv_mta`] with explicit [`SvMtaConfig`] (tag-guarded
+/// loads), returning structured failures: a deadlocked or over-budget
+/// simulation surfaces [`SimError`] with per-stream diagnostics instead
+/// of panicking. The fault plan and cycle budget are the run scope's
 /// (`archgraph_core::RunConfig`).
-pub fn try_simulate_sv_mta_cfg(
+pub fn try_simulate_sv_mta(
     g: &EdgeList,
     params: &MtaParams,
     p: usize,
@@ -279,8 +269,9 @@ mod tests {
         // readff always succeeds on first attempt: labels and iteration
         // counts must match the plain-load program exactly.
         let g = gen::random_gnm(300, 900, 11);
-        let plain = try_simulate_sv_mta(&g, &tiny(), 2, 8).expect("clean run");
-        let guarded = try_simulate_sv_mta_cfg(&g, &tiny(), 2, 8, &SvMtaConfig { guarded: true })
+        let plain =
+            try_simulate_sv_mta(&g, &tiny(), 2, 8, &SvMtaConfig::default()).expect("clean run");
+        let guarded = try_simulate_sv_mta(&g, &tiny(), 2, 8, &SvMtaConfig { guarded: true })
             .expect("guarded run on clean memory must succeed");
         assert_eq!(plain.labels, guarded.labels);
         assert_eq!(plain.iterations, guarded.iterations);
@@ -298,7 +289,7 @@ mod tests {
         };
         let cfg = SvMtaConfig { guarded: true };
         let err = run
-            .scope(|| try_simulate_sv_mta_cfg(&g, &tiny(), 1, 8, &cfg))
+            .scope(|| try_simulate_sv_mta(&g, &tiny(), 1, 8, &cfg))
             .expect_err("every readff parks forever under stuck-empty");
         match err {
             SimError::Deadlock { cycle, blocked } => {

@@ -75,7 +75,7 @@ fn livelock_error(bound: usize, iters: usize) -> SimError {
 /// parent array `D` flattened to rooted stars (`D[v] == D[D[v]]`).
 /// Panics with the structured-error text if the run blows its `O(log n)`
 /// iteration bound (a livelock is a bug); [`try_shiloach_vishkin`]
-/// returns the error instead.
+/// takes the bound and returns the error instead.
 ///
 /// # Examples
 /// ```
@@ -91,20 +91,16 @@ fn livelock_error(bound: usize, iters: usize) -> SimError {
 /// ));
 /// ```
 pub fn shiloach_vishkin(g: &EdgeList) -> Vec<Node> {
-    try_shiloach_vishkin(g).unwrap_or_else(|e| panic!("shiloach-vishkin livelocked: {e}"))
+    try_shiloach_vishkin(g, iteration_bound(g.n))
+        .unwrap_or_else(|e| panic!("shiloach-vishkin livelocked: {e}"))
 }
 
-/// [`shiloach_vishkin`] under its `O(log n)` iteration watchdog,
-/// returning [`SimError::CycleBudgetExceeded`] instead of panicking.
-pub fn try_shiloach_vishkin(g: &EdgeList) -> Result<Vec<Node>, SimError> {
-    try_shiloach_vishkin_bounded(g, iteration_bound(g.n))
-}
-
-/// [`try_shiloach_vishkin`] with an explicit iteration budget. The public
-/// entry points pass [`iteration_bound`]; tests pass deliberately tiny
-/// budgets to pin the livelock-detection path without needing a genuinely
-/// non-terminating input.
-pub fn try_shiloach_vishkin_bounded(g: &EdgeList, bound: usize) -> Result<Vec<Node>, SimError> {
+/// [`shiloach_vishkin`] under an explicit iteration budget, returning
+/// [`SimError::CycleBudgetExceeded`] instead of panicking once it is
+/// spent. [`shiloach_vishkin`] passes [`iteration_bound`]; tests pass
+/// deliberately tiny budgets to pin the livelock-detection path without
+/// needing a genuinely non-terminating input.
+pub fn try_shiloach_vishkin(g: &EdgeList, bound: usize) -> Result<Vec<Node>, SimError> {
     let n = g.n;
     let d: Vec<AtomicU32> = (0..n as Node).map(AtomicU32::new).collect();
     // The arcs still able to graft: all of `g.edges` in iteration 1, then
@@ -196,13 +192,9 @@ pub fn try_shiloach_vishkin_bounded(g: &EdgeList, bound: usize) -> Result<Vec<No
 /// to the minimum label (the deterministic refinement of arbitrary-CRCW).
 /// This is the metric in which the paper's "one iteration for the best
 /// labeling, up to log n for an arbitrary one" sensitivity statement
-/// lives. Returns `(labels, rounds)`.
+/// lives. Returns `(labels, rounds)`; panics, as [`shiloach_vishkin`]
+/// does, past [`iteration_bound`].
 pub fn shiloach_vishkin_iters(g: &EdgeList) -> (Vec<Node>, usize) {
-    try_shiloach_vishkin_iters(g).unwrap_or_else(|e| panic!("shiloach-vishkin livelocked: {e}"))
-}
-
-/// [`shiloach_vishkin_iters`] under the iteration watchdog.
-pub fn try_shiloach_vishkin_iters(g: &EdgeList) -> Result<(Vec<Node>, usize), SimError> {
     let n = g.n;
     let mut d: Vec<Node> = (0..n as Node).collect();
     let bound = iteration_bound(n);
@@ -210,7 +202,8 @@ pub fn try_shiloach_vishkin_iters(g: &EdgeList) -> Result<(Vec<Node>, usize), Si
     loop {
         iters += 1;
         if iters > bound {
-            return Err(livelock_error(bound, iters));
+            let e = livelock_error(bound, iters);
+            panic!("shiloach-vishkin livelocked: {e}");
         }
         let snapshot = d.clone();
         let mut grafted = false;
@@ -249,7 +242,7 @@ pub fn try_shiloach_vishkin_iters(g: &EdgeList) -> Result<(Vec<Node>, usize), Si
             d[v] = before[before[v] as usize];
         }
     }
-    Ok((d, iters))
+    (d, iters)
 }
 
 #[cfg(test)]
@@ -315,11 +308,11 @@ mod tests {
         check(&g);
         // Loops and parallel copies share a root after iteration 1's
         // jump, so the filter drops them all and iteration 2 is the exit.
-        assert!(try_shiloach_vishkin_bounded(&g, 1).is_err());
-        assert!(try_shiloach_vishkin_bounded(&g, 2).is_ok());
+        assert!(try_shiloach_vishkin(&g, 1).is_err());
+        assert!(try_shiloach_vishkin(&g, 2).is_ok());
         let loops = EdgeList::from_pairs(3, [(0, 0), (1, 1), (2, 2), (1, 1)]);
         check(&loops);
-        assert!(try_shiloach_vishkin_bounded(&loops, 1).is_ok());
+        assert!(try_shiloach_vishkin(&loops, 1).is_ok());
     }
 
     #[test]
@@ -332,20 +325,20 @@ mod tests {
             EdgeList::from_pairs(2, [(1, 0)]),
             gen::star(64),
         ] {
-            let err = try_shiloach_vishkin_bounded(&g, 1).unwrap_err();
+            let err = try_shiloach_vishkin(&g, 1).unwrap_err();
             assert!(matches!(
                 err,
                 SimError::CycleBudgetExceeded { spent: 2, .. }
             ));
             check(&g);
             assert_eq!(
-                try_shiloach_vishkin_bounded(&g, 2).unwrap(),
+                try_shiloach_vishkin(&g, 2).unwrap(),
                 connected_components(&g)
             );
         }
         // An empty graph is all stars from the start: one iteration.
-        assert!(try_shiloach_vishkin_bounded(&EdgeList::empty(7), 1).is_ok());
-        assert!(try_shiloach_vishkin_bounded(&EdgeList::empty(0), 1).is_ok());
+        assert!(try_shiloach_vishkin(&EdgeList::empty(7), 1).is_ok());
+        assert!(try_shiloach_vishkin(&EdgeList::empty(0), 1).is_ok());
     }
 
     #[test]
@@ -415,7 +408,7 @@ mod tests {
         // ("SV exceeded its O(log n) iteration bound"); now the caller
         // gets the same structured error the simulators' watchdogs emit.
         let g = gen::path(1024);
-        let err = try_shiloach_vishkin_bounded(&g, 1).unwrap_err();
+        let err = try_shiloach_vishkin(&g, 1).unwrap_err();
         match err {
             archgraph_core::SimError::CycleBudgetExceeded {
                 budget,
@@ -429,6 +422,6 @@ mod tests {
             other => panic!("expected a budget error, got {other}"),
         }
         // The same input under the real bound completes fine.
-        assert!(try_shiloach_vishkin(&g).is_ok());
+        assert!(try_shiloach_vishkin(&g, iteration_bound(g.n)).is_ok());
     }
 }

@@ -17,10 +17,14 @@
 //!   ([`crate::run::RunConfig`]); the default is generous enough that no
 //!   legitimate paper-scale experiment comes near it.
 //!
-//! The legacy panicking entry points (`MtaMachine::run`, `SmpMachine::phase`,
-//! `shiloach_vishkin`) delegate to the `try_` forms and panic with the
-//! error's `Display` text, so existing kernels keep their signatures and a
-//! failure inside a sweep cell surfaces as a structured, catchable panic.
+//! The rule for entry points: each kernel has one `try_` entry that takes
+//! every option (a schedule, a config, an iteration bound); the panicking
+//! forms are the defaults the frozen benchmark tree names
+//! (`simulate_walk_ranking`, `simulate_sv_mta`, `shiloach_vishkin`,
+//! `SmpMachine::phase`, …). Each delegates to its `try_` form and panics
+//! with the error's `Display` text, so a failure inside a sweep cell
+//! surfaces as a structured, catchable panic — and the daemon recognises a
+//! tripped cycle quota by that text (`cycle budget exceeded`).
 //!
 //! Reached by: every simulated suite cell (the watchdog and deadlock errors).
 

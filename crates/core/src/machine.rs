@@ -147,10 +147,6 @@ pub struct MtaParams {
     pub lookahead: usize,
     /// Memory latency in cycles (paper: about 100).
     pub mem_latency: u64,
-    /// Network capacity: words deliverable per processor per cycle.
-    pub words_per_proc_per_cycle: f64,
-    /// Cycles consumed by an `int_fetch_add` (paper: one).
-    pub fetch_add_cycles: u64,
     /// Retry interval, in cycles, for a blocked synchronous (full/empty)
     /// memory operation.
     pub sync_retry_cycles: u64,
@@ -167,8 +163,6 @@ impl MtaParams {
             streams_per_processor: 128,
             lookahead: 8,
             mem_latency: 100,
-            words_per_proc_per_cycle: 1.0,
-            fetch_add_cycles: 1,
             sync_retry_cycles: 16,
             issue_lookahead_instrs: 2.5,
         }
@@ -182,8 +176,6 @@ impl MtaParams {
             streams_per_processor: 8,
             lookahead: 2,
             mem_latency: 10,
-            words_per_proc_per_cycle: 1.0,
-            fetch_add_cycles: 1,
             sync_retry_cycles: 4,
             issue_lookahead_instrs: 2.0,
         }
@@ -224,7 +216,6 @@ mod tests {
         assert_eq!(p.streams_per_processor, 128);
         assert_eq!(p.lookahead, 8);
         assert_eq!(p.mem_latency, 100);
-        assert_eq!(p.fetch_add_cycles, 1);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Sequential breadth-first level oracle.
+//! Sequential breadth-first oracles.
 //!
 //! The frontier-based BFS kernels (native, simulated SMP, simulated MTA)
 //! are validated against this queue-based traversal: whatever order a
@@ -6,11 +6,16 @@
 //! of a shortest edge path from the source — is unique, so `levels` is
 //! the canonical answer all of them must reproduce exactly.
 //!
+//! [`bfs_components`] runs the same traversal from every unvisited vertex:
+//! the traversal-based connected-components oracle, beside union-find, that
+//! the Shiloach–Vishkin property tests check against.
+//!
 //! Reached by: `archperf`'s native-kernels `bfs` op and the `bfs/*` suite cells' oracle.
 
 use std::collections::VecDeque;
 
 use crate::csr::Csr;
+use crate::edgelist::EdgeList;
 use crate::{Node, NIL};
 
 /// Breadth-first levels from `src`: `levels[v]` is the shortest-path edge
@@ -46,10 +51,40 @@ pub fn level_count(levels: &[Node]) -> usize {
         .unwrap_or(0)
 }
 
+/// Connected components by BFS over a CSR adjacency; returns min-vertex
+/// canonical labels.
+pub fn bfs_components(g: &EdgeList) -> Vec<Node> {
+    let csr = Csr::from_edge_list(g);
+    let n = g.n;
+    let mut label = vec![Node::MAX; n];
+    let mut queue: Vec<Node> = Vec::new();
+    for start in 0..n as Node {
+        if label[start as usize] != Node::MAX {
+            continue;
+        }
+        label[start as usize] = start;
+        queue.clear();
+        queue.push(start);
+        let mut qi = 0;
+        while qi < queue.len() {
+            let v = queue[qi];
+            qi += 1;
+            for &w in csr.neighbors(v) {
+                if label[w as usize] == Node::MAX {
+                    label[w as usize] = start;
+                    queue.push(w);
+                }
+            }
+        }
+    }
+    label
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gen;
+    use crate::unionfind::{connected_components, same_partition};
 
     #[test]
     fn path_levels_are_positions() {
@@ -111,5 +146,45 @@ mod tests {
         // Opposite corner of a 6x6 torus is 3+3 hops away.
         assert_eq!(l[3 * 6 + 3], 6);
         assert_eq!(level_count(&l), 7);
+    }
+
+    #[test]
+    fn bfs_matches_unionfind_on_random_graphs() {
+        for seed in 0..5u64 {
+            let g = gen::random_gnm(400, 350, seed);
+            assert!(same_partition(
+                &bfs_components(&g),
+                &connected_components(&g)
+            ));
+        }
+    }
+
+    #[test]
+    fn bfs_labels_are_min_vertex() {
+        let g = gen::planted_components(3, 5, 1, 2);
+        let labels = bfs_components(&g);
+        assert_eq!(labels[0], 0);
+        assert_eq!(labels[5], 5);
+        assert_eq!(labels[10], 10);
+    }
+
+    #[test]
+    fn bfs_on_empty_and_edgeless() {
+        assert!(bfs_components(&EdgeList::empty(0)).is_empty());
+        let labels = bfs_components(&EdgeList::empty(4));
+        assert_eq!(labels, vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn bfs_single_component_structures() {
+        for g in [
+            gen::path(50),
+            gen::cycle(50),
+            gen::star(50),
+            gen::mesh2d(5, 10),
+        ] {
+            let labels = bfs_components(&g);
+            assert!(labels.iter().all(|&l| l == 0), "one component");
+        }
     }
 }

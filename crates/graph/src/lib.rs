@@ -21,7 +21,7 @@
 //!   as the *best sequential* connected-components baseline and the test
 //!   oracle.
 //! * [`bfs`] — the sequential breadth-first level oracle the BFS kernels
-//!   must reproduce.
+//!   must reproduce, and the BFS connected-components oracle.
 
 #![warn(missing_docs)]
 

@@ -12,19 +12,33 @@
 //! 4. Prefix-sum the sublist summary records in chain order.
 //! 5. Add each node's sublist offset to its local rank (contiguous pass).
 //!
-//! Step 3 is [`crate::prefix`]'s one sublist chase, and `sub_of` doubles as
-//! step 2's head marker; that module's header says why the chase pays at
-//! `p = 1` too and why the shared `sub_of` is race-free.
+//! Step 3 advances every sublist of a worker together, one node of each a
+//! round: a Random list's successor is a cache miss whose address comes
+//! out of the node before, so one walk keeps one miss in flight, while the
+//! `s = 8p` sublists are independent chains whose misses the host
+//! overlaps. That is why the decomposition pays even at `p = 1`. The
+//! chase (`advance_sublists` and `follow`) and the head choice are
+//! `pub(crate)`: [`crate::sim_smp`]'s host half runs the same chase.
 //!
-//! Reached by: `archperf`'s native-kernels `listrank` op.
+//! `sub_of[slot]` (the sublist `slot` belongs to) starts at `NIL` and
+//! doubles as the head marker: step 2 writes every head's index before any
+//! walk starts, and a walk claims its successor by writing the `sub_of`
+//! entry it has just found `NIL`. This is free of data races: a walk reads
+//! `sub_of[nx]` only for its own successor `nx`, which is either a head
+//! (written before the walks began, never again) or an unclaimed node of
+//! its own sublist (no other walk reaches it, and this walk claims it on
+//! the spot).
+//!
+//! Reached by: `archperf`'s native-kernels `listrank` op, and the
+//! `fig1/smp/*` suite cells through [`crate::sim_smp`] (steps 2 and 3).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Barrier;
 
 use archgraph_core::SharedSlice;
+use archgraph_graph::rng::Rng;
 use archgraph_graph::{LinkedList, Node, NIL};
 
-use crate::prefix::{advance_sublists, choose_sublist_heads, follow, on_workers};
 use crate::seq::sequential_rank;
 
 /// Configuration for [`helman_jaja`].
@@ -126,7 +140,7 @@ pub fn helman_jaja(list: &LinkedList, cfg: &HjConfig) -> Vec<Node> {
             advance_sublists(&heads, t, p, 0 as Node, |i, j, r| {
                 // Safety: sublists partition the list, so slot `j` and the
                 // summaries of sublist `i` are this walk's alone; `follow`'s
-                // contract is `prefix`'s header argument.
+                // contract is the module header's argument.
                 unsafe {
                     rank_sh.write(j, *r);
                     *r += 1;
@@ -176,10 +190,138 @@ pub fn helman_jaja(list: &LinkedList, cfg: &HjConfig) -> Vec<Node> {
     rank
 }
 
+/// Run `work(t)` for every worker `t` in `0..p`, returning when all have:
+/// worker 0 on the calling thread and the other `p − 1` spawned, so `p = 1`
+/// spawns nothing.
+pub(crate) fn on_workers(p: usize, work: impl Fn(usize) + Sync) {
+    let work = &work;
+    std::thread::scope(|scope| {
+        for t in 1..p {
+            scope.spawn(move || work(t));
+        }
+        work(0);
+    });
+}
+
+/// Step 3 for worker `t` of `p`: walk sublists `t, t + p, …` of `heads`
+/// together, one node of every live sublist a round, until all have ended.
+///
+/// Each sublist starts at its head with `state = start`. `visit(sub, slot,
+/// state)` does sublist `sub`'s work at `slot` and returns the slot to
+/// visit next, or `None` where the sublist ends (recording its summary
+/// itself). Which sublist a round takes first changes nothing, so one that
+/// ends is `swap_remove`d (`retain` would copy every survivor down, every
+/// round, once the first has ended).
+pub(crate) fn advance_sublists<S: Copy>(
+    heads: &[Node],
+    t: usize,
+    p: usize,
+    start: S,
+    mut visit: impl FnMut(usize, usize, &mut S) -> Option<Node>,
+) {
+    /// A sublist still being walked: its index, the slot it has reached
+    /// and what its walk carries.
+    struct Chain<S> {
+        sub: Node,
+        at: Node,
+        state: S,
+    }
+    let mut live: Vec<Chain<S>> = (t..heads.len())
+        .step_by(p)
+        .map(|sub| Chain {
+            sub: sub as Node,
+            at: heads[sub],
+            state: start,
+        })
+        .collect();
+    while !live.is_empty() {
+        let mut k = 0;
+        while k < live.len() {
+            let c = &mut live[k];
+            match visit(c.sub as usize, c.at as usize, &mut c.state) {
+                Some(at) => {
+                    c.at = at;
+                    k += 1;
+                }
+                None => {
+                    live.swap_remove(k);
+                }
+            }
+        }
+    }
+}
+
+/// Where sublist `sub`'s walk goes after slot `j`: `Ok(successor)`, which
+/// it claims by writing the successor's `sub_of`, or, where the sublist
+/// ends, `Err` of the sublist that starts at the successor (`NIL` after
+/// the list's tail).
+///
+/// # Safety
+/// `sub_of` has one entry per slot of `next` and is the module header's:
+/// `NIL` but at the heads, which were written before any walk began and
+/// hold their sublist's index, or at slots already claimed. `j` is a slot
+/// of sublist `sub` that this walk has claimed, and no other thread runs
+/// sublist `sub`.
+pub(crate) unsafe fn follow(
+    next: &[Node],
+    sub_of: SharedSlice<Node>,
+    sub: usize,
+    j: usize,
+) -> Result<Node, Node> {
+    let nx = next[j];
+    if nx as usize >= next.len() {
+        return Err(NIL);
+    }
+    match sub_of.read(nx as usize) {
+        NIL => {
+            sub_of.write(nx as usize, sub as Node);
+            Ok(nx)
+        }
+        head_of => Err(head_of),
+    }
+}
+
+/// Choose `s` sublist head slots: the true head plus one random slot from
+/// each block of `n / (s-1)` slots (paper step 2), deduplicated.
+pub(crate) fn choose_sublist_heads(list: &LinkedList, s: usize, seed: u64) -> Vec<Node> {
+    let n = list.len();
+    let s = s.clamp(1, n);
+    let mut rng = Rng::new(seed);
+    let mut heads = Vec::with_capacity(s);
+    heads.push(list.head);
+    if s > 1 {
+        let block = n / (s - 1);
+        if block > 0 {
+            for b in 0..(s - 1) {
+                let lo = b * block;
+                let hi = ((b + 1) * block).min(n);
+                if lo >= hi {
+                    continue;
+                }
+                let mut pick = lo + rng.below_usize(hi - lo);
+                if pick as Node == list.head {
+                    // Nudge within the block; blocks have ≥1 slot, and if
+                    // the block is the head's singleton, skip it.
+                    if hi - lo == 1 {
+                        continue;
+                    }
+                    pick = if pick + 1 < hi { pick + 1 } else { lo };
+                }
+                heads.push(pick as Node);
+            }
+        }
+    }
+    heads.sort_unstable();
+    heads.dedup();
+    // Keep the true head at index 0 (the chain scan starts there).
+    let hpos = heads.iter().position(|&h| h == list.head).unwrap();
+    heads.swap(0, hpos);
+    heads
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use archgraph_graph::rng::Rng;
     use proptest::prelude::*;
 
     /// An Ordered, Random or reversed list of `n` nodes.
@@ -297,5 +439,29 @@ mod tests {
             },
         );
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn sublist_heads_are_valid_and_unique() {
+        let mut rng = Rng::new(10);
+        let l = LinkedList::random(1000, &mut rng);
+        for s in [1usize, 2, 8, 64, 999] {
+            let heads = choose_sublist_heads(&l, s, 3);
+            assert_eq!(heads[0], l.head, "true head first");
+            let mut sorted = heads.clone();
+            sorted.sort_unstable();
+            sorted.dedup();
+            assert_eq!(sorted.len(), heads.len(), "no duplicates at s = {s}");
+            assert!(heads.iter().all(|&h| (h as usize) < 1000));
+            assert!(heads.len() <= s.max(1));
+        }
+    }
+
+    #[test]
+    fn sublist_heads_on_tiny_lists() {
+        let l = LinkedList::ordered(2);
+        let heads = choose_sublist_heads(&l, 16, 0);
+        assert_eq!(heads[0], 0);
+        assert!(heads.len() <= 2);
     }
 }

@@ -4,10 +4,9 @@
 //!
 //! * [`seq`] — the sequential pointer-chasing baseline the parallel codes
 //!   are compared against.
-//! * [`prefix`] — the general prefix problem over any associative `⊕`
-//!   (the paper frames list ranking as the all-ones/addition instance).
 //! * [`hj`] — the Helman–JáJá SMP algorithm (steps 1–5, `s = 8p`
-//!   sublists), running natively on host threads with software barriers.
+//!   sublists), running natively on host threads with software barriers;
+//!   its sublist chase is also [`sim_smp`]'s host half.
 //! * [`mta_style`] — the paper's Alg. 1 walk algorithm running natively:
 //!   `NWALK` marked nodes, dynamic walk claiming by atomic fetch-add,
 //!   pointer-jumping over the walk summary, rank write-back.
@@ -33,7 +32,6 @@
 
 pub mod hj;
 pub mod mta_style;
-pub mod prefix;
 pub mod seq;
 pub mod sim_mta;
 pub mod sim_smp;

@@ -29,17 +29,6 @@ pub fn sequential_rank(list: &LinkedList) -> Vec<Node> {
     rank
 }
 
-/// Rank by first finding the head with the successor-sum identity, then
-/// chasing pointers — the exact step structure of the paper's sequential
-/// comparator (head finding is part of the measured work in step 1).
-pub fn sequential_rank_with_head_find(list: &LinkedList) -> Vec<Node> {
-    let l = LinkedList {
-        next: list.next.clone(),
-        head: list.find_head(),
-    };
-    sequential_rank(&l)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -64,12 +53,5 @@ mod tests {
     fn empty_list() {
         let l = LinkedList::ordered(0);
         assert!(sequential_rank(&l).is_empty());
-    }
-
-    #[test]
-    fn head_find_variant_agrees() {
-        let mut rng = Rng::new(9);
-        let l = LinkedList::random(513, &mut rng);
-        assert_eq!(sequential_rank_with_head_find(&l), sequential_rank(&l));
     }
 }

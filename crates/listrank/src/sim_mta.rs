@@ -56,7 +56,9 @@ pub enum WalkSchedule {
 
 /// Simulate walk-based list ranking on `p` processors with
 /// `streams_per_proc` streams each and `walks` walks (the paper: ~10
-/// nodes per walk, 100 streams per processor).
+/// nodes per walk, 100 streams per processor), claiming walks dynamically.
+/// Panics on simulation failure; [`try_simulate_walk_ranking`] takes the
+/// schedule and returns the failure instead.
 pub fn simulate_walk_ranking(
     list: &LinkedList,
     params: &MtaParams,
@@ -64,7 +66,7 @@ pub fn simulate_walk_ranking(
     streams_per_proc: usize,
     walks: usize,
 ) -> MtaSimResult {
-    simulate_walk_ranking_scheduled(
+    try_simulate_walk_ranking(
         list,
         params,
         p,
@@ -72,45 +74,14 @@ pub fn simulate_walk_ranking(
         walks,
         WalkSchedule::Dynamic,
     )
+    .unwrap_or_else(|e| panic!("simulate_walk_ranking: {e}"))
 }
 
 /// [`simulate_walk_ranking`] with an explicit walk-to-stream schedule
-/// (the ABL-DYN ablation at algorithm level). Panics on simulation
-/// failure (legacy entry point).
-pub fn simulate_walk_ranking_scheduled(
-    list: &LinkedList,
-    params: &MtaParams,
-    p: usize,
-    streams_per_proc: usize,
-    walks: usize,
-    schedule: WalkSchedule,
-) -> MtaSimResult {
-    try_simulate_walk_ranking_scheduled(list, params, p, streams_per_proc, walks, schedule)
-        .unwrap_or_else(|e| panic!("simulate_walk_ranking: {e}"))
-}
-
-/// [`simulate_walk_ranking`] returning structured failures (deadlock
-/// diagnostics, cycle-budget trips) instead of panicking.
+/// (the ABL-DYN ablation at algorithm level), returning structured
+/// failures (deadlock diagnostics, cycle-budget trips) instead of
+/// panicking — the form the `apps` simulated drivers build on.
 pub fn try_simulate_walk_ranking(
-    list: &LinkedList,
-    params: &MtaParams,
-    p: usize,
-    streams_per_proc: usize,
-    walks: usize,
-) -> Result<MtaSimResult, SimError> {
-    try_simulate_walk_ranking_scheduled(
-        list,
-        params,
-        p,
-        streams_per_proc,
-        walks,
-        WalkSchedule::Dynamic,
-    )
-}
-
-/// [`simulate_walk_ranking_scheduled`] returning `Result` — the form the
-/// `apps` simulated drivers build on.
-pub fn try_simulate_walk_ranking_scheduled(
     list: &LinkedList,
     params: &MtaParams,
     p: usize,
@@ -460,9 +431,8 @@ mod tests {
     fn block_schedule_is_correct_but_can_trail_dynamic() {
         let mut rng = Rng::new(45);
         let l = LinkedList::random(3000, &mut rng);
-        let dynamic =
-            simulate_walk_ranking_scheduled(&l, &tiny(), 1, 8, 300, WalkSchedule::Dynamic);
-        let block = simulate_walk_ranking_scheduled(&l, &tiny(), 1, 8, 300, WalkSchedule::Block);
+        let run = |sched| try_simulate_walk_ranking(&l, &tiny(), 1, 8, 300, sched).unwrap();
+        let (dynamic, block) = (run(WalkSchedule::Dynamic), run(WalkSchedule::Block));
         assert_eq!(dynamic.rank, l.rank_oracle());
         assert_eq!(block.rank, l.rank_oracle());
         // Walk lengths vary around the mean; block assignment cannot beat

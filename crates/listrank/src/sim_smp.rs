@@ -13,8 +13,8 @@
 //! successor record is a host DRAM miss, and the next address comes out of
 //! it:
 //!
-//! * **Host half.** One loop — the native codes' sublist chase, in
-//!   [`crate::prefix`] — advances *every* live sublist by one node per
+//! * **Host half.** One loop — native Helman–JáJá's sublist chase, in
+//!   [`crate::hj`] — advances *every* live sublist by one node per
 //!   round and does all of the real work (`rank`, `sub_of`, the sublist
 //!   records). The sublists are independent chains and a host-only step is
 //!   a few dozen instructions, so many chains' misses are in the host's
@@ -56,7 +56,7 @@ use archgraph_graph::{LinkedList, Node, NIL};
 use archgraph_smp_sim::machine::{ArrayAddr, SmpMachine};
 use archgraph_smp_sim::stats::RunStats;
 
-use crate::prefix::{advance_sublists, choose_sublist_heads};
+use crate::hj::{advance_sublists, choose_sublist_heads};
 
 /// Result of a simulated SMP run.
 #[derive(Debug, Clone)]

@@ -28,7 +28,7 @@
 //!
 //! # Deadlock bookkeeping
 //!
-//! [`BlockTracker`] is the shared per-stream state behind
+//! `BlockTracker` is the shared per-stream state behind
 //! `SimError::Deadlock`. Tags mutate **only** when a synchronizing
 //! operation succeeds (ordinary stores never touch the full/empty bit), and
 //! a stream that fails a sync op retries the *same* pc forever until it

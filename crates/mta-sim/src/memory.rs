@@ -76,16 +76,6 @@ impl Memory {
         self.fault.as_ref()
     }
 
-    /// Extra completion latency (thirds) a memory op on `addr` suffers
-    /// under the active fault plan. Zero without a plan.
-    #[inline]
-    pub fn fault_extra_latency(&self, addr: usize) -> u64 {
-        match &self.fault {
-            None => 0,
-            Some(p) => p.extra_latency(addr),
-        }
-    }
-
     /// Total extra completion latency (thirds) for a memory op by
     /// processor `proc` on `addr`, issued at `issue_at` with base
     /// latency `latency`, under the active fault plan: the address-keyed

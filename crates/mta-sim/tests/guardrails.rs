@@ -10,9 +10,6 @@
 //!   deadlock detector.
 //! * Property test: random full/empty kernels halt when balanced and
 //!   deadlock when not.
-//!
-//! (Test names that say "engines" date from when each check ran under two
-//! issue loops; they are kept so the tier-1 test list does not move.)
 
 use proptest::prelude::*;
 
@@ -134,7 +131,7 @@ fn poke_all(m: &mut MtaMachine, mem: &[i64]) {
 /// names the parked consumers, at the cycle recorded on commit 9c672cf —
 /// and, critically, return at all.
 #[test]
-fn deadlock_is_bit_identical_across_engines() {
+fn deadlock_is_detected_at_the_pinned_cycles() {
     let mut detected = Vec::new();
     for &(p, streams) in &[(1usize, 2usize), (2, 4), (2, 8)] {
         let prog = unbalanced_handshake((p * streams) as i64);
@@ -235,7 +232,7 @@ fn run_walk(plan: Option<&FaultPlan>) -> RunReport {
 /// instructions, op mix, memory traffic) and can only lengthen the
 /// schedule.
 #[test]
-fn fault_latency_is_engine_invariant_and_monotone() {
+fn fault_latency_keeps_the_work_and_only_lengthens_the_run() {
     let plan = FaultPlan::parse("mem-latency=30,rate=1:9").expect("plan parses");
     let clean = run_walk(None);
     let faulted = run_walk(Some(&plan));
@@ -256,7 +253,7 @@ fn fault_latency_is_engine_invariant_and_monotone() {
 /// Delayed sync-retry wakeups on a kernel that leans on retries: it still
 /// halts, and the final memory is the clean run's.
 #[test]
-fn fault_wake_delay_is_engine_invariant() {
+fn fault_wake_delay_keeps_the_final_memory() {
     let plan = FaultPlan::parse("wake-delay=9,rate=0:3").expect("plan parses");
     for &(p, streams) in &[(1usize, 2usize), (2, 4)] {
         let prog = balanced_handshake((p * streams) as i64);
@@ -300,7 +297,7 @@ fn stuck_tag_fault_drives_the_deadlock_detector() {
 /// brownouts, and all three at once — never changes what executes and
 /// only ever lengthens the schedule.
 #[test]
-fn structural_faults_are_engine_invariant_and_monotone() {
+fn structural_faults_keep_the_work_and_only_lengthen_the_run() {
     let clean = run_walk(None);
     for spec in [
         "stall=30,stall-period=300:7",

@@ -1,7 +1,5 @@
 //! Loop goldens: the issue loop in `machine.rs`, pinned at instruction
-//! level. (The file keeps the name it had as the Trace-vs-SingleStep
-//! differential, and the tests theirs, so the tier-1 test list does not
-//! move; trace batching is gone — DESIGN.md §3.4.)
+//! level.
 //!
 //! * Hand-built kernels — the paper's Fig. 1 list walk and Fig. 2 graft
 //!   inner loops, six small programs that each once caught a scheduling
@@ -194,7 +192,7 @@ proptest! {
     /// Two runs of one generated kernel agree in report and memory, and
     /// the report's accounting is consistent with itself.
     #[test]
-    fn engines_agree_on_random_kernels(
+    fn random_kernels_are_deterministic_and_conserve_issue_slots(
         segments in proptest::collection::vec(segment(), 0..6),
         mem_init in proptest::collection::vec(-4i64..5, MEM_WORDS..MEM_WORDS + 1),
     ) {

@@ -307,19 +307,6 @@ impl SmpMachine {
         }
     }
 
-    /// Run a phase without a trailing barrier (e.g. the final phase of an
-    /// algorithm, or sequential code on processor 0).
-    pub fn phase_no_barrier<F: FnMut(usize, &mut ProcCtx)>(
-        &mut self,
-        name: &str,
-        f: F,
-    ) -> &PhaseRecord {
-        match self.phase_inner(name, f, false) {
-            Ok(()) => self.last_phase(),
-            Err(e) => panic!("smp phase failed: {e}"),
-        }
-    }
-
     /// [`Self::phase`], but a phase that pushes the machine clock past
     /// the cycle budget returns [`SimError::CycleBudgetExceeded`]
     /// instead of panicking. The offending phase's time and stats stay
@@ -334,7 +321,8 @@ impl SmpMachine {
         Ok(self.last_phase())
     }
 
-    /// [`Self::try_phase`] without the trailing barrier.
+    /// [`Self::try_phase`] without the trailing barrier (e.g. the final
+    /// phase of an algorithm, or sequential code on processor 0).
     pub fn try_phase_no_barrier<F: FnMut(usize, &mut ProcCtx)>(
         &mut self,
         name: &str,
@@ -518,7 +506,8 @@ mod tests {
         m.phase("b", |_, ctx| ctx.compute(1));
         assert_eq!(m.stats().barriers, 2);
         let mut m2 = tiny(4);
-        m2.phase_no_barrier("a", |_, ctx| ctx.compute(1));
+        m2.try_phase_no_barrier("a", |_, ctx| ctx.compute(1))
+            .unwrap();
         assert_eq!(m2.stats().barriers, 0);
         assert!(m.cycles() > m2.cycles());
     }
@@ -606,7 +595,8 @@ mod tests {
     #[test]
     fn seconds_track_clock_rate() {
         let mut m = tiny(1);
-        m.phase_no_barrier("c", |_, ctx| ctx.compute(1000));
+        m.try_phase_no_barrier("c", |_, ctx| ctx.compute(1000))
+            .unwrap();
         // tiny params: CPI 1.0 at 100 MHz.
         assert!((m.seconds() - 1000.0 / 100.0e6).abs() < 1e-12);
     }
@@ -721,12 +711,13 @@ mod tests {
     fn write_misses_move_two_lines() {
         let mut m = tiny(1);
         let a = m.alloc_elems::<u64>(64);
-        m.phase_no_barrier("w", |_, ctx| {
+        m.try_phase_no_barrier("w", |_, ctx| {
             // One store per 32B line: 16 store misses.
             for i in (0..64).step_by(4) {
                 ctx.write_elem(a, i);
             }
-        });
+        })
+        .unwrap();
         let s = m.stats();
         assert_eq!(s.mem_accesses, 16);
         assert_eq!(s.bus_lines, 32);

@@ -80,11 +80,6 @@ impl Prefetcher {
         }
         false
     }
-
-    /// Number of stream slots.
-    pub fn stream_slots(&self) -> usize {
-        self.streams.len()
-    }
 }
 
 #[cfg(test)]

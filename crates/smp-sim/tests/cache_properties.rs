@@ -96,11 +96,12 @@ proptest! {
         let p = work.len();
         let mut m = SmpMachine::new(SmpParams::tiny_for_tests(), p.min(8));
         let work_ref = &work;
-        m.phase_no_barrier("compute", |proc, ctx| {
+        m.try_phase_no_barrier("compute", |proc, ctx| {
             if proc < work_ref.len() {
                 ctx.compute(work_ref[proc]);
             }
-        });
+        })
+        .unwrap();
         let max = *work.iter().max().unwrap() as f64;
         prop_assert!(m.cycles() >= max, "critical path {} < max work {max}", m.cycles());
     }

@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
-# The gate: format, lint (every target: libs, bins and tests),
+# The gate: format, lint (every target: libs, bins and tests), rustdoc,
 # release build, tier-1 tests, then the frozen benchmark package. Every
 # pinned result (the bench suite's fingerprints, clean and under the chaos
 # fault plans, the daemon serving them byte for byte, the loop and figure
 # goldens) is a `cargo test` test, so this script adds no check of its own
-# beyond fmt, clippy and archperf.
+# beyond fmt, clippy, rustdoc and archperf.
 # Everything runs --offline — the workspace vendors its external deps as
 # local shims (see shims/) and must never reach for the network.
 #
@@ -24,6 +24,11 @@ cargo fmt --check
 
 echo "== cargo clippy, all targets (deny warnings) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
+
+echo "== cargo doc (deny warnings) =="
+# A doc link to a renamed or deleted item, or a public doc linking a
+# private one, fails here rather than rotting quietly.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "== cargo build --release =="
 cargo build --release --offline

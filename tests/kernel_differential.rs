@@ -6,16 +6,14 @@
 //! BFS goes bottom-up.
 //!
 //! This is the kernel-level echo of the ISA-level loop goldens in
-//! `crates/mta-sim/tests/trace_differential.rs`: that suite pins the issue
+//! `crates/mta-sim/tests/loop_golden.rs`: that suite pins the issue
 //! loop on small programs; this one checks the *kernels we actually
-//! benchmark* against their oracles off the suite's fixed inputs. (Test
-//! names that say "engine invariant" date from when each check ran under
-//! two issue loops; they are kept so the tier-1 test list does not move.)
+//! benchmark* against their oracles off the suite's fixed inputs.
 
 use proptest::prelude::*;
 
 use archgraph::bfs::native::{parallel_bfs, NativeBfs};
-use archgraph::bfs::sim_mta::{try_simulate_bfs_mta_scheduled, BfsSchedule};
+use archgraph::bfs::sim_mta::{try_simulate_bfs_mta, BfsSchedule};
 use archgraph::coloring::native::speculative_coloring;
 use archgraph::coloring::seq::validate_coloring;
 use archgraph::coloring::sim_mta::simulate_coloring_mta;
@@ -34,9 +32,8 @@ fn assert_coloring_proper(g: &EdgeList, p: usize, streams: usize) {
 fn assert_bfs_matches_the_oracle(g: &EdgeList, src: u32, p: usize, streams: usize) {
     let params = MtaParams::tiny_for_tests();
     let want = bfs_levels(&Csr::from_edge_list(g), src);
-    let run = |sched| {
-        try_simulate_bfs_mta_scheduled(g, src, &params, p, streams, sched).expect("clean BFS run")
-    };
+    let run =
+        |sched| try_simulate_bfs_mta(g, src, &params, p, streams, sched).expect("clean BFS run");
     let dynamic = run(BfsSchedule::Dynamic);
     let block = run(BfsSchedule::Block);
     assert_eq!(dynamic.levels, want, "levels wrong under Dynamic");
@@ -96,7 +93,7 @@ proptest! {
 
     /// Random G(n, m) graphs across machine shapes: coloring is proper.
     #[test]
-    fn coloring_is_engine_invariant_on_random_graphs(
+    fn coloring_is_proper_on_random_graphs(
         n in 16usize..80,
         density in 0usize..4,
         seed in 0u64..1000,
@@ -111,7 +108,7 @@ proptest! {
     /// Random G(n, m) graphs across machine shapes: BFS levels are the
     /// host oracle's under both frontier schedules.
     #[test]
-    fn bfs_is_engine_invariant_on_random_graphs(
+    fn bfs_matches_the_oracle_on_random_graphs(
         n in 16usize..80,
         density in 0usize..4,
         seed in 0u64..1000,
@@ -127,7 +124,7 @@ proptest! {
 /// Structured graphs hit the degenerate schedules (empty rows, one huge
 /// row, long dependence chains) that random G(n, m) rarely produces.
 #[test]
-fn structured_graphs_are_engine_invariant() {
+fn structured_graphs_color_properly_and_match_the_bfs_oracle() {
     for g in [
         gen::path(60),
         gen::star(48),
@@ -143,7 +140,7 @@ fn structured_graphs_are_engine_invariant() {
 
 /// The exact bench-cell shape (scaled down).
 #[test]
-fn bench_cell_shape_is_engine_invariant() {
+fn bench_cell_shape_colors_properly_and_matches_the_bfs_oracle() {
     let g = archgraph_bench::workloads::make_graph(256, 640, archgraph_bench::kernels::GRAPH_SEED);
     assert_coloring_proper(&g, 4, 8);
     assert_bfs_matches_the_oracle(&g, 0, 4, 8);

@@ -3,13 +3,12 @@
 
 use proptest::prelude::*;
 
-use archgraph::concomp::seq::bfs_components;
 use archgraph::concomp::{shiloach_vishkin, sv_mta_style};
+use archgraph::graph::bfs::bfs_components;
 use archgraph::graph::edgelist::EdgeList;
 use archgraph::graph::list::LinkedList;
 use archgraph::graph::unionfind::{connected_components, same_partition};
 use archgraph::graph::Node;
-use archgraph::listrank::prefix::{par_prefix, seq_prefix};
 use archgraph::listrank::{helman_jaja, mta_style_rank, sequential_rank, HjConfig, MtaStyleConfig};
 
 /// Arbitrary permutation of 0..n encoded as a shuffled index vector.
@@ -52,33 +51,6 @@ proptest! {
     fn head_identity_holds_for_any_permutation(perm in permutation(500)) {
         let list = LinkedList::from_permutation(&perm);
         prop_assert_eq!(list.find_head(), list.head);
-    }
-
-    #[test]
-    fn prefix_sum_equals_rank_plus_one(perm in permutation(400)) {
-        let list = LinkedList::from_permutation(&perm);
-        let ones = vec![1u64; list.len()];
-        let pre = par_prefix(&list, &ones, |a, b| a + b, 3, 9);
-        let rank = list.rank_oracle();
-        for slot in 0..list.len() {
-            prop_assert_eq!(pre[slot], rank[slot] as u64 + 1);
-        }
-    }
-
-    #[test]
-    fn prefix_respects_operator_order(perm in permutation(300)) {
-        // Affine composition over Z_97: associative, non-commutative.
-        let list = LinkedList::from_permutation(&perm);
-        let vals: Vec<(i64, i64)> = (0..list.len())
-            .map(|i| (((i * 13) % 96 + 1) as i64, ((i * 29) % 97) as i64))
-            .collect();
-        let op = |x: (i64, i64), y: (i64, i64)| {
-            ((x.0 * y.0).rem_euclid(97), (x.1 * y.0 + y.1).rem_euclid(97))
-        };
-        prop_assert_eq!(
-            par_prefix(&list, &vals, op, 4, 2),
-            seq_prefix(&list, &vals, op)
-        );
     }
 
     #[test]
