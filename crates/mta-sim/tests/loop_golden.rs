@@ -13,8 +13,11 @@
 //! * Property tests over structured random kernels (straight-line runs,
 //!   bounded countdown loops, forward skips, loads/stores/`int_fetch_add`)
 //!   assert what needs no second implementation: a run is deterministic
-//!   and its accounting conserves issue slots. ROADMAP item 2(a)'s program
-//!   fuzzer builds on this generator.
+//!   and its accounting conserves issue slots. The generator lives in
+//!   `programs/mod.rs`, shared with the program fuzzer
+//!   (`program_fuzz.rs`).
+
+mod programs;
 
 use proptest::prelude::*;
 
@@ -22,6 +25,8 @@ use archgraph_core::MtaParams;
 use archgraph_mta_sim::isa::{Program, ProgramBuilder, Reg};
 use archgraph_mta_sim::machine::MtaMachine;
 use archgraph_mta_sim::report::RunReport;
+
+use programs::{alu_op, lower, reg, segment, Addressing, BodyOp};
 
 const GOLDEN: &str = include_str!("golden/loop.txt");
 
@@ -89,101 +94,15 @@ fn assert_pinned(name: &str, prog: &Program, mem_init: &[i64]) {
     assert_golden(name, &fresh);
 }
 
-/// A generatable operation for kernel bodies (no control flow here;
-/// loops and skips are added structurally so programs always terminate).
-#[derive(Debug, Clone, Copy)]
-enum BodyOp {
-    Li(u8, i8),
-    Mov(u8, u8),
-    Add(u8, u8, u8),
-    AddI(u8, u8, i8),
-    Sub(u8, u8, u8),
-    Mul(u8, u8, u8),
-    Load(u8, u8),
-    Store(u8, u8),
-    FetchAdd(u8, u8),
-}
-
-fn reg() -> impl Strategy<Value = u8> {
-    2u8..8u8
-}
-
+/// Body ops for the determinism property: ALU ops and ordinary memory
+/// ops on absolute words shared by every stream, no sync ops.
 fn body_op() -> impl Strategy<Value = BodyOp> {
     prop_oneof![
-        (reg(), any::<i8>()).prop_map(|(d, i)| BodyOp::Li(d, i)),
-        (reg(), reg()).prop_map(|(d, s)| BodyOp::Mov(d, s)),
-        (reg(), reg(), reg()).prop_map(|(d, a, b)| BodyOp::Add(d, a, b)),
-        (reg(), reg(), any::<i8>()).prop_map(|(d, a, i)| BodyOp::AddI(d, a, i)),
-        (reg(), reg(), reg()).prop_map(|(d, a, b)| BodyOp::Sub(d, a, b)),
-        (reg(), reg(), reg()).prop_map(|(d, a, b)| BodyOp::Mul(d, a, b)),
+        alu_op(),
         (reg(), 0u8..MEM_WORDS as u8).prop_map(|(d, a)| BodyOp::Load(d, a)),
         (reg(), 0u8..MEM_WORDS as u8).prop_map(|(s, a)| BodyOp::Store(s, a)),
         (reg(), 0u8..MEM_WORDS as u8).prop_map(|(d, a)| BodyOp::FetchAdd(d, a)),
     ]
-}
-
-/// One structural segment of a generated kernel.
-#[derive(Debug, Clone)]
-enum Segment {
-    /// Straight-line body ops.
-    Flat(Vec<BodyOp>),
-    /// A countdown loop: `iters` trips over the body (backward branch).
-    Loop(u8, Vec<BodyOp>),
-    /// A data-dependent forward skip over the body (`beq r_a, r_b`).
-    Skip(u8, u8, Vec<BodyOp>),
-}
-
-fn body() -> impl Strategy<Value = Vec<BodyOp>> {
-    proptest::collection::vec(body_op(), 1..8)
-}
-
-fn segment() -> impl Strategy<Value = Segment> {
-    prop_oneof![
-        body().prop_map(Segment::Flat),
-        (1u8..5, body()).prop_map(|(k, b)| Segment::Loop(k, b)),
-        (reg(), reg(), body()).prop_map(|(a, b, ops)| Segment::Skip(a, b, ops)),
-    ]
-}
-
-fn emit_body(b: &mut ProgramBuilder, ops: &[BodyOp]) {
-    for &op in ops {
-        match op {
-            BodyOp::Li(d, i) => b.li(Reg(d), i as i64),
-            BodyOp::Mov(d, s) => b.mov(Reg(d), Reg(s)),
-            BodyOp::Add(d, a, x) => b.add(Reg(d), Reg(a), Reg(x)),
-            BodyOp::AddI(d, a, i) => b.addi(Reg(d), Reg(a), i as i64),
-            BodyOp::Sub(d, a, x) => b.sub(Reg(d), Reg(a), Reg(x)),
-            BodyOp::Mul(d, a, x) => b.mul(Reg(d), Reg(a), Reg(x)),
-            BodyOp::Load(d, a) => b.load_abs(Reg(d), a as usize),
-            BodyOp::Store(s, a) => b.store_abs(Reg(s), a as usize),
-            BodyOp::FetchAdd(d, a) => b.fetch_add_imm(Reg(d), a as i64, Reg(2)),
-        };
-    }
-}
-
-/// Lower segments to a program. Loops use r9 as the trip counter so the
-/// generated bodies (r2..r7) cannot clobber it.
-fn lower(segments: &[Segment]) -> Program {
-    let mut b = ProgramBuilder::new();
-    for seg in segments {
-        match seg {
-            Segment::Flat(ops) => emit_body(&mut b, ops),
-            Segment::Loop(k, ops) => {
-                b.li(Reg(9), *k as i64);
-                let top = b.here();
-                emit_body(&mut b, ops);
-                b.addi(Reg(9), Reg(9), -1);
-                b.bne(Reg(9), Reg(0), top);
-            }
-            Segment::Skip(x, y, ops) => {
-                let fx = b.beq_fwd(Reg(*x), Reg(*y));
-                emit_body(&mut b, ops);
-                b.bind(fx);
-            }
-        }
-    }
-    b.halt();
-    b.build()
 }
 
 proptest! {
@@ -193,10 +112,10 @@ proptest! {
     /// the report's accounting is consistent with itself.
     #[test]
     fn random_kernels_are_deterministic_and_conserve_issue_slots(
-        segments in proptest::collection::vec(segment(), 0..6),
+        segments in proptest::collection::vec(segment(body_op), 0..6),
         mem_init in proptest::collection::vec(-4i64..5, MEM_WORDS..MEM_WORDS + 1),
     ) {
-        let prog = lower(&segments);
+        let prog = lower(&segments, Addressing::Shared { mailbox: 0 });
         for &(p, streams) in &[(1usize, 3usize), (2, 5)] {
             let (rep, mem) = run(&prog, p, streams, &mem_init);
             let (again, mem_again) = run(&prog, p, streams, &mem_init);
