@@ -72,7 +72,6 @@ impl std::error::Error for ListError {}
 ///
 /// let list = LinkedList::random(1000, &mut Rng::new(42));
 /// list.validate().unwrap();
-/// assert_eq!(list.find_head(), list.head);
 /// let rank = list.rank_oracle();
 /// assert_eq!(rank[list.head as usize], 0);
 /// ```
@@ -137,20 +136,6 @@ impl LinkedList {
             next,
             head: perm[0],
         }
-    }
-
-    /// Recover the head via the successor-sum identity (paper §3 step 1):
-    /// `head = n(n−1)/2 + n − Σ next[i]`. Runs in one contiguous pass.
-    ///
-    /// Returns [`NIL`] for the empty list.
-    pub fn find_head(&self) -> Node {
-        let n = self.next.len();
-        if n == 0 {
-            return NIL;
-        }
-        let total: u64 = self.next.iter().map(|&x| x as u64).sum();
-        let expect = (n as u64 * (n as u64 - 1)) / 2 + n as u64;
-        (expect - total) as Node
     }
 
     /// Sequential ranking oracle: `rank[slot]` = number of predecessors of
@@ -239,7 +224,6 @@ mod tests {
         let l = LinkedList::ordered(0);
         assert!(l.is_empty());
         assert_eq!(l.head, NIL);
-        assert_eq!(l.find_head(), NIL);
         l.validate().unwrap();
         assert!(l.rank_oracle().is_empty());
     }
@@ -249,7 +233,6 @@ mod tests {
         let l = LinkedList::ordered(1);
         assert_eq!(l.head, 0);
         assert_eq!(l.next, vec![1]);
-        assert_eq!(l.find_head(), 0);
         assert_eq!(l.rank_oracle(), vec![0]);
         l.validate().unwrap();
     }
@@ -259,7 +242,10 @@ mod tests {
         let mut rng = Rng::new(99);
         for n in [1usize, 2, 3, 10, 1000] {
             let l = LinkedList::random(n, &mut rng);
-            assert_eq!(l.find_head(), l.head, "n = {n}");
+            assert!(
+                !l.next.contains(&l.head),
+                "n = {n}: the head has a predecessor"
+            );
         }
     }
 

@@ -66,7 +66,6 @@ pub mod memory;
 pub mod parloop;
 pub mod report;
 pub(crate) mod wheel;
-pub mod word;
 
 pub use archgraph_core::error::{BlockedStream, SimError};
 pub use fault::{with_fault_plan, FaultPlan};

@@ -133,7 +133,7 @@ impl WordFree {
 /// and every variant names it. The variants once selected trace batching
 /// on or off and two further engines, all measured and removed (DESIGN.md
 /// §3.4); the type, its four spellings, [`with_engine`] and
-/// [`MtaMachine::set_engine`] stay only because the frozen `benchmarks/`
+/// [`MtaMachine::engine`] stay only because the frozen `benchmarks/`
 /// package and the daemon's wire `"engine"` key are written against them,
 /// and go when a `benchmark` PR thaws that tree (ROADMAP 4(d)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -306,15 +306,10 @@ impl MtaMachine {
         }
     }
 
-    /// The label this machine was constructed or [`Self::set_engine`]d
-    /// with; nothing reads it (see [`MtaEngine`]).
+    /// The label this machine was constructed with (the [`with_engine`]
+    /// scope's, or the default); nothing reads it (see [`MtaEngine`]).
     pub fn engine(&self) -> MtaEngine {
         self.engine
-    }
-
-    /// Replace the label [`Self::engine`] returns.
-    pub fn set_engine(&mut self, engine: MtaEngine) {
-        self.engine = engine;
     }
 
     /// Issue-loop accounting accumulated over all regions run so far:

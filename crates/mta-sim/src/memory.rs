@@ -8,12 +8,17 @@
 //! with no banks, hashing has no observable effect and is omitted — which
 //! is precisely the paper's point that layout is irrelevant on the MTA.
 //!
+//! The image is two zero-initialised arrays: `values`, one `i64` a word,
+//! and `empty`, a bitset with one bit a word where a set bit means
+//! *empty*. Ordinary memory is full, so zero is the state a fresh image
+//! starts in; both arrays come from zeroed allocations, and the pages of
+//! slack no kernel allocates or touches are never committed.
+//!
 //! Reached by: every MTA suite cell (through [`crate::machine`]).
 
 use archgraph_core::RunConfig;
 
 use crate::fault::FaultPlan;
-use crate::word::Word;
 
 /// Counters of memory traffic by operation class.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -31,17 +36,14 @@ pub struct MemCounters {
     pub fetch_adds: u64,
 }
 
-impl MemCounters {
-    /// Total word-traffic (each op moves one word).
-    pub fn total_ops(&self) -> u64 {
-        self.loads + self.stores + self.sync_ops + self.fetch_adds
-    }
-}
-
 /// The shared memory of a simulated MTA system.
 #[derive(Debug, Clone)]
 pub struct Memory {
-    words: Vec<Word>,
+    /// Each word's 64 data bits.
+    values: Vec<i64>,
+    /// Each word's full/empty tag, bit `addr & 63` of `empty[addr >> 6]`;
+    /// set means empty.
+    empty: Vec<u64>,
     next_free: usize,
     /// Traffic counters.
     pub counters: MemCounters,
@@ -56,7 +58,8 @@ impl Memory {
     /// plan of the run scope ([`RunConfig::current`]).
     pub fn new(capacity: usize) -> Self {
         Memory {
-            words: vec![Word::default(); capacity],
+            values: vec![0; capacity],
+            empty: vec![0; capacity.div_ceil(64)],
             next_free: 0,
             counters: MemCounters::default(),
             fault: RunConfig::current().faults,
@@ -72,7 +75,8 @@ impl Memory {
     }
 
     /// The active fault plan, if any.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
+    #[cfg(test)]
+    pub(crate) fn fault_plan(&self) -> Option<&FaultPlan> {
         self.fault.as_ref()
     }
 
@@ -118,17 +122,48 @@ impl Memory {
         }
     }
 
+    /// `addr`'s tag word and bit. Indexes `values` first, so an address
+    /// past the image panics as a value access does, even inside the last
+    /// tag word.
+    #[inline]
+    fn tag_bit(&self, addr: usize) -> (usize, u64) {
+        let _ = &self.values[addr];
+        (addr >> 6, 1 << (addr & 63))
+    }
+
+    /// Set `addr`'s stored tag.
+    #[inline]
+    fn set_tag(&mut self, addr: usize, full: bool) {
+        let (word, bit) = self.tag_bit(addr);
+        if full {
+            self.empty[word] &= !bit;
+        } else {
+            self.empty[word] |= bit;
+        }
+    }
+
+    /// Fill the tags of `base..base + len`, writing only those that are
+    /// empty, so a fresh range's tag pages stay untouched.
+    fn fill_tags(&mut self, base: usize, len: usize) {
+        for addr in base..base + len {
+            if !self.is_full(addr) {
+                self.set_tag(addr, true);
+            }
+        }
+    }
+
     /// The full/empty state a synchronizing op would observe at `addr`,
     /// including stuck-bit faults. Host-side (no counters) — this is what
     /// the deadlock detector probes.
     #[inline]
     pub fn effective_full(&self, addr: usize) -> bool {
-        self.stuck_tag(addr).unwrap_or(self.words[addr].full)
+        let full = self.is_full(addr);
+        self.stuck_tag(addr).unwrap_or(full)
     }
 
     /// Capacity in words.
     pub fn capacity(&self) -> usize {
-        self.words.len()
+        self.values.len()
     }
 
     /// Bump-allocate `len` words; returns the base word address.
@@ -136,9 +171,9 @@ impl Memory {
     pub fn alloc(&mut self, len: usize) -> usize {
         let base = self.next_free;
         assert!(
-            base + len <= self.words.len(),
+            base + len <= self.values.len(),
             "simulated memory exhausted: need {len} words at {base}, capacity {}",
-            self.words.len()
+            self.values.len()
         );
         self.next_free += len;
         base
@@ -146,9 +181,8 @@ impl Memory {
 
     /// Copy a host slice into simulated memory at `base` (words full).
     pub fn load_slice(&mut self, base: usize, values: &[i64]) {
-        for (i, &v) in values.iter().enumerate() {
-            self.words[base + i] = Word::full(v);
-        }
+        self.values[base..base + values.len()].copy_from_slice(values);
+        self.fill_tags(base, values.len());
     }
 
     /// Allocate and initialize from a host slice in one step.
@@ -161,67 +195,71 @@ impl Memory {
     /// Allocate `len` words all set to `value`.
     pub fn alloc_fill(&mut self, len: usize, value: i64) -> usize {
         let base = self.alloc(len);
-        for w in &mut self.words[base..base + len] {
-            *w = Word::full(value);
-        }
+        self.values[base..base + len].fill(value);
+        self.fill_tags(base, len);
         base
     }
 
     /// Read a word's value without simulation side effects (host-side
     /// inspection of results).
     pub fn peek(&self, addr: usize) -> i64 {
-        self.words[addr].value
+        self.values[addr]
     }
 
     /// Copy `len` words out to the host starting at `base`.
     pub fn peek_slice(&self, base: usize, len: usize) -> Vec<i64> {
-        self.words[base..base + len]
-            .iter()
-            .map(|w| w.value)
-            .collect()
+        self.values[base..base + len].to_vec()
     }
 
     /// Host-side write without side effects.
     pub fn poke(&mut self, addr: usize, value: i64) {
-        self.words[addr].value = value;
+        self.values[addr] = value;
     }
 
     /// Host-side tag inspection.
+    ///
+    /// Reached by: the sync and fuzz tests in `crates/mta-sim/tests`.
     pub fn is_full(&self, addr: usize) -> bool {
-        self.words[addr].full
+        let (word, bit) = self.tag_bit(addr);
+        self.empty[word] & bit == 0
     }
 
     /// Host-side: mark a word empty (e.g. to initialize a sync variable).
+    ///
+    /// Reached by: the sync, guardrail and fuzz tests in
+    /// `crates/mta-sim/tests`.
     pub fn set_empty(&mut self, addr: usize) {
-        self.words[addr].full = false;
+        self.set_tag(addr, false);
     }
 
     // --- simulated operations (update counters) ---
 
     /// Ordinary load: ignores the full/empty bit.
+    #[inline]
     pub fn load(&mut self, addr: usize) -> i64 {
         self.counters.loads += 1;
-        self.words[addr].value
+        self.values[addr]
     }
 
     /// Ordinary store: ignores and does not change the full/empty bit.
+    #[inline]
     pub fn store(&mut self, addr: usize, value: i64) {
         self.counters.stores += 1;
-        self.words[addr].value = value;
+        self.values[addr] = value;
     }
 
     /// Synchronous read-and-empty: succeeds only on a full word, leaving
     /// it empty. `None` means the issuing stream must retry. A stuck tag
     /// fault pins the observed state (and the bit cannot be cleared).
     pub fn readfe(&mut self, addr: usize) -> Option<i64> {
+        let full = self.is_full(addr);
         let stuck = self.stuck_tag(addr);
-        let w = &mut self.words[addr];
-        if stuck.unwrap_or(w.full) {
+        if stuck.unwrap_or(full) {
             if stuck.is_none() {
-                w.full = false;
+                self.set_tag(addr, false);
             }
             self.counters.sync_ops += 1;
-            Some(w.value)
+            Some(self.values[addr])
         } else {
             self.counters.sync_retries += 1;
             None
@@ -232,13 +270,13 @@ impl Memory {
     /// it full. `false` means retry. A stuck-empty fault lets the write
     /// through but the bit stays empty; a stuck-full fault blocks forever.
     pub fn writeef(&mut self, addr: usize, value: i64) -> bool {
+        let full = self.is_full(addr);
         let stuck = self.stuck_tag(addr);
-        let w = &mut self.words[addr];
-        if !stuck.unwrap_or(w.full) {
+        if !stuck.unwrap_or(full) {
             if stuck.is_none() {
-                w.full = true;
+                self.set_tag(addr, true);
             }
-            w.value = value;
+            self.values[addr] = value;
             self.counters.sync_ops += 1;
             true
         } else {
@@ -249,11 +287,11 @@ impl Memory {
 
     /// Synchronous read-when-full (does not empty). `None` means retry.
     pub fn readff(&mut self, addr: usize) -> Option<i64> {
+        let full = self.is_full(addr);
         let stuck = self.stuck_tag(addr);
-        let w = &self.words[addr];
-        if stuck.unwrap_or(w.full) {
+        if stuck.unwrap_or(full) {
             self.counters.sync_ops += 1;
-            Some(w.value)
+            Some(self.values[addr])
         } else {
             self.counters.sync_retries += 1;
             None
@@ -262,17 +300,20 @@ impl Memory {
 
     /// Atomic fetch-and-add at memory; returns the *old* value. One cycle
     /// on the real machine; the engine charges it like a memory op.
+    #[inline]
     pub fn int_fetch_add(&mut self, addr: usize, delta: i64) -> i64 {
         self.counters.fetch_adds += 1;
-        let w = &mut self.words[addr];
-        let old = w.value;
-        w.value = old.wrapping_add(delta);
+        let w = &mut self.values[addr];
+        let old = *w;
+        *w = old.wrapping_add(delta);
         old
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
     use crate::fault::with_fault_plan;
 
@@ -394,14 +435,242 @@ mod tests {
         assert!(m.effective_full(0));
     }
 
+    /// One host-side or simulated operation of the model property.
+    #[derive(Debug, Clone)]
+    enum Op {
+        Alloc(usize),
+        AllocInit(Vec<i64>),
+        AllocFill(usize, i64),
+        Load(usize),
+        Store(usize, i64),
+        ReadFE(usize),
+        WriteEF(usize, i64),
+        ReadFF(usize),
+        FetchAdd(usize, i64),
+        Poke(usize, i64),
+        PeekSlice(usize, usize),
+        SetEmpty(usize),
+        IsFull(usize),
+        EffectiveFull(usize),
+    }
+
+    /// What an operation returned (`alloc*` return their base as a value).
+    #[derive(Debug, PartialEq)]
+    enum Ret {
+        Unit,
+        Value(i64),
+        Sync(Option<i64>),
+        Flag(bool),
+        Slice(Vec<i64>),
+    }
+
+    /// The model property's capacity: not a multiple of 64, so the last
+    /// tag word is partial.
+    const CAP: usize = 130;
+
+    /// The plans the model property runs under: none, and half the words
+    /// stuck full or stuck empty.
+    const PLANS: [Option<&str>; 3] = [
+        None,
+        Some("stuck-full,rate=1:5"),
+        Some("stuck-empty,rate=1:5"),
+    ];
+
+    fn set<T>(slot: &mut T, v: T) -> Ret {
+        *slot = v;
+        Ret::Unit
+    }
+
+    /// The reference image: one `(value, full)` pair a word, the layout
+    /// the bitset replaced. `stuck` is the plan's forced tag. The driver
+    /// models `alloc*`.
+    fn model(
+        w: &mut [(i64, bool)],
+        c: &mut MemCounters,
+        stuck: impl Fn(usize) -> Option<bool>,
+        op: &Op,
+    ) -> Ret {
+        match *op {
+            Op::Load(_) => c.loads += 1,
+            Op::Store(..) => c.stores += 1,
+            Op::FetchAdd(..) => c.fetch_adds += 1,
+            _ => {}
+        }
+        match *op {
+            Op::Load(a) => Ret::Value(w[a].0),
+            Op::Store(a, v) | Op::Poke(a, v) => set(&mut w[a].0, v),
+            Op::FetchAdd(a, d) => {
+                let old = w[a].0;
+                set(&mut w[a].0, old.wrapping_add(d));
+                Ret::Value(old)
+            }
+            Op::PeekSlice(b, n) => Ret::Slice(w[b..b + n].iter().map(|x| x.0).collect()),
+            Op::SetEmpty(a) => set(&mut w[a].1, false),
+            Op::IsFull(a) => Ret::Flag(w[a].1),
+            Op::EffectiveFull(a) => Ret::Flag(stuck(a).unwrap_or(w[a].1)),
+            Op::ReadFE(a) | Op::ReadFF(a) | Op::WriteEF(a, _) => {
+                let writes = matches!(op, Op::WriteEF(..));
+                let ok = stuck(a).unwrap_or(w[a].1) != writes;
+                *if ok {
+                    &mut c.sync_ops
+                } else {
+                    &mut c.sync_retries
+                } += 1;
+                match *op {
+                    Op::WriteEF(_, v) if ok => w[a] = (v, w[a].1 || stuck(a).is_none()),
+                    Op::ReadFE(_) if ok => w[a].1 &= stuck(a).is_some(),
+                    _ => {}
+                }
+                if writes {
+                    Ret::Flag(ok)
+                } else {
+                    Ret::Sync(ok.then_some(w[a].0))
+                }
+            }
+            Op::Alloc(_) | Op::AllocInit(_) | Op::AllocFill(..) => {
+                unreachable!("the driver models alloc")
+            }
+        }
+    }
+
+    /// `op` on the real image.
+    fn real(m: &mut Memory, op: &Op) -> Ret {
+        match *op {
+            Op::Alloc(n) => Ret::Value(m.alloc(n) as i64),
+            Op::AllocInit(ref vals) => Ret::Value(m.alloc_init(vals) as i64),
+            Op::AllocFill(n, v) => Ret::Value(m.alloc_fill(n, v) as i64),
+            Op::Load(a) => Ret::Value(m.load(a)),
+            Op::Store(a, v) => {
+                m.store(a, v);
+                Ret::Unit
+            }
+            Op::ReadFE(a) => Ret::Sync(m.readfe(a)),
+            Op::WriteEF(a, v) => Ret::Flag(m.writeef(a, v)),
+            Op::ReadFF(a) => Ret::Sync(m.readff(a)),
+            Op::FetchAdd(a, d) => Ret::Value(m.int_fetch_add(a, d)),
+            Op::Poke(a, v) => {
+                m.poke(a, v);
+                Ret::Unit
+            }
+            Op::PeekSlice(b, n) => Ret::Slice(m.peek_slice(b, n)),
+            Op::SetEmpty(a) => {
+                m.set_empty(a);
+                Ret::Unit
+            }
+            Op::IsFull(a) => Ret::Flag(m.is_full(a)),
+            Op::EffectiveFull(a) => Ret::Flag(m.effective_full(a)),
+        }
+    }
+
+    fn memory_under(plan: Option<&str>) -> Memory {
+        let plan = plan.map(|p| FaultPlan::parse(p).unwrap());
+        with_fault_plan(plan, || Memory::new(CAP))
+    }
+
+    /// Addresses, leaning on the tag-word edges 63 | 64 and the last word.
+    fn addr() -> impl Strategy<Value = usize> {
+        prop_oneof![
+            0..CAP,
+            0..CAP,
+            prop_oneof![Just(63), Just(64), Just(CAP - 1)]
+        ]
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            (0usize..24).prop_map(Op::Alloc),
+            proptest::collection::vec(-9i64..9, 0..24).prop_map(Op::AllocInit),
+            (0usize..24, -9i64..9).prop_map(|(n, v)| Op::AllocFill(n, v)),
+            addr().prop_map(Op::Load),
+            (addr(), any::<i64>()).prop_map(|(a, v)| Op::Store(a, v)),
+            addr().prop_map(Op::ReadFE),
+            (addr(), any::<i64>()).prop_map(|(a, v)| Op::WriteEF(a, v)),
+            addr().prop_map(Op::ReadFF),
+            (addr(), any::<i64>()).prop_map(|(a, d)| Op::FetchAdd(a, d)),
+            (addr(), any::<i64>()).prop_map(|(a, v)| Op::Poke(a, v)),
+            (addr(), 0usize..9).prop_map(|(a, n)| Op::PeekSlice(a, n.min(CAP - a))),
+            addr().prop_map(Op::SetEmpty),
+            addr().prop_map(Op::IsFull),
+            addr().prop_map(Op::EffectiveFull),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random op sequences return, count and leave in the image
+        /// exactly what the tagged-word model does, under no plan and
+        /// with half the words stuck full or stuck empty.
+        #[test]
+        fn image_matches_the_tagged_word_model(
+            ops in proptest::collection::vec(op(), 1..120),
+            plan in 0usize..3,
+        ) {
+            let mut m = memory_under(PLANS[plan]);
+            let fault = PLANS[plan].map(|p| FaultPlan::parse(p).unwrap());
+            let stuck = |a: usize| fault.as_ref().and_then(|p| p.stuck_tag(a));
+            let (mut w, mut c, mut next) = (vec![(0i64, true); CAP], MemCounters::default(), 0);
+            for op in &ops {
+                let len = match *op {
+                    Op::Alloc(n) | Op::AllocFill(n, _) => n,
+                    Op::AllocInit(ref vals) => vals.len(),
+                    _ => 0,
+                };
+                if next + len > CAP {
+                    continue;
+                }
+                let want = match *op {
+                    Op::Alloc(_) => Ret::Value(next as i64),
+                    Op::AllocInit(ref vals) => {
+                        w[next..].iter_mut().zip(vals).for_each(|(x, &v)| *x = (v, true));
+                        Ret::Value(next as i64)
+                    }
+                    Op::AllocFill(n, v) => {
+                        w[next..next + n].fill((v, true));
+                        Ret::Value(next as i64)
+                    }
+                    _ => model(&mut w, &mut c, stuck, op),
+                };
+                next += len;
+                prop_assert_eq!(real(&mut m, op), want, "{:?}", op);
+                prop_assert_eq!(m.counters, c, "counters after {:?}", op);
+                prop_assert_eq!(m.peek_slice(0, CAP), w.iter().map(|x| x.0).collect::<Vec<_>>());
+                let tags: Vec<bool> = (0..CAP).map(|a| m.is_full(a)).collect();
+                prop_assert_eq!(tags, w.iter().map(|x| x.1).collect::<Vec<_>>(), "tags after {:?}", op);
+            }
+        }
+    }
+
+    /// An address past the image panics on every op, including those
+    /// that land inside the last, partial tag word (130..192 here).
     #[test]
-    fn counters_total() {
-        let mut m = Memory::new(4);
-        m.load(0);
-        m.store(1, 1);
-        m.int_fetch_add(2, 1);
-        m.store(3, 1);
-        m.readfe(3);
-        assert_eq!(m.counters.total_ops(), 5);
+    fn out_of_range_addresses_still_panic() {
+        for plan in PLANS {
+            for a in [CAP, CAP + 1, 191, 192] {
+                let ops = [
+                    Op::Load(a),
+                    Op::Store(a, 1),
+                    Op::ReadFE(a),
+                    Op::WriteEF(a, 1),
+                    Op::ReadFF(a),
+                    Op::FetchAdd(a, 1),
+                    Op::Poke(a, 1),
+                    Op::PeekSlice(a, 1),
+                    Op::SetEmpty(a),
+                    Op::IsFull(a),
+                    Op::EffectiveFull(a),
+                ];
+                for op in ops {
+                    let mut m = memory_under(plan);
+                    let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        real(&mut m, &op)
+                    }));
+                    assert!(
+                        out.is_err(),
+                        "{op:?} at capacity {CAP} under {plan:?} did not panic"
+                    );
+                }
+            }
+        }
     }
 }

@@ -55,6 +55,14 @@ benchmarks/run.sh --workload daemon-serve --seconds 2
 # each pass verified against its oracle and the first against
 # expected.json; a short run keeps smp-sim's fast paths under the gate.
 benchmarks/run.sh --workload smp-cache --seconds 2
+# sync-faults-mta is the only at-scale run of readfe/writeef full/empty
+# tags (the sync cell's retries) and of all four structural fault plans
+# (stall, links, brownout, and the three combined) on the MTA. The tags
+# live in mta-sim's memory bitset, which only small tests cover; every
+# pass is checked against the host fold and the first also against
+# expected.json, so a wrong tag or a fault path that changes a result
+# exits non-zero.
+benchmarks/run.sh --workload sync-faults-mta --seconds 2
 # native-kernels is the only place native Helman–JáJá ranks lists of 2^21
 # (Random and Ordered, one thread, so it runs the sublist decomposition),
 # and the only place MSF (G(2^18, 5·2^18), light and heavy phases both
