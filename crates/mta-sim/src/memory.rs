@@ -482,8 +482,8 @@ mod tests {
     }
 
     /// The reference image: one `(value, full)` pair a word, the layout
-    /// the bitset replaced. `stuck` is the plan's forced tag. The driver
-    /// models `alloc*`.
+    /// the bitset replaced. `stuck` is the plan's forced tag. The
+    /// property's loop models `alloc*`.
     fn model(
         w: &mut [(i64, bool)],
         c: &mut MemCounters,
@@ -511,11 +511,8 @@ mod tests {
             Op::ReadFE(a) | Op::ReadFF(a) | Op::WriteEF(a, _) => {
                 let writes = matches!(op, Op::WriteEF(..));
                 let ok = stuck(a).unwrap_or(w[a].1) != writes;
-                *if ok {
-                    &mut c.sync_ops
-                } else {
-                    &mut c.sync_retries
-                } += 1;
+                c.sync_ops += u64::from(ok);
+                c.sync_retries += u64::from(!ok);
                 match *op {
                     Op::WriteEF(_, v) if ok => w[a] = (v, w[a].1 || stuck(a).is_none()),
                     Op::ReadFE(_) if ok => w[a].1 &= stuck(a).is_some(),
@@ -527,9 +524,7 @@ mod tests {
                     Ret::Sync(ok.then_some(w[a].0))
                 }
             }
-            Op::Alloc(_) | Op::AllocInit(_) | Op::AllocFill(..) => {
-                unreachable!("the driver models alloc")
-            }
+            _ => unreachable!("the property's loop models alloc"),
         }
     }
 
