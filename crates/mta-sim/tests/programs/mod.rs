@@ -3,9 +3,10 @@
 //!
 //! A program is a list of [`Segment`]s lowered to micro-ISA: straight-line
 //! runs, bounded countdown loops and data-dependent forward skips, so
-//! every generated program terminates. Bodies compute in r2..r7; r9 is
-//! the loop counter; r10 and r11 take the values of the synchronizing and
-//! hot-word ops, which no body op reads. The callers choose which
+//! every generated program terminates. Bodies compute in r2..r7; r8
+//! holds a private region's base; r9 is the loop counter; r10 and r11
+//! take the values of the synchronizing and hot-word ops, which no body
+//! op reads. The callers choose which
 //! [`BodyOp`]s a body may hold and which register ordinary memory ops
 //! address from.
 
