@@ -11,7 +11,7 @@
 //! Reached by: the `euler/mta/p8` and `euler/smp/p8` suite cells (through [`crate::sim`]).
 
 use archgraph_graph::list::LinkedList;
-use archgraph_graph::{Node, NIL};
+use archgraph_graph::Node;
 use archgraph_listrank::{helman_jaja, sequential_rank, HjConfig};
 
 use crate::tree::Tree;
@@ -166,7 +166,8 @@ impl EulerTour {
     }
 
     /// The arcs in tour order.
-    pub fn tour_order(&self) -> Vec<u32> {
+    #[cfg(test)]
+    pub(crate) fn tour_order(&self) -> Vec<u32> {
         let mut order = vec![0u32; self.arc_count()];
         for (a, &r) in self.rank.iter().enumerate() {
             order[r as usize] = a as u32;
@@ -176,7 +177,8 @@ impl EulerTour {
 
     /// `parent[v]` for every vertex (`NIL` at the root): arc `a = (u→v)`
     /// is the *advance* into `v` iff it precedes its twin in the tour.
-    pub fn parents(&self) -> Vec<Node> {
+    #[cfg(test)]
+    pub(crate) fn parents(&self) -> Vec<Node> {
         let n = self
             .from
             .iter()
@@ -185,13 +187,13 @@ impl EulerTour {
             .max()
             .unwrap_or(self.root as usize + 1)
             .max(self.root as usize + 1);
-        let mut parent = vec![NIL; n];
+        let mut parent = vec![archgraph_graph::NIL; n];
         for a in 0..self.arc_count() {
             if self.rank[a] < self.rank[Self::twin(a)] {
                 parent[self.to[a] as usize] = self.from[a];
             }
         }
-        parent[self.root as usize] = NIL;
+        parent[self.root as usize] = archgraph_graph::NIL;
         parent
     }
 }
@@ -199,6 +201,7 @@ impl EulerTour {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use archgraph_graph::NIL;
 
     #[test]
     fn tour_visits_every_arc_once() {

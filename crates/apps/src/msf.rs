@@ -207,9 +207,37 @@ pub fn kruskal_weight(g: &EdgeList, weights: &[u32]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use archgraph_concomp::spanning::is_spanning_forest;
+    use archgraph_graph::edgelist::Edge;
     use archgraph_graph::gen;
     use archgraph_graph::rng::Rng;
+
+    /// Whether `forest` is a spanning forest of `g`: acyclic, with the
+    /// full graph's components, so exactly `n − #components` edges.
+    fn is_spanning_forest(g: &EdgeList, forest: &[Edge]) -> bool {
+        let mut uf = UnionFind::new(g.n);
+        for e in forest {
+            if !uf.union(e.u, e.v) {
+                return false; // cycle
+            }
+        }
+        let forest_components = uf.component_count();
+        let mut full = UnionFind::new(g.n);
+        for e in &g.edges {
+            full.union(e.u, e.v);
+        }
+        forest_components == full.component_count() && forest.len() == g.n - full.component_count()
+    }
+
+    #[test]
+    fn forest_validator_rejects_cycles_and_undersized_sets() {
+        let g = gen::cycle(5);
+        assert!(
+            !is_spanning_forest(&g, &g.edges),
+            "the full cycle has a cycle"
+        );
+        assert!(!is_spanning_forest(&g, &g.edges[0..2]), "too few edges");
+        assert!(is_spanning_forest(&g, &g.edges[0..4]));
+    }
 
     /// Kruskal's forest under the `(weight, index)` order: the one MSF
     /// that order admits, sorted by edge index.

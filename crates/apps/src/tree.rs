@@ -74,7 +74,8 @@ impl Tree {
     }
 
     /// A complete binary tree.
-    pub fn binary(n: usize) -> Tree {
+    #[cfg(test)]
+    pub(crate) fn binary(n: usize) -> Tree {
         assert!(n >= 1);
         Tree {
             edges: archgraph_graph::gen::binary_tree(n),
@@ -83,6 +84,9 @@ impl Tree {
 
     /// Sequential oracle: parents, depths and subtree sizes from a BFS
     /// rooted at `root`.
+    ///
+    /// Reached by: the Euler-tour and tree unit tests, which hold tour
+    /// parents and tree statistics to it.
     pub fn rooted_oracle(&self, root: Node) -> OracleStats {
         let n = self.n();
         let csr = archgraph_graph::csr::Csr::from_edge_list(&self.edges);

@@ -207,9 +207,13 @@ pub struct CellSpec {
     pub faults: Option<String>,
 }
 
-/// Default problem sizes, shared with the committed bench baseline. The
-/// whole suite must run in tens of seconds in a release build.
 pub mod sizes {
+    //! Default problem sizes, shared with the committed bench baseline.
+    //! The whole suite must run in tens of seconds in a release build.
+    //!
+    //! Reached by: every suite cell (`bench_suite`) and the `--bin bench`
+    //! baseline it pins.
+
     /// List length for fig1/table1 list-ranking cells.
     pub const N_LIST: usize = 1 << 15;
     /// Graph vertices for fig2/table1-cc/color/bfs/msf/biconn cells.
@@ -551,6 +555,8 @@ pub fn parse_engine(s: &str) -> Option<MtaEngine> {
 }
 
 /// Spell an MTA engine the way [`parse_engine`] reads it.
+///
+/// Reached by: frozen benchmarks/src (`run.rs`), until ROADMAP 11(b).
 pub fn engine_name(e: MtaEngine) -> &'static str {
     e.name()
 }

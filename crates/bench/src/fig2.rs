@@ -97,9 +97,7 @@ mod tests {
     #[test]
     fn times_grow_with_m() {
         for s in sweep(Scale::Smoke, MachineKind::Smp, false).into_series() {
-            let first = crate::guard::require_first(&s.points, &s.label)
-                .expect("series has points")
-                .seconds;
+            let first = s.points.first().expect("series has points").seconds;
             let last = crate::guard::require_last(&s.points, &s.label)
                 .expect("series has points")
                 .seconds;

@@ -34,6 +34,8 @@ where
 
 /// Apply `f` to every cell serially, in cell order — the reference path
 /// the determinism tests compare [`par_map`] against.
+///
+/// Reached by: `tests/parallel_determinism.rs`.
 pub fn serial_map<C, R, F>(cells: &[C], f: F) -> Vec<R>
 where
     F: Fn(&C) -> R,

@@ -15,11 +15,6 @@
 
 use archgraph_core::experiment::Series;
 
-/// First element of `items`, or an error naming the empty collection.
-pub fn require_first<'a, T>(items: &'a [T], what: &str) -> Result<&'a T, String> {
-    items.first().ok_or_else(|| format!("{what} is empty"))
-}
-
 /// Last element of `items`, or an error naming the empty collection.
 pub fn require_last<'a, T>(items: &'a [T], what: &str) -> Result<&'a T, String> {
     items.last().ok_or_else(|| format!("{what} is empty"))
@@ -62,17 +57,12 @@ mod tests {
     #[test]
     fn require_first_and_last_on_nonempty() {
         let v = [10, 20, 30];
-        assert_eq!(require_first(&v, "grid"), Ok(&10));
         assert_eq!(require_last(&v, "grid"), Ok(&30));
     }
 
     #[test]
     fn require_first_and_last_name_the_empty_collection() {
         let v: [usize; 0] = [];
-        assert_eq!(
-            require_first(&v, "processor grid"),
-            Err("processor grid is empty".to_string())
-        );
         assert_eq!(
             require_last(&v, "fig1 size list"),
             Err("fig1 size list is empty".to_string())

@@ -110,6 +110,8 @@ pub fn utilization_sweep(scale: Scale, verbose: bool) -> TableSweep {
 
 /// Compute the table. Panics if any cell failed; drivers that want the
 /// rest of the table anyway use [`utilization_sweep`].
+///
+/// Reached by: `tests/figures_smoke.rs` and `tests/determinism.rs`.
 pub fn utilization_table(scale: Scale, verbose: bool) -> Vec<UtilizationRow> {
     let sw = utilization_sweep(scale, verbose);
     if let Some(f) = sw.failures.first() {

@@ -60,6 +60,9 @@ pub struct NativeBfs {
 /// never the current one, so no race changes the outcome. The direction
 /// choices depend on sums over the discovered sets only, so they repeat
 /// too.
+///
+/// Reached by: frozen benchmarks/src (`cells.rs`, the native-kernels `bfs`
+/// op) and `tests/kernel_differential.rs`.
 pub fn parallel_bfs(g: &Csr, src: Node) -> NativeBfs {
     let n = g.n();
     assert!((src as usize) < n, "source out of range");

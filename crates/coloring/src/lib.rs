@@ -27,8 +27,9 @@
 //! colors, so the fixpoint uses at most `Δ + 1` colors, same as the
 //! sequential greedy oracle.
 //!
-//! * [`seq`] — sequential first-fit greedy: the oracle for properness,
-//!   color-count bound, and round accounting.
+//! * [`seq`] — the validator every kernel's coloring is checked with
+//!   (properness and the `Δ + 1` bound), and sequential first-fit greedy
+//!   for its unit tests.
 //! * [`native`] — speculate-then-fix with atomics + rayon.
 //! * [`sim_smp`] — the rounds lowered onto the SMP cost model.
 //! * [`sim_mta`] — the rounds as micro-ISA programs on the MTA simulator,
@@ -43,4 +44,4 @@ pub mod sim_mta;
 pub mod sim_smp;
 
 pub use native::{speculative_coloring, NativeColoring};
-pub use seq::{greedy_coloring, validate_coloring};
+pub use seq::validate_coloring;

@@ -34,6 +34,9 @@ pub struct NativeColoring {
 /// Color `g` by parallel speculation. The result is always proper and
 /// uses at most `Δ + 1` colors; the exact coloring depends on race
 /// resolution and may differ from the sequential oracle's.
+///
+/// Reached by: frozen benchmarks/src (`cells.rs`, the native-kernels
+/// `color` op) and `tests/kernel_differential.rs`.
 pub fn speculative_coloring(g: &Csr) -> NativeColoring {
     let n = g.n();
     // Uncolored is `NIL`, which no first-fit slot `0..=deg` can equal.

@@ -6,11 +6,13 @@ use archgraph_graph::csr::Csr;
 use archgraph_graph::Node;
 
 /// First-fit greedy coloring in vertex order. Uses at most `Δ + 1`
-/// colors. This is the oracle the parallel speculative kernels are
-/// validated against — not for equal colors (speculation may legally
-/// settle on a different proper coloring) but for properness and the
-/// same `Δ + 1` bound.
-pub fn greedy_coloring(g: &Csr) -> Vec<Node> {
+/// colors. The unit tests below color with it to exercise
+/// [`validate_coloring`], the check every kernel's coloring goes through
+/// (speculation may legally settle on a different proper coloring, so
+/// kernels are held to properness and the `Δ + 1` bound, not to this
+/// coloring).
+#[cfg(test)]
+pub(crate) fn greedy_coloring(g: &Csr) -> Vec<Node> {
     let n = g.n();
     let mut colors = vec![0 as Node; n];
     let mut forbidden: Vec<u32> = Vec::new();

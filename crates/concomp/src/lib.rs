@@ -11,9 +11,6 @@
 //!   exists to avoid).
 //! * [`sim_smp`] / [`sim_mta`] — SV lowered onto the two architecture
 //!   simulators (the Fig. 2 pipelines).
-//! * [`spanning`] — spanning forests recovered from SV graft witnesses,
-//!   the primitive behind the Bader–Cong spanning-tree work the paper
-//!   cites.
 //!
 //! Every algorithm returns a component labeling `D` with `D[v] == D[D[v]]`
 //! (rooted stars); labelings are compared as partitions against the
@@ -30,7 +27,6 @@
 
 pub mod sim_mta;
 pub mod sim_smp;
-pub mod spanning;
 pub mod star;
 pub mod sv;
 pub mod sv_mta;

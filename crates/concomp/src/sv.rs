@@ -90,6 +90,9 @@ fn livelock_error(bound: usize, iters: usize) -> SimError {
 ///     &unionfind::connected_components(&g),
 /// ));
 /// ```
+///
+/// Reached by: frozen benchmarks/src (`cells.rs`, the native-kernels
+/// `concomp` op) and the connectivity tests in `tests/`.
 pub fn shiloach_vishkin(g: &EdgeList) -> Vec<Node> {
     try_shiloach_vishkin(g, iteration_bound(g.n))
         .unwrap_or_else(|e| panic!("shiloach-vishkin livelocked: {e}"))
@@ -194,7 +197,8 @@ pub fn try_shiloach_vishkin(g: &EdgeList, bound: usize) -> Result<Vec<Node>, Sim
 /// labeling, up to log n for an arbitrary one" sensitivity statement
 /// lives. Returns `(labels, rounds)`; panics, as [`shiloach_vishkin`]
 /// does, past [`iteration_bound`].
-pub fn shiloach_vishkin_iters(g: &EdgeList) -> (Vec<Node>, usize) {
+#[cfg(test)]
+pub(crate) fn shiloach_vishkin_iters(g: &EdgeList) -> (Vec<Node>, usize) {
     let n = g.n;
     let mut d: Vec<Node> = (0..n as Node).collect();
     let bound = iteration_bound(n);

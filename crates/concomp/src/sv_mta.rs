@@ -79,6 +79,9 @@ pub fn sv_mta_style(g: &EdgeList) -> Vec<Node> {
 /// Round-synchronous iteration-count probe (PRAM rounds; grafts read the
 /// round's opening snapshot, conflicts resolve to the minimum label) —
 /// the star-check ablation's comparison metric against Alg. 2.
+///
+/// Reached by: `tests/cross_validation.rs`
+/// (`simulated_and_native_iteration_counts_are_comparable`).
 pub fn sv_mta_style_iters(g: &EdgeList) -> (Vec<Node>, usize) {
     let n = g.n;
     let mut d: Vec<Node> = (0..n as Node).collect();

@@ -70,6 +70,9 @@ impl Complexity {
     /// True when every component of `self` is at most the corresponding
     /// component of `other` (used by tests to check dominance relations,
     /// e.g. the MTA-effective triplet never exceeds the SMP triplet).
+    ///
+    /// Reached by: `cost`'s unit tests; ROADMAP item 8 keeps or deletes it
+    /// with `predict`.
     pub fn dominated_by(&self, other: &Complexity) -> bool {
         self.t_m <= other.t_m && self.t_c <= other.t_c && self.barriers <= other.barriers
     }
@@ -97,17 +100,25 @@ pub fn lg(n: usize) -> f64 {
     (n.max(2) as f64).log2()
 }
 
-/// Closed-form cost triplets for the algorithms analyzed in the paper.
-///
-/// Each function reproduces a formula stated in §3 or §4 of the paper. They
-/// are exercised by the simulators' cross-validation tests and by the
-/// analytic prediction layer.
 pub mod formulas {
+    //! Closed-form cost triplets for the algorithms analyzed in the paper.
+    //!
+    //! Each function reproduces a formula stated in §3 or §4 of the paper.
+    //! They are exercised by the simulators' cross-validation tests and by
+    //! the analytic prediction layer.
+    //!
+    //! Reached by: `tests/cross_validation.rs`
+    //! (`analytic_model_tracks_simulator_scaling`) and `predict`; ROADMAP
+    //! item 8 keeps or deletes them with `predict`.
+
     use super::{lg, Complexity};
 
     /// Helman–JáJá list ranking on an SMP (paper §3):
     /// `T(n,p) = ⟨n/p; O(n/p)⟩` for `n > p² ln n`, with a constant number of
     /// barriers (one after each of the five steps; we count 5).
+    ///
+    /// Reached by: `tests/cross_validation.rs`
+    /// (`analytic_model_tracks_simulator_scaling`).
     pub fn hj_list_ranking(n: usize, p: usize) -> Complexity {
         let n = n as f64;
         let p = p as f64;
@@ -116,6 +127,8 @@ pub mod formulas {
 
     /// Sequential list ranking: every access chases a pointer, so all `n`
     /// accesses are non-contiguous on an arbitrary list.
+    ///
+    /// Reached by: `cost`'s unit tests, until ROADMAP item 8.
     pub fn seq_list_ranking(n: usize) -> Complexity {
         let n = n as f64;
         Complexity::new(n, 2.0 * n, 0.0)
@@ -158,6 +171,9 @@ pub mod formulas {
     /// paper's published bound [`sv_total_published`]: charging step 3 its
     /// full `n log n / p` in every iteration ignores that the pointer-
     /// jumping work telescopes to `n log n / p` across all iterations.
+    ///
+    /// Reached by: `cost`'s and `predict`'s unit tests, until ROADMAP
+    /// item 8.
     pub fn sv_total(n: usize, m: usize, p: usize) -> Complexity {
         sv_iteration(n, m, p).repeat(lg(n))
     }
@@ -165,6 +181,8 @@ pub mod formulas {
     /// The paper's stated closed form for the SV total (as printed in §4),
     /// kept separately so tests can confirm our per-step composition stays
     /// within the published bound.
+    ///
+    /// Reached by: `cost`'s unit tests, until ROADMAP item 8.
     pub fn sv_total_published(n: usize, m: usize, p: usize) -> Complexity {
         let (nf, mf, pf) = (n as f64, m as f64, p as f64);
         let l = lg(n);
@@ -178,6 +196,9 @@ pub mod formulas {
     /// MTA walk-based list ranking (paper Alg. 1): three `O(n)` parallel
     /// steps with `NWALK`-way parallelism; on the MTA the effective `T_M`
     /// and `B` vanish given sufficient parallelism, leaving `T_C = O(n/p)`.
+    ///
+    /// Reached by: `cost`'s and `predict`'s unit tests, until ROADMAP
+    /// item 8.
     pub fn mta_list_ranking_effective(n: usize, p: usize) -> Complexity {
         let (n, p) = (n as f64, p as f64);
         Complexity::new(0.0, 3.0 * n / p, 0.0)
@@ -186,6 +207,8 @@ pub mod formulas {
     /// MTA SV (paper Alg. 3): grafting over `2m` edge slots plus full
     /// shortcutting, `O(log² n)` iterations in the stated (loose) bound;
     /// effective `T_M = B = 0` on the MTA.
+    ///
+    /// Reached by: `cost`'s unit tests, until ROADMAP item 8.
     pub fn mta_sv_effective(n: usize, m: usize, p: usize) -> Complexity {
         let (nf, mf, pf) = (n as f64, m as f64, p as f64);
         let l = lg(n);

@@ -100,6 +100,9 @@ impl SmpParams {
 
     /// A small configuration handy for fast unit tests: tiny caches so that
     /// capacity effects appear at toy problem sizes.
+    ///
+    /// Reached by: the unit and integration tests of the SMP kernels and
+    /// `smp-sim`.
     pub fn tiny_for_tests() -> Self {
         SmpParams {
             clock_hz: 100.0e6,
@@ -170,6 +173,9 @@ impl MtaParams {
 
     /// A reduced configuration for fast unit tests (fewer streams, shorter
     /// latency) that keeps every mechanism active.
+    ///
+    /// Reached by: the unit and integration tests of the MTA kernels and
+    /// `mta-sim`.
     pub fn tiny_for_tests() -> Self {
         MtaParams {
             clock_hz: 100.0e6,

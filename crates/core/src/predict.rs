@@ -21,6 +21,10 @@ const SMP_COMPUTE_CPI: f64 = 1.0;
 /// Predict SMP running time in seconds for a cost triplet.
 ///
 /// `time = (T_M · mem_latency + T_C · CPI + B · barrier(p)) / clock`.
+///
+/// Reached by: `tests/cross_validation.rs`
+/// (`analytic_model_tracks_simulator_scaling`); ROADMAP item 8 keeps or
+/// deletes this module.
 pub fn smp_seconds(c: &Complexity, params: &SmpParams, p: usize) -> f64 {
     let cycles = c.t_m * params.mem_latency as f64
         + c.t_c * SMP_COMPUTE_CPI
@@ -35,6 +39,8 @@ pub fn smp_seconds(c: &Complexity, params: &SmpParams, p: usize) -> f64 {
 /// and `time = T_C / clock`. With too few threads the processor idles while
 /// memory operations complete, which we model with the saturation ratio
 /// `min(1, threads / streams_to_saturate)` applied to issue efficiency.
+///
+/// Reached by: `predict`'s unit tests, until ROADMAP item 8.
 pub fn mta_seconds(c: &Complexity, params: &MtaParams, threads_per_proc: usize) -> f64 {
     let sat = params.streams_to_saturate().max(1);
     let efficiency = (threads_per_proc as f64 / sat as f64).min(1.0);
@@ -49,6 +55,8 @@ pub fn mta_seconds(c: &Complexity, params: &MtaParams, threads_per_proc: usize) 
 
 /// Predicted MTA utilization for a parallel region exposing
 /// `threads_per_proc` concurrently ready streams per processor.
+///
+/// Reached by: `predict`'s unit tests, until ROADMAP item 8.
 pub fn mta_utilization(params: &MtaParams, threads_per_proc: usize) -> f64 {
     let sat = params.streams_to_saturate().max(1);
     (threads_per_proc as f64 / sat as f64).min(1.0)

@@ -137,6 +137,10 @@ impl Drop for Scope {
 
 /// Run `f` with `plan` in force (`None`: a clean machine) and the
 /// enclosing budget unchanged.
+///
+/// Reached by: frozen benchmarks/src (`cells.rs`, the `sync-faults-mta`
+/// plans) and the fault-plan tests (`tests/suite_golden.rs`'s chaos soak,
+/// `tests/smp_golden.rs`).
 pub fn with_fault_plan<R>(plan: Option<FaultPlan>, f: impl FnOnce() -> R) -> R {
     RunConfig {
         faults: plan,

@@ -53,6 +53,9 @@ pub fn level_count(levels: &[Node]) -> usize {
 
 /// Connected components by BFS over a CSR adjacency; returns min-vertex
 /// canonical labels.
+///
+/// Reached by: `tests/properties.rs`, a second oracle beside union-find
+/// for every connectivity kernel.
 pub fn bfs_components(g: &EdgeList) -> Vec<Node> {
     let csr = Csr::from_edge_list(g);
     let n = g.n;

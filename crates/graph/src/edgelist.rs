@@ -3,8 +3,8 @@
 //! The Shiloach–Vishkin codes in the paper iterate over an array of edges
 //! (`E[i].v1`, `E[i].v2`), treating each undirected edge in both
 //! directions — the MTA code (Alg. 3) literally loops `i in 0..2m` over a
-//! doubled arc array. [`EdgeList`] stores each undirected edge once and
-//! provides [`EdgeList::directed_arcs`] to materialize the doubled form.
+//! doubled arc array. [`EdgeList`] stores each undirected edge once; each
+//! kernel walks it in both directions itself.
 //!
 //! Reached by: every graph suite cell (`fig2/*`, `color/*`, `bfs/*`, …).
 
@@ -82,19 +82,11 @@ impl EdgeList {
         self.edges.len()
     }
 
-    /// The doubled arc array `[(u,v), (v,u), ...]` of length `2m` the MTA
-    /// SV code iterates over.
-    pub fn directed_arcs(&self) -> Vec<Edge> {
-        let mut arcs = Vec::with_capacity(2 * self.edges.len());
-        for e in &self.edges {
-            arcs.push(*e);
-            arcs.push(Edge::new(e.v, e.u));
-        }
-        arcs
-    }
-
     /// Degree of every vertex (self loops count twice, the usual
     /// graph-theoretic convention).
+    ///
+    /// Reached by: `apps::biconn`'s articulation test and `csr`'s degree
+    /// test, which check against it.
     pub fn degrees(&self) -> Vec<usize> {
         let mut deg = vec![0usize; self.n];
         for e in &self.edges {
@@ -122,6 +114,9 @@ impl EdgeList {
 
     /// True if the graph contains no self loops and no duplicate edges
     /// (up to orientation).
+    ///
+    /// Reached by: the generator checks in `tests/properties.rs`,
+    /// `tests/failure_injection.rs` and `bench::workloads`' tests.
     pub fn is_simple(&self) -> bool {
         let mut canon: Vec<Edge> = self.edges.iter().map(|e| e.canonical()).collect();
         if canon.iter().any(|e| e.is_loop()) {
@@ -145,7 +140,8 @@ impl EdgeList {
     }
 
     /// Validate all endpoints are within range.
-    pub fn check_ranges(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn check_ranges(&self) -> bool {
         self.edges
             .iter()
             .all(|e| (e.u as usize) < self.n && (e.v as usize) < self.n)
@@ -178,16 +174,6 @@ mod tests {
     }
 
     #[test]
-    fn directed_arcs_double() {
-        let g = EdgeList::from_pairs(3, [(0, 1), (1, 2)]);
-        let arcs = g.directed_arcs();
-        assert_eq!(arcs.len(), 4);
-        assert_eq!(arcs[0], Edge::new(0, 1));
-        assert_eq!(arcs[1], Edge::new(1, 0));
-        assert_eq!(arcs[3], Edge::new(2, 1));
-    }
-
-    #[test]
     fn degrees_count_loops_twice() {
         let g = EdgeList::from_pairs(3, [(0, 1), (1, 1)]);
         assert_eq!(g.degrees(), vec![1, 3, 0]);
@@ -208,7 +194,6 @@ mod tests {
         let g = EdgeList::empty(10);
         assert!(g.is_simple());
         assert_eq!(g.degrees(), vec![0; 10]);
-        assert!(g.directed_arcs().is_empty());
     }
 
     #[test]

@@ -97,6 +97,9 @@ pub fn binary_tree(n: usize) -> EdgeList {
 }
 
 /// The complete graph `K_n`.
+///
+/// Reached by: `tests/kernel_differential.rs`, `tests/failure_injection.rs`
+/// and the dense-graph unit tests of the kernel crates.
 pub fn complete(n: usize) -> EdgeList {
     let mut edges = Vec::with_capacity(max_edges(n));
     for u in 0..n {
@@ -127,6 +130,9 @@ pub fn mesh2d(rows: usize, cols: usize) -> EdgeList {
 }
 
 /// A 2-D torus: mesh plus wraparound edges in both dimensions.
+///
+/// Reached by: the BFS, colouring and MTA SV unit tests (a regular graph
+/// with long cycles).
 pub fn torus2d(rows: usize, cols: usize) -> EdgeList {
     let mut g = mesh2d(rows, cols);
     if cols > 2 {
@@ -145,6 +151,9 @@ pub fn torus2d(rows: usize, cols: usize) -> EdgeList {
 }
 
 /// An `x × y × z` 3-D mesh.
+///
+/// Reached by: `concomp::sv`'s unit tests; ROADMAP item 14's locality
+/// claims are to use it.
 pub fn mesh3d(x: usize, y: usize, z: usize) -> EdgeList {
     let n = x * y * z;
     let idx = |i: usize, j: usize, k: usize| (i * y * z + j * z + k) as Node;
@@ -171,6 +180,9 @@ pub fn mesh3d(x: usize, y: usize, z: usize) -> EdgeList {
 /// vertices each (every blob gets a random spanning cycle plus extras), so
 /// the true component count is known by construction. Useful as a CC
 /// stress workload with a known answer.
+///
+/// Reached by: the union-find, BFS-components, SV and MSF unit tests,
+/// which check a component count known by construction.
 pub fn planted_components(k: usize, block_n: usize, extra_per_block: usize, seed: u64) -> EdgeList {
     assert!(block_n >= 1);
     let mut out = EdgeList::empty(0);
@@ -199,6 +211,9 @@ pub fn planted_components(k: usize, block_n: usize, extra_per_block: usize, seed
 
 /// `count` isolated vertices appended to a copy of `g` — exercises the
 /// algorithms' handling of degree-0 vertices.
+///
+/// Reached by: `tests/kernel_differential.rs`,
+/// `tests/failure_injection.rs` and the kernel crates' unit tests.
 pub fn with_isolated(g: &EdgeList, count: usize) -> EdgeList {
     EdgeList {
         n: g.n + count,

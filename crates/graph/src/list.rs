@@ -94,11 +94,6 @@ impl LinkedList {
         self.next.is_empty()
     }
 
-    /// The terminator value stored by the tail (equal to `n`).
-    pub fn terminator(&self) -> Node {
-        self.next.len() as Node
-    }
-
     /// The **Ordered** layout: slot `i` holds the element of rank `i`.
     pub fn ordered(n: usize) -> Self {
         assert!(n < u32::MAX as usize);
@@ -215,7 +210,6 @@ mod tests {
         let l = LinkedList::ordered(5);
         assert_eq!(l.next, vec![1, 2, 3, 4, 5]);
         assert_eq!(l.head, 0);
-        assert_eq!(l.terminator(), 5);
         l.validate().unwrap();
     }
 

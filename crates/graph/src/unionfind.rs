@@ -21,8 +21,8 @@ use crate::Node;
 /// let mut uf = UnionFind::new(4);
 /// uf.union(0, 1);
 /// uf.union(2, 3);
-/// assert!(uf.same(0, 1));
-/// assert!(!uf.same(1, 2));
+/// assert_eq!(uf.find(0), uf.find(1));
+/// assert_ne!(uf.find(1), uf.find(2));
 /// assert_eq!(uf.component_count(), 2);
 /// ```
 #[derive(Debug, Clone)]
@@ -83,11 +83,6 @@ impl UnionFind {
         }
         self.components -= 1;
         true
-    }
-
-    /// True when `a` and `b` are in the same set.
-    pub fn same(&mut self, a: Node, b: Node) -> bool {
-        self.find(a) == self.find(b)
     }
 
     /// Current number of disjoint sets.
@@ -181,8 +176,8 @@ mod tests {
         assert!(uf.union(1, 2));
         assert!(!uf.union(0, 2), "already joined");
         assert_eq!(uf.component_count(), 3);
-        assert!(uf.same(0, 2));
-        assert!(!uf.same(0, 3));
+        assert_eq!(uf.find(0), uf.find(2));
+        assert_ne!(uf.find(0), uf.find(3));
     }
 
     #[test]

@@ -47,6 +47,8 @@ impl Default for MtaStyleConfig {
 
 impl MtaStyleConfig {
     /// The paper's sizing rule: about 10 nodes per walk.
+    ///
+    /// Reached by: `tests/cross_validation.rs` (`all_five_list_rankers_agree`).
     pub fn for_list(n: usize, threads: usize) -> Self {
         MtaStyleConfig {
             walks: (n / 10).max(1),
@@ -81,6 +83,9 @@ fn choose_walk_heads(list: &LinkedList, walks: usize) -> Vec<Node> {
 
 /// Rank a list with the walk algorithm. Returns head-anchored ranks
 /// identical to [`sequential_rank`].
+///
+/// Reached by: `tests/cross_validation.rs`, `tests/properties.rs` and
+/// `tests/failure_injection.rs`, which hold it to the sequential oracle.
 pub fn mta_style_rank(list: &LinkedList, cfg: &MtaStyleConfig) -> Vec<Node> {
     let n = list.len();
     let p = cfg.threads.max(1);

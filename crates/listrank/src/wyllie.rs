@@ -24,6 +24,9 @@ use rayon::prelude::*;
 /// let list = LinkedList::random(2048, &mut Rng::new(5));
 /// assert_eq!(wyllie_rank(&list), list.rank_oracle());
 /// ```
+///
+/// Reached by: `tests/properties.rs` (`wyllie_ranks_arbitrary_permutations`),
+/// the ABL-WORK baseline.
 pub fn wyllie_rank(list: &LinkedList) -> Vec<Node> {
     let n = list.len();
     if n == 0 {
@@ -70,7 +73,8 @@ pub fn wyllie_rank(list: &LinkedList) -> Vec<Node> {
 }
 
 /// Round count, `⌈log₂ n⌉`: the factor of ABL-WORK's `Θ(n log n)` work.
-pub fn wyllie_rounds(n: usize) -> usize {
+#[cfg(test)]
+pub(crate) fn wyllie_rounds(n: usize) -> usize {
     if n <= 1 {
         0
     } else {

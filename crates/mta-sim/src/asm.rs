@@ -111,6 +111,9 @@ fn parse_target(tok: &str, line: usize) -> Result<Target, AsmError> {
 }
 
 /// Assemble source text into a [`Program`].
+///
+/// Reached by: frozen benchmarks/src (`probes.rs`,
+/// `mta-sim.asm_ns_per_line`) and `tests/isa_properties.rs`.
 pub fn assemble(source: &str) -> Result<Program, AsmError> {
     // Pass 1: strip comments/labels, collect label -> instruction index.
     let mut labels: HashMap<String, usize> = HashMap::new();

@@ -216,32 +216,6 @@ impl OpClass {
             OpClass::Halt => 6,
         }
     }
-
-    /// Display label.
-    pub fn label(self) -> &'static str {
-        match self {
-            OpClass::Alu => "alu",
-            OpClass::Load => "load",
-            OpClass::Store => "store",
-            OpClass::Sync => "sync",
-            OpClass::FetchAdd => "fetch_add",
-            OpClass::Control => "control",
-            OpClass::Halt => "halt",
-        }
-    }
-
-    /// All classes in index order.
-    pub fn all() -> [OpClass; N_OP_CLASSES] {
-        [
-            OpClass::Alu,
-            OpClass::Load,
-            OpClass::Store,
-            OpClass::Sync,
-            OpClass::FetchAdd,
-            OpClass::Control,
-            OpClass::Halt,
-        ]
-    }
 }
 
 impl Instr {
@@ -437,6 +411,9 @@ impl Program {
     }
 
     /// Disassembly listing with instruction indices.
+    ///
+    /// Reached by: `tests/isa_properties.rs`, whose round trip assembles
+    /// the listing back to the same program.
     pub fn disassemble(&self) -> String {
         self.instrs
             .iter()
@@ -560,11 +537,17 @@ impl ProgramBuilder {
     }
 
     /// Backward (or known-target) conditional branches.
+    ///
+    /// Reached by: the generated programs of `tests/programs/mod.rs` and
+    /// `tests/guardrails.rs`.
     pub fn beq(&mut self, a: Reg, b: Reg, target: usize) -> &mut Self {
         self.push(Instr::Beq { a, b, target })
     }
 
     /// Branch when `a != b`.
+    ///
+    /// Reached by: the generated programs of `tests/programs/mod.rs` and
+    /// `tests/guardrails.rs`.
     pub fn bne(&mut self, a: Reg, b: Reg, target: usize) -> &mut Self {
         self.push(Instr::Bne { a, b, target })
     }
@@ -572,11 +555,6 @@ impl ProgramBuilder {
     /// Branch when `a < b`.
     pub fn blt(&mut self, a: Reg, b: Reg, target: usize) -> &mut Self {
         self.push(Instr::Blt { a, b, target })
-    }
-
-    /// Branch when `a >= b`.
-    pub fn bge(&mut self, a: Reg, b: Reg, target: usize) -> &mut Self {
-        self.push(Instr::Bge { a, b, target })
     }
 
     /// Unconditional jump to a known target.

@@ -180,6 +180,8 @@ thread_local! {
 /// Run `f` with every [`MtaMachine`] constructed on this thread labelled
 /// `engine` (see [`MtaEngine`]: the label selects nothing). Panic-safe and
 /// nestable; the previous label is restored on exit.
+///
+/// Reached by: frozen benchmarks/src (`run.rs`), until ROADMAP 11(b).
 pub fn with_engine<R>(engine: MtaEngine, f: impl FnOnce() -> R) -> R {
     struct Restore(Option<MtaEngine>);
     impl Drop for Restore {
@@ -196,6 +198,8 @@ pub fn with_engine<R>(engine: MtaEngine, f: impl FnOnce() -> R) -> R {
 /// reads a worker count any more; the name stays only because the frozen
 /// `benchmarks/` package calls it, and goes in the `benchmark` PR that
 /// drops its `partitioned-w1/-w2` rows.
+///
+/// Reached by: frozen benchmarks/src (`run.rs`), until ROADMAP 11(b).
 pub fn with_workers<R>(_workers: usize, f: impl FnOnce() -> R) -> R {
     f()
 }
@@ -900,7 +904,7 @@ mod tests {
         let rep = m.run(&dynamic_sum_program(counter, acc, 1000), 8, |_, _| {});
         assert!(rep.utilization > 0.0 && rep.utilization <= 1.0);
         // 3-wide LIW: up to 3 operations per cycle per processor.
-        assert!(rep.ipc() <= 3.0 * 2.0 + 1e-9);
+        assert!(rep.issued <= 3 * 2 * rep.cycles);
     }
 
     #[test]
@@ -1014,8 +1018,6 @@ mod tests {
         assert_eq!(rep.ops(OpClass::Store), 2);
         assert_eq!(rep.ops(OpClass::Halt), 2);
         assert_eq!(rep.ops(OpClass::Load), 0);
-        let mix = rep.mix_summary();
-        assert!(mix.contains("alu") && mix.contains("store"));
         assert_eq!(rep.op_mix.iter().sum::<u64>(), rep.issued);
     }
 

@@ -70,6 +70,8 @@ impl Memory {
     /// theirs from the run scope; this stays for the frozen `benchmarks/`
     /// package's direct `Memory` probe and goes when a `benchmark` PR thaws
     /// that tree.
+    ///
+    /// Reached by: frozen benchmarks/src (`probes.rs`), until ROADMAP 11(b).
     pub fn set_fault_plan(&mut self, plan: Option<FaultPlan>) {
         self.fault = plan;
     }
@@ -193,6 +195,8 @@ impl Memory {
     }
 
     /// Allocate `len` words all set to `value`.
+    ///
+    /// Reached by: frozen benchmarks/src (`cells.rs`), until ROADMAP 11(b).
     pub fn alloc_fill(&mut self, len: usize, value: i64) -> usize {
         let base = self.alloc(len);
         self.values[base..base + len].fill(value);

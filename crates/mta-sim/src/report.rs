@@ -38,34 +38,6 @@ impl RunReport {
     pub fn ops(&self, class: OpClass) -> u64 {
         self.op_mix[class.index()]
     }
-
-    /// A one-line instruction-mix summary ("alu 40% load 35% ...").
-    pub fn mix_summary(&self) -> String {
-        let total = self.issued.max(1) as f64;
-        OpClass::all()
-            .iter()
-            .filter(|c| self.op_mix[c.index()] > 0)
-            .map(|c| {
-                format!(
-                    "{} {:.0}%",
-                    c.label(),
-                    self.op_mix[c.index()] as f64 / total * 100.0
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(" ")
-    }
-
-    /// Operations per cycle across the whole machine (≤ 3 × processors,
-    /// since each processor issues one three-wide LIW instruction per
-    /// cycle).
-    pub fn ipc(&self) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.issued as f64 / self.cycles as f64
-        }
-    }
 }
 
 /// Issue-loop accounting: *host-side* measurement of the interpreter
@@ -89,6 +61,8 @@ pub struct EngineStats {
 impl EngineStats {
     /// Always 0: the fraction of `issued` instructions that went through
     /// trace batches.
+    ///
+    /// Reached by: frozen benchmarks/src (`probes.rs`), until ROADMAP 11(b).
     pub fn batched_fraction(&self, issued: u64) -> f64 {
         if issued == 0 {
             0.0
@@ -170,13 +144,6 @@ mod tests {
     }
 
     #[test]
-    fn ipc_and_utilization() {
-        let rep = r(100, 150, 2);
-        assert!((rep.ipc() - 1.5).abs() < 1e-12);
-        assert!((rep.utilization - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
     fn combine_sums_and_reweights() {
         let a = r(100, 100, 2);
         let b = r(300, 60, 2);
@@ -195,18 +162,6 @@ mod tests {
 
     #[test]
     fn zero_cycles_guarded() {
-        let rep = RunReport {
-            cycles: 0,
-            issued: 0,
-            issued_thirds: 0,
-            op_mix: [0; N_OP_CLASSES],
-            processors: 1,
-            streams_per_processor: 1,
-            utilization: 0.0,
-            mem: MemCounters::default(),
-            sync_retries: 0,
-            seconds: 0.0,
-        };
-        assert_eq!(rep.ipc(), 0.0);
+        assert_eq!(combine(&[r(0, 0, 1)]).utilization, 0.0);
     }
 }

@@ -21,16 +21,6 @@ impl CacheStats {
     pub fn accesses(&self) -> u64 {
         self.hits + self.misses
     }
-
-    /// Hit rate in `[0, 1]`; zero for an untouched cache.
-    pub fn hit_rate(&self) -> f64 {
-        let a = self.accesses();
-        if a == 0 {
-            0.0
-        } else {
-            self.hits as f64 / a as f64
-        }
-    }
 }
 
 /// A set-associative tag cache with true-LRU replacement.
@@ -214,16 +204,6 @@ mod tests {
         c.flush();
         assert!(!c.probe(0));
         assert_eq!(c.stats.misses, 1);
-    }
-
-    #[test]
-    fn hit_rate_math() {
-        let mut c = Cache::new(1024, 64, 1);
-        assert_eq!(c.stats.hit_rate(), 0.0);
-        c.access(0);
-        c.access(0);
-        c.access(0);
-        assert!((c.stats.hit_rate() - 2.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]

@@ -399,11 +399,6 @@ impl SmpMachine {
         self.time_cycles * self.params.cycle_seconds()
     }
 
-    /// The per-phase log.
-    pub fn phase_log(&self) -> &[PhaseRecord] {
-        &self.phases
-    }
-
     /// Aggregate statistics across processors and phases.
     pub fn stats(&self) -> RunStats {
         let mut s = RunStats {
@@ -494,7 +489,7 @@ mod tests {
             // Processor 1 does 10x the compute of processor 0.
             ctx.compute(if proc == 0 { 100 } else { 1000 });
         });
-        let rec = &m.phase_log()[0];
+        let rec = &m.phases[0];
         let barrier = m.params().barrier_cycles(2) as f64;
         assert_eq!(rec.cycles, 1000.0 + barrier);
     }
@@ -529,7 +524,7 @@ mod tests {
                 i += stride;
             }
         });
-        let rec = &m.phase_log()[0];
+        let rec = &m.phases[0];
         assert!(rec.bus_lines >= 8 * (n / 4) as u64 - 8);
         // tiny params: 100-cycle memory, 32B line, 4 B/cyc bus: 8 procs
         // generate one line per ~100 cycles each = 8*32/100 = 2.56 B/cyc,
@@ -547,7 +542,7 @@ mod tests {
                 i += 4;
             }
         });
-        assert!(m.phase_log()[0].bus_limited, "narrow bus must limit");
+        assert!(m.phases[0].bus_limited, "narrow bus must limit");
         assert_eq!(m.stats().bus_limited_phases, 1);
     }
 
@@ -650,7 +645,7 @@ mod tests {
             other => panic!("expected a budget error, got {other}"),
         }
         // The over-budget phase itself stays recorded.
-        assert_eq!(m.phase_log().len(), 1);
+        assert_eq!(m.phases.len(), 1);
 
         let mut ok = budgeted(1, 1 << 30);
         assert!(ok.try_phase("fits", |_, ctx| ctx.compute(10)).is_ok());

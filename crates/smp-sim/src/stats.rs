@@ -68,16 +68,6 @@ impl RunStats {
         }
     }
 
-    /// Fraction of memory-bound accesses that prefetching converted to
-    /// L2-latency fills.
-    pub fn prefetch_coverage(&self) -> f64 {
-        if self.mem_accesses == 0 {
-            0.0
-        } else {
-            self.prefetch_hits as f64 / self.mem_accesses as f64
-        }
-    }
-
     /// Total busy processor cycles (compute + memory stall + TLB stall),
     /// summed over processors. Idle/barrier/bus-stretch time is the
     /// machine-level remainder.
@@ -87,6 +77,9 @@ impl RunStats {
 
     /// Where did the time go? `(compute, memory, tlb)` fractions of the
     /// busy cycles — the stall breakdown behind the Ordered/Random gap.
+    ///
+    /// Reached by: `smp-sim`'s machine tests; kept for ROADMAP item 1 to
+    /// finish as a whole-run cycle attribution.
     pub fn stall_breakdown(&self) -> (f64, f64, f64) {
         let b = self.busy_cycles();
         if b == 0.0 {
@@ -117,7 +110,6 @@ mod tests {
         assert_eq!(s.accesses(), 100);
         assert!((s.l1_hit_rate() - 0.5).abs() < 1e-12);
         assert!((s.mem_access_rate() - 0.4).abs() < 1e-12);
-        assert!((s.prefetch_coverage() - 0.25).abs() < 1e-12);
     }
 
     #[test]
@@ -125,6 +117,5 @@ mod tests {
         let s = RunStats::default();
         assert_eq!(s.l1_hit_rate(), 0.0);
         assert_eq!(s.mem_access_rate(), 0.0);
-        assert_eq!(s.prefetch_coverage(), 0.0);
     }
 }

@@ -1,11 +1,10 @@
 //! The MSF application across crates: Borůvka-over-SV's forest against
-//! Kruskal's weight and against the unweighted SV spanning forest.
+//! Kruskal's weight and against an unweighted spanning forest.
 
 use archgraph::apps::msf::{kruskal_weight, minimum_spanning_forest};
-use archgraph::concomp::spanning::spanning_forest;
 use archgraph::graph::gen;
 use archgraph::graph::rng::Rng;
-use archgraph::graph::Node;
+use archgraph::graph::unionfind::UnionFind;
 
 #[test]
 fn msf_beats_arbitrary_forest_weights() {
@@ -15,18 +14,12 @@ fn msf_beats_arbitrary_forest_weights() {
     let msf = minimum_spanning_forest(&g, &weights);
     let msf_weight: u64 = msf.iter().map(|&i| weights[i] as u64).sum();
     assert_eq!(msf_weight, kruskal_weight(&g, &weights));
-    // Any other spanning forest (the unweighted SV one) weighs at least
-    // as much.
-    let other = spanning_forest(&g);
-    let lookup: std::collections::HashMap<(Node, Node), u64> = g
-        .edges
-        .iter()
-        .enumerate()
-        .map(|(i, e)| ((e.canonical().u, e.canonical().v), weights[i] as u64))
-        .collect();
-    let other_weight: u64 = other
-        .iter()
-        .map(|e| lookup[&(e.canonical().u, e.canonical().v)])
+    // Any other spanning forest (union-find's, in edge order) weighs at
+    // least as much.
+    let mut uf = UnionFind::new(g.n);
+    let other_weight: u64 = (0..g.m())
+        .filter(|&i| uf.union(g.edges[i].u, g.edges[i].v))
+        .map(|i| weights[i] as u64)
         .sum();
     assert!(other_weight >= msf_weight);
 }
