@@ -37,7 +37,7 @@ fn main() {
     let f2_mta = fig2::sweep(scale, MachineKind::Mta, true);
     let f2_smp = fig2::sweep(scale, MachineKind::Smp, true);
     eprintln!("[3/4] Table 1...");
-    let t1 = table1::utilization_sweep(scale, true);
+    let t1 = table1::sweep(scale, true);
     eprintln!("[4/4] ratios...\n");
 
     // Every sweep completed its surviving cells; summarize and bail now if
@@ -56,14 +56,11 @@ fn main() {
     for (label, (ratio, paper)) in ROWS.into_iter().zip(headline_ratios(p, &series)) {
         t.row([label.to_string(), fmt_ratio(ratio), paper.to_string()]);
     }
-    for row in &t1.rows {
-        let (pp, u) = *last_or_exit(
-            &row.utilization,
-            &format!("utilization sweep for {}", row.label),
-        );
+    for row in &t1.series {
+        let last = last_or_exit(&row.points, &format!("utilization sweep for {}", row.label));
         t.row([
-            format!("MTA utilization: {} (p={pp})", row.label),
-            fmt_percent(u),
+            format!("MTA utilization: {} (p={})", row.label, last.p),
+            fmt_percent(last.value),
             "80-99%".into(),
         ]);
     }

@@ -3,38 +3,21 @@
 //! validated against the published shapes.
 //!
 //! The eight simulations are independent, so they fan out across host
-//! cores; output is assembled afterwards in the fixed report order.
+//! cores, each run and recorded as one sweep cell (`sweep::point_cell`);
+//! output is assembled afterwards in the fixed report order.
 //!
 //! ```text
 //! cargo run --release -p archgraph-bench --bin calibrate [-- smoke|default|full]
 //! ```
 
 use archgraph_bench::grid::par_map;
-use archgraph_bench::sweep::{exit_if_failed, isolate, CellFailure, Checkpoint};
+use archgraph_bench::sweep::{exit_if_failed, point_cell, CellFailure, CellPoint, Checkpoint};
 use archgraph_bench::workloads::{make_graph, make_list, ListKind};
 use archgraph_bench::{scale_or_usage, Scale};
 use archgraph_concomp::{sim_mta as cc_mta, sim_smp as cc_smp};
 use archgraph_core::machine::{MtaParams, SmpParams};
 use archgraph_core::report::fmt_ratio;
 use archgraph_listrank::{sim_mta as lr_mta, sim_smp as lr_smp};
-
-/// Panic-isolated, checkpointed `(seconds, utilization)` cell. Float
-/// `Display` is shortest-exact, so restored values are bit-identical.
-fn cal_cell(
-    ck: &Checkpoint,
-    name: &str,
-    f: impl FnOnce() -> (f64, f64),
-) -> Result<(f64, f64), CellFailure> {
-    if let Some(s) = ck.lookup(name) {
-        let mut it = s.split_whitespace().map(str::parse::<f64>);
-        if let (Some(Ok(a)), Some(Ok(b)), None) = (it.next(), it.next(), it.next()) {
-            return Ok((a, b));
-        }
-    }
-    let v = isolate(name, f)?;
-    ck.record(name, &format!("{} {}", v.0, v.1));
-    Ok(v)
-}
 
 const USAGE: &str = "calibrate [smoke|default|full]";
 
@@ -65,8 +48,8 @@ fn main() {
     let g = make_graph(ng, mg, 2);
 
     // Every simulation is independent; run them as one parallel grid of
-    // `(seconds, utilization)` cells — each panic-isolated and (at --full
-    // scale) checkpointed — and print in fixed order below.
+    // sweep cells — each panic-isolated and (at --full scale) checkpointed
+    // — and print in fixed order below.
     const NAMES: [&str; 8] = [
         "calibrate/smp/ordered",
         "calibrate/smp/random",
@@ -77,29 +60,36 @@ fn main() {
         "calibrate/smp/cc",
         "calibrate/mta/cc",
     ];
+    let point = |x, p, seconds, utilization| CellPoint {
+        x,
+        p,
+        seconds,
+        utilization,
+        log: String::new(),
+    };
     let ck = Checkpoint::for_sweep("calibrate", scale);
     let tasks: Vec<usize> = (0..8).collect();
     let outcomes = par_map(&tasks, |&i| {
-        cal_cell(&ck, NAMES[i], || match i {
-            0 => (lr_smp::simulate_hj(&ord, &smp, p, 8, 1).seconds, 0.0),
-            1 => (lr_smp::simulate_hj(&rnd, &smp, p, 8, 1).seconds, 0.0),
+        point_cell(&ck, NAMES[i], || match i {
+            0 => point(n, p, lr_smp::simulate_hj(&ord, &smp, p, 8, 1).seconds, 0.0),
+            1 => point(n, p, lr_smp::simulate_hj(&rnd, &smp, p, 8, 1).seconds, 0.0),
             2 => {
                 let r = lr_mta::simulate_walk_ranking(&ord, &mta, p, 100, walks);
-                (r.seconds, r.report.utilization)
+                point(n, p, r.seconds, r.report.utilization)
             }
             3 => {
                 let r = lr_mta::simulate_walk_ranking(&rnd, &mta, p, 100, walks);
-                (r.seconds, r.report.utilization)
+                point(n, p, r.seconds, r.report.utilization)
             }
-            4 => (lr_smp::simulate_hj(&rnd, &smp, 1, 8, 1).seconds, 0.0),
-            5 => (
-                lr_mta::simulate_walk_ranking(&rnd, &mta, 1, 100, walks).seconds,
-                0.0,
-            ),
-            6 => (cc_smp::simulate_sv(&g, &smp, p).seconds, 0.0),
+            4 => point(n, 1, lr_smp::simulate_hj(&rnd, &smp, 1, 8, 1).seconds, 0.0),
+            5 => {
+                let r = lr_mta::simulate_walk_ranking(&rnd, &mta, 1, 100, walks);
+                point(n, 1, r.seconds, r.report.utilization)
+            }
+            6 => point(ng, p, cc_smp::simulate_sv(&g, &smp, p).seconds, 0.0),
             _ => {
                 let r = cc_mta::simulate_sv_mta(&g, &mta, p, 100);
-                (r.seconds, r.report.utilization)
+                point(ng, p, r.seconds, r.report.utilization)
             }
         })
     });
@@ -109,53 +99,58 @@ fn main() {
         .collect();
     exit_if_failed("calibrate", &failures);
     ck.clear();
-    let results: Vec<(f64, f64)> = outcomes
+    let pts: Vec<CellPoint> = outcomes
         .into_iter()
         .map(|o| o.expect("failures already reported"))
         .collect();
-    let (t_smp_ord, _) = results[0];
-    let (t_smp_rnd, _) = results[1];
-    let (t_mta_ord, u_mta_ord) = results[2];
-    let (t_mta_rnd, u_mta_rnd) = results[3];
-    let (t1, _) = results[4];
-    let (m1, _) = results[5];
-    let (t_smp_cc, _) = results[6];
-    let (t_mta_cc, u_mta_cc) = results[7];
+    let [smp_ord, smp_rnd, mta_ord, mta_rnd, smp_p1, mta_p1, smp_cc, mta_cc] = &pts[..] else {
+        unreachable!("eight cells")
+    };
+    let ratio = |num: &CellPoint, den: &CellPoint| fmt_ratio(num.seconds / den.seconds);
+    let percent = |pt: &CellPoint| pt.utilization * 100.0;
 
     println!("== List ranking (n = {n}, p = {p}) ==");
-    println!("  SMP ordered {t_smp_ord:.4} s   SMP random {t_smp_rnd:.4} s");
-    println!("  MTA ordered {t_mta_ord:.4} s   MTA random {t_mta_rnd:.4} s");
+    println!(
+        "  SMP ordered {:.4} s   SMP random {:.4} s",
+        smp_ord.seconds, smp_rnd.seconds
+    );
+    println!(
+        "  MTA ordered {:.4} s   MTA random {:.4} s",
+        mta_ord.seconds, mta_rnd.seconds
+    );
     println!(
         "  C2 SMP random/ordered = {}   (paper: 3-4x)",
-        fmt_ratio(t_smp_rnd / t_smp_ord)
+        ratio(smp_rnd, smp_ord)
     );
     println!(
         "  C3 MTA random/ordered = {}   (paper: ~1x)",
-        fmt_ratio(t_mta_rnd / t_mta_ord)
+        ratio(mta_rnd, mta_ord)
     );
     println!(
         "  C4 SMP/MTA ordered = {}  random = {}   (paper: ~10x, ~35x)",
-        fmt_ratio(t_smp_ord / t_mta_ord),
-        fmt_ratio(t_smp_rnd / t_mta_rnd)
+        ratio(smp_ord, mta_ord),
+        ratio(smp_rnd, mta_rnd)
     );
     println!(
         "  MTA utilization: ordered {:.0}%  random {:.0}%  (paper: 80-98%)",
-        u_mta_ord * 100.0,
-        u_mta_rnd * 100.0
+        percent(mta_ord),
+        percent(mta_rnd)
     );
     println!(
         "  C1 scaling p=1->8: SMP {}  MTA {}   (paper: near-linear)",
-        fmt_ratio(t1 / t_smp_rnd),
-        fmt_ratio(m1 / t_mta_rnd)
+        ratio(smp_p1, smp_rnd),
+        ratio(mta_p1, mta_rnd)
     );
 
     println!("== Connected components (n = {ng}, m = {mg}, p = {p}) ==");
     println!(
-        "  SMP {t_smp_cc:.4} s   MTA {t_mta_cc:.4} s   C5 ratio = {}   (paper: 5-6x)",
-        fmt_ratio(t_smp_cc / t_mta_cc)
+        "  SMP {:.4} s   MTA {:.4} s   C5 ratio = {}   (paper: 5-6x)",
+        smp_cc.seconds,
+        mta_cc.seconds,
+        ratio(smp_cc, mta_cc)
     );
     println!(
         "  C6 MTA CC utilization {:.0}%  (paper: 91-99%)",
-        u_mta_cc * 100.0
+        percent(mta_cc)
     );
 }

@@ -19,26 +19,26 @@ fn main() {
     let scale = scale_or_usage(&args, USAGE);
     let _run = archgraph_bench::cli::enter_env_config(USAGE);
     eprintln!("computing Table 1 utilizations ({scale:?})...");
-    let sweep = table1::utilization_sweep(scale, true);
-    let rows = &sweep.rows;
+    let sweep = table1::sweep(scale, true);
 
     println!("\n== Table 1: processor utilization on the Cray MTA ==");
     // Columns are the union of completed processor counts — a failed cell
     // leaves a blank in its row, not a hole in the table.
-    let mut procs: Vec<usize> = rows
+    let mut procs: Vec<usize> = sweep
+        .series
         .iter()
-        .flat_map(|r| r.utilization.iter().map(|&(p, _)| p))
+        .flat_map(|s| s.points.iter().map(|pt| pt.p))
         .collect();
     procs.sort_unstable();
     procs.dedup();
     let mut t = Table::new(
         std::iter::once("Workload".to_string()).chain(procs.iter().map(|p| format!("p={p}"))),
     );
-    for row in rows {
+    for row in &sweep.series {
         let mut cells = vec![row.label.clone()];
         for &p in &procs {
-            let u = row.utilization.iter().find(|&&(pp, _)| pp == p);
-            cells.push(u.map(|&(_, u)| fmt_percent(u)).unwrap_or_default());
+            let u = row.points.iter().find(|pt| pt.p == p);
+            cells.push(u.map(|pt| fmt_percent(pt.value)).unwrap_or_default());
         }
         t.row(cells);
     }

@@ -1,6 +1,6 @@
 //! What the reporting bins share: `fig1` and `fig2`'s `--arch`/`--csv`
-//! command line, panel loop and panel table, and the §5 ratios `ratios` and
-//! `all` print.
+//! command line, panel loop and panel table, and the §5 ratios `all`
+//! prints.
 //!
 //! Reached by: every `--bin` that `scripts/reproduce_all.sh` runs.
 

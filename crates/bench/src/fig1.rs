@@ -79,31 +79,39 @@ pub fn panel(scale: Scale, machine: MachineKind) -> Vec<PanelCell> {
 /// scale) checkpointed for resume; series assembled from completed cells.
 pub fn sweep(scale: Scale, machine: MachineKind, verbose: bool) -> PanelSweep {
     let tag = format!("fig1-{}", machine.name());
-    run_panel(&tag, scale, panel(scale, machine), verbose)
+    run_panel(&tag, scale, panel(scale, machine), |pt| pt.seconds, verbose)
 }
 
 #[cfg(test)]
 mod tests {
+    use archgraph_core::experiment::Series;
+
     use super::*;
+
+    fn series(machine: MachineKind) -> Vec<Series> {
+        let sw = sweep(Scale::Smoke, machine, false);
+        assert!(sw.failures.is_empty(), "{:?}", sw.failures);
+        sw.series
+    }
 
     #[test]
     fn smoke_series_have_expected_shape() {
-        let mta = sweep(Scale::Smoke, MachineKind::Mta, false).into_series();
-        let smp = sweep(Scale::Smoke, MachineKind::Smp, false).into_series();
+        let mta = series(MachineKind::Mta);
+        let smp = series(MachineKind::Smp);
         // 2 kinds x 2 proc counts.
         assert_eq!(mta.len(), 4);
         assert_eq!(smp.len(), 4);
         for s in mta.iter().chain(smp.iter()) {
             assert_eq!(s.points.len(), 2, "two sizes at smoke scale");
-            assert!(s.points.iter().all(|pt| pt.seconds > 0.0));
+            assert!(s.points.iter().all(|pt| pt.value > 0.0));
         }
     }
 
     #[test]
     fn times_grow_with_n() {
-        for s in sweep(Scale::Smoke, MachineKind::Smp, false).into_series() {
+        for s in series(MachineKind::Smp) {
             assert!(
-                s.points[1].seconds > s.points[0].seconds,
+                s.points[1].value > s.points[0].value,
                 "{}: larger lists must take longer",
                 s.label
             );

@@ -75,32 +75,40 @@ pub fn panel(scale: Scale, machine: MachineKind) -> Vec<PanelCell> {
 /// scale) checkpointed for resume; series assembled from completed cells.
 pub fn sweep(scale: Scale, machine: MachineKind, verbose: bool) -> PanelSweep {
     let tag = format!("fig2-{}", machine.name());
-    run_panel(&tag, scale, panel(scale, machine), verbose)
+    run_panel(&tag, scale, panel(scale, machine), |pt| pt.seconds, verbose)
 }
 
 #[cfg(test)]
 mod tests {
+    use archgraph_core::experiment::Series;
+
     use super::*;
+
+    fn series(machine: MachineKind) -> Vec<Series> {
+        let sw = sweep(Scale::Smoke, machine, false);
+        assert!(sw.failures.is_empty(), "{:?}", sw.failures);
+        sw.series
+    }
 
     #[test]
     fn smoke_series_have_expected_shape() {
-        let mta = sweep(Scale::Smoke, MachineKind::Mta, false).into_series();
-        let smp = sweep(Scale::Smoke, MachineKind::Smp, false).into_series();
+        let mta = series(MachineKind::Mta);
+        let smp = series(MachineKind::Smp);
         assert_eq!(mta.len(), 2, "p = 1, 2 at smoke scale");
         assert_eq!(smp.len(), 2);
         for s in mta.iter().chain(smp.iter()) {
             assert_eq!(s.points.len(), 5, "five edge counts");
-            assert!(s.points.iter().all(|pt| pt.seconds > 0.0));
+            assert!(s.points.iter().all(|pt| pt.value > 0.0));
         }
     }
 
     #[test]
     fn times_grow_with_m() {
-        for s in sweep(Scale::Smoke, MachineKind::Smp, false).into_series() {
-            let first = s.points.first().expect("series has points").seconds;
+        for s in series(MachineKind::Smp) {
+            let first = s.points.first().expect("series has points").value;
             let last = crate::guard::require_last(&s.points, &s.label)
                 .expect("series has points")
-                .seconds;
+                .value;
             assert!(last > first, "{}: denser graphs must take longer", s.label);
         }
     }

@@ -12,7 +12,7 @@
 //! [`par_map`] re-enters the caller's on every pool thread: a fault plan or
 //! cycle budget scoped around a sweep covers every one of its cells.
 //!
-//! Reached by: `--bin fig1`, `fig2`, `table1` and `calibrate` (`scripts/reproduce_all.sh`).
+//! Reached by: `--bin fig1`, `fig2`, `table1`, `all` and `calibrate` (`scripts/reproduce_all.sh`).
 
 use archgraph_core::RunConfig;
 use rayon::prelude::*;

@@ -11,7 +11,7 @@
 //! status 2 — so a bad configuration fails loudly and greppably instead of
 //! with a backtrace.
 //!
-//! Reached by: `--bin fig1`, `fig2`, `ratios` and `speedup` (`scripts/reproduce_all.sh`).
+//! Reached by: `--bin fig1`, `fig2`, `all` and `speedup` (`scripts/reproduce_all.sh`).
 
 use archgraph_core::experiment::Series;
 

@@ -1,9 +1,11 @@
 //! # archgraph-bench
 //!
 //! The figure/table regeneration harness: shared workload construction,
-//! sweep configuration, the one cell dispatch ([`CellSpec::run_full`]) and
-//! the one sweep over it (`sweep::run_cells`) that the `fig1`, `fig2`,
-//! `table1`, `ratios`, `all` and `bench` binaries and `archgraphd` call.
+//! sweep configuration, the one cell dispatch ([`CellSpec::run_full`]), the
+//! one recorded cell (`sweep::point_cell`, one [`CellPoint`] per cell) and
+//! the one sweep over them (`sweep::run_cells`, assembled into series by
+//! `sweep::run_panel`) that the `fig1`, `fig2`, `table1`, `calibrate`,
+//! `all` and `bench` binaries and `archgraphd` call.
 //!
 //! Every experiment is documented in `DESIGN.md`'s per-experiment index and
 //! records paper-vs-measured results in `EXPERIMENTS.md`.

@@ -1,8 +1,10 @@
 //! Panic-isolated, checkpointable sweep cells, and the one sweep over them.
 //!
 //! Every figure/table sweep is a grid of independent cells, declared as a
-//! `Vec<`[`PanelCell`]`>` and run by [`run_cells`] (Fig. 1 and Fig. 2 through
-//! [`run_panel`], which adds the checkpoint store and the series assembly).
+//! `Vec<`[`PanelCell`]`>` and run by [`run_cells`] (Fig. 1, Fig. 2 and
+//! Table 1 through [`run_panel`], which adds the checkpoint store and the
+//! series assembly). Every cell, `--bin calibrate`'s eight runs included,
+//! runs and is recorded through [`point_cell`] as one [`CellPoint`].
 //! Before this module, one panicking cell (a simulator bug, a guardrail firing, a
 //! poisoned input) unwound through rayon and took the whole grid — and
 //! hours of `--full` sweep progress — with it. Now each cell runs under
@@ -26,7 +28,7 @@
 //! deliberately — the end-to-end hook the isolation tests and the CI
 //! fault leg use to prove a poisoned cell cannot take down a sweep.
 //!
-//! Reached by: `--bin fig1`, `fig2` and `table1` (`scripts/reproduce_all.sh`) and `archgraphd`'s `submit` op.
+//! Reached by: `--bin fig1`, `fig2`, `table1`, `all` and `calibrate` (`scripts/reproduce_all.sh`) and `archgraphd`'s `submit` op.
 
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -35,7 +37,7 @@ use std::path::PathBuf;
 use archgraph_core::experiment::Series;
 use archgraph_core::RunConfig;
 
-use crate::cells::{CellRun, CellSpec};
+use crate::cells::CellSpec;
 use crate::grid::par_map;
 use crate::scale::Scale;
 
@@ -77,17 +79,18 @@ impl fmt::Display for CellFailure {
 /// Outcome of one isolated cell.
 pub type CellOutcome<R> = Result<R, CellFailure>;
 
-/// What a figure sweep keeps from one completed cell: the plotted point
-/// plus the verbose log suffix. Small enough to checkpoint as one line.
+/// What a sweep keeps from one completed cell: both of its readings plus
+/// the verbose log suffix. Small enough to checkpoint as one line.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CellPoint {
     /// The x-axis value (problem size).
     pub x: usize,
     /// Processor count.
     pub p: usize,
-    /// The plotted quantity (simulated seconds, or utilization for
-    /// Table 1 cells).
+    /// Simulated seconds.
     pub seconds: f64,
+    /// MTA processor utilization in `0..=1` (0 off the MTA).
+    pub utilization: f64,
     /// Extra verbose-log detail ("util 93%", "12 iters", ...).
     pub log: String,
 }
@@ -96,7 +99,14 @@ impl CellPoint {
     /// One-line checkpoint payload. Float `Display` is shortest-exact in
     /// Rust, so the round trip through [`Self::decode`] is lossless.
     fn encode(&self) -> String {
-        format!("{} {} {}|{}", self.x, self.p, self.seconds, self.log)
+        let CellPoint {
+            x,
+            p,
+            seconds,
+            utilization,
+            log,
+        } = self;
+        format!("{x} {p} {seconds} {utilization}|{log}")
     }
 
     fn decode(s: &str) -> Option<CellPoint> {
@@ -105,6 +115,7 @@ impl CellPoint {
         let x = it.next()?.parse().ok()?;
         let p = it.next()?.parse().ok()?;
         let seconds = it.next()?.parse().ok()?;
+        let utilization = it.next()?.parse().ok()?;
         if it.next().is_some() {
             return None;
         }
@@ -112,6 +123,7 @@ impl CellPoint {
             x,
             p,
             seconds,
+            utilization,
             log: log.to_string(),
         })
     }
@@ -159,7 +171,7 @@ impl Checkpoint {
     /// stale checkpoints were honoured. Scale is not in the stamp — it is
     /// already part of the directory name.
     pub fn at(dir: PathBuf) -> Checkpoint {
-        Checkpoint::at_spec(dir, &format!("v3 {}", RunConfig::current()))
+        Checkpoint::at_spec(dir, &format!("v4 {}", RunConfig::current()))
     }
 
     /// [`Checkpoint::at`] with an explicit spec fingerprint. Opening a
@@ -455,15 +467,17 @@ pub fn isolate<R>(cell: &str, f: impl FnOnce() -> R) -> CellOutcome<R> {
     })
 }
 
-/// [`isolate`] plus checkpointing for point-shaped cells: a cell already
-/// recorded by an interrupted run is restored without re-simulating.
+/// [`isolate`] plus checkpointing: the one way a sweep cell runs and is
+/// recorded. A cell already recorded by an interrupted run is restored
+/// without re-simulating. [`run_cells`] calls it for every declared cell;
+/// `--bin calibrate` calls it for each of its own eight runs.
 ///
 /// This is also the drivers' graceful-shutdown flush point: when a
 /// SIGTERM/SIGINT arrived (and the driver installed the
 /// [`crate::signals`] handlers), the in-progress cell completes, its
 /// checkpoint is recorded, and the process exits — so a killed `--full`
 /// sweep resumes from every cell that finished, losing none.
-fn point_cell(
+pub fn point_cell(
     ck: &Checkpoint,
     cell: &str,
     f: impl FnOnce() -> CellPoint,
@@ -491,35 +505,32 @@ pub struct PanelCell {
     /// checkpoint file, the failure report and what [`PANIC_CELL_ENV`]
     /// addresses.
     pub name: String,
-    /// The x-axis value (Table 1: the row index).
+    /// The x-axis value (problem size).
     pub x: usize,
     /// What to run.
     pub spec: CellSpec,
 }
 
-/// Run every cell across host cores, in cell order, each panic-isolated
-/// and checkpointed (`point_cell`) — the one loop every sweep goes through.
-/// `y` picks what is plotted, and the log detail that goes with it, out of
-/// the cell's [`CellRun`]: seconds for the figures, utilization for Table 1.
-pub fn run_cells(
-    ck: &Checkpoint,
-    cells: &[PanelCell],
-    y: impl Fn(CellRun) -> (f64, String) + Sync,
-) -> Vec<CellOutcome<CellPoint>> {
+/// Run every cell across host cores, in cell order, each through
+/// [`point_cell`] — the one loop every sweep goes through. Each point keeps
+/// both readings of its [`CellSpec::run_full`]; the caller reads the one it
+/// plots.
+pub fn run_cells(ck: &Checkpoint, cells: &[PanelCell]) -> Vec<CellOutcome<CellPoint>> {
     par_map(cells, |cell| {
         point_cell(ck, &cell.name, || {
-            let (seconds, log) = y(cell.spec.run_full());
+            let run = cell.spec.run_full();
             CellPoint {
                 x: cell.x,
                 p: cell.spec.p,
-                seconds,
-                log,
+                seconds: run.seconds,
+                utilization: run.utilization,
+                log: run.log,
             }
         })
     })
 }
 
-/// One figure panel's isolated sweep: the assembled series plus any cell
+/// One panel's isolated sweep: the assembled series plus any cell
 /// failures (empty on a clean run).
 #[derive(Debug)]
 pub struct PanelSweep {
@@ -529,33 +540,30 @@ pub struct PanelSweep {
     pub failures: Vec<CellFailure>,
 }
 
-impl PanelSweep {
-    /// The series of a sweep that must have been clean. Panics if any cell
-    /// failed; drivers that want to keep going read `failures` instead.
-    pub fn into_series(self) -> Vec<Series> {
-        if let Some(f) = self.failures.first() {
-            panic!("{f}");
-        }
-        self.series
-    }
-}
-
-/// Sweep one figure panel for simulated seconds: every cell panic-isolated
-/// and checkpointed for resume under `<tag>-<scale>` (on at `--full`
-/// scale), series assembled from the cells that completed.
-pub fn run_panel(tag: &str, scale: Scale, cells: Vec<PanelCell>, verbose: bool) -> PanelSweep {
+/// Sweep one panel (a figure's machine, or Table 1): every cell
+/// panic-isolated and checkpointed for resume under `<tag>-<scale>` (on at
+/// `--full` scale), series of `value` (seconds for the figures, utilization
+/// for Table 1) assembled from the cells that completed.
+pub fn run_panel(
+    tag: &str,
+    scale: Scale,
+    cells: Vec<PanelCell>,
+    value: fn(&CellPoint) -> f64,
+    verbose: bool,
+) -> PanelSweep {
     let ck = Checkpoint::for_sweep(tag, scale);
-    let outs = run_cells(&ck, &cells, |run| (run.seconds, run.log));
-    assemble_panel(cells, outs, verbose, &ck)
+    let outs = run_cells(&ck, &cells);
+    assemble_panel(cells, outs, value, verbose, &ck)
 }
 
-/// Assemble per-cell outcomes into series. Consecutive cells sharing a
-/// label land in the same series (cell grids are label-major), and failed
-/// cells are skipped with a log line. A fully clean sweep clears its
-/// checkpoints.
+/// Assemble per-cell outcomes into series of `value`. Consecutive cells
+/// sharing a label land in the same series (cell grids are label-major),
+/// and failed cells are skipped with a log line. A fully clean sweep clears
+/// its checkpoints.
 fn assemble_panel(
     cells: Vec<PanelCell>,
     outs: Vec<CellOutcome<CellPoint>>,
+    value: fn(&CellPoint) -> f64,
     verbose: bool,
     ck: &Checkpoint,
 ) -> PanelSweep {
@@ -574,7 +582,7 @@ fn assemble_panel(
                 series
                     .last_mut()
                     .expect("a series was pushed above")
-                    .push(pt.x, pt.p, pt.seconds);
+                    .push(pt.x, pt.p, value(&pt));
             }
             Err(f) => {
                 eprintln!("  {f}");
@@ -622,6 +630,7 @@ mod tests {
             x: 1 << 20,
             p: 8,
             seconds: 0.12345678901234568,
+            utilization: 0.9312345678901234,
             log: "util 93%, 12 iters".to_string(),
         };
         assert_eq!(CellPoint::decode(&pt.encode()), Some(pt));
@@ -629,12 +638,13 @@ mod tests {
             x: 3,
             p: 1,
             seconds: 2.5e-9,
+            utilization: 0.0,
             log: String::new(),
         };
         assert_eq!(CellPoint::decode(&empty_log.encode()), Some(empty_log));
         assert_eq!(CellPoint::decode("garbage"), None);
-        assert_eq!(CellPoint::decode("1 2|x"), None);
-        assert_eq!(CellPoint::decode("1 2 3 4|x"), None);
+        assert_eq!(CellPoint::decode("1 2 3|x"), None, "the old payload");
+        assert_eq!(CellPoint::decode("1 2 3 4 5|x"), None);
     }
 
     #[test]
@@ -657,6 +667,7 @@ mod tests {
                 x: 10,
                 p: 2,
                 seconds: 1.5,
+                utilization: 0.5,
                 log: "hi".into(),
             }
         };
@@ -787,6 +798,7 @@ mod tests {
             x: 1,
             p: 1,
             seconds: s,
+            utilization: 0.0,
             log: String::new(),
         };
 
@@ -946,6 +958,7 @@ mod tests {
                 x: 1,
                 p: 1,
                 seconds: 0.1,
+                utilization: 0.9,
                 log: String::new(),
             }),
             Err(CellFailure {
@@ -956,13 +969,15 @@ mod tests {
                 x: 1,
                 p: 2,
                 seconds: 0.2,
+                utilization: 0.8,
                 log: String::new(),
             }),
         ];
-        let sw = assemble_panel(cells, outs, false, &ck);
+        let sw = assemble_panel(cells, outs, |pt| pt.utilization, false, &ck);
         assert_eq!(sw.series.len(), 2);
         assert_eq!(sw.series[0].points.len(), 1, "failed point skipped");
         assert_eq!(sw.series[1].points.len(), 1);
+        assert_eq!(sw.series[1].at(1, 2), Some(0.8), "the value picked");
         assert_eq!(sw.failures.len(), 1);
         assert_eq!(sw.failures[0].cell, "fig/a/p1/n2");
     }

@@ -86,7 +86,6 @@ bad_arg_cases! {
     fig1_rejects_bad_args: "fig1" => env!("CARGO_BIN_EXE_fig1");
     fig2_rejects_bad_args: "fig2" => env!("CARGO_BIN_EXE_fig2");
     table1_rejects_bad_args: "table1" => env!("CARGO_BIN_EXE_table1");
-    ratios_rejects_bad_args: "ratios" => env!("CARGO_BIN_EXE_ratios");
     all_rejects_bad_args: "all" => env!("CARGO_BIN_EXE_all");
     calibrate_rejects_bad_args: "calibrate" => env!("CARGO_BIN_EXE_calibrate");
     speedup_rejects_bad_args: "speedup" => env!("CARGO_BIN_EXE_speedup");
@@ -119,20 +118,45 @@ fn empty_series_guards_name_what_is_missing() {
 
 /// A cell that panics (injected through `ARCHGRAPH_BENCH_PANIC_CELL`) does
 /// not kill the binary: it finishes the grid, names the cell on stderr and
-/// exits 1. `sweep_isolation.rs` checks the grid itself.
+/// exits 1 — in a figure panel, in Table 1 and in `calibrate`'s own runs,
+/// which all go through `sweep::point_cell`. `sweep_isolation.rs` checks the
+/// grid itself.
 #[test]
 fn fig1_reports_an_injected_cell_panic_and_exits_nonzero() {
     use archgraph_bench::sweep::{CHECKPOINT_ENV, PANIC_CELL_ENV};
-    let cell = "fig1/smp/Random/p1/n4096";
-    let out = Command::new(env!("CARGO_BIN_EXE_fig1"))
-        .args(["smoke", "--arch", "smp"])
-        .env(PANIC_CELL_ENV, cell)
-        .env_remove(CHECKPOINT_ENV)
-        .output()
-        .expect("spawn fig1");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
-    assert!(stderr.contains(cell), "stderr must name the cell: {stderr}");
+    for (bin, exe, args, cell) in [
+        (
+            "fig1",
+            env!("CARGO_BIN_EXE_fig1"),
+            &["smoke", "--arch", "smp"][..],
+            "fig1/smp/Random/p1/n4096",
+        ),
+        (
+            "calibrate",
+            env!("CARGO_BIN_EXE_calibrate"),
+            &["smoke"],
+            "calibrate/mta/cc",
+        ),
+        (
+            "table1",
+            env!("CARGO_BIN_EXE_table1"),
+            &["smoke"],
+            "table1/cc/p2",
+        ),
+    ] {
+        let out = Command::new(exe)
+            .args(args)
+            .env(PANIC_CELL_ENV, cell)
+            .env_remove(CHECKPOINT_ENV)
+            .output()
+            .unwrap_or_else(|e| panic!("failed to spawn {bin}: {e}"));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{bin}: stderr: {stderr}");
+        assert!(
+            stderr.contains(cell),
+            "{bin}: stderr must name the cell: {stderr}"
+        );
+    }
 }
 
 #[test]

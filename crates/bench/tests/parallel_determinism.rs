@@ -77,12 +77,10 @@ fn table1_utilization_grid_parallel_matches_serial() {
 fn a_scoped_plan_covers_every_cell_of_a_parallel_sweep() {
     let cells = table1::cells(Scale::Smoke);
     let sweep = || {
-        run_cells(&Checkpoint::disabled(), &cells, |run| {
-            (run.seconds, run.log)
-        })
-        .into_iter()
-        .map(|out| out.expect("cell completes").seconds)
-        .collect::<Vec<f64>>()
+        run_cells(&Checkpoint::disabled(), &cells)
+            .into_iter()
+            .map(|out| out.expect("cell completes").seconds)
+            .collect::<Vec<f64>>()
     };
     let plan = FaultPlan::parse("stall=30,stall-period=300:7").unwrap();
     let clean = sweep();

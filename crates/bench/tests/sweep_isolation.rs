@@ -35,6 +35,6 @@ fn a_panicking_cell_fails_alone_and_the_sweep_survives() {
     for s in &sw.series {
         let want = if s.label == "SMP Random p=1" { 1 } else { 2 };
         assert_eq!(s.points.len(), want, "series {}", s.label);
-        assert!(s.points.iter().all(|pt| pt.seconds > 0.0));
+        assert!(s.points.iter().all(|pt| pt.value > 0.0));
     }
 }

@@ -19,9 +19,10 @@
 //! (`archgraph_graph::bfs::bfs_components`).
 //!
 //! Shiloach–Vishkin and each of its simulated lowerings have one
-//! `Result`-returning `try_` entry that takes every option ([`try_shiloach_vishkin`]'s iteration bound,
-//! [`sim_mta::try_simulate_sv_mta`]'s [`sim_mta::SvMtaConfig`]) and one
-//! panicking form with the paper's defaults.
+//! `Result`-returning `try_` entry ([`try_shiloach_vishkin`] takes an
+//! iteration bound; [`sim_mta::try_simulate_sv_mta`] reads the run scope's
+//! fault plan and cycle budget) and one panicking form with the paper's
+//! defaults.
 
 #![warn(missing_docs)]
 

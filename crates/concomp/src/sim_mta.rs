@@ -15,12 +15,7 @@
 //! Failure paths: [`try_simulate_sv_mta`] surfaces [`SimError`] (deadlock
 //! diagnostics, cycle-budget trips) to the caller instead of panicking;
 //! [`simulate_sv_mta`] stays the thin panicking wrapper the figure
-//! harnesses use. [`SvMtaConfig::guarded`] swaps the root-check loads for
-//! `readff` — semantically identical on a clean machine (every word
-//! starts full and ordinary stores never change tags), but the reads then
-//! participate in full/empty synchronization, so a stuck-empty fault plan
-//! parks the streams and the deadlock detector reports per-stream
-//! diagnostics rather than the run hanging or panicking.
+//! harnesses use.
 //!
 //! Reached by: the `fig2/mta/p8` and `table1/mta/cc/p8` suite cells.
 
@@ -49,15 +44,6 @@ pub struct CcMtaSimResult {
 /// Grain for the flat parallel loops.
 const GRAIN: i64 = 16;
 
-/// Options for [`try_simulate_sv_mta`].
-#[derive(Debug, Clone, Default)]
-pub struct SvMtaConfig {
-    /// Use `readff` (read-when-full) for the root-check reads. On clean
-    /// memory this is behaviour-identical to a plain load; under tag
-    /// faults it makes the kernel deadlock *detectably*.
-    pub guarded: bool,
-}
-
 /// Simulate Alg. 3 on `p` processors × `streams_per_proc` streams with
 /// plain root-check loads, panicking on simulation failure.
 pub fn simulate_sv_mta(
@@ -66,21 +52,19 @@ pub fn simulate_sv_mta(
     p: usize,
     streams_per_proc: usize,
 ) -> CcMtaSimResult {
-    try_simulate_sv_mta(g, params, p, streams_per_proc, &SvMtaConfig::default())
+    try_simulate_sv_mta(g, params, p, streams_per_proc)
         .unwrap_or_else(|e| panic!("simulate_sv_mta: {e}"))
 }
 
-/// [`simulate_sv_mta`] with explicit [`SvMtaConfig`] (tag-guarded
-/// loads), returning structured failures: a deadlocked or over-budget
-/// simulation surfaces [`SimError`] with per-stream diagnostics instead
-/// of panicking. The fault plan and cycle budget are the run scope's
+/// [`simulate_sv_mta`] returning structured failures: a deadlocked or
+/// over-budget simulation surfaces [`SimError`] with per-stream
+/// diagnostics instead of panicking. The fault plan and cycle budget are the run scope's
 /// (`archgraph_core::RunConfig`).
 pub fn try_simulate_sv_mta(
     g: &EdgeList,
     params: &MtaParams,
     p: usize,
     streams_per_proc: usize,
-    cfg: &SvMtaConfig,
 ) -> Result<CcMtaSimResult, SimError> {
     let n = g.n;
     let na = 2 * g.m();
@@ -122,11 +106,7 @@ pub fn try_simulate_sv_mta(
             b.load(du, u, d_base as i64);
             b.load(dv, v, d_base as i64);
             let skip = b.bge_fwd(du, dv); // need D[u] < D[v]
-            if cfg.guarded {
-                b.readff(ddv, dv, d_base as i64);
-            } else {
-                b.load(ddv, dv, d_base as i64);
-            }
+            b.load(ddv, dv, d_base as i64);
             let skip2 = b.bne_fwd(ddv, dv); // need D[v] == D[D[v]]
             b.store(du, dv, d_base as i64); // D[D[v]] = D[u] (dv is root)
             b.store_abs(one, flag_addr); // graft = 1
@@ -144,11 +124,7 @@ pub fn try_simulate_sv_mta(
         dynamic_loop_grained(&mut b, short_counter, n as i64, GRAIN, regs, |b| {
             let top = b.here();
             b.load(dcur, regs.idx, d_base as i64);
-            if cfg.guarded {
-                b.readff(dd, dcur, d_base as i64);
-            } else {
-                b.load(dd, dcur, d_base as i64);
-            }
+            b.load(dd, dcur, d_base as i64);
             let done = b.beq_fwd(dcur, dd);
             b.store(dd, regs.idx, d_base as i64);
             b.jmp(top);
@@ -189,7 +165,7 @@ pub fn try_simulate_sv_mta(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use archgraph_core::{FaultPlan, RunConfig};
+    use archgraph_core::RunConfig;
     use archgraph_graph::gen;
     use archgraph_graph::unionfind::{connected_components, same_partition};
 
@@ -264,43 +240,29 @@ mod tests {
     }
 
     #[test]
-    fn guarded_reads_are_behaviour_identical_on_clean_memory() {
-        // Every word starts full and plain stores never change tags, so
-        // readff always succeeds on first attempt: labels and iteration
-        // counts must match the plain-load program exactly.
-        let g = gen::random_gnm(300, 900, 11);
-        let plain =
-            try_simulate_sv_mta(&g, &tiny(), 2, 8, &SvMtaConfig::default()).expect("clean run");
-        let guarded = try_simulate_sv_mta(&g, &tiny(), 2, 8, &SvMtaConfig { guarded: true })
-            .expect("guarded run on clean memory must succeed");
-        assert_eq!(plain.labels, guarded.labels);
-        assert_eq!(plain.iterations, guarded.iterations);
-    }
-
-    #[test]
-    fn stuck_empty_fault_surfaces_deadlock_not_panic() {
-        // The PR 5 carry-over regression: a stuck-empty fault plan under
-        // SV-on-MTA must reach the kernel caller as SimError::Deadlock
-        // with per-stream diagnostics — not a panic, not a hang.
+    fn cycle_budget_trip_surfaces_as_an_error_not_a_panic() {
+        // The budget is per region, and 64 cycles is far below the first
+        // graft region's need (240 arcs over 8 streams): the trip must reach
+        // the kernel caller as SimError::CycleBudgetExceeded through the
+        // `try_` path, not as a panic.
         let g = gen::random_gnm(60, 120, 12);
         let run = RunConfig {
-            faults: Some(FaultPlan::parse("stuck-empty,rate=0:5").expect("valid plan")),
-            max_cycles: 1 << 22,
+            faults: None,
+            max_cycles: 64,
         };
-        let cfg = SvMtaConfig { guarded: true };
         let err = run
-            .scope(|| try_simulate_sv_mta(&g, &tiny(), 1, 8, &cfg))
-            .expect_err("every readff parks forever under stuck-empty");
+            .scope(|| try_simulate_sv_mta(&g, &tiny(), 1, 8))
+            .expect_err("the budget is below the run's need");
         match err {
-            SimError::Deadlock { cycle, blocked } => {
-                assert!(!blocked.is_empty(), "diagnostics must name the streams");
-                assert!(cycle > 0);
-                for b in &blocked {
-                    assert_eq!(b.op, "readff");
-                    assert!(!b.full, "parked on a word the fault holds empty");
-                }
+            SimError::CycleBudgetExceeded {
+                budget,
+                spent,
+                what,
+            } => {
+                assert_eq!((budget, what), (64, "mta cycles"));
+                assert!(spent > budget, "spent {spent}");
             }
-            other => panic!("expected Deadlock, got {other:?}"),
+            other => panic!("expected CycleBudgetExceeded, got {other:?}"),
         }
     }
 }

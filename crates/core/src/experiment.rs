@@ -1,19 +1,20 @@
-//! Figure series: the `(n, p, seconds)` points a sweep produces, grouped
+//! Figure series: the `(n, p, value)` points a sweep produces, grouped
 //! under a label. The sweeps build them, and `report` and `plot` render
 //! them as tables, CSV and ASCII plots.
 //!
-//! Reached by: `--bin fig1` and `fig2` (`scripts/reproduce_all.sh`): their series.
+//! Reached by: `--bin fig1`, `fig2`, `table1` and `all` (`scripts/reproduce_all.sh`): their series.
 
-/// One data point of a figure series: a problem size, a processor count and
-/// its measured (or simulated) time in seconds.
+/// One data point of a series: a problem size, a processor count and the
+/// plotted quantity there.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SeriesPoint {
     /// Problem size (list length or edge count, figure dependent).
     pub n: usize,
     /// Processor count.
     pub p: usize,
-    /// Time in seconds.
-    pub seconds: f64,
+    /// The plotted quantity (simulated seconds for the figures,
+    /// utilization for Table 1).
+    pub value: f64,
 }
 
 /// A named series of points, e.g. "MTA Random p=4".
@@ -35,16 +36,16 @@ impl Series {
     }
 
     /// Append a point.
-    pub fn push(&mut self, n: usize, p: usize, seconds: f64) {
-        self.points.push(SeriesPoint { n, p, seconds });
+    pub fn push(&mut self, n: usize, p: usize, value: f64) {
+        self.points.push(SeriesPoint { n, p, value });
     }
 
-    /// The time for a given `(n, p)` if present.
+    /// The value at a given `(n, p)` if present.
     pub fn at(&self, n: usize, p: usize) -> Option<f64> {
         self.points
             .iter()
             .find(|pt| pt.n == n && pt.p == p)
-            .map(|pt| pt.seconds)
+            .map(|pt| pt.value)
     }
 }
 

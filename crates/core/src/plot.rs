@@ -54,12 +54,12 @@ fn scale(v: f64, lo: f64, hi: f64, log: bool, cells: usize) -> usize {
     ((t * (cells - 1) as f64).round() as usize).min(cells - 1)
 }
 
-/// Render the series as an ASCII plot (x = point `n`, y = seconds).
+/// Render the series as an ASCII plot (x = point `n`, y = point value).
 /// Returns the multi-line string including a legend.
 pub fn ascii_plot(series: &[Series], opts: &PlotOptions) -> String {
     let pts: Vec<(f64, f64)> = series
         .iter()
-        .flat_map(|s| s.points.iter().map(|p| (p.n as f64, p.seconds)))
+        .flat_map(|s| s.points.iter().map(|p| (p.n as f64, p.value)))
         .collect();
     if pts.is_empty() {
         return String::from("(no data)\n");
@@ -77,7 +77,7 @@ pub fn ascii_plot(series: &[Series], opts: &PlotOptions) -> String {
         let glyph = GLYPHS[si % GLYPHS.len()];
         for p in &s.points {
             let cx = scale(p.n as f64, x_lo, x_hi, opts.log_x, opts.width);
-            let cy = scale(p.seconds, y_lo, y_hi, opts.log_y, opts.height);
+            let cy = scale(p.value, y_lo, y_hi, opts.log_y, opts.height);
             let row = opts.height - 1 - cy;
             grid[row][cx] = glyph;
         }

@@ -3,7 +3,7 @@
 //! Every figure binary prints (a) a fixed-width table mirroring the paper's
 //! presentation and (b) machine-readable CSV so the series can be re-plotted.
 //!
-//! Reached by: `--bin table1`, `ratios`, `speedup` and `calibrate` (`scripts/reproduce_all.sh`).
+//! Reached by: `--bin table1`, `all`, `speedup` and `calibrate` (`scripts/reproduce_all.sh`).
 
 use crate::experiment::Series;
 
@@ -87,15 +87,13 @@ impl std::fmt::Display for Table {
     }
 }
 
-/// Render a set of series as CSV: `series,n,p,seconds` rows.
+/// Render a set of series as CSV: `series,n,p,seconds` rows (the figures'
+/// series, whose value is simulated seconds).
 pub fn series_csv(series: &[Series]) -> String {
     let mut out = String::from("series,n,p,seconds\n");
     for s in series {
         for pt in &s.points {
-            out.push_str(&format!(
-                "{},{},{},{:.9}\n",
-                s.label, pt.n, pt.p, pt.seconds
-            ));
+            out.push_str(&format!("{},{},{},{:.9}\n", s.label, pt.n, pt.p, pt.value));
         }
     }
     out
@@ -130,7 +128,7 @@ pub fn ratios(numerator: &Series, denominator: &Series) -> Vec<(usize, usize, f6
     for pt in &numerator.points {
         if let Some(d) = denominator.at(pt.n, pt.p) {
             if d > 0.0 {
-                out.push((pt.n, pt.p, pt.seconds / d));
+                out.push((pt.n, pt.p, pt.value / d));
             }
         }
     }

@@ -28,9 +28,15 @@ use rayon::prelude::*;
 /// Reached by: `tests/properties.rs` (`wyllie_ranks_arbitrary_permutations`),
 /// the ABL-WORK baseline.
 pub fn wyllie_rank(list: &LinkedList) -> Vec<Node> {
+    wyllie(list).0
+}
+
+/// Pointer jumping, returning the ranks and the number of rounds it took.
+/// Every round rewrites all `n` entries, so the work is `n · rounds`.
+fn wyllie(list: &LinkedList) -> (Vec<Node>, usize) {
     let n = list.len();
     if n == 0 {
-        return Vec::new();
+        return (Vec::new(), 0);
     }
     let term = n as Node;
     // dist[i] = number of nodes from i to the end (inclusive), computed by
@@ -69,17 +75,8 @@ pub fn wyllie_rank(list: &LinkedList) -> Vec<Node> {
         std::mem::swap(&mut next, &mut next_new);
     }
 
-    dist.into_iter().map(|d| (n as u64 - d) as Node).collect()
-}
-
-/// Round count, `⌈log₂ n⌉`: the factor of ABL-WORK's `Θ(n log n)` work.
-#[cfg(test)]
-pub(crate) fn wyllie_rounds(n: usize) -> usize {
-    if n <= 1 {
-        0
-    } else {
-        (usize::BITS - (n - 1).leading_zeros()) as usize
-    }
+    let rank = dist.into_iter().map(|d| (n as u64 - d) as Node).collect();
+    (rank, rounds)
 }
 
 #[cfg(test)]
@@ -107,13 +104,20 @@ mod tests {
         assert!(wyllie_rank(&LinkedList::ordered(0)).is_empty());
     }
 
+    /// ABL-WORK: the measured round count is ⌈log₂ n⌉ whatever the layout,
+    /// and every round rewrites all `n` entries, so the work is
+    /// `n · ⌈log₂ n⌉` — against the `Θ(n)` of Helman–JáJá and the walks.
     #[test]
     fn round_bound_is_logarithmic() {
-        assert_eq!(wyllie_rounds(0), 0);
-        assert_eq!(wyllie_rounds(1), 0);
-        assert_eq!(wyllie_rounds(2), 1);
-        assert_eq!(wyllie_rounds(1024), 10);
-        assert_eq!(wyllie_rounds(1025), 11);
+        let mut rng = Rng::new(53);
+        for n in [1usize, 2, 1024, 1025, 5000, 1 << 16] {
+            let log2_ceil = (usize::BITS - (n - 1).leading_zeros()) as usize;
+            for list in [LinkedList::random(n, &mut rng), LinkedList::ordered(n)] {
+                let (rank, rounds) = wyllie(&list);
+                assert_eq!(rank, list.rank_oracle(), "n = {n}");
+                assert_eq!(rounds, log2_ceil, "n = {n}");
+            }
+        }
     }
 
     #[test]

@@ -36,6 +36,11 @@ cargo build --release --offline
 echo "== cargo test =="
 cargo test -q --offline --workspace
 
+echo "== reproduce_all.sh smoke: every evaluation binary runs =="
+# Nothing else runs this script, so a binary it names could be deleted or
+# renamed unnoticed. At smoke scale its six binaries take about a second.
+scripts/reproduce_all.sh smoke
+
 echo "== archperf: the frozen benchmark still builds against the crates =="
 # benchmarks/ is a workspace of its own, so nothing above compiles it: a
 # crate change that breaks the API it is written against shows only here.

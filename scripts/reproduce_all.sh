@@ -10,7 +10,7 @@ SCALE="${1:-default}"
 mkdir -p results
 
 echo "== building (release) =="
-cargo build --release -p archgraph-bench
+cargo build --release --offline -p archgraph-bench
 
 run() {
     local name="$1"
@@ -23,7 +23,7 @@ run calibrate "$SCALE"
 run fig1 "$SCALE" --csv
 run fig2 "$SCALE" --csv
 run table1 "$SCALE"
-run ratios "$SCALE"
+run all "$SCALE"
 run speedup "$SCALE"
 
 echo

@@ -2,7 +2,7 @@
 //! across runs — workloads, simulated times, and figure series.
 
 use archgraph_bench::workloads::{make_graph, make_list, ListKind};
-use archgraph_bench::{fig1, fig2, table1, MachineKind, Scale};
+use archgraph_bench::{fig1, fig2, table1, MachineKind, PanelSweep, Scale};
 use archgraph_core::machine::{MtaParams, SmpParams};
 use archgraph_listrank::{sim_mta, sim_smp};
 
@@ -37,15 +37,16 @@ fn simulated_times_are_deterministic() {
 
 #[test]
 fn figure_series_are_deterministic() {
-    let a1 = fig1::sweep(Scale::Smoke, MachineKind::Smp, false).into_series();
-    let b1 = fig1::sweep(Scale::Smoke, MachineKind::Smp, false).into_series();
-    assert_eq!(a1, b1);
-    let a2 = fig2::sweep(Scale::Smoke, MachineKind::Mta, false).into_series();
-    let b2 = fig2::sweep(Scale::Smoke, MachineKind::Mta, false).into_series();
-    assert_eq!(a2, b2);
-    let at = table1::utilization_table(Scale::Smoke, false);
-    let bt = table1::utilization_table(Scale::Smoke, false);
-    assert_eq!(at, bt);
+    let series = |sw: PanelSweep| {
+        assert!(sw.failures.is_empty(), "{:?}", sw.failures);
+        sw.series
+    };
+    let fig1_smp = || series(fig1::sweep(Scale::Smoke, MachineKind::Smp, false));
+    assert_eq!(fig1_smp(), fig1_smp());
+    let fig2_mta = || series(fig2::sweep(Scale::Smoke, MachineKind::Mta, false));
+    assert_eq!(fig2_mta(), fig2_mta());
+    let table = || series(table1::sweep(Scale::Smoke, false));
+    assert_eq!(table(), table());
 }
 
 #[test]

@@ -22,7 +22,17 @@ fn series(
     fig: fn(Scale, MachineKind, bool) -> archgraph_bench::PanelSweep,
     machine: MachineKind,
 ) -> Vec<Series> {
-    fig(Scale::Smoke, machine, false).into_series()
+    clean(fig(Scale::Smoke, machine, false))
+}
+
+/// Table 1's rows: one utilization series per row.
+fn table1_rows() -> Vec<Series> {
+    clean(table1::sweep(Scale::Smoke, false))
+}
+
+fn clean(sw: archgraph_bench::PanelSweep) -> Vec<Series> {
+    assert!(sw.failures.is_empty(), "{:?}", sw.failures);
+    sw.series
 }
 
 /// Every point of the five smoke sweeps: label, `x`, `p` and the plotted
@@ -41,14 +51,14 @@ fn golden_text() -> String {
     ] {
         for s in &set {
             for pt in &s.points {
-                put(sweep, &s.label, pt.n, pt.p, pt.seconds);
+                put(sweep, &s.label, pt.n, pt.p, pt.value);
             }
         }
     }
-    let table = table1::utilization_table(Scale::Smoke, false);
-    for (x, row) in table.iter().enumerate() {
-        for &(p, u) in &row.utilization {
-            put("table1", &row.label, x, p, u);
+    // The golden's Table 1 `x` is the row index.
+    for (x, row) in table1_rows().iter().enumerate() {
+        for pt in &row.points {
+            put("table1", &row.label, x, pt.p, pt.value);
         }
     }
     out
@@ -136,11 +146,11 @@ fn fig1_regenerates_both_panels() {
     assert_eq!(smp.len(), 4);
     for s in mta.iter().chain(smp.iter()) {
         assert!(!s.points.is_empty(), "{} empty", s.label);
-        assert!(s.points.iter().all(|p| p.seconds > 0.0));
+        assert!(s.points.iter().all(|p| p.value > 0.0));
         // Monotone in n within each series.
         for w in s.points.windows(2) {
             assert!(
-                w[1].seconds > w[0].seconds * 0.8,
+                w[1].value > w[0].value * 0.8,
                 "{}: time should grow with n",
                 s.label
             );
@@ -155,23 +165,24 @@ fn fig2_regenerates_both_panels() {
     assert_eq!(mta.len(), 2);
     assert_eq!(smp.len(), 2);
     for s in smp.iter() {
-        let first = s.points.first().unwrap().seconds;
-        let last = s.points.last().unwrap().seconds;
+        let first = s.points.first().unwrap().value;
+        let last = s.points.last().unwrap().value;
         assert!(last > first, "{}: denser graphs take longer", s.label);
     }
     for s in mta.iter() {
-        assert!(s.points.iter().all(|p| p.seconds > 0.0));
+        assert!(s.points.iter().all(|p| p.value > 0.0));
     }
 }
 
 #[test]
 fn table1_regenerates_all_rows() {
-    let rows = table1::utilization_table(Scale::Smoke, false);
+    let rows = table1_rows();
     assert_eq!(rows.len(), 3);
     for r in &rows {
-        assert!(!r.utilization.is_empty());
-        for &(p, u) in &r.utilization {
-            assert!(u > 0.0 && u <= 1.0, "{} p={p}: {u}", r.label);
+        assert!(!r.points.is_empty());
+        for pt in &r.points {
+            let u = pt.value;
+            assert!(u > 0.0 && u <= 1.0, "{} p={}: {u}", r.label, pt.p);
         }
     }
 }
@@ -195,7 +206,7 @@ fn smp_figures_dominate_mta_figures() {
             for pt in &m.points {
                 let smp_t = s.at(pt.n, pt.p).unwrap();
                 assert!(
-                    smp_t > pt.seconds,
+                    smp_t > pt.value,
                     "SMP should be slower at {kind} n={} p={}",
                     pt.n,
                     pt.p
