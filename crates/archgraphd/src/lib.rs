@@ -26,6 +26,7 @@ pub mod json;
 pub mod protocol;
 pub mod queue;
 pub mod server;
+pub mod stages;
 
 use std::sync::Arc;
 

@@ -82,6 +82,7 @@ use archgraph_bench::cells::bench_suite;
 use archgraph_bench::CellSpec;
 
 use crate::cache::{Cache, CacheUsage, Sim};
+use crate::stages::{Stage, Stages, StagesSnapshot};
 
 /// Executes one cell, returning its fingerprint or a failure message.
 /// Must be panic-free: the real runner wraps the simulation in
@@ -179,6 +180,8 @@ pub struct Snapshot {
     pub workers: usize,
     /// Result-cache footprint and lifetime eviction counters.
     pub cache: CacheUsage,
+    /// Host time per request and cell stage, lifetime.
+    pub stages: StagesSnapshot,
 }
 
 /// One suite cell as reported by the `list` op.
@@ -199,6 +202,8 @@ struct Task {
     /// and reused by the worker's lookup, the record and the event; `None`
     /// when the cache is off, where only the event needs it.
     key: Option<String>,
+    /// When `submit` took its job: the start of its queue wait.
+    admitted: Instant,
 }
 
 impl Task {
@@ -448,6 +453,7 @@ struct Inner {
     cache: Cache,
     max_queue: usize,
     workers: usize,
+    stages: Stages,
 }
 
 impl Inner {
@@ -476,6 +482,7 @@ impl Scheduler {
             cache,
             max_queue,
             workers,
+            stages: Stages::default(),
         });
         let handles = (0..workers)
             .map(|i| {
@@ -557,7 +564,13 @@ impl Scheduler {
             active_jobs: st.jobs.len(),
             workers: self.inner.workers,
             cache,
+            stages: self.inner.stages.snapshot(),
         }
+    }
+
+    /// The stage histograms, for the connection handlers to record into.
+    pub(crate) fn stages(&self) -> &Stages {
+        &self.inner.stages
     }
 
     /// The bench suite as served by the `list` op: every suite cell's
@@ -598,11 +611,13 @@ impl Scheduler {
 /// there is nothing to probe, and no key is hashed until a worker needs it.
 fn probe(cache: &Cache, specs: Vec<CellSpec>) -> (Vec<CellEvent>, VecDeque<Task>) {
     let cells = specs.into_iter().enumerate();
+    let admitted = Instant::now();
     if !cache.enabled() {
         let misses = cells.map(|(index, spec)| Task {
             index,
             spec,
             key: None,
+            admitted,
         });
         return (Vec::new(), misses.collect());
     }
@@ -614,6 +629,7 @@ fn probe(cache: &Cache, specs: Vec<CellSpec>) -> (Vec<CellEvent>, VecDeque<Task>
             index,
             spec,
             key: Some(key),
+            admitted,
         };
         match sim {
             Some(sim) => hits.push(task.event(CellStatus::Done { sim, cached: true })),
@@ -640,6 +656,9 @@ fn worker_loop(inner: &Inner) {
                 st = inner.cv.wait(st).expect("scheduler lock");
             }
         };
+        inner
+            .stages
+            .record(Stage::QueueWait, task.admitted.elapsed());
         let (status, via, charge) = match run {
             Some(budget) => {
                 let (status, ran, charge) = run_cell(inner, &task, budget);
@@ -666,10 +685,15 @@ fn run_cell(inner: &Inner, task: &Task, budget: Budget) -> (CellStatus, bool, u6
     };
     let mut spec = spec.clone();
     spec.max_cycles = max_cycles;
-    match (inner.runner)(&spec) {
+    let started = Instant::now();
+    let ran = (inner.runner)(&spec);
+    inner.stages.record(Stage::Run, started.elapsed());
+    match ran {
         Ok(sim) => {
             if let Some(key) = key {
+                let started = Instant::now();
                 inner.cache.record_key(key, &sim);
+                inner.stages.record(Stage::Store, started.elapsed());
             }
             let charge = cycles_of(&sim);
             (CellStatus::Done { sim, cached: false }, true, charge)
@@ -1780,6 +1804,7 @@ mod tests {
                         index,
                         spec: spec(1),
                         key: None,
+                        admitted: t0,
                     });
                     let (tx, rx) = mpsc::channel();
                     let ring_before = s.ring.clone();
