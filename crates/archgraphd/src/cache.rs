@@ -120,7 +120,7 @@ impl Cache {
     /// cell hashes its spec once for the probe, the touch, its event and
     /// its record.
     pub(crate) fn lookup_key(&self, key: &str) -> Option<Sim> {
-        let sim = decode(&self.store.lookup(key)?)?;
+        let sim = self.store.lookup_with(key, decode)?;
         if self.max_bytes.is_some() {
             self.store.touch(key);
         }
@@ -212,12 +212,15 @@ fn encode(sim: &[(String, u64)]) -> String {
     out
 }
 
+/// The pairs of a payload, in one allocation for the list and one per
+/// label (`Sim` owns its labels).
 fn decode(payload: &str) -> Option<Sim> {
     let mut it = payload.split_whitespace();
     if it.next() != Some("v1") || it.next() != Some("ok") {
         return None;
     }
-    let mut sim = Vec::new();
+    let pairs = payload.bytes().filter(|&b| b == b'=').count();
+    let mut sim = Vec::with_capacity(pairs);
     for pair in it {
         let (k, v) = pair.split_once('=')?;
         sim.push((k.to_string(), v.parse().ok()?));
