@@ -98,7 +98,7 @@ fn main() {
         .filter_map(|o| o.as_ref().err().cloned())
         .collect();
     exit_if_failed("calibrate", &failures);
-    ck.clear();
+    ck.finish();
     let pts: Vec<CellPoint> = outcomes
         .into_iter()
         .map(|o| o.expect("failures already reported"))
