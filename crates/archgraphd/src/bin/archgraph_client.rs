@@ -1,8 +1,7 @@
 //! `archgraph-client` — thin CLI for talking to a running `archgraphd`.
 //!
 //! ```text
-//! archgraph-client (--socket PATH | --tcp ADDR) [--token SECRET]
-//!                  [--connect-timeout-ms N] [--retries N] COMMAND [ARGS]
+//! archgraph-client --socket PATH COMMAND [ARGS]
 //!
 //! commands:
 //!   ping                      liveness probe
@@ -10,24 +9,14 @@
 //!   list                      bench suite with per-cell cache status
 //!   shutdown                  ask the daemon to drain and exit
 //!   cancel JOB                cancel a job by id (e.g. j3)
-//!   submit [--budget-cycles N] [--budget-host-ms N] CELL [CELL...]
-//!                             run bench-suite cells by name, optionally
-//!                             metered by a job cycle budget and/or a
-//!                             host wall-clock cap
+//!   submit CELL [CELL...]     run bench-suite cells by name
 //!   submit-json JSON          run raw cell specs (an object or array)
 //! ```
 //!
-//! `--token` sends the bearer token as the connection's first line, as
-//! required by a daemon started with `--token`.
-//!
-//! `--connect-timeout-ms` bounds each TCP dial attempt, and `--retries`
-//! re-dials an unreachable daemon that many extra times with exponential
-//! backoff (100 ms, 200 ms, 400 ms, ... capped at 5 s) — useful when a
-//! script races daemon startup, or across a daemon restart. Retrying
-//! (or resubmitting after exit 3) is safe: submissions are idempotent
-//! by the cache contract — results are content-addressed by the full
-//! cell spec, so a cell that already ran replays from the cache instead
-//! of recomputing, and a half-delivered job is simply streamed again.
+//! Resubmitting after exit 3 is safe: results are content-addressed by
+//! the full cell spec, so a cell that already ran replays from the cache
+//! instead of recomputing, and a half-delivered job is simply streamed
+//! again.
 //!
 //! Every protocol line the daemon sends is echoed verbatim to stdout, so
 //! scripts can parse the stream directly. Exit status: 0 on success, 1
@@ -37,7 +26,6 @@
 use std::io::{BufRead, BufReader, Write};
 use std::path::PathBuf;
 use std::process::exit;
-use std::time::Duration;
 
 use archgraphd::json::{escape, Json};
 use archgraphd::server::{self, Endpoint};
@@ -45,13 +33,11 @@ use archgraphd::server::{self, Endpoint};
 fn usage(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!(
-        "usage: archgraph-client (--socket PATH | --tcp ADDR) [--token SECRET] \
-         [--connect-timeout-ms N] [--retries N] \
-         (ping | status | list | shutdown | cancel JOB | \
-         submit [--budget-cycles N] [--budget-host-ms N] CELL... | submit-json JSON)\n\
-         retried/resubmitted requests are idempotent: results are \
-         content-addressed in the daemon's cache, so replays are served \
-         from it rather than recomputed"
+        "usage: archgraph-client --socket PATH \
+         (ping | status | list | shutdown | cancel JOB | submit CELL... | submit-json JSON)\n\
+         resubmitted requests are idempotent: results are content-addressed \
+         in the daemon's cache, so replays are served from it rather than \
+         recomputed"
     );
     exit(2);
 }
@@ -73,24 +59,6 @@ fn build_request(cmd: &str, rest: &[String]) -> (String, bool) {
             _ => usage("cancel takes exactly one job id"),
         },
         "submit" => {
-            let mut rest = rest;
-            let mut budget = String::new();
-            // Budget flags may appear in either order, before the cells.
-            loop {
-                let (flag, key) = match rest.first().map(String::as_str) {
-                    Some("--budget-cycles") => ("--budget-cycles", "budget_cycles"),
-                    Some("--budget-host-ms") => ("--budget-host-ms", "budget_host_ms"),
-                    _ => break,
-                };
-                if rest.len() < 2 {
-                    usage(&format!("{flag} requires a value"));
-                }
-                let n: u64 = rest[1]
-                    .parse()
-                    .unwrap_or_else(|_| usage(&format!("{flag} requires an integer")));
-                budget.push_str(&format!(r#","{key}":{n}"#));
-                rest = &rest[2..];
-            }
             if rest.is_empty() {
                 usage("submit needs at least one bench cell name");
             }
@@ -99,7 +67,7 @@ fn build_request(cmd: &str, rest: &[String]) -> (String, bool) {
                 .map(|name| format!(r#"{{"cell":"{}"}}"#, escape(name)))
                 .collect();
             (
-                format!(r#"{{"op":"submit","cells":[{}]{budget}}}"#, cells.join(",")),
+                format!(r#"{{"op":"submit","cells":[{}]}}"#, cells.join(",")),
                 true,
             )
         }
@@ -123,91 +91,28 @@ fn build_request(cmd: &str, rest: &[String]) -> (String, bool) {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = args.iter();
-    let endpoint = match (it.next().map(String::as_str), it.next()) {
-        (Some("--socket"), Some(p)) => Endpoint::Unix(PathBuf::from(p)),
-        (Some("--tcp"), Some(a)) => Endpoint::Tcp(a.clone()),
-        _ => usage("first arguments must be --socket PATH or --tcp ADDR"),
-    };
-    let mut token: Option<String> = None;
-    let mut connect_timeout: Option<Duration> = None;
-    let mut retries = 0u32;
-    // Connection flags may appear in any order, before the command.
-    let cmd = loop {
-        let a = it.next().unwrap_or_else(|| usage("missing command"));
-        let mut value = |flag: &str| {
-            it.next()
-                .unwrap_or_else(|| usage(&format!("{flag} requires a value")))
-        };
-        match a.as_str() {
-            "--token" => token = Some(value("--token").clone()),
-            "--connect-timeout-ms" => {
-                connect_timeout = Some(Duration::from_millis(
-                    value("--connect-timeout-ms")
-                        .parse()
-                        .ok()
-                        .filter(|&n| n >= 1u64)
-                        .unwrap_or_else(|| {
-                            usage("--connect-timeout-ms requires a positive integer")
-                        }),
-                ))
-            }
-            "--retries" => {
-                retries = value("--retries")
-                    .parse()
-                    .unwrap_or_else(|_| usage("--retries requires an integer"))
-            }
-            _ => break a,
+    let (endpoint, cmd, rest) = match args.as_slice() {
+        [flag, path, cmd, rest @ ..] if flag == "--socket" => {
+            (Endpoint::Unix(PathBuf::from(path)), cmd, rest)
         }
+        [flag, _] if flag == "--socket" => usage("missing command"),
+        _ => usage("first arguments must be --socket PATH"),
     };
-    let rest: Vec<String> = it.cloned().collect();
-    let (request, streams) = build_request(cmd, &rest);
+    let (request, streams) = build_request(cmd, rest);
 
-    // Dial, re-dialing unreachable daemons with exponential backoff.
-    // Retrying is safe even around a `submit`: the connection either
-    // failed before the request was sent, or the whole job replays from
-    // the daemon's content-addressed cache.
-    let mut attempt = 0u32;
-    let conn = loop {
-        match server::connect_with(&endpoint, connect_timeout) {
-            Ok(c) => break c,
-            Err(e) if attempt < retries => {
-                let backoff_ms = 100u64.saturating_mul(1 << attempt.min(16)).min(5_000);
-                attempt += 1;
-                eprintln!(
-                    "warning: cannot reach archgraphd at {}: {e}; retry {attempt}/{retries} in {backoff_ms} ms",
-                    endpoint.describe()
-                );
-                std::thread::sleep(Duration::from_millis(backoff_ms));
-            }
-            Err(e) => {
-                eprintln!(
-                    "error: cannot reach archgraphd at {}: {e}",
-                    endpoint.describe()
-                );
-                exit(3);
-            }
-        }
-    };
-    let reader = BufReader::new(match conn.try_clone() {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: {e}");
-            exit(3);
-        }
+    let conn = server::connect(&endpoint).unwrap_or_else(|e| {
+        eprintln!(
+            "error: cannot reach archgraphd at {}: {e}",
+            endpoint.describe()
+        );
+        exit(3);
     });
+    let reader = BufReader::new(conn.try_clone().unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        exit(3);
+    }));
     let mut w = conn;
-    // A token-gated daemon expects the bearer token as the first line.
-    // Token and request leave in one write: as two small ones, the
-    // second would wait on TCP for the daemon's delayed ACK of the first.
-    let mut outgoing = String::new();
-    if let Some(t) = &token {
-        outgoing.push_str(t);
-        outgoing.push('\n');
-    }
-    outgoing.push_str(&request);
-    outgoing.push('\n');
-    if w.write_all(outgoing.as_bytes()).is_err() {
+    if w.write_all(format!("{request}\n").as_bytes()).is_err() {
         eprintln!("error: connection lost while sending the request");
         exit(3);
     }

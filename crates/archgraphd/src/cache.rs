@@ -22,7 +22,6 @@
 //! Reached by: `archgraphd`'s `submit` op (cached cells) and its `status` op.
 
 use std::path::PathBuf;
-use std::sync::Mutex;
 
 use archgraph_bench::sweep::Checkpoint;
 use archgraph_bench::CellSpec;
@@ -30,9 +29,10 @@ use archgraph_bench::CellSpec;
 /// Configuration stamp for the cache directory. Reusing the checkpoint
 /// store's spec-sentinel machinery: a directory stamped with a different
 /// string (older daemon, different payload schema) is discarded on open.
-/// v2: recency moved from file mtimes to logical stamp sidecars — v1
-/// directories carry no stamps, so their entries would never be listed.
-pub const CACHE_SPEC: &str = "archgraphd-cache-v2";
+/// v3: the recency sidecars of the removed LRU bound are gone, so a v2
+/// directory, which holds one beside every entry, is discarded rather
+/// than counted twice.
+pub const CACHE_SPEC: &str = "archgraphd-cache-v3";
 
 /// Simulated fingerprint as stored and served: owned label/value pairs
 /// in render order.
@@ -45,42 +45,20 @@ pub struct CacheUsage {
     pub entries: usize,
     /// Total payload bytes currently on disk.
     pub bytes: u64,
-    /// Entries evicted by the size bound since the cache was opened.
-    pub evictions: u64,
-    /// Payload bytes reclaimed by those evictions.
-    pub evicted_bytes: u64,
 }
 
-/// Counters the eviction sweep accumulates over the cache's lifetime.
-#[derive(Debug, Default)]
-struct EvictionCounters {
-    evictions: u64,
-    evicted_bytes: u64,
-}
-
-/// The daemon's on-disk result cache (or a disabled stand-in).
+/// The daemon's on-disk result cache (or a disabled stand-in). It is
+/// unbounded: the reproduction's cells make a few kilobytes of entries.
 #[derive(Debug)]
 pub struct Cache {
     store: Checkpoint,
-    /// Soft size bound in payload bytes; `None` means unbounded.
-    max_bytes: Option<u64>,
-    counters: Mutex<EvictionCounters>,
 }
 
 impl Cache {
-    /// Open (or create) the cache rooted at `dir`, unbounded.
+    /// Open (or create) the cache rooted at `dir`.
     pub fn open(dir: PathBuf) -> Cache {
-        Cache::open_bounded(dir, None)
-    }
-
-    /// Open (or create) the cache rooted at `dir`, evicting
-    /// least-recently-used entries (by logical recency stamp) after each
-    /// record until the total payload size fits under `max_bytes`.
-    pub fn open_bounded(dir: PathBuf, max_bytes: Option<u64>) -> Cache {
         Cache {
             store: Checkpoint::at_spec(dir, CACHE_SPEC),
-            max_bytes,
-            counters: Mutex::new(EvictionCounters::default()),
         }
     }
 
@@ -88,8 +66,6 @@ impl Cache {
     pub fn disabled() -> Cache {
         Cache {
             store: Checkpoint::disabled(),
-            max_bytes: None,
-            counters: Mutex::new(EvictionCounters::default()),
         }
     }
 
@@ -102,12 +78,6 @@ impl Cache {
     /// content address) completed before. Undecodable entries read as
     /// misses — the cell simply re-runs and overwrites them.
     ///
-    /// A hit touches the entry so its recency stamp advances: that is
-    /// the "recently used" half of the LRU bound, and it keeps hot suite
-    /// cells resident while one-off sweeps age out. The stamp is a
-    /// monotonic logical tick, so a burst of hits within one filesystem
-    /// clock tick still records true recency order.
-    ///
     /// A disabled cache answers `None` before it computes the key.
     pub fn lookup(&self, spec: &CellSpec) -> Option<Sim> {
         if !self.enabled() {
@@ -117,19 +87,13 @@ impl Cache {
     }
 
     /// [`Cache::lookup`] by a content address already computed, so that a
-    /// cell hashes its spec once for the probe, the touch, its event and
-    /// its record.
+    /// cell hashes its spec once for the probe, its event and its record.
     pub(crate) fn lookup_key(&self, key: &str) -> Option<Sim> {
-        let sim = self.store.lookup_with(key, decode)?;
-        if self.max_bytes.is_some() {
-            self.store.touch(key);
-        }
-        Some(sim)
+        self.store.lookup_with(key, decode)
     }
 
-    /// Would `lookup` hit for `spec`? Unlike `lookup`, this does not
-    /// touch the entry's recency stamp — `list` probes every suite cell
-    /// and must not count as use.
+    /// Would `lookup` hit for `spec`? The `list` op asks this of every
+    /// suite cell.
     pub fn contains(&self, spec: &CellSpec) -> bool {
         self.store
             .lookup(&spec.cache_key())
@@ -139,7 +103,6 @@ impl Cache {
 
     /// Record a successful run of `spec`. Best-effort, like checkpoint
     /// writes: a full disk degrades to a cacheless daemon, not a dead one.
-    /// When a size bound is set, sweeps oldest-first afterwards.
     pub fn record(&self, spec: &CellSpec, sim: &[(String, u64)]) {
         self.record_key(&spec.cache_key(), sim);
     }
@@ -147,55 +110,12 @@ impl Cache {
     /// [`Cache::record`] under a content address already computed.
     pub(crate) fn record_key(&self, key: &str, sim: &[(String, u64)]) {
         self.store.record(key, &encode(sim));
-        self.sweep();
     }
 
-    /// Current on-disk footprint plus lifetime eviction counters.
+    /// Current on-disk footprint, from one directory listing.
     pub fn usage(&self) -> CacheUsage {
-        let entries = self.store.entries();
-        let c = self.counters.lock().unwrap();
-        CacheUsage {
-            entries: entries.len(),
-            bytes: entries.iter().map(|e| e.bytes).sum(),
-            evictions: c.evictions,
-            evicted_bytes: c.evicted_bytes,
-        }
-    }
-
-    /// Evict least-recently-used entries until the total payload size is
-    /// within `max_bytes`. Eviction is always *safe* — the cache is a
-    /// pure memo over deterministic runs, so a victimised entry costs a
-    /// re-run, never a wrong answer. Recency is the monotonic logical
-    /// stamp (file mtimes are too coarse to order a burst of touches);
-    /// ties — only possible if stamps were hand-edited — break by name
-    /// so the victim order stays deterministic.
-    fn sweep(&self) {
-        let Some(max) = self.max_bytes else { return };
-        let mut entries = self.store.entries();
-        let mut total: u64 = entries.iter().map(|e| e.bytes).sum();
-        if total <= max {
-            return;
-        }
-        entries.sort_by(|a, b| a.stamp.cmp(&b.stamp).then_with(|| a.name.cmp(&b.name)));
-        let mut evicted = 0u64;
-        let mut evicted_bytes = 0u64;
-        for victim in &entries {
-            if total <= max {
-                break;
-            }
-            // Only count removals that actually landed: a concurrent
-            // sweep may have beaten us to this victim.
-            if self.store.remove(&victim.name) {
-                evicted += 1;
-                evicted_bytes += victim.bytes;
-            }
-            total = total.saturating_sub(victim.bytes);
-        }
-        if evicted > 0 {
-            let mut c = self.counters.lock().unwrap();
-            c.evictions += evicted;
-            c.evicted_bytes += evicted_bytes;
-        }
+        let (entries, bytes) = self.store.entries();
+        CacheUsage { entries, bytes }
     }
 }
 
@@ -315,15 +235,6 @@ mod tests {
         assert_eq!(cache.usage(), CacheUsage::default());
     }
 
-    fn temp_bounded(name: &str, max: u64) -> (Cache, PathBuf) {
-        let dir = std::env::temp_dir().join(format!(
-            "archgraphd-cache-test-{}-{name}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        (Cache::open_bounded(dir.clone(), Some(max)), dir)
-    }
-
     /// One payload from `encode` for a single-pair sim is
     /// `"v1 ok cycles=1"` = 14 bytes.
     fn one_pair(v: u64) -> Sim {
@@ -339,61 +250,6 @@ mod tests {
         let u = cache.usage();
         assert_eq!(u.entries, 4);
         assert_eq!(u.bytes, 4 * 14);
-        assert_eq!(u.evictions, 0);
-        let _ = std::fs::remove_dir_all(dir);
-    }
-
-    /// No sleeps: recency is a logical stamp, so back-to-back records
-    /// within one filesystem clock tick still evict in true LRU order.
-    #[test]
-    fn bounded_cache_evicts_oldest_first() {
-        // Room for exactly two 14-byte payloads.
-        let (cache, dir) = temp_bounded("evict-order", 28);
-        let a = find("fig2/mta/p8").unwrap();
-        let b = find("bfs/smp/p8").unwrap();
-        let c = find("color/mta/p8").unwrap();
-        cache.record(&a, &one_pair(1));
-        cache.record(&b, &one_pair(2));
-        cache.record(&c, &one_pair(3));
-        assert!(!cache.contains(&a), "oldest entry is the victim");
-        assert!(cache.contains(&b));
-        assert!(cache.contains(&c));
-        let u = cache.usage();
-        assert_eq!((u.entries, u.bytes), (2, 28));
-        assert_eq!((u.evictions, u.evicted_bytes), (1, 14));
-        assert_eq!(cache.lookup(&a), None, "a miss after eviction just re-runs");
-        let _ = std::fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn lookup_hits_refresh_recency() {
-        let (cache, dir) = temp_bounded("lru-touch", 28);
-        let a = find("fig2/mta/p8").unwrap();
-        let b = find("bfs/smp/p8").unwrap();
-        let c = find("color/mta/p8").unwrap();
-        cache.record(&a, &one_pair(1));
-        cache.record(&b, &one_pair(2));
-        // Touch `a`: it becomes the most recently used entry...
-        assert_eq!(cache.lookup(&a), Some(one_pair(1)));
-        cache.record(&c, &one_pair(3));
-        // ...so the sweep for `c` victimises `b` instead.
-        assert!(cache.contains(&a), "touched entry survives");
-        assert!(!cache.contains(&b), "untouched entry is evicted");
-        assert!(cache.contains(&c));
-        let _ = std::fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn contains_does_not_refresh_recency() {
-        let (cache, dir) = temp_bounded("peek", 28);
-        let a = find("fig2/mta/p8").unwrap();
-        let b = find("bfs/smp/p8").unwrap();
-        let c = find("color/mta/p8").unwrap();
-        cache.record(&a, &one_pair(1));
-        cache.record(&b, &one_pair(2));
-        assert!(cache.contains(&a), "peek sees the entry");
-        cache.record(&c, &one_pair(3));
-        assert!(!cache.contains(&a), "peek did not save `a` from eviction");
         let _ = std::fs::remove_dir_all(dir);
     }
 }

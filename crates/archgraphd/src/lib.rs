@@ -1,17 +1,13 @@
 //! # archgraphd
 //!
-//! A resident multi-tenant sweep daemon for the archgraph simulators.
-//! Clients submit experiment specs (kernel, machine, engine, worker
-//! count, problem size, fault plan, cycle budget) over a line-delimited
-//! JSON protocol on a Unix socket or TCP — loopback-only unless both
-//! `--allow-remote` and a `--token` bearer secret are configured. The
+//! A resident sweep daemon for the archgraph simulators. Clients submit
+//! experiment specs (kernel, machine, problem size, fault plan, cycle
+//! budget) over a line-delimited JSON protocol on a Unix socket. The
 //! daemon validates specs, schedules cells across a bounded worker pool
-//! round-robin across jobs (admission-controlled, optionally metered by
-//! a per-job cycle budget and/or a per-job host wall-clock cap checked
-//! at cell boundaries), streams per-cell results as they complete,
-//! and caches completed cells by content-addressed spec fingerprint —
-//! optionally bounded with LRU eviction — so repeated and restarted
-//! sweeps are nearly free.
+//! round-robin across jobs (admission-controlled), streams per-cell
+//! results as they complete, and caches completed cells by
+//! content-addressed spec fingerprint, so repeated and restarted sweeps
+//! are nearly free.
 //!
 //! The protocol, scheduling, and cache layers are libraries (tested
 //! in-process); the `archgraphd` binary wires them to real sockets and
@@ -83,9 +79,8 @@ mod tests {
 
     #[test]
     fn sim_runner_isolates_watchdog_trips() {
-        // `queue::run_cell` tells a tripped cycle quota from any other
-        // failure by this substring, so every simulated cell's panicking
-        // shim must carry the watchdog's text through.
+        // A served cell's error line names the watchdog, so every
+        // simulated cell's panicking shim must carry its text through.
         for (name, mut spec) in archgraph_bench::bench_suite() {
             if spec.machine == MachineKind::Native {
                 continue;

@@ -14,8 +14,6 @@
 //! {"op":"cancel","job":"j1"}
 //! {"op":"list"}
 //! {"op":"submit","cells":[ <spec>, ... ]}
-//! {"op":"submit","cells":[ <spec>, ... ],"budget_cycles":N}
-//! {"op":"submit","cells":[ <spec>, ... ],"budget_host_ms":N}
 //! ```
 //!
 //! A cell `<spec>` is either a bench-suite reference
@@ -28,18 +26,10 @@
 //! `workers` (1..=256) is still accepted, range-checked and otherwise
 //! discarded — it set the worker count of the removed partitioned engine,
 //! and requests that carry it stay valid. Unknown keys are rejected — a
-//! misspelled override must not silently run the wrong experiment.
+//! misspelled override must not silently run the wrong experiment. A
+//! `submit` carries `op` and `cells` and nothing else.
 //!
 //! # Responses
-//!
-//! `submit` may carry an optional `budget_cycles` quota: the job's
-//! cells are metered against it and fail with a structured
-//! `BudgetExceeded` error once it runs out (cache hits are free). An
-//! optional `budget_host_ms` caps the job's *host* wall-clock instead:
-//! simulated cycles say nothing about how long a pathological spec
-//! occupies a worker, so the host cap is checked at every cell boundary
-//! and the remaining cells fail with the same structured error shape.
-//! The two budgets compose; either alone may be present.
 //!
 //! `list` answers one `{"type":"list","cells":[...]}` line enumerating
 //! the bench suite with each cell's content-address `key` and a
@@ -81,10 +71,6 @@ pub enum Request {
     Submit {
         /// Validated cell specs, in submit order.
         cells: Vec<CellSpec>,
-        /// Optional cycle quota for the whole job.
-        budget_cycles: Option<u64>,
-        /// Optional host wall-clock cap (milliseconds) for the whole job.
-        budget_host_ms: Option<u64>,
     },
 }
 
@@ -120,21 +106,13 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                 return Err("submit needs at least one cell".into());
             }
             if obj.keys().any(|k| !SUBMIT_KEYS.contains(&k.as_str())) {
-                return Err("submit accepts only \"op\", \"cells\", \"budget_cycles\", \
-                            and \"budget_host_ms\""
-                    .into());
+                return Err("submit accepts only \"op\" and \"cells\"".into());
             }
-            let budget_cycles = uint(v.get("budget_cycles"), "budget_cycles")?;
-            let budget_host_ms = uint(v.get("budget_host_ms"), "budget_host_ms")?;
             let mut specs = Vec::with_capacity(cells_json.len());
             for (i, cj) in cells_json.iter().enumerate() {
                 specs.push(parse_spec(cj).map_err(|e| format!("cells[{i}]: {e}"))?);
             }
-            Ok(Request::Submit {
-                cells: specs,
-                budget_cycles,
-                budget_host_ms,
-            })
+            Ok(Request::Submit { cells: specs })
         }
         other => Err(format!(
             "unknown op {other:?} (expected ping, status, shutdown, cancel, list, submit)"
@@ -143,7 +121,7 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
 }
 
 /// Every key a `submit` may carry.
-const SUBMIT_KEYS: [&str; 4] = ["op", "cells", "budget_cycles", "budget_host_ms"];
+const SUBMIT_KEYS: [&str; 2] = ["op", "cells"];
 
 /// Every key a cell spec may carry; anything else is a rejected typo.
 const SPEC_KEYS: [&str; 10] = [
@@ -267,7 +245,7 @@ pub fn cancelled(job: &str) -> String {
 }
 
 /// `{"type":"status",...}` — scheduler counters, the result-cache
-/// footprint and lifetime eviction counters, then the `stages` object: per
+/// footprint, then the `stages` object: per
 /// request and cell stage (`crate::stages`), `{"count":N,"sum_ns":N,
 /// "log2_us":[...]}`.
 pub fn status(snap: &Snapshot) -> String {
@@ -275,7 +253,7 @@ pub fn status(snap: &Snapshot) -> String {
         concat!(
             r#"{{"type":"status","workers":{},"queued":{},"inflight":{},"#,
             r#""active_jobs":{},"jobs":{},"cells_run":{},"cache_hits":{},"failures":{},"#,
-            r#""cache_entries":{},"cache_bytes":{},"evictions":{},"evicted_bytes":{},"#,
+            r#""cache_entries":{},"cache_bytes":{},"#,
             r#""stages":{{"#
         ),
         snap.workers,
@@ -288,8 +266,6 @@ pub fn status(snap: &Snapshot) -> String {
         snap.stats.failures,
         snap.cache.entries,
         snap.cache.bytes,
-        snap.cache.evictions,
-        snap.cache.evicted_bytes,
     );
     for (i, (name, counts)) in snap.stages.iter().enumerate() {
         if i > 0 {
@@ -448,6 +424,9 @@ mod tests {
             r#"{"op":"submit","budget_cycles":"lots","cells":[{"cell":"fig2/mta/p8"}]}"#,
             r#"{"op":"submit","budget_host_ms":-1,"cells":[{"cell":"fig2/mta/p8"}]}"#,
             r#"{"op":"submit","budget_host_ms":"ages","cells":[{"cell":"fig2/mta/p8"}]}"#,
+            // The removed job budgets are unknown keys like any other.
+            r#"{"op":"submit","budget_cycles":500000,"cells":[{"cell":"fig2/mta/p8"}]}"#,
+            r#"{"op":"submit","budget_host_ms":2500,"cells":[{"cell":"fig2/mta/p8"}]}"#,
         ] {
             let err = parse_request(bad).expect_err(bad);
             // The error doubles as the protocol reply; it must render.
@@ -478,48 +457,11 @@ mod tests {
             r#"{"op":"submit","cells":[{"cell":"fig2/mta/p8"},{"cell":"msf/native"}]}"#,
         )
         .unwrap();
-        let Request::Submit {
-            cells,
-            budget_cycles,
-            budget_host_ms,
-        } = req
-        else {
+        let Request::Submit { cells } = req else {
             panic!("not a submit")
         };
         assert_eq!(cells[0], find("fig2/mta/p8").unwrap());
         assert_eq!(cells[1], find("msf/native").unwrap());
-        assert_eq!(budget_cycles, None, "budgets are opt-in");
-        assert_eq!(budget_host_ms, None, "host budgets are opt-in");
-    }
-
-    #[test]
-    fn submit_parses_an_optional_budget() {
-        let req = parse_request(
-            r#"{"op":"submit","budget_cycles":500000,"cells":[{"cell":"fig2/mta/p8"}]}"#,
-        )
-        .unwrap();
-        let Request::Submit { budget_cycles, .. } = req else {
-            panic!("not a submit")
-        };
-        assert_eq!(budget_cycles, Some(500_000));
-    }
-
-    #[test]
-    fn submit_parses_an_optional_host_budget() {
-        let req = parse_request(
-            r#"{"op":"submit","budget_host_ms":2500,"budget_cycles":9,"cells":[{"cell":"fig2/mta/p8"}]}"#,
-        )
-        .unwrap();
-        let Request::Submit {
-            budget_host_ms,
-            budget_cycles,
-            ..
-        } = req
-        else {
-            panic!("not a submit")
-        };
-        assert_eq!(budget_host_ms, Some(2_500));
-        assert_eq!(budget_cycles, Some(9), "the two budgets compose");
     }
 
     #[test]
@@ -599,8 +541,6 @@ mod tests {
             cache: crate::cache::CacheUsage {
                 entries: 6,
                 bytes: 84,
-                evictions: 2,
-                evicted_bytes: 28,
             },
             stages: crate::stages::Stages::default().snapshot(),
         };
@@ -651,7 +591,6 @@ mod tests {
 
         let parsed = Json::parse(&status(&snap)).unwrap();
         assert_eq!(parsed.get("cache_entries").and_then(Json::as_u64), Some(6));
-        assert_eq!(parsed.get("evictions").and_then(Json::as_u64), Some(2));
 
         let parsed = Json::parse(&list_line(&[ListEntry {
             name: "fig2/mta/p8".into(),

@@ -29,34 +29,16 @@
 //! | `admit` | job not empty, not draining, `queued + misses ≤ max_queue` | job `jN` is live; its misses join the back of the ring (a job with none never does), `queued += misses`; each hit settles at once, in index order | one [`Event::Cell`] per hit; the [`Event::Done`] too if every cell hit |
 //! | `pull` | some job has a pending cell | the head job's first cell leaves `pending`, the job rotates to the back, `queued -= 1`, and `inflight += 1` unless draining | — |
 //! | `cancel` | the job is live | its backlog is taken out, `queued` drops at once | — (the caller settles each cell `Cancelled`) |
-//! | `settle` | the cell hit at admission, or was pulled or cancelled, and has not settled | **the only place a cell ends**: lifetime stats and job summary counted, cycle quota debited, `inflight -= 1` if a worker pulled it to run; a job whose summary now counts every cell is removed | one [`Event::Cell`]; after the last, the one [`Event::Done`] |
+//! | `settle` | the cell hit at admission, or was pulled or cancelled, and has not settled | **the only place a cell ends**: lifetime stats and job summary counted, `inflight -= 1` if a worker pulled it to run; a job whose summary now counts every cell is removed | one [`Event::Cell`]; after the last, the one [`Event::Done`] |
 //!
 //! Lock discipline: the mutex is held for a transition and nothing else —
 //! never across the cache (`lookup`, `record` and `usage` are disk I/O),
 //! never across `CellSpec::display_name` (it scans the bench suite),
-//! never across a run. A miss costs two lock trips, `pull` and `settle`:
-//! `pull` hands the worker a copy of the job's `Budget`, so the gate
-//! needs no third. A hit costs none of its own: it settles inside the
-//! job's `admit`. With the cache on, a cell's key is hashed once, at
-//! admission, and serves the probe, the worker's second look, the record
-//! and the event.
-//!
-//! # Budgets
-//!
-//! A job may carry a cycle quota (`budget_cycles`), a host wall-clock cap
-//! (`budget_host_ms`, its clock started at admission), or both: one
-//! `Budget`, and one verdict per cache miss, `Budget::gate`. Hits are
-//! answered at admission and are free, so a budget of 0 means "serve from
-//! cache only". The gate checks the host clock, then the quota, and clamps the
-//! cell's `max_cycles` to `min(own, remaining)` so that the engines' own
-//! watchdog enforces the quota mid-run; a refused cell fails with a
-//! structured `BudgetExceeded` error without occupying a worker. A
-//! watchdog trip is the job's failure only when the quota was the binding
-//! bound, and then burns the remainder so that siblings fail fast. Both
-//! bounds are optimistic — no reservation, the gate reads the copy `pull`
-//! made, and no in-flight cell is interrupted — so a job can overshoot by
-//! one cell per worker: a quota, not a hard real-time bound (DESIGN.md
-//! §9.2 has the reasons).
+//! never across a run. A miss costs two lock trips, `pull` and `settle`;
+//! a hit costs none of its own: it settles inside the job's `admit`. With
+//! the cache on, a cell's key is hashed once, at admission, and serves the
+//! probe, the worker's second look, the record and the event. A cell runs
+//! under its spec's own `max_cycles`; there is no job-level quota.
 //!
 //! Results stream back per job over an [`mpsc`](std::sync::mpsc) channel
 //! the submitter provides. A submitter that disconnects just drops its
@@ -73,6 +55,7 @@
 //! Reached by: `archgraphd`'s `submit`, `cancel`, `list` and `status` ops.
 
 use std::collections::{HashMap, VecDeque};
+use std::convert::Infallible;
 use std::sync::mpsc::Sender;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::{self, JoinHandle};
@@ -98,8 +81,7 @@ pub struct JobSummary {
     pub cells: usize,
     /// Cells that produced a fingerprint (fresh or cached).
     pub ok: usize,
-    /// Cells whose run failed (panic, watchdog, bad fault plan, or a
-    /// budget-exhausted skip).
+    /// Cells whose run failed (panic, watchdog, bad fault plan).
     pub failed: usize,
     /// Cells served from the cache (a subset of `ok`).
     pub cached: usize,
@@ -116,8 +98,7 @@ pub struct Stats {
     pub cells_run: u64,
     /// Cells served from the cache without running.
     pub cache_hits: u64,
-    /// Cells that failed: executed failures plus budget-exhausted
-    /// skips (which never run, so they are *not* in `cells_run`).
+    /// Cells whose run failed (a subset of `cells_run`).
     pub failures: u64,
 }
 
@@ -131,9 +112,9 @@ pub enum CellStatus {
         /// Served from the result cache without running?
         cached: bool,
     },
-    /// The run failed; the message is the isolated panic, a fault-plan
-    /// parse error, or a structured `BudgetExceeded: ...` when the
-    /// job's cycle budget ran out. Failures are never cached.
+    /// The run failed; the message is the isolated panic (a watchdog trip
+    /// or deadlock included) or a fault-plan parse error. Failures are
+    /// never cached.
     Failed {
         /// Human-readable failure reason.
         error: String,
@@ -178,7 +159,7 @@ pub struct Snapshot {
     pub active_jobs: usize,
     /// Worker-pool size (the in-flight bound).
     pub workers: usize,
-    /// Result-cache footprint and lifetime eviction counters.
+    /// Result-cache footprint.
     pub cache: CacheUsage,
     /// Host time per request and cell stage, lifetime.
     pub stages: StagesSnapshot,
@@ -224,71 +205,11 @@ impl Task {
 enum Via {
     /// Answered from the cache at admission: never queued, never in flight.
     Admission,
-    /// Pulled to run and ended by a worker; `ran` tells a cell the runner
-    /// executed from a late cache hit or a cell the gate refused.
-    Worker { ran: bool },
+    /// Pulled to run and ended by a worker, from the runner or a late
+    /// cache hit.
+    Worker,
     /// Taken out of the backlog unrun, by a cancel or the drain.
     Backlog,
-}
-
-/// Simulated cycles, `(total, remaining)`.
-type Quota = (u64, u64);
-
-/// A job's two quotas. `Copy`, so `pull` hands the worker its own.
-#[derive(Clone, Copy, Default)]
-struct Budget {
-    cycles: Option<Quota>,
-    /// `(total_ms, admitted)`: the host clock starts at admission.
-    host: Option<(u64, Instant)>,
-}
-
-impl Budget {
-    /// The verdict, at `now`, for a cache-miss cell whose own limit is
-    /// `own_max_cycles`: host clock first, then the cycle quota. `Ok` is
-    /// `(max_cycles, quota)` — run under `max_cycles`, where `quota` is
-    /// set when the job's quota, not the cell's own limit, is the binding
-    /// bound, so that a watchdog trip means the *job* ran out. `Err` is
-    /// the message to fail the cell with, unrun.
-    fn gate(
-        &self,
-        own_max_cycles: Option<u64>,
-        now: Instant,
-    ) -> Result<(Option<u64>, Option<Quota>), String> {
-        if let Some((total_ms, admitted)) = self.host {
-            let elapsed = now.saturating_duration_since(admitted).as_millis();
-            let elapsed_ms = u64::try_from(elapsed).unwrap_or(u64::MAX);
-            if elapsed_ms >= total_ms {
-                return Err(format!(
-                    "BudgetExceeded: job host-time budget of {total_ms} ms exhausted \
-                     ({elapsed_ms} ms elapsed; cell skipped without running)"
-                ));
-            }
-        }
-        let own = own_max_cycles.unwrap_or(u64::MAX);
-        match self.cycles {
-            None => Ok((own_max_cycles, None)),
-            Some((total, 0)) => Err(budget_exceeded(total, "cell skipped without running")),
-            Some((total, remaining)) => Ok((
-                Some(own.min(remaining)),
-                (remaining <= own).then_some((total, remaining)),
-            )),
-        }
-    }
-}
-
-/// The structured failure message for a job that ran out of budget.
-fn budget_exceeded(total: u64, detail: &str) -> String {
-    format!("BudgetExceeded: job budget of {total} cycles exhausted ({detail})")
-}
-
-/// The cycle charge of a completed fingerprint: the simulated `cycles`
-/// (MTA) or `instructions` (SMP) quantity. Native kernels have neither
-/// and charge nothing — budgets meter simulated machine time.
-fn cycles_of(sim: &[(String, u64)]) -> u64 {
-    sim.iter()
-        .find(|(k, _)| k == "cycles" || k == "instructions")
-        .map(|(_, v)| *v)
-        .unwrap_or(0)
 }
 
 struct Job {
@@ -297,7 +218,6 @@ struct Job {
     /// Counts every settled cell; the job lives until that is all of them.
     summary: JobSummary,
     tx: Sender<Event>,
-    budget: Budget,
 }
 
 /// The scheduler's whole state; see the module header for its four
@@ -315,7 +235,7 @@ struct Sched {
     /// Cells pulled to run and not yet settled.
     inflight: usize,
     next_job: u64,
-    /// Set once by shutdown: admits are refused, pulls hand out no budget.
+    /// Set once by shutdown: admits are refused, pulled cells do not run.
     draining: bool,
     stats: Stats,
 }
@@ -330,7 +250,6 @@ impl Sched {
         &mut self,
         hits: Vec<CellEvent>,
         misses: VecDeque<Task>,
-        budget: Budget,
         tx: Sender<Event>,
         max_queue: usize,
     ) -> Result<(String, usize), String> {
@@ -359,24 +278,23 @@ impl Sched {
                 ..JobSummary::default()
             },
             tx,
-            budget,
         };
         self.jobs.insert(id.clone(), job);
         if queued > 0 {
             self.ring.push_back(id.clone());
         }
         for event in hits {
-            self.settle(&id, event, Via::Admission, 0);
+            self.settle(&id, event, Via::Admission);
         }
         Ok((id, n))
     }
 
     /// Take the head job off the ring, take its first pending cell, and
     /// rotate the job to the back if it still has more — a deficit
-    /// round-robin with a quantum of one cell. The cell comes with a copy
-    /// of the job's budget to run under, or with `None` while draining:
-    /// it is not in flight, and the caller settles it `Cancelled` unrun.
-    fn pull(&mut self) -> Option<(String, Task, Option<Budget>)> {
+    /// round-robin with a quantum of one cell. The flag says whether the
+    /// cell is to run; while draining it is not, the cell is not in flight,
+    /// and the caller settles it `Cancelled` unrun.
+    fn pull(&mut self) -> Option<(String, Task, bool)> {
         while let Some(id) = self.ring.pop_front() {
             let Some(job) = self.jobs.get_mut(&id) else {
                 continue; // stale ring entry: job already finished
@@ -384,12 +302,12 @@ impl Sched {
             let Some(task) = job.pending.pop_front() else {
                 continue; // stale ring entry: job drained by a cancel
             };
-            let run = (!self.draining).then_some(job.budget);
+            let run = !self.draining;
             if !job.pending.is_empty() {
                 self.ring.push_back(id.clone());
             }
             self.queued -= 1;
-            self.inflight += usize::from(run.is_some());
+            self.inflight += usize::from(run);
             return Some((id, task, run));
         }
         None
@@ -403,10 +321,8 @@ impl Sched {
         Some(drained)
     }
 
-    /// End one cell. `via` says whether it was in flight and whether it
-    /// ran, which tells an executed failure from a refused cell in the
-    /// lifetime stats; `charge` is debited from the cycle quota.
-    fn settle(&mut self, id: &str, event: CellEvent, via: Via, charge: u64) {
+    /// End one cell. `via` says whether it was in flight.
+    fn settle(&mut self, id: &str, event: CellEvent, via: Via) {
         let job = self
             .jobs
             .get_mut(id)
@@ -423,17 +339,14 @@ impl Sched {
                 sum.ok += 1;
             }
             CellStatus::Failed { .. } => {
-                stats.cells_run += u64::from(via == Via::Worker { ran: true });
+                stats.cells_run += 1;
                 stats.failures += 1;
                 sum.failed += 1;
             }
             CellStatus::Cancelled => sum.cancelled += 1,
         }
-        if let Via::Worker { .. } = via {
+        if via == Via::Worker {
             self.inflight -= 1;
-        }
-        if let Some((_, remaining)) = &mut job.budget.cycles {
-            *remaining = remaining.saturating_sub(charge);
         }
         // A disconnected submitter dropped its receiver; the send failing
         // is fine — the result is cached either way.
@@ -499,33 +412,29 @@ impl Scheduler {
         }
     }
 
-    /// Enqueue a job of already-validated cells, optionally metered by a
-    /// cycle budget and/or a host wall-clock cap (whose clock starts
-    /// here, at admission). Events stream to `tx`. Returns the job id
-    /// and cell count, or a structured rejection (shutdown in progress,
-    /// empty job, or the admission bound).
+    /// Enqueue a job of already-validated cells. Events stream to `tx`.
+    /// Returns the job id and cell count, or a structured rejection
+    /// (shutdown in progress, empty job, or the admission bound).
     ///
     /// Every cell is looked up in the cache first, on the caller's thread
     /// and before the lock. The hits are answered at admission, so their
     /// lines are in `tx` when this returns; only the misses are queued for
     /// the workers, and a job with none wakes no worker.
+    ///
+    /// `_budget_cycles` and `_budget_host_ms` are always `None`; removed
+    /// with ROADMAP 11(b). They stay only because the frozen `benchmarks/`
+    /// package calls `submit(specs, None, None, tx)`.
     pub fn submit(
         &self,
         specs: Vec<CellSpec>,
-        budget_cycles: Option<u64>,
-        budget_host_ms: Option<u64>,
+        _budget_cycles: Option<Infallible>,
+        _budget_host_ms: Option<Infallible>,
         tx: Sender<Event>,
     ) -> Result<(String, usize), String> {
-        let budget = Budget {
-            cycles: budget_cycles.map(|total| (total, total)),
-            host: budget_host_ms.map(|total_ms| (total_ms, Instant::now())),
-        };
         let inner = &self.inner;
         let (hits, misses) = probe(&inner.cache, specs);
         let wake = !misses.is_empty();
-        let admitted = inner
-            .lock()
-            .admit(hits, misses, budget, tx, inner.max_queue)?;
+        let admitted = inner.lock().admit(hits, misses, tx, inner.max_queue)?;
         if wake {
             inner.cv.notify_all();
         }
@@ -547,7 +456,7 @@ impl Scheduler {
             .collect();
         let mut st = self.inner.lock();
         for event in events {
-            st.settle(job, event, Via::Backlog, 0);
+            st.settle(job, event, Via::Backlog);
         }
         true
     }
@@ -659,34 +568,26 @@ fn worker_loop(inner: &Inner) {
         inner
             .stages
             .record(Stage::QueueWait, task.admitted.elapsed());
-        let (status, via, charge) = match run {
-            Some(budget) => {
-                let (status, ran, charge) = run_cell(inner, &task, budget);
-                (status, Via::Worker { ran }, charge)
-            }
-            None => (CellStatus::Cancelled, Via::Backlog, 0),
+        let (status, via) = if run {
+            (run_cell(inner, &task), Via::Worker)
+        } else {
+            (CellStatus::Cancelled, Via::Backlog)
         };
         let event = task.event(status);
-        inner.lock().settle(&job, event, via, charge);
+        inner.lock().settle(&job, event, via);
     }
 }
 
-/// How a pulled cell ends, whether it executed, and what it costs the
-/// job's cycle quota: the cache first (another job may have recorded the
-/// cell since admission), then the gate, then the runner.
-fn run_cell(inner: &Inner, task: &Task, budget: Budget) -> (CellStatus, bool, u64) {
-    let (spec, key) = (&task.spec, task.key.as_deref());
+/// How a pulled cell ends: the cache first (another job may have recorded
+/// the cell since admission), then the runner, under the spec's own
+/// `max_cycles`.
+fn run_cell(inner: &Inner, task: &Task) -> CellStatus {
+    let key = task.key.as_deref();
     if let Some(sim) = key.and_then(|k| inner.cache.lookup_key(k)) {
-        return (CellStatus::Done { sim, cached: true }, false, 0);
+        return CellStatus::Done { sim, cached: true };
     }
-    let (max_cycles, quota) = match budget.gate(spec.max_cycles, Instant::now()) {
-        Ok(run) => run,
-        Err(error) => return (CellStatus::Failed { error }, false, 0),
-    };
-    let mut spec = spec.clone();
-    spec.max_cycles = max_cycles;
     let started = Instant::now();
-    let ran = (inner.runner)(&spec);
+    let ran = (inner.runner)(&task.spec);
     inner.stages.record(Stage::Run, started.elapsed());
     match ran {
         Ok(sim) => {
@@ -695,18 +596,9 @@ fn run_cell(inner: &Inner, task: &Task, budget: Budget) -> (CellStatus, bool, u6
                 inner.cache.record_key(key, &sim);
                 inner.stages.record(Stage::Store, started.elapsed());
             }
-            let charge = cycles_of(&sim);
-            (CellStatus::Done { sim, cached: false }, true, charge)
+            CellStatus::Done { sim, cached: false }
         }
-        Err(error) => match quota {
-            // The *job's* quota tripped the watchdog, not the cell's own
-            // limit: burn the rest of it so siblings fail fast.
-            Some((total, remaining)) if error.contains("cycle budget exceeded") => {
-                let error = budget_exceeded(total, &error);
-                (CellStatus::Failed { error }, true, remaining)
-            }
-            _ => (CellStatus::Failed { error }, true, 0),
-        },
+        Err(error) => CellStatus::Failed { error },
     }
 }
 
@@ -1016,209 +908,6 @@ mod tests {
         sched.shutdown_and_join();
     }
 
-    /// A runner that needs 60 "cycles" per cell and honours
-    /// `max_cycles` the way the engines do: a tighter limit trips the
-    /// watchdog with the engine's own message.
-    fn metered_runner(calls: Arc<Mutex<usize>>) -> Runner {
-        Arc::new(move |s: &CellSpec| {
-            *calls.lock().unwrap() += 1;
-            const NEED: u64 = 60;
-            match s.max_cycles {
-                Some(b) if b < NEED => Err(format!(
-                    "cycle budget exceeded: {b} cycles spent against a budget of {b}"
-                )),
-                _ => Ok(vec![("cycles".to_string(), NEED)]),
-            }
-        })
-    }
-
-    #[test]
-    fn budget_exhaustion_fails_structurally_not_by_starvation() {
-        let calls = Arc::new(Mutex::new(0usize));
-        let sched = Scheduler::new(1, 64, Cache::disabled(), metered_runner(Arc::clone(&calls)));
-
-        // 100 cycles across three 60-cycle cells: the first fits, the
-        // second trips the clamped watchdog, the third never runs.
-        let (tx, rx) = mpsc::channel();
-        sched
-            .submit(vec![spec(1), spec(2), spec(3)], Some(100), None, tx)
-            .unwrap();
-        let (cells, sum) = drain(&rx);
-        assert!(matches!(
-            &cells[0].status,
-            CellStatus::Done { cached: false, .. }
-        ));
-        let CellStatus::Failed { error } = &cells[1].status else {
-            panic!("cell 1 must fail: {:?}", cells[1].status);
-        };
-        assert!(
-            error.starts_with("BudgetExceeded: job budget of 100"),
-            "{error}"
-        );
-        assert!(
-            error.contains("cycle budget exceeded"),
-            "watchdog detail preserved: {error}"
-        );
-        let CellStatus::Failed { error } = &cells[2].status else {
-            panic!("cell 2 must fail: {:?}", cells[2].status);
-        };
-        assert!(
-            error.contains("cell skipped without running"),
-            "fail-fast, not a run: {error}"
-        );
-        assert_eq!((sum.ok, sum.failed, sum.cancelled), (1, 2, 0));
-        assert_eq!(*calls.lock().unwrap(), 2, "the third cell never ran");
-
-        let stats = sched.snapshot().stats;
-        assert_eq!(stats.cells_run, 2, "skips are not executed cells");
-        assert_eq!(stats.failures, 2);
-
-        // The pool is not starved: a fresh unbudgeted job runs fine.
-        let (tx, rx) = mpsc::channel();
-        sched.submit(vec![spec(4)], None, None, tx).unwrap();
-        let (_, sum) = drain(&rx);
-        assert_eq!(sum.ok, 1);
-        sched.shutdown_and_join();
-    }
-
-    #[test]
-    fn cache_hits_are_free_under_a_zero_budget() {
-        let dir = std::env::temp_dir().join(format!(
-            "archgraphd-queue-test-{}-budget-cache",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let calls = Arc::new(Mutex::new(0usize));
-        let sched = Scheduler::new(
-            1,
-            64,
-            Cache::open(dir.clone()),
-            metered_runner(Arc::clone(&calls)),
-        );
-
-        // Warm the cache without a budget.
-        let (tx, rx) = mpsc::channel();
-        sched.submit(vec![spec(1)], None, None, tx).unwrap();
-        let (_, sum) = drain(&rx);
-        assert_eq!(sum.ok, 1);
-
-        // Budget 0 = serve-from-cache-only: the warm cell hits, the
-        // cold one fails structurally without running.
-        let (tx, rx) = mpsc::channel();
-        sched
-            .submit(vec![spec(1), spec(2)], Some(0), None, tx)
-            .unwrap();
-        let (cells, sum) = drain(&rx);
-        assert_eq!(
-            cells[0].status,
-            CellStatus::Done {
-                sim: vec![("cycles".to_string(), 60)],
-                cached: true
-            }
-        );
-        let CellStatus::Failed { error } = &cells[1].status else {
-            panic!("cold cell must fail: {:?}", cells[1].status);
-        };
-        assert!(error.starts_with("BudgetExceeded"), "{error}");
-        assert_eq!((sum.ok, sum.cached, sum.failed), (1, 1, 1));
-        assert_eq!(*calls.lock().unwrap(), 1, "only the warm-up ever ran");
-        sched.shutdown_and_join();
-        let _ = std::fs::remove_dir_all(dir);
-    }
-
-    /// `budget_host_ms: 0` expires at the first cell boundary, which
-    /// makes the wall-clock path deterministic to test: every cold cell
-    /// fails structurally without a run, while cache hits stay free.
-    #[test]
-    fn host_budget_fails_cells_at_the_boundary_without_running() {
-        let dir = std::env::temp_dir().join(format!(
-            "archgraphd-queue-test-{}-host-budget",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let calls = Arc::new(Mutex::new(0usize));
-        let sched = Scheduler::new(
-            1,
-            64,
-            Cache::open(dir.clone()),
-            metered_runner(Arc::clone(&calls)),
-        );
-
-        // Warm one cell with no budgets, then submit warm + cold under
-        // an already-expired host cap.
-        let (tx, rx) = mpsc::channel();
-        sched.submit(vec![spec(1)], None, None, tx).unwrap();
-        let (_, sum) = drain(&rx);
-        assert_eq!(sum.ok, 1);
-
-        let (tx, rx) = mpsc::channel();
-        sched
-            .submit(vec![spec(1), spec(2)], None, Some(0), tx)
-            .unwrap();
-        let (cells, sum) = drain(&rx);
-        assert!(
-            matches!(&cells[0].status, CellStatus::Done { cached: true, .. }),
-            "cache hits are free under an expired host cap: {:?}",
-            cells[0].status
-        );
-        let CellStatus::Failed { error } = &cells[1].status else {
-            panic!("cold cell must fail: {:?}", cells[1].status);
-        };
-        assert!(
-            error.starts_with("BudgetExceeded: job host-time budget of 0 ms"),
-            "structural host-budget failure: {error}"
-        );
-        assert!(error.contains("cell skipped without running"), "{error}");
-        assert_eq!((sum.ok, sum.cached, sum.failed), (1, 1, 1));
-        assert_eq!(*calls.lock().unwrap(), 1, "only the warm-up ever ran");
-        let stats = sched.snapshot().stats;
-        assert_eq!(stats.cells_run, 1, "host-budget skips are not runs");
-        assert_eq!(stats.failures, 1);
-
-        // A generous cap is invisible; the two budgets compose.
-        let (tx, rx) = mpsc::channel();
-        sched
-            .submit(vec![spec(3)], Some(1000), Some(60 * 60 * 1000), tx)
-            .unwrap();
-        let (cells, sum) = drain(&rx);
-        assert!(matches!(&cells[0].status, CellStatus::Done { .. }));
-        assert_eq!(sum.ok, 1);
-        sched.shutdown_and_join();
-        let _ = std::fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn a_cells_own_max_cycles_trip_is_not_a_budget_failure() {
-        let calls = Arc::new(Mutex::new(0usize));
-        let sched = Scheduler::new(1, 64, Cache::disabled(), metered_runner(Arc::clone(&calls)));
-
-        // The cell's own limit (10) is tighter than the job budget
-        // (1000): the watchdog trip is the cell's failure, the budget
-        // is not charged, and the next cell still runs.
-        let mut tight = spec(1);
-        tight.max_cycles = Some(10);
-        let (tx, rx) = mpsc::channel();
-        sched
-            .submit(vec![tight, spec(2)], Some(1000), None, tx)
-            .unwrap();
-        let (cells, sum) = drain(&rx);
-        let CellStatus::Failed { error } = &cells[0].status else {
-            panic!("tight cell must fail: {:?}", cells[0].status);
-        };
-        assert!(
-            !error.contains("BudgetExceeded"),
-            "cell-local trip is not a job-budget failure: {error}"
-        );
-        assert!(error.contains("cycle budget exceeded"), "{error}");
-        assert!(
-            matches!(&cells[1].status, CellStatus::Done { .. }),
-            "budget uncharged: the sibling runs"
-        );
-        assert_eq!((sum.ok, sum.failed), (1, 1));
-        assert_eq!(*calls.lock().unwrap(), 2);
-        sched.shutdown_and_join();
-    }
-
     #[test]
     fn cache_hits_are_streamed_and_counted() {
         let dir = std::env::temp_dir().join(format!(
@@ -1269,7 +958,6 @@ mod tests {
         assert_eq!(snap.stats.cache_hits, 1);
         assert_eq!(snap.stats.jobs, 2);
         assert_eq!(snap.cache.entries, 1, "status surfaces the cache footprint");
-        assert_eq!(snap.cache.evictions, 0);
         sched.shutdown_and_join();
         let _ = std::fs::remove_dir_all(dir);
     }
@@ -1289,6 +977,14 @@ mod tests {
         dir
     }
 
+    /// A runner that counts its calls.
+    fn counting_runner(calls: Arc<Mutex<usize>>) -> Runner {
+        Arc::new(move |_| {
+            *calls.lock().unwrap() += 1;
+            Ok(vec![("cycles".to_string(), 60)])
+        })
+    }
+
     fn cached(p: usize) -> CellStatus {
         CellStatus::Done {
             sim: vec![("cycles".to_string(), p as u64)],
@@ -1305,12 +1001,11 @@ mod tests {
             2,
             64,
             Cache::open(dir.clone()),
-            metered_runner(Arc::clone(&calls)),
+            counting_runner(Arc::clone(&calls)),
         );
 
-        // A zero budget too: hits answered at admission stay free.
         let (tx, rx) = mpsc::channel();
-        let (_, n) = sched.submit(specs.clone(), Some(0), None, tx).unwrap();
+        let (_, n) = sched.submit(specs.clone(), None, None, tx).unwrap();
         assert_eq!(n, 5);
         // No waiting: every line and the `Done` are already in the channel.
         let events: Vec<Event> = rx.try_iter().collect();
@@ -1392,7 +1087,7 @@ mod tests {
             1,
             2,
             Cache::open(dir.clone()),
-            metered_runner(Arc::clone(&calls)),
+            counting_runner(Arc::clone(&calls)),
         );
 
         let (tx, rx) = mpsc::channel();
@@ -1547,7 +1242,7 @@ mod tests {
     }
 
     // ---- The four transitions against a reference model: a bare
-    // `Sched`, no thread, no cache, and a clock that is a counter.
+    // `Sched`, no thread, no cache, no clock.
 
     use proptest::prelude::*;
 
@@ -1556,13 +1251,11 @@ mod tests {
     /// How a generated `Settle` ends an in-flight cell.
     #[derive(Debug, Clone, Copy)]
     enum Outcome {
-        /// A fresh run that charges this many cycles.
-        Ran(u64),
+        /// A fresh run.
+        Ran,
         /// A failure of the cell's own.
         Failed,
-        /// The watchdog: the job's failure if its quota was binding.
-        Tripped,
-        /// A cache hit, which the gate never sees.
+        /// A late cache hit: recorded by another job since admission.
         Cached,
     }
 
@@ -1572,13 +1265,9 @@ mod tests {
         Admit {
             cells: usize,
             hits: u8,
-            cycles: Option<u64>,
-            host_ms: Option<u64>,
         },
-        /// Advance the clock, pull, and ask the gate as a worker would.
-        Pull {
-            advance_ms: u64,
-        },
+        /// Pull as a worker would.
+        Pull,
         /// Settle the `pick`-th in-flight cell, if any.
         Settle {
             pick: usize,
@@ -1593,23 +1282,20 @@ mod tests {
     }
 
     fn op() -> impl Strategy<Value = Op> {
-        let ops = (0u8..24, 0usize..64, 0u64..300, 0u64..60, 0u8..128);
-        ops.prop_map(|(kind, pick, a, b, mask)| match kind {
+        let ops = (0u8..24, 0usize..64, 0u8..3, 0u8..128);
+        ops.prop_map(|(kind, pick, outcome, mask)| match kind {
             0 => Op::Drain,
             1..=6 => Op::Admit {
                 cells: pick % 6,
                 // Half the jobs all cold, the rest a random mix.
                 hits: if mask < 64 { mask } else { 0 },
-                cycles: (a < 200).then_some(a),
-                host_ms: (b < 40).then_some(b),
             },
-            7..=13 => Op::Pull { advance_ms: b % 10 },
+            7..=13 => Op::Pull,
             14..=20 => Op::Settle {
                 pick,
-                outcome: match a % 4 {
-                    0 => Outcome::Ran(a % 100),
+                outcome: match outcome {
+                    0 => Outcome::Ran,
                     1 => Outcome::Failed,
-                    2 => Outcome::Tripped,
                     _ => Outcome::Cached,
                 },
             },
@@ -1623,9 +1309,6 @@ mod tests {
         id: String,
         /// Indices of the misses not yet pulled, in submit order.
         pending: VecDeque<usize>,
-        cycles: Option<Quota>,
-        /// `(total_ms, admitted_ms)`.
-        host: Option<(u64, u64)>,
         tally: JobSummary,
         rx: Receiver<Event>,
         seen: Vec<usize>,
@@ -1670,7 +1353,7 @@ mod tests {
         }
 
         /// Count one settled cell the way `JobSummary` and `Stats` define.
-        fn settle(&mut self, j: usize, status: &CellStatus, ran: bool, charge: u64) {
+        fn settle(&mut self, j: usize, status: &CellStatus) {
             let (job, stats) = (&mut self.jobs[j], &mut self.stats);
             match status {
                 CellStatus::Done { cached, .. } => {
@@ -1682,21 +1365,17 @@ mod tests {
                 CellStatus::Failed { .. } => {
                     job.tally.failed += 1;
                     stats.failures += 1;
-                    stats.cells_run += u64::from(ran);
+                    stats.cells_run += 1;
                 }
                 CellStatus::Cancelled => job.tally.cancelled += 1,
-            }
-            if let Some((_, remaining)) = &mut job.cycles {
-                *remaining = remaining.saturating_sub(charge);
             }
         }
     }
 
-    /// A cell pulled to run and not yet settled, with the gate's verdict.
+    /// A cell pulled to run and not yet settled.
     struct Flight {
         job: usize,
         index: usize,
-        verdict: Result<(Option<u64>, Option<Quota>), String>,
     }
 
     fn event(index: usize, status: CellStatus) -> CellEvent {
@@ -1739,42 +1418,27 @@ mod tests {
             }
             assert_eq!(job.seen.len(), job.settled(), "{at}: one line per cell");
             assert_eq!(job.done, job.settled() == job.tally.cells, "{at}: Done");
-            if let Some(live) = s.jobs.get(&job.id) {
-                assert_eq!(live.budget.cycles, job.cycles, "{at}: quota left");
-            }
         }
     }
 
     fn run_ops(ops: &[Op]) {
         let t0 = Instant::now();
-        let at_ms = |ms: u64| t0 + std::time::Duration::from_millis(ms);
-        let mut now_ms = 0;
         let (mut s, mut m) = (Sched::default(), Model::default());
         let mut flights: Vec<Flight> = Vec::new();
         // Closing sequence: drain, be refused, flush the backlog, settle
         // what flies.
-        let refused = Op::Admit {
-            cells: 1,
-            hits: 1,
-            cycles: None,
-            host_ms: None,
-        };
+        let refused = Op::Admit { cells: 1, hits: 1 };
         let closing = [Op::Drain, refused]
             .into_iter()
-            .chain((0..=MAX_QUEUE).map(|_| Op::Pull { advance_ms: 0 }))
+            .chain((0..=MAX_QUEUE).map(|_| Op::Pull))
             .chain((0..ops.len()).map(|_| Op::Settle {
                 pick: 0,
-                outcome: Outcome::Ran(1),
+                outcome: Outcome::Ran,
             }));
         for (step, op) in ops.iter().cloned().chain(closing).enumerate() {
             let at = format!("step {step} {op:?}");
             match op {
-                Op::Admit {
-                    cells,
-                    hits,
-                    cycles,
-                    host_ms,
-                } => {
+                Op::Admit { cells, hits } => {
                     let hit = |i: &usize| hits >> i & 1 == 1;
                     let misses: VecDeque<usize> = (0..cells).filter(|i| !hit(i)).collect();
                     let queued = m.queued();
@@ -1791,10 +1455,6 @@ mod tests {
                     } else {
                         Ok((format!("j{}", m.jobs.len() + 1), cells))
                     };
-                    let budget = Budget {
-                        cycles: cycles.map(|total| (total, total)),
-                        host: host_ms.map(|total_ms| (total_ms, at_ms(now_ms))),
-                    };
                     let cached = || CellStatus::Done {
                         sim: vec![("cycles".to_string(), 7)],
                         cached: true,
@@ -1808,7 +1468,7 @@ mod tests {
                     });
                     let (tx, rx) = mpsc::channel();
                     let ring_before = s.ring.clone();
-                    let got = s.admit(hit_events.collect(), tasks.collect(), budget, tx, MAX_QUEUE);
+                    let got = s.admit(hit_events.collect(), tasks.collect(), tx, MAX_QUEUE);
                     assert_eq!(got, want, "{at}");
                     match got {
                         // `check` compares the rest with the untouched model.
@@ -1827,8 +1487,6 @@ mod tests {
                             m.jobs.push(ModelJob {
                                 id,
                                 pending: misses,
-                                cycles: budget.cycles,
-                                host: host_ms.map(|total_ms| (total_ms, now_ms)),
                                 tally: JobSummary {
                                     cells,
                                     ..JobSummary::default()
@@ -1840,45 +1498,25 @@ mod tests {
                             // The hits end at admission, in index order;
                             // `check` finds their lines already sent.
                             for _ in (0..cells).filter(hit) {
-                                m.settle(j, &cached(), false, 0);
+                                m.settle(j, &cached());
                             }
                         }
                     }
                 }
-                Op::Pull { advance_ms } => {
-                    now_ms += advance_ms;
+                Op::Pull => {
                     let want = m.pull();
                     let got = s.pull();
                     let got_cell = got.as_ref().map(|(id, task, _)| (id.as_str(), task.index));
                     let want_cell = want.map(|(j, index)| (m.jobs[j].id.as_str(), index));
                     assert_eq!(got_cell, want_cell, "{at}: the model's rotation");
-                    if let (Some((id, task, run)), Some((j, index))) = (got, want) {
-                        assert_eq!(run.is_some(), !m.draining, "{at}: run unless draining");
-                        let Some(budget) = run else {
-                            s.settle(
-                                &id,
-                                event(task.index, CellStatus::Cancelled),
-                                Via::Backlog,
-                                0,
-                            );
-                            m.settle(j, &CellStatus::Cancelled, false, 0);
-                            continue;
-                        };
-                        let job = &m.jobs[j];
-                        assert_eq!(budget.cycles, job.cycles, "{at}: the job's quota");
-                        let verdict = budget.gate(None, at_ms(now_ms));
-                        let expired = job.host.is_some_and(|(cap, t)| now_ms - t >= cap);
-                        let spent = matches!(job.cycles, Some((_, 0)));
-                        assert_eq!(verdict.is_err(), expired || spent, "{at}: {verdict:?}");
-                        if let Ok((max_cycles, quota)) = &verdict {
-                            assert_eq!(*quota, job.cycles, "{at}: the quota binds");
-                            assert_eq!(*max_cycles, job.cycles.map(|(_, left)| left), "{at}");
+                    if let (Some((id, task, run)), Some((job, index))) = (got, want) {
+                        assert_eq!(run, !m.draining, "{at}: run unless draining");
+                        if run {
+                            flights.push(Flight { job, index });
+                        } else {
+                            s.settle(&id, event(task.index, CellStatus::Cancelled), Via::Backlog);
+                            m.settle(job, &CellStatus::Cancelled);
                         }
-                        flights.push(Flight {
-                            job: j,
-                            index,
-                            verdict,
-                        });
                     }
                 }
                 Op::Settle { pick, outcome } => {
@@ -1886,33 +1524,17 @@ mod tests {
                         continue;
                     }
                     let flight = flights.swap_remove(pick % flights.len());
-                    let failed = |error: &str| CellStatus::Failed {
-                        error: error.to_string(),
+                    let sim = vec![("cycles".to_string(), 7)];
+                    let status = match outcome {
+                        Outcome::Ran => CellStatus::Done { sim, cached: false },
+                        Outcome::Cached => CellStatus::Done { sim, cached: true },
+                        Outcome::Failed => CellStatus::Failed {
+                            error: "boom".to_string(),
+                        },
                     };
-                    let (status, ran, charge) = match (outcome, flight.verdict) {
-                        (Outcome::Cached, _) => {
-                            let sim = vec![("cycles".to_string(), 7)];
-                            (CellStatus::Done { sim, cached: true }, false, 0)
-                        }
-                        (_, Err(refusal)) => (failed(&refusal), false, 0),
-                        (Outcome::Ran(cycles), Ok(_)) => {
-                            let sim = vec![("cycles".to_string(), cycles)];
-                            let charge = cycles_of(&sim);
-                            (CellStatus::Done { sim, cached: false }, true, charge)
-                        }
-                        (Outcome::Tripped, Ok((_, Some((_, left))))) => {
-                            (failed("BudgetExceeded"), true, left)
-                        }
-                        (Outcome::Tripped | Outcome::Failed, Ok(_)) => (failed("boom"), true, 0),
-                    };
-                    m.settle(flight.job, &status, ran, charge);
+                    m.settle(flight.job, &status);
                     let id = m.jobs[flight.job].id.clone();
-                    s.settle(
-                        &id,
-                        event(flight.index, status),
-                        Via::Worker { ran },
-                        charge,
-                    );
+                    s.settle(&id, event(flight.index, status), Via::Worker);
                 }
                 Op::Cancel { pick } => {
                     let j = pick % (m.jobs.len() + 1);
@@ -1932,13 +1554,8 @@ mod tests {
                     // The backlog is gone at once, before any cell settles.
                     check(&s, &mut m, &flights, &at);
                     for task in drained {
-                        s.settle(
-                            &id,
-                            event(task.index, CellStatus::Cancelled),
-                            Via::Backlog,
-                            0,
-                        );
-                        m.settle(j, &CellStatus::Cancelled, false, 0);
+                        s.settle(&id, event(task.index, CellStatus::Cancelled), Via::Backlog);
+                        m.settle(j, &CellStatus::Cancelled);
                     }
                 }
                 Op::Drain => {

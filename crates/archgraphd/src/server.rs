@@ -1,12 +1,7 @@
 //! The daemon's accept loop and per-connection protocol handler.
 //!
-//! The listener is either a Unix-domain socket (the default — local,
-//! permission-scoped, removable on shutdown) or a TCP socket, which is
-//! *loopback-only* unless the operator passes both `--allow-remote`
-//! and `--token`: binding a non-loopback address without a bearer
-//! token is refused at startup, and with a token every connection must
-//! send the token as its literal first line before any request is
-//! processed.
+//! The listener is a Unix-domain socket: local, permission-scoped, and
+//! removed on shutdown.
 //!
 //! No timer sits on the serving path. The listener is non-blocking and
 //! the accept loop parks in a readiness wait — `poll(2)` on the listener
@@ -29,8 +24,7 @@
 //! not UTF-8 — answers with a structured error and keeps the connection, and a
 //! connection whose handler thread cannot be started is answered `server
 //! busy` rather than dropped. Input is bounded before it is buffered: a
-//! line longer than `MAX_LINE` (the bearer-token line included, which is
-//! read before any authentication) answers one error and closes, since
+//! line longer than `MAX_LINE` answers one error and closes, since
 //! nothing cheap finds the next request in an endless line. Replies go
 //! through one buffered writer flushed per protocol line (`reply`), so a
 //! line is one `write(2)`, except that a job's lines already waiting are
@@ -43,13 +37,10 @@
 //!
 //! Reached by: every `archgraphd` op (the socket loop).
 
+use std::convert::Infallible;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
-use std::net::{TcpListener, TcpStream, ToSocketAddrs};
-#[cfg(unix)]
 use std::os::unix::fs::MetadataExt;
-#[cfg(unix)]
 use std::os::unix::io::{AsRawFd, RawFd};
-#[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -75,242 +66,80 @@ const DRAIN_CAP: Duration = Duration::from_millis(100);
 /// about 8 KB.
 const MAX_LINE: usize = 1 << 20;
 
-/// Where the daemon listens (or a client connects).
+/// Where the daemon listens (or a client connects). One variant: the
+/// frozen `benchmarks/` package constructs `Endpoint::Unix`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Endpoint {
     /// A Unix-domain socket at this path.
     Unix(PathBuf),
-    /// A TCP address, e.g. `127.0.0.1:7411`.
-    Tcp(String),
 }
 
 impl Endpoint {
     /// Human-readable form for log lines.
     pub fn describe(&self) -> String {
-        match self {
-            Endpoint::Unix(p) => format!("unix:{}", p.display()),
-            Endpoint::Tcp(a) => format!("tcp:{a}"),
-        }
+        let Endpoint::Unix(path) = self;
+        format!("unix:{}", path.display())
     }
 }
 
-/// Remote-access policy for TCP endpoints.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Security {
-    /// Permit binding a non-loopback TCP address (requires `token`).
-    pub allow_remote: bool,
-    /// Bearer token every connection must send as its first line.
-    pub token: Option<String>,
-}
+/// One accepted (or dialed) connection.
+pub type Conn = UnixStream;
 
 /// The identity of a bound socket file: `(st_dev, st_ino)`. Recorded at
 /// bind time so shutdown only unlinks the path if it still names *our*
 /// socket — a daemon that lost a reclaim race must not delete a newer
 /// daemon's live socket.
-#[cfg(unix)]
 type FileId = (u64, u64);
 
-#[cfg(unix)]
 fn file_id(path: &std::path::Path) -> Option<FileId> {
     std::fs::symlink_metadata(path)
         .ok()
         .map(|m| (m.dev(), m.ino()))
 }
 
-/// A bound listening socket.
+/// A bound listening socket: the listener, the path to unlink on
+/// shutdown, and the socket file's identity as bound (to detect losing
+/// the path to a newer daemon).
 #[derive(Debug)]
-pub enum Listener {
-    /// Unix-domain listener, the path to unlink on shutdown, and the
-    /// socket file's identity as bound (to detect losing the path to a
-    /// newer daemon).
-    #[cfg(unix)]
-    Unix(UnixListener, PathBuf, Option<FileId>),
-    /// TCP listener (loopback-only unless remote access is enabled).
-    Tcp(TcpListener),
+pub struct Listener {
+    listener: UnixListener,
+    path: PathBuf,
+    id: Option<FileId>,
 }
 
-/// One accepted (or dialed) connection.
-pub enum Conn {
-    /// Unix-domain stream.
-    #[cfg(unix)]
-    Unix(UnixStream),
-    /// TCP stream.
-    Tcp(TcpStream),
-}
-
-impl Conn {
-    /// A second handle on the same stream (read half / write half).
-    pub fn try_clone(&self) -> io::Result<Conn> {
-        match self {
-            #[cfg(unix)]
-            Conn::Unix(s) => s.try_clone().map(Conn::Unix),
-            Conn::Tcp(s) => s.try_clone().map(Conn::Tcp),
-        }
-    }
-
-    /// Arm a read deadline: any read blocking longer than `dur` fails
-    /// with `WouldBlock`/`TimedOut` instead of parking forever.
-    pub fn set_read_timeout(&self, dur: Option<Duration>) -> io::Result<()> {
-        match self {
-            #[cfg(unix)]
-            Conn::Unix(s) => s.set_read_timeout(dur),
-            Conn::Tcp(s) => s.set_read_timeout(dur),
-        }
-    }
-}
-
-/// Does this I/O error mean a read deadline expired (rather than the
-/// peer hanging up)? Unix sockets report `WouldBlock`, TCP on some
-/// platforms `TimedOut`.
-fn is_timeout(e: &io::Error) -> bool {
-    matches!(
-        e.kind(),
-        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-    )
-}
-
-impl Read for Conn {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            #[cfg(unix)]
-            Conn::Unix(s) => s.read(buf),
-            Conn::Tcp(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for Conn {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            #[cfg(unix)]
-            Conn::Unix(s) => s.write(buf),
-            Conn::Tcp(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        match self {
-            #[cfg(unix)]
-            Conn::Unix(s) => s.flush(),
-            Conn::Tcp(s) => s.flush(),
-        }
-    }
-}
-
-/// Bind the endpoint with the default (local-only) security policy.
+/// Bind the endpoint. A socket path left behind by a killed daemon (the
+/// file exists but nothing answers) is reclaimed automatically; a *live*
+/// daemon on the same path is an error — two daemons must not fight over
+/// one socket.
 pub fn bind(ep: &Endpoint) -> io::Result<Listener> {
-    bind_secured(ep, &Security::default())
-}
-
-/// Bind the endpoint. A Unix socket path left behind by a killed daemon
-/// (the file exists but nothing answers) is reclaimed automatically;
-/// a *live* daemon on the same path is an error — two daemons must not
-/// fight over one socket. A non-loopback TCP address is refused unless
-/// the policy allows remote access *and* carries a bearer token.
-pub fn bind_secured(ep: &Endpoint, security: &Security) -> io::Result<Listener> {
-    match ep {
-        Endpoint::Unix(path) => {
-            #[cfg(unix)]
-            {
-                if path.exists() {
-                    match UnixStream::connect(path) {
-                        Ok(_) => {
-                            return Err(io::Error::new(
-                                io::ErrorKind::AddrInUse,
-                                format!("another archgraphd is already serving {}", path.display()),
-                            ))
-                        }
-                        // Dead socket file (daemon was killed): reclaim it.
-                        Err(_) => {
-                            let _ = std::fs::remove_file(path);
-                        }
-                    }
-                }
-                let l = UnixListener::bind(path)?;
-                l.set_nonblocking(true)?;
-                let id = file_id(path);
-                Ok(Listener::Unix(l, path.clone(), id))
-            }
-            #[cfg(not(unix))]
-            {
-                let _ = path;
-                Err(io::Error::new(
-                    io::ErrorKind::Unsupported,
-                    "unix sockets are unavailable on this platform; use --tcp",
+    let Endpoint::Unix(path) = ep;
+    if path.exists() {
+        match UnixStream::connect(path) {
+            Ok(_) => {
+                return Err(io::Error::new(
+                    io::ErrorKind::AddrInUse,
+                    format!("another archgraphd is already serving {}", path.display()),
                 ))
             }
-        }
-        Endpoint::Tcp(addr) => {
-            let loopback_only = !(security.allow_remote && security.token.is_some());
-            if loopback_only {
-                let addrs: Vec<_> = addr.to_socket_addrs()?.collect();
-                if let Some(bad) = addrs.iter().find(|a| !a.ip().is_loopback()) {
-                    return Err(io::Error::new(
-                        io::ErrorKind::PermissionDenied,
-                        format!(
-                            "refusing non-loopback TCP bind {bad}: archgraphd serves \
-                             localhost only unless --allow-remote and --token are both given"
-                        ),
-                    ));
-                }
+            // Dead socket file (daemon was killed): reclaim it.
+            Err(_) => {
+                let _ = std::fs::remove_file(path);
             }
-            let l = TcpListener::bind(addr)?;
-            l.set_nonblocking(true)?;
-            Ok(Listener::Tcp(l))
         }
     }
+    let listener = UnixListener::bind(path)?;
+    listener.set_nonblocking(true)?;
+    Ok(Listener {
+        listener,
+        path: path.clone(),
+        id: file_id(path),
+    })
 }
 
 /// Dial the endpoint (client side).
 pub fn connect(ep: &Endpoint) -> io::Result<Conn> {
-    connect_with(ep, None)
-}
-
-/// Dial the endpoint with an optional connect deadline. Unix-domain
-/// connects are local and effectively instant (the kernel either has a
-/// listener or it does not), so the deadline only governs TCP, where it
-/// bounds each candidate address resolved from the spec.
-pub fn connect_with(ep: &Endpoint, timeout: Option<Duration>) -> io::Result<Conn> {
-    match ep {
-        Endpoint::Unix(path) => {
-            #[cfg(unix)]
-            {
-                UnixStream::connect(path).map(Conn::Unix)
-            }
-            #[cfg(not(unix))]
-            {
-                let _ = path;
-                Err(io::Error::new(
-                    io::ErrorKind::Unsupported,
-                    "unix sockets are unavailable on this platform; use --tcp",
-                ))
-            }
-        }
-        Endpoint::Tcp(addr) => match timeout {
-            None => TcpStream::connect(addr).and_then(tcp_conn),
-            Some(dur) => {
-                let mut last = io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    format!("{addr}: no addresses resolved"),
-                );
-                for candidate in addr.to_socket_addrs()? {
-                    match TcpStream::connect_timeout(&candidate, dur) {
-                        Ok(s) => return tcp_conn(s),
-                        Err(e) => last = e,
-                    }
-                }
-                Err(last)
-            }
-        },
-    }
-}
-
-/// Wrap a TCP stream with Nagle's algorithm off. The protocol is short
-/// request and reply lines, each wanted at once; left on, a second small
-/// write waits out the peer's delayed ACK of the first.
-fn tcp_conn(s: TcpStream) -> io::Result<Conn> {
-    s.set_nodelay(true)?;
-    Ok(Conn::Tcp(s))
+    let Endpoint::Unix(path) = ep;
+    UnixStream::connect(path)
 }
 
 /// `poll(2)` for readability on one descriptor, declared directly as
@@ -319,7 +148,6 @@ fn tcp_conn(s: TcpStream) -> io::Result<Conn> {
 /// and on `EINTR`, which returns early so that the caller sees a signal
 /// flagged by its handler at once. A negative `fd` is ignored by the
 /// kernel, which makes the call a plain interruptible wait.
-#[cfg(unix)]
 fn poll_readable(fd: RawFd, timeout: Duration) -> bool {
     use std::os::raw::{c_int, c_short};
 
@@ -355,30 +183,13 @@ fn poll_readable(fd: RawFd, timeout: Duration) -> bool {
 
 impl Listener {
     fn accept(&self) -> io::Result<Conn> {
-        match self {
-            #[cfg(unix)]
-            Listener::Unix(l, _, _) => l.accept().map(|(s, _)| Conn::Unix(s)),
-            Listener::Tcp(l) => l.accept().and_then(|(s, _)| tcp_conn(s)),
-        }
+        self.listener.accept().map(|(s, _)| s)
     }
 
     /// Park until a connection is pending or `timeout` elapses, whichever
     /// is first; true when one is pending. A signal ends the park early.
-    /// Off unix there is no readiness call to make and this is a sleep.
     fn wait_readable(&self, timeout: Duration) -> bool {
-        #[cfg(unix)]
-        {
-            let fd = match self {
-                Listener::Unix(l, _, _) => l.as_raw_fd(),
-                Listener::Tcp(l) => l.as_raw_fd(),
-            };
-            poll_readable(fd, timeout)
-        }
-        #[cfg(not(unix))]
-        {
-            thread::sleep(timeout);
-            false
-        }
+        poll_readable(self.listener.as_raw_fd(), timeout)
     }
 
     /// Unlink the socket path — but only while it still names the
@@ -386,11 +197,8 @@ impl Listener {
     /// this one's file was removed out from under it), the inode no
     /// longer matches and the path is left alone.
     fn cleanup(&self) {
-        #[cfg(unix)]
-        if let Listener::Unix(_, path, bound_id) = self {
-            if bound_id.is_some() && file_id(path) == *bound_id {
-                let _ = std::fs::remove_file(path);
-            }
+        if self.id.is_some() && file_id(&self.path) == self.id {
+            let _ = std::fs::remove_file(&self.path);
         }
     }
 }
@@ -495,15 +303,18 @@ impl Parked {
 /// Run the daemon until a `shutdown` op or a pending SIGTERM/SIGINT,
 /// then drain the scheduler and remove the socket. Returns the reason
 /// ("shutdown op" or the signal name) for the final log line.
+///
+/// `_token` and `_idle_timeout` are always `None`; removed with ROADMAP
+/// 11(b). They stay only because the frozen `benchmarks/` package calls
+/// `serve(listener, sched, stop, None, None)`.
 pub fn serve(
     listener: Listener,
     sched: Arc<Scheduler>,
     stop: Arc<AtomicBool>,
-    token: Option<String>,
-    idle_timeout: Option<Duration>,
+    _token: Option<Infallible>,
+    _idle_timeout: Option<Infallible>,
 ) -> &'static str {
-    let parked = Arc::new(Parked::new());
-    serve_parking(listener, sched, stop, token, idle_timeout, parked)
+    serve_parking(listener, sched, stop, Arc::new(Parked::new()))
 }
 
 /// [`serve`], its handlers parking in `parked`.
@@ -511,11 +322,8 @@ fn serve_parking(
     listener: Listener,
     sched: Arc<Scheduler>,
     stop: Arc<AtomicBool>,
-    token: Option<String>,
-    idle_timeout: Option<Duration>,
     parked: Arc<Parked>,
 ) -> &'static str {
-    let token = Arc::new(token);
     let streams = Arc::new(OpenStreams::default());
     // Accept error kinds already logged since the last accept that worked.
     let mut logged: Vec<io::ErrorKind> = Vec::new();
@@ -538,7 +346,6 @@ fn serve_parking(
                 };
                 let sched = Arc::clone(&sched);
                 let stop = Arc::clone(&stop);
-                let token = Arc::clone(&token);
                 let streams = Arc::clone(&streams);
                 let parked = Arc::clone(&parked);
                 // Detached: a handler still streaming dies with the process
@@ -556,15 +363,7 @@ fn serve_parking(
                         let _running = parked.count_thread();
                         let mut next = Some((conn, accepted));
                         while let Some((conn, accepted)) = next {
-                            handle_client(
-                                conn,
-                                accepted,
-                                &sched,
-                                &stop,
-                                token.as_deref(),
-                                idle_timeout,
-                                &streams,
-                            );
+                            handle_client(conn, accepted, &sched, &stop, &streams);
                             next = parked.park();
                         }
                     },
@@ -581,10 +380,7 @@ fn serve_parking(
                 // The refused connection may still be pending (EMFILE),
                 // which keeps the listener readable: back off without
                 // watching it, or this arm would spin.
-                #[cfg(unix)]
                 poll_readable(-1, POLL);
-                #[cfg(not(unix))]
-                thread::sleep(POLL);
             }
         }
     };
@@ -619,54 +415,23 @@ fn hand_off(
 }
 
 /// One connection's request loop. Returns when the client disconnects,
-/// a write fails, or the client asked for shutdown. With a token set,
-/// the connection's first line must be the bare token: a match is
-/// silent (the client just proceeds), anything else answers a
-/// structured error and closes the connection. With an idle timeout
-/// set, a connection whose next request (or auth line) does not arrive
-/// within the deadline gets one structured error line and is closed —
-/// idle clients cannot pin handler threads forever. Each answered request's
-/// stages go into the scheduler's histograms once its reply is out, the
-/// `accept` stage (from `accepted`) with the connection's first.
+/// a write fails, a line exceeds the cap, or the client asked for
+/// shutdown. Each answered request's stages go into the scheduler's
+/// histograms once its reply is out, the `accept` stage (from `accepted`)
+/// with the connection's first.
 fn handle_client(
     conn: Conn,
     accepted: Instant,
     sched: &Scheduler,
     stop: &AtomicBool,
-    token: Option<&str>,
-    idle_timeout: Option<Duration>,
     streams: &OpenStreams,
 ) {
     let mut accept = Some(accepted.elapsed());
     let Ok(read_half) = conn.try_clone() else {
         return;
     };
-    if idle_timeout.is_some() && read_half.set_read_timeout(idle_timeout).is_err() {
-        return;
-    }
     let mut reader = BufReader::new(read_half);
     let mut w = BufWriter::new(conn);
-    // The three ways a connection is refused: one structured line, then
-    // the close.
-    let hang_up = |w: &mut BufWriter<Conn>, msg: String| {
-        let _ = reply(w, &protocol::error(&msg));
-    };
-    let idle = || {
-        let ms = idle_timeout.map_or(0, |d| d.as_millis());
-        format!("idle timeout: no request within {ms} ms")
-    };
-    let too_long = || format!("request line exceeds {MAX_LINE} bytes");
-    if let Some(expect) = token {
-        let refused = match read_line(&mut reader) {
-            Ok(Line::Text(first)) if first.trim() == expect => None,
-            Ok(Line::TooLong) => Some(too_long()),
-            Err(e) if is_timeout(&e) => Some(idle()),
-            _ => Some("authentication failed: send the bearer token as the first line".into()),
-        };
-        if let Some(msg) = refused {
-            return hang_up(&mut w, msg);
-        }
-    }
     let stages = sched.stages();
     loop {
         let read_at = Instant::now();
@@ -676,8 +441,12 @@ fn handle_client(
             Ok(Line::Text(line)) if line.trim().is_empty() => continue,
             Ok(Line::Text(line)) => protocol::parse_request(&line),
             Ok(Line::NotUtf8) => Err("malformed request: not UTF-8".to_string()),
-            Ok(Line::TooLong) => return hang_up(&mut w, too_long()),
-            Err(e) if is_timeout(&e) => return hang_up(&mut w, idle()),
+            Ok(Line::TooLong) => {
+                // One structured line, then the close.
+                let too_long = format!("request line exceeds {MAX_LINE} bytes");
+                let _ = reply(&mut w, &protocol::error(&too_long));
+                return;
+            }
             Ok(Line::Eof) | Err(_) => return,
         };
         let reply_at = Instant::now();
@@ -699,18 +468,9 @@ fn handle_client(
                 return;
             }
             Ok(Request::List) => reply(&mut w, &protocol::list_line(&sched.list())),
-            Ok(Request::Submit {
-                cells,
-                budget_cycles,
-                budget_host_ms,
-            }) => stream_job(
-                &mut w,
-                sched,
-                streams,
-                cells,
-                (budget_cycles, budget_host_ms),
-                &mut admission,
-            ),
+            Ok(Request::Submit { cells }) => {
+                stream_job(&mut w, sched, streams, cells, &mut admission)
+            }
         };
         let replied = reply_at.elapsed();
         if let Some(d) = accept.take() {
@@ -777,21 +537,19 @@ fn read_line(reader: &mut impl BufRead) -> io::Result<Line> {
 }
 
 /// Submit a job and stream its events until the terminal `done` line.
-/// The stream counts as open until that line has been flushed. The
-/// budgets are the job's cycle and host-ms caps; `admission` is set to how
-/// long `submit` took.
+/// The stream counts as open until that line has been flushed;
+/// `admission` is set to how long `submit` took.
 fn stream_job(
     w: &mut BufWriter<Conn>,
     sched: &Scheduler,
     streams: &OpenStreams,
     cells: Vec<archgraph_bench::CellSpec>,
-    (budget_cycles, budget_host_ms): (Option<u64>, Option<u64>),
     admission: &mut Option<Duration>,
 ) -> io::Result<()> {
     let _open = streams.open();
     let (tx, rx) = mpsc::channel();
     let submitted = Instant::now();
-    let admitted = sched.submit(cells, budget_cycles, budget_host_ms, tx);
+    let admitted = sched.submit(cells, None, None, tx);
     *admission = Some(submitted.elapsed());
     let (job, n) = match admitted {
         Ok(accepted) => accepted,
@@ -903,7 +661,6 @@ mod tests {
         took
     }
 
-    #[cfg(unix)]
     #[test]
     fn fresh_unix_connections_are_served_on_arrival_not_at_the_next_tick() {
         let ep = Endpoint::Unix(temp_socket("pings"));
@@ -911,38 +668,6 @@ mod tests {
         assert!(took < TWENTY_HALF_TICKS, "20 pings took {took:?}");
     }
 
-    #[test]
-    fn fresh_tcp_connections_are_served_on_arrival_with_nagle_off() {
-        let listener = bind(&Endpoint::Tcp("127.0.0.1:0".into())).expect("loopback bind");
-        let Listener::Tcp(l) = &listener else {
-            panic!("a TCP endpoint binds a TCP listener");
-        };
-        let ep = Endpoint::Tcp(l.local_addr().expect("bound address").to_string());
-
-        // Both ends of a connection have Nagle's algorithm off.
-        let dialed = connect_with(&ep, Some(Duration::from_secs(5))).expect("dial");
-        let accepted = loop {
-            match listener.accept() {
-                Ok(conn) => break conn,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    listener.wait_readable(Duration::from_secs(5));
-                }
-                Err(e) => panic!("accept: {e}"),
-            }
-        };
-        for conn in [&dialed, &accepted, &connect(&ep).expect("dial")] {
-            let Conn::Tcp(s) = conn else {
-                panic!("a TCP endpoint yields TCP connections");
-            };
-            assert!(s.nodelay().expect("read TCP_NODELAY"));
-        }
-        drop((dialed, accepted));
-
-        let took = twenty_fresh_pings(listener, &ep);
-        assert!(took < TWENTY_HALF_TICKS, "20 pings took {took:?}");
-    }
-
-    #[cfg(unix)]
     #[test]
     fn the_readiness_wait_times_out_when_idle_and_returns_when_a_connection_is_pending() {
         let path = temp_socket("readiness");
@@ -970,7 +695,6 @@ mod tests {
         listener.cleanup();
     }
 
-    #[cfg(unix)]
     #[test]
     fn an_externally_stored_stop_ends_serve_and_removes_the_socket() {
         let path = temp_socket("stop");
@@ -990,7 +714,6 @@ mod tests {
         assert!(!path.exists(), "serve removes its socket file");
     }
 
-    #[cfg(unix)]
     #[test]
     fn serve_waits_for_an_open_reply_stream_but_no_longer_than_the_drain_cap() {
         // One cell whose result line is larger than a socket buffer, sent
@@ -1025,12 +748,11 @@ mod tests {
         );
     }
 
-    #[cfg(unix)]
     #[test]
     fn a_connection_whose_handler_thread_cannot_start_gets_one_busy_line() {
         let (ours, theirs) = UnixStream::pair().expect("socket pair");
         hand_off(
-            Conn::Unix(theirs),
+            theirs,
             |_handler| Err(io::Error::new(io::ErrorKind::WouldBlock, "no threads left")),
             |_conn| unreachable!("the refused handler never runs"),
         );
@@ -1078,7 +800,6 @@ mod tests {
         }
     }
 
-    #[cfg(unix)]
     #[test]
     fn fresh_connections_reuse_a_parked_handler_and_none_outlives_serve() {
         let ep = Endpoint::Unix(temp_socket("reuse"));
@@ -1087,9 +808,7 @@ mod tests {
         let stop = Arc::new(AtomicBool::new(false));
         let serving = {
             let (stop, parked) = (Arc::clone(&stop), Arc::clone(&parked));
-            thread::spawn(move || {
-                serve_parking(listener, idle_scheduler(), stop, None, None, parked)
-            })
+            thread::spawn(move || serve_parking(listener, idle_scheduler(), stop, parked))
         };
         for i in 0..20 {
             if i > 0 {
@@ -1109,7 +828,6 @@ mod tests {
         assert!(parked.idle().is_none(), "a late handler is sent away");
     }
 
-    #[cfg(unix)]
     #[test]
     fn status_counts_each_stage_of_every_warm_submit_once() {
         use archgraph_bench::cells::{CellSpec, Kernel, MachineKind};
@@ -1155,8 +873,8 @@ mod tests {
         serving.join().expect("serve returns");
         let _ = std::fs::remove_dir_all(&dir);
 
-        // Every field the status line had before the stages object keeps
-        // its bytes; the object is appended last.
+        // The fields before the stages object, byte for byte; the object
+        // is appended last.
         let (head, tail) = line.split_once(r#","stages":"#).expect("a stages object");
         assert_eq!(
             head,
@@ -1164,7 +882,7 @@ mod tests {
                 concat!(
                     r#"{{"type":"status","workers":1,"queued":0,"inflight":0,"active_jobs":0,"#,
                     r#""jobs":{},"cells_run":0,"cache_hits":{},"failures":0,"#,
-                    r#""cache_entries":2,"cache_bytes":{},"evictions":0,"evicted_bytes":0"#
+                    r#""cache_entries":2,"cache_bytes":{}"#
                 ),
                 K,
                 2 * K,
@@ -1207,28 +925,17 @@ mod tests {
     }
 
     /// A handler on one end of a socket pair, as `serve` would start it.
-    #[cfg(unix)]
-    fn handler_on_a_pair(token: Option<&'static str>) -> (UnixStream, thread::JoinHandle<()>) {
+    fn handler_on_a_pair() -> (UnixStream, thread::JoinHandle<()>) {
         let (ours, theirs) = UnixStream::pair().expect("socket pair");
         let handler = thread::spawn(move || {
             let (stop, streams) = (AtomicBool::new(false), OpenStreams::default());
             let sched = idle_scheduler();
-            let accepted = Instant::now();
-            handle_client(
-                Conn::Unix(theirs),
-                accepted,
-                &sched,
-                &stop,
-                token,
-                None,
-                &streams,
-            );
+            handle_client(theirs, Instant::now(), &sched, &stop, &streams);
             sched.shutdown_and_join();
         });
         (ours, handler)
     }
 
-    #[cfg(unix)]
     fn error_message(line: &str) -> String {
         let v = Json::parse(line.trim_end()).expect("well-formed line");
         assert_eq!(
@@ -1242,9 +949,8 @@ mod tests {
             .to_string()
     }
 
-    #[cfg(unix)]
     #[test]
-    fn a_line_past_the_cap_gets_one_error_and_a_close_even_before_authentication() {
+    fn a_line_past_the_cap_gets_one_error_and_a_close() {
         // The reader stops at the cap whatever follows it.
         let mut endless = io::Cursor::new(vec![b'a'; 2 * MAX_LINE]);
         assert!(matches!(read_line(&mut endless), Ok(Line::TooLong)));
@@ -1252,26 +958,24 @@ mod tests {
         let mut fits = io::Cursor::new([vec![b'a'; MAX_LINE], vec![b'\n']].concat());
         assert!(matches!(read_line(&mut fits), Ok(Line::Text(t)) if t.len() == MAX_LINE));
 
-        for token in [None, Some("s3cret")] {
-            let (ours, handler) = handler_on_a_pair(token);
-            let mut sender = ours.try_clone().expect("clone");
-            // 2 MiB and no newline; the handler hangs up part-way through.
-            let sending = thread::spawn(move || {
-                let _ = sender.write_all(&vec![b'a'; 2 * MAX_LINE]);
-                let _ = sender.shutdown(std::net::Shutdown::Write);
-            });
-            let mut reader = BufReader::new(ours);
-            let mut reply = String::new();
-            reader.read_line(&mut reply).expect("one reply line");
-            assert_eq!(error_message(&reply), "request line exceeds 1048576 bytes");
-            // Closed: EOF, or a reset because our tail went unread.
-            match reader.read_to_end(&mut Vec::new()) {
-                Ok(more) => assert_eq!(more, 0, "exactly one line"),
-                Err(e) => assert_eq!(e.kind(), io::ErrorKind::ConnectionReset),
-            }
-            handler.join().expect("handler returns");
-            sending.join().expect("sender returns");
+        let (ours, handler) = handler_on_a_pair();
+        let mut sender = ours.try_clone().expect("clone");
+        // 2 MiB and no newline; the handler hangs up part-way through.
+        let sending = thread::spawn(move || {
+            let _ = sender.write_all(&vec![b'a'; 2 * MAX_LINE]);
+            let _ = sender.shutdown(std::net::Shutdown::Write);
+        });
+        let mut reader = BufReader::new(ours);
+        let mut reply = String::new();
+        reader.read_line(&mut reply).expect("one reply line");
+        assert_eq!(error_message(&reply), "request line exceeds 1048576 bytes");
+        // Closed: EOF, or a reset because our tail went unread.
+        match reader.read_to_end(&mut Vec::new()) {
+            Ok(more) => assert_eq!(more, 0, "exactly one line"),
+            Err(e) => assert_eq!(e.kind(), io::ErrorKind::ConnectionReset),
         }
+        handler.join().expect("handler returns");
+        sending.join().expect("sender returns");
     }
 
     #[test]
@@ -1417,10 +1121,9 @@ mod tests {
         assert_eq!(streaming.join().expect("the stream ends at done"), 4);
     }
 
-    #[cfg(unix)]
     #[test]
     fn a_line_that_is_not_utf8_gets_an_error_and_keeps_the_connection() {
-        let (mut ours, handler) = handler_on_a_pair(None);
+        let (mut ours, handler) = handler_on_a_pair();
         ours.write_all(b"\xff\xfe\n{\"op\":\"ping\"}\n")
             .expect("send");
         let mut reader = BufReader::new(ours.try_clone().expect("clone"));
@@ -1442,13 +1145,8 @@ mod tests {
             Endpoint::Unix(PathBuf::from("/tmp/d.sock")).describe(),
             "unix:/tmp/d.sock"
         );
-        assert_eq!(
-            Endpoint::Tcp("127.0.0.1:7411".into()).describe(),
-            "tcp:127.0.0.1:7411"
-        );
     }
 
-    #[cfg(unix)]
     #[test]
     fn stale_socket_files_are_reclaimed_and_live_ones_refused() {
         let path = std::env::temp_dir().join(format!(
@@ -1468,7 +1166,6 @@ mod tests {
         assert!(!path.exists(), "cleanup removes the socket file");
     }
 
-    #[cfg(unix)]
     #[test]
     fn a_superseded_daemon_does_not_unlink_its_successors_socket() {
         let path = std::env::temp_dir().join(format!(
@@ -1496,32 +1193,5 @@ mod tests {
         // B still owns the path, so *its* cleanup removes it.
         b.cleanup();
         assert!(!path.exists(), "B's cleanup removes its own socket");
-    }
-
-    #[test]
-    fn non_loopback_tcp_binds_are_refused_without_remote_credentials() {
-        let ep = Endpoint::Tcp("0.0.0.0:0".into());
-        let err = bind(&ep).expect_err("wildcard bind refused by default");
-        assert_eq!(err.kind(), io::ErrorKind::PermissionDenied);
-        assert!(err.to_string().contains("--allow-remote"), "{err}");
-
-        // --allow-remote alone is not enough: a token is required too.
-        let half = Security {
-            allow_remote: true,
-            token: None,
-        };
-        let err = bind_secured(&ep, &half).expect_err("no token, no remote");
-        assert_eq!(err.kind(), io::ErrorKind::PermissionDenied);
-
-        let full = Security {
-            allow_remote: true,
-            token: Some("s3cret".into()),
-        };
-        let l = bind_secured(&ep, &full).expect("token-backed remote bind");
-        drop(l);
-
-        // Loopback needs no credentials at all.
-        let l = bind(&Endpoint::Tcp("127.0.0.1:0".into())).expect("loopback bind");
-        drop(l);
     }
 }

@@ -50,15 +50,6 @@ fn temp_root(name: &str) -> PathBuf {
 }
 
 fn start_daemon(root: &Path, jobs: usize, extra_env: &[(&str, &str)]) -> Daemon {
-    start_daemon_with_args(root, jobs, extra_env, &[])
-}
-
-fn start_daemon_with_args(
-    root: &Path,
-    jobs: usize,
-    extra_env: &[(&str, &str)],
-    extra_args: &[&str],
-) -> Daemon {
     let socket = root.join("archgraphd.sock");
     let mut cmd = Command::new(DAEMON);
     cmd.args([
@@ -69,7 +60,6 @@ fn start_daemon_with_args(
         "--cache-dir",
         root.join("cache").to_str().unwrap(),
     ])
-    .args(extra_args)
     .stdout(Stdio::null())
     .stderr(Stdio::null())
     // A served cell runs under its spec alone: the daemon reads neither
@@ -525,8 +515,8 @@ fn a_poisoned_cell_fails_structurally_and_the_grid_survives() {
 }
 
 #[test]
-fn budgeted_jobs_fail_structurally_and_list_serves_the_suite() {
-    let root = temp_root("budget");
+fn list_and_the_suite_served_cold_then_cached_match_the_baseline() {
+    let root = temp_root("suite");
     let daemon = start_daemon(&root, 1, &[]);
 
     // `list` enumerates the bench suite with cache status (cold here).
@@ -582,240 +572,32 @@ fn budgeted_jobs_fail_structurally_and_list_serves_the_suite() {
         assert_eq!(c.get("cached"), Some(&Json::Bool(true)), "warm: {c:?}");
     }
 
-    // A 1-cycle budget: the first cell trips the clamped watchdog, the
-    // second is skipped without running. Both carry structured
-    // BudgetExceeded errors; the daemon itself stays healthy.
-    let request = format!(
-        r#"{{"op":"submit","budget_cycles":1,"cells":[{},{}]}}"#,
-        r#"{"kernel":"color","machine":"mta","p":2,"n":128,"m":384}"#,
-        r#"{"kernel":"color","machine":"mta","p":2,"n":160,"m":480}"#
-    );
-    let (cells, done) = run_job(&daemon, &request);
-    assert_eq!(cells.len(), 2);
-    for cell in &cells {
-        let msg = cell
-            .get("error")
-            .and_then(Json::as_str)
-            .expect("budgeted cell fails with an error");
-        assert!(msg.contains("BudgetExceeded"), "{msg}");
+    shutdown_and_reap(daemon);
+    let _ = std::fs::remove_dir_all(root);
+}
+
+#[test]
+fn removed_daemon_flags_exit_2_with_the_usage_and_no_socket() {
+    let root = temp_root("removed-flags");
+    let socket = root.join("archgraphd.sock");
+    for removed in [
+        &["--tcp", "127.0.0.1:0"][..],
+        &["--token", "s3cret"],
+        &["--allow-remote"],
+        &["--idle-timeout-ms", "300"],
+        &["--cache-max-bytes", "10"],
+    ] {
+        let out = Command::new(DAEMON)
+            .args(["--socket", socket.to_str().unwrap()])
+            .args(["--cache-dir", root.join("cache").to_str().unwrap()])
+            .args(removed)
+            .output()
+            .expect("run the daemon");
+        assert_eq!(out.status.code(), Some(2), "{removed:?}: {out:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("usage: archgraphd"), "{removed:?}: {err}");
+        assert!(!socket.exists(), "{removed:?} left a socket behind");
     }
-    assert_eq!(done.get("failed").and_then(Json::as_u64), Some(2));
-    assert_eq!(done.get("ok").and_then(Json::as_u64), Some(0));
-
-    // A pre-expired host-time cap fails cold cells at the boundary,
-    // without ever running them.
-    let request = format!(
-        r#"{{"op":"submit","budget_host_ms":0,"cells":[{}]}}"#,
-        r#"{"kernel":"color","machine":"mta","p":2,"n":128,"m":384}"#
-    );
-    let (cells, done) = run_job(&daemon, &request);
-    let msg = cells[0]
-        .get("error")
-        .and_then(Json::as_str)
-        .expect("host-capped cell fails with an error");
-    assert!(msg.contains("host-time budget"), "{msg}");
-    assert!(msg.contains("cell skipped without running"), "{msg}");
-    assert_eq!(done.get("failed").and_then(Json::as_u64), Some(1));
-
-    // The same job without a budget completes; with an ample budget the
-    // cached results are then free even under budget 1.
-    let (cells, done) = run_job(&daemon, &submit_line(&[128, 160]));
-    assert_eq!(done.get("ok").and_then(Json::as_u64), Some(2));
-    assert_eq!(sim_pairs(&cells[0]), reference_sim(128));
-    let request = format!(
-        r#"{{"op":"submit","budget_cycles":1,"cells":[{}]}}"#,
-        r#"{"kernel":"color","machine":"mta","p":2,"n":128,"m":384}"#
-    );
-    let (cells, done) = run_job(&daemon, &request);
-    assert_eq!(cells[0].get("cached"), Some(&Json::Bool(true)));
-    assert_eq!(done.get("ok").and_then(Json::as_u64), Some(1));
-
-    shutdown_and_reap(daemon);
-    let _ = std::fs::remove_dir_all(root);
-}
-
-#[test]
-fn a_token_gated_daemon_refuses_unauthenticated_connections() {
-    let root = temp_root("token");
-    let daemon = start_daemon_with_args(&root, 1, &[], &["--token", "s3cret-tok3n"]);
-    let sock = daemon.socket.to_str().unwrap().to_string();
-
-    // No token: the first request line is treated as a failed
-    // authentication and the connection closes.
-    let (mut r, mut w) = dial(&daemon);
-    send(&mut w, r#"{"op":"ping"}"#);
-    let err = recv(&mut r);
-    assert_eq!(err.get("type").and_then(Json::as_str), Some("error"));
-    assert!(err
-        .get("message")
-        .and_then(Json::as_str)
-        .unwrap()
-        .contains("authentication failed"));
-    let mut line = String::new();
-    assert_eq!(
-        r.read_line(&mut line).unwrap(),
-        0,
-        "connection closed after failed auth"
-    );
-
-    // Wrong token: same refusal. Token and request go out in one write,
-    // as `archgraph-client` sends them: the daemon refuses and closes as
-    // soon as it has read the token, and a second write racing that
-    // close would fail with EPIPE before the refusal could be read.
-    let (mut r, mut w) = dial(&daemon);
-    send(&mut w, "wrong-token\n{\"op\":\"ping\"}");
-    let err = recv(&mut r);
-    assert_eq!(err.get("type").and_then(Json::as_str), Some("error"));
-
-    // Correct token as the first line: the session proceeds normally.
-    let (mut r, mut w) = dial(&daemon);
-    send(&mut w, "s3cret-tok3n");
-    send(&mut w, r#"{"op":"ping"}"#);
-    assert_eq!(
-        recv(&mut r).get("type").and_then(Json::as_str),
-        Some("pong")
-    );
-
-    // The client CLI sends the token with --token.
-    let ping = Command::new(CLIENT)
-        .args(["--socket", &sock, "--token", "s3cret-tok3n", "ping"])
-        .output()
-        .expect("run client ping with token");
-    assert!(ping.status.success(), "{ping:?}");
-    assert!(String::from_utf8_lossy(&ping.stdout).contains(r#""type":"pong""#));
-    let unauth = Command::new(CLIENT)
-        .args(["--socket", &sock, "ping"])
-        .output()
-        .expect("run client ping without token");
-    assert_eq!(unauth.status.code(), Some(1), "{unauth:?}");
-
-    // Shutdown needs the token too.
-    let bye = Command::new(CLIENT)
-        .args(["--socket", &sock, "--token", "s3cret-tok3n", "shutdown"])
-        .output()
-        .expect("run client shutdown");
-    assert!(bye.status.success(), "{bye:?}");
-    let mut daemon = daemon;
-    let status = daemon.child.wait().expect("daemon exit");
-    assert!(status.success(), "{status}");
-    drop(daemon);
-    let _ = std::fs::remove_dir_all(root);
-}
-
-#[test]
-fn idle_connections_get_a_structured_timeout_and_a_close() {
-    let root = temp_root("idle");
-    let daemon = start_daemon_with_args(&root, 1, &[], &["--idle-timeout-ms", "300"]);
-
-    // A connection that never sends a request: one structured error
-    // line naming the deadline, then EOF.
-    let (mut r, _w) = dial(&daemon);
-    let err = recv(&mut r);
-    assert_eq!(err.get("type").and_then(Json::as_str), Some("error"));
-    assert!(
-        err.get("message")
-            .and_then(Json::as_str)
-            .unwrap()
-            .contains("idle timeout"),
-        "{err:?}"
-    );
-    let mut line = String::new();
-    assert_eq!(
-        r.read_line(&mut line).unwrap(),
-        0,
-        "connection closed after the idle timeout"
-    );
-
-    // The deadline is per-request, not per-connection: a session that
-    // keeps talking stays alive well past the 300 ms budget.
-    let (mut r, mut w) = dial(&daemon);
-    for _ in 0..4 {
-        std::thread::sleep(Duration::from_millis(150));
-        send(&mut w, r#"{"op":"ping"}"#);
-        assert_eq!(
-            recv(&mut r).get("type").and_then(Json::as_str),
-            Some("pong")
-        );
-    }
-
-    shutdown_and_reap(daemon);
-    let _ = std::fs::remove_dir_all(root);
-}
-
-#[test]
-fn the_client_retries_connects_with_backoff_across_daemon_startup() {
-    let root = temp_root("retry");
-    let sock = root.join("archgraphd.sock");
-    let sock_str = sock.to_str().unwrap().to_string();
-
-    // Spawn the client before any daemon exists: with --retries it keeps
-    // re-dialing with backoff, so a daemon that comes up moments later
-    // still serves the request. (Retried submissions are idempotent by
-    // the content-addressed cache contract, so retrying is always safe.)
-    let client = Command::new(CLIENT)
-        .args(["--socket", &sock_str, "--retries", "8", "ping"])
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn retrying client");
-    std::thread::sleep(Duration::from_millis(250));
-    let daemon = start_daemon(&root, 1, &[]);
-    let out = client.wait_with_output().expect("client output");
-    assert!(out.status.success(), "{out:?}");
-    assert!(String::from_utf8_lossy(&out.stdout).contains(r#""type":"pong""#));
-    assert!(
-        String::from_utf8_lossy(&out.stderr).contains("retry"),
-        "the backoff warning names the retry: {out:?}"
-    );
-
-    // Retries exhausted against nothing is still exit 3.
-    let gone = Command::new(CLIENT)
-        .args([
-            "--socket",
-            root.join("nope.sock").to_str().unwrap(),
-            "--retries",
-            "2",
-            "--connect-timeout-ms",
-            "100",
-            "ping",
-        ])
-        .output()
-        .expect("run client against nothing");
-    assert_eq!(gone.status.code(), Some(3), "{gone:?}");
-
-    shutdown_and_reap(daemon);
-    let _ = std::fs::remove_dir_all(root);
-}
-
-#[test]
-fn non_loopback_tcp_binds_are_refused_at_startup() {
-    let root = temp_root("tcp-refuse");
-    let out = Command::new(DAEMON)
-        .args([
-            "--tcp",
-            "0.0.0.0:0",
-            "--cache-dir",
-            root.join("cache").to_str().unwrap(),
-        ])
-        .output()
-        .expect("run daemon with a wildcard bind");
-    assert_eq!(out.status.code(), Some(1), "{out:?}");
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("--allow-remote"), "{err}");
-    assert!(err.contains("--token"), "{err}");
-
-    // --allow-remote without --token is refused just the same.
-    let out = Command::new(DAEMON)
-        .args([
-            "--tcp",
-            "0.0.0.0:0",
-            "--allow-remote",
-            "--cache-dir",
-            root.join("cache").to_str().unwrap(),
-        ])
-        .output()
-        .expect("run daemon with remote but no token");
-    assert_eq!(out.status.code(), Some(1), "{out:?}");
     let _ = std::fs::remove_dir_all(root);
 }
 
@@ -870,46 +652,6 @@ fn a_deeply_nested_line_is_a_parse_error_and_the_daemon_keeps_serving() {
     send(&mut w, r#"{"op":"ping"}"#);
     let pong = recv(&mut r);
     assert_eq!(pong.get("type").and_then(Json::as_str), Some("pong"));
-
-    shutdown_and_reap(daemon);
-    let _ = std::fs::remove_dir_all(root);
-}
-
-#[test]
-fn a_bounded_cache_evicts_and_rerun_is_identical() {
-    let root = temp_root("evict");
-    // A bound far below one payload: every record is swept right back
-    // out, which is the most aggressive (still sound) eviction policy.
-    let daemon = start_daemon_with_args(&root, 1, &[], &["--cache-max-bytes", "10"]);
-
-    let sizes = [128usize, 144, 160];
-    let (cells, done) = run_job(&daemon, &submit_line(&sizes));
-    assert_eq!(done.get("ok").and_then(Json::as_u64), Some(3));
-    let first_sims: Vec<_> = cells.iter().map(sim_pairs).collect();
-
-    // status surfaces the eviction counters.
-    let (mut r, mut w) = dial(&daemon);
-    send(&mut w, r#"{"op":"status"}"#);
-    let status = recv(&mut r);
-    assert_eq!(status.get("type").and_then(Json::as_str), Some("status"));
-    let evictions = status.get("evictions").and_then(Json::as_u64).unwrap();
-    assert!(evictions >= 1, "tiny bound must evict, got {evictions}");
-    let cache_bytes = status.get("cache_bytes").and_then(Json::as_u64).unwrap();
-    assert!(cache_bytes <= 10, "cache exceeds its bound: {cache_bytes}");
-    assert!(status.get("cache_entries").and_then(Json::as_u64).is_some());
-    assert!(status.get("evicted_bytes").and_then(Json::as_u64).is_some());
-
-    // Eviction is safe: the re-run misses the cache but reproduces the
-    // exact fingerprints.
-    let (cells, done) = run_job(&daemon, &submit_line(&sizes));
-    assert_eq!(done.get("ok").and_then(Json::as_u64), Some(3));
-    assert_eq!(done.get("cached").and_then(Json::as_u64), Some(0));
-    for (cell, first) in cells.iter().zip(&first_sims) {
-        assert_eq!(cell.get("cached"), Some(&Json::Bool(false)));
-        assert_eq!(&sim_pairs(cell), first, "evicted cell re-runs identically");
-        let idx = cell.get("index").and_then(Json::as_u64).unwrap() as usize;
-        assert_eq!(sim_pairs(cell), reference_sim(sizes[idx]));
-    }
 
     shutdown_and_reap(daemon);
     let _ = std::fs::remove_dir_all(root);

@@ -191,7 +191,7 @@ pub struct CellSpec {
     /// A label that selects nothing (see [`MtaEngine`]): the run ignores
     /// it, [`Self::display_name`] compares it. Kept, with the wire
     /// `"engine"` key, until a `benchmark` PR thaws the frozen tree
-    /// (ROADMAP 4(a)).
+    /// (ROADMAP 11(b)).
     pub engine: Option<MtaEngine>,
     /// Simulated processor count (0 for native cells).
     pub p: usize,
@@ -471,7 +471,7 @@ pub fn default_size(kernel: Kernel) -> (usize, usize) {
 /// `Trace` label that selects nothing; it stays because
 /// [`CellSpec::display_name`] compares whole specs, so dropping it would
 /// rename the unpinned cells the frozen `benchmarks/` package submits and
-/// move the `sims_fnv` its `expected.json` pins (ROADMAP 4(a)).
+/// move the `sims_fnv` its `expected.json` pins (ROADMAP 11(a)).
 pub fn bench_suite() -> Vec<(&'static str, CellSpec)> {
     let mta = |kernel, p| {
         let mut s = CellSpec::new(kernel, MachineKind::Mta, p);

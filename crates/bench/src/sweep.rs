@@ -62,10 +62,6 @@ pub const PANIC_CELL_ENV: &str = "ARCHGRAPH_BENCH_PANIC_CELL";
 /// [`Checkpoint::path`] sanitizes to `_`.
 const SPEC_FILE: &str = ".spec";
 
-/// Suffix of the per-entry recency sidecar (`<file>.stamp`, holding one
-/// decimal logical tick).
-const STAMP_SUFFIX: &str = ".stamp";
-
 /// One sweep cell that panicked instead of completing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CellFailure {
@@ -135,23 +131,15 @@ impl CellPoint {
 }
 
 /// Per-sweep checkpoint store: one file per completed cell under
-/// `<root>/<tag>-<scale>/`.
-///
-/// Each payload file carries a `<file>.stamp` sidecar holding a
-/// monotonic logical recency tick. Recency consumers (the daemon
-/// cache's LRU sweep) order by that tick rather than by file mtime:
-/// mtimes are coarse on many filesystems, so a burst of touches within
-/// one clock tick used to collapse into name order instead of true
-/// recency. The tick counter restarts from `max(stamps) + 1` on reopen,
-/// so recency survives a daemon restart without consulting the clock.
+/// `<root>/<tag>-<scale>/`, and a `.spec` sentinel naming the
+/// configuration the cells were recorded under. `archgraphd`'s result
+/// cache is the same store, keyed by content address.
 #[derive(Debug)]
 pub struct Checkpoint {
     dir: Option<PathBuf>,
     /// Under a root named by [`CHECKPOINT_ENV`], which [`Checkpoint::finish`]
     /// leaves to its namer.
     named: bool,
-    /// Next logical recency tick (see the struct docs).
-    clock: std::sync::atomic::AtomicU64,
 }
 
 impl Checkpoint {
@@ -243,28 +231,9 @@ impl Checkpoint {
             );
             return Checkpoint::disabled();
         }
-        // Resume the logical recency clock past every stamp already on
-        // disk, so entries recorded after a reopen are newer than every
-        // survivor — without this, a restarted daemon's first records
-        // would tie at zero and evict by name.
-        let mut next = 0u64;
-        if let Ok(rd) = std::fs::read_dir(&dir) {
-            for entry in rd.flatten() {
-                let name = entry.file_name();
-                if name.to_string_lossy().ends_with(STAMP_SUFFIX) {
-                    if let Some(t) = std::fs::read_to_string(entry.path())
-                        .ok()
-                        .and_then(|s| s.trim().parse::<u64>().ok())
-                    {
-                        next = next.max(t);
-                    }
-                }
-            }
-        }
         Checkpoint {
             dir: Some(dir),
             named: false,
-            clock: std::sync::atomic::AtomicU64::new(next.saturating_add(1)),
         }
     }
 
@@ -273,7 +242,6 @@ impl Checkpoint {
         Checkpoint {
             dir: None,
             named: false,
-            clock: std::sync::atomic::AtomicU64::new(0),
         }
     }
 
@@ -344,50 +312,8 @@ impl Checkpoint {
         let tmp = PathBuf::from(tmp_name);
         let write_and_rename =
             std::fs::write(&tmp, payload).and_then(|()| std::fs::rename(&tmp, &p));
-        match write_and_rename {
-            Ok(()) => self.write_stamp(&p),
-            Err(e) => {
-                eprintln!("warning: cannot write checkpoint {}: {e}", p.display());
-                let _ = std::fs::remove_file(&tmp);
-            }
-        }
-    }
-
-    /// Refresh the recency stamp of an existing entry without rewriting
-    /// its payload — the "recently used" half of an LRU bound. Returns
-    /// whether the entry exists.
-    pub fn touch(&self, cell: &str) -> bool {
-        let Some(p) = self.path(cell) else {
-            return false;
-        };
-        if !p.is_file() {
-            return false;
-        }
-        self.write_stamp(&p);
-        true
-    }
-
-    /// Write a fresh logical tick into `<payload>.stamp`. Best-effort,
-    /// like payload writes; atomic for the same reason (a torn stamp
-    /// would silently demote the entry to eviction candidate #1 — see
-    /// [`Checkpoint::entries`], which skips stampless entries instead).
-    fn write_stamp(&self, payload_path: &std::path::Path) {
-        let tick = self
-            .clock
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let mut name = payload_path.as_os_str().to_os_string();
-        name.push(STAMP_SUFFIX);
-        let stamp = PathBuf::from(name);
-        let mut tmp_name = stamp.as_os_str().to_os_string();
-        tmp_name.push(".inflight");
-        let tmp = PathBuf::from(tmp_name);
-        let write_and_rename =
-            std::fs::write(&tmp, tick.to_string()).and_then(|()| std::fs::rename(&tmp, &stamp));
         if let Err(e) = write_and_rename {
-            eprintln!(
-                "warning: cannot write recency stamp {}: {e}",
-                stamp.display()
-            );
+            eprintln!("warning: cannot write checkpoint {}: {e}", p.display());
             let _ = std::fs::remove_file(&tmp);
         }
     }
@@ -409,87 +335,26 @@ impl Checkpoint {
         }
     }
 
-    /// Enumerate the stored entries: sanitized name, payload size, and
-    /// recency stamp. The `.spec` sentinel, stamp sidecars, and in-flight
-    /// temp files are not entries. Consumers that bound the store (the
-    /// daemon's `--cache-max-bytes` LRU sweep) sort by stamp. An entry
-    /// whose metadata or stamp cannot be read is skipped **with a
-    /// warning** rather than listed with a zero stamp: a zero would
-    /// silently make it eviction candidate #1, while skipping merely
-    /// defers it until the next touch re-stamps it.
-    pub fn entries(&self) -> Vec<CheckpointEntry> {
-        let Some(dir) = &self.dir else {
-            return Vec::new();
+    /// How many cells the store holds, and their total payload bytes,
+    /// from one directory listing. The `.spec` sentinel and in-flight
+    /// temp files are not cells.
+    pub fn entries(&self) -> (usize, u64) {
+        let Some(Ok(rd)) = self.dir.as_ref().map(std::fs::read_dir) else {
+            return (0, 0);
         };
-        let Ok(rd) = std::fs::read_dir(dir) else {
-            return Vec::new();
-        };
-        let mut out = Vec::new();
+        let (mut count, mut bytes) = (0, 0);
         for entry in rd.flatten() {
-            let name = entry.file_name().to_string_lossy().into_owned();
-            if name == SPEC_FILE || name.ends_with(".inflight") || name.ends_with(STAMP_SUFFIX) {
+            let name = entry.file_name();
+            if name == SPEC_FILE || name.to_string_lossy().ends_with(".inflight") {
                 continue;
             }
-            let Ok(meta) = entry.metadata() else {
-                eprintln!("warning: checkpoint entry {name} has unreadable metadata; skipping");
-                continue;
-            };
-            if !meta.is_file() {
-                continue;
+            if let Some(meta) = entry.metadata().ok().filter(|m| m.is_file()) {
+                count += 1;
+                bytes += meta.len();
             }
-            let mut stamp_name = entry.path().into_os_string();
-            stamp_name.push(STAMP_SUFFIX);
-            let Some(stamp) = std::fs::read_to_string(PathBuf::from(stamp_name))
-                .ok()
-                .and_then(|s| s.trim().parse::<u64>().ok())
-            else {
-                eprintln!(
-                    "warning: checkpoint entry {name} has no readable recency stamp; \
-                     skipping until it is touched or re-recorded"
-                );
-                continue;
-            };
-            out.push(CheckpointEntry {
-                name,
-                bytes: meta.len(),
-                stamp,
-            });
         }
-        out
+        (count, bytes)
     }
-
-    /// Remove one recorded entry by its (possibly unsanitized) cell name.
-    /// Returns whether a file was actually removed — concurrent sweepers
-    /// may race for the same entry, and only one of them wins.
-    pub fn remove(&self, cell: &str) -> bool {
-        match self.path(cell) {
-            Some(p) => {
-                let removed = std::fs::remove_file(&p).is_ok();
-                let mut stamp_name = p.into_os_string();
-                stamp_name.push(STAMP_SUFFIX);
-                let _ = std::fs::remove_file(PathBuf::from(stamp_name));
-                removed
-            }
-            None => false,
-        }
-    }
-}
-
-/// One stored checkpoint entry, as listed by [`Checkpoint::entries`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CheckpointEntry {
-    /// Sanitized file name — for content-addressed consumers (the daemon
-    /// cache) this is the cache key itself, which `Checkpoint::path`
-    /// sanitizes to itself.
-    pub name: String,
-    /// Payload size in bytes.
-    pub bytes: u64,
-    /// Logical recency tick from the entry's sidecar. Recording,
-    /// re-recording, or touching an entry refreshes it, which is what
-    /// makes a stamp sweep LRU rather than insertion-order FIFO — and
-    /// unlike a file mtime it advances on every touch even within one
-    /// filesystem clock tick.
-    pub stamp: u64,
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -905,120 +770,21 @@ mod tests {
         assert!(!ck.enabled());
         ck.record("x", "1 2 3|");
         assert_eq!(ck.lookup("x"), None);
-        assert!(ck.entries().is_empty());
-        assert!(!ck.remove("x"));
+        assert_eq!(ck.entries(), (0, 0));
     }
 
     #[test]
     fn entries_enumerate_payload_files_only() {
         let ck = temp_store("entries");
-        assert!(ck.entries().is_empty(), "fresh store has no entries");
+        assert_eq!(ck.entries(), (0, 0), "fresh store has no entries");
         ck.record("fig/a/p1", "1 2 3|one");
         ck.record("deadbeef00000000", "v1 ok cycles=9");
-        let mut entries = ck.entries();
-        entries.sort_by(|a, b| a.name.cmp(&b.name));
-        assert_eq!(entries.len(), 2, "the .spec sentinel is not an entry");
-        assert_eq!(entries[0].name, "deadbeef00000000");
-        assert_eq!(entries[0].bytes, "v1 ok cycles=9".len() as u64);
-        assert_eq!(entries[1].name, "fig_a_p1", "names come back sanitized");
-        assert_eq!(entries[1].bytes, "1 2 3|one".len() as u64);
-        ck.clear();
-    }
-
-    #[test]
-    fn remove_deletes_exactly_one_entry() {
-        let ck = temp_store("remove");
-        ck.record("a/b", "1 1 1|x");
-        ck.record("c/d", "2 2 2|y");
-        assert!(ck.remove("a/b"), "present entry removes");
-        assert!(!ck.remove("a/b"), "second removal finds nothing");
-        assert_eq!(ck.lookup("a/b"), None);
-        assert_eq!(ck.lookup("c/d"), Some("2 2 2|y".to_string()));
-        // Sanitized and unsanitized spellings address the same file.
-        assert!(ck.remove("c_d"));
-        assert_eq!(ck.entries().len(), 0);
-        ck.clear();
-    }
-
-    /// No sleeps, no clock: the logical stamp strictly advances on every
-    /// record and touch, even when all of them land within one filesystem
-    /// mtime tick (the failure mode of the old mtime-ordered LRU).
-    #[test]
-    fn rerecording_and_touching_refresh_the_entry_stamp() {
-        let ck = temp_store("touch");
-        ck.record("old", "1 1 1|");
-        let first = ck.entries().remove(0).stamp;
-        ck.record("old", "1 1 1|");
-        let second = ck.entries().remove(0).stamp;
-        assert!(second > first, "re-record must advance the stamp");
-        assert!(ck.touch("old"), "touch finds the entry");
-        let third = ck.entries().remove(0).stamp;
-        assert!(third > second, "touch must advance the stamp");
+        let bytes = "1 2 3|one".len() + "v1 ok cycles=9".len();
         assert_eq!(
-            ck.lookup("old"),
-            Some("1 1 1|".to_string()),
-            "touch leaves the payload alone"
+            ck.entries(),
+            (2, bytes as u64),
+            "the .spec sentinel is not an entry"
         );
-        assert!(!ck.touch("absent"), "touch refuses to invent entries");
-        ck.clear();
-    }
-
-    /// The recency clock survives a reopen: entries recorded by the new
-    /// handle stamp strictly newer than every survivor on disk.
-    #[test]
-    fn recency_clock_resumes_past_surviving_stamps() {
-        let dir = std::env::temp_dir().join(format!(
-            "archgraph-sweep-test-{}-clock-resume",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let ck = Checkpoint::at(dir.clone());
-        ck.record("a", "1 1 1|");
-        ck.record("b", "2 2 2|");
-        let old_max = ck.entries().iter().map(|e| e.stamp).max().unwrap();
-        drop(ck);
-        let reopened = Checkpoint::at(dir.clone());
-        reopened.record("c", "3 3 3|");
-        let c = reopened
-            .entries()
-            .into_iter()
-            .find(|e| e.name == "c")
-            .unwrap();
-        assert!(
-            c.stamp > old_max,
-            "post-reopen records must be newer than every survivor \
-             ({} <= {old_max})",
-            c.stamp
-        );
-        let _ = std::fs::remove_dir_all(dir);
-    }
-
-    /// An entry whose recency stamp is missing (torn write, manual
-    /// tampering) is skipped by `entries` — listing it with stamp 0 would
-    /// silently make it the first eviction victim. It comes back once
-    /// re-recorded.
-    #[test]
-    fn stampless_entries_are_skipped_not_first_victims() {
-        let ck = temp_store("stampless");
-        ck.record("keep", "1 1 1|");
-        ck.record("bare", "2 2 2|");
-        assert_eq!(ck.entries().len(), 2);
-        // Sever `bare`'s sidecar, as a crash between the two renames would.
-        let dir = std::env::temp_dir().join(format!(
-            "archgraph-sweep-test-{}-stampless",
-            std::process::id()
-        ));
-        std::fs::remove_file(dir.join("bare.stamp")).expect("stamp sidecar exists");
-        let listed = ck.entries();
-        assert_eq!(listed.len(), 1, "the stampless entry is not listed");
-        assert_eq!(listed[0].name, "keep");
-        assert_eq!(
-            ck.lookup("bare"),
-            Some("2 2 2|".to_string()),
-            "the payload itself is still served"
-        );
-        ck.record("bare", "2 2 2|");
-        assert_eq!(ck.entries().len(), 2, "re-recording restores the entry");
         ck.clear();
     }
 

@@ -23,8 +23,8 @@
 //! (`simulate_walk_ranking`, `simulate_sv_mta`, `shiloach_vishkin`,
 //! `SmpMachine::phase`, …). Each delegates to its `try_` form and panics
 //! with the error's `Display` text, so a failure inside a sweep cell
-//! surfaces as a structured, catchable panic — and the daemon recognises a
-//! tripped cycle quota by that text (`cycle budget exceeded`).
+//! surfaces as a structured, catchable panic — and a served cell's error
+//! line carries that text (`cycle budget exceeded`).
 //!
 //! Reached by: every simulated suite cell (the watchdog and deadlock errors).
 

@@ -135,7 +135,7 @@ impl WordFree {
 /// §3.4); the type, its four spellings, [`with_engine`] and
 /// [`MtaMachine::engine`] stay only because the frozen `benchmarks/`
 /// package and the daemon's wire `"engine"` key are written against them,
-/// and go when a `benchmark` PR thaws that tree (ROADMAP 4(d)).
+/// and go when a `benchmark` PR thaws that tree (ROADMAP 11(b)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MtaEngine {
     /// The default label.

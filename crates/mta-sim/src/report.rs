@@ -43,7 +43,7 @@ impl RunReport {
 /// Issue-loop accounting: *host-side* measurement of the interpreter
 /// itself, deliberately not part of [`RunReport`]. Only `events` is live;
 /// the other fields count paths that were removed and stay at 0 only
-/// because the frozen `benchmarks/` package reads them (ROADMAP 4(d)).
+/// because the frozen `benchmarks/` package reads them (ROADMAP 11(b)).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Scheduler visits (events popped), including stall re-queues.

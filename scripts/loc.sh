@@ -3,7 +3,9 @@
 # hand-typed `find | wc -l`. One row per crate (crates/*, shims/*, the
 # root package's src, tests, benches and examples, benchmarks) and one for
 # scripts/, counting *.rs, *.sh and *.py:
-#   non-test  source files up to their first `#[cfg(test)]`
+#   non-test  source files up to the first `#[cfg(test)]` line that is
+#             followed by a `mod` item (`tests/census.rs` splits there too;
+#             an item-level `#[cfg(test)]` does not end the non-test part)
 #   test      the rest of those files, plus everything under tests/ and
 #             benches/
 # Comments and blank lines count: it is `wc -l`, split in two.
@@ -34,10 +36,16 @@ table() { # ROOT
             [[ -e "$row" ]] || continue
             find "$row" -type f \( -name '*.rs' -o -name '*.sh' -o -name '*.py' \) \
                 -not -path '*/target/*' -exec awk '
-                    FNR == 1 { test = FILENAME ~ /(^|\/)(tests|benches)\// }
-                    /^[[:space:]]*#\[cfg\(test\)\]/ { test = 1 }
+                    # A `#[cfg(test)]` line is held until the next line says
+                    # whether it heads a `mod` (the rest is test code) or an item.
+                    FNR == 1 { n += held; held = 0; test = FILENAME ~ /(^|\/)(tests|benches)\// }
+                    held {
+                        held = 0
+                        if ($0 ~ /^[[:space:]]*(pub[[:space:]]+)?mod[[:space:]]/) { test = 1; t++ } else n++
+                    }
+                    !test && /^[[:space:]]*#\[cfg\(test\)\][[:space:]]*$/ { held = 1; next }
                     { if (test) t++; else n++ }
-                    END { print n + 0, t + 0 }' {} + |
+                    END { print n + held, t + 0 }' {} + |
                 awk -v row="$row" '{ n += $1; t += $2 } END { print row, n + 0, t + 0 }'
         done
     )
