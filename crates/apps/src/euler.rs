@@ -156,12 +156,14 @@ impl EulerTour {
     }
 
     /// Number of arcs (`2(n−1)`).
-    pub fn arc_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn arc_count(&self) -> usize {
         self.from.len()
     }
 
     /// The twin (reverse) of arc `a`.
-    pub fn twin(a: usize) -> usize {
+    #[cfg(test)]
+    pub(crate) fn twin(a: usize) -> usize {
         a ^ 1
     }
 

@@ -5,7 +5,6 @@
 
 use archgraph_graph::edgelist::EdgeList;
 use archgraph_graph::rng::Rng;
-use archgraph_graph::unionfind::UnionFind;
 use archgraph_graph::{Node, NIL};
 
 /// A validated free tree on `n ≥ 1` vertices (`n − 1` edges, connected).
@@ -16,7 +15,8 @@ pub struct Tree {
 
 impl Tree {
     /// Wrap an edge list after checking it is a tree.
-    pub fn new(edges: EdgeList) -> Result<Tree, TreeError> {
+    #[cfg(test)]
+    pub(crate) fn new(edges: EdgeList) -> Result<Tree, TreeError> {
         let n = edges.n;
         if n == 0 {
             return Err(TreeError::Empty);
@@ -24,7 +24,7 @@ impl Tree {
         if edges.m() != n - 1 {
             return Err(TreeError::WrongEdgeCount { n, m: edges.m() });
         }
-        let mut uf = UnionFind::new(n);
+        let mut uf = archgraph_graph::unionfind::UnionFind::new(n);
         for e in &edges.edges {
             if !uf.union(e.u, e.v) {
                 return Err(TreeError::HasCycle);
@@ -58,7 +58,8 @@ impl Tree {
     }
 
     /// A path graph as a tree.
-    pub fn path(n: usize) -> Tree {
+    #[cfg(test)]
+    pub(crate) fn path(n: usize) -> Tree {
         assert!(n >= 1);
         Tree {
             edges: archgraph_graph::gen::path(n),
@@ -66,7 +67,8 @@ impl Tree {
     }
 
     /// A star as a tree.
-    pub fn star(n: usize) -> Tree {
+    #[cfg(test)]
+    pub(crate) fn star(n: usize) -> Tree {
         assert!(n >= 1);
         Tree {
             edges: archgraph_graph::gen::star(n),
@@ -135,6 +137,7 @@ pub struct OracleStats {
 }
 
 /// Validation failures for [`Tree::new`].
+#[cfg(test)]
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TreeError {
     /// Zero vertices.
@@ -149,20 +152,6 @@ pub enum TreeError {
     /// Contains a cycle (or duplicate edge).
     HasCycle,
 }
-
-impl std::fmt::Display for TreeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TreeError::Empty => write!(f, "a tree needs at least one vertex"),
-            TreeError::WrongEdgeCount { n, m } => {
-                write!(f, "a tree on {n} vertices needs {} edges, found {m}", n - 1)
-            }
-            TreeError::HasCycle => write!(f, "edge set contains a cycle"),
-        }
-    }
-}
-
-impl std::error::Error for TreeError {}
 
 #[cfg(test)]
 mod tests {

@@ -79,6 +79,9 @@ impl Cache {
     /// misses — the cell simply re-runs and overwrites them.
     ///
     /// A disabled cache answers `None` before it computes the key.
+    ///
+    /// Reached by: frozen benchmarks/src (`probes.rs`, the
+    /// `archgraphd.cache.lookup_us` row).
     pub fn lookup(&self, spec: &CellSpec) -> Option<Sim> {
         if !self.enabled() {
             return None;
@@ -103,6 +106,9 @@ impl Cache {
 
     /// Record a successful run of `spec`. Best-effort, like checkpoint
     /// writes: a full disk degrades to a cacheless daemon, not a dead one.
+    ///
+    /// Reached by: frozen benchmarks/src (`probes.rs`, the
+    /// `archgraphd.cache.record_us` row).
     pub fn record(&self, spec: &CellSpec, sim: &[(String, u64)]) {
         self.record_key(&spec.cache_key(), sim);
     }

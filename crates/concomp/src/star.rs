@@ -12,12 +12,13 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 
-use archgraph_graph::Node;
 use rayon::prelude::*;
 
 /// Sequential star detection: `star[v]` is true iff `v` is in a rooted
-/// star of the forest `d` (where `d[v]` is the parent pointer).
-pub fn star_flags(d: &[Node]) -> Vec<bool> {
+/// star of the forest `d` (where `d[v]` is the parent pointer): the
+/// reference [`star_flags_par`] is tested against.
+#[cfg(test)]
+pub(crate) fn star_flags(d: &[archgraph_graph::Node]) -> Vec<bool> {
     let n = d.len();
     let mut star = vec![true; n];
     for v in 0..n {
@@ -62,6 +63,7 @@ pub fn star_flags_par(d: &[AtomicU32]) -> Vec<AtomicBool> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use archgraph_graph::Node;
 
     #[test]
     fn singleton_roots_are_stars() {

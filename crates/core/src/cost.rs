@@ -34,13 +34,6 @@ pub struct Complexity {
 }
 
 impl Complexity {
-    /// A zero triplet (the identity for [`Complexity::add`]).
-    pub const ZERO: Complexity = Complexity {
-        t_m: 0.0,
-        t_c: 0.0,
-        barriers: 0.0,
-    };
-
     /// Construct a triplet from raw counts.
     pub fn new(t_m: f64, t_c: f64, barriers: f64) -> Self {
         Complexity { t_m, t_c, barriers }
@@ -223,9 +216,12 @@ mod tests {
 
     #[test]
     fn zero_is_identity() {
-        let c = Complexity::new(10.0, 20.0, 3.0);
-        assert_eq!(c.add(Complexity::ZERO), c);
-        assert_eq!(Complexity::ZERO.add(c), c);
+        let (c, zero) = (
+            Complexity::new(10.0, 20.0, 3.0),
+            Complexity::new(0.0, 0.0, 0.0),
+        );
+        assert_eq!(c.add(zero), c);
+        assert_eq!(zero.add(c), c);
     }
 
     #[test]

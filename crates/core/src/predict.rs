@@ -62,16 +62,6 @@ pub fn mta_utilization(params: &MtaParams, threads_per_proc: usize) -> f64 {
     (threads_per_proc as f64 / sat as f64).min(1.0)
 }
 
-/// Parallel speedup: `sequential_time / parallel_time`.
-pub fn speedup(sequential_seconds: f64, parallel_seconds: f64) -> f64 {
-    sequential_seconds / parallel_seconds
-}
-
-/// Parallel efficiency on `p` processors: `speedup / p`.
-pub fn efficiency(sequential_seconds: f64, parallel_seconds: f64, p: usize) -> f64 {
-    speedup(sequential_seconds, parallel_seconds) / p as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -118,14 +108,6 @@ mod tests {
         assert!(mta_utilization(&mta, 1) < 0.1);
         let u40 = mta_utilization(&mta, 40);
         assert!(u40 > 0.9, "paper: ~40 streams nearly saturate; got {u40}");
-    }
-
-    #[test]
-    fn speedup_and_efficiency_relate() {
-        let s = speedup(8.0, 1.0);
-        assert_eq!(s, 8.0);
-        assert_eq!(efficiency(8.0, 1.0, 8), 1.0);
-        assert!(efficiency(8.0, 2.0, 8) < 1.0);
     }
 
     #[test]

@@ -53,12 +53,14 @@ impl<'a, T> SharedSlice<'a, T> {
     }
 
     /// Length of the underlying slice.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.len
     }
 
     /// True when the slice is empty.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.len == 0
     }
 

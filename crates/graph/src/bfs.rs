@@ -42,6 +42,9 @@ pub fn bfs_levels(g: &Csr, src: Node) -> Vec<Node> {
 /// The number of non-empty BFS levels from `src` (0 levels only for an
 /// empty graph is impossible — the source itself is level 0, so this is
 /// `1 + eccentricity(src)` restricted to the reachable component).
+///
+/// Reached by: frozen benchmarks/src (`cells.rs`, the native-kernels `bfs`
+/// op) and `bfs`'s `sim_mta` unit tests.
 pub fn level_count(levels: &[Node]) -> usize {
     levels
         .iter()

@@ -98,6 +98,8 @@ impl EdgeList {
 
     /// Remove self loops and duplicate undirected edges (in place),
     /// preserving no particular order. Returns the number removed.
+    ///
+    /// Reached by: `tests/properties.rs` (`dedup_never_changes_connectivity`).
     pub fn dedup(&mut self) -> usize {
         let before = self.edges.len();
         let mut canon: Vec<Edge> = self

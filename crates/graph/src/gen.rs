@@ -67,6 +67,9 @@ pub fn path(n: usize) -> EdgeList {
 }
 
 /// A cycle on `n ≥ 3` vertices (for `n < 3` returns a path).
+///
+/// Reached by: the unit tests of `concomp` (`sv`, `sim_mta`) and `apps`
+/// (`tree`).
 pub fn cycle(n: usize) -> EdgeList {
     let mut g = path(n);
     if n >= 3 {
@@ -77,6 +80,10 @@ pub fn cycle(n: usize) -> EdgeList {
 
 /// A star: vertex 0 joined to all others. The best case for SV (one
 /// iteration).
+///
+/// Reached by: `tests/sim_invariants.rs`
+/// (`star_graph_is_svs_best_case_on_both_machines`),
+/// `tests/kernel_differential.rs` and the kernel crates' unit tests.
 pub fn star(n: usize) -> EdgeList {
     let pairs = (1..n).map(|i| (0 as Node, i as Node));
     EdgeList::from_pairs(n, pairs)
@@ -84,6 +91,9 @@ pub fn star(n: usize) -> EdgeList {
 
 /// A complete binary tree on `n` vertices (vertex `i` has children
 /// `2i+1`, `2i+2`).
+///
+/// Reached by: the unit tests of `concomp` (`sv`, `sv_mta`) and `apps`
+/// (`biconn`, `msf`, `tree`).
 pub fn binary_tree(n: usize) -> EdgeList {
     let mut edges = Vec::new();
     for i in 0..n {

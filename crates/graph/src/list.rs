@@ -90,6 +90,8 @@ impl LinkedList {
     }
 
     /// True when the list has no elements.
+    ///
+    /// Reached by: clippy::len_without_is_empty, for [`LinkedList::len`].
     pub fn is_empty(&self) -> bool {
         self.next.is_empty()
     }
@@ -149,6 +151,8 @@ impl LinkedList {
     }
 
     /// The slots in list order (head first).
+    ///
+    /// Reached by: `tests/failure_injection.rs` (`validator_catches_injected_cycles`).
     pub fn order(&self) -> Vec<Node> {
         let n = self.next.len();
         let mut out = Vec::with_capacity(n);

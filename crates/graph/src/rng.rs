@@ -81,13 +81,9 @@ impl Rng {
     }
 
     /// Uniform `f64` in `[0, 1)`.
-    pub fn f64(&mut self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-
-    /// Fair coin flip.
-    pub fn bool(&mut self) -> bool {
-        self.next_u64() & 1 == 1
     }
 
     /// Fisher–Yates shuffle of a slice.

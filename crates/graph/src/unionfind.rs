@@ -43,16 +43,6 @@ impl UnionFind {
         }
     }
 
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        self.parent.len()
-    }
-
-    /// True when there are no elements.
-    pub fn is_empty(&self) -> bool {
-        self.parent.is_empty()
-    }
-
     /// Representative of `x`'s set, with path halving.
     pub fn find(&mut self, mut x: Node) -> Node {
         loop {
@@ -120,6 +110,9 @@ pub fn connected_components(g: &EdgeList) -> Vec<Node> {
 }
 
 /// Number of connected components of an edge list.
+///
+/// Reached by: frozen benchmarks/src (`cells.rs`, the native-kernels
+/// `concomp` op).
 pub fn component_count(g: &EdgeList) -> usize {
     let mut uf = UnionFind::new(g.n);
     for e in &g.edges {
@@ -235,7 +228,6 @@ mod tests {
     #[test]
     fn empty_unionfind() {
         let mut uf = UnionFind::new(0);
-        assert!(uf.is_empty());
         assert_eq!(uf.component_count(), 0);
         assert!(uf.canonical_labels().is_empty());
     }

@@ -401,11 +401,16 @@ impl Program {
     }
 
     /// Number of instructions.
+    ///
+    /// Reached by: frozen benchmarks/src (`probes.rs`, the
+    /// `mta-sim.build_ns_per_instr` row).
     pub fn len(&self) -> usize {
         self.instrs.len()
     }
 
     /// True for an empty program.
+    ///
+    /// Reached by: clippy::len_without_is_empty, for [`Program::len`].
     pub fn is_empty(&self) -> bool {
         self.instrs.is_empty()
     }

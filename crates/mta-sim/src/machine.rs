@@ -51,7 +51,7 @@ use crate::report::{EngineStats, RunReport};
 use crate::wheel::TimeWheel;
 
 /// Default simulated memory size in words.
-pub const DEFAULT_MEMORY_WORDS: usize = 1 << 22;
+const DEFAULT_MEMORY_WORDS: usize = 1 << 22;
 
 /// Open-addressed map from word address to the next time (in thirds) that
 /// word can service an atomic/sync operation.
@@ -208,6 +208,8 @@ impl MtaMachine {
     /// Always 1: the one issue loop is serial. Kept, like [`with_workers`]
     /// and until the same `benchmark` PR, only because the frozen
     /// `benchmarks/` package prints it.
+    ///
+    /// Reached by: frozen benchmarks/src (`run.rs`), until ROADMAP 11(b).
     pub fn workers(&self) -> usize {
         1
     }
@@ -289,6 +291,9 @@ pub struct MtaMachine {
 
 impl MtaMachine {
     /// A machine with `p` processors and the default memory size.
+    ///
+    /// Reached by: the crate-level example and `tests/failure_injection.rs`
+    /// (`simulators_reject_invalid_configurations`).
     pub fn new(params: MtaParams, p: usize) -> Self {
         Self::with_memory_words(params, p, DEFAULT_MEMORY_WORDS)
     }
@@ -312,24 +317,19 @@ impl MtaMachine {
 
     /// The label this machine was constructed with (the [`with_engine`]
     /// scope's, or the default); nothing reads it (see [`MtaEngine`]).
+    ///
+    /// Reached by: frozen benchmarks/src (`run.rs`), until ROADMAP 11(b).
     pub fn engine(&self) -> MtaEngine {
         self.engine
     }
 
     /// Issue-loop accounting accumulated over all regions run so far:
     /// host-side measurement, kept out of [`RunReport`].
+    ///
+    /// Reached by: frozen benchmarks/src (`probes.rs`) and this crate's
+    /// `tests/guardrails.rs` and `tests/loop_golden.rs`.
     pub fn engine_stats(&self) -> EngineStats {
         self.engine_stats
-    }
-
-    /// Number of processors.
-    pub fn p(&self) -> usize {
-        self.p
-    }
-
-    /// Machine parameters.
-    pub fn params(&self) -> &MtaParams {
-        &self.params
     }
 
     /// Shared memory (host-side inspection).
@@ -343,7 +343,8 @@ impl MtaMachine {
     }
 
     /// Cycles accumulated over all regions run so far.
-    pub fn total_cycles(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn total_cycles(&self) -> u64 {
         self.total_cycles
     }
 

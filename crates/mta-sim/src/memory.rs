@@ -163,11 +163,6 @@ impl Memory {
         self.stuck_tag(addr).unwrap_or(full)
     }
 
-    /// Capacity in words.
-    pub fn capacity(&self) -> usize {
-        self.values.len()
-    }
-
     /// Bump-allocate `len` words; returns the base word address.
     /// Panics when memory is exhausted.
     pub fn alloc(&mut self, len: usize) -> usize {

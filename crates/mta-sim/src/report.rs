@@ -2,7 +2,7 @@
 //!
 //! Reached by: every MTA suite cell (its fingerprint).
 
-use crate::isa::{OpClass, N_OP_CLASSES};
+use crate::isa::N_OP_CLASSES;
 use crate::memory::MemCounters;
 
 /// The outcome of one parallel region executed on the simulated MTA.
@@ -16,7 +16,7 @@ pub struct RunReport {
     /// Issue-slot thirds consumed (memory ops fill 3, others 1) — the
     /// numerator of [`RunReport::utilization`].
     pub issued_thirds: u64,
-    /// Instruction-mix histogram indexed by [`OpClass::index`].
+    /// Instruction-mix histogram indexed by [`crate::isa::OpClass::index`].
     pub op_mix: [u64; N_OP_CLASSES],
     /// Processors used.
     pub processors: usize,
@@ -35,7 +35,8 @@ pub struct RunReport {
 
 impl RunReport {
     /// Count of issued operations in a class.
-    pub fn ops(&self, class: OpClass) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn ops(&self, class: crate::isa::OpClass) -> u64 {
         self.op_mix[class.index()]
     }
 }

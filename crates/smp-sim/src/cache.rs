@@ -18,6 +18,8 @@ pub struct CacheStats {
 
 impl CacheStats {
     /// Total accesses.
+    ///
+    /// Reached by: this crate's `tests/cache_properties.rs`.
     pub fn accesses(&self) -> u64 {
         self.hits + self.misses
     }
@@ -103,25 +105,31 @@ impl Cache {
 
     /// True if the line containing `addr` is currently resident (no LRU or
     /// counter side effects).
+    ///
+    /// Reached by: this crate's `tests/cache_properties.rs`.
     pub fn probe(&self, addr: u64) -> bool {
         let line = self.line_of(addr);
         let set = (line as usize) & (self.sets - 1);
         let base = set * self.assoc;
         self.ways[base..base + self.assoc].contains(&line)
     }
+}
 
+/// Geometry and reset, for the unit tests.
+#[cfg(test)]
+impl Cache {
     /// Drop all contents, keep counters.
-    pub fn flush(&mut self) {
+    pub(crate) fn flush(&mut self) {
         self.ways.fill(EMPTY);
     }
 
     /// Capacity in bytes.
-    pub fn capacity_bytes(&self) -> usize {
+    pub(crate) fn capacity_bytes(&self) -> usize {
         self.sets * self.assoc * (1usize << self.line_shift)
     }
 
     /// Line size in bytes.
-    pub fn line_bytes(&self) -> usize {
+    pub(crate) fn line_bytes(&self) -> usize {
         1usize << self.line_shift
     }
 }

@@ -204,11 +204,6 @@ impl ProcCtx {
         self.clock += n as f64 * self.compute_cpi;
         self.compute_cycles += n as f64 * self.compute_cpi;
     }
-
-    /// Current clock (cycles since machine construction).
-    pub fn clock(&self) -> f64 {
-        self.clock
-    }
 }
 
 /// Record of a completed phase, for diagnostics and tests.
@@ -274,7 +269,8 @@ impl SmpMachine {
     }
 
     /// Machine parameters.
-    pub fn params(&self) -> &SmpParams {
+    #[cfg(test)]
+    pub(crate) fn params(&self) -> &SmpParams {
         &self.params
     }
 
@@ -300,6 +296,10 @@ impl SmpMachine {
     /// is invoked once per processor. Returns the phase record. Panics
     /// with the [`SimError`] display text if the machine clock passes
     /// the watchdog budget; use [`Self::try_phase`] to handle it.
+    ///
+    /// Reached by: the crate-level example, this crate's
+    /// `tests/cache_properties.rs` and frozen benchmarks/src (`probes.rs`,
+    /// the `smp-sim.*_read_ns` rows).
     pub fn phase<F: FnMut(usize, &mut ProcCtx)>(&mut self, name: &str, f: F) -> &PhaseRecord {
         match self.phase_inner(name, f, true) {
             Ok(()) => self.last_phase(),
@@ -383,13 +383,9 @@ impl SmpMachine {
         Ok(())
     }
 
-    /// Charge one standalone software barrier.
-    pub fn barrier(&mut self) {
-        self.time_cycles += self.params.barrier_cycles(self.procs.len()) as f64;
-        self.barriers += 1;
-    }
-
     /// Elapsed simulated time in cycles.
+    ///
+    /// Reached by: this crate's `tests/cache_properties.rs`.
     pub fn cycles(&self) -> f64 {
         self.time_cycles
     }

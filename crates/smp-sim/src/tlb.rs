@@ -166,14 +166,18 @@ impl Tlb {
         }
         self.slots[at as usize].chain = after;
     }
+}
 
+/// Geometry, for the unit tests.
+#[cfg(test)]
+impl Tlb {
     /// Number of entries.
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.slots.len()
     }
 
     /// Bytes per page.
-    pub fn page_bytes(&self) -> usize {
+    pub(crate) fn page_bytes(&self) -> usize {
         1usize << self.page_shift
     }
 }

@@ -15,18 +15,21 @@
 # `benchmarks/run.sh --workload WORKLOAD --out FILE RUN_ARGS...` once on each
 # side (`all`: run.sh without --workload), and which side goes first
 # alternates from pair to pair. Records are appended to
-# ab-pairs/<rev>.<workload>[.<run-args>].json and
-# ab-pairs/worktree.<workload>[.<run-args>].json (and what each run printed,
-# per-cell medians included, to the .log beside it), so invoking it again
-# with the same arguments adds pairs to the earlier ones; delete the files to
-# start over. When the pairs are done the script prints, per workload and
-# end-to-end metric, every pair and the rule's verdict (B wins at least nine
-# tenths of the pairs, ties counting for neither, and the medians differ by
-# more than A's interquartile distance), then hands both files to
-# benchmarks/compare.sh for the regression table and the exact counts of
-# traced runs. The exit code is compare.sh's: non-zero unless every row is
-# `unchanged` and every count identical — or when a run on either side fails
-# its own verification.
+# ab-pairs/<rev>-vs-<tree>.<workload>[.<run-args>].a.json (side A) and .b.json
+# (side B), and what each run printed, per-cell medians included, to the .log
+# beside each. <tree> names the working tree: HEAD's short hash and a hash of
+# `git diff HEAD` plus the untracked files. So invoking the script again on
+# the same tree with the same arguments adds pairs to the earlier ones, and a
+# changed tree starts files of its own. It refuses to start (exit 2) when the
+# two files already hold different record counts, which an interrupted pair
+# leaves behind; delete both to start over. When the pairs are done the
+# script prints, per workload and end-to-end metric, every pair and the
+# rule's verdict (B wins at least nine tenths of the pairs, ties counting
+# for neither, and the medians differ by more than A's interquartile
+# distance), then hands both files to benchmarks/compare.sh for the
+# regression table and the exact counts of traced runs. The exit code is
+# compare.sh's: non-zero unless every row is `unchanged` and every count
+# identical — or when a run on either side fails its own verification.
 set -euo pipefail
 cd "$(dirname "$0")/.." || exit 1
 
@@ -56,11 +59,23 @@ work="ab-pairs"
 tree="$work/$short"
 # "--seed 7 --trace" -> ".seed-7-trace"
 tag="$(printf '%s' "${run_args[*]}" | tr -s ' -' '-' | sed 's/^-//')"
-a_out="$PWD/$work/$short.$workload${tag:+.$tag}.json"
-b_out="$PWD/$work/worktree.$workload${tag:+.$tag}.json"
+# The working tree's identity: what it would build, not when it was built.
+changes="$({ git diff HEAD; git ls-files -z --others --exclude-standard | xargs -0 -r sha1sum; } |
+    sha1sum | cut -c1-8)"
+stem="$PWD/$work/$short-vs-$(git rev-parse --short HEAD)-$changes.$workload${tag:+.$tag}"
+a_out="$stem.a.json"
+b_out="$stem.b.json"
 select=(--workload "$workload")
 [ "$workload" = all ] && select=()
 mkdir -p "$work"
+records() { # records FILE: its line count, 0 when it does not exist
+    if [ -f "$1" ]; then wc -l < "$1"; else echo 0; fi
+}
+if [ "$(records "$a_out")" -ne "$(records "$b_out")" ]; then
+    echo "ab_pairs: $a_out holds $(records "$a_out") records and $b_out $(records "$b_out");" \
+        "an interrupted pair left them unequal, so they cannot be paired. Delete both to start over." >&2
+    exit 2
+fi
 if [ ! -d "$tree" ]; then
     mkdir "$tree.partial"
     git archive "$short" | tar -x -C "$tree.partial"

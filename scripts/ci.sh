@@ -4,7 +4,7 @@
 # pinned result (the bench suite's fingerprints, clean and under the chaos
 # fault plans, the daemon serving them byte for byte, the loop and figure
 # goldens) is a `cargo test` test, so this script adds no check of its own
-# beyond fmt, clippy, rustdoc and archperf.
+# beyond fmt, clippy, the compiler-driven census, rustdoc and archperf.
 # Everything runs --offline — the workspace vendors its external deps as
 # local shims (see shims/) and must never reach for the network.
 #
@@ -24,6 +24,13 @@ cargo fmt --check
 
 echo "== cargo clippy, all targets (deny warnings) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
+
+echo "== census_rustc.sh: every public item says what reaches it =="
+# rustc's dead_code lint over a copy with every unmarked `pub fn` /
+# `pub const` made crate-private: an item only tests or the frozen
+# benchmarks/ reach fails unless it says `Reached by:` (≈ 10 s cold on two
+# vCPUs).
+scripts/census_rustc.sh
 
 echo "== cargo doc (deny warnings) =="
 # A doc link to a renamed or deleted item, or a public doc linking a

@@ -4,8 +4,8 @@
 # root package's src, tests, benches and examples, benchmarks) and one for
 # scripts/, counting *.rs, *.sh and *.py:
 #   non-test  source files up to the first `#[cfg(test)]` line that is
-#             followed by a `mod` item (`tests/census.rs` splits there too;
-#             an item-level `#[cfg(test)]` does not end the non-test part)
+#             followed by a `mod` item (an item-level `#[cfg(test)]` does
+#             not end the non-test part)
 #   test      the rest of those files, plus everything under tests/ and
 #             benches/
 # Comments and blank lines count: it is `wc -l`, split in two.
