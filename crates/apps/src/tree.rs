@@ -5,7 +5,9 @@
 
 use archgraph_graph::edgelist::EdgeList;
 use archgraph_graph::rng::Rng;
-use archgraph_graph::{Node, NIL};
+use archgraph_graph::Node;
+#[cfg(test)]
+use archgraph_graph::NIL;
 
 /// A validated free tree on `n ≥ 1` vertices (`n − 1` edges, connected).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -85,11 +87,10 @@ impl Tree {
     }
 
     /// Sequential oracle: parents, depths and subtree sizes from a BFS
-    /// rooted at `root`.
-    ///
-    /// Reached by: the Euler-tour and tree unit tests, which hold tour
+    /// rooted at `root`. The Euler-tour and tree unit tests hold tour
     /// parents and tree statistics to it.
-    pub fn rooted_oracle(&self, root: Node) -> OracleStats {
+    #[cfg(test)]
+    pub(crate) fn rooted_oracle(&self, root: Node) -> OracleStats {
         let n = self.n();
         let csr = archgraph_graph::csr::Csr::from_edge_list(&self.edges);
         let mut parent = vec![NIL; n];
@@ -126,6 +127,7 @@ impl Tree {
 }
 
 /// Rooted statistics from the sequential oracle.
+#[cfg(test)]
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OracleStats {
     /// `parent[v]` (NIL for the root).

@@ -7,9 +7,6 @@
 //! * [`hj`] — the Helman–JáJá SMP algorithm (steps 1–5, `s = 8p`
 //!   sublists), running natively on host threads with software barriers;
 //!   its sublist chase is also [`sim_smp`]'s host half.
-//! * [`mta_style`] — the paper's Alg. 1 walk algorithm running natively:
-//!   `NWALK` marked nodes, dynamic walk claiming by atomic fetch-add,
-//!   pointer-jumping over the walk summary, rank write-back.
 //! * [`sim_smp`] — Helman–JáJá lowered onto the cycle-accounting SMP
 //!   simulator (`archgraph-smp-sim`): the Fig. 1 (right) pipeline.
 //! * [`sim_mta`] — Alg. 1 lowered onto the MTA micro-ISA simulator
@@ -31,12 +28,10 @@
 #![warn(missing_docs)]
 
 pub mod hj;
-pub mod mta_style;
 pub mod seq;
 pub mod sim_mta;
 pub mod sim_smp;
 pub mod wyllie;
 
 pub use hj::{helman_jaja, HjConfig};
-pub use mta_style::{mta_style_rank, MtaStyleConfig};
 pub use seq::sequential_rank;

@@ -1,30 +1,43 @@
 #!/usr/bin/env bash
-# The census's item rule, asked of the compiler: every `pub fn`,
-# `pub const fn` and `pub const` in a `crates/*` library's source (not
-# `main.rs`, not `bin/`) is reached by non-test code of the workspace, or
-# its `///` doc block has a `Reached by:` line naming the test, claim or
-# frozen probe that needs it. The pass follows paths, not names, so an
+# The census's item rule, asked of the compiler in two passes over one
+# copy of the source.
+#
+# Pass 1, items: every `pub fn`, `pub const fn` and `pub const` in a
+# `crates/*` library's source (not `main.rs`, not `bin/`) is reached by
+# non-test code of the workspace, or its `///` doc block has a `Reached
+# by:` line naming the test, claim or frozen probe that needs it. An item
+# with such a line is a root. The pass follows paths, not names, so an
 # orphan that shares its name with a used item fails too.
+#
+# Pass 2, roots: a root is reached by what its line can name: a test, a
+# bin, another crate or the frozen benchmarks/ package. A root that
+# nothing reaches fails. So does a root that only its own crate's unit
+# tests reach, unless its `Reached by:` block names the `ROADMAP item N`
+# that decides it or the `clippy::` lint that keeps it.
 #
 # It works on a copy under target/census-rustc/ and never edits the
 # working tree:
-#   1. copy the files git tracks or would track (benchmarks/ aside), from
-#      the working tree or from REV;
-#   2. rewrite each such item to `pub(crate)`, unless its `///` / attribute
-#      block says `Reached by:` or `#[cfg(test)]`: those stay `pub` and are
-#      roots, so what they call is live. A crate's own `pub use` of such an
-#      item becomes a `pub(crate) use` of its own, so a re-export nothing
-#      outside the crate needs does not make its item live;
-#   3. `cargo check --workspace --lib --bins --keep-going`, and put back to
-#      `pub` every item a privacy error points at; an error that points at
-#      a re-export puts back the re-export and the item it names. Repeat
-#      until no error is left;
-#   4. the error-free check's `dead_code` warnings are items nothing
-#      outside tests reaches: each is printed with its file and line, and
-#      the script exits 1.
-# Tests, benches and the frozen benchmarks/ are not compiled, so an item
-# only they reach fails unless it says `Reached by:`. The module rule
-# (`//! Reached by:` on every `pub mod`) stays in tests/census.rs.
+#   1. copy the files git tracks or would track, from the working tree or
+#      from REV. benchmarks/ is copied too, only to be compiled;
+#   2. rewrite each such item to `pub(crate)` unless its `///` / attribute
+#      block says `#[cfg(test)]`, or, in pass 1, `Reached by:`. Pass 2
+#      leaves `pub` what pass 1 put back. A crate's own `pub use` of a
+#      rewritten item becomes a `pub(crate) use` of its own, so a
+#      re-export nothing outside the crate needs does not make its item
+#      live;
+#   3. check, and put back to `pub` every item a privacy error points at;
+#      an error that points at a re-export puts back the re-export and the
+#      item it names. Repeat until no error is left. Pass 1 checks the
+#      libraries and bins (`cargo check --workspace --lib --bins`); pass 2
+#      also checks the workspace's test targets (`--tests`) and the frozen
+#      package (`--all-targets`);
+#   4. read `dead_code` in the error-free build of the libraries without
+#      `cfg(test)`. Pass 1 prints every such item, pass 2 every such root
+#      that fails the rule above, each with its file and line, and the
+#      script exits 1. A root's callees that die with it are not printed.
+# Doctests are not compiled, so an item only a doctest reaches counts as
+# unreached. The module rule (`//! Reached by:` on every `pub mod`) stays
+# in tests/census.rs.
 #
 # The copy is rewritten on every run, so each file carries the time it was
 # written and cargo rebuilds what changed; the target directory is kept
@@ -45,7 +58,7 @@ export CARGO_TARGET_DIR="$PWD/target/census-rustc/target"
 unset RUSTFLAGS
 
 python3 - "$PWD/target/census-rustc/tree" "$rev" <<'EOF'
-import io, json, re, shutil, subprocess, sys, tarfile, time
+import io, json, os, re, shutil, subprocess, sys, tarfile, time
 from pathlib import Path
 
 tree, rev = Path(sys.argv[1]), sys.argv[2]
@@ -60,36 +73,21 @@ else:
     listed = subprocess.run(["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
                             check=True, capture_output=True).stdout.decode().split("\0")
     files = {p: Path(p).read_bytes() for p in listed if p and Path(p).is_file()}
-files = {p: b for p, b in files.items() if not p.startswith("benchmarks/")}
 shutil.rmtree(tree, ignore_errors=True)
 for path, data in files.items():
     (tree / path).parent.mkdir(parents=True, exist_ok=True)
     (tree / path).write_bytes(data)
 
-# 2. Every unmarked `pub` item of a library goes `pub(crate)`.
 LIB = re.compile(r"crates/([^/]+)/src/(?!main\.rs$|bin/).*\.rs$")
 ITEM = re.compile(r"^(\s*)pub (?=(?:const |unsafe )?fn |const )")
 NAME = re.compile(r"^\s*pub(?:\(crate\))? (?:const )?(?:unsafe )?(?:fn )?(\w+)")
+# A `Reached by:` block that says why only its crate's unit tests reach it.
+EXCUSED = re.compile(r"ROADMAP item \d+|clippy::")
+source = {p: files[p].decode().split("\n") for p in files if LIB.fullmatch(p)}
+on_disk = {p: "\n".join(lines) for p, lines in source.items()}
 text = {}   # library path -> its lines, as rewritten
 items = {}  # (path, 1-based line) -> name, for every rewritten item
-for path in sorted(files):
-    if not LIB.fullmatch(path):
-        continue
-    lines = files[path].decode().split("\n")
-    for i, line in enumerate(lines):
-        if not ITEM.match(line):
-            continue
-        block = []
-        for above in reversed(lines[:i]):
-            above = above.strip()
-            if not above.startswith(("///", "#[")):
-                break
-            block.append(above)
-        if any("Reached by:" in l or l == "#[cfg(test)]" for l in block):
-            continue
-        lines[i] = ITEM.sub(r"\1pub(crate) ", line, count=1)
-        items[(path, i + 1)] = NAME.match(line)[1]
-    text[path] = lines
+roots = {}  # (path, line) -> its `Reached by:` block, for every rewritten root
 
 def module_file(path, segments):
     """The library file of the module `segments` names from `path`'s module."""
@@ -110,28 +108,60 @@ def top_level(file, name):
 # its E0364 points at nothing the pass can put back, and the script fails.
 USE = re.compile(r"pub use ((?:\w+::)+)(?:\{([\w\s,]*)\}|(\w+(?: as \w+)?));\s*")
 imports = {}  # (path, line, column of `pub(crate)`) -> the item it names
-for path, lines in text.items():
-    for i, line in enumerate(lines):
-        use = USE.fullmatch(line)
-        if not use:
-            continue
-        prefix = use[1]
-        file = module_file(path, prefix.split("::")[:-1])
-        names = [n.strip() for n in (use[2] or use[3]).split(",") if n.strip()]
-        split = {n: top_level(file, n.split(" as ")[0]) for n in names} if file else {}
-        split = {n: k for n, k in split.items() if k}
-        if not split:
-            continue
-        keep = [n for n in names if n not in split]
-        line = f"pub use {prefix}{{{', '.join(keep)}}};" if keep else ""
-        for n, target in split.items():
-            line += " " if line else ""
-            imports[(path, i + 1, len(line) + 1)] = target
-            line += f"pub(crate) use {prefix}{n};"
-        lines[i] = line
 
-for path in {p for p, _ in items} | {p for p, _, _ in imports}:
-    (tree / path).write_text("\n".join(text[path]), encoding="utf-8")
+def write(path):
+    data = "\n".join(text[path])
+    if on_disk[path] != data:
+        (tree / path).write_text(data, encoding="utf-8")
+        on_disk[path] = data
+
+def make_private(with_roots, kept):
+    """2. Rewrite, from the source, every library item to `pub(crate)` but
+    those marked `#[cfg(test)]`, those in `kept`, and unless `with_roots`
+    the roots. Returns the number rewritten."""
+    text.clear(), items.clear(), roots.clear(), imports.clear()
+    for path, original in sorted(source.items()):
+        lines = text[path] = list(original)
+        for i, line in enumerate(lines):
+            if not ITEM.match(line) or (path, i + 1) in kept:
+                continue
+            block = []
+            for above in reversed(lines[:i]):
+                above = above.strip()
+                if not above.startswith(("///", "#[")):
+                    break
+                block.insert(0, above)
+            if "#[cfg(test)]" in block:
+                continue
+            doc = " ".join(l.removeprefix("///").strip() for l in block)
+            if "Reached by:" in doc:
+                if not with_roots:
+                    continue
+                roots[(path, i + 1)] = doc[doc.index("Reached by:"):]
+            lines[i] = ITEM.sub(r"\1pub(crate) ", line, count=1)
+            items[(path, i + 1)] = NAME.match(line)[1]
+    for path, lines in text.items():
+        for i, line in enumerate(lines):
+            use = USE.fullmatch(line)
+            if not use:
+                continue
+            prefix = use[1]
+            file = module_file(path, prefix.split("::")[:-1])
+            names = [n.strip() for n in (use[2] or use[3]).split(",") if n.strip()]
+            split = {n: top_level(file, n.split(" as ")[0]) for n in names} if file else {}
+            split = {n: k for n, k in split.items() if k}
+            if not split:
+                continue
+            keep = [n for n in names if n not in split]
+            line = f"pub use {prefix}{{{', '.join(keep)}}};" if keep else ""
+            for n, target in split.items():
+                line += " " if line else ""
+                imports[(path, i + 1, len(line) + 1)] = target
+                line += f"pub(crate) use {prefix}{n};"
+            lines[i] = line
+    for path in text:
+        write(path)
+    return len(items)
 
 def restore(key):
     """Put the item or import at `key` back to `pub`; return the files changed."""
@@ -152,13 +182,13 @@ def spans(msg):
     for child in msg["children"]:
         yield from child["spans"]
 
-def rel(name):
-    p = Path(name)
-    return p.relative_to(tree).as_posix() if p.is_absolute() else name
+def rel(name, base):
+    """`name`, which rustc gave relative to `base`, relative to the copy."""
+    return Path(os.path.relpath(base / name, tree)).as_posix()
 
-def pointed_at(span):
+def pointed_at(span, base):
     """The rewritten item or import a span falls on, if any."""
-    path = rel(span["file_name"])
+    path = rel(span["file_name"], base)
     for line in range(span["line_start"], span["line_end"] + 1):
         if (path, line) in items:
             return (path, line)
@@ -166,49 +196,107 @@ def pointed_at(span):
                and k[2] <= span["column_start"]]
     return max(on_line, default=None)
 
-# 3. Check, and put back what another crate or a bin needs, until clean.
+# 3. The checks: cargo's arguments, and the directory rustc's paths start in.
+LIBS = (["--workspace", "--lib", "--bins"], tree)
+TESTS = (["--workspace", "--tests"], tree)
+FROZEN = (["--manifest-path", "benchmarks/Cargo.toml", "--all-targets"], tree / "benchmarks")
 PRIVACY = {"E0603", "E0624", "E0364", "E0365"}
-made, rounds = len(items), 0
-while True:
-    rounds += 1
-    run = subprocess.run(["cargo", "check", "--workspace", "--lib", "--bins", "--keep-going",
-                          "--offline", "--quiet", "--message-format=json"],
-                         cwd=tree, capture_output=True, encoding="utf-8")
-    msgs = [json.loads(l) for l in run.stdout.splitlines() if l.startswith("{")]
-    msgs = [m["message"] for m in msgs if m.get("reason") == "compiler-message"]
-    errors = [m for m in msgs if m["level"] == "error"]
-    if not errors:
-        if run.returncode != 0:
-            sys.exit(f"census_rustc: cargo check failed:\n{run.stderr}")
-        break
-    touched = set()
-    for e in errors:
-        if (e.get("code") or {}).get("code") not in PRIVACY:
-            continue
-        for key in {pointed_at(s) for s in spans(e)} - {None}:
-            if key in items or key in imports:
-                touched |= restore(key)
-    if not touched:
-        sys.exit("census_rustc: cargo check fails for a reason the pass cannot mend:\n"
-                 + "".join(e["rendered"] for e in errors))
-    for path in touched:
-        (tree / path).write_text("\n".join(text[path]), encoding="utf-8")
 
-# 4. What is still unreached fails.
-dead = {}
-for m in msgs:
-    if (m.get("code") or {}).get("code") != "dead_code":
-        continue
-    for s in m["spans"]:
-        if s["is_primary"]:
-            t = s["text"][0]
-            name = t["text"][t["highlight_start"] - 1:t["highlight_end"] - 1]
-            dead[(rel(s["file_name"]), s["line_start"])] = (name, m["message"])
+def settle(checks):
+    """Run each check, putting back what its privacy errors point at, until
+    a round finds no error. Returns the rounds and each check's records."""
+    rounds = 0
+    while True:
+        rounds += 1
+        touched, records = set(), []
+        for args, base in checks:
+            run = subprocess.run(["cargo", "check", *args, "--keep-going", "--offline", "--quiet",
+                                  "--message-format=json"],
+                                 cwd=tree, capture_output=True, encoding="utf-8")
+            out = [json.loads(l) for l in run.stdout.splitlines() if l.startswith("{")]
+            errors = [r["message"] for r in out if r.get("reason") == "compiler-message"
+                      and r["message"]["level"] == "error"]
+            if not errors and run.returncode != 0:
+                sys.exit(f"census_rustc: cargo check {' '.join(args)} failed:\n{run.stderr}")
+            mended = set()
+            for e in errors:
+                if (e.get("code") or {}).get("code") not in PRIVACY:
+                    continue
+                for key in {pointed_at(s, base) for s in spans(e)} - {None}:
+                    if key in items or key in imports:
+                        mended |= restore(key)
+            if errors and not mended:
+                sys.exit(f"census_rustc: cargo check {' '.join(args)} fails for a reason the pass "
+                         "cannot mend:\n" + "".join(e["rendered"] for e in errors))
+            for path in mended:
+                write(path)
+            touched |= mended
+            records.append(out)
+        if not touched:
+            return rounds, records
+
+def dead_code(records, base):
+    """(path, line) -> [name, rustc's message, package, how many units warn]
+    for each `dead_code` warning in `records`."""
+    dead = {}
+    for r in records:
+        m = r.get("message") or {}
+        if r.get("reason") != "compiler-message" or (m.get("code") or {}).get("code") != "dead_code":
+            continue
+        for s in m["spans"]:
+            if s["is_primary"]:
+                t = s["text"][0]
+                name = t["text"][t["highlight_start"] - 1:t["highlight_end"] - 1]
+                key = (rel(s["file_name"], base), s["line_start"])
+                dead.setdefault(key, [name, m["message"], r["package_id"], 0])[3] += 1
+    return dead
+
+# Pass 1: what is still unreached from the libraries and bins fails.
+made = make_private(False, set())
+rewritten = set(items)
+rounds, (libs,) = settle([LIBS])
+dead = dead_code(libs, tree)
 print(f"census_rustc: {made} items made pub(crate), {made - len(items)} put back "
       f"in {rounds} rounds of cargo check, {len(dead)} unreached "
       f"({time.monotonic() - started:.1f} s)")
-for (path, line), (name, why) in sorted(dead.items()):
+for (path, line), (name, why, _, _) in sorted(dead.items()):
     print(f"{path}:{line}: `{name}`: nothing outside tests reaches it and no `/// Reached by:` "
           f"line says what does (rustc: {why})")
-sys.exit(1 if dead else 0)
+
+# Pass 2: a root the libraries' build finds dead is reached by nothing if
+# its crate's unit-test build finds it dead too. That build's warnings come
+# with those of the crate's non-test build, which the tests' check also
+# runs if a test target needs it: `--tests` warns once more than the
+# crate's non-test lib units it builds.
+started = time.monotonic()
+made = make_private(True, rewritten - set(items))
+rounds, (libs, tests, _) = settle([LIBS, TESTS, FROZEN])
+units = {}
+for r in tests:
+    if r.get("reason") == "compiler-artifact" and "lib" in r["target"]["kind"] \
+            and not r["profile"]["test"]:
+        units[r["package_id"]] = units.get(r["package_id"], 0) + 1
+in_tests = dead_code(tests, tree)
+unreached, unit_tested, failed = 0, 0, []
+for key, (name, why, package, _) in sorted(dead_code(libs, tree).items()):
+    if key not in roots:
+        continue
+    if key in in_tests and in_tests[key][3] > units.get(package, 0):
+        unreached += 1
+        failed.append(f"{key[0]}:{key[1]}: `{name}`: nothing reaches this root, whatever its "
+                      f"`Reached by:` line says (rustc: {why})")
+    else:
+        unit_tested += 1
+        if not EXCUSED.search(roots[key]):
+            failed.append(f"{key[0]}:{key[1]}: `{name}`: only its crate's unit tests reach this "
+                          "root, and its `Reached by:` line names no `ROADMAP item N` or "
+                          "`clippy::` lint")
+print(f"census_rustc: roots: {len(roots)} roots and {made - len(roots)} other items made "
+      f"pub(crate), {made - len(items)} put back in {rounds} rounds of cargo check (libraries "
+      f"and bins, tests, frozen benchmarks/), {unit_tested} roots only their crate's unit "
+      f"tests reach, {unreached} reached by nothing, {len(failed)} failing "
+      f"({time.monotonic() - started:.1f} s)")
+for line in failed:
+    print(line)
+sys.exit(1 if dead or failed else 0)
 EOF

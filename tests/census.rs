@@ -7,6 +7,8 @@
 //! `pub fn`, `pub const fn` and `pub const` of a library crate-private in a
 //! copy of the workspace, puts back what another crate or a bin needs, and
 //! fails on rustc's `dead_code` warnings, so it follows paths, not names.
+//! Its second pass holds the `Reached by:` items to their lines, with the
+//! tests and the frozen `benchmarks/` package compiled.
 //! A module doc is prose no lint reads, so this rule stays a scan.
 
 use std::fs;

@@ -100,18 +100,10 @@ fn gnm_generator_edge_cases() {
 }
 
 #[test]
-fn oversized_walk_and_sublist_requests_are_clamped() {
+fn oversized_sublist_requests_are_clamped() {
     let mut rng = Rng::new(83);
     let list = LinkedList::random(20, &mut rng);
-    // More walks/sublists than elements must degrade gracefully.
-    let cfg = archgraph::listrank::MtaStyleConfig {
-        walks: 10_000,
-        threads: 4,
-    };
-    assert_eq!(
-        archgraph::listrank::mta_style_rank(&list, &cfg),
-        list.rank_oracle()
-    );
+    // More sublists than elements must degrade gracefully.
     let hj = HjConfig {
         threads: 4,
         sublists_per_thread: 10_000,

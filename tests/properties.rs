@@ -9,7 +9,7 @@ use archgraph::graph::edgelist::EdgeList;
 use archgraph::graph::list::LinkedList;
 use archgraph::graph::unionfind::{connected_components, same_partition};
 use archgraph::graph::Node;
-use archgraph::listrank::{helman_jaja, mta_style_rank, sequential_rank, HjConfig, MtaStyleConfig};
+use archgraph::listrank::{helman_jaja, sequential_rank, HjConfig};
 
 /// Arbitrary permutation of 0..n encoded as a shuffled index vector.
 fn permutation(max_n: usize) -> impl Strategy<Value = Vec<Node>> {
@@ -36,8 +36,6 @@ proptest! {
         prop_assert_eq!(&sequential_rank(&list), &oracle);
         prop_assert_eq!(&helman_jaja(&list, &HjConfig::with_threads(1)), &oracle);
         prop_assert_eq!(&helman_jaja(&list, &HjConfig::with_threads(3)), &oracle);
-        let cfg = MtaStyleConfig { walks: (list.len() / 7).max(1), threads: 2 };
-        prop_assert_eq!(&mta_style_rank(&list, &cfg), &oracle);
     }
 
     #[test]
