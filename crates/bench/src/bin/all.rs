@@ -31,13 +31,13 @@ fn main() {
     println!("regenerating the full evaluation at {scale:?} scale (p up to {p})\n");
 
     eprintln!("[1/4] Fig. 1 series...");
-    let f1_mta = fig1::sweep(scale, MachineKind::Mta, true);
-    let f1_smp = fig1::sweep(scale, MachineKind::Smp, true);
+    let f1_mta = fig1::sweep(scale, MachineKind::Mta);
+    let f1_smp = fig1::sweep(scale, MachineKind::Smp);
     eprintln!("[2/4] Fig. 2 series...");
-    let f2_mta = fig2::sweep(scale, MachineKind::Mta, true);
-    let f2_smp = fig2::sweep(scale, MachineKind::Smp, true);
+    let f2_mta = fig2::sweep(scale, MachineKind::Mta);
+    let f2_smp = fig2::sweep(scale, MachineKind::Smp);
     eprintln!("[3/4] Table 1...");
-    let t1 = table1::sweep(scale, true);
+    let t1 = table1::sweep(scale);
     eprintln!("[4/4] ratios...\n");
 
     // Every sweep completed its surviving cells; summarize and bail now if

@@ -10,7 +10,7 @@ use archgraph_bench::cli::{panel_table, FigureArgs};
 use archgraph_bench::fig1;
 use archgraph_bench::sweep::exit_if_failed;
 use archgraph_core::experiment::Series;
-use archgraph_core::plot::{ascii_plot, PlotOptions};
+use archgraph_core::plot::ascii_plot;
 
 fn print_panel(title: &str, series: &[Series], sizes: &[usize], procs: &[usize]) {
     println!("\n== Fig. 1 ({title}): list ranking running time ==");
@@ -23,11 +23,7 @@ fn print_panel(title: &str, series: &[Series], sizes: &[usize], procs: &[usize])
             println!("    {line}");
         }
     }
-    let opts = PlotOptions {
-        x_label: "list length n".into(),
-        ..Default::default()
-    };
-    println!("\n{}", ascii_plot(series, &opts));
+    println!("\n{}", ascii_plot(series, "list length n"));
 }
 
 const USAGE: &str = "fig1 [smoke|default|full] [--arch mta|smp|both] [--csv]";

@@ -10,7 +10,7 @@ use archgraph_bench::cli::{panel_table, FigureArgs};
 use archgraph_bench::fig2;
 use archgraph_bench::sweep::exit_if_failed;
 use archgraph_core::experiment::Series;
-use archgraph_core::plot::{ascii_plot, PlotOptions};
+use archgraph_core::plot::ascii_plot;
 
 fn print_panel(title: &str, series: &[Series], ms: &[usize], procs: &[usize]) {
     println!("\n== Fig. 2 ({title}): connected components running time ==");
@@ -18,11 +18,7 @@ fn print_panel(title: &str, series: &[Series], ms: &[usize], procs: &[usize]) {
     for line in table.render().lines() {
         println!("  {line}");
     }
-    let opts = PlotOptions {
-        x_label: "edges m".into(),
-        ..Default::default()
-    };
-    println!("\n{}", ascii_plot(series, &opts));
+    println!("\n{}", ascii_plot(series, "edges m"));
 }
 
 const USAGE: &str = "fig2 [smoke|default|full] [--arch mta|smp|both] [--csv]";

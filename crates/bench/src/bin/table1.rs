@@ -19,7 +19,7 @@ fn main() {
     let scale = scale_or_usage(&args, USAGE);
     let _run = archgraph_bench::cli::enter_env_config(USAGE);
     eprintln!("computing Table 1 utilizations ({scale:?})...");
-    let sweep = table1::sweep(scale, true);
+    let sweep = table1::sweep(scale);
 
     println!("\n== Table 1: processor utilization on the Cray MTA ==");
     // Columns are the union of completed processor counts — a failed cell

@@ -48,7 +48,7 @@ pub struct CellRun {
     pub seconds: f64,
     /// MTA processor utilization in `0..=1` (0 off the MTA).
     pub utilization: f64,
-    /// The figure drivers' verbose-log detail ("util 93%", "3 iters").
+    /// The figure drivers' per-cell log detail ("util 93%", "3 iters").
     pub log: String,
 }
 

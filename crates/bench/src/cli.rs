@@ -71,7 +71,7 @@ impl FigureArgs {
     /// Returns the cells that failed.
     pub fn run_panels(
         &self,
-        sweep: impl Fn(Scale, MachineKind, bool) -> PanelSweep,
+        sweep: impl Fn(Scale, MachineKind) -> PanelSweep,
         print_panel: impl Fn(&str, &[Series]),
     ) -> Vec<CellFailure> {
         let mut all = Vec::new();
@@ -79,7 +79,7 @@ impl FigureArgs {
         for &machine in &self.machines {
             let title = machine.name().to_uppercase();
             eprintln!("running {title} panel ({:?})...", self.scale);
-            let sw = sweep(self.scale, machine, true);
+            let sw = sweep(self.scale, machine);
             print_panel(&title, &sw.series);
             all.extend(sw.series);
             failures.extend(sw.failures);

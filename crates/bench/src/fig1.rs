@@ -3,7 +3,7 @@
 //!
 //! Each `(kind, p, n)` cell simulates independently; [`panel`] declares
 //! them as [`PanelCell`]s and `sweep::run_panel` fans them out across host
-//! cores, reassembling results in cell order so series contents and verbose
+//! cores, reassembling results in cell order so series contents and per-cell
 //! logs are byte-identical to a serial sweep.
 //!
 //! Reached by: `--bin fig1` (`scripts/reproduce_all.sh`) and the `fig1/*` suite cells.
@@ -77,9 +77,9 @@ pub fn panel(scale: Scale, machine: MachineKind) -> Vec<PanelCell> {
 
 /// Sweep one machine's panel: every cell panic-isolated and (at `--full`
 /// scale) checkpointed for resume; series assembled from completed cells.
-pub fn sweep(scale: Scale, machine: MachineKind, verbose: bool) -> PanelSweep {
+pub fn sweep(scale: Scale, machine: MachineKind) -> PanelSweep {
     let tag = format!("fig1-{}", machine.name());
-    run_panel(&tag, scale, panel(scale, machine), |pt| pt.seconds, verbose)
+    run_panel(&tag, scale, panel(scale, machine), |pt| pt.seconds)
 }
 
 #[cfg(test)]
@@ -89,7 +89,7 @@ mod tests {
     use super::*;
 
     fn series(machine: MachineKind) -> Vec<Series> {
-        let sw = sweep(Scale::Smoke, machine, false);
+        let sw = sweep(Scale::Smoke, machine);
         assert!(sw.failures.is_empty(), "{:?}", sw.failures);
         sw.series
     }

@@ -73,9 +73,9 @@ pub fn panel(scale: Scale, machine: MachineKind) -> Vec<PanelCell> {
 
 /// Sweep one machine's panel: every cell panic-isolated and (at `--full`
 /// scale) checkpointed for resume; series assembled from completed cells.
-pub fn sweep(scale: Scale, machine: MachineKind, verbose: bool) -> PanelSweep {
+pub fn sweep(scale: Scale, machine: MachineKind) -> PanelSweep {
     let tag = format!("fig2-{}", machine.name());
-    run_panel(&tag, scale, panel(scale, machine), |pt| pt.seconds, verbose)
+    run_panel(&tag, scale, panel(scale, machine), |pt| pt.seconds)
 }
 
 #[cfg(test)]
@@ -85,7 +85,7 @@ mod tests {
     use super::*;
 
     fn series(machine: MachineKind) -> Vec<Series> {
-        let sw = sweep(Scale::Smoke, machine, false);
+        let sw = sweep(Scale::Smoke, machine);
         assert!(sw.failures.is_empty(), "{:?}", sw.failures);
         sw.series
     }

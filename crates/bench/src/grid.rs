@@ -3,7 +3,7 @@
 //! Every figure/table sweep is a grid of independent `(machine, p, layout,
 //! size)` cells, each a deterministic simulation. Running them through
 //! [`par_map`] preserves the serial cell order positionally, so assembling
-//! series, CSV rows, and verbose logs from the results afterwards yields
+//! series, CSV rows, and per-cell logs from the results afterwards yields
 //! byte-identical output to the serial sweep — only host wall-clock
 //! changes. The `parallel_matches_serial_*` integration tests pin this
 //! down by comparing full simulator reports across both paths.

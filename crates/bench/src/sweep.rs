@@ -81,7 +81,7 @@ impl fmt::Display for CellFailure {
 pub type CellOutcome<R> = Result<R, CellFailure>;
 
 /// What a sweep keeps from one completed cell: both of its readings plus
-/// the verbose log suffix. Small enough to checkpoint as one line.
+/// the per-cell log suffix. Small enough to checkpoint as one line.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CellPoint {
     /// The x-axis value (problem size).
@@ -92,7 +92,7 @@ pub struct CellPoint {
     pub seconds: f64,
     /// MTA processor utilization in `0..=1` (0 off the MTA).
     pub utilization: f64,
-    /// Extra verbose-log detail ("util 93%", "12 iters", ...).
+    /// Extra per-cell log detail ("util 93%", "12 iters", ...).
     pub log: String,
 }
 
@@ -465,11 +465,10 @@ pub fn run_panel(
     scale: Scale,
     cells: Vec<PanelCell>,
     value: fn(&CellPoint) -> f64,
-    verbose: bool,
 ) -> PanelSweep {
     let ck = Checkpoint::for_sweep(tag, scale);
     let outs = run_cells(&ck, &cells);
-    assemble_panel(cells, outs, value, verbose, &ck)
+    assemble_panel(cells, outs, value, &ck)
 }
 
 /// Assemble per-cell outcomes into series of `value`. Consecutive cells
@@ -480,7 +479,6 @@ fn assemble_panel(
     cells: Vec<PanelCell>,
     outs: Vec<CellOutcome<CellPoint>>,
     value: fn(&CellPoint) -> f64,
-    verbose: bool,
     ck: &Checkpoint,
 ) -> PanelSweep {
     assert_eq!(cells.len(), outs.len(), "one outcome per cell");
@@ -492,9 +490,7 @@ fn assemble_panel(
         }
         match out {
             Ok(pt) => {
-                if verbose {
-                    eprintln!("  {name}: {:.4} s ({})", pt.seconds, pt.log);
-                }
+                eprintln!("  {name}: {:.4} s ({})", pt.seconds, pt.log);
                 series
                     .last_mut()
                     .expect("a series was pushed above")
@@ -822,7 +818,7 @@ mod tests {
                 log: String::new(),
             }),
         ];
-        let sw = assemble_panel(cells, outs, |pt| pt.utilization, false, &ck);
+        let sw = assemble_panel(cells, outs, |pt| pt.utilization, &ck);
         assert_eq!(sw.series.len(), 2);
         assert_eq!(sw.series[0].points.len(), 1, "failed point skipped");
         assert_eq!(sw.series[1].points.len(), 1);

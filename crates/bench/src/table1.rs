@@ -58,8 +58,8 @@ pub fn cells(scale: Scale) -> Vec<PanelCell> {
 /// Sweep the table: every `(row, p)` cell panic-isolated and (at `--full`
 /// scale) checkpointed for resume; one utilization series per row, from
 /// the cells that completed.
-pub fn sweep(scale: Scale, verbose: bool) -> PanelSweep {
-    run_panel("table1", scale, cells(scale), |pt| pt.utilization, verbose)
+pub fn sweep(scale: Scale) -> PanelSweep {
+    run_panel("table1", scale, cells(scale), |pt| pt.utilization)
 }
 
 #[cfg(test)]
@@ -69,7 +69,7 @@ mod tests {
     use super::*;
 
     fn rows() -> Vec<Series> {
-        let sw = sweep(Scale::Smoke, false);
+        let sw = sweep(Scale::Smoke);
         assert!(sw.failures.is_empty(), "{:?}", sw.failures);
         sw.series
     }

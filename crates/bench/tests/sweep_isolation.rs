@@ -15,7 +15,7 @@ fn a_panicking_cell_fails_alone_and_the_sweep_survives() {
     std::env::set_var(CHECKPOINT_ENV, "off");
     std::env::set_var(PANIC_CELL_ENV, "fig1/smp/Random/p1/n4096");
 
-    let sw = fig1::sweep(Scale::Smoke, MachineKind::Smp, false);
+    let sw = fig1::sweep(Scale::Smoke, MachineKind::Smp);
 
     std::env::remove_var(PANIC_CELL_ENV);
     std::env::remove_var(CHECKPOINT_ENV);

@@ -14,7 +14,9 @@ use serde::{Deserialize, Serialize};
 ///
 /// The preset [`SmpParams::sun_e4500`] matches the evaluation platform: a
 /// 14-way UMA machine with 400 MHz UltraSPARC-II processors, 16 KB
-/// direct-mapped L1 data caches and 4 MB external L2 caches.
+/// direct-mapped L1 data caches and 4 MB external L2 caches. There is no
+/// prefetch parameter: the UltraSPARC-II has no hardware prefetcher, and
+/// the paper's codes issue no software prefetch.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SmpParams {
     /// Processor clock in Hz.
@@ -45,16 +47,11 @@ pub struct SmpParams {
     /// Additional per-processor cost of a software barrier in cycles
     /// (centralized-counter barriers serialize on the counter).
     pub barrier_per_proc_cycles: u64,
-    /// Number of line-sized sequential streams the hardware prefetcher can
-    /// track per processor (0 disables prefetching).
-    pub prefetch_streams: usize,
-    /// How many consecutive line accesses establish a prefetch stream.
-    pub prefetch_trigger: usize,
     /// Effective cycles per non-memory instruction. Irregular pointer codes
     /// run well below the 4-way superscalar peak; the paper's performance
     /// band implies an effective CPI near 2 on the UltraSPARC-II.
     pub compute_cpi: f64,
-    /// Data-TLB entries (UltraSPARC-II: 64). 0 disables the TLB model.
+    /// Data-TLB entries (UltraSPARC-II: 64; at least 1).
     pub tlb_entries: usize,
     /// Page size in bytes (Solaris/UltraSPARC base pages: 8 KB).
     pub page_bytes: usize,
@@ -86,10 +83,6 @@ impl SmpParams {
             bus_bytes_per_cycle: 4.0,
             barrier_base_cycles: 2_000,
             barrier_per_proc_cycles: 400,
-            // The UltraSPARC-II has no hardware prefetcher; software
-            // prefetch was not used by the paper's codes.
-            prefetch_streams: 0,
-            prefetch_trigger: 2,
             compute_cpi: 2.0,
             tlb_entries: 64,
             page_bytes: 8 * 1024,
@@ -118,8 +111,6 @@ impl SmpParams {
             bus_bytes_per_cycle: 4.0,
             barrier_base_cycles: 50,
             barrier_per_proc_cycles: 10,
-            prefetch_streams: 2,
-            prefetch_trigger: 2,
             compute_cpi: 1.0,
             tlb_entries: 8,
             page_bytes: 256,

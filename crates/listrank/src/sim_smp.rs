@@ -3,9 +3,9 @@
 //! The algorithm's real work is done on host data, and every memory touch
 //! it makes is mirrored onto the cycle-accounting [`SmpMachine`]: the
 //! mirrored addresses are the *actual* addresses the algorithm visits, so
-//! an Ordered list produces sequential streams (cache + prefetch friendly)
-//! and a Random list produces dependent random accesses — the mechanism
-//! behind the paper's 3–4× Ordered/Random gap.
+//! an Ordered list produces sequential streams (each line and TLB entry
+//! reused) and a Random list produces dependent random accesses — the
+//! mechanism behind the paper's 3–4× Ordered/Random gap.
 //!
 //! In the contiguous steps the work and its mirror go side by side. The
 //! sublist walk (step 3) is split into the two things it is, because the
@@ -449,8 +449,9 @@ mod tests {
     const PLAN: &str =
         "stall=300,stall-period=3000,brownout=4,brownout-at=30000,brownout-for=3000000:7";
 
-    /// The shipped walk against the reference on the tiny machine (its
-    /// prefetcher is on) and the E4500, clean and under [`PLAN`].
+    /// The shipped walk against the reference on the tiny machine (whose
+    /// small caches and TLB fill at toy sizes) and the E4500, clean and
+    /// under [`PLAN`].
     fn assert_matches_reference(list: &LinkedList, p: usize, sublists_per_proc: usize, seed: u64) {
         for params in [tiny(), SmpParams::sun_e4500()] {
             for plan in [None, Some(FaultPlan::parse(PLAN).unwrap())] {

@@ -69,7 +69,7 @@ impl Cache {
     }
 
     /// The line address (byte address with the offset bits dropped).
-    pub fn line_of(&self, addr: u64) -> u64 {
+    fn line_of(&self, addr: u64) -> u64 {
         addr >> self.line_shift
     }
 

@@ -3,18 +3,19 @@
 //! A trace-driven, cycle-accounting simulator of a cache-based symmetric
 //! multiprocessor in the class of the paper's Sun Enterprise E4500
 //! (§2.1): in-order cache microprocessors, a two-level cache hierarchy
-//! (small direct-mapped on-chip L1, large external L2), a shared bus to
-//! UMA main memory, and **software** barriers.
+//! (small direct-mapped on-chip L1, large external L2), a data TLB whose
+//! misses trap to software, a shared bus to UMA main memory, and
+//! **software** barriers. Like the UltraSPARC-II, it has no prefetcher.
 //!
 //! ## Why a simulator
 //!
 //! The paper's SMP observations are mechanistic cache effects: ordered
-//! traversals amortize one line fill over `line/4` elements and engage
-//! stream prefetching, random traversals pay a full memory round trip per
-//! dependent load, and every algorithm phase ends in a software barrier
-//! whose cost grows with `p`. This crate reproduces exactly those
-//! mechanisms and nothing more — it is *not* a microarchitectural model of
-//! the UltraSPARC-II pipeline.
+//! traversals amortize one line fill over `line/4` elements and one TLB
+//! entry over `page/4`, random traversals pay a full memory round trip
+//! and a TLB trap per dependent load, and every algorithm phase ends in a
+//! software barrier whose cost grows with `p`. This crate reproduces
+//! exactly those mechanisms and nothing more — it is *not* a
+//! microarchitectural model of the UltraSPARC-II pipeline.
 //!
 //! ## Programming model
 //!
@@ -47,7 +48,6 @@
 
 pub mod cache;
 pub mod machine;
-pub mod prefetch;
 pub mod stats;
 pub mod tlb;
 

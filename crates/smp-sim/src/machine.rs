@@ -12,7 +12,6 @@
 //! Reached by: every SMP suite cell.
 
 use crate::cache::Cache;
-use crate::prefetch::Prefetcher;
 use crate::stats::RunStats;
 use crate::tlb::Tlb;
 use archgraph_core::{FaultPlan, RunConfig, SimError, SmpParams};
@@ -38,7 +37,6 @@ impl ArrayAddr {
 pub struct ProcCtx {
     l1: Cache,
     l2: Cache,
-    prefetch: Prefetcher,
     tlb: Tlb,
     /// The machine's latencies in cycles and its CPI, as the `f64`s the
     /// clock adds: converted once here, not on every access.
@@ -75,7 +73,6 @@ impl ProcCtx {
         ProcCtx {
             l1: Cache::new(params.l1_bytes, params.line_bytes, params.l1_assoc),
             l2: Cache::new(params.l2_bytes, params.line_bytes, params.l2_assoc),
-            prefetch: Prefetcher::new(params.prefetch_streams, params.prefetch_trigger),
             tlb: Tlb::new(params.tlb_entries, params.page_bytes),
             l1_latency: params.l1_latency as f64,
             l2_latency: params.l2_latency as f64,
@@ -132,9 +129,8 @@ impl ProcCtx {
 
     /// Simulated load from a byte address. Charges L1/L2/memory latency
     /// according to residency (plus a TLB-miss trap when the page is not
-    /// mapped); trains the stream prefetcher on misses. A cache that
-    /// misses has installed the line by the time `access` returns, so a
-    /// fill from below needs no second call.
+    /// mapped). A cache that misses has installed the line by the time
+    /// `access` returns, so a fill from below needs no second call.
     pub fn read(&mut self, addr: u64) {
         self.fault_stall();
         self.loads += 1;
@@ -152,14 +148,7 @@ impl ProcCtx {
             // Main-memory charges stretch under a brownout; cache hits
             // do not (the brownout models the memory system, not the
             // processor-side hierarchy).
-            let mult = self.brownout_mult();
-            if self.prefetch.on_miss(self.l1.line_of(addr)) {
-                // The stream prefetcher had the line in flight; the
-                // processor sees roughly an L2 fill.
-                self.clock += self.l2_latency * mult;
-            } else {
-                self.clock += self.mem_latency * mult;
-            }
+            self.clock += self.mem_latency * self.brownout_mult();
         }
         self.mem_stall_cycles += self.clock - stall0;
     }
@@ -411,7 +400,6 @@ impl SmpMachine {
             s.l1_hits += p.l1_hits;
             s.l2_hits += p.l2_hits;
             s.mem_accesses += p.mem_accesses;
-            s.prefetch_hits += p.prefetch.hits;
             s.tlb_misses += p.tlb.misses;
             s.bus_lines += p.bus_lines;
             s.compute_cycles += p.compute_cycles;
@@ -578,7 +566,7 @@ mod tests {
         let s = m.stats();
         assert_eq!(s.accesses(), 512);
         assert_eq!(s.l1_hits + s.l2_hits + s.mem_accesses, s.accesses());
-        assert!(s.prefetch_hits <= s.mem_accesses);
+        assert_eq!(s.prefetch_hits, 0);
         assert!(s.cycles > 0.0);
         assert_eq!(s.phases, 1);
     }
@@ -712,5 +700,130 @@ mod tests {
         let s = m.stats();
         assert_eq!(s.mem_accesses, 16);
         assert_eq!(s.bus_lines, 32);
+    }
+
+    /// One small E4500 run at p = 2 that takes every path of the model:
+    /// sequential reads and write misses, random reads and writes, an L1
+    /// working set, L1 and L2 set conflicts, TLB misses, and barriers.
+    /// Returns the run's stats and its time in seconds.
+    fn mixed_run(params: SmpParams) -> (RunStats, f64) {
+        const N: usize = 1 << 15;
+        let mut m = SmpMachine::new(params, 2);
+        let a = m.alloc_elems::<u32>(N);
+        let b = m.alloc_elems::<u32>(N);
+        let hot = m.alloc_elems::<u32>(2048);
+        // Simulated addresses cost no host memory: three lines 2 MB apart
+        // share one set of the 2-way L2, and two lines 16 KB apart one set
+        // of the direct-mapped L1.
+        let far = m.alloc(6 << 20, 1).base;
+        m.phase("sequential", |proc, ctx| {
+            for i in proc * N / 2..(proc + 1) * N / 2 {
+                ctx.read_elem(a, i);
+                ctx.write_elem(b, i);
+                ctx.compute(1);
+            }
+        });
+        m.phase("random", |proc, ctx| {
+            let mut idx = proc;
+            for i in 0..N / 2 {
+                idx = (idx * 1_664_525 + 1_013_904_223) % N;
+                if i % 4 == 0 {
+                    ctx.write_elem(a, idx);
+                } else {
+                    ctx.read_elem(a, idx);
+                }
+                ctx.compute(2);
+            }
+        });
+        m.try_phase_no_barrier("reuse", |_, ctx| {
+            for _ in 0..2 {
+                for i in 0..2048 {
+                    ctx.read_elem(hot, i);
+                }
+            }
+            for _ in 0..64 {
+                for j in 0..3 {
+                    ctx.read(far + (j << 21));
+                }
+                ctx.read(far);
+                ctx.read(far + (16 << 10));
+            }
+        })
+        .unwrap();
+        (m.stats(), m.seconds())
+    }
+
+    #[test]
+    fn every_e4500_knob_moves_the_model() {
+        let base = SmpParams::sun_e4500();
+        // A field added to `SmpParams` fails to compile here until it gets
+        // a check below.
+        let SmpParams {
+            clock_hz: _,
+            max_processors: _,
+            l1_bytes: _,
+            l1_assoc: _,
+            l1_latency: _,
+            l2_bytes: _,
+            l2_assoc: _,
+            l2_latency: _,
+            line_bytes: _,
+            mem_latency: _,
+            bus_bytes_per_cycle: _,
+            barrier_base_cycles: _,
+            barrier_per_proc_cycles: _,
+            compute_cpi: _,
+            tlb_entries: _,
+            page_bytes: _,
+            tlb_miss_cycles: _,
+            store_miss_cycles: _,
+        } = &base;
+        type Perturb = fn(&mut SmpParams);
+        let knobs: [(&str, Perturb); 16] = [
+            ("l1_bytes", |q| q.l1_bytes /= 16),
+            ("l1_assoc", |q| q.l1_assoc *= 2),
+            ("l1_latency", |q| q.l1_latency *= 2),
+            ("l2_bytes", |q| q.l2_bytes /= 64),
+            ("l2_assoc", |q| q.l2_assoc *= 2),
+            ("l2_latency", |q| q.l2_latency *= 2),
+            ("line_bytes", |q| q.line_bytes /= 2),
+            ("mem_latency", |q| q.mem_latency *= 2),
+            ("bus_bytes_per_cycle", |q| q.bus_bytes_per_cycle /= 64.0),
+            ("barrier_base_cycles", |q| q.barrier_base_cycles *= 2),
+            ("barrier_per_proc_cycles", |q| {
+                q.barrier_per_proc_cycles *= 2
+            }),
+            ("compute_cpi", |q| q.compute_cpi *= 2.0),
+            ("tlb_entries", |q| q.tlb_entries /= 8),
+            ("page_bytes", |q| q.page_bytes /= 8),
+            ("tlb_miss_cycles", |q| q.tlb_miss_cycles *= 2),
+            ("store_miss_cycles", |q| q.store_miss_cycles *= 2),
+        ];
+        let (stats, seconds) = mixed_run(base.clone());
+        for (name, perturb) in knobs {
+            let mut q = base.clone();
+            perturb(&mut q);
+            assert_ne!(q, base, "{name}: the perturbation changes nothing");
+            assert_ne!(mixed_run(q).0, stats, "{name} does not move the run");
+        }
+        // The clock rate moves only the conversion to seconds.
+        let fast = SmpParams {
+            clock_hz: base.clock_hz * 2.0,
+            ..base.clone()
+        };
+        let (fast_stats, fast_seconds) = mixed_run(fast);
+        assert_eq!(fast_stats, stats);
+        assert_ne!(fast_seconds, seconds, "clock_hz does not move the time");
+        // The processor count bounds the machine.
+        let p = base.max_processors;
+        let build = |max_processors| {
+            let q = SmpParams {
+                max_processors,
+                ..base.clone()
+            };
+            std::panic::catch_unwind(|| SmpMachine::new(q, p).p()).ok()
+        };
+        assert_eq!(build(p), Some(p));
+        assert_eq!(build(p - 1), None, "max_processors does not bound p");
     }
 }

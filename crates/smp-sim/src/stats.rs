@@ -21,7 +21,9 @@ pub struct RunStats {
     pub l2_hits: u64,
     /// Accesses that went to main memory.
     pub mem_accesses: u64,
-    /// Memory accesses covered by the stream prefetcher.
+    /// Always 0: the modelled E4500 has no prefetcher. Kept because frozen
+    /// `benchmarks/src/run.rs` reads it for `smp-sim.prefetch_coverage`
+    /// (ROADMAP item 11(b)).
     pub prefetch_hits: u64,
     /// Data-TLB misses (each costing a software trap).
     pub tlb_misses: u64,
@@ -104,7 +106,6 @@ mod tests {
             stores: 20,
             l1_hits: 50,
             mem_accesses: 40,
-            prefetch_hits: 10,
             ..Default::default()
         };
         assert_eq!(s.accesses(), 100);

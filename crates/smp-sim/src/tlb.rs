@@ -51,13 +51,14 @@ pub struct Tlb {
 }
 
 impl Tlb {
-    /// A TLB with `entries` slots over pages of `page_bytes` (power of
-    /// two). `entries = 0` disables the model (every access "hits").
+    /// A TLB with `entries` slots (at least one) over pages of
+    /// `page_bytes` (power of two).
     pub fn new(entries: usize, page_bytes: usize) -> Self {
         assert!(
             page_bytes.is_power_of_two(),
             "page size must be a power of two"
         );
+        assert!(entries >= 1, "a TLB needs at least one entry");
         assert!(
             entries < NONE as usize,
             "slot indices are u16: at most {} entries",
@@ -96,9 +97,6 @@ impl Tlb {
     /// Misses install the page at the MRU position.
     #[inline]
     pub fn access(&mut self, addr: u64) -> bool {
-        if self.slots.is_empty() {
-            return true;
-        }
         let page = addr >> self.page_shift;
         // Sequential scans hit here 2047 times in 2048.
         if self.slots[self.mru as usize].page == page {
@@ -209,12 +207,9 @@ mod tests {
     }
 
     #[test]
-    fn disabled_tlb_always_hits() {
-        let mut t = Tlb::new(0, 4096);
-        for i in 0..100u64 {
-            assert!(t.access(i * 1_000_003));
-        }
-        assert_eq!(t.misses, 0);
+    #[should_panic(expected = "at least one entry")]
+    fn empty_tlb_rejected() {
+        Tlb::new(0, 4096);
     }
 
     #[test]

@@ -217,7 +217,7 @@ fn tlb_probe(t: &Tlb, addr: u64) -> bool {
     t.clone().access(addr)
 }
 
-const TLB_ENTRIES: [usize; 5] = [0, 1, 2, 8, 64];
+const TLB_ENTRIES: [usize; 4] = [1, 2, 8, 64];
 const ASSOCS: [usize; 4] = [1, 2, 4, 8];
 
 proptest! {

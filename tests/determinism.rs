@@ -41,11 +41,11 @@ fn figure_series_are_deterministic() {
         assert!(sw.failures.is_empty(), "{:?}", sw.failures);
         sw.series
     };
-    let fig1_smp = || series(fig1::sweep(Scale::Smoke, MachineKind::Smp, false));
+    let fig1_smp = || series(fig1::sweep(Scale::Smoke, MachineKind::Smp));
     assert_eq!(fig1_smp(), fig1_smp());
-    let fig2_mta = || series(fig2::sweep(Scale::Smoke, MachineKind::Mta, false));
+    let fig2_mta = || series(fig2::sweep(Scale::Smoke, MachineKind::Mta));
     assert_eq!(fig2_mta(), fig2_mta());
-    let table = || series(table1::sweep(Scale::Smoke, false));
+    let table = || series(table1::sweep(Scale::Smoke));
     assert_eq!(table(), table());
 }
 

@@ -19,15 +19,15 @@ use archgraph_core::experiment::Series;
 const GOLDEN: &str = include_str!("golden/figures_smoke.txt");
 
 fn series(
-    fig: fn(Scale, MachineKind, bool) -> archgraph_bench::PanelSweep,
+    fig: fn(Scale, MachineKind) -> archgraph_bench::PanelSweep,
     machine: MachineKind,
 ) -> Vec<Series> {
-    clean(fig(Scale::Smoke, machine, false))
+    clean(fig(Scale::Smoke, machine))
 }
 
 /// Table 1's rows: one utilization series per row.
 fn table1_rows() -> Vec<Series> {
-    clean(table1::sweep(Scale::Smoke, false))
+    clean(table1::sweep(Scale::Smoke))
 }
 
 fn clean(sw: archgraph_bench::PanelSweep) -> Vec<Series> {

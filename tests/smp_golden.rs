@@ -5,14 +5,18 @@
 //! `accesses`, and neither depends on what the TLB or the caches answer.
 //! This test pins what does: the whole `RunStats` of every SMP kernel —
 //! the four `f64` clocks by bit pattern, every hit, miss, bus and phase
-//! count — on the paper's machine, on the tiny test machine (whose
-//! prefetcher is on) and under one structural fault plan.
+//! count — on the paper's machine, on the tiny test machine (whose small
+//! caches and TLB show capacity effects at toy sizes) and under one
+//! structural fault plan. `prefetch_hits` is 0 on every line: the model
+//! has no prefetcher.
 //!
 //! `tests/golden/smp_runstats.txt` was recorded by running this file on
 //! commit 64667d8 (the scan-and-rotate `Tlb` and `Cache`, four host arrays
 //! in the Helman–JáJá walk), and its last eight lines — the list cells at
 //! the benchmark's `p = 8` and at `p = 1` — on commit 5cd33e5 (the serial
-//! walk, before it became a host chase and a replay). A host-speed change
+//! walk, before it became a host chase and a replay). Its 14 `tiny` and
+//! `tiny+plan` lines were re-recorded when the stream prefetcher, which
+//! only the tiny machine turned on, was deleted. A host-speed change
 //! to `smp-sim` or to a `sim_smp.rs` kernel must leave it byte-identical.
 //! After an intended model change, replace the file with the text the
 //! failure prints.
